@@ -5,9 +5,9 @@ from .fan import (Fan, PrimitiveCollection, FanError, NonPrimitiveRay,
                   build_fan, primitive_collections, locate_cone)
 from .lattice import (ClassLattice, CurveClass, EquivClass, LatticeError,
                       TorsionDetected, NonIntegralCoefficient,
-                      NoPositiveClassFound, class_lattice, equiv_classes,
-                      beta_K, mori_generators, dominates, find_anchor,
-                      effective_cones_coincide, in_cone, h0, h1)
+                      NonProjectiveFan, IneffectiveClass, class_lattice,
+                      equiv_classes, beta_K, mori_generators, dominates,
+                      find_anchor, effective_cones_coincide, h0, h1)
 from .poly import (Polynomial, Ideal, GroebnerBasis, PolyError, NonSquare,
                    NonHomogeneousIdeal, UnsupportedNovikovShape, ParseError,
                    det, groebner, normal_form, quotient_dims,
@@ -19,12 +19,13 @@ from .deform import (Deformation, DeformationEntry, LinearData, FreenessVerdict,
                      linear_part, local_freeness_check, sr_ideal, polymology)
 from .sectors import (SectorData, Transition, SectorError, NotDominating,
                       sector, sector_gb, transition, transfer_check)
-from .quantum import (QuantumError, AnchorDegenerate, EmptySector,
+from .quantum import (QuantumError, AnchorDegenerate,
                       NonFanoEnumerationUnbounded, CorrelatorReport, SectorRow,
                       QuantumRelation, four_fermi, correlator_sector,
                       correlator_series, degree_slice, effective_window,
-                      novikov_series_str, qsr_generators, verify_qc_relation,
-                      relation_annihilates, quantum_normal_form, quantum_groebner)
+                      mori_change_of_basis, novikov_series_str, qsr_generators,
+                      verify_qc_relation, relation_annihilates,
+                      quantum_normal_form, quantum_groebner)
 from .model import Model, ModelError, build_model, load_model
 
 __version__ = "0.1.0"

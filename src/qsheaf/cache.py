@@ -24,10 +24,6 @@ def set_store(store: Optional["FileCache"]) -> None:
     _store = store
 
 
-def active_store() -> Optional["FileCache"]:
-    return _store
-
-
 def default_cache_dir() -> str:
     env = os.environ.get("QSHEAF_CACHE")
     if env:
@@ -69,15 +65,19 @@ class FileCache:
         return os.path.join(self.root, f"{key}.json")
 
     def get(self, key: str) -> Optional[GroebnerBasis]:
-        path = self._path(key)
+        """The stored basis, or None on a miss.
+
+        An entry that cannot be read or decoded, whatever its defect, is a
+        miss: the caller recomputes the basis and overwrites the entry.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+            polys = tuple(deserialize_poly(p, data["nv"], data["nq"])
+                          for p in data["polys"])
+            return GroebnerBasis(polys, data["order"], data["nv"])
+        except Exception:
             return None
-        polys = tuple(deserialize_poly(p, data["nv"], data["nq"])
-                      for p in data["polys"])
-        return GroebnerBasis(polys, data["order"], data["nv"])
 
     def put(self, key: str, gb: GroebnerBasis) -> None:
         nq = gb.polys[0].nq if gb.polys else 0

@@ -17,13 +17,13 @@ from fractions import Fraction
 from . import cache
 from .fan import FanError
 from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
-from .poly import ParseError, PolyError, Polynomial, parse_polynomial
+from .poly import ParseError, PolyError, Polynomial, parse_polynomial, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
 from .sectors import SectorError, sector
 from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
-                      effective_window, novikov_series_str, qsr_generators,
-                      quantum_groebner, verify_qc_relation, _mori_change_of_basis)
+                      effective_window, mori_change_of_basis, novikov_series_str,
+                      novikov_symbol, qsr_generators, verify_qc_relation)
 from .model import Model, ModelError, load_model
 
 SCHEMA = "qsheaf-report/1"
@@ -49,7 +49,7 @@ def _display_poly(cl, p: Polynomial) -> str:
     if p.nq == 0 or not p.has_q():
         return p.to_str()
     try:
-        to_mori, _ = _mori_change_of_basis(cl)
+        to_mori, _ = mori_change_of_basis(cl)
     except UnsupportedNovikovShape:
         return p.to_str(q_names=[f"qc{j + 1}" for j in range(p.nq)])
     return p.map_q(to_mori, p.nq).to_str()
@@ -67,21 +67,11 @@ def _beta_str(cl, beta) -> str:
 
 def _psi_legend(cl) -> list:
     """Each Picard basis generator as a combination of divisor symbols."""
-    legend = []
-    for k in range(cl.pic_rank):
-        chunks = []
-        for rho in range(cl.fan.n_rays):
-            c = cl._section[rho][k]
-            if not c:
-                continue
-            body = f"D{rho + 1}" if abs(c) == 1 else f"{abs(c)}*D{rho + 1}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        legend.append({"symbol": f"psi{k + 1}",
-                       "in_divisors": " ".join(chunks) or "0"})
-    return legend
+    return [{"symbol": f"psi{k + 1}",
+             "in_divisors": signed_sum((cl._section[rho][k], f"D{rho + 1}")
+                                       for rho in range(cl.fan.n_rays)
+                                       if cl._section[rho][k])}
+            for k in range(cl.pic_rank)]
 
 
 def cmd_analyze(model: Model, args) -> tuple:
@@ -249,12 +239,7 @@ def cmd_qsr(model: Model, args) -> tuple:
     report = {"schema": SCHEMA, "command": "qsr", "relations": rows}
     lines = ["quantum stanley-reisner relations:"]
     for rel, row in zip(rels, rows):
-        mori = cl.mori_coordinates(rel.beta_k)
-        if mori is not None:
-            qsym = "*".join(f"q{j + 1}" + (f"^{e}" if e > 1 else "")
-                            for j, e in enumerate(mori) if e) or "1"
-        else:
-            qsym = "q^" + str(list(rel.beta_k.coords))
+        qsym = novikov_symbol(cl, rel.beta_k) or "1"
         structure = " * ".join([qsym] + [f"Qc{c.index}" + (f"^{m}" if m > 1 else "")
                                          for c, m in rel.kminus])
         lines.append(f"  K={row['collection']} (degree {row['degree']}): "
@@ -273,8 +258,7 @@ def cmd_correlator(model: Model, args) -> tuple:
     if p.has_q():
         raise ModelError("correlator insertions must not contain Novikov symbols")
     max_degree = args.max_degree if args.max_degree is not None else model.option("max_c1_degree")
-    rep = correlator_series(model.lin, p, max_degree,
-                            anchor_bound=model.option("anchor_bound"))
+    rep = correlator_series(model.lin, p, max_degree)
     rows = [{"beta": _beta_dict(cl, r.beta), "scalar": _frac(r.scalar),
              "reason": r.reason} for r in rep.rows]
     series = novikov_series_str(cl, rep.series)
@@ -320,8 +304,7 @@ def cmd_verify(model: Model, args) -> tuple:
     rows = []
     all_ok = True
     for idx, (K, bk, beta) in enumerate(cases):
-        anchor = find_anchor(cl, [beta, beta + bk],
-                             bound=model.option("anchor_bound"))
+        anchor = find_anchor(cl, [beta, beta + bk])
         ok = verify_qc_relation(model.lin, K, beta, anchor)
         routes = ["exponent"]
         if idx in expand_idx:

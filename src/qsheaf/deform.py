@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lattice import ClassLattice, EquivClass
-from .linalg import matrix_rank
+from .linalg import kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
                    quotient_dims, standard_monomials, det)
 from . import cache
@@ -38,24 +38,6 @@ class UnknownRayIndex(DeformError):
 
 class DegenerateDeformation(DeformError):
     """Graded dimensions escape the locally-free regime."""
-
-
-def _kernel_basis(rows, width: int) -> tuple:
-    """Rational kernel basis of the matrix given by `rows` (list of kernel vectors, pivots)."""
-    from .linalg import rref
-
-    if not rows:
-        return ([], [])
-    red, pivots = rref(rows)
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return (basis, pivots)
 
 
 @dataclass(frozen=True)
@@ -91,6 +73,14 @@ class LinearData:
 
     def q_of(self, c: EquivClass) -> Polynomial:
         return self.q[c.index]
+
+    def q_product(self, exponents: Iterable[tuple]) -> Polynomial:
+        """prod Q_c^e over (EquivClass, e) pairs; zero exponents are skipped."""
+        f = Polynomial.const(self.cl.pic_rank, 1)
+        for c, e in exponents:
+            if e:
+                f = f * self.q[c.index] ** e
+        return f
 
     def groebner_of(self, generators: tuple) -> GroebnerBasis:
         """Groebner basis with per-deformation memoization (idempotent writes)."""
@@ -245,8 +235,7 @@ def local_freeness_check(cl: ClassLattice, E: Deformation, trials: int = 20,
                 rows.append([lin.matrices[c.index][i][j].linear_coefficients()[k]
                              if lin.matrices[c.index][i][j] else Fraction(0)
                              for j in range(c.size)])
-        kernel, _ = _kernel_basis(rows, c.size)
-        for u in kernel:
+        for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
             for j, rho in enumerate(c.members):
                 x[rho] = u[j]
@@ -288,10 +277,7 @@ def sr_ideal(lin: LinearData) -> Ideal:
     cl = lin.cl
     gens = []
     for K in cl.primitive_collections:
-        class_ids = sorted({cl.class_of_ray(rho).index for rho in K.edges})
-        g = Polynomial.const(cl.pic_rank, 1)
-        for ci in class_ids:
-            g = g * lin.q[ci]
+        g = lin.q_product((c, 1) for c in cl.classes_of(K.edges))
         # a vanishing Q_K (singular A_c) generates nothing; the degeneracy
         # surfaces through polymology's dimension check instead
         if g:

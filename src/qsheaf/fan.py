@@ -112,7 +112,8 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     Checks: primitive rays, no duplicate rays, every maximal cone a lattice
     basis (|det| = 1), and completeness by facet pairing (every facet shared
     by exactly two maximal cones whose opposite rays lie on opposite sides,
-    detected by a determinant-sign cancellation).  Projectivity is trusted.
+    detected by a determinant-sign cancellation).  Projectivity is checked
+    later, by `class_lattice`, which raises NonProjectiveFan.
     """
     if rank < 1:
         raise FanError("rank must be a positive integer")

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
-from .linalg import matrix_rank, smith_normal_form, solve_columns
+from .linalg import kernel_basis, matrix_rank, smith_normal_form, solve_columns
 
 
 class LatticeError(Exception):
@@ -29,8 +31,12 @@ class NonIntegralCoefficient(LatticeError):
     """Internal inconsistency: cone coefficients must be integers on smooth fans."""
 
 
-class NoPositiveClassFound(LatticeError):
-    """Bounded search for an everywhere-positive effective class failed."""
+class NonProjectiveFan(LatticeError):
+    """The cone of wall curves is not pointed, so the fan is not projective."""
+
+
+class IneffectiveClass(LatticeError):
+    """A curve class outside the Mori cone was given where an effective one is required."""
 
 
 def h0(x: int) -> int:
@@ -100,9 +106,9 @@ class ClassLattice:
         self.divisor_classes = divisor_classes
         self.curve_basis_d = curve_basis_d
         self._section = section
-        self._equiv = None
-        self._mori = None
-        self._pcs = None
+        self._positive = None
+        self.walls = ()   # distinct wall-curve classes, set by class_lattice
+        self.facets = ()  # primitive inward facet normals of the Mori cone
 
     # ---- curve classes --------------------------------------------------
     @property
@@ -137,23 +143,17 @@ class ClassLattice:
         return sum(int(w) * b for w, b in zip(class_vec, beta.coords))
 
     # ---- cached combinatorial structure ---------------------------------
-    @property
+    @cached_property
     def equiv(self) -> tuple:
-        if self._equiv is None:
-            self._equiv = equiv_classes(self)
-        return self._equiv
+        return equiv_classes(self)
 
-    @property
+    @cached_property
     def primitive_collections(self) -> tuple:
-        if self._pcs is None:
-            self._pcs = primitive_collections(self.fan)
-        return self._pcs
+        return primitive_collections(self.fan)
 
-    @property
+    @cached_property
     def mori(self) -> tuple:
-        if self._mori is None:
-            self._mori = mori_generators(self)
-        return self._mori
+        return mori_generators(self)
 
     def class_of_ray(self, rho: int) -> EquivClass:
         for c in self.equiv:
@@ -162,7 +162,20 @@ class ClassLattice:
         raise LatticeError(f"ray {rho} missing from the class partition")
 
     def is_effective(self, beta: CurveClass) -> bool:
-        return in_cone(beta.coords, [g.coords for g in self.mori])
+        return all(_dot(u, beta.coords) >= 0 for u in self.facets)
+
+    @cached_property
+    def mori_inverse(self) -> Optional[tuple]:
+        """Row k holds the Mori coordinates of the k-th curve-basis vector.
+
+        None unless the Mori generators form a basis of the curve space.
+        """
+        r = self.pic_rank
+        cols = [[Fraction(x) for x in g.coords] for g in self.mori]
+        if len(cols) != r or matrix_rank(cols) != r:
+            return None
+        return tuple(tuple(solve_columns(cols, [Fraction(int(i == k)) for i in range(r)]))
+                     for k in range(r))
 
     def mori_coordinates(self, beta: CurveClass) -> Optional[tuple]:
         """beta as nonnegative integer combination of the Mori generators.
@@ -171,20 +184,27 @@ class ClassLattice:
         non-unimodular situations); used for display and Novikov
         coordinatization.
         """
-        gens = self.mori
-        cols = [[Fraction(x) for x in g.coords] for g in gens]
-        if matrix_rank(cols) != len(gens):
+        inv = self.mori_inverse
+        if inv is None:
             return None
-        sol = solve_columns(cols, [Fraction(x) for x in beta.coords])
-        if sol is None:
-            return None
+        sol = [sum(row[j] * x for row, x in zip(inv, beta.coords))
+               for j in range(self.pic_rank)]
         if any(s.denominator != 1 or s < 0 for s in sol):
             return None
         return tuple(int(s) for s in sol)
 
+    def classes_of(self, edges: Sequence[int]) -> tuple:
+        """The equivalence classes meeting the given rays, in index order."""
+        return tuple(c for c in self.equiv if not set(c.members).isdisjoint(edges))
+
 
 def class_lattice(fan: Fan) -> ClassLattice:
-    """Compute Pic and the curve lattice from the ray presentation."""
+    """Compute Pic, the curve lattice and the facets of the Mori cone.
+
+    Raises NonProjectiveFan when the cone of wall curves is not pointed:
+    by Kleiman's criterion a complete toric variety is projective exactly
+    when its cone of curves is (Cox-Little-Schenck, Toric Varieties, ch. 6).
+    """
     n, r = fan.rank, fan.n_rays
     rows = [list(v) for v in fan.rays]
     R, Rinv, diag = smith_normal_form(rows)
@@ -206,7 +226,43 @@ def class_lattice(fan: Fan) -> ClassLattice:
                 acc[k] += fan.rays[rho][j] * divisor_classes[rho][k]
         if any(acc):
             raise TorsionDetected("Picard presentation failed exactness check")
+    cl.walls = _wall_classes(cl)
+    cl.facets = cone_facets([w.coords for w in cl.walls], cl.pic_rank)
+    if matrix_rank(cl.facets) != cl.pic_rank:
+        raise NonProjectiveFan(
+            "the cone of wall curves is not pointed (its facet normals do not "
+            "span the Picard group), so the fan is not projective")
     return cl
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:
+    """Primitive integer inward facet normals of the cone spanned by gens.
+
+    Every rank dim-1 subset of generators has a one-dimensional kernel; its
+    primitive normal is kept (with the sign that makes it inward) when all
+    generators lie on one side.  Handles simplicial and non-simplicial cones
+    alike.  The normals span Q^dim exactly when the cone is full-dimensional
+    and pointed.
+    """
+    normals = []
+    for subset in itertools.combinations(gens, dim - 1):
+        kernel = kernel_basis([[Fraction(x) for x in g] for g in subset], dim)
+        if len(kernel) != 1:
+            continue
+        scale = lcm(*(x.denominator for x in kernel[0]))
+        u = [int(x * scale) for x in kernel[0]]
+        g = gcd(*u)
+        u = tuple(x // g for x in u)
+        signs = {(_dot(u, v) > 0) - (_dot(u, v) < 0) for v in gens} - {0}
+        if signs == {-1}:
+            u = tuple(-x for x in u)
+        if len(signs) < 2 and u not in normals:
+            normals.append(u)
+    return tuple(normals)
 
 
 def equiv_classes(cl: ClassLattice) -> tuple:
@@ -267,13 +323,11 @@ def beta_K(cl: ClassLattice, K: PrimitiveCollection):
     return beta, tuple(kminus)
 
 
-def mori_generators(cl: ClassLattice) -> tuple:
-    """Extremal wall-curve classes.
+def _wall_classes(cl: ClassLattice) -> tuple:
+    """Distinct wall-curve classes, in the order of their sorted walls.
 
     Every interior wall of the fan yields a relation with coefficient 1 on
-    the two opposite rays; duplicates and non-extremal classes are removed.
-    Generators matching some beta_K come first (in primitive-collection
-    order) so that Novikov symbols line up with the quantum relations.
+    the two opposite rays; these classes span the Mori cone.
     """
     fan = cl.fan
     walls = {}
@@ -300,45 +354,29 @@ def mori_generators(cl: ClassLattice) -> tuple:
         beta = cl.curve_from_d(d)
         if beta not in classes:
             classes.append(beta)
-    # prune non-extremal classes, largest first so primitive ones survive
-    order = sorted(classes, key=lambda b: (sum(abs(x) for x in b.d), b.d),
-                   reverse=True)
-    extremal = list(classes)
-    for beta in order:
-        if beta not in extremal:
-            continue
-        rest = [g for g in extremal if g != beta]
-        if rest and in_cone(beta.coords, [g.coords for g in rest]):
-            extremal = rest
+    return tuple(classes)
+
+
+def mori_generators(cl: ClassLattice) -> tuple:
+    """Extremal wall-curve classes.
+
+    A wall class spans an extremal ray of the Mori cone exactly when the
+    facets tight on it have normals of rank pic_rank - 1.  Wall classes are
+    primitive (they carry coefficient 1), so each extremal ray keeps one.
+    Generators matching some beta_K come first (in primitive-collection
+    order) so that Novikov symbols line up with the quantum relations.
+    """
+    extremal = [g for g in cl.walls
+                if matrix_rank([u for u in cl.facets if _dot(u, g.coords) == 0])
+                == cl.pic_rank - 1]
     # deterministic numbering: beta_K matches first, then by d-vector
     front = []
-    for K in primitive_collections(fan):
+    for K in primitive_collections(cl.fan):
         bk, _ = beta_K(cl, K)
         if bk in extremal and bk not in front:
             front.append(bk)
     rest = sorted((g for g in extremal if g not in front), key=lambda b: b.d)
     return tuple(front + rest)
-
-
-def in_cone(vec: Sequence, gens: Iterable[Sequence]) -> bool:
-    """Exact membership of vec in the rational cone spanned by gens.
-
-    By Caratheodory for cones it suffices to look for a nonnegative solution
-    supported on a linearly independent subset of the generators.
-    """
-    target = [Fraction(x) for x in vec]
-    gens = [[Fraction(x) for x in g] for g in gens]
-    if all(x == 0 for x in target):
-        return True
-    max_size = min(len(gens), matrix_rank(gens)) if gens else 0
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(gens, size):
-            if matrix_rank(list(subset)) != size:
-                continue
-            sol = solve_columns(list(subset), target)
-            if sol is not None and all(s >= 0 for s in sol):
-                return True
-    return False
 
 
 def dominates(cl: ClassLattice, beta_prime: CurveClass, beta: CurveClass) -> bool:
@@ -349,47 +387,55 @@ def dominates(cl: ClassLattice, beta_prime: CurveClass, beta: CurveClass) -> boo
     return all(h0(c.d(beta_prime)) >= h0(c.d(beta)) for c in cl.equiv)
 
 
-def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass],
-                bound: int = 10) -> CurveClass:
+def _positive_class(cl: ClassLattice) -> CurveClass:
+    """Effective curve class positive against every divisor class; memoized.
+
+    The first nonnegative combination of the Mori generators, by coefficient
+    sum and then lexicographically.  On a projective fan with ample class H
+    the curve class H^(dim-1) meets every toric divisor positively, so some
+    multiple of it is such a combination and the enumeration ends.
+    """
+    if cl._positive is None:
+        gens = cl.mori
+        for total in itertools.count(1):
+            for combo in itertools.product(range(total + 1), repeat=len(gens)):
+                if sum(combo) != total:
+                    continue
+                cand = cl.zero_curve
+                for a, g in zip(combo, gens):
+                    cand = cand + a * g
+                if all(c.d(cand) > 0 for c in cl.equiv):
+                    cl._positive = cand
+                    return cand
+    return cl._positive
+
+
+def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
     """Deterministic curve class dominating every given effective sector.
 
-    Searches nonnegative combinations of the Mori generators (coefficient
-    sum up to `bound`) for a class positive against every divisor class,
-    then scales it up just enough to dominate all sectors.
+    The sum of the sectors plus the least positive multiple n of a fixed
+    everywhere-positive effective class that dominates each sector.
     """
     if not sectors:
         raise LatticeError("anchor search requires at least one sector")
-    gens = cl.mori
-    positive = None
-    for total in range(1, bound + 1):
-        for combo in itertools.product(range(total + 1), repeat=len(gens)):
-            if sum(combo) != total:
-                continue
-            cand = cl.zero_curve
-            for a, g in zip(combo, gens):
-                cand = cand + a * g
-            if all(c.d(cand) > 0 for c in cl.equiv):
-                positive = cand
-                break
-        if positive is not None:
-            break
-    if positive is None:
-        raise NoPositiveClassFound(
-            f"no everywhere-positive class among combinations of total <= {bound}; "
-            "raise the search bound")
+    for s in sectors:
+        if not cl.is_effective(s):
+            raise IneffectiveClass(f"sector {s.d} is not effective")
+    positive = _positive_class(cl)
     base = cl.zero_curve
     for s in sectors:
         base = base + s
-    for n in range(1, 1 + max(1000, bound)):
-        anchor = base + n * positive
-        if all(dominates(cl, anchor, s) for s in sectors):
-            return anchor
-    raise NoPositiveClassFound("anchor scaling did not terminate")  # unreachable
+    # base - s sums effective sectors, so only h0(d_c) bounds n from below:
+    # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0
+    n = 1
+    for s in sectors:
+        for c in cl.equiv:
+            if c.d(s) >= 0:
+                n = max(n, -((c.d(base) - c.d(s)) // c.d(positive)))
+    return base + n * positive
 
 
 def effective_cones_coincide(cl: ClassLattice) -> bool:
     """Diagnostic: the beta_K span the same cone as the wall curves."""
     bk_coords = [beta_K(cl, K)[0].coords for K in cl.primitive_collections]
-    wall_coords = [g.coords for g in cl.mori]
-    return (all(in_cone(b, wall_coords) for b in bk_coords)
-            and all(in_cone(w, bk_coords) for w in wall_coords))
+    return set(cone_facets(bk_coords, cl.pic_rank)) == set(cl.facets)

@@ -205,6 +205,19 @@ def solve_columns(cols: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
     return sol
 
 
+def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
+    """Rational basis of the kernel of the matrix with the given rows."""
+    red, pivots = rref(rows) if rows else ([], [])
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Exact membership of target in the rational span of the given vectors."""
     base = [list(map(Fraction, v)) for v in vectors]

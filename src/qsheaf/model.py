@@ -17,10 +17,12 @@ from .deform import (Deformation, LinearData, linear_part, parse_deformation,
 MODEL_VERSION = 1
 
 DEFAULT_OPTIONS = {
-    "anchor_bound": 10,
     "trials": 20,
     "max_c1_degree": 8,
 }
+
+# accepted in version-1 files and ignored: the anchor search needs no bound
+IGNORED_OPTIONS = ("anchor_bound",)
 
 
 class ModelError(Exception):
@@ -94,6 +96,8 @@ def build_model(data: dict) -> Model:
 
     options = {}
     for key, value in (data.get("options") or {}).items():
+        if key in IGNORED_OPTIONS:
+            continue
         if key not in DEFAULT_OPTIONS:
             raise ModelError(f"unknown option {key!r}")
         options[key] = _as_int(value, f"options.{key}")

@@ -269,45 +269,45 @@ class Polynomial:
             terms[mon] = terms.get(mon, 0) + c
         return Polynomial(self.nv, nq, terms)
 
-    def evaluate_linear(self, point: Sequence[Fraction]) -> Fraction:
-        """Evaluate a linear form at a rational point of W-dual coordinates."""
-        total = Fraction(0)
-        for c, x in zip(self.linear_coefficients(), point):
-            total += c * x
-        return total
-
     def __repr__(self):
         return f"Polynomial({self.to_str()})"
 
     def to_str(self, psi_names: Optional[Sequence[str]] = None,
                q_names: Optional[Sequence[str]] = None) -> str:
         """Deterministic rendering, terms in descending monomial order."""
-        if not self.terms:
-            return "0"
         if psi_names is None:
             psi_names = [f"psi{i + 1}" for i in range(self.nv)]
         if q_names is None:
             q_names = [f"q{j + 1}" for j in range(self.nq)]
-        chunks = []
-        for (p, q), c in self.sorted_terms():
-            factors = []
-            for name, e in itertools.chain(zip(psi_names, p), zip(q_names, q)):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+        names = list(psi_names) + list(q_names)
+        return signed_sum((c, monomial_str(names, p + q))
+                          for (p, q), c in self.sorted_terms())
+
+
+def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
+    """Render prod name^e as ``a*b^2``; the empty product renders as ''."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e)
+
+
+def signed_sum(terms: Iterable[tuple]) -> str:
+    """Render (coefficient, symbol) terms as ``a - 2*b + c``.
+
+    The first term keeps its sign, later ones are joined by ``+ `` or ``- ``;
+    unit coefficients are dropped before a symbol, and no terms render as 0.
+    """
+    chunks = []
+    for c, sym in terms:
+        mag = abs(c)
+        if not sym:
+            body = str(mag)
+        elif mag == 1:
+            body = sym
+        else:
+            body = f"{mag}*{sym}"
+        sign = ("+ " if c > 0 else "- ") if chunks else ("" if c > 0 else "-")
+        chunks.append(sign + body)
+    return " ".join(chunks) or "0"
 
 
 # ---- ideals and Groebner bases ------------------------------------------
@@ -638,6 +638,8 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
         if kind == "num":
             if "/" in val:
                 num, den = val.split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", at)
                 return one * Fraction(int(num), int(den))
             return one * int(val)
         if kind == "sym":

@@ -10,6 +10,7 @@ full polynomial-expansion route and a correlator route as cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,8 +18,8 @@ from typing import Optional, Sequence
 from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, dominates, find_anchor,
                       h0, h1)
-from .linalg import solve_columns
-from .poly import Polynomial, UnsupportedNovikovShape, normal_form, standard_monomials
+from .poly import (Polynomial, UnsupportedNovikovShape, monomial_str, normal_form,
+                   signed_sum, standard_monomials)
 from .deform import LinearData
 from .sectors import NotDominating, sector, transition
 
@@ -31,10 +32,6 @@ class AnchorDegenerate(QuantumError):
     """The anchor sector's top graded piece is not one-dimensional."""
 
 
-class EmptySector(QuantumError):
-    """Raised only on request; empty sectors normally contribute zero."""
-
-
 class NonFanoEnumerationUnbounded(QuantumError):
     """A degree slice of the Mori cone is infinite; pass explicit sectors."""
 
@@ -42,13 +39,8 @@ class NonFanoEnumerationUnbounded(QuantumError):
 def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     """Obstruction factor F_beta = prod_c Q_c^{h1(d_c)} for excess dimension."""
     cl = lin.cl
-    f = Polynomial.const(cl.pic_rank, 1)
-    excess = 0
-    for c in cl.equiv:
-        e = h1(c.d(beta))
-        excess += c.size * e
-        if e:
-            f = f * lin.q_of(c) ** e
+    f = lin.q_product((c, h1(c.d(beta))) for c in cl.equiv)
+    excess = sum(c.size * h1(c.d(beta)) for c in cl.equiv)
     # degree bookkeeping: (c1.beta + dim X) + deg F == n_beta
     n_beta = sector(lin, beta).n_beta
     if beta.c1() + cl.fan.rank + excess != n_beta:
@@ -132,7 +124,7 @@ def degree_slice(cl: ClassLattice, t: int) -> tuple:
     lo = [min(v[k] for v in vertices) for k in range(cl.pic_rank)]
     hi = [max(v[k] for v in vertices) for k in range(cl.pic_rank)]
     found = []
-    ranges = [range(_ceil(a), _floor(b) + 1) for a, b in zip(lo, hi)]
+    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
     for coords in itertools.product(*ranges):
         beta = cl.curve_from_coords(coords)
         if beta.c1() == t and cl.is_effective(beta):
@@ -169,17 +161,8 @@ def effective_window(cl: ClassLattice, c1_bound: int,
     return tuple(sorted(found, key=lambda b: b.d))
 
 
-def _ceil(x: Fraction) -> int:
-    return -int((-x).__floor__()) if isinstance(x, Fraction) else x
-
-
-def _floor(x: Fraction) -> int:
-    return int(x.__floor__())
-
-
 def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
-                      sectors: Optional[Sequence[CurveClass]] = None,
-                      anchor_bound: int = 10) -> CorrelatorReport:
+                      sectors: Optional[Sequence[CurveClass]] = None) -> CorrelatorReport:
     """Sum the sector correlators of p over the matching degree slice.
 
     Sectors are enumerated from the Mori cone unless given explicitly; one
@@ -196,7 +179,7 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
         sectors = degree_slice(cl, target)
     sectors = tuple(sectors)
     anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
-    anchor = find_anchor(cl, anchor_inputs, bound=anchor_bound)
+    anchor = find_anchor(cl, anchor_inputs)
     _, _, gen = _anchor_generator(lin, anchor)
     rows = []
     for beta in sectors:
@@ -207,35 +190,18 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
                             rows=tuple(rows), series=series)
 
 
+def novikov_symbol(cl: ClassLattice, beta: CurveClass) -> str:
+    """q^beta in Mori coordinates (``q1*q2^3``, '' for beta = 0), or in curve
+    coordinates (``q^[1, -2]``) when beta has none."""
+    mori = cl.mori_coordinates(beta)
+    if mori is None:
+        return "q^" + str(list(beta.coords))
+    return monomial_str([f"q{j + 1}" for j in range(len(mori))], mori)
+
+
 def novikov_series_str(cl: ClassLattice, series) -> str:
     """Render sum lambda_beta q^beta with q-exponents in Mori coordinates."""
-    if not series:
-        return "0"
-    chunks = []
-    for beta, coeff in series:
-        mori = cl.mori_coordinates(beta)
-        if mori is None:
-            sym = "q^" + str(list(beta.coords))
-        else:
-            factors = []
-            for j, e in enumerate(mori):
-                if e == 1:
-                    factors.append(f"q{j + 1}")
-                elif e:
-                    factors.append(f"q{j + 1}^{e}")
-            sym = "*".join(factors) if factors else ""
-        mag = abs(coeff)
-        if not sym:
-            body = str(mag)
-        elif mag == 1:
-            body = sym
-        else:
-            body = f"{mag}*{sym}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return signed_sum((coeff, novikov_symbol(cl, beta)) for beta, coeff in series)
 
 
 # ---- quantum Stanley-Reisner relations ------------------------------------
@@ -261,13 +227,9 @@ def qsr_generators(lin: LinearData) -> tuple:
     out = []
     for K in cl.primitive_collections:
         bk, kminus = beta_K(cl, K)
-        class_ids = sorted({cl.class_of_ray(rho).index for rho in K.edges})
-        lhs = Polynomial.const(cl.pic_rank, 1)
-        for ci in class_ids:
-            lhs = lhs * lin.q[ci]
-        rhs = Polynomial.novikov(cl.pic_rank, nq, bk.coords)
-        for c, mult in kminus:
-            rhs = rhs * lin.q_of(c).with_q(nq) ** mult
+        lhs = lin.q_product((c, 1) for c in cl.classes_of(K.edges))
+        rhs = (Polynomial.novikov(cl.pic_rank, nq, bk.coords)
+               * lin.q_product(kminus).with_q(nq))
         diff = lhs.with_q(nq) - rhs
         # homogeneity when deg q^beta := c1 . beta
         degs = {sum(mono[0]) + sum(w * e for w, e in zip(weights, mono[1]))
@@ -310,30 +272,20 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
             if left != right:
                 return False
         return True
+    if route not in ("expand", "correlator"):
+        raise ValueError(f"unknown route {route!r}")
+    prod_k = lin.q_product((c, int(c.d(bk) > 0)) for c in cl.equiv)
+    prod_m = lin.q_product(kminus)
     if route == "expand":
-        lhs = transition(lin, beta_prime, shifted).r * four_fermi(lin, shifted)
-        for c in cl.equiv:
-            if c.d(bk) > 0:
-                lhs = lhs * lin.q_of(c)
-        rhs = transition(lin, beta_prime, beta).r * four_fermi(lin, beta)
-        for c, mult in kminus:
-            rhs = rhs * lin.q_of(c) ** mult
+        lhs = transition(lin, beta_prime, shifted).r * four_fermi(lin, shifted) * prod_k
+        rhs = transition(lin, beta_prime, beta).r * four_fermi(lin, beta) * prod_m
         return lhs == rhs
-    if route == "correlator":
-        prod_k = Polynomial.const(cl.pic_rank, 1)
-        for c in cl.equiv:
-            if c.d(bk) > 0:
-                prod_k = prod_k * lin.q_of(c)
-        prod_m = Polynomial.const(cl.pic_rank, 1)
-        for c, mult in kminus:
-            prod_m = prod_m * lin.q_of(c) ** mult
-        for y in insertions:
-            left = correlator_sector(lin, y * prod_k, shifted, beta_prime)
-            right = correlator_sector(lin, y * prod_m, beta, beta_prime)
-            if left != right:
-                return False
-        return True
-    raise ValueError(f"unknown route {route!r}")
+    for y in insertions:
+        left = correlator_sector(lin, y * prod_k, shifted, beta_prime)
+        right = correlator_sector(lin, y * prod_m, beta, beta_prime)
+        if left != right:
+            return False
+    return True
 
 
 def relation_annihilates(lin: LinearData, rel: QuantumRelation,
@@ -344,9 +296,7 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
     if not window:
         return True
     anchor = find_anchor(cl, window + [b + rel.beta_k for b in window])
-    prod_m = Polynomial.const(cl.pic_rank, 1)
-    for c, mult in rel.kminus:
-        prod_m = prod_m * lin.q_of(c) ** mult
+    prod_m = lin.q_product(rel.kminus)
     for beta in window:
         left = correlator_sector(lin, insertion * rel.lhs, beta + rel.beta_k, anchor)
         right = correlator_sector(lin, insertion * prod_m, beta, anchor)
@@ -357,22 +307,22 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
 
 # ---- quantum normal forms ---------------------------------------------------
 
-def _mori_change_of_basis(cl: ClassLattice):
-    """Integer matrices (to_mori, to_curve) between curve and Mori coordinates."""
+def mori_change_of_basis(cl: ClassLattice):
+    """Maps (to_mori, to_curve) between curve and Mori coordinates.
+
+    Raises UnsupportedNovikovShape unless the Mori generators form a
+    unimodular basis of the curve lattice.
+    """
     gens = cl.mori
-    if len(gens) != cl.pic_rank:
+    inverse = cl.mori_inverse
+    if inverse is None:
         raise UnsupportedNovikovShape(
             f"{len(gens)} Mori generators for curve rank {cl.pic_rank}; "
             "no unimodular effective basis")
-    cols = [[Fraction(x) for x in g.coords] for g in gens]
-    inv_cols = []  # inv_cols[k] = Mori coordinates of the k-th curve-basis vector
-    for k in range(cl.pic_rank):
-        unit = [Fraction(1) if i == k else Fraction(0) for i in range(cl.pic_rank)]
-        sol = solve_columns(cols, unit)
-        if sol is None or any(s.denominator != 1 for s in sol):
-            raise UnsupportedNovikovShape(
-                "Mori generators are not a unimodular basis of the curve lattice")
-        inv_cols.append([int(s) for s in sol])
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise UnsupportedNovikovShape(
+            "Mori generators are not a unimodular basis of the curve lattice")
+    inv_cols = [[int(x) for x in row] for row in inverse]
 
     def to_mori(qpart: tuple) -> tuple:
         return tuple(sum(inv_cols[k][j] * qpart[k] for k in range(cl.pic_rank))
@@ -388,7 +338,7 @@ def _mori_change_of_basis(cl: ClassLattice):
 def quantum_groebner(lin: LinearData) -> tuple:
     """Reduced basis of the quantum ideal, Novikov exponents in curve coordinates."""
     cl = lin.cl
-    to_mori, to_curve = _mori_change_of_basis(cl)
+    to_mori, to_curve = mori_change_of_basis(cl)
     gens = tuple(rel.difference.map_q(to_mori, cl.pic_rank)
                  for rel in qsr_generators(lin))
     gb = lin.groebner_of(gens)
@@ -402,7 +352,7 @@ def quantum_normal_form(lin: LinearData, p: Polynomial) -> Polynomial:
     lattice, so the Novikov exponents can be coordinatized nonnegatively.
     """
     cl = lin.cl
-    to_mori, to_curve = _mori_change_of_basis(cl)
+    to_mori, to_curve = mori_change_of_basis(cl)
     gens = tuple(rel.difference.map_q(to_mori, cl.pic_rank)
                  for rel in qsr_generators(lin))
     gb = lin.groebner_of(gens)

@@ -66,12 +66,7 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
     n_beta = sum(h0(d[rho]) for rho in range(fan.n_rays)) - cl.pic_rank
     gens = []
     for K in pcs:
-        class_ids = sorted({cl.class_of_ray(rho).index for rho in K.edges})
-        g = Polynomial.const(cl.pic_rank, 1)
-        for ci in class_ids:
-            e = h0(d[cl.equiv[ci].members[0]])
-            if e:
-                g = g * lin.q[ci] ** e
+        g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
         if g:
             gens.append(g)
     for rho, _ in degenerate:
@@ -104,11 +99,7 @@ def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Tra
     cl = lin.cl
     if not dominates(cl, beta_prime, beta):
         raise NotDominating(f"{beta_prime.d} does not dominate {beta.d}")
-    r = Polynomial.const(cl.pic_rank, 1)
-    for c in cl.equiv:
-        e = h0(c.d(beta_prime)) - h0(c.d(beta))
-        if e:
-            r = r * lin.q_of(c) ** e
+    r = lin.q_product((c, h0(c.d(beta_prime)) - h0(c.d(beta))) for c in cl.equiv)
     if r:
         gap = sector(lin, beta_prime).n_beta - sector(lin, beta).n_beta
         if r.psi_degree() != gap:
@@ -127,7 +118,7 @@ def transfer_check(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) ->
     if not dominates(cl, beta_prime, beta):
         raise NotDominating(f"{beta_prime.d} does not dominate {beta.d}")
     for K in cl.primitive_collections:
-        kset = {cl.class_of_ray(rho).index for rho in K.edges}
+        kset = {c.index for c in cl.classes_of(K.edges)}
         for c in cl.equiv:
             shift = h0(c.d(beta_prime)) - h0(c.d(beta))
             left = shift + (h0(c.d(beta)) if c.index in kset else 0)

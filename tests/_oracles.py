@@ -2,13 +2,14 @@
 
 These deliberately avoid the code paths they check: ideal membership is
 decided degree by degree with plain linear algebra, determinants by the
-Leibniz sum, h-vectors come from face counts inside the fan module itself.
+Leibniz sum, h-vectors come from face counts inside the fan module itself,
+cone membership by a Caratheodory search instead of facet inequalities.
 """
 
 import itertools
 from fractions import Fraction
 
-from qsheaf.linalg import in_span
+from qsheaf.linalg import in_span, matrix_rank, solve_columns
 from qsheaf.poly import Polynomial
 
 
@@ -69,3 +70,24 @@ def leibniz_det(matrix):
         term = prod * sign
         total = term if total is None else total + term
     return total
+
+
+def in_cone(vec, gens):
+    """Exact membership of vec in the rational cone spanned by gens.
+
+    By Caratheodory for cones it suffices to look for a nonnegative solution
+    supported on a linearly independent subset of the generators.
+    """
+    target = [Fraction(x) for x in vec]
+    gens = [[Fraction(x) for x in g] for g in gens]
+    if all(x == 0 for x in target):
+        return True
+    max_size = min(len(gens), matrix_rank(gens)) if gens else 0
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(gens, size):
+            if matrix_rank(list(subset)) != size:
+                continue
+            sol = solve_columns(list(subset), target)
+            if sol is not None and all(s >= 0 for s in sol):
+                return True
+    return False

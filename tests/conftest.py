@@ -22,6 +22,32 @@ def hirzebruch(n):
                      [(0, 2), (1, 2), (1, 3), (0, 3)])
 
 
+def hexagon():
+    """dP3, the blowup of P2 in three points: six Mori generators in rank 4."""
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    return build_fan(2, rays, [(i, (i + 1) % 6) for i in range(6)])
+
+
+def blowup_p3_point():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
+    cones = [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)]
+    return build_fan(3, rays, cones)
+
+
+# A smooth complete fan with no strictly convex support function: the six
+# cones joining e1, e2, e3 to the inner triangle (2,1,1), (1,2,1), (1,1,2)
+# are glued with a twist.
+NON_PROJECTIVE_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                       (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1)]
+NON_PROJECTIVE_CONES = [(0, 1, 3), (1, 2, 3), (0, 2, 3), (4, 5, 7), (5, 6, 7),
+                        (6, 4, 7), (0, 1, 5), (0, 4, 5), (1, 2, 6), (1, 5, 6),
+                        (2, 0, 4), (2, 6, 4)]
+
+
+def non_projective_fan():
+    return build_fan(3, NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
+
+
 def all_fans():
     """The six worked examples: P1, P2, P1xP1, F1, F2, F3."""
     return [("P1", p1_fan()), ("P2", p2_fan()), ("P1xP1", p1xp1_fan()),

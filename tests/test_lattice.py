@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from qsheaf import (beta_K, class_lattice, dominates, effective_cones_coincide,
-                    find_anchor, h0, h1, in_cone)
+from qsheaf import (IneffectiveClass, NonProjectiveFan, beta_K,
+                    class_lattice, dominates, effective_cones_coincide,
+                    find_anchor, h0, h1)
 
-from conftest import all_fans, hirzebruch, p1_fan, p1xp1_fan, p2_fan
+from _oracles import in_cone
+from conftest import (all_fans, blowup_p3_point, hexagon, hirzebruch,
+                      non_projective_fan, p1_fan, p1xp1_fan, p2_fan)
 
 
 def test_p2_class_lattice():
@@ -163,9 +167,6 @@ def test_effective_cone_diagnostic():
 
 
 def test_in_cone_membership():
-    assert in_cone((2, 3), [(1, 0), (0, 1)])
-    assert not in_cone((-1, 0), [(1, 0), (0, 1)])
-    assert in_cone((0, 0), [])
     # F1 generator with negative curve coordinates is effective
     cl = class_lattice(hirzebruch(1))
     b = cl.curve_from_d((1, 1, -1, 0))
@@ -198,12 +199,35 @@ def test_curve_class_round_trip(coords):
         assert cl.pairing(cl.divisor_classes[rho], beta) == beta.d[rho]
 
 
-def test_anchor_search_bound_exhausted():
-    from qsheaf import NoPositiveClassFound
+@pytest.mark.parametrize("make_fan", [hexagon, lambda: hirzebruch(3), blowup_p3_point],
+                         ids=["dP3", "F3", "Bl_pt P3"])
+def test_is_effective_matches_caratheodory_oracle(make_fan):
+    cl = class_lattice(make_fan())
+    gens = [g.coords for g in cl.mori]
+    # the oracle's subset search makes a rank-4 box of radius 3 take ~40 s
+    radius = 3 if cl.pic_rank <= 2 else 1
+    for coords in itertools.product(range(-radius, radius + 1), repeat=cl.pic_rank):
+        beta = cl.curve_from_coords(coords)
+        assert cl.is_effective(beta) == in_cone(coords, gens), coords
 
-    cl = class_lattice(p1_fan())
-    with pytest.raises(NoPositiveClassFound):
-        find_anchor(cl, [cl.zero_curve], bound=0)
+
+def test_hexagon_mori_cone_is_not_simplicial():
+    cl = class_lattice(hexagon())
+    assert cl.pic_rank == 4
+    assert len(cl.mori) == 6
+    assert effective_cones_coincide(cl)
+
+
+def test_non_projective_fan_rejected():
+    with pytest.raises(NonProjectiveFan):
+        class_lattice(non_projective_fan())
+
+
+def test_find_anchor_rejects_ineffective_sector():
+    cl = class_lattice(hirzebruch(1))
+    b = cl.curve_from_d((1, 1, -1, 0))
+    with pytest.raises(IneffectiveClass):
+        find_anchor(cl, [cl.zero_curve, -b])
 
 
 def test_riemann_roch_helpers():

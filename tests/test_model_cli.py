@@ -6,6 +6,8 @@ import pytest
 from qsheaf.cli import run
 from qsheaf.model import ModelError, build_model, load_model
 
+from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS
+
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
@@ -30,6 +32,14 @@ def test_build_model_validation():
         build_model({"version": 1,
                      "fan": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
                      "options": {"bogus": 3}})
+
+
+def test_anchor_bound_option_accepted_and_ignored():
+    fan = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+    m = build_model({"version": 1, "fan": fan, "options": {"anchor_bound": 10}})
+    assert m.options == {}
+    with pytest.raises(ModelError, match="unknown option 'anchor'"):
+        build_model({"version": 1, "fan": fan, "options": {"anchor": 10}})
 
 
 def test_string_integers_accepted():
@@ -100,6 +110,36 @@ def test_cli_parse_error_position(tmp_path, capsys):
     assert "position" in err
 
 
+def test_cli_zero_denominator_is_parse_error(tmp_path, capsys):
+    code, out, err = capture(capsys, ["correlator", model_path("p1"),
+                                      "--poly", "1/0*D1", "--no-cache"])
+    assert code == 1
+    assert err.startswith("error[ParseError]: zero denominator (at position 0)")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "version": 1,
+        "fan": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+        "deformation": {"entries": [{"rho": 0, "m": [0], "coeff": "D1 + 1/0*D2"}]},
+    }))
+    code, out, err = capture(capsys, ["analyze", str(bad), "--no-cache"])
+    assert code == 1
+    assert err.startswith("error[ParseError]: zero denominator (at position 5)")
+
+
+@pytest.mark.parametrize("command", ["analyze", "polymology", "qsr", "verify"])
+def test_cli_non_projective_fan(tmp_path, capsys, command):
+    path = tmp_path / "nonprojective.json"
+    path.write_text(json.dumps({
+        "version": 1,
+        "fan": {"rank": 3, "rays": NON_PROJECTIVE_RAYS,
+                "max_cones": NON_PROJECTIVE_CONES},
+    }))
+    code, out, err = capture(capsys, [command, str(path), "--no-cache"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[NonProjectiveFan]: ")
+
+
 def test_cli_deterministic_output(capsys):
     argv = ["analyze", model_path("p1xp1_deformed"), "--no-cache"]
     _, out1, _ = capture(capsys, argv)
@@ -134,3 +174,21 @@ def test_cache_transparency(tmp_path, capsys, monkeypatch):
     assert code1 == code2 == code3 == 0
     assert cold == warm == off
     assert any((tmp_path / "cache").iterdir())
+
+
+@pytest.mark.parametrize("entry", ["{}", '{"order": "grevlex", "nv": 2, "nq": 0, '
+                                   '"polys": [[["x", [1, 0], []]]]}'])
+def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, entry):
+    monkeypatch.setenv("QSHEAF_CACHE", str(tmp_path))
+    argv = ["correlator", model_path("p1xp1_deformed"), "--poly", "D1*D3"]
+    code, fresh, _ = capture(capsys, argv)
+    assert code == 0
+    entries = sorted(tmp_path.glob("*.json"))
+    assert entries
+    for path in entries:
+        path.write_text(entry)
+    code, again, err = capture(capsys, argv)
+    assert (code, again, err) == (0, fresh, "")
+    for path in entries:   # each entry was recomputed and rewritten
+        assert "polys" in json.loads(path.read_text())
+        assert path.read_text() != entry
