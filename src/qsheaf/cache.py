@@ -1,7 +1,7 @@
 """Optional content-addressed store for reduced Groebner bases.
 
 Sector ideals recur across queries, so the CLI persists reduced bases keyed
-by a hash of (generators, monomial order).  The store is process-global and
+by a hash of (key format, generators).  The store is process-global and
 off by default; results are identical with or without it.
 """
 
@@ -15,6 +15,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .poly import GroebnerBasis, Ideal, Polynomial, groebner
+
+# Names the monomial order and the normalisation of stored bases; a change to
+# either must change this tag, so that entries of the old form are never hit.
+KEY_FORMAT = "qsheaf-gb/2 grevlex reduced monic"
 
 _store: Optional["FileCache"] = None
 
@@ -46,7 +50,7 @@ def deserialize_poly(data: list, nv: int, nq: int) -> Polynomial:
 def ideal_key(ideal: Ideal) -> str:
     nq = ideal.generators[0].nq if ideal.generators else 0
     payload = json.dumps({
-        "order": ideal.order,
+        "format": KEY_FORMAT,
         "nv": ideal.nv,
         "nq": nq,
         "gens": [serialize_poly(g) for g in ideal.generators],
@@ -75,14 +79,13 @@ class FileCache:
                 data = json.load(fh)
             polys = tuple(deserialize_poly(p, data["nv"], data["nq"])
                           for p in data["polys"])
-            return GroebnerBasis(polys, data["order"], data["nv"])
+            return GroebnerBasis(polys, data["nv"])
         except Exception:
             return None
 
     def put(self, key: str, gb: GroebnerBasis) -> None:
         nq = gb.polys[0].nq if gb.polys else 0
         data = {
-            "order": gb.order,
             "nv": gb.nv,
             "nq": nq,
             "polys": [serialize_poly(g) for g in gb.polys],

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import cache
 from .fan import FanError
 from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
-from .poly import ParseError, PolyError, Polynomial, parse_polynomial, signed_sum
+from .poly import PolyError, Polynomial, parse_polynomial, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
 from .sectors import SectorError, sector
@@ -255,8 +255,6 @@ def cmd_correlator(model: Model, args) -> tuple:
     cl = model.cl
     syms = d_symbols(cl)
     p = parse_polynomial(args.poly, syms)
-    if p.has_q():
-        raise ModelError("correlator insertions must not contain Novikov symbols")
     max_degree = args.max_degree if args.max_degree is not None else model.option("max_c1_degree")
     rep = correlator_series(model.lin, p, max_degree)
     rows = [{"beta": _beta_dict(cl, r.beta), "scalar": _frac(r.scalar),
@@ -286,6 +284,8 @@ def cmd_correlator(model: Model, args) -> tuple:
 def cmd_verify(model: Model, args) -> tuple:
     cl = model.cl
     grid = args.grid if args.grid is not None else 6
+    if grid < 0:
+        raise ModelError(f"--grid must be nonnegative, got {grid}")
     if args.all:
         window = effective_window(cl, grid, coeff_bound=grid)
     else:
@@ -378,9 +378,6 @@ def run(argv) -> int:
     try:
         model = load_model(args.model)
         lines, report, code = COMMANDS[args.command](model, args)
-    except ParseError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
     except VALIDATION_ERRORS as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

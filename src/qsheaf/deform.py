@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .lattice import ClassLattice, EquivClass
 from .linalg import kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
-                   quotient_dims, standard_monomials, det)
+                   sole_generator, standard_monomials, det)
 from . import cache
 
 
@@ -302,12 +302,12 @@ def polymology(lin: LinearData) -> PolymologyResult:
     cl = lin.cl
     n = cl.fan.rank
     gb = lin.groebner_of(sr_ideal(lin).generators)
-    dims = quotient_dims(gb, n + 1)
+    graded = [standard_monomials(gb, k) for k in range(n + 2)]
+    dims = tuple(len(monos) for monos in graded)
     hvec = cl.fan.h_vector()
-    if dims[n] != 1 or dims[n + 1] != 0 or any(dims[k] > hvec[k] for k in range(n + 1)):
+    generator = sole_generator(graded[n])
+    if generator is None or dims[n + 1] != 0 or any(dims[k] > hvec[k] for k in range(n + 1)):
         raise DegenerateDeformation(
             f"graded dimensions {dims} incompatible with h-vector {hvec}; "
             "deformation is outside the locally-free regime")
-    monos = standard_monomials(gb, n)
-    generator = Polynomial(cl.pic_rank, 0, {(monos[0], ()): Fraction(1)})
     return PolymologyResult(gb=gb, dims=dims[:n + 1], generator=generator)

@@ -73,9 +73,6 @@ class CurveClass:
     def __neg__(self) -> "CurveClass":
         return self * -1
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def c1(self) -> int:
         """Pairing with the anticanonical class: sum of the d-vector."""
         return sum(self.d)

@@ -80,10 +80,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
         for row in a:
             row[i] += k * row[j]
 
-    def col_neg(i):
-        for row in a:
-            row[i] = -row[i]
-
     def clear_step(t: int) -> bool:
         # deterministic pivot: smallest |entry| != 0, earliest position
         pivot = None

@@ -41,9 +41,6 @@ class ParseError(PolyError):
         self.pos = pos
 
 
-ORDER_TAG = "grevlex"
-
-
 def _grevlex_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
@@ -315,7 +312,6 @@ def signed_sum(terms: Iterable[tuple]) -> str:
 @dataclass(frozen=True)
 class Ideal:
     generators: tuple
-    order: str = ORDER_TAG
     nv: Optional[int] = None  # needed only when the generator list is empty
 
     def __post_init__(self):
@@ -328,15 +324,11 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     polys: tuple
-    order: str = ORDER_TAG
     nv: Optional[int] = None
 
     def __post_init__(self):
         if self.polys and self.nv is None:
             object.__setattr__(self, "nv", self.polys[0].nv)
-
-    def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial() for g in self.polys)
 
 
 def _require_nonnegative_q(polys: Iterable[Polynomial]):
@@ -395,7 +387,7 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     """
     gens = [g for g in ideal.generators if g]
     if not gens:
-        return GroebnerBasis((), ideal.order, ideal.nv)
+        return GroebnerBasis((), ideal.nv)
     _require_nonnegative_q(gens)
     basis = []
     for g in gens:
@@ -431,44 +423,15 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
         r = normal_form(g, others)
         reduced.append(r.monic())
     reduced.sort(key=lambda g: monomial_key(g.leading_monomial()))
-    return GroebnerBasis(tuple(reduced), ideal.order)
-
-
-def quotient_dims(gb: GroebnerBasis, up_to_degree: int) -> tuple:
-    """Graded dimensions of Sym*W / ideal, i.e. standard monomial counts."""
-    for g in gb.polys:
-        if g.has_q():
-            raise PolyError("quotient dimensions are defined in the pure psi ring")
-        if not g.is_psi_homogeneous():
-            raise NonHomogeneousIdeal(g.to_str())
-    nv = gb.nv
-    if nv is None:
-        raise PolyError("Groebner basis does not record its variable count")
-    leads = [g.leading_monomial()[0] for g in gb.polys]
-    dims = []
-    for d in range(up_to_degree + 1):
-        count = 0
-        for mono in _monomials_of_degree(nv, d):
-            if not any(all(x <= y for x, y in zip(lm, mono)) for lm in leads):
-                count += 1
-        dims.append(count)
-    return tuple(dims)
-
-
-def _monomials_of_degree(nv: int, d: int):
-    if nv == 0:
-        if d == 0:
-            yield ()
-        return
-    for combo in itertools.combinations_with_replacement(range(nv), d):
-        exps = [0] * nv
-        for i in combo:
-            exps[i] += 1
-        yield tuple(exps)
+    return GroebnerBasis(tuple(reduced))
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple:
-    """Monomials of the given degree outside the leading-term ideal."""
+    """Monomials of the given degree outside the leading-term ideal.
+
+    The one enumerator of a graded piece of Sym*W / ideal, in a fixed order;
+    graded dimensions and top-degree generators are read off its output.
+    """
     for g in gb.polys:
         if not g.is_psi_homogeneous() or g.has_q():
             raise NonHomogeneousIdeal("standard monomials require a homogeneous psi ideal")
@@ -477,10 +440,27 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple:
         raise PolyError("Groebner basis does not record its variable count")
     leads = [g.leading_monomial()[0] for g in gb.polys]
     out = []
-    for mono in _monomials_of_degree(nv, degree):
+    for combo in itertools.combinations_with_replacement(range(nv), degree):
+        exps = [0] * nv
+        for i in combo:
+            exps[i] += 1
+        mono = tuple(exps)
         if not any(all(x <= y for x, y in zip(lm, mono)) for lm in leads):
             out.append(mono)
     return tuple(out)
+
+
+def quotient_dims(gb: GroebnerBasis, up_to_degree: int) -> tuple:
+    """Graded dimensions of Sym*W / ideal, i.e. standard monomial counts."""
+    return tuple(len(standard_monomials(gb, d)) for d in range(up_to_degree + 1))
+
+
+def sole_generator(monos: tuple) -> Optional[Polynomial]:
+    """The monomial spanning a graded piece with standard monomials monos,
+    or None when the piece is not one-dimensional."""
+    if len(monos) != 1:
+        return None
+    return Polynomial(len(monos[0]), 0, {(monos[0], ()): Fraction(1)})
 
 
 # ---- determinants ---------------------------------------------------------
@@ -566,18 +546,16 @@ def _det_cofactor(matrix, nv: int, nq: int) -> Polynomial:
 
 # ---- parsing --------------------------------------------------------------
 
-def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
-                     q_symbols: Sequence[Polynomial] = ()) -> Polynomial:
+def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
     """Parse the user-facing polynomial syntax.
 
-    Terms like ``3/2*D1^2*D3 - q1*D4``; ``D<i>`` is the class of the i-th
-    ray divisor (1-based) and ``q<j>`` the j-th Mori generator, both taken
-    from the supplied symbol tables.  Whitespace is insignificant.
+    Terms like ``3/2*D1^2*D3 - D4^3``; ``D<i>`` is the class of the i-th
+    ray divisor (1-based), taken from the supplied symbol table.  Whitespace
+    is insignificant.
     """
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
-    ref = (list(q_symbols) + list(d_symbols))[0]
-    nv, nq = ref.nv, ref.nq
+    nv, nq = d_symbols[0].nv, d_symbols[0].nq
     one = Polynomial.const(nv, 1, nq)
 
     tokens = _tokenize(text)
@@ -643,11 +621,9 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                 return one * Fraction(int(num), int(den))
             return one * int(val)
         if kind == "sym":
-            letter, index = val
-            table = d_symbols if letter == "D" else q_symbols
-            if index < 1 or index > len(table):
-                raise ParseError(f"unknown symbol {letter}{index}", at)
-            return table[index - 1]
+            if val < 1 or val > len(d_symbols):
+                raise ParseError(f"unknown symbol D{val}", at)
+            return d_symbols[val - 1]
         if kind == "op" and val == "(":
             inner = parse_expr()
             kind, val, at = take()
@@ -694,13 +670,13 @@ def _tokenize(text: str):
                 tokens.append(("num", text[i:j], i))
                 i = j
             continue
-        if ch in "Dq":
+        if ch == "D":
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise ParseError(f"symbol '{ch}' needs a numeric index", i)
-            tokens.append(("sym", (ch, int(text[i + 1:j])), i))
+                raise ParseError("symbol 'D' needs a numeric index", i)
+            tokens.append(("sym", int(text[i + 1:j]), i))
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)

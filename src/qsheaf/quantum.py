@@ -19,7 +19,7 @@ from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, dominates, find_anchor,
                       h0, h1)
 from .poly import (Polynomial, UnsupportedNovikovShape, monomial_str, normal_form,
-                   signed_sum, standard_monomials)
+                   signed_sum, sole_generator, standard_monomials)
 from .deform import LinearData
 from .sectors import NotDominating, sector, transition
 
@@ -48,21 +48,27 @@ def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     return f
 
 
-def _anchor_generator(lin: LinearData, anchor: CurveClass):
-    """(Groebner basis, n, canonical top monomial) of the anchor sector ring."""
+def _anchor_ring(lin: LinearData, anchor: CurveClass) -> tuple:
+    """(Groebner basis, canonical top monomial) of the anchor sector ring.
+
+    Built once per query; every sector row of the query is read off it.
+    """
     sec = sector(lin, anchor)
     gb = lin.groebner_of(sec.ideal_gens)
     monos = standard_monomials(gb, sec.n_beta)
-    if len(monos) != 1:
+    gen = sole_generator(monos)
+    if gen is None:
         raise AnchorDegenerate(
             f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-    gen = Polynomial(lin.cl.pic_rank, 0, {(monos[0], ()): Fraction(1)})
-    return gb, sec.n_beta, gen
+    return gb, gen
 
 
 def _sector_scalar(lin: LinearData, p: Polynomial, beta: CurveClass,
-                   anchor: CurveClass):
-    """Correlator scalar and a reason tag ('ok', 'degree', 'empty', 'ineffective')."""
+                   anchor: CurveClass, ring: tuple):
+    """Correlator scalar and a reason tag ('ok', 'degree', 'empty', 'ineffective').
+
+    ring is ``_anchor_ring(lin, anchor)``.
+    """
     cl = lin.cl
     if not p.is_psi_homogeneous() or p.has_q():
         raise QuantumError("correlator insertions must be homogeneous in Sym*W")
@@ -73,24 +79,25 @@ def _sector_scalar(lin: LinearData, p: Polynomial, beta: CurveClass,
     sec = sector(lin, beta)
     if not sec.nonempty:
         return Fraction(0), "empty"
-    if not dominates(cl, anchor, beta):
-        raise NotDominating(f"anchor {anchor.d} does not dominate {beta.d}")
-    gb, n_anchor, gen = _anchor_generator(lin, anchor)
+    gb, gen = ring
     image = transition(lin, anchor, beta).r * p * four_fermi(lin, beta)
     nf = normal_form(image, gb)
     if not nf:
         return Fraction(0), "ok"
     gen_mono = gen.leading_monomial()
-    for mono, coeff in nf.terms.items():
-        if mono != gen_mono:
-            raise QuantumError("normal form escaped the top graded piece")
+    if set(nf.terms) != {gen_mono}:
+        raise QuantumError("normal form escaped the top graded piece")
     return nf.terms[gen_mono], "ok"
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
                       anchor: CurveClass) -> Fraction:
-    """Sector correlator of p, reported against the anchor's generator."""
-    value, _ = _sector_scalar(lin, p, beta, anchor)
+    """Sector correlator of p, reported against the anchor's generator.
+
+    Raises AnchorDegenerate for a degenerate anchor, even where the value
+    would be 0 by degree.
+    """
+    value, _ = _sector_scalar(lin, p, beta, anchor, _anchor_ring(lin, anchor))
     return value
 
 
@@ -180,13 +187,13 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     sectors = tuple(sectors)
     anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
     anchor = find_anchor(cl, anchor_inputs)
-    _, _, gen = _anchor_generator(lin, anchor)
+    ring = _anchor_ring(lin, anchor)
     rows = []
     for beta in sectors:
-        value, reason = _sector_scalar(lin, p, beta, anchor)
+        value, reason = _sector_scalar(lin, p, beta, anchor, ring)
         rows.append(SectorRow(beta=beta, scalar=value, reason=reason))
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
-    return CorrelatorReport(poly=p, anchor=anchor, generator=gen,
+    return CorrelatorReport(poly=p, anchor=anchor, generator=ring[1],
                             rows=tuple(rows), series=series)
 
 
@@ -243,8 +250,7 @@ def qsr_generators(lin: LinearData) -> tuple:
 
 def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass,
                        beta_prime: CurveClass, route: str = "exponent",
-                       insertions: Sequence[Polynomial] = (),
-                       h0_fn=None, h1_fn=None) -> bool:
+                       insertions: Sequence[Polynomial] = ()) -> bool:
     """Check the quantum relation for K against sectors beta and beta + beta_K.
 
     route 'exponent' checks the per-class exponent identity with exact
@@ -253,8 +259,6 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
     against the anchor beta_prime.
     """
     cl = lin.cl
-    H0 = h0_fn or h0
-    H1 = h1_fn or h1
     if not cl.is_effective(beta):
         raise QuantumError(f"sector {beta.d} is not effective")
     bk, kminus = beta_K(cl, K)
@@ -267,8 +271,8 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
             dk = c.d(bk)
             db = c.d(beta)
             dbp = c.d(beta_prime)
-            left = (H0(dbp) - H0(db + dk)) + H1(db + dk) + (1 if dk > 0 else 0)
-            right = (H0(dbp) - H0(db)) + H1(db) + (-dk if dk < 0 else 0)
+            left = (h0(dbp) - h0(db + dk)) + h1(db + dk) + (1 if dk > 0 else 0)
+            right = (h0(dbp) - h0(db)) + h1(db) + (-dk if dk < 0 else 0)
             if left != right:
                 return False
         return True
@@ -280,9 +284,10 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
         lhs = transition(lin, beta_prime, shifted).r * four_fermi(lin, shifted) * prod_k
         rhs = transition(lin, beta_prime, beta).r * four_fermi(lin, beta) * prod_m
         return lhs == rhs
+    ring = _anchor_ring(lin, beta_prime)
     for y in insertions:
-        left = correlator_sector(lin, y * prod_k, shifted, beta_prime)
-        right = correlator_sector(lin, y * prod_m, beta, beta_prime)
+        left, _ = _sector_scalar(lin, y * prod_k, shifted, beta_prime, ring)
+        right, _ = _sector_scalar(lin, y * prod_m, beta, beta_prime, ring)
         if left != right:
             return False
     return True
@@ -297,9 +302,10 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
         return True
     anchor = find_anchor(cl, window + [b + rel.beta_k for b in window])
     prod_m = lin.q_product(rel.kminus)
+    ring = _anchor_ring(lin, anchor)
     for beta in window:
-        left = correlator_sector(lin, insertion * rel.lhs, beta + rel.beta_k, anchor)
-        right = correlator_sector(lin, insertion * prod_m, beta, anchor)
+        left, _ = _sector_scalar(lin, insertion * rel.lhs, beta + rel.beta_k, anchor, ring)
+        right, _ = _sector_scalar(lin, insertion * prod_m, beta, anchor, ring)
         if left != right:
             return False
     return True

@@ -7,7 +7,6 @@ primitive collections of the base fan, so no sector fan is ever built.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .lattice import CurveClass, dominates, h0
@@ -73,15 +72,10 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
         g = lin.q_of(cl.class_of_ray(rho))
         if g and g not in gens:
             gens.append(g)
-    effective = cl.is_effective(beta)
-    if not effective:
-        warnings.warn(f"sector class d={beta.d} is not effective; "
-                      "the data is formal and excluded from correlator sums",
-                      stacklevel=2)
     data = SectorData(beta=beta, enhanced_edges=enhanced,
                       degenerate=tuple(degenerate), n_beta=n_beta,
                       ideal_gens=tuple(gens), nonempty=nonempty,
-                      effective=effective)
+                      effective=cl.is_effective(beta))
     lin._sector_cache[beta] = data
     return data
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -192,3 +194,29 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, entry):
     for path in entries:   # each entry was recomputed and rewritten
         assert "polys" in json.loads(path.read_text())
         assert path.read_text() != entry
+
+
+def test_cli_sector_of_ineffective_class_writes_nothing_to_stderr():
+    # run as a separate process so that a Python warning would reach stderr
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "sector",
+                           model_path("f1"), "--beta=-1,0", "--no-cache"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "effective: False" in proc.stdout.splitlines()
+
+
+def test_cli_negative_grid_rejected(capsys):
+    code, out, err = capture(capsys, ["verify", model_path("f1"), "--all",
+                                      "--grid", "-1", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ModelError]: --grid must be nonnegative")
+
+
+def test_cli_novikov_symbol_in_poly_is_parse_error(capsys):
+    code, out, err = capture(capsys, ["correlator", model_path("f1"),
+                                      "--poly", "q1*D1^3", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]: unexpected character 'q' (at position 0)")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from qsheaf import (NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
                     linear_part, novikov_series_str, qsr_generators,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
-                    sr_ideal, tangent_deformation, verify_qc_relation)
+                    sector, sr_ideal, tangent_deformation, verify_qc_relation)
+import qsheaf.poly
+import qsheaf.quantum
 from qsheaf.poly import Polynomial
 
 from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, p1xp1_fan,
@@ -149,17 +152,20 @@ def test_verify_relation_minimal_anchor():
                 assert verify_qc_relation(lin, K, beta, bprime)
 
 
-def test_verify_relation_checker_sensitivity():
+def test_verify_relation_checker_sensitivity(monkeypatch):
     # a point perturbation of h0 must be noticed
     cl, lin = tangent_setup(p1xp1_fan())
     K = cl.primitive_collections[0]
     bk, _ = beta_K(cl, K)
     beta = cl.zero_curve
     anchor = find_anchor(cl, [beta, beta + bk])
-    bad_h0 = lambda v: h0(v) + (1 if v == 1 else 0)
-    assert not verify_qc_relation(lin, K, beta, anchor, h0_fn=bad_h0)
-    bad_h1 = lambda v: h1(v) + (1 if v == 0 else 0)
-    assert not verify_qc_relation(lin, K, beta, anchor, h1_fn=bad_h1)
+    with monkeypatch.context() as m:
+        m.setattr(qsheaf.quantum, "h0", lambda v: h0(v) + (1 if v == 1 else 0))
+        assert not verify_qc_relation(lin, K, beta, anchor)
+    with monkeypatch.context() as m:
+        m.setattr(qsheaf.quantum, "h1", lambda v: h1(v) + (1 if v == 0 else 0))
+        assert not verify_qc_relation(lin, K, beta, anchor)
+    assert verify_qc_relation(lin, K, beta, anchor)
 
 
 def test_verify_relation_correlator_route():
@@ -307,3 +313,46 @@ def test_relation_annihilates_window():
     for rel in qsr_generators(lin):
         for insertion in (Polynomial.const(2, 1), x, y, x * y, x * x * y):
             assert relation_annihilates(lin, rel, insertion, window)
+
+
+def _p1_cube_fan():
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    cones = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    return build_fan(3, rays, cones)
+
+
+def _spy_enumerator(monkeypatch) -> list:
+    """Record the degree of every graded piece that standard_monomials walks."""
+    original = qsheaf.poly.standard_monomials
+    degrees = []
+
+    def spy(gb, degree):
+        degrees.append(degree)
+        return original(gb, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qsheaf" and vars(module).get("standard_monomials") is original:
+            monkeypatch.setattr(module, "standard_monomials", spy)
+    return degrees
+
+
+def test_series_enumerates_anchor_top_degree_once(monkeypatch):
+    cl, lin = tangent_setup(_p1_cube_fan())
+    L = sum(d_symbols(cl))  # the anticanonical class
+    degrees = _spy_enumerator(monkeypatch)
+    rep = correlator_series(lin, L ** 7, 4)
+    assert sum(row.reason == "ok" for row in rep.rows) == 6
+    assert degrees == [sector(lin, rep.anchor).n_beta]
+
+
+def test_relation_check_enumerates_anchor_top_degree_once(monkeypatch):
+    cl, lin = tangent_setup(p1xp1_fan())
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    window = degree_slice(cl, 2)
+    assert len(window) == 2
+    degrees = _spy_enumerator(monkeypatch)
+    for rel in qsr_generators(lin):
+        del degrees[:]
+        assert relation_annihilates(lin, rel, (x + y) ** 4, window)
+        anchor = find_anchor(cl, list(window) + [b + rel.beta_k for b in window])
+        assert degrees == [sector(lin, anchor).n_beta]

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -49,7 +50,9 @@ def test_empty_sector_flagged():
     cl, lin = tangent_setup(hirzebruch(2))
     # d = (-1,-1,2,0): both rays of K={0,1} negative
     beta = cl.curve_from_d((-1, -1, 2, 0))
-    with pytest.warns(UserWarning, match="not effective"):
+    # the flags carry it; a non-effective class raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sec = sector(lin, beta)
     assert not sec.nonempty
     assert not sec.effective
