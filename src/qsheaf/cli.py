@@ -186,10 +186,7 @@ def _parse_beta(model: Model, text: str):
     if len(coeffs) != len(cl.mori):
         raise ModelError(
             f"--beta needs {len(cl.mori)} Mori coordinates, got {len(coeffs)}")
-    beta = cl.zero_curve
-    for a, g in zip(coeffs, cl.mori):
-        beta = beta + a * g
-    return beta
+    return cl.from_mori(coeffs)
 
 
 def cmd_sector(model: Model, args) -> tuple:

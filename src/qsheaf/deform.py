@@ -207,6 +207,8 @@ def local_freeness_check(cl: ClassLattice, E: Deformation, trials: int = 20,
     locus, including one generic point per toric stratum, and checks that
     they span W.  A rank drop returns the witness point.
     """
+    if trials < 0:
+        raise DeformError(f"trials must be nonnegative, got {trials}")
     fan = cl.fan
     rng = random.Random(seed)
     pcs = cl.primitive_collections
@@ -242,7 +244,7 @@ def local_freeness_check(cl: ClassLattice, E: Deformation, trials: int = 20,
             x = tuple(x)
             if not in_irrelevant(x):
                 points.append(x)
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
     per_ray = {rho: [] for rho in range(fan.n_rays)}

@@ -120,6 +120,13 @@ class ClassLattice:
                   for rho in range(self.fan.n_rays))
         return CurveClass(coords, d)
 
+    def from_mori(self, coeffs: Sequence[int]) -> CurveClass:
+        """The class sum_j coeffs[j] * mori[j]."""
+        beta = self.zero_curve
+        for a, g in zip(coeffs, self.mori):
+            beta = beta + a * g
+        return beta
+
     def curve_from_d(self, d: Sequence[int]) -> CurveClass:
         d = tuple(int(x) for x in d)
         if len(d) != self.fan.n_rays:
@@ -368,7 +375,7 @@ def mori_generators(cl: ClassLattice) -> tuple:
                 == cl.pic_rank - 1]
     # deterministic numbering: beta_K matches first, then by d-vector
     front = []
-    for K in primitive_collections(cl.fan):
+    for K in cl.primitive_collections:
         bk, _ = beta_K(cl, K)
         if bk in extremal and bk not in front:
             front.append(bk)
@@ -393,14 +400,11 @@ def _positive_class(cl: ClassLattice) -> CurveClass:
     multiple of it is such a combination and the enumeration ends.
     """
     if cl._positive is None:
-        gens = cl.mori
         for total in itertools.count(1):
-            for combo in itertools.product(range(total + 1), repeat=len(gens)):
+            for combo in itertools.product(range(total + 1), repeat=len(cl.mori)):
                 if sum(combo) != total:
                     continue
-                cand = cl.zero_curve
-                for a, g in zip(combo, gens):
-                    cand = cand + a * g
+                cand = cl.from_mori(combo)
                 if all(c.d(cand) > 0 for c in cl.equiv):
                     cl._positive = cand
                     return cand

@@ -74,7 +74,7 @@ def _mon_lcm(a: tuple, b: tuple) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction."""
 
-    __slots__ = ("nv", "nq", "terms", "_hash")
+    __slots__ = ("nv", "nq", "terms", "_hash", "_lead")
 
     def __init__(self, nv: int, nq: int = 0, terms: Optional[dict] = None):
         self.nv = nv
@@ -87,6 +87,7 @@ class Polynomial:
                     clean[mon] = c
         self.terms = clean
         self._hash = None
+        self._lead = None  # leading monomial, found on first use
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -213,16 +214,19 @@ class Polynomial:
         return any(any(m[1]) for m in self.terms)
 
     def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
+        if self._lead is None:
+            if not self.terms:
+                raise PolyError("zero polynomial has no leading monomial")
+            self._lead = max(self.terms, key=monomial_key)
+        return self._lead
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Polynomial":
-        lc = self.leading_coefficient()
-        return self * (Fraction(1) / lc)
+        result = self * (Fraction(1) / self.leading_coefficient())
+        result._lead = self._lead  # scaling keeps the leading monomial
+        return result
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
@@ -340,20 +344,22 @@ def _require_nonnegative_q(polys: Iterable[Polynomial]):
                     "re-express them in a unimodular effective basis first")
 
 
-def normal_form(p: Polynomial, gb) -> Polynomial:
-    """Complete division remainder of p modulo a (Groebner) basis."""
-    basis = gb.polys if isinstance(gb, GroebnerBasis) else tuple(gb)
-    basis = [g for g in basis if g]
-    leads = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
+def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) -> Polynomial:
+    """Remainder of p under top-down division by nonzero divisors, each term
+    cancelled by the first divisor whose leading monomial divides it; with
+    one divisor, a given quotient dict receives the quotient's terms."""
     work = dict(p.terms)
     remainder = {}
     while work:
         mon = max(work, key=monomial_key)
         coeff = work.pop(mon)
-        for lm, lc, g in leads:
+        for g in divisors:
+            lm = g.leading_monomial()
             if _mon_divides(lm, mon):
-                factor = coeff / lc
+                factor = coeff / g.terms[lm]
                 shift = _mon_div(mon, lm)
+                if quotient is not None:
+                    quotient[shift] = factor
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
                         continue
@@ -369,13 +375,17 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     return Polynomial(p.nv, p.nq, remainder)
 
 
+def normal_form(p: Polynomial, gb) -> Polynomial:
+    """Complete division remainder of p modulo a (Groebner) basis."""
+    basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
+    return _divide(p, [g for g in basis if g])
+
+
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mon_lcm(lf, lg)
-    mf = _mon_div(lcm, lf)
-    mg = _mon_div(lcm, lg)
-    tf = Polynomial(f.nv, f.nq, {mf: Fraction(1) / f.leading_coefficient()})
-    tg = Polynomial(g.nv, g.nq, {mg: Fraction(1) / g.leading_coefficient()})
+    tf = Polynomial(f.nv, f.nq, {_mon_div(lcm, lf): Fraction(1) / f.terms[lf]})
+    tg = Polynomial(g.nv, g.nq, {_mon_div(lcm, lg): Fraction(1) / g.terms[lg]})
     return tf * f - tg * g
 
 
@@ -416,14 +426,10 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
         lm = g.leading_monomial()
         if not any(_mon_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
-    # interreduce tails
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, others)
-        reduced.append(r.monic())
-    reduced.sort(key=lambda g: monomial_key(g.leading_monomial()))
-    return GroebnerBasis(tuple(reduced))
+    # interreduce tails: no other lead divides g's leading term, which
+    # therefore stays with coefficient 1, so the result is monic and sorted
+    return GroebnerBasis(tuple(normal_form(g, minimal[:idx] + minimal[idx + 1:])
+                               for idx, g in enumerate(minimal)))
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple:
@@ -469,26 +475,11 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p / d when d divides p exactly; raises otherwise."""
     if not d:
         raise PolyError("division by the zero polynomial")
-    nv, nq = p.nv, p.nq
-    ld = d.leading_monomial()
-    lc = d.leading_coefficient()
-    work = dict(p.terms)
     quot = {}
-    while work:
-        mon = max(work, key=monomial_key)
-        if not _mon_divides(ld, mon):
-            raise PolyError("inexact polynomial division")
-        factor = work[mon] / lc
-        shift = _mon_div(mon, ld)
-        quot[shift] = quot.get(shift, 0) + factor
-        for m2, c2 in d.terms.items():
-            tgt = _mon_mul(shift, m2)
-            s = work.get(tgt, 0) - factor * c2
-            if s:
-                work[tgt] = s
-            else:
-                work.pop(tgt, None)
-    return Polynomial(nv, nq, quot)
+    # {d} is a Groebner basis of (d), so a nonzero remainder means d does not divide p
+    if _divide(p, (d,), quot):
+        raise PolyError("inexact polynomial division")
+    return Polynomial(p.nv, p.nq, quot)
 
 
 def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -546,12 +537,15 @@ def _det_cofactor(matrix, nv: int, nq: int) -> Polynomial:
 
 # ---- parsing --------------------------------------------------------------
 
+_MAX_NESTING = 100  # parentheses plus unary minus signs; keeps recursion bounded
+
+
 def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
     """Parse the user-facing polynomial syntax.
 
     Terms like ``3/2*D1^2*D3 - D4^3``; ``D<i>`` is the class of the i-th
     ray divisor (1-based), taken from the supplied symbol table.  Whitespace
-    is insignificant.
+    is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError.
     """
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
@@ -560,6 +554,7 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
 
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", None, len(text))
@@ -571,11 +566,10 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
         return tok
 
     def parse_expr():
-        kind, _, at = peek()
-        sign = 1
-        if kind == "op" and peek()[1] in "+-":
-            if take()[1] == "-":
-                sign = -1
+        kind, val, _ = peek()
+        sign = -1 if kind == "op" and val == "-" else 1
+        if kind == "op" and val in "+-":
+            take()
         total = parse_term() * sign
         while True:
             kind, val, at = peek()
@@ -601,17 +595,14 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
         kind, val, at = peek()
         if kind == "op" and val == "^":
             take()
-            kind, val, at = peek()
+            kind, val, at = take()
             if kind != "num" or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", at)
-            take()
-            exp = int(val)
-            if exp < 0:
-                raise ParseError("exponent must be a nonnegative integer", at)
-            return base ** exp
+            return base ** int(val)
         return base
 
     def parse_atom():
+        nonlocal depth
         kind, val, at = take()
         if kind == "num":
             if "/" in val:
@@ -624,14 +615,19 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
             if val < 1 or val > len(d_symbols):
                 raise ParseError(f"unknown symbol D{val}", at)
             return d_symbols[val - 1]
-        if kind == "op" and val == "(":
-            inner = parse_expr()
-            kind, val, at = take()
-            if val != ")":
-                raise ParseError("expected ')'", at)
+        if kind == "op" and val in "(-":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", at)
+            depth += 1
+            if val == "-":
+                inner = -parse_atom()
+            else:
+                inner = parse_expr()
+                _, close, at = take()
+                if close != ")":
+                    raise ParseError("expected ')'", at)
+            depth -= 1
             return inner
-        if kind == "op" and val == "-":
-            return -parse_atom()
         raise ParseError(f"unexpected token {val!r}", at)
 
     result = parse_expr()

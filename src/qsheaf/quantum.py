@@ -160,9 +160,7 @@ def effective_window(cl: ClassLattice, c1_bound: int,
     for combo in itertools.product(range(coeff_bound + 1), repeat=len(gens)):
         if sum(combo) > coeff_bound:
             continue
-        beta = cl.zero_curve
-        for a, g in zip(combo, gens):
-            beta = beta + a * g
+        beta = cl.from_mori(combo)
         if beta.c1() <= c1_bound:
             found.add(beta)
     return tuple(sorted(found, key=lambda b: b.d))
@@ -319,11 +317,10 @@ def mori_change_of_basis(cl: ClassLattice):
     Raises UnsupportedNovikovShape unless the Mori generators form a
     unimodular basis of the curve lattice.
     """
-    gens = cl.mori
     inverse = cl.mori_inverse
     if inverse is None:
         raise UnsupportedNovikovShape(
-            f"{len(gens)} Mori generators for curve rank {cl.pic_rank}; "
+            f"{len(cl.mori)} Mori generators for curve rank {cl.pic_rank}; "
             "no unimodular effective basis")
     if any(x.denominator != 1 for row in inverse for x in row):
         raise UnsupportedNovikovShape(
@@ -335,8 +332,7 @@ def mori_change_of_basis(cl: ClassLattice):
                      for j in range(cl.pic_rank))
 
     def to_curve(apart: tuple) -> tuple:
-        return tuple(sum(gens[j].coords[k] * apart[j] for j in range(cl.pic_rank))
-                     for k in range(cl.pic_rank))
+        return cl.from_mori(apart).coords
 
     return to_mori, to_curve
 

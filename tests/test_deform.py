@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsheaf import (CharacterOutsidePolytope, DegenerateDeformation,
+from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation,
                     DuplicateEntry, UnknownRayIndex, class_lattice, d_symbols,
                     groebner, linear_part, local_freeness_check, parse_deformation,
                     polymology, quotient_dims, sr_ideal, tangent_deformation)
@@ -103,6 +103,14 @@ def test_local_freeness_rank_collapse_fails_with_witness():
 def test_local_freeness_small_deformation_passes():
     cl, E, _ = deformed_p1xp1("1/7", "-1/3", "1/3", "1/7")
     assert local_freeness_check(cl, E, trials=8).passed
+
+
+def test_local_freeness_rejects_negative_trials():
+    cl = class_lattice(p2_fan())
+    E = tangent_deformation(cl)
+    with pytest.raises(DeformError, match="trials must be nonnegative, got -1"):
+        local_freeness_check(cl, E, trials=-1)
+    assert local_freeness_check(cl, E, trials=0).passed
 
 
 def test_sr_ideal_examples():

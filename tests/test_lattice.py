@@ -183,6 +183,29 @@ def test_mori_coordinates():
     assert cl.mori_coordinates(-b) is None
 
 
+def test_from_mori_inverts_mori_coordinates():
+    for _, fan in all_fans():
+        cl = class_lattice(fan)
+        for j, g in enumerate(cl.mori):
+            assert cl.from_mori([int(k == j) for k in range(len(cl.mori))]) == g
+        if cl.mori_inverse is None:
+            continue
+        for coeffs in itertools.product(range(3), repeat=len(cl.mori)):
+            assert cl.mori_coordinates(cl.from_mori(coeffs)) == coeffs
+
+
+def test_mori_generators_read_cached_primitive_collections(monkeypatch):
+    import qsheaf.lattice
+    cl = class_lattice(hirzebruch(2))
+    assert cl.primitive_collections  # fills the cache
+
+    def walk(fan):
+        raise AssertionError("primitive collections enumerated again")
+
+    monkeypatch.setattr(qsheaf.lattice, "primitive_collections", walk)
+    assert [g.d for g in qsheaf.lattice.mori_generators(cl)] == [(1, 1, -2, 0), (0, 0, 1, 1)]
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -220,3 +220,32 @@ def test_cli_novikov_symbol_in_poly_is_parse_error(capsys):
                                       "--poly", "q1*D1^3", "--no-cache"])
     assert (code, out) == (1, "")
     assert err.startswith("error[ParseError]: unexpected character 'q' (at position 0)")
+
+
+def test_cli_negative_trials_rejected(capsys, tmp_path):
+    code, out, err = capture(capsys, ["analyze", model_path("f1"), "--trials", "-1",
+                                      "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == "error[DeformError]: trials must be nonnegative, got -1\n"
+    with open(model_path("f1")) as fh:
+        data = json.load(fh)
+    data["options"] = {"trials": -1}
+    path = tmp_path / "negative_trials.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == "error[DeformError]: trials must be nonnegative, got -1\n"
+    code, out, err = capture(capsys, ["analyze", model_path("f1"), "--trials", "0",
+                                      "--no-cache"])
+    assert (code, err) == (0, "")
+    assert "local freeness (0 trials): pass (probabilistic)" in out
+
+
+@pytest.mark.parametrize("poly", ["(" * 400 + "D1" + ")" * 400, "-" * 3000 + "D1"],
+                         ids=["parentheses", "unary-minus"])
+def test_cli_deep_poly_nesting_is_parse_error(capsys, poly):
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), f"--poly={poly}",
+                                      "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]: nesting deeper than 100 levels")
+    assert err.count("\n") == 1

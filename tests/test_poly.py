@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsheaf.poly
 from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
-                         ParseError, Polynomial, det, exact_div, groebner,
+                         ParseError, PolyError, Polynomial, det, exact_div, groebner,
                          monomial_key, normal_form, parse_polynomial,
                          quotient_dims, standard_monomials)
 
@@ -215,3 +217,98 @@ def test_parser_reports_positions():
     assert err.value.pos == 0
     with pytest.raises(ParseError):
         parse_polynomial("D1 ^ x", d_syms)
+
+
+def test_leading_monomial_found_once(monkeypatch):
+    p = 3 * x * x * y - y ** 3 + x
+    lead = p.leading_monomial()
+
+    def no_search(mon):
+        raise AssertionError("leading monomial searched again")
+
+    monkeypatch.setattr(qsheaf.poly, "monomial_key", no_search)
+    assert p.leading_monomial() == lead == ((2, 1), ())
+    assert p.leading_coefficient() == 3
+    m = p.monic()
+    assert m.leading_monomial() == lead
+    assert m.terms == {mon: c / 3 for mon, c in p.terms.items()}
+
+
+def test_parser_caps_nesting():
+    d_syms = [Polynomial.linear(1, (1,))]
+    depth = qsheaf.poly._MAX_NESTING
+    assert parse_polynomial("(" * depth + "D1" + ")" * depth, d_syms) == d_syms[0]
+    assert parse_polynomial("-" * (depth + 1) + "D1", d_syms) == (-1) ** (depth + 1) * d_syms[0]
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse_polynomial("(" * 400 + "D1" + ")" * 400, d_syms)
+    assert err.value.pos == depth
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse_polynomial("-" * 3000 + "D1", d_syms)
+    assert err.value.pos == depth + 1  # the leading sign belongs to the expression
+
+
+# ---- differential checks against sympy ---------------------------------------
+
+def _sympy_poly(sympy, p, gens):
+    return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                 for (m, _), c in p.terms.items()}, gens, domain="QQ")
+
+
+def _homogeneous_ideal(rng, nv):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        deg = rng.randint(2, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * nv
+            for _ in range(deg):
+                exps[rng.randrange(nv)] += 1
+            terms[(tuple(exps), ())] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]))
+        gens.append(Polynomial(nv, 0, terms))
+    return gens
+
+
+def _differential_ideals():
+    from qsheaf.lattice import find_anchor
+    from qsheaf.model import load_model
+    from qsheaf.sectors import sector
+
+    rng = random.Random(2024)
+    cases = [_homogeneous_ideal(rng, nv) for nv in (2, 3) for _ in range(6)]
+    model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
+                                    "p1xp1_deformed.json"))
+    cl = model.cl
+    betas = [cl.zero_curve, *cl.mori]
+    for beta in betas + [find_anchor(cl, betas)]:
+        cases.append(list(sector(model.lin, beta).ideal_gens))
+    return cases
+
+
+def test_groebner_and_division_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for gens in _differential_ideals():
+        nv = gens[0].nv
+        syms = sympy.symbols(f"x0:{nv}")  # x0 > x1 > ..., as psi1 > psi2 > ...
+
+        def to_sympy(p):
+            return _sympy_poly(sympy, p, syms)
+
+        gb = groebner(Ideal(tuple(gens)))
+        ref = sympy.groebner([to_sympy(g) for g in gens], *syms, order="grevlex",
+                             domain="QQ")  # reduced and monic over QQ
+        assert [to_sympy(g).as_expr() for g in gb.polys] == list(reversed(ref.exprs))
+        for _ in range(4):
+            p = rand_poly(rng, nv=nv, max_deg=4, terms=5)
+            remainder = ref.reduce(to_sympy(p).as_expr())[1]
+            assert (to_sympy(normal_form(p, gb)) - sympy.Poly(remainder, *syms, domain="QQ")).is_zero
+            d = rand_poly(rng, nv=nv, max_deg=2, terms=3)
+            if not d:
+                continue
+            for num in (p, p * d):
+                quot, rem = sympy.div(to_sympy(num), to_sympy(d))
+                if rem.is_zero:
+                    assert to_sympy(exact_div(num, d)) == quot
+                else:
+                    with pytest.raises(PolyError, match="inexact"):
+                        exact_div(num, d)
