@@ -3,7 +3,7 @@
 Subcommands: analyze, polymology, sector, qsr, correlator, verify.  Reports
 are deterministic (stable ordering, fixed seeds, no timestamps); text and
 JSON renderings carry the same content.  Exit codes: 0 success, 1 validation
-error, 2 verification failure.
+or usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
 from .model import Model, ModelError, load_model
 
 SCHEMA = "qsheaf-report/1"
+
+
+class UsageError(ValueError):
+    """A malformed command line: unknown command or flag, missing or bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
 
 VALIDATION_ERRORS = (FanError, LatticeError, PolyError, DeformError,
                      SectorError, QuantumError, ModelError, ValueError)
@@ -338,7 +348,7 @@ COMMANDS = {
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsheaf",
         description="exact quantum sheaf cohomology of toric tangent-bundle deformations")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -364,15 +374,14 @@ def _json_default(obj):
 
 
 def run(argv) -> int:
-    args = make_parser().parse_args(argv)
-    if not args.no_cache:
-        try:
-            cache.set_store(cache.FileCache())
-        except OSError:
-            cache.set_store(None)
-    else:
-        cache.set_store(None)
     try:
+        args = make_parser().parse_args(argv)  # --help still exits 0
+        cache.set_store(None)
+        if not args.no_cache:
+            try:
+                cache.set_store(cache.FileCache())
+            except OSError:
+                pass
         model = load_model(args.model)
         lines, report, code = COMMANDS[args.command](model, args)
     except VALIDATION_ERRORS as exc:

@@ -68,7 +68,6 @@ class LinearData:
     cl: ClassLattice
     matrices: tuple  # tuple (per equiv class) of row tuples of Polynomials
     q: tuple         # Q_c = det A_c, same order as cl.equiv
-    _gb_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _sector_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def q_of(self, c: EquivClass) -> Polynomial:
@@ -83,13 +82,8 @@ class LinearData:
         return f
 
     def groebner_of(self, generators: tuple) -> GroebnerBasis:
-        """Groebner basis with per-deformation memoization (idempotent writes)."""
-        key = generators
-        gb = self._gb_cache.get(key)
-        if gb is None:
-            gb = cache.cached_groebner(Ideal(generators, nv=self.cl.pic_rank))
-            self._gb_cache[key] = gb
-        return gb
+        """Reduced Groebner basis of the ideal the generators span in Sym*W."""
+        return cache.cached_groebner(Ideal(generators, nv=self.cl.pic_rank))
 
 
 def d_symbols(cl: ClassLattice) -> tuple:

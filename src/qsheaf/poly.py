@@ -13,6 +13,7 @@ block (so classical monomials dominate Novikov ones of equal psi part).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,13 +43,18 @@ class ParseError(PolyError):
 
 
 def _grevlex_key(exps: tuple) -> tuple:
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), *[-e for e in reversed(exps)])
 
 
 def monomial_key(mon: tuple) -> tuple:
     """Sort key; larger key = larger monomial in the block grevlex order."""
     p, q = mon
     return _grevlex_key(p) + _grevlex_key(q)
+
+
+def _heap_key(mon: tuple) -> tuple:
+    """Negated monomial_key: a min-heap on it pops the largest monomial first."""
+    return tuple(-k for k in monomial_key(mon))
 
 
 def _mon_mul(a: tuple, b: tuple) -> tuple:
@@ -347,14 +353,19 @@ def _require_nonnegative_q(polys: Iterable[Polynomial]):
 def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) -> Polynomial:
     """Remainder of p under top-down division by nonzero divisors, each term
     cancelled by the first divisor whose leading monomial divides it; with
-    one divisor, a given quotient dict receives the quotient's terms."""
+    one divisor, a given quotient dict receives the quotient's terms.  Pending
+    monomials wait in a heap, keyed once; cancelled entries are skipped."""
+    leads = [(g.leading_monomial(), g) for g in divisors]
     work = dict(p.terms)
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        mon = max(work, key=monomial_key)
-        coeff = work.pop(mon)
-        for g in divisors:
-            lm = g.leading_monomial()
+    while heap:
+        mon = heapq.heappop(heap)[1]
+        coeff = work.pop(mon, None)
+        if coeff is None:
+            continue
+        for lm, g in leads:
             if _mon_divides(lm, mon):
                 factor = coeff / g.terms[lm]
                 shift = _mon_div(mon, lm)
@@ -364,11 +375,13 @@ def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) 
                     if m2 == lm:
                         continue
                     tgt = _mon_mul(shift, m2)
+                    if tgt not in work:
+                        heapq.heappush(heap, (_heap_key(tgt), tgt))
                     s = work.get(tgt, 0) - factor * c2
                     if s:
                         work[tgt] = s
                     else:
-                        work.pop(tgt, None)
+                        del work[tgt]
                 break
         else:
             remainder[mon] = coeff
@@ -392,8 +405,10 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 def groebner(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis (Buchberger, normal pair selection).
 
-    Pairs with coprime leading terms are skipped; the result is
-    interreduced, monic, and sorted by leading monomial, hence canonical.
+    Pairs wait in a heap, smallest lcm first, ties by index.  A pair is
+    skipped by the coprime criterion or by the chain criterion: another lead
+    divides the lcm and its pairs with both are done (CLO ch. 2 §10).  The
+    result is interreduced, monic, sorted by leading monomial: canonical.
     """
     gens = [g for g in ideal.generators if g]
     if not gens:
@@ -404,21 +419,30 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
         m = g.monic()
         if m not in basis:
             basis.append(m)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # normal selection: smallest lcm in the monomial order
-        i, j = min(pairs, key=lambda ij: (monomial_key(_mon_lcm(
-            basis[ij[0]].leading_monomial(), basis[ij[1]].leading_monomial())), ij))
-        pairs.discard((i, j))
-        li = basis[i].leading_monomial()
-        lj = basis[j].leading_monomial()
-        if _mon_mul(li, lj) == _mon_lcm(li, lj):
+    leads = [g.leading_monomial() for g in basis]
+    heap, pending = [], set()  # pending pairs, stored in both orders
+
+    def add_pairs(k):
+        for i in range(k):
+            heapq.heappush(heap, (monomial_key(_mon_lcm(leads[i], leads[k])), i, k))
+            pending.update(((i, k), (k, i)))
+
+    for k in range(len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending -= {(i, j), (j, i)}
+        lcm = _mon_lcm(leads[i], leads[j])
+        if _mon_mul(leads[i], leads[j]) == lcm:
             continue  # coprime criterion
+        if any(_mon_divides(lk, lcm) and k not in (i, j) and (i, k) not in pending
+               and (j, k) not in pending for k, lk in enumerate(leads)):
+            continue  # chain criterion
         r = normal_form(_spoly(basis[i], basis[j]), basis)
         if r:
             basis.append(r.monic())
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            leads.append(basis[-1].leading_monomial())
+            add_pairs(len(basis) - 1)
     # minimalize: drop elements whose leading term is divisible by another's
     basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
     minimal = []

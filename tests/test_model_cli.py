@@ -249,3 +249,32 @@ def test_cli_deep_poly_nesting_is_parse_error(capsys, poly):
     assert (code, out) == (1, "")
     assert err.startswith("error[ParseError]: nesting deeper than 100 levels")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlator", model_path("f1"), "--poly", "-D1^2"],
+     "argument --poly: expected one argument"),
+    (["bogus", model_path("f1")], "argument command: invalid choice: 'bogus'"),
+    (["analyze", model_path("f1"), "--grid", "x"],
+     "argument --grid: invalid int value: 'x'"),
+    (["analyze"], "the following arguments are required: model"),
+], ids=["leading-minus-poly", "unknown-command", "bad-int", "missing-model"])
+def test_cli_usage_error_exit_code(capsys, argv, message):
+    code, out, err = capture(capsys, argv + ["--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[UsageError]: " + message)
+    assert err.count("\n") == 1
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "usage: qsheaf" in capsys.readouterr().out
+
+
+def test_cli_poly_with_leading_minus_in_equals_form(capsys):
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly=-D1^2",
+                                      "--no-cache"])
+    assert (code, err) == (0, "")
+    assert out.startswith("insertion: -psi1^2")

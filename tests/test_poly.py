@@ -254,9 +254,9 @@ def _sympy_poly(sympy, p, gens):
                                  for (m, _), c in p.terms.items()}, gens, domain="QQ")
 
 
-def _homogeneous_ideal(rng, nv):
+def _homogeneous_ideal(rng, nv, n_gens=(2, 3)):
     gens = []
-    for _ in range(rng.randint(2, 3)):
+    for _ in range(rng.randint(*n_gens)):
         deg = rng.randint(2, 3)
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -268,19 +268,37 @@ def _homogeneous_ideal(rng, nv):
     return gens
 
 
+def _deformed_p1xp1():
+    from qsheaf.model import load_model
+
+    return load_model(os.path.join(os.path.dirname(__file__), "..", "models",
+                                   "p1xp1_deformed.json"))
+
+
+def _slice_anchor_ideal(model, t):
+    """Generators of the anchor sector ideal of the c1 = t degree slice."""
+    from qsheaf.lattice import find_anchor
+    from qsheaf.quantum import degree_slice
+    from qsheaf.sectors import sector
+
+    anchor = find_anchor(model.cl, degree_slice(model.cl, t))
+    return list(sector(model.lin, anchor).ideal_gens)
+
+
 def _differential_ideals():
     from qsheaf.lattice import find_anchor
-    from qsheaf.model import load_model
     from qsheaf.sectors import sector
 
     rng = random.Random(2024)
     cases = [_homogeneous_ideal(rng, nv) for nv in (2, 3) for _ in range(6)]
-    model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
-                                    "p1xp1_deformed.json"))
+    # four variables and more generators: pairs the chain criterion skips
+    cases += [_homogeneous_ideal(rng, 4, n_gens=(3, 4)) for _ in range(6)]
+    model = _deformed_p1xp1()
     cl = model.cl
     betas = [cl.zero_curve, *cl.mori]
     for beta in betas + [find_anchor(cl, betas)]:
         cases.append(list(sector(model.lin, beta).ideal_gens))
+    cases += [_slice_anchor_ideal(model, t) for t in (4, 6, 8, 10)]
     return cases
 
 
@@ -312,3 +330,29 @@ def test_groebner_and_division_match_sympy():
                 else:
                     with pytest.raises(PolyError, match="inexact"):
                         exact_div(num, d)
+
+
+def test_groebner_chain_criterion_bounds_reductions(monkeypatch):
+    gens = _slice_anchor_ideal(_deformed_p1xp1(), 10)
+    calls = []
+    real = qsheaf.poly.normal_form
+
+    def spy(p, gb):
+        calls.append(p)
+        return real(p, gb)
+
+    monkeypatch.setattr(qsheaf.poly, "normal_form", spy)
+    gb = groebner(Ideal(tuple(gens)))
+    assert len(gb.polys) == 18
+    # one reduction per kept S-pair plus one per interreduced element; without
+    # the chain criterion this ideal takes 187 reductions
+    assert len(calls) <= 3 * len(gb.polys), len(calls)
+
+
+def test_heap_key_ascends_as_monomial_order_descends():
+    rng = random.Random(11)
+    mons = {(tuple(rng.randint(0, 3) for _ in range(3)),
+             tuple(rng.randint(0, 2) for _ in range(2))) for _ in range(300)}
+    by_heap = sorted(mons, key=qsheaf.poly._heap_key)
+    assert by_heap == sorted(mons, key=monomial_key, reverse=True)
+    assert len({qsheaf.poly._heap_key(m) for m in mons}) == len(mons)
