@@ -3,13 +3,14 @@
 Subcommands: analyze, polymology, sector, qsr, correlator, verify.  Reports
 are deterministic (stable ordering, fixed seeds, no timestamps); text and
 JSON renderings carry the same content.  Exit codes: 0 success, 1 validation
-or usage error, 2 verification failure.
+or usage error or a closed stdout pipe, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -260,9 +261,10 @@ def cmd_correlator(model: Model, args) -> tuple:
     if not args.poly:
         raise ModelError("correlator requires --poly <expression>")
     cl = model.cl
-    syms = d_symbols(cl)
-    p = parse_polynomial(args.poly, syms)
     max_degree = args.max_degree if args.max_degree is not None else model.option("max_c1_degree")
+    # a series insertion has psi degree rank + c1, so a larger one is refused
+    # before its powers are expanded
+    p = parse_polynomial(args.poly, d_symbols(cl), max_degree=cl.fan.rank + max_degree)
     rep = correlator_series(model.lin, p, max_degree)
     rows = [{"beta": _beta_dict(cl, r.beta), "scalar": _frac(r.scalar),
              "reason": r.reason} for r in rep.rows]
@@ -397,7 +399,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away; send the unflushed rest to devnull so the
+        # exit-time flush cannot fail again ("Note on SIGPIPE", signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ block (so classical monomials dominate Novikov ones of equal psi part).
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -456,11 +455,38 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
                                for idx, g in enumerate(minimal)))
 
 
+def _capped_exponents(caps: Sequence[int], degree: int):
+    """Exponent vectors of the given degree with e_i < caps[i], lex-descending.
+
+    A prefix is cut as soon as the degree left exceeds what the remaining
+    caps can hold; a negative degree yields nothing.
+    """
+    nv = len(caps)
+    room = [0] * (nv + 1)  # room[i]: the largest degree e_i, ..., e_nv can hold
+    for i in reversed(range(nv)):
+        room[i] = room[i + 1] + caps[i] - 1
+    exps = [0] * nv
+
+    def walk(i, left):
+        if i == nv:
+            yield tuple(exps)
+            return
+        for e in range(min(left, caps[i] - 1), max(0, left - room[i + 1]) - 1, -1):
+            exps[i] = e
+            yield from walk(i + 1, left - e)
+
+    if 0 <= degree <= room[0]:
+        yield from walk(0, degree)
+
+
 def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple:
     """Monomials of the given degree outside the leading-term ideal.
 
-    The one enumerator of a graded piece of Sym*W / ideal, in a fixed order;
-    graded dimensions and top-degree generators are read off its output.
+    The one enumerator of a graded piece of Sym*W / ideal, lex-descending on
+    the exponent vectors; graded dimensions and top-degree generators are read
+    off its output.  The walk stays inside the caps m_i of the pure-power
+    leads x_i^m_i, which an Artinian quotient has for every variable (CLO
+    ch. 5 §3); a variable without one is uncapped.
     """
     for g in gb.polys:
         if not g.is_psi_homogeneous() or g.has_q():
@@ -469,15 +495,14 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple:
     if nv is None:
         raise PolyError("Groebner basis does not record its variable count")
     leads = [g.leading_monomial()[0] for g in gb.polys]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nv), degree):
-        exps = [0] * nv
-        for i in combo:
-            exps[i] += 1
-        mono = tuple(exps)
-        if not any(all(x <= y for x, y in zip(lm, mono)) for lm in leads):
-            out.append(mono)
-    return tuple(out)
+    caps = [degree + 1] * nv
+    for lm in leads:
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            i = support[0]
+            caps[i] = min(caps[i], lm[i])
+    return tuple(mono for mono in _capped_exponents(caps, degree)
+                 if not any(all(x <= y for x, y in zip(lm, mono)) for lm in leads))
 
 
 def quotient_dims(gb: GroebnerBasis, up_to_degree: int) -> tuple:
@@ -564,12 +589,15 @@ def _det_cofactor(matrix, nv: int, nq: int) -> Polynomial:
 _MAX_NESTING = 100  # parentheses plus unary minus signs; keeps recursion bounded
 
 
-def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
+def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
+                     max_degree: Optional[int] = None) -> Polynomial:
     """Parse the user-facing polynomial syntax.
 
     Terms like ``3/2*D1^2*D3 - D4^3``; ``D<i>`` is the class of the i-th
     ray divisor (1-based), taken from the supplied symbol table.  Whitespace
-    is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError.
+    is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError, and
+    so is a ``^`` or ``*`` whose result would exceed max_degree in psi: the
+    check comes before the product is expanded.
     """
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
@@ -588,6 +616,10 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
         tok = peek()
         pos += 1
         return tok
+
+    def check_degree(degree: int, at: int):
+        if max_degree is not None and degree > max_degree:
+            raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
 
     def parse_expr():
         kind, val, _ = peek()
@@ -610,7 +642,10 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
             kind, val, at = peek()
             if kind == "op" and val == "*":
                 take()
-                result = result * parse_factor()
+                factor = parse_factor()
+                if result and factor:  # degrees add: Q[psi] has no zero divisors
+                    check_degree(result.psi_degree() + factor.psi_degree(), at)
+                result = result * factor
             else:
                 return result
 
@@ -619,10 +654,13 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial]) -> Polynomial:
         kind, val, at = peek()
         if kind == "op" and val == "^":
             take()
-            kind, val, at = take()
+            kind, val, exp_at = take()
             if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a nonnegative integer", at)
-            return base ** int(val)
+                raise ParseError("exponent must be a nonnegative integer", exp_at)
+            k = int(val)
+            if base:
+                check_degree(k * base.psi_degree(), at)
+            return base ** k
         return base
 
     def parse_atom():

@@ -337,14 +337,18 @@ def mori_change_of_basis(cl: ClassLattice):
     return to_mori, to_curve
 
 
+def _mori_quantum_basis(lin: LinearData) -> tuple:
+    """(to_mori, to_curve, reduced basis of the quantum ideal in Mori coordinates)."""
+    to_mori, to_curve = mori_change_of_basis(lin.cl)
+    gens = tuple(rel.difference.map_q(to_mori, lin.cl.pic_rank)
+                 for rel in qsr_generators(lin))
+    return to_mori, to_curve, lin.groebner_of(gens)
+
+
 def quantum_groebner(lin: LinearData) -> tuple:
     """Reduced basis of the quantum ideal, Novikov exponents in curve coordinates."""
-    cl = lin.cl
-    to_mori, to_curve = mori_change_of_basis(cl)
-    gens = tuple(rel.difference.map_q(to_mori, cl.pic_rank)
-                 for rel in qsr_generators(lin))
-    gb = lin.groebner_of(gens)
-    return tuple(g.map_q(to_curve, cl.pic_rank) for g in gb.polys)
+    _, to_curve, gb = _mori_quantum_basis(lin)
+    return tuple(g.map_q(to_curve, lin.cl.pic_rank) for g in gb.polys)
 
 
 def quantum_normal_form(lin: LinearData, p: Polynomial) -> Polynomial:
@@ -354,10 +358,7 @@ def quantum_normal_form(lin: LinearData, p: Polynomial) -> Polynomial:
     lattice, so the Novikov exponents can be coordinatized nonnegatively.
     """
     cl = lin.cl
-    to_mori, to_curve = mori_change_of_basis(cl)
-    gens = tuple(rel.difference.map_q(to_mori, cl.pic_rank)
-                 for rel in qsr_generators(lin))
-    gb = lin.groebner_of(gens)
+    to_mori, to_curve, gb = _mori_quantum_basis(lin)
     if p.nq == 0:
         p = p.with_q(cl.pic_rank)
     if p.nq != cl.pic_rank:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qsheaf import (build_fan, class_lattice, linear_part, parse_deformation,
@@ -20,6 +22,17 @@ def p1xp1_fan():
 def hirzebruch(n):
     return build_fan(2, [(1, 0), (-1, n), (0, 1), (0, -1)],
                      [(0, 2), (1, 2), (1, 3), (0, 3)])
+
+
+def p1_power(k):
+    """(P^1)^k with rays e_1, -e_1, e_2, -e_2, ..."""
+    rays = []
+    for i in range(k):
+        e = tuple(1 if j == i else 0 for j in range(k))
+        rays += [e, tuple(-x for x in e)]
+    cones = [tuple(2 * i + s for i, s in enumerate(choice))
+             for choice in itertools.product((0, 1), repeat=k)]
+    return build_fan(k, rays, cones)
 
 
 def hexagon():

@@ -196,14 +196,18 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, entry):
         assert path.read_text() != entry
 
 
+def _cli_env():
+    """Environment for running the CLI as a separate process from this tree."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_cli_sector_of_ineffective_class_writes_nothing_to_stderr():
     # run as a separate process so that a Python warning would reach stderr
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "sector",
                            model_path("f1"), "--beta=-1,0", "--no-cache"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_cli_env())
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "effective: False" in proc.stdout.splitlines()
 
@@ -278,3 +282,27 @@ def test_cli_poly_with_leading_minus_in_equals_form(capsys):
                                       "--no-cache"])
     assert (code, err) == (0, "")
     assert out.startswith("insertion: -psi1^2")
+
+
+@pytest.mark.parametrize("poly, position", [("(D1+D2+D3)^3000", 10), ("D1*D1^9*D2", 7)],
+                         ids=["power", "product"])
+def test_cli_poly_above_degree_ceiling_is_parse_error(capsys, poly, position):
+    # F1 has rank 2 and max_c1_degree 8: no insertion of degree above 10
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", poly,
+                                      "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]: degree ")
+    assert err.endswith(f"exceeds the ceiling 10 (at position {position})\n")
+    assert err.count("\n") == 1
+
+
+def test_cli_closed_stdout_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "verify",
+                               model_path("f1"), "--all", "--grid", "6", "--no-cache"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_cli_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          quotient_dims, standard_monomials)
 
 from _oracles import ideal_member_oracle, leibniz_det, monomials_of_degree
+from conftest import p1_power, tangent_setup
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -356,3 +358,65 @@ def test_heap_key_ascends_as_monomial_order_descends():
     by_heap = sorted(mons, key=qsheaf.poly._heap_key)
     assert by_heap == sorted(mons, key=monomial_key, reverse=True)
     assert len({qsheaf.poly._heap_key(m) for m in mons}) == len(mons)
+
+
+# ---- the capped walk of standard_monomials ------------------------------------
+
+def _full_scan(gb, degree):
+    """Standard monomials by filtering every monomial of the degree."""
+    leads = [g.leading_monomial()[0] for g in gb.polys]
+    return tuple(m for m in monomials_of_degree(gb.nv, degree)
+                 if not any(all(x <= y for x, y in zip(lm, m)) for lm in leads))
+
+
+def _monomial(*exps):
+    return Polynomial(len(exps), 0, {(exps, ()): Fraction(1)})
+
+
+def test_standard_monomials_match_full_scan():
+    rng = random.Random(31)
+    cases = [_homogeneous_ideal(rng, nv) for nv in (2, 3) for _ in range(4)]
+    cases += [_homogeneous_ideal(rng, 4, n_gens=(3, 4)) for _ in range(4)]
+    cases += [_slice_anchor_ideal(_deformed_p1xp1(), t) for t in (4, 8)]
+    cases += [
+        [_monomial(2, 0, 0), _monomial(1, 1, 0)],  # x2 and x3 uncapped
+        [_monomial(0, 3, 0), _monomial(1, 0, 1)],  # x1 and x3 uncapped
+        [_monomial(3, 0), _monomial(0, 2), _monomial(1, 1)],
+        [_monomial(2, 0, 0), _monomial(0, 4, 0), _monomial(0, 0, 1),
+         _monomial(1, 3, 0)],
+        [_monomial(2, 0, 0, 0), _monomial(0, 2, 0, 0), _monomial(0, 0, 2, 0),
+         _monomial(0, 0, 0, 3), _monomial(1, 1, 1, 0)],
+        [Polynomial.const(3, 1)],  # the whole ring: nothing survives
+    ]
+    for gens in cases:
+        gb = groebner(Ideal(tuple(gens)))
+        assert standard_monomials(gb, -1) == ()
+        # every Artinian case here reaches its socle + 1 within the bound
+        for degree in range({2: 60, 3: 20, 4: 10}[gb.nv]):
+            expected = _full_scan(gb, degree)
+            assert standard_monomials(gb, degree) == expected, (gens, degree)
+            if not expected:
+                break  # socle + 1: every higher piece is zero too
+
+
+def test_capped_walk_scans_one_candidate_on_p1_power_anchor(monkeypatch):
+    from qsheaf.lattice import find_anchor
+    from qsheaf.quantum import degree_slice
+    from qsheaf.sectors import sector
+
+    cl, lin = tangent_setup(p1_power(6))
+    anchor = sector(lin, find_anchor(cl, degree_slice(cl, 2)))
+    gb = groebner(Ideal(anchor.ideal_gens))
+    scanned = []
+    walk = qsheaf.poly._capped_exponents
+
+    def counting(caps, degree):
+        for exps in walk(caps, degree):
+            scanned.append(exps)
+            yield exps
+
+    monkeypatch.setattr(qsheaf.poly, "_capped_exponents", counting)
+    assert standard_monomials(gb, anchor.n_beta) == ((5,) * 6,)
+    assert scanned == [(5,) * 6]
+    # the walk over every monomial of the degree scans this many
+    assert math.comb(anchor.n_beta + gb.nv - 1, gb.nv - 1) == 324632
