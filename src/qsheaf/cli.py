@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import cache
 from .fan import FanError
 from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
-from .poly import PolyError, Polynomial, parse_polynomial, signed_sum
+from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
 from .sectors import SectorError, sector
@@ -41,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 VALIDATION_ERRORS = (FanError, LatticeError, PolyError, DeformError,
                      SectorError, QuantumError, ModelError, ValueError)
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _beta_dict(cl, beta) -> dict:
@@ -125,7 +121,7 @@ def cmd_analyze(model: Model, args) -> tuple:
                                     for e in model.deformation.entries]},
         "local_freeness": {"passed": verdict.passed,
                            "witness": None if verdict.witness is None
-                           else [_frac(x) for x in verdict.witness],
+                           else [rational_str(x) for x in verdict.witness],
                            "trials": trials, "note": verdict.note},
     }
     lines = [
@@ -262,11 +258,14 @@ def cmd_correlator(model: Model, args) -> tuple:
         raise ModelError("correlator requires --poly <expression>")
     cl = model.cl
     max_degree = args.max_degree if args.max_degree is not None else model.option("max_c1_degree")
+    if max_degree < 0:
+        raise ModelError(f"--max-degree (option max_c1_degree) must be nonnegative, "
+                         f"got {max_degree}")
     # a series insertion has psi degree rank + c1, so a larger one is refused
     # before its powers are expanded
     p = parse_polynomial(args.poly, d_symbols(cl), max_degree=cl.fan.rank + max_degree)
     rep = correlator_series(model.lin, p, max_degree)
-    rows = [{"beta": _beta_dict(cl, r.beta), "scalar": _frac(r.scalar),
+    rows = [{"beta": _beta_dict(cl, r.beta), "scalar": rational_str(r.scalar),
              "reason": r.reason} for r in rep.rows]
     series = novikov_series_str(cl, rep.series)
     report = {
@@ -285,7 +284,7 @@ def cmd_correlator(model: Model, args) -> tuple:
         "sectors:",
     ]
     for r in rep.rows:
-        lines.append(f"  beta {_beta_str(cl, r.beta)}: {r.scalar} [{r.reason}]")
+        lines.append(f"  beta {_beta_str(cl, r.beta)}: {rational_str(r.scalar)} [{r.reason}]")
     lines.append(f"series: {series}")
     return lines, report, 0
 
@@ -371,7 +370,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _json_default(obj):
     if isinstance(obj, Fraction):
-        return str(obj)
+        return rational_str(obj)
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 

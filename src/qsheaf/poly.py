@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -296,6 +297,18 @@ def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
                     for name, e in zip(names, exps) if e)
 
 
+def rational_str(x) -> str:
+    """``str(x)`` of an int or Fraction, however many digits it has.
+
+    Python refuses ``str`` of an int above a process-wide digit limit (4300
+    by default), which guards parsing text; a Decimal built from an int is
+    exact and renders under no such limit.  Results are computed, not read,
+    so they may be longer.
+    """
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def signed_sum(terms: Iterable[tuple]) -> str:
     """Render (coefficient, symbol) terms as ``a - 2*b + c``.
 
@@ -306,11 +319,11 @@ def signed_sum(terms: Iterable[tuple]) -> str:
     for c, sym in terms:
         mag = abs(c)
         if not sym:
-            body = str(mag)
+            body = rational_str(mag)
         elif mag == 1:
             body = sym
         else:
-            body = f"{mag}*{sym}"
+            body = f"{rational_str(mag)}*{sym}"
         sign = ("+ " if c > 0 else "- ") if chunks else ("" if c > 0 else "-")
         chunks.append(sign + body)
     return " ".join(chunks) or "0"
@@ -391,6 +404,51 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     """Complete division remainder of p modulo a (Groebner) basis."""
     basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
     return _divide(p, [g for g in basis if g])
+
+
+def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]:
+    """value(m): the coefficient of the monomial top in NF(m), for a monomial
+    m of top's degree whose graded piece top spans alone.
+
+    A normal form is linear and unique (CLO ch. 2 §6), so each monomial is
+    reduced once, by the first basis element whose lead divides it, and its
+    value is memoized for the life of the returned function.  The walk keeps
+    an explicit stack; meeting a standard monomial other than top raises
+    PolyError.
+    """
+    rules = [(g.leading_monomial(), g) for g in gb.polys if g]
+    memo = {top: Fraction(1)}
+    tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
+
+    def value(mon: tuple) -> Fraction:
+        if mon in memo:
+            return memo[mon]
+        stack = [mon]
+        while stack:
+            m = stack[-1]
+            if m in memo:
+                stack.pop()
+                continue
+            if m not in tails:
+                for lm, g in rules:
+                    if _mon_divides(lm, m):
+                        break
+                else:
+                    raise PolyError(f"standard monomial {m} other than {top}")
+                shift = _mon_div(m, lm)
+                tails[m] = ([(_mon_mul(shift, m2), c2) for m2, c2 in g.terms.items()
+                             if m2 != lm], g.terms[lm])
+            tail, lc = tails[m]
+            missing = [t for t, _ in tail if t not in memo]
+            if missing:
+                stack.extend(missing)  # every tail monomial is smaller than m
+                continue
+            memo[m] = -sum(c * memo[t] for t, c in tail) / lc
+            del tails[m]
+            stack.pop()
+        return memo[mon]
+
+    return value
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:

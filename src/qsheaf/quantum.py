@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, dominates, find_anchor,
                       h0, h1)
-from .poly import (Polynomial, UnsupportedNovikovShape, monomial_str, normal_form,
-                   signed_sum, sole_generator, standard_monomials)
+from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
+                   monomial_str, normal_form, signed_sum, sole_generator,
+                   standard_monomials, top_functional)
 from .deform import LinearData
 from .sectors import NotDominating, sector, transition
 
@@ -48,11 +49,38 @@ def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     return f
 
 
-def _anchor_ring(lin: LinearData, anchor: CurveClass) -> tuple:
-    """(Groebner basis, canonical top monomial) of the anchor sector ring.
+class _AnchorRing:
+    """The top-degree generator of the anchor sector ring and the functional
+    that reads each sector row off it.
 
-    Built once per query; every sector row of the query is read off it.
+    The top graded piece is one-dimensional, so the coefficient of the
+    generator in a normal form is one linear functional of the product.  Its
+    memos, per monomial and per insertion, live as long as the ring: one
+    query.
     """
+
+    def __init__(self, generator: Polynomial, value):
+        self.generator = generator
+        self._value = value  # poly.top_functional of the anchor basis
+        self._forms = {}     # insertion p -> {m: sum_m' p_m' value(m m')}
+
+    def scalar(self, p: Polynomial, f: Polynomial) -> Fraction:
+        """Coefficient of the generator in NF(p * f); PolyError if the normal
+        form leaves the generator's span."""
+        form = self._forms.setdefault(p, {})
+        total = Fraction(0)
+        for m, c in f.terms.items():
+            lp = form.get(m)
+            if lp is None:
+                lp = form[m] = sum(cp * self._value(_mon_mul(m, mp))
+                                   for mp, cp in p.terms.items())
+            total += c * lp
+        return total
+
+
+def _anchor_ring(lin: LinearData, anchor: CurveClass) -> _AnchorRing:
+    """The anchor sector ring, built once per query; every sector row of the
+    query is read off it."""
     sec = sector(lin, anchor)
     gb = lin.groebner_of(sec.ideal_gens)
     monos = standard_monomials(gb, sec.n_beta)
@@ -60,14 +88,15 @@ def _anchor_ring(lin: LinearData, anchor: CurveClass) -> tuple:
     if gen is None:
         raise AnchorDegenerate(
             f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-    return gb, gen
+    return _AnchorRing(gen, top_functional(gb, gen.leading_monomial()))
 
 
 def _sector_scalar(lin: LinearData, p: Polynomial, beta: CurveClass,
-                   anchor: CurveClass, ring: tuple):
+                   anchor: CurveClass, ring: _AnchorRing):
     """Correlator scalar and a reason tag ('ok', 'degree', 'empty', 'ineffective').
 
-    ring is ``_anchor_ring(lin, anchor)``.
+    ring is ``_anchor_ring(lin, anchor)``; the scalar is the coefficient of
+    its generator in NF(R * p * F_beta).
     """
     cl = lin.cl
     if not p.is_psi_homogeneous() or p.has_q():
@@ -79,15 +108,12 @@ def _sector_scalar(lin: LinearData, p: Polynomial, beta: CurveClass,
     sec = sector(lin, beta)
     if not sec.nonempty:
         return Fraction(0), "empty"
-    gb, gen = ring
-    image = transition(lin, anchor, beta).r * p * four_fermi(lin, beta)
-    nf = normal_form(image, gb)
-    if not nf:
-        return Fraction(0), "ok"
-    gen_mono = gen.leading_monomial()
-    if set(nf.terms) != {gen_mono}:
-        raise QuantumError("normal form escaped the top graded piece")
-    return nf.terms[gen_mono], "ok"
+    f = transition(lin, anchor, beta).r * four_fermi(lin, beta)
+    f._check(p)  # same ring, as the product R * p * F_beta would demand
+    try:
+        return ring.scalar(p, f), "ok"
+    except PolyError:
+        raise QuantumError("normal form escaped the top graded piece") from None
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
@@ -191,7 +217,7 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
         value, reason = _sector_scalar(lin, p, beta, anchor, ring)
         rows.append(SectorRow(beta=beta, scalar=value, reason=reason))
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
-    return CorrelatorReport(poly=p, anchor=anchor, generator=ring[1],
+    return CorrelatorReport(poly=p, anchor=anchor, generator=ring.generator,
                             rows=tuple(rows), series=series)
 
 

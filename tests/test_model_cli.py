@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -306,3 +308,62 @@ def test_cli_closed_stdout_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_cli_negative_max_degree_rejected(capsys, tmp_path):
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^2",
+                                      "--max-degree", "-3", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == ("error[ModelError]: --max-degree (option max_c1_degree) "
+                   "must be nonnegative, got -3\n")
+    with open(model_path("f1")) as fh:
+        data = json.load(fh)
+    data["options"] = {"max_c1_degree": -1}
+    path = tmp_path / "negative_max_degree.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, ["correlator", str(path), "--poly", "D1^2",
+                                      "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ModelError]: --max-degree (option max_c1_degree) "
+                          "must be nonnegative, got -1")
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^2",
+                                      "--max-degree", "0", "--no-cache"])
+    assert (code, err) == (0, "")
+
+
+def _exact(text):
+    """Fraction(text) read through Decimal, which the int digit limit spares."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_renders_results_above_the_int_digit_limit(capsys, fmt):
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^3",
+                                      "--format", "json", "--no-cache"])
+    assert (code, err) == (0, "")
+    # each row is 2^20000 times the row of D1^3: over 6000 digits
+    expected = [2 ** 20000 * Fraction(row["scalar"]) for row in json.loads(out)["sectors"]]
+    assert any(expected)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly",
+                                      "2^20000*D1^3", "--format", fmt, "--no-cache"])
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if fmt == "json":
+        rows = [row["scalar"] for row in json.loads(out)["sectors"]]
+    else:
+        rows = [line.rsplit(": ", 1)[1].split(" [")[0] for line in out.splitlines()
+                if line.startswith("  beta ")]
+    assert [_exact(s) for s in rows] == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_cli_poly_literal_above_the_int_digit_limit_is_refused(capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly",
+                                      f"{digits}*D1^3", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ValueError]: Exceeds the limit")
+    assert err.count("\n") == 1

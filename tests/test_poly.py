@@ -11,10 +11,10 @@ import qsheaf.poly
 from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, exact_div, groebner,
                          monomial_key, normal_form, parse_polynomial,
-                         quotient_dims, standard_monomials)
+                         quotient_dims, standard_monomials, top_functional)
 
 from _oracles import ideal_member_oracle, leibniz_det, monomials_of_degree
-from conftest import p1_power, tangent_setup
+from conftest import deformed_p1_power, hirzebruch, p1_power, tangent_setup
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -420,3 +420,41 @@ def test_capped_walk_scans_one_candidate_on_p1_power_anchor(monkeypatch):
     assert scanned == [(5,) * 6]
     # the walk over every monomial of the degree scans this many
     assert math.comb(anchor.n_beta + gb.nv - 1, gb.nv - 1) == 324632
+
+
+# ---- the top-degree functional ------------------------------------------------
+
+def _anchor_top_pieces():
+    """(basis, top monomial, degree) of anchor sector rings: the c1 = t slices
+    of the deformed P1xP1 model, a seeded deformed (P^1)^3 and tangent F1."""
+    from qsheaf.lattice import find_anchor
+    from qsheaf.quantum import degree_slice
+    from qsheaf.sectors import sector
+
+    model = _deformed_p1xp1()
+    setups = [(model.cl, model.lin, t) for t in (4, 6, 8, 10)]
+    setups.append((*deformed_p1_power(3, random.Random(3)), 2))
+    setups.append((*tangent_setup(hirzebruch(1)), 5))
+    for cl, lin, t in setups:
+        sec = sector(lin, find_anchor(cl, degree_slice(cl, t)))
+        gb = groebner(Ideal(sec.ideal_gens))
+        (top,) = standard_monomials(gb, sec.n_beta)
+        yield gb, (top, ()), sec.n_beta
+
+
+def test_top_functional_matches_normal_form():
+    for gb, top, degree in _anchor_top_pieces():
+        value = top_functional(gb, top)
+        for exps in monomials_of_degree(gb.nv, degree):
+            nf = normal_form(Polynomial(gb.nv, 0, {(exps, ()): 1}), gb)
+            assert set(nf.terms) <= {top}
+            assert value((exps, ())) == nf.terms.get(top, 0), (exps, top)
+
+
+def test_top_functional_refuses_a_piece_top_does_not_span():
+    # x^2 - y^2 leads with x^2, so degree 2 keeps x*y and y^2 standard
+    gb = groebner(Ideal((x * x - y * y,)))
+    value = top_functional(gb, ((0, 2), ()))
+    assert value(((2, 0), ())) == 1  # x^2 reduces to the top monomial y^2
+    with pytest.raises(PolyError, match="standard monomial"):
+        value(((1, 1), ()))

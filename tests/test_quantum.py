@@ -1,19 +1,22 @@
+import os
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from qsheaf import (NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
+from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     beta_K, build_fan, class_lattice, correlator_sector,
                     correlator_series, d_symbols, degree_slice, dominates,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
                     linear_part, novikov_series_str, qsr_generators,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
-                    sector, sr_ideal, tangent_deformation, verify_qc_relation)
+                    sector, sr_ideal, tangent_deformation, transition,
+                    verify_qc_relation)
 import qsheaf.poly
 import qsheaf.quantum
-from qsheaf.poly import Polynomial
+from qsheaf.model import load_model
+from qsheaf.poly import Polynomial, normal_form
 
 from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, p1xp1_fan,
                       p2_fan, tangent_setup)
@@ -306,6 +309,25 @@ def test_anchor_independence_deformed():
             assert r == scale
 
 
+def test_one_anchor_ring_keeps_insertions_apart():
+    from qsheaf.quantum import _anchor_ring, _sector_scalar
+
+    cl, E, lin = deformed_p1xp1("1/7", "-1/3", "1/3", "1/7")
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    g1, g2 = cl.mori
+    sectors = [cl.zero_curve, g1, g2]
+    anchor = find_anchor(cl, sectors)
+    shared = _anchor_ring(lin, anchor)
+    seen = set()
+    for p in (x * y, x * x, y * y, x ** 3 * y, x * x * y * y, x * y ** 3):
+        for beta in sectors:
+            value, _ = _sector_scalar(lin, p, beta, anchor, shared)
+            fresh, _ = _sector_scalar(lin, p, beta, anchor, _anchor_ring(lin, anchor))
+            assert value == fresh, (p, beta.d)
+            seen.add(value)
+    assert len(seen) > 3  # the insertions do not all read alike
+
+
 def test_relation_annihilates_window():
     cl, lin = tangent_setup(p1xp1_fan())
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -356,3 +378,25 @@ def test_relation_check_enumerates_anchor_top_degree_once(monkeypatch):
         assert relation_annihilates(lin, rel, (x + y) ** 4, window)
         anchor = find_anchor(cl, list(window) + [b + rel.beta_k for b in window])
         assert degrees == [sector(lin, anchor).n_beta]
+
+
+def test_series_rows_read_off_the_top_functional(monkeypatch):
+    model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
+                                    "p1xp1_deformed.json"))
+    cl, lin = model.cl, model.lin
+    p = sum(d_symbols(cl)) ** (cl.fan.rank + 10)
+    calls = []
+    monkeypatch.setattr(qsheaf.quantum, "normal_form",
+                        lambda q, gb: calls.append(q) or normal_form(q, gb))
+    rep = correlator_series(lin, p, 10)
+    assert calls == []  # no row divides its image by the anchor basis
+    ok = [row for row in rep.rows if row.reason == "ok"]
+    assert len(ok) == 6
+    # reference: the generator's coefficient in the normal form of the image
+    gb = groebner(Ideal(sector(lin, rep.anchor).ideal_gens))
+    gen = rep.generator.leading_monomial()
+    for row in ok:
+        image = transition(lin, rep.anchor, row.beta).r * p * four_fermi(lin, row.beta)
+        nf = normal_form(image, gb)
+        assert set(nf.terms) <= {gen}
+        assert row.scalar == nf.terms.get(gen, 0)
