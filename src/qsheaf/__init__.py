@@ -17,8 +17,8 @@ from .deform import (Deformation, DeformationEntry, LinearData, FreenessVerdict,
                      DuplicateEntry, UnknownRayIndex, DegenerateDeformation,
                      d_symbols, tangent_deformation, parse_deformation,
                      linear_part, local_freeness_check, sr_ideal, polymology)
-from .sectors import (SectorData, Transition, SectorError, NotDominating,
-                      sector, sector_gb, transition, transfer_check)
+from .sectors import (SectorData, SectorError, NotDominating, sector,
+                      sector_ideal, sector_gb, transition, transfer_check)
 from .quantum import (QuantumError, AnchorDegenerate,
                       NonFanoEnumerationUnbounded, CorrelatorReport, SectorRow,
                       QuantumRelation, four_fermi, correlator_sector,

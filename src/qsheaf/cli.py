@@ -21,7 +21,7 @@ from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
-from .sectors import SectorError, sector
+from .sectors import SectorError, sector, sector_ideal
 from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
                       effective_window, mori_change_of_basis, novikov_series_str,
                       novikov_symbol, qsr_generators, verify_qc_relation)
@@ -211,7 +211,7 @@ def cmd_sector(model: Model, args) -> tuple:
         "n_beta": sec.n_beta,
         "nonempty": sec.nonempty,
         "effective": sec.effective,
-        "ideal_generators": [g.to_str() for g in sec.ideal_gens],
+        "ideal_generators": [g.to_str() for g in sector_ideal(model.lin, beta)],
     }
     lines = [
         f"sector beta: {_beta_str(cl, beta)}",

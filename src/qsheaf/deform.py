@@ -54,6 +54,9 @@ class Deformation:
     is_tangent: bool
 
 
+_FRESHNESS_SEED = 7  # the sample points are fixed, so reports are reproducible
+
+
 @dataclass(frozen=True)
 class FreenessVerdict:
     passed: bool
@@ -68,7 +71,6 @@ class LinearData:
     cl: ClassLattice
     matrices: tuple  # tuple (per equiv class) of row tuples of Polynomials
     q: tuple         # Q_c = det A_c, same order as cl.equiv
-    _sector_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def q_of(self, c: EquivClass) -> Polynomial:
         return self.q[c.index]
@@ -193,8 +195,8 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
     return LinearData(cl=cl, matrices=tuple(matrices), q=tuple(dets))
 
 
-def local_freeness_check(cl: ClassLattice, E: Deformation, trials: int = 20,
-                         seed: int = 7) -> FreenessVerdict:
+def local_freeness_check(cl: ClassLattice, E: Deformation,
+                         trials: int = 20) -> FreenessVerdict:
     """Probabilistic surjectivity test for the transposed deformation map.
 
     Evaluates the rows E_rho(x) at rational points outside the irrelevant
@@ -204,7 +206,7 @@ def local_freeness_check(cl: ClassLattice, E: Deformation, trials: int = 20,
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {trials}")
     fan = cl.fan
-    rng = random.Random(seed)
+    rng = random.Random(_FRESHNESS_SEED)
     pcs = cl.primitive_collections
 
     def rand_nonzero() -> Fraction:

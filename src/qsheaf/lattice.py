@@ -181,6 +181,12 @@ class ClassLattice:
         return tuple(tuple(solve_columns(cols, [Fraction(int(i == k)) for i in range(r)]))
                      for k in range(r))
 
+    def to_mori(self, coords: Sequence[int]) -> tuple:
+        """Curve coordinates rewritten in the Mori basis (exact rationals);
+        needs mori_inverse."""
+        return tuple(sum(row[j] * x for row, x in zip(self.mori_inverse, coords))
+                     for j in range(self.pic_rank))
+
     def mori_coordinates(self, beta: CurveClass) -> Optional[tuple]:
         """beta as nonnegative integer combination of the Mori generators.
 
@@ -188,11 +194,9 @@ class ClassLattice:
         non-unimodular situations); used for display and Novikov
         coordinatization.
         """
-        inv = self.mori_inverse
-        if inv is None:
+        if self.mori_inverse is None:
             return None
-        sol = [sum(row[j] * x for row, x in zip(inv, beta.coords))
-               for j in range(self.pic_rank)]
+        sol = self.to_mori(beta.coords)
         if any(s.denominator != 1 or s < 0 for s in sol):
             return None
         return tuple(int(s) for s in sol)

@@ -14,6 +14,7 @@ block (so classical monomials dominate Novikov ones of equal psi part).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -645,6 +646,18 @@ def _det_cofactor(matrix, nv: int, nq: int) -> Polynomial:
 # ---- parsing --------------------------------------------------------------
 
 _MAX_NESTING = 100  # parentheses plus unary minus signs; keeps recursion bounded
+_MAX_HEIGHT = 100_000  # bits of a coefficient's numerator and denominator
+
+
+def _height(p: Polynomial) -> float:
+    """log2(N * D) for the common denominator D and the sum N of the numerators'
+    absolute values over it: it bounds the bits of every coefficient, adds up
+    under products, and is 0 for 0, 1 and -1."""
+    if not p:
+        return 0.0
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return math.log2(num) + math.log2(den)
 
 
 def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
@@ -654,8 +667,9 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
     Terms like ``3/2*D1^2*D3 - D4^3``; ``D<i>`` is the class of the i-th
     ray divisor (1-based), taken from the supplied symbol table.  Whitespace
     is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError, and
-    so is a ``^`` or ``*`` whose result would exceed max_degree in psi: the
-    check comes before the product is expanded.
+    so is a ``^`` or ``*`` whose result would exceed max_degree in psi or
+    _MAX_HEIGHT in coefficient bits: the checks come before the product is
+    expanded.
     """
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
@@ -678,6 +692,11 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
     def check_degree(degree: int, at: int):
         if max_degree is not None and degree > max_degree:
             raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
+
+    def check_height(bits: float, k: int, at: int):
+        # k factors of the given height; k may be too large for a float
+        if bits and k > _MAX_HEIGHT / bits:
+            raise ParseError(f"coefficients would exceed {_MAX_HEIGHT} bits", at)
 
     def parse_expr():
         kind, val, _ = peek()
@@ -703,6 +722,7 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                 factor = parse_factor()
                 if result and factor:  # degrees add: Q[psi] has no zero divisors
                     check_degree(result.psi_degree() + factor.psi_degree(), at)
+                    check_height(_height(result) + _height(factor), 1, at)
                 result = result * factor
             else:
                 return result
@@ -718,6 +738,7 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
             k = int(val)
             if base:
                 check_degree(k * base.psi_degree(), at)
+                check_height(_height(base), k, at)
             return base ** k
         return base
 

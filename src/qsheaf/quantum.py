@@ -22,7 +22,7 @@ from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
                    monomial_str, normal_form, signed_sum, sole_generator,
                    standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import NotDominating, sector, transition
+from .sectors import NotDominating, sector, sector_gb, transition
 
 
 class QuantumError(Exception):
@@ -50,70 +50,54 @@ def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
 
 
 class _AnchorRing:
-    """The top-degree generator of the anchor sector ring and the functional
-    that reads each sector row off it.
+    """The anchor sector ring of one query; every sector row is read off it.
 
-    The top graded piece is one-dimensional, so the coefficient of the
-    generator in a normal form is one linear functional of the product.  Its
-    memos, per monomial and per insertion, live as long as the ring: one
-    query.
+    The ring's top graded piece is one-dimensional, so a row is the
+    coefficient of its generator in NF(R * p * F_beta): one linear functional
+    of the product.  Its memos, per monomial and per insertion, live as long
+    as the ring.
     """
 
-    def __init__(self, generator: Polynomial, value):
-        self.generator = generator
-        self._value = value  # poly.top_functional of the anchor basis
-        self._forms = {}     # insertion p -> {m: sum_m' p_m' value(m m')}
+    def __init__(self, lin: LinearData, anchor: CurveClass):
+        gb = sector_gb(lin, anchor)
+        monos = standard_monomials(gb, sector(lin, anchor).n_beta)
+        gen = sole_generator(monos)
+        if gen is None:
+            raise AnchorDegenerate(
+                f"anchor sector of {anchor.d} has top dimension {len(monos)}")
+        self.lin = lin
+        self.anchor = anchor
+        self.generator = gen
+        self._value = top_functional(gb, gen.leading_monomial())
+        self._forms = {}  # insertion p -> {m: sum_m' p_m' value(m m')}
 
-    def scalar(self, p: Polynomial, f: Polynomial) -> Fraction:
-        """Coefficient of the generator in NF(p * f); PolyError if the normal
-        form leaves the generator's span."""
+    def row(self, p: Polynomial, beta: CurveClass):
+        """Correlator scalar of p in sector beta and a reason tag ('ok',
+        'degree', 'empty', 'ineffective')."""
+        lin = self.lin
+        if not p.is_psi_homogeneous() or p.has_q():
+            raise QuantumError("correlator insertions must be homogeneous in Sym*W")
+        if p.psi_degree() != beta.c1() + lin.cl.fan.rank:
+            return Fraction(0), "degree"
+        sec = sector(lin, beta)
+        if not sec.effective:
+            return Fraction(0), "ineffective"
+        if not sec.nonempty:
+            return Fraction(0), "empty"
+        f = transition(lin, self.anchor, beta) * four_fermi(lin, beta)
+        f._check(p)  # same ring, as the product R * p * F_beta would demand
         form = self._forms.setdefault(p, {})
         total = Fraction(0)
-        for m, c in f.terms.items():
-            lp = form.get(m)
-            if lp is None:
-                lp = form[m] = sum(cp * self._value(_mon_mul(m, mp))
-                                   for mp, cp in p.terms.items())
-            total += c * lp
-        return total
-
-
-def _anchor_ring(lin: LinearData, anchor: CurveClass) -> _AnchorRing:
-    """The anchor sector ring, built once per query; every sector row of the
-    query is read off it."""
-    sec = sector(lin, anchor)
-    gb = lin.groebner_of(sec.ideal_gens)
-    monos = standard_monomials(gb, sec.n_beta)
-    gen = sole_generator(monos)
-    if gen is None:
-        raise AnchorDegenerate(
-            f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-    return _AnchorRing(gen, top_functional(gb, gen.leading_monomial()))
-
-
-def _sector_scalar(lin: LinearData, p: Polynomial, beta: CurveClass,
-                   anchor: CurveClass, ring: _AnchorRing):
-    """Correlator scalar and a reason tag ('ok', 'degree', 'empty', 'ineffective').
-
-    ring is ``_anchor_ring(lin, anchor)``; the scalar is the coefficient of
-    its generator in NF(R * p * F_beta).
-    """
-    cl = lin.cl
-    if not p.is_psi_homogeneous() or p.has_q():
-        raise QuantumError("correlator insertions must be homogeneous in Sym*W")
-    if p.psi_degree() != beta.c1() + cl.fan.rank:
-        return Fraction(0), "degree"
-    if not cl.is_effective(beta):
-        return Fraction(0), "ineffective"
-    sec = sector(lin, beta)
-    if not sec.nonempty:
-        return Fraction(0), "empty"
-    f = transition(lin, anchor, beta).r * four_fermi(lin, beta)
-    f._check(p)  # same ring, as the product R * p * F_beta would demand
-    try:
-        return ring.scalar(p, f), "ok"
-    except PolyError:
-        raise QuantumError("normal form escaped the top graded piece") from None
+        try:
+            for m, c in f.terms.items():
+                lp = form.get(m)
+                if lp is None:
+                    lp = form[m] = sum(cp * self._value(_mon_mul(m, mp))
+                                       for mp, cp in p.terms.items())
+                total += c * lp
+        except PolyError:
+            raise QuantumError("normal form escaped the top graded piece") from None
+        return total, "ok"
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
@@ -123,8 +107,7 @@ def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
     Raises AnchorDegenerate for a degenerate anchor, even where the value
     would be 0 by degree.
     """
-    value, _ = _sector_scalar(lin, p, beta, anchor, _anchor_ring(lin, anchor))
-    return value
+    return _AnchorRing(lin, anchor).row(p, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -211,14 +194,11 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     sectors = tuple(sectors)
     anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
     anchor = find_anchor(cl, anchor_inputs)
-    ring = _anchor_ring(lin, anchor)
-    rows = []
-    for beta in sectors:
-        value, reason = _sector_scalar(lin, p, beta, anchor, ring)
-        rows.append(SectorRow(beta=beta, scalar=value, reason=reason))
+    ring = _AnchorRing(lin, anchor)
+    rows = tuple(SectorRow(beta, *ring.row(p, beta)) for beta in sectors)
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
     return CorrelatorReport(poly=p, anchor=anchor, generator=ring.generator,
-                            rows=tuple(rows), series=series)
+                            rows=rows, series=series)
 
 
 def novikov_symbol(cl: ClassLattice, beta: CurveClass) -> str:
@@ -305,16 +285,11 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
     prod_k = lin.q_product((c, int(c.d(bk) > 0)) for c in cl.equiv)
     prod_m = lin.q_product(kminus)
     if route == "expand":
-        lhs = transition(lin, beta_prime, shifted).r * four_fermi(lin, shifted) * prod_k
-        rhs = transition(lin, beta_prime, beta).r * four_fermi(lin, beta) * prod_m
+        lhs = transition(lin, beta_prime, shifted) * four_fermi(lin, shifted) * prod_k
+        rhs = transition(lin, beta_prime, beta) * four_fermi(lin, beta) * prod_m
         return lhs == rhs
-    ring = _anchor_ring(lin, beta_prime)
-    for y in insertions:
-        left, _ = _sector_scalar(lin, y * prod_k, shifted, beta_prime, ring)
-        right, _ = _sector_scalar(lin, y * prod_m, beta, beta_prime, ring)
-        if left != right:
-            return False
-    return True
+    return _rows_agree(_AnchorRing(lin, beta_prime), bk, prod_k, prod_m,
+                       ((y, beta) for y in insertions))
 
 
 def relation_annihilates(lin: LinearData, rel: QuantumRelation,
@@ -325,14 +300,16 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
     if not window:
         return True
     anchor = find_anchor(cl, window + [b + rel.beta_k for b in window])
-    prod_m = lin.q_product(rel.kminus)
-    ring = _anchor_ring(lin, anchor)
-    for beta in window:
-        left, _ = _sector_scalar(lin, insertion * rel.lhs, beta + rel.beta_k, anchor, ring)
-        right, _ = _sector_scalar(lin, insertion * prod_m, beta, anchor, ring)
-        if left != right:
-            return False
-    return True
+    return _rows_agree(_AnchorRing(lin, anchor), rel.beta_k, rel.lhs,
+                       lin.q_product(rel.kminus), ((insertion, b) for b in window))
+
+
+def _rows_agree(ring: _AnchorRing, bk: CurveClass, prod_k: Polynomial,
+                prod_m: Polynomial, cases) -> bool:
+    """<y * prod_k>_{beta + bk} == <y * prod_m>_beta for every (y, beta) in
+    cases, both rows read off one anchor ring."""
+    return all(ring.row(y * prod_k, beta + bk)[0] == ring.row(y * prod_m, beta)[0]
+               for y, beta in cases)
 
 
 # ---- quantum normal forms ---------------------------------------------------
@@ -351,11 +328,9 @@ def mori_change_of_basis(cl: ClassLattice):
     if any(x.denominator != 1 for row in inverse for x in row):
         raise UnsupportedNovikovShape(
             "Mori generators are not a unimodular basis of the curve lattice")
-    inv_cols = [[int(x) for x in row] for row in inverse]
 
     def to_mori(qpart: tuple) -> tuple:
-        return tuple(sum(inv_cols[k][j] * qpart[k] for k in range(cl.pic_rank))
-                     for j in range(cl.pic_rank))
+        return tuple(int(x) for x in cl.to_mori(qpart))
 
     def to_curve(apart: tuple) -> tuple:
         return cl.from_mori(apart).coords

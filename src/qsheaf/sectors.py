@@ -1,8 +1,9 @@
 """Per-sector data of the gauged linear sigma model moduli spaces.
 
 For an effective curve class beta, the moduli space is itself toric; its
-cohomology-ring data is a pure function of the exponents h0(d_c) and the
-primitive collections of the base fan, so no sector fan is ever built.
+bookkeeping is integer arithmetic on the exponents h0(d_c) and the primitive
+collections of the base fan, recomputed on demand.  Only `sector_ideal`
+expands Q_c products, for the few sectors whose ring is built.
 """
 
 from __future__ import annotations
@@ -24,29 +25,18 @@ class NotDominating(SectorError):
 
 @dataclass(frozen=True)
 class SectorData:
-    """Enhanced-edge bookkeeping and the sector Stanley-Reisner ideal."""
+    """Enhanced-edge bookkeeping of a sector; integers only."""
 
     beta: CurveClass
     enhanced_edges: tuple   # pairs (rho, i), 0 <= i <= d_rho
     degenerate: tuple       # pairs (rho, 0) whose divisor is empty
     n_beta: int
-    ideal_gens: tuple
     nonempty: bool
     effective: bool
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: CurveClass
-    target: CurveClass
-    r: Polynomial
-
-
 def sector(lin: LinearData, beta: CurveClass) -> SectorData:
-    """Sector data for a curve class; memoized per deformation."""
-    hit = lin._sector_cache.get(beta)
-    if hit is not None:
-        return hit
+    """Sector bookkeeping for a curve class."""
     cl = lin.cl
     fan = cl.fan
     d = beta.d
@@ -63,28 +53,33 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
                 break
     nonempty = not any(all(d[rho] < 0 for rho in K.edges) for K in pcs)
     n_beta = sum(h0(d[rho]) for rho in range(fan.n_rays)) - cl.pic_rank
+    return SectorData(beta=beta, enhanced_edges=enhanced,
+                      degenerate=tuple(degenerate), n_beta=n_beta,
+                      nonempty=nonempty, effective=cl.is_effective(beta))
+
+
+def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
+    """Generators of the sector Stanley-Reisner ideal: prod_c Q_c^h0(d_c) over
+    the classes of each primitive collection, and Q_[rho] for each degenerate
+    edge (rho, 0)."""
+    cl = lin.cl
     gens = []
-    for K in pcs:
+    for K in cl.primitive_collections:
         g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
         if g:
             gens.append(g)
-    for rho, _ in degenerate:
+    for rho, _ in sector(lin, beta).degenerate:
         g = lin.q_of(cl.class_of_ray(rho))
         if g and g not in gens:
             gens.append(g)
-    data = SectorData(beta=beta, enhanced_edges=enhanced,
-                      degenerate=tuple(degenerate), n_beta=n_beta,
-                      ideal_gens=tuple(gens), nonempty=nonempty,
-                      effective=cl.is_effective(beta))
-    lin._sector_cache[beta] = data
-    return data
+    return tuple(gens)
 
 
 def sector_gb(lin: LinearData, beta: CurveClass) -> GroebnerBasis:
-    return lin.groebner_of(sector(lin, beta).ideal_gens)
+    return lin.groebner_of(sector_ideal(lin, beta))
 
 
-def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Transition:
+def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Polynomial:
     """The multiplier R carrying sector beta into a dominating sector.
 
     R = prod_c Q_c^(h0(d_c') - h0(d_c)); its degree equals the dimension gap
@@ -99,7 +94,7 @@ def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Tra
         if r.psi_degree() != gap:
             raise SectorError(
                 f"transition degree {r.psi_degree()} != dimension gap {gap}")
-    return Transition(source=beta, target=beta_prime, r=r)
+    return r
 
 
 def transfer_check(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> bool:

@@ -279,6 +279,18 @@ def test_cli_help_exits_zero(capsys):
     assert "usage: qsheaf" in capsys.readouterr().out
 
 
+def test_cli_poly_above_coefficient_ceiling_is_parse_error():
+    # a constant base passes the degree check, so only its height bounds it;
+    # a separate process with a timeout, since expanding the power never ends
+    proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "correlator",
+                           model_path("f1"), "--poly", "2^30000000*D1^3", "--no-cache"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error[ParseError]: coefficients would exceed ")
+    assert proc.stderr.endswith("bits (at position 1)\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_poly_with_leading_minus_in_equals_form(capsys):
     code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly=-D1^2",
                                       "--no-cache"])

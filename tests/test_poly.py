@@ -221,6 +221,22 @@ def test_parser_reports_positions():
         parse_polynomial("D1 ^ x", d_syms)
 
 
+def test_parser_caps_coefficient_height():
+    d_syms = [Polynomial.linear(1, (1,))]
+    bits = qsheaf.poly._MAX_HEIGHT
+    # 0, 1 and -1 keep every coefficient bounded at any exponent
+    assert parse_polynomial("1^30000000*D1", d_syms) == d_syms[0]
+    assert parse_polynomial("(-1)^30000001*D1", d_syms) == -d_syms[0]
+    assert parse_polynomial("0^30000000 + D1", d_syms) == d_syms[0]
+    assert parse_polynomial(f"2^{bits}*D1", d_syms) == 2 ** bits * d_syms[0]
+    with pytest.raises(ParseError, match="would exceed") as err:
+        parse_polynomial(f"D1*(1/2)^{bits + 1}", d_syms)
+    assert err.value.pos == 8  # at the operator
+    with pytest.raises(ParseError, match="would exceed") as err:
+        parse_polynomial(f"2^{bits - 5}*64*D1", d_syms)
+    assert err.value.pos == len(f"2^{bits - 5}")
+
+
 def test_leading_monomial_found_once(monkeypatch):
     p = 3 * x * x * y - y ** 3 + x
     lead = p.leading_monomial()
@@ -281,15 +297,15 @@ def _slice_anchor_ideal(model, t):
     """Generators of the anchor sector ideal of the c1 = t degree slice."""
     from qsheaf.lattice import find_anchor
     from qsheaf.quantum import degree_slice
-    from qsheaf.sectors import sector
+    from qsheaf.sectors import sector_ideal
 
     anchor = find_anchor(model.cl, degree_slice(model.cl, t))
-    return list(sector(model.lin, anchor).ideal_gens)
+    return list(sector_ideal(model.lin, anchor))
 
 
 def _differential_ideals():
     from qsheaf.lattice import find_anchor
-    from qsheaf.sectors import sector
+    from qsheaf.sectors import sector_ideal
 
     rng = random.Random(2024)
     cases = [_homogeneous_ideal(rng, nv) for nv in (2, 3) for _ in range(6)]
@@ -299,7 +315,7 @@ def _differential_ideals():
     cl = model.cl
     betas = [cl.zero_curve, *cl.mori]
     for beta in betas + [find_anchor(cl, betas)]:
-        cases.append(list(sector(model.lin, beta).ideal_gens))
+        cases.append(list(sector_ideal(model.lin, beta)))
     cases += [_slice_anchor_ideal(model, t) for t in (4, 6, 8, 10)]
     return cases
 
@@ -402,11 +418,11 @@ def test_standard_monomials_match_full_scan():
 def test_capped_walk_scans_one_candidate_on_p1_power_anchor(monkeypatch):
     from qsheaf.lattice import find_anchor
     from qsheaf.quantum import degree_slice
-    from qsheaf.sectors import sector
+    from qsheaf.sectors import sector, sector_ideal
 
     cl, lin = tangent_setup(p1_power(6))
     anchor = sector(lin, find_anchor(cl, degree_slice(cl, 2)))
-    gb = groebner(Ideal(anchor.ideal_gens))
+    gb = groebner(Ideal(sector_ideal(lin, anchor.beta)))
     scanned = []
     walk = qsheaf.poly._capped_exponents
 
@@ -429,7 +445,7 @@ def _anchor_top_pieces():
     of the deformed P1xP1 model, a seeded deformed (P^1)^3 and tangent F1."""
     from qsheaf.lattice import find_anchor
     from qsheaf.quantum import degree_slice
-    from qsheaf.sectors import sector
+    from qsheaf.sectors import sector, sector_ideal
 
     model = _deformed_p1xp1()
     setups = [(model.cl, model.lin, t) for t in (4, 6, 8, 10)]
@@ -437,7 +453,7 @@ def _anchor_top_pieces():
     setups.append((*tangent_setup(hirzebruch(1)), 5))
     for cl, lin, t in setups:
         sec = sector(lin, find_anchor(cl, degree_slice(cl, t)))
-        gb = groebner(Ideal(sec.ideal_gens))
+        gb = groebner(Ideal(sector_ideal(lin, sec.beta)))
         (top,) = standard_monomials(gb, sec.n_beta)
         yield gb, (top, ()), sec.n_beta
 

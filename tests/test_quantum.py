@@ -11,10 +11,11 @@ from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
                     linear_part, novikov_series_str, qsr_generators,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
-                    sector, sr_ideal, tangent_deformation, transition,
+                    sector, sector_ideal, sr_ideal, tangent_deformation, transition,
                     verify_qc_relation)
 import qsheaf.poly
 import qsheaf.quantum
+import qsheaf.sectors
 from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
 
@@ -310,19 +311,19 @@ def test_anchor_independence_deformed():
 
 
 def test_one_anchor_ring_keeps_insertions_apart():
-    from qsheaf.quantum import _anchor_ring, _sector_scalar
+    from qsheaf.quantum import _AnchorRing
 
     cl, E, lin = deformed_p1xp1("1/7", "-1/3", "1/3", "1/7")
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     g1, g2 = cl.mori
     sectors = [cl.zero_curve, g1, g2]
     anchor = find_anchor(cl, sectors)
-    shared = _anchor_ring(lin, anchor)
+    shared = _AnchorRing(lin, anchor)
     seen = set()
     for p in (x * y, x * x, y * y, x ** 3 * y, x * x * y * y, x * y ** 3):
         for beta in sectors:
-            value, _ = _sector_scalar(lin, p, beta, anchor, shared)
-            fresh, _ = _sector_scalar(lin, p, beta, anchor, _anchor_ring(lin, anchor))
+            value, _ = shared.row(p, beta)
+            fresh, _ = _AnchorRing(lin, anchor).row(p, beta)
             assert value == fresh, (p, beta.d)
             seen.add(value)
     assert len(seen) > 3  # the insertions do not all read alike
@@ -367,6 +368,23 @@ def test_series_enumerates_anchor_top_degree_once(monkeypatch):
     assert degrees == [sector(lin, rep.anchor).n_beta]
 
 
+def test_series_expands_only_the_anchor_ideal(monkeypatch):
+    cl, lin = tangent_setup(_p1_cube_fan())
+    original = qsheaf.sectors.sector_ideal
+    expanded = []
+
+    def spy(lin, beta):
+        expanded.append(beta)
+        return original(lin, beta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qsheaf" and vars(module).get("sector_ideal") is original:
+            monkeypatch.setattr(module, "sector_ideal", spy)
+    rep = correlator_series(lin, sum(d_symbols(cl)) ** 7, 4)
+    assert sum(row.reason == "ok" for row in rep.rows) == 6
+    assert expanded == [rep.anchor]
+
+
 def test_relation_check_enumerates_anchor_top_degree_once(monkeypatch):
     cl, lin = tangent_setup(p1xp1_fan())
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -393,10 +411,10 @@ def test_series_rows_read_off_the_top_functional(monkeypatch):
     ok = [row for row in rep.rows if row.reason == "ok"]
     assert len(ok) == 6
     # reference: the generator's coefficient in the normal form of the image
-    gb = groebner(Ideal(sector(lin, rep.anchor).ideal_gens))
+    gb = groebner(Ideal(sector_ideal(lin, rep.anchor)))
     gen = rep.generator.leading_monomial()
     for row in ok:
-        image = transition(lin, rep.anchor, row.beta).r * p * four_fermi(lin, row.beta)
+        image = transition(lin, rep.anchor, row.beta) * p * four_fermi(lin, row.beta)
         nf = normal_form(image, gb)
         assert set(nf.terms) <= {gen}
         assert row.scalar == nf.terms.get(gen, 0)
