@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .fan import PrimitiveCollection
 from .lattice import ClassLattice, EquivClass
 from .linalg import kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
@@ -82,6 +83,10 @@ class LinearData:
             if e:
                 f = f * self.q[c.index] ** e
         return f
+
+    def q_k(self, K: PrimitiveCollection) -> Polynomial:
+        """Q_K: the product of Q_c over the classes meeting the collection K."""
+        return self.q_product((c, 1) for c in self.cl.classes_of(K.edges))
 
     def groebner_of(self, generators: tuple) -> GroebnerBasis:
         """Reduced Groebner basis of the ideal the generators span in Sym*W."""
@@ -275,7 +280,7 @@ def sr_ideal(lin: LinearData) -> Ideal:
     cl = lin.cl
     gens = []
     for K in cl.primitive_collections:
-        g = lin.q_product((c, 1) for c in cl.classes_of(K.edges))
+        g = lin.q_k(K)
         # a vanishing Q_K (singular A_c) generates nothing; the degeneracy
         # surfaces through polymology's dimension check instead
         if g:

@@ -54,10 +54,14 @@ def _as_int(value, context: str) -> int:
     raise ModelError(f"{context}: {value!r} is not an integer")
 
 
-def _int_vector(value, context: str) -> tuple:
+def _list(value, context: str):
     if not isinstance(value, (list, tuple)):
         raise ModelError(f"{context}: expected a list")
-    return tuple(_as_int(x, context) for x in value)
+    return value
+
+
+def _int_vector(value, context: str) -> tuple:
+    return tuple(_as_int(x, context) for x in _list(value, context))
 
 
 def build_model(data: dict) -> Model:
@@ -71,8 +75,9 @@ def build_model(data: dict) -> Model:
     if not isinstance(fan_section, dict):
         raise ModelError("model file needs a 'fan' section")
     rank = _as_int(fan_section.get("rank", 0), "fan.rank")
-    rays = [_int_vector(v, "fan.rays") for v in fan_section.get("rays", [])]
-    cones = [_int_vector(c, "fan.max_cones") for c in fan_section.get("max_cones", [])]
+    rays = [_int_vector(v, "fan.rays") for v in _list(fan_section.get("rays", []), "fan.rays")]
+    cones = [_int_vector(c, "fan.max_cones")
+             for c in _list(fan_section.get("max_cones", []), "fan.max_cones")]
     fan = build_fan(rank, rays, cones)
     cl = class_lattice(fan)
 
@@ -83,7 +88,7 @@ def build_model(data: dict) -> Model:
         if not isinstance(deform_section, dict):
             raise ModelError("'deformation' must be an object with 'entries'")
         raw = []
-        for entry in deform_section.get("entries", []):
+        for entry in _list(deform_section.get("entries", []), "deformation.entries"):
             if not isinstance(entry, dict):
                 raise ModelError("deformation entries must be objects")
             rho = _as_int(entry.get("rho"), "deformation.rho")
@@ -95,7 +100,10 @@ def build_model(data: dict) -> Model:
         deformation = parse_deformation(cl, raw)
 
     options = {}
-    for key, value in (data.get("options") or {}).items():
+    section = data.get("options") or {}
+    if not isinstance(section, dict):
+        raise ModelError("'options' must be an object")
+    for key, value in section.items():
         if key in IGNORED_OPTIONS:
             continue
         if key not in DEFAULT_OPTIONS:

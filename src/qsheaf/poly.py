@@ -363,12 +363,13 @@ def _require_nonnegative_q(polys: Iterable[Polynomial]):
                     "re-express them in a unimodular effective basis first")
 
 
-def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) -> Polynomial:
-    """Remainder of p under top-down division by nonzero divisors, each term
-    cancelled by the first divisor whose leading monomial divides it; with
-    one divisor, a given quotient dict receives the quotient's terms.  Pending
-    monomials wait in a heap, keyed once; cancelled entries are skipped."""
-    leads = [(g.leading_monomial(), g) for g in divisors]
+def normal_form(p: Polynomial, gb) -> Polynomial:
+    """Complete division remainder of p modulo a (Groebner) basis: top-down,
+    each term cancelled by the first basis element whose leading monomial
+    divides it.  Pending monomials wait in a heap, keyed once; cancelled
+    entries are skipped."""
+    basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
+    leads = [(g.leading_monomial(), g) for g in basis if g]
     work = dict(p.terms)
     heap = [(_heap_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -382,8 +383,6 @@ def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) 
             if _mon_divides(lm, mon):
                 factor = coeff / g.terms[lm]
                 shift = _mon_div(mon, lm)
-                if quotient is not None:
-                    quotient[shift] = factor
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
                         continue
@@ -399,12 +398,6 @@ def _divide(p: Polynomial, divisors: Sequence, quotient: Optional[dict] = None) 
         else:
             remainder[mon] = coeff
     return Polynomial(p.nv, p.nq, remainder)
-
-
-def normal_form(p: Polynomial, gb) -> Polynomial:
-    """Complete division remainder of p modulo a (Groebner) basis."""
-    basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
-    return _divide(p, [g for g in basis if g])
 
 
 def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]:
@@ -579,68 +572,36 @@ def sole_generator(monos: tuple) -> Optional[Polynomial]:
 
 # ---- determinants ---------------------------------------------------------
 
-def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient p / d when d divides p exactly; raises otherwise."""
-    if not d:
-        raise PolyError("division by the zero polynomial")
-    quot = {}
-    # {d} is a Groebner basis of (d), so a nonzero remainder means d does not divide p
-    if _divide(p, (d,), quot):
-        raise PolyError("inexact polynomial division")
-    return Polynomial(p.nv, p.nq, quot)
-
-
 def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials.
+    """Exact determinant of a square matrix of polynomials, with the Leibniz
+    sign in the given row order.
 
-    Cofactor expansion for small sizes, fraction-free Bareiss elimination
-    (with exact polynomial division) beyond; the sign convention is the
-    Leibniz sign in the given row order.
+    Laplace expansion along the rows, zero entries skipped: the minor on rows
+    k.. and a tuple of columns is computed once, so at most 2^n minors and no
+    division.
     """
     n = len(matrix)
     if n == 0:
         raise NonSquare("empty matrix")
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
-    ref = matrix[0][0]
-    nv, nq = ref.nv, ref.nq
-    if n <= 4:
-        return _det_cofactor(matrix, nv, nq)
-    m = [[e for e in row] for row in matrix]
-    sign = 1
-    prev = Polynomial.const(nv, 1, nq)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(nv, nq)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = Polynomial.zero(nv, nq)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+    zero = Polynomial.zero(matrix[0][0].nv, matrix[0][0].nq)
+    memo = {}
 
+    def minor(cols: tuple) -> Polynomial:
+        k = n - len(cols)
+        if len(cols) == 1:
+            return matrix[k][cols[0]]
+        if cols not in memo:
+            total = zero
+            for j, c in enumerate(cols):
+                if matrix[k][c]:
+                    term = matrix[k][c] * minor(cols[:j] + cols[j + 1:])
+                    total = total + (term if j % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
 
-def _det_cofactor(matrix, nv: int, nq: int) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = Polynomial.zero(nv, nq)
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry:
-            continue
-        minor = [[matrix[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        sub = _det_cofactor(minor, nv, nq)
-        term = entry * sub
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return minor(tuple(range(n)))
 
 
 # ---- parsing --------------------------------------------------------------

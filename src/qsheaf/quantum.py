@@ -238,7 +238,7 @@ def qsr_generators(lin: LinearData) -> tuple:
     out = []
     for K in cl.primitive_collections:
         bk, kminus = beta_K(cl, K)
-        lhs = lin.q_product((c, 1) for c in cl.classes_of(K.edges))
+        lhs = lin.q_k(K)
         rhs = (Polynomial.novikov(cl.pic_rank, nq, bk.coords)
                * lin.q_product(kminus).with_q(nq))
         diff = lhs.with_q(nq) - rhs
@@ -282,7 +282,7 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
         return True
     if route not in ("expand", "correlator"):
         raise ValueError(f"unknown route {route!r}")
-    prod_k = lin.q_product((c, int(c.d(bk) > 0)) for c in cl.equiv)
+    prod_k = lin.q_k(K)  # d_c(beta_K) > 0 exactly on the classes of K
     prod_m = lin.q_product(kminus)
     if route == "expand":
         lhs = transition(lin, beta_prime, shifted) * four_fermi(lin, shifted) * prod_k

@@ -15,6 +15,9 @@ from .poly import GroebnerBasis, Polynomial
 from .deform import LinearData
 
 
+_MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked before expanding
+
+
 class SectorError(Exception):
     pass
 
@@ -61,11 +64,16 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
 def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
     """Generators of the sector Stanley-Reisner ideal: prod_c Q_c^h0(d_c) over
     the classes of each primitive collection, and Q_[rho] for each degenerate
-    edge (rho, 0)."""
+    edge (rho, 0).  A generator of degree above _MAX_DEGREE is a SectorError."""
     cl = lin.cl
     gens = []
     for K in cl.primitive_collections:
-        g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
+        powers = [(c, h0(c.d(beta))) for c in cl.classes_of(K.edges)]
+        degree = sum(c.size * e for c, e in powers)  # deg Q_c = |c|
+        if degree > _MAX_DEGREE:
+            raise SectorError(f"sector {beta.d} needs a generator of degree {degree}, "
+                              f"above the ceiling {_MAX_DEGREE}")
+        g = lin.q_product(powers)
         if g:
             gens.append(g)
     for rho, _ in sector(lin, beta).degenerate:

@@ -36,6 +36,31 @@ def test_build_model_validation():
         build_model({"version": 1,
                      "fan": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
                      "options": {"bogus": 3}})
+    for bad in _MALFORMED_SECTIONS:
+        with pytest.raises(ModelError):
+            build_model(bad)
+
+
+# a scalar where a list or an object belongs, in each section that is iterated
+_P1_FAN = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+_MALFORMED_SECTIONS = [
+    {"version": 1, "fan": {**_P1_FAN, "rays": 5}},
+    {"version": 1, "fan": {**_P1_FAN, "max_cones": 5}},
+    {"version": 1, "fan": _P1_FAN, "deformation": {"entries": 5}},
+    {"version": 1, "fan": _P1_FAN, "options": [1]},
+    {"version": 1, "fan": _P1_FAN, "options": "x"},
+]
+
+
+@pytest.mark.parametrize("data", _MALFORMED_SECTIONS,
+                         ids=["rays", "max_cones", "entries", "options-list", "options-str"])
+def test_cli_malformed_section_is_model_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ModelError]: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_anchor_bound_option_accepted_and_ignored():
@@ -288,6 +313,18 @@ def test_cli_poly_above_coefficient_ceiling_is_parse_error():
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error[ParseError]: coefficients would exceed ")
     assert proc.stderr.endswith("bits (at position 1)\n")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_sector_above_degree_ceiling_is_sector_error():
+    # the generator degree is predicted from h0(d_c) before any Q_c power is
+    # expanded; a separate process with a timeout, since the expansion runs for minutes
+    proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "sector",
+                           model_path("f1"), "--beta", "2000,0", "--no-cache"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error[SectorError]: ")
+    assert proc.stderr.endswith("above the ceiling 1000\n")
     assert proc.stderr.count("\n") == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qsheaf.poly
 from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
-                         ParseError, PolyError, Polynomial, det, exact_div, groebner,
+                         ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
                          quotient_dims, standard_monomials, top_functional)
 
@@ -103,11 +103,23 @@ def test_det_bareiss_path_beyond_cofactor():
     assert det(mat) == leibniz_det(scalars) * one
 
 
+def test_det_matches_leibniz_on_linear_forms():
+    # multi-variable entries, about a third of them zero, up to n = 6
+    rng = random.Random(11)
+    zs = [Polynomial.variable(3, i) for i in range(3)]
+    for n in range(1, 7):
+        for _ in range(2):
+            mat = [[sum((rng.randint(-3, 3) * z for z in zs), Polynomial.zero(3))
+                    if rng.random() > 0.3 else Polynomial.zero(3)
+                    for _ in range(n)] for _ in range(n)]
+            assert det(mat) == leibniz_det(mat)
+
+
 def test_exact_division():
+    # {x + y} is a Groebner basis of (x + y): membership is a zero remainder
     p = (x + y) * (x * x - y)
-    assert exact_div(p, x + y) == x * x - y
-    with pytest.raises(Exception):
-        exact_div(x * x + y, x + y)
+    assert not normal_form(p, [x + y])
+    assert normal_form(x * x + y, [x + y])
 
 
 def test_groebner_examples():
@@ -342,12 +354,9 @@ def test_groebner_and_division_match_sympy():
             if not d:
                 continue
             for num in (p, p * d):
-                quot, rem = sympy.div(to_sympy(num), to_sympy(d))
-                if rem.is_zero:
-                    assert to_sympy(exact_div(num, d)) == quot
-                else:
-                    with pytest.raises(PolyError, match="inexact"):
-                        exact_div(num, d)
+                # {d} is a Groebner basis of (d): d divides num iff the remainder is 0
+                rem = sympy.div(to_sympy(num), to_sympy(d))[1]
+                assert (not normal_form(num, [d])) == rem.is_zero
 
 
 def test_groebner_chain_criterion_bounds_reductions(monkeypatch):
