@@ -18,7 +18,7 @@ from .deform import (Deformation, DeformationEntry, LinearData, FreenessVerdict,
                      d_symbols, tangent_deformation, parse_deformation,
                      linear_part, local_freeness_check, sr_ideal, polymology)
 from .sectors import (SectorData, SectorError, NotDominating, sector,
-                      sector_ideal, sector_gb, transition, transfer_check)
+                      sector_ideal, sector_gb, transition)
 from .quantum import (QuantumError, AnchorDegenerate,
                       NonFanoEnumerationUnbounded, CorrelatorReport, SectorRow,
                       QuantumRelation, four_fermi, correlator_sector,

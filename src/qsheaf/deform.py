@@ -56,6 +56,7 @@ class Deformation:
 
 
 _FRESHNESS_SEED = 7  # the sample points are fixed, so reports are reproducible
+_MAX_TRIALS = 10_000  # about 0.2 ms a trial: a few seconds, not hours
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,8 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     """
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise DeformError(f"trials {trials} is above the ceiling {_MAX_TRIALS}")
     fan = cl.fan
     rng = random.Random(_FRESHNESS_SEED)
     pcs = cl.primitive_collections

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import int_det, solve_columns
+from .linalg import solve_columns
+from .poly import det
 
 
 class FanError(Exception):
@@ -65,6 +67,39 @@ class Fan:
     def n_rays(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def walls(self) -> tuple:
+        """(facet, d) per facet of the maximal cones, in sorted facet order.
+
+        Completeness by facet pairing: every facet F must be shared by exactly
+        two maximal cones F+{a} and F+{b} whose wall relation
+        v_a + v_b = sum_{i in F} lambda_i v_i has a solution; on unimodular
+        cones it does exactly when a and b lie on opposite sides of F.  Then
+        d is 1 on a and b and -lambda_i on F, so sum_rho d_rho v_rho = 0.
+        """
+        facets = {}
+        for sigma in self.max_cones:
+            for facet in itertools.combinations(sigma, self.rank - 1):
+                facets.setdefault(facet, []).append(sigma)
+        walls = []
+        for facet, owners in sorted(facets.items()):
+            if len(owners) != 2:
+                raise IncompleteFan(
+                    f"facet {facet} lies in {len(owners)} maximal cone(s); "
+                    "support does not close up")
+            (a,), (b,) = (set(sigma) - set(facet) for sigma in owners)
+            target = [x + y for x, y in zip(self.rays[a], self.rays[b])]
+            lam = solve_columns([self.rays[i] for i in facet], target)
+            if lam is None:
+                raise IncompleteFan(
+                    f"maximal cones sharing facet {facet} overlap on one side")
+            d = [0] * self.n_rays
+            d[a] = d[b] = 1
+            for i, coeff in zip(facet, lam):
+                d[i] = -coeff
+            walls.append((facet, tuple(d)))
+        return tuple(walls)
+
     def cone_faces(self) -> frozenset:
         """All cones of the fan, as the subsets of maximal cones (incl. the zero cone)."""
         faces = set()
@@ -110,9 +145,8 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     """Validate and construct a complete smooth simplicial fan.
 
     Checks: primitive rays, no duplicate rays, every maximal cone a lattice
-    basis (|det| = 1), and completeness by facet pairing (every facet shared
-    by exactly two maximal cones whose opposite rays lie on opposite sides,
-    detected by a determinant-sign cancellation).  Projectivity is checked
+    basis (|det| = 1), and completeness by facet pairing, which solves and
+    keeps each wall's relation (`Fan.walls`).  Projectivity is checked
     later, by `class_lattice`, which raises NonProjectiveFan.
     """
     if rank < 1:
@@ -140,10 +174,10 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
         if len(set(idx)) != len(idx) or len(idx) != rank:
             raise NonUnimodularCone(
                 f"maximal cone {sigma} does not have exactly {rank} distinct rays")
-        det = int_det([ray_tuples[i] for i in idx])
-        if abs(det) != 1:
+        d = det([ray_tuples[i] for i in idx])
+        if abs(d) != 1:
             raise NonUnimodularCone(
-                f"cone {idx} has determinant {det}; fan is not smooth")
+                f"cone {idx} has determinant {d}; fan is not smooth")
         cones.append(idx)
     if len(set(cones)) != len(cones):
         raise IncompleteFan("duplicate maximal cone")
@@ -153,28 +187,9 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
         missing = sorted(set(range(len(ray_tuples))) - used)
         raise IncompleteFan(f"rays {missing} appear in no maximal cone")
 
-    # facet pairing: every (rank-1)-face of a maximal cone must be shared by
-    # exactly two maximal cones, and the two opposite rays must lie on
-    # opposite sides of the facet hyperplane (det signs cancel)
-    facets = {}
-    for ci, sigma in enumerate(cones):
-        for facet in itertools.combinations(sigma, rank - 1):
-            facets.setdefault(facet, []).append(ci)
-    for facet, owners in sorted(facets.items()):
-        if len(owners) != 2:
-            raise IncompleteFan(
-                f"facet {facet} lies in {len(owners)} maximal cone(s); "
-                "support does not close up")
-        dets = []
-        for ci in owners:
-            (opp,) = set(cones[ci]) - set(facet)
-            rows = [ray_tuples[i] for i in facet] + [ray_tuples[opp]]
-            dets.append(int_det(rows))
-        if dets[0] + dets[1] != 0:
-            raise IncompleteFan(
-                f"maximal cones sharing facet {facet} overlap on one side")
-
-    return Fan(rank=rank, rays=tuple(ray_tuples), max_cones=tuple(cones))
+    fan = Fan(rank=rank, rays=tuple(ray_tuples), max_cones=tuple(cones))
+    fan.walls  # raises IncompleteFan unless the facets pair up
+    return fan
 
 
 def primitive_collections(fan: Fan) -> tuple:

@@ -1,9 +1,9 @@
 """Picard group, divisor classes, curve lattice, Mori cone and dominance.
 
-The presentation 0 -> M -> Z^rays -> Pic -> 0 is put in Smith normal form
-once; the chosen Picard basis and the dual basis of the curve (relation)
-lattice are read off the transform and fixed for the lifetime of the
-lattice, so every report is reproducible.
+The presentation 0 -> M -> Z^rays -> Pic -> 0 is diagonalized by unimodular
+operations once; the chosen Picard basis and the dual basis of the curve
+(relation) lattice are read off the transform and fixed for the lifetime of
+the lattice, so every report is reproducible.
 """
 
 from __future__ import annotations
@@ -103,9 +103,6 @@ class ClassLattice:
         self.divisor_classes = divisor_classes
         self.curve_basis_d = curve_basis_d
         self._section = section
-        self._positive = None
-        self.walls = ()   # distinct wall-curve classes, set by class_lattice
-        self.facets = ()  # primitive inward facet normals of the Mori cone
 
     # ---- curve classes --------------------------------------------------
     @property
@@ -158,6 +155,39 @@ class ClassLattice:
     @cached_property
     def mori(self) -> tuple:
         return mori_generators(self)
+
+    @cached_property
+    def walls(self) -> tuple:
+        """Distinct classes of the fan's wall relations, in wall order; they
+        span the Mori cone."""
+        for facet, d in self.fan.walls:
+            if any(x.denominator != 1 for x in d):
+                raise NonIntegralCoefficient(
+                    f"relation {d} of wall {facet} has a non-integer coefficient")
+        return tuple(dict.fromkeys(self.curve_from_d(d) for _, d in self.fan.walls))
+
+    @cached_property
+    def facets(self) -> tuple:
+        """Primitive inward facet normals of the Mori cone."""
+        return cone_facets([w.coords for w in self.walls], self.pic_rank)
+
+    @cached_property
+    def positive(self) -> CurveClass:
+        """Effective curve class positive against every divisor class.
+
+        The first nonnegative combination of the Mori generators, by
+        coefficient sum and then lexicographically.  On a projective fan with
+        ample class H the curve class H^(dim-1) meets every toric divisor
+        positively, so some multiple of it is such a combination and the
+        enumeration ends.
+        """
+        for total in itertools.count(1):
+            for combo in itertools.product(range(total + 1), repeat=len(self.mori)):
+                if sum(combo) != total:
+                    continue
+                cand = self.from_mori(combo)
+                if all(c.d(cand) > 0 for c in self.equiv):
+                    return cand
 
     def class_of_ray(self, rho: int) -> EquivClass:
         for c in self.equiv:
@@ -216,9 +246,9 @@ def class_lattice(fan: Fan) -> ClassLattice:
     n, r = fan.rank, fan.n_rays
     rows = [list(v) for v in fan.rays]
     R, Rinv, diag = smith_normal_form(rows)
-    if len([d for d in diag if d]) != n or any(d != 1 for d in diag[:n]):
+    if len(diag) != n or any(abs(d) != 1 for d in diag):
         raise TorsionDetected(
-            f"ray matrix has elementary divisors {diag}; expected all 1 "
+            f"ray matrix has diagonal form {diag}; expected all +-1 "
             "(smooth complete fans have torsion-free class groups)")
     divisor_classes = tuple(tuple(R[n + k][rho] for k in range(r - n))
                             for rho in range(r))
@@ -234,8 +264,6 @@ def class_lattice(fan: Fan) -> ClassLattice:
                 acc[k] += fan.rays[rho][j] * divisor_classes[rho][k]
         if any(acc):
             raise TorsionDetected("Picard presentation failed exactness check")
-    cl.walls = _wall_classes(cl)
-    cl.facets = cone_facets([w.coords for w in cl.walls], cl.pic_rank)
     if matrix_rank(cl.facets) != cl.pic_rank:
         raise NonProjectiveFan(
             "the cone of wall curves is not pointed (its facet normals do not "
@@ -331,40 +359,6 @@ def beta_K(cl: ClassLattice, K: PrimitiveCollection):
     return beta, tuple(kminus)
 
 
-def _wall_classes(cl: ClassLattice) -> tuple:
-    """Distinct wall-curve classes, in the order of their sorted walls.
-
-    Every interior wall of the fan yields a relation with coefficient 1 on
-    the two opposite rays; these classes span the Mori cone.
-    """
-    fan = cl.fan
-    walls = {}
-    for sigma in fan.max_cones:
-        for facet in itertools.combinations(sigma, fan.rank - 1):
-            walls.setdefault(facet, []).append(sigma)
-    classes = []
-    for facet, owners in sorted(walls.items()):
-        (a,) = set(owners[0]) - set(facet)
-        (b,) = set(owners[1]) - set(facet)
-        cols = [[Fraction(fan.rays[i][j]) for j in range(fan.rank)] for i in facet]
-        target = [Fraction(fan.rays[a][j] + fan.rays[b][j]) for j in range(fan.rank)]
-        lam = solve_columns(cols, target)
-        if lam is None:
-            raise LatticeError(f"wall {facet} relation is inconsistent")
-        d = [0] * fan.n_rays
-        d[a] = 1
-        d[b] = 1
-        for rho, coeff in zip(facet, lam):
-            if coeff.denominator != 1:
-                raise NonIntegralCoefficient(
-                    f"wall relation coefficient {coeff} is not an integer")
-            d[rho] = -int(coeff)
-        beta = cl.curve_from_d(d)
-        if beta not in classes:
-            classes.append(beta)
-    return tuple(classes)
-
-
 def mori_generators(cl: ClassLattice) -> tuple:
     """Extremal wall-curve classes.
 
@@ -395,26 +389,6 @@ def dominates(cl: ClassLattice, beta_prime: CurveClass, beta: CurveClass) -> boo
     return all(h0(c.d(beta_prime)) >= h0(c.d(beta)) for c in cl.equiv)
 
 
-def _positive_class(cl: ClassLattice) -> CurveClass:
-    """Effective curve class positive against every divisor class; memoized.
-
-    The first nonnegative combination of the Mori generators, by coefficient
-    sum and then lexicographically.  On a projective fan with ample class H
-    the curve class H^(dim-1) meets every toric divisor positively, so some
-    multiple of it is such a combination and the enumeration ends.
-    """
-    if cl._positive is None:
-        for total in itertools.count(1):
-            for combo in itertools.product(range(total + 1), repeat=len(cl.mori)):
-                if sum(combo) != total:
-                    continue
-                cand = cl.from_mori(combo)
-                if all(c.d(cand) > 0 for c in cl.equiv):
-                    cl._positive = cand
-                    return cand
-    return cl._positive
-
-
 def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
     """Deterministic curve class dominating every given effective sector.
 
@@ -426,7 +400,7 @@ def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
     for s in sectors:
         if not cl.is_effective(s):
             raise IneffectiveClass(f"sector {s.d} is not effective")
-    positive = _positive_class(cl)
+    positive = cl.positive
     base = cl.zero_curve
     for s in sectors:
         base = base + s

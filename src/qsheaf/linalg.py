@@ -10,40 +10,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: exact division by the previous pivot
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns (R, Rinv, diag) with R @ A @ C = D for some unimodular C, where
     R is unimodular with inverse Rinv and diag lists the diagonal of D.
-    Column operations are not tracked; callers only need the row side.
+    Column operations are not tracked; callers only need the row side.  The
+    diagonal is left as the pivoting produces it, with no entry made to divide
+    the next: a full-rank A has a free cokernel exactly when it is all +-1.
     Pivoting is deterministic (smallest absolute value, then position), so
     the output is platform independent.
     """
@@ -126,17 +100,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     t = 0
     while t < min(nr, nc) and clear_step(t):
         t += 1
-    rank = t
-    # enforce the divisibility chain d1 | d2 | ...
-    k = 0
-    while k < rank - 1:
-        if a[k + 1][k + 1] % a[k][k] == 0:
-            k += 1
-            continue
-        col_add(k, k + 1, 1)
-        for s in range(k, rank):
-            clear_step(s)
-        k = max(0, k - 1)
     diag = [a[i][i] for i in range(min(nr, nc))]
     return r_mat, r_inv, diag
 

@@ -280,14 +280,11 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.to_str()})"
 
-    def to_str(self, psi_names: Optional[Sequence[str]] = None,
-               q_names: Optional[Sequence[str]] = None) -> str:
+    def to_str(self, q_names: Optional[Sequence[str]] = None) -> str:
         """Deterministic rendering, terms in descending monomial order."""
-        if psi_names is None:
-            psi_names = [f"psi{i + 1}" for i in range(self.nv)]
         if q_names is None:
             q_names = [f"q{j + 1}" for j in range(self.nq)]
-        names = list(psi_names) + list(q_names)
+        names = [f"psi{i + 1}" for i in range(self.nv)] + list(q_names)
         return signed_sum((c, monomial_str(names, p + q))
                           for (p, q), c in self.sorted_terms())
 
@@ -572,9 +569,9 @@ def sole_generator(monos: tuple) -> Optional[Polynomial]:
 
 # ---- determinants ---------------------------------------------------------
 
-def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials, with the Leibniz
-    sign in the given row order.
+def det(matrix: Sequence[Sequence]):
+    """Exact determinant of a square matrix of polynomials or integers, with
+    the Leibniz sign in the given row order.
 
     Laplace expansion along the rows, zero entries skipped: the minor on rows
     k.. and a tuple of columns is computed once, so at most 2^n minors and no
@@ -585,10 +582,10 @@ def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         raise NonSquare("empty matrix")
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
-    zero = Polynomial.zero(matrix[0][0].nv, matrix[0][0].nq)
+    zero = matrix[0][0] * 0
     memo = {}
 
-    def minor(cols: tuple) -> Polynomial:
+    def minor(cols: tuple):
         k = n - len(cols)
         if len(cols) == 1:
             return matrix[k][cols[0]]

@@ -103,23 +103,3 @@ def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Pol
             raise SectorError(
                 f"transition degree {r.psi_degree()} != dimension gap {gap}")
     return r
-
-
-def transfer_check(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> bool:
-    """R * Q_{K_beta} lies in (Q_{K_beta'}) for every primitive collection.
-
-    Decided by exact exponent comparison factor by factor; no Groebner
-    machinery is involved.
-    """
-    cl = lin.cl
-    if not dominates(cl, beta_prime, beta):
-        raise NotDominating(f"{beta_prime.d} does not dominate {beta.d}")
-    for K in cl.primitive_collections:
-        kset = {c.index for c in cl.classes_of(K.edges)}
-        for c in cl.equiv:
-            shift = h0(c.d(beta_prime)) - h0(c.d(beta))
-            left = shift + (h0(c.d(beta)) if c.index in kset else 0)
-            right = h0(c.d(beta_prime)) if c.index in kset else 0
-            if left < right:
-                return False
-    return True

@@ -72,6 +72,33 @@ def leibniz_det(matrix):
     return total
 
 
+def wall_classes(cl):
+    """The wall-curve classes by a walk over the facets of the maximal cones.
+
+    Per facet F shared by F+{a} and F+{b}: solve v_a + v_b = sum lambda_i v_i
+    over F, set d = 1 on a and b and -lambda on F, and keep each class of d
+    once, in sorted facet order.
+    """
+    fan = cl.fan
+    owners = {}
+    for sigma in fan.max_cones:
+        for facet in itertools.combinations(sigma, fan.rank - 1):
+            owners.setdefault(facet, []).append(sigma)
+    classes = []
+    for facet, (s1, s2) in sorted(owners.items()):
+        (a,), (b,) = set(s1) - set(facet), set(s2) - set(facet)
+        target = [x + y for x, y in zip(fan.rays[a], fan.rays[b])]
+        lam = solve_columns([fan.rays[i] for i in facet], target)
+        d = [0] * fan.n_rays
+        d[a] = d[b] = 1
+        for i, coeff in zip(facet, lam):
+            d[i] = -int(coeff)
+        beta = cl.curve_from_d(d)
+        if beta not in classes:
+            classes.append(beta)
+    return tuple(classes)
+
+
 def in_cone(vec, gens):
     """Exact membership of vec in the rational cone spanned by gens.
 

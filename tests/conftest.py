@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from qsheaf import (build_fan, class_lattice, linear_part, parse_deformation,
-                    tangent_deformation)
+from qsheaf import (build_fan, class_lattice, h0, linear_part, normal_form,
+                    parse_deformation, tangent_deformation, transition)
 
 
 def p1_fan():
@@ -65,6 +65,19 @@ def all_fans():
     """The six worked examples: P1, P2, P1xP1, F1, F2, F3."""
     return [("P1", p1_fan()), ("P2", p2_fan()), ("P1xP1", p1xp1_fan()),
             ("F1", hirzebruch(1)), ("F2", hirzebruch(2)), ("F3", hirzebruch(3))]
+
+
+def transfers(lin, bprime, beta):
+    """transition(beta', beta) * Q_{K,beta} lies in (Q_{K,beta'}) for every
+    primitive collection K, where Q_{K,beta} = prod_{c in K} Q_c^h0(d_c(beta)).
+    One polynomial is a Groebner basis of the ideal it spans."""
+    cl = lin.cl
+    r = transition(lin, bprime, beta)
+
+    def q_kb(K, b):
+        return lin.q_product((c, h0(c.d(b))) for c in cl.classes_of(K.edges))
+    return all(not normal_form(r * q_kb(K, beta), [q_kb(K, bprime)])
+               for K in cl.primitive_collections)
 
 
 def tangent_setup(fan):

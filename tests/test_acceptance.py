@@ -15,11 +15,12 @@ from qsheaf import (beta_K, class_lattice, correlator_series, d_symbols,
                     groebner, h0, h1, linear_part, normal_form,
                     novikov_series_str, parse_deformation, polymology,
                     qsr_generators, quotient_dims, relation_annihilates,
-                    sector, sr_ideal, tangent_deformation, transfer_check,
-                    transition, verify_qc_relation)
+                    sector, sr_ideal, tangent_deformation, transition,
+                    verify_qc_relation)
 from qsheaf.poly import Ideal, Polynomial
 
-from conftest import all_fans, deformed_p1xp1, hirzebruch, p1_fan, tangent_setup
+from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, tangent_setup,
+                      transfers)
 from _oracles import ideal_member_oracle, monomials_of_degree
 
 
@@ -246,7 +247,7 @@ def test_criterion_8_structural_properties():
             gap = sum(h0(bprime.d[rho]) - h0(beta.d[rho])
                       for rho in range(cl.fan.n_rays))
             assert sector(lin, bprime).n_beta == sector(lin, beta).n_beta + gap
-            assert transfer_check(lin, bprime, beta)
+            assert transfers(lin, bprime, beta)
         # anchor independence: lambda vectors agree up to one common factor
         from qsheaf import correlator_sector
         configs = 0

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay,
-                    NonUnimodularCone, build_fan, locate_cone,
+                    Fan, NonUnimodularCone, build_fan, det, locate_cone,
                     primitive_collections)
 
-from conftest import all_fans, hirzebruch, p1_fan, p1xp1_fan, p2_fan
+from conftest import (all_fans, blowup_p3_point, hexagon, hirzebruch, p1_fan,
+                      p1_power, p1xp1_fan, p2_fan)
 
 
 def test_p1_is_smallest_complete_smooth_fan():
@@ -53,6 +54,31 @@ def test_overlapping_cones_rejected():
     # facet pairing holds but the quadrant cone overlaps its two subcones
     with pytest.raises(IncompleteFan):
         build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
+
+
+def test_wall_relations_stored_by_build_fan():
+    fans = [fan for _, fan in all_fans()]
+    fans += [p1_power(3), blowup_p3_point(), hexagon()]
+    for fan in fans:
+        facets = {facet for sigma in fan.max_cones
+                  for facet in itertools.combinations(sigma, fan.rank - 1)}
+        assert [facet for facet, _ in fan.walls] == sorted(facets)
+        for facet, d in fan.walls:
+            a, b = [rho for rho in range(fan.n_rays) if rho not in facet and d[rho]]
+            assert d[a] == d[b] == 1
+            assert all(sum(d[rho] * fan.rays[rho][j] for rho in range(fan.n_rays)) == 0
+                       for j in range(fan.rank))
+            # the two cones of the wall, with their opposite rays on opposite sides
+            cones = [tuple(sorted(facet + (c,))) for c in (a, b)]
+            assert all(sigma in fan.max_cones for sigma in cones)
+            assert sum(det([fan.rays[i] for i in facet + (c,)]) for c in (a, b)) == 0
+
+
+def test_fan_equality_ignores_cached_walls():
+    fan = p1_fan()
+    bare = Fan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones)
+    assert bare == fan and hash(bare) == hash(fan)
+    assert bare.walls == fan.walls == (((), (1, 1)),)
 
 
 def test_primitive_collections_examples():

@@ -7,9 +7,9 @@ from qsheaf import (IneffectiveClass, NonProjectiveFan, beta_K,
                     class_lattice, dominates, effective_cones_coincide,
                     find_anchor, h0, h1)
 
-from _oracles import in_cone
+from _oracles import in_cone, wall_classes
 from conftest import (all_fans, blowup_p3_point, hexagon, hirzebruch,
-                      non_projective_fan, p1_fan, p1xp1_fan, p2_fan)
+                      non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
 
 
 def test_p2_class_lattice():
@@ -88,6 +88,14 @@ def test_beta_k_consistency_and_primlin():
             # primitive collections are unions of equivalence classes
             for rho in K.edges:
                 assert set(cl.class_of_ray(rho).members) <= set(K.edges)
+
+
+def test_walls_match_facet_walk_oracle():
+    fans = [fan for _, fan in all_fans()]
+    fans += [p1_power(3), p1_power(4), blowup_p3_point(), hexagon()]
+    for fan in fans:
+        cl = class_lattice(fan)
+        assert cl.walls == wall_classes(cl)
 
 
 def test_mori_generators_examples():

@@ -328,6 +328,23 @@ def test_cli_sector_above_degree_ceiling_is_sector_error():
     assert proc.stderr.count("\n") == 1
 
 
+def test_cli_trials_above_ceiling_is_deform_error(tmp_path):
+    # at about 0.2 ms a trial, 10^8 trials would run for hours; a separate
+    # process with a timeout, for the flag and for the model option
+    with open(model_path("f1")) as fh:
+        data = json.load(fh)
+    data["options"] = {"trials": 100_000_000}
+    path = tmp_path / "many_trials.json"
+    path.write_text(json.dumps(data))
+    for argv in ([model_path("f1"), "--trials", "100000000"], [str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "analyze", *argv,
+                               "--no-cache"],
+                              capture_output=True, text=True, env=_cli_env(), timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == \
+            "error[DeformError]: trials 100000000 is above the ceiling 10000\n"
+
+
 def test_cli_poly_with_leading_minus_in_equals_form(capsys):
     code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly=-D1^2",
                                       "--no-cache"])

@@ -14,7 +14,8 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          quotient_dims, standard_monomials, top_functional)
 
 from _oracles import ideal_member_oracle, leibniz_det, monomials_of_degree
-from conftest import deformed_p1_power, hirzebruch, p1_power, tangent_setup
+from conftest import (all_fans, deformed_p1_power, hirzebruch, p1_power,
+                      tangent_setup)
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -79,6 +80,29 @@ def test_det_matches_leibniz_oracle():
         mat = [[s * x for s in row] for row in scalars]
         expected = leibniz_det(scalars) * (x ** n)
         assert det(mat) == expected
+    # integer matrices: seeded ones, every other one singular (its last row
+    # a combination of the others, zero when n = 1)
+    rng = random.Random(5)
+    mats = []
+    for n in range(1, 6):
+        for singular in (False, True):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if singular:
+                m[-1] = [sum(k * row[j] for k, row in zip((2, -1), m[:-1]))
+                         for j in range(n)]
+            mats.append(m)
+    assert all(leibniz_det(m) == 0 for m in mats[1::2])
+    # every maximal cone, and every facet of one with the ray opposite it
+    for _, fan in all_fans():
+        for sigma in fan.max_cones:
+            mats.append([fan.rays[i] for i in sigma])
+            for i in sigma:
+                facet = [rho for rho in sigma if rho != i]
+                for opp in range(fan.n_rays):
+                    if opp not in sigma and tuple(sorted(facet + [opp])) in fan.max_cones:
+                        mats.append([fan.rays[rho] for rho in facet + [opp]])
+    for m in mats:
+        assert det(m) == leibniz_det(m)
 
 
 def test_det_multiplicative_on_scalars():

@@ -10,10 +10,11 @@ from qsheaf.quantum import effective_window
 
 from qsheaf import (NotDominating, dominates, h0, quotient_dims,
                     sector, sector_gb, sector_ideal, sr_ideal, standard_monomials,
-                    transfer_check, transition)
+                    transition)
 from qsheaf.poly import Polynomial
 
-from conftest import all_fans, hirzebruch, p1_fan, p1xp1_fan, tangent_setup
+from conftest import (all_fans, hirzebruch, p1_fan, p1xp1_fan, tangent_setup,
+                      transfers)
 
 
 def test_hirzebruch_sector_worked_example():
@@ -117,8 +118,8 @@ def test_dimension_identity_on_dominating_pairs():
 def test_transfer_check_on_dominating_pairs():
     rng = random.Random(18)
     for cl, lin, bprime, beta in _random_dominating_pairs(rng, 25):
-        assert transfer_check(lin, bprime, beta)
-        assert transfer_check(lin, beta, beta)
+        assert transfers(lin, bprime, beta)
+        assert transfers(lin, beta, beta)
 
 
 def test_transfer_check_f1_negative_arguments():
@@ -126,7 +127,7 @@ def test_transfer_check_f1_negative_arguments():
     beta = cl.curve_from_d((1, 1, -1, 0))
     bprime = beta + cl.curve_from_d((0, 0, 1, 1))
     assert dominates(cl, bprime, beta)
-    assert transfer_check(lin, bprime, beta)
+    assert transfers(lin, bprime, beta)
 
 
 def test_degenerate_edge_generator_is_consistent():
