@@ -21,7 +21,7 @@ from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
-from .sectors import SectorError, sector, sector_ideal
+from .sectors import SectorError, check_ceiling, sector, sector_ideal
 from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
                       effective_window, mori_change_of_basis, novikov_series_str,
                       novikov_symbol, qsr_generators, verify_qc_relation)
@@ -188,8 +188,14 @@ def cmd_polymology(model: Model, args) -> tuple:
 
 def _parse_beta(model: Model, text: str):
     cl = model.cl
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    coeffs = [int(p) for p in parts]
+    coeffs = []
+    for k, field in enumerate(text.split(","), 1):
+        if not field.strip():
+            raise ModelError(f"--beta field {k} of {text!r} is empty")
+        try:
+            coeffs.append(int(field))
+        except ValueError:
+            raise ModelError(f"--beta field {k} of {text!r} is not an integer") from None
     if len(coeffs) != len(cl.mori):
         raise ModelError(
             f"--beta needs {len(cl.mori)} Mori coordinates, got {len(coeffs)}")
@@ -201,6 +207,7 @@ def cmd_sector(model: Model, args) -> tuple:
         raise ModelError("sector requires --beta <comma-separated Mori coordinates>")
     cl = model.cl
     beta = _parse_beta(model, args.beta)
+    check_ceiling(cl, beta)  # before sector() lists its sum (d_rho + 1) enhanced edges
     sec = sector(model.lin, beta)
     report = {
         "schema": SCHEMA,

@@ -22,7 +22,8 @@ from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
                    monomial_str, normal_form, signed_sum, sole_generator,
                    standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import NotDominating, sector, sector_gb, transition
+from .sectors import (NotDominating, check_ceiling, sector, sector_gb,
+                      transition)
 
 
 class QuantumError(Exception):
@@ -39,24 +40,69 @@ class NonFanoEnumerationUnbounded(QuantumError):
 
 def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     """Obstruction factor F_beta = prod_c Q_c^{h1(d_c)} for excess dimension."""
+    _check_excess(lin, beta, sector(lin, beta).n_beta)
+    return lin.q_product((c, h1(c.d(beta))) for c in lin.cl.equiv)
+
+
+def _check_excess(lin: LinearData, beta: CurveClass, n_beta: int) -> None:
+    """Degree bookkeeping of F_beta in integers: (c1.beta + dim X) + deg F == n_beta."""
     cl = lin.cl
-    f = lin.q_product((c, h1(c.d(beta))) for c in cl.equiv)
     excess = sum(c.size * h1(c.d(beta)) for c in cl.equiv)
-    # degree bookkeeping: (c1.beta + dim X) + deg F == n_beta
-    n_beta = sector(lin, beta).n_beta
     if beta.c1() + cl.fan.rank + excess != n_beta:
         raise QuantumError("four-fermi degree bookkeeping failed")
-    return f
+
+
+def _row_reason(lin: LinearData, anchor: CurveClass, p: Polynomial,
+                beta: CurveClass) -> str:
+    """The checks a row passes before its scalar is computed: '' when it
+    must be, else the reason it is 0 ('degree', 'ineffective', 'empty').
+    Raises for an insertion outside Sym*W, an anchor that does not dominate
+    beta, or failed degree bookkeeping."""
+    cl = lin.cl
+    if not p.is_psi_homogeneous() or p.has_q():
+        raise QuantumError("correlator insertions must be homogeneous in Sym*W")
+    if p.psi_degree() != beta.c1() + cl.fan.rank:
+        return "degree"
+    sec = sector(lin, beta)
+    if not sec.effective:
+        return "ineffective"
+    if not sec.nonempty:
+        return "empty"
+    if not dominates(cl, anchor, beta):
+        raise NotDominating(f"{anchor.d} does not dominate {beta.d}")
+    _check_excess(lin, beta, sec.n_beta)
+    return ""
 
 
 class _AnchorRing:
     """The anchor sector ring of one query; every sector row is read off it.
 
-    The ring's top graded piece is one-dimensional, so a row is the
-    coefficient of its generator in NF(R * p * F_beta): one linear functional
-    of the product.  Its memos, per monomial and per insertion, live as long
-    as the ring.
+    The ring's top graded piece is one-dimensional, so a row is one nonzero
+    linear functional of R * p * F_beta, divided by its value on the
+    generator.  Picard rank <= 2 reads the functional off one-variable
+    residues (_ResidueRing); higher rank reduces by the anchor's Groebner
+    basis (_GroebnerRing), which stays the reference at every rank.
     """
+
+    def __new__(cls, lin: LinearData, anchor: CurveClass):
+        if cls is _AnchorRing:
+            cls = _ResidueRing if lin.cl.pic_rank <= 2 else _GroebnerRing
+        return super().__new__(cls)
+
+    def row(self, p: Polynomial, beta: CurveClass):
+        """Correlator scalar of p in sector beta and a reason tag ('ok',
+        'degree', 'empty', 'ineffective')."""
+        reason = _row_reason(self.lin, self.anchor, p, beta)
+        if reason:
+            return Fraction(0), reason
+        self.generator._check(p)  # same ring, as the product R * p * F_beta would demand
+        return self._scalar(p, beta), "ok"
+
+
+class _GroebnerRing(_AnchorRing):
+    """A row is the coefficient of the generator in NF(R * p * F_beta), read
+    off the anchor basis's memoized top functional.  Its memos, per monomial
+    and per insertion, live as long as the ring."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         gb = sector_gb(lin, anchor)
@@ -71,21 +117,8 @@ class _AnchorRing:
         self._value = top_functional(gb, gen.leading_monomial())
         self._forms = {}  # insertion p -> {m: sum_m' p_m' value(m m')}
 
-    def row(self, p: Polynomial, beta: CurveClass):
-        """Correlator scalar of p in sector beta and a reason tag ('ok',
-        'degree', 'empty', 'ineffective')."""
-        lin = self.lin
-        if not p.is_psi_homogeneous() or p.has_q():
-            raise QuantumError("correlator insertions must be homogeneous in Sym*W")
-        if p.psi_degree() != beta.c1() + lin.cl.fan.rank:
-            return Fraction(0), "degree"
-        sec = sector(lin, beta)
-        if not sec.effective:
-            return Fraction(0), "ineffective"
-        if not sec.nonempty:
-            return Fraction(0), "empty"
-        f = transition(lin, self.anchor, beta) * four_fermi(lin, beta)
-        f._check(p)  # same ring, as the product R * p * F_beta would demand
+    def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
+        f = transition(self.lin, self.anchor, beta) * four_fermi(self.lin, beta)
         form = self._forms.setdefault(p, {})
         total = Fraction(0)
         try:
@@ -97,7 +130,189 @@ class _AnchorRing:
                 total += c * lp
         except PolyError:
             raise QuantumError("normal form escaped the top graded piece") from None
-        return total, "ok"
+        return total
+
+
+class _ResidueRing(_AnchorRing):
+    """Picard rank <= 2: the functional as a sum of one-variable residues.
+
+    Put psi1 = u * psi2 and q_c(u) = Q_c(u, 1).  Rank 2 has exactly two
+    primitive collections (Kleinschmidt 1988; Batyrev 1991), so the anchor
+    ring is a complete intersection in two variables.  Fix a collection K
+    none of whose q_c drops degree, so u = oo is none of its roots.  The sum
+    over the roots of prod_{c in K} q_c of Res_u h(u, 1) / prod_c
+    q_c^h0(d_c(A)) vanishes on the anchor ideal, so it is a top-degree
+    functional (Cattani-Dickenstein, Introduction to residues and
+    resultants, 2005).  R cancels into the denominator and h0 - h1 = d + 1,
+    so a row is the residue sum of p(u, 1) / prod_c q_c^(d_c(beta) + 1).
+    With D the K-part of that denominator and E the rest, the sum is
+    [u^(deg D - 1)] (N * E^-1 mod D) / lc(D): one extended Euclid over Q[u],
+    and nothing is expanded in two variables.  At rank 1 every Q_c is
+    kappa_c psi^|c|, and a row is a product of powers of the kappa_c.
+    """
+
+    def __init__(self, lin: LinearData, anchor: CurveClass):
+        cl = lin.cl
+        check_ceiling(cl, anchor)
+        self.lin = lin
+        self.anchor = anchor
+        n = sector(lin, anchor).n_beta
+        if any(not any(h0(c.d(anchor)) for c in cl.classes_of(K.edges))
+               for K in cl.primitive_collections):
+            raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
+        if cl.pic_rank == 1:
+            self._kappa = [next(iter(q.terms.values()), Fraction(0)) for q in lin.q]
+            self.generator = Polynomial(1, 0, {((n,), ()): Fraction(1)})
+            return
+        self._q = [_dehomogenize(q) for q in lin.q]
+        for K in cl.primitive_collections:
+            if all(len(self._q[c.index]) == c.size + 1
+                   for c in cl.classes_of(K.edges) if h0(c.d(anchor))):
+                break
+        else:
+            raise AnchorDegenerate(
+                f"anchor sector of {anchor.d}: u = oo is a root of both collections")
+        self._k = cl.classes_of(K.edges)
+        # rho_A(u^a) for a = 0, 1, ...: step u^a * E^-1 mod D, one Euclid for all a
+        d, lead, r = self._residue_parts([h0(c.d(anchor)) for c in cl.equiv], [1])
+        for a in range(n + 1):
+            top = _coefficient(r, len(d) - 2)
+            if top:
+                break
+            r = _urem([0] + r, d)
+        else:
+            raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
+        self.generator = Polynomial(2, 0, {((a, n - a), ()): Fraction(1)})
+        self._norm = top / lead  # rho_A(generator)
+
+    def _residue_parts(self, exponents: list, numerator: list) -> tuple:
+        """(D / lc(D), lc(D), N * E^-1 mod D) for numerator * prod_c
+        q_c^-exponents[c]: D is the K-part of its denominator, E the rest,
+        and N the numerator with the factors of exponent < 0 folded in."""
+        d = [1]
+        for c in self._k:
+            if exponents[c.index] > 0:
+                d = _umul(d, _upow(self._q[c.index], exponents[c.index]))
+        if len(d) == 1:
+            return d, Fraction(d[0]), []  # no pole, so the residue sum is 0
+        lead = Fraction(d[-1])
+        if lead != 1:
+            d = [x / lead for x in d]
+        num, den = _urem(numerator, d), [1]
+        for c in self.lin.cl.equiv:
+            e = exponents[c.index]
+            if e < 0:
+                num = _urem(_umul(num, _upowmod(self._q[c.index], -e, d)), d)
+            elif e and c not in self._k:
+                den = _urem(_umul(den, _upowmod(self._q[c.index], e, d)), d)
+        inverse = _uinverse(den, d)
+        if inverse is None:
+            raise AnchorDegenerate(
+                f"anchor sector of {self.anchor.d}: the generators of its two "
+                "collections share a root")
+        return d, lead, _urem(_umul(num, inverse), d)
+
+    def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
+        if self.lin.cl.pic_rank == 1:
+            value = next(iter(p.terms.values()))
+            for c, kappa in zip(self.lin.cl.equiv, self._kappa):
+                value *= kappa ** (h0(c.d(self.anchor)) - c.d(beta) - 1)
+            return value
+        d, lead, r = self._residue_parts([c.d(beta) + 1 for c in self.lin.cl.equiv],
+                                         _dehomogenize(p))
+        return _coefficient(r, len(d) - 2) / lead / self._norm
+
+
+# ---- one-variable polynomials over Q: dense lists, lowest coefficient first --
+
+def _dehomogenize(p: Polynomial) -> list:
+    """Coefficients of p(u, 1), u = psi1 / psi2, for p homogeneous in two variables."""
+    out = [0] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
+    for (e, _), c in p.terms.items():
+        out[e[0]] = c.numerator if c.denominator == 1 else c  # ints multiply fast
+    return out
+
+
+def _coefficient(a: list, k: int) -> Fraction:
+    return Fraction(a[k]) if 0 <= k < len(a) else Fraction(0)
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _usub(a: list, b: list) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _umul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
+    return out
+
+
+def _upow(a: list, e: int) -> list:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _umul(result, a)
+        e >>= 1
+        if e:
+            a = _umul(a, a)
+    return result
+
+
+def _udivmod(a: list, b: list) -> tuple:
+    """Quotient and remainder of a by a nonzero b."""
+    n = len(b) - 1
+    a = list(a)
+    q = [0] * max(len(a) - n, 0)
+    inv = 1 if b[-1] == 1 else Fraction(1) / b[-1]
+    for k in range(len(a) - 1, n - 1, -1):
+        c = q[k - n] = a[k] * inv
+        if c:
+            for j in range(n):
+                a[k - n + j] -= c * b[j]
+    return _trim(q), _trim(a[:n])
+
+
+def _urem(a: list, d: list) -> list:
+    """a mod a monic d."""
+    return _udivmod(a, d)[1]
+
+
+def _upowmod(a: list, e: int, d: list) -> list:
+    result, a = [1], _urem(a, d)
+    while e:
+        if e & 1:
+            result = _urem(_umul(result, a), d)
+        e >>= 1
+        if e:
+            a = _urem(_umul(a, a), d)
+    return result
+
+
+def _uinverse(e: list, d: list) -> Optional[list]:
+    """s with s * e = 1 mod d, for d of degree >= 1 and e reduced mod d, by
+    the extended Euclidean algorithm; None when e and d share a root."""
+    r0, r1, s0, s1 = d, e, [], [1]
+    while len(r1) > 1:
+        q, r = _udivmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _usub(s0, _umul(q, s1))
+    if not r1:
+        return None
+    return [Fraction(x) / r1[0] for x in s1]
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,

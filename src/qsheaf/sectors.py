@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import CurveClass, dominates, h0
+from .lattice import ClassLattice, CurveClass, dominates, h0
 from .poly import GroebnerBasis, Polynomial
 from .deform import LinearData
 
@@ -61,19 +61,26 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
                       nonempty=nonempty, effective=cl.is_effective(beta))
 
 
+def check_ceiling(cl: ClassLattice, beta: CurveClass) -> None:
+    """Raise SectorError when the generator prod_c Q_c^h0(d_c) of some
+    primitive collection would have degree above _MAX_DEGREE; integers only,
+    so it runs before anything of the sector is built."""
+    for K in cl.primitive_collections:
+        degree = sum(c.size * h0(c.d(beta)) for c in cl.classes_of(K.edges))
+        if degree > _MAX_DEGREE:  # deg Q_c = |c|
+            raise SectorError(f"sector {beta.d} needs a generator of degree {degree}, "
+                              f"above the ceiling {_MAX_DEGREE}")
+
+
 def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
     """Generators of the sector Stanley-Reisner ideal: prod_c Q_c^h0(d_c) over
     the classes of each primitive collection, and Q_[rho] for each degenerate
     edge (rho, 0).  A generator of degree above _MAX_DEGREE is a SectorError."""
     cl = lin.cl
+    check_ceiling(cl, beta)
     gens = []
     for K in cl.primitive_collections:
-        powers = [(c, h0(c.d(beta))) for c in cl.classes_of(K.edges)]
-        degree = sum(c.size * e for c, e in powers)  # deg Q_c = |c|
-        if degree > _MAX_DEGREE:
-            raise SectorError(f"sector {beta.d} needs a generator of degree {degree}, "
-                              f"above the ceiling {_MAX_DEGREE}")
-        g = lin.q_product(powers)
+        g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
         if g:
             gens.append(g)
     for rho, _ in sector(lin, beta).degenerate:

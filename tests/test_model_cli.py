@@ -195,8 +195,10 @@ def test_cli_verification_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cache_transparency(tmp_path, capsys, monkeypatch):
+    # polymology builds its basis through the store; a Picard rank 2
+    # correlator builds none
     monkeypatch.setenv("QSHEAF_CACHE", str(tmp_path / "cache"))
-    argv = ["correlator", model_path("p1xp1_deformed"), "--poly", "D1*D3"]
+    argv = ["polymology", model_path("p1xp1_deformed")]
     code1, cold, _ = capture(capsys, argv)
     code2, warm, _ = capture(capsys, argv)   # second run hits the cache
     code3, off, _ = capture(capsys, argv + ["--no-cache"])
@@ -209,7 +211,7 @@ def test_cache_transparency(tmp_path, capsys, monkeypatch):
                                    '"polys": [[["x", [1, 0], []]]]}'])
 def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, entry):
     monkeypatch.setenv("QSHEAF_CACHE", str(tmp_path))
-    argv = ["correlator", model_path("p1xp1_deformed"), "--poly", "D1*D3"]
+    argv = ["polymology", model_path("p1xp1_deformed")]
     code, fresh, _ = capture(capsys, argv)
     assert code == 0
     entries = sorted(tmp_path.glob("*.json"))
@@ -326,6 +328,51 @@ def test_cli_sector_above_degree_ceiling_is_sector_error():
     assert proc.stderr.startswith("error[SectorError]: ")
     assert proc.stderr.endswith("above the ceiling 1000\n")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("beta", ["3000000,0", "30000000,0"])
+def test_cli_sector_ceiling_checked_before_the_sector_is_listed(beta):
+    # sector() lists sum(d_rho + 1) enhanced edges, 6 * 10^7 of them for the
+    # larger class: the ceiling must refuse it first.  A separate process with
+    # a timeout, since listing them runs for seconds or exhausts memory.
+    proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "sector",
+                           model_path("f1"), "--beta", beta, "--no-cache"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error[SectorError]: ")
+    assert proc.stderr.endswith("above the ceiling 1000\n")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("beta, message", [
+    ("1,,0", "--beta field 2 of '1,,0' is empty"),
+    (",1,0,", "--beta field 1 of ',1,0,' is empty"),
+    ("1, ", "--beta field 2 of '1, ' is empty"),
+    ("1,x", "--beta field 2 of '1,x' is not an integer"),
+    ("1.5,0", "--beta field 1 of '1.5,0' is not an integer"),
+    ("1,0,0", "--beta needs 2 Mori coordinates, got 3"),
+], ids=["inner-empty", "outer-empty", "blank", "word", "decimal", "too-many"])
+def test_cli_malformed_beta_is_model_error(capsys, beta, message):
+    code, out, err = capture(capsys, ["sector", model_path("f1"), f"--beta={beta}",
+                                      "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == f"error[ModelError]: {message}\n"
+
+
+def test_cli_f1_degree_36_series_matches_frozen_report(capsys):
+    # the report of the Groebner-basis route, recorded before Picard rank 2
+    # moved to residues; degree 38 stays above the sector ceiling
+    with open(os.path.join(os.path.dirname(__file__), "golden_f1_d1_36.txt"), "rb") as fh:
+        frozen = fh.read().decode("utf-8")
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^36",
+                                      "--max-degree", "36", "--no-cache"])
+    assert (code, err) == (0, "")
+    assert out == frozen
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^38",
+                                      "--max-degree", "38", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == ("error[SectorError]: sector (531, 531, 18, 549) needs a generator "
+                   "of degree 1064, above the ceiling 1000\n")
 
 
 def test_cli_trials_above_ceiling_is_deform_error(tmp_path):

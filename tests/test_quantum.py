@@ -1,3 +1,5 @@
+import glob
+import itertools
 import os
 import random
 import sys
@@ -9,7 +11,7 @@ from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     beta_K, build_fan, class_lattice, correlator_sector,
                     correlator_series, d_symbols, degree_slice, dominates,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
-                    linear_part, novikov_series_str, qsr_generators,
+                    linear_part, novikov_series_str, parse_deformation, qsr_generators,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
                     sector, sector_ideal, sr_ideal, tangent_deformation, transition,
                     verify_qc_relation)
@@ -18,9 +20,10 @@ import qsheaf.quantum
 import qsheaf.sectors
 from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
+from qsheaf.quantum import _AnchorRing
 
-from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, p1xp1_fan,
-                      p2_fan, tangent_setup)
+from conftest import (all_fans, blowup_p3_point, deformed_p1_power, deformed_p1xp1,
+                      hirzebruch, p1_fan, p1xp1_fan, p2_fan, tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -386,14 +389,15 @@ def test_series_expands_only_the_anchor_ideal(monkeypatch):
 
 
 def test_relation_check_enumerates_anchor_top_degree_once(monkeypatch):
-    cl, lin = tangent_setup(p1xp1_fan())
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # Picard rank 3, so the anchor ring is built from its Groebner basis
+    cl, lin = tangent_setup(_p1_cube_fan())
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
     window = degree_slice(cl, 2)
-    assert len(window) == 2
+    assert len(window) == 3
     degrees = _spy_enumerator(monkeypatch)
     for rel in qsr_generators(lin):
         del degrees[:]
-        assert relation_annihilates(lin, rel, (x + y) ** 4, window)
+        assert relation_annihilates(lin, rel, (x + y + z) ** 5, window)
         anchor = find_anchor(cl, list(window) + [b + rel.beta_k for b in window])
         assert degrees == [sector(lin, anchor).n_beta]
 
@@ -418,3 +422,126 @@ def test_series_rows_read_off_the_top_functional(monkeypatch):
         nf = normal_form(image, gb)
         assert set(nf.terms) <= {gen}
         assert row.scalar == nf.terms.get(gen, 0)
+
+
+# ---- Picard rank <= 2: residues against the anchor ring's Groebner basis ----
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+
+
+def _circulant_p2(eps):
+    cl = class_lattice(p2_fan())
+    raw = [(0, (0, 0), "D1"), (1, (0, 0), "D2"), (2, (0, 0), "D3"),
+           (0, (-1, 1), f"{eps}*D2"), (1, (0, -1), f"{eps}*D3"), (2, (1, 0), f"{eps}*D1")]
+    return cl, linear_part(cl, parse_deformation(cl, raw))
+
+
+def _p3_fan():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return build_fan(3, rays, list(itertools.combinations(range(4), 3)))
+
+
+def _low_rank_ladder():
+    """(cl, lin, largest t), with an id, for every Picard rank <= 2 case the
+    residue route is checked on."""
+    cases = [pytest.param(*tangent_setup(fan), 5, id=name) for name, fan in
+             (("F1", hirzebruch(1)), ("P2", p2_fan()), ("P3", _p3_fan()),
+              ("BlptP3", blowup_p3_point()))]
+    for seed in (0, 1, 3):  # seed 2 draws a degenerate pair, checked below
+        cases.append(pytest.param(*deformed_p1_power(2, random.Random(seed)), 8,
+                                  id=f"dP1^2 seed {seed}"))
+    for eps in ("1/3", "-2/5"):
+        cases.append(pytest.param(*_circulant_p2(eps), 9, id=f"circulant P2 {eps}"))
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.json"))):
+        model = load_model(path)
+        cases.append(pytest.param(model.cl, model.lin, 4, id=os.path.basename(path)))
+    return cases
+
+
+def _slice(cl, t):
+    try:
+        return degree_slice(cl, t)
+    except NonFanoEnumerationUnbounded:  # F2, F3: the slice inside a window
+        return tuple(b for b in effective_window(cl, t, coeff_bound=t) if b.c1() == t)
+
+
+@pytest.mark.parametrize("cl, lin, t_max", _low_rank_ladder())
+def test_residue_ring_matches_groebner_ring(cl, lin, t_max):
+    from qsheaf.quantum import _GroebnerRing, _ResidueRing
+
+    assert cl.pic_rank <= 2
+    L = sum(d_symbols(cl))
+    checked = 0
+    for t in range(t_max + 1):
+        window = _slice(cl, t)
+        if not window:
+            continue
+        anchor = find_anchor(cl, list(window))
+        residue, ring = _ResidueRing(lin, anchor), _GroebnerRing(lin, anchor)
+        assert type(_AnchorRing(lin, anchor)) is _ResidueRing
+        assert residue.generator == ring.generator, t
+        n = cl.fan.rank + t
+        # L^n, and every monomial of degree n, which spans the insertions
+        probes = [L ** n] + [Polynomial(cl.pic_rank, 0, {((a, n - a)[:cl.pic_rank], ()): 1})
+                             for a in range(n + 1 if cl.pic_rank == 2 else 1)]
+        for beta in window:
+            for p in probes:
+                value = residue.row(p, beta)
+                assert value == ring.row(p, beta), (t, beta.d, p)
+                assert type(value[0]) is Fraction
+                checked += value[1] == "ok"
+    assert checked
+
+
+def test_residue_ring_refuses_what_the_groebner_ring_refuses():
+    from qsheaf import AnchorDegenerate
+    from qsheaf.quantum import _GroebnerRing, _ResidueRing
+
+    # Q_2 = 3 Q_1: the two collections share both roots
+    cl, lin = deformed_p1_power(2, random.Random(2))
+    assert lin.q[1] == lin.q[0] * 3
+    anchor = find_anchor(cl, [cl.zero_curve])
+    for make in (_ResidueRing, _GroebnerRing):
+        with pytest.raises(AnchorDegenerate):
+            make(lin, anchor)
+    # an anchor that does not dominate the row is refused by both, by the
+    # same shared check
+    cl, lin = tangent_setup(hirzebruch(1))
+    small = find_anchor(cl, [cl.zero_curve])
+    beta = degree_slice(cl, 4)[0]
+    assert not dominates(cl, small, beta)
+    p = sum(d_symbols(cl)) ** 6
+    for make in (_ResidueRing, _GroebnerRing):
+        with pytest.raises(qsheaf.sectors.NotDominating):
+            make(lin, small).row(p, beta)
+
+
+def _forbid(monkeypatch, names):
+    """Make every binding of the named qsheaf.poly functions raise."""
+    for fname in names:
+        original = getattr(qsheaf.poly, fname)
+
+        def refuse(*args, fname=fname, **kwargs):
+            raise AssertionError(f"{fname} called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qsheaf" and vars(module).get(fname) is original:
+                monkeypatch.setattr(module, fname, refuse)
+
+
+def test_rank_two_correlators_build_no_groebner_basis(monkeypatch):
+    model = load_model(os.path.join(MODELS, "p1xp1_deformed.json"))
+    cl, lin = model.cl, model.lin
+    L = sum(d_symbols(cl))
+    window = effective_window(cl, 4)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    _forbid(monkeypatch, ("groebner", "standard_monomials"))
+    rep = correlator_series(lin, L ** 8, 6)
+    assert sum(row.reason == "ok" for row in rep.rows) == 4
+    for rel in qsr_generators(lin):
+        assert relation_annihilates(lin, rel, x * y, window)
+    K = cl.primitive_collections[0]
+    bk, _ = beta_K(cl, K)
+    anchor = find_anchor(cl, [cl.zero_curve, bk, bk + cl.mori[1]])
+    assert verify_qc_relation(lin, K, cl.zero_curve, anchor, route="correlator",
+                              insertions=[Polynomial.const(2, 1), x, y, x * y])
