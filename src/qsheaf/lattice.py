@@ -415,6 +415,11 @@ def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
 
 
 def effective_cones_coincide(cl: ClassLattice) -> bool:
-    """Diagnostic: the beta_K span the same cone as the wall curves."""
-    bk_coords = [beta_K(cl, K)[0].coords for K in cl.primitive_collections]
-    return set(cone_facets(bk_coords, cl.pic_rank)) == set(cl.facets)
+    """Diagnostic: the beta_K span the same cone as the wall curves.
+
+    They do exactly when every beta_K is effective and every Mori generator
+    is some beta_K: a generating set of a pointed cone meets every extremal
+    ray, and both kinds of class are primitive.
+    """
+    bks = {beta_K(cl, K)[0] for K in cl.primitive_collections}
+    return all(cl.is_effective(b) for b in bks) and all(g in bks for g in cl.mori)

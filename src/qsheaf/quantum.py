@@ -22,8 +22,8 @@ from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
                    monomial_str, normal_form, signed_sum, sole_generator,
                    standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import (NotDominating, check_ceiling, sector, sector_gb,
-                      transition)
+from .sectors import (NotDominating, SectorError, check_ceiling, sector,
+                      sector_gb, transition)
 
 
 class QuantumError(Exception):
@@ -52,36 +52,15 @@ def _check_excess(lin: LinearData, beta: CurveClass, n_beta: int) -> None:
         raise QuantumError("four-fermi degree bookkeeping failed")
 
 
-def _row_reason(lin: LinearData, anchor: CurveClass, p: Polynomial,
-                beta: CurveClass) -> str:
-    """The checks a row passes before its scalar is computed: '' when it
-    must be, else the reason it is 0 ('degree', 'ineffective', 'empty').
-    Raises for an insertion outside Sym*W, an anchor that does not dominate
-    beta, or failed degree bookkeeping."""
-    cl = lin.cl
-    if not p.is_psi_homogeneous() or p.has_q():
-        raise QuantumError("correlator insertions must be homogeneous in Sym*W")
-    if p.psi_degree() != beta.c1() + cl.fan.rank:
-        return "degree"
-    sec = sector(lin, beta)
-    if not sec.effective:
-        return "ineffective"
-    if not sec.nonempty:
-        return "empty"
-    if not dominates(cl, anchor, beta):
-        raise NotDominating(f"{anchor.d} does not dominate {beta.d}")
-    _check_excess(lin, beta, sec.n_beta)
-    return ""
-
-
 class _AnchorRing:
     """The anchor sector ring of one query; every sector row is read off it.
 
     The ring's top graded piece is one-dimensional, so a row is one nonzero
     linear functional of R * p * F_beta, divided by its value on the
-    generator.  Picard rank <= 2 reads the functional off one-variable
-    residues (_ResidueRing); higher rank reduces by the anchor's Groebner
-    basis (_GroebnerRing), which stays the reference at every rank.
+    generator.  `row` runs every check of a row once, for both rings; each
+    ring only computes its functional.  Picard rank <= 2 reads it off
+    one-variable residues (_ResidueRing); higher rank reduces by the anchor's
+    Groebner basis (_GroebnerRing), which stays the reference at every rank.
     """
 
     def __new__(cls, lin: LinearData, anchor: CurveClass):
@@ -89,12 +68,33 @@ class _AnchorRing:
             cls = _ResidueRing if lin.cl.pic_rank <= 2 else _GroebnerRing
         return super().__new__(cls)
 
+    def __init__(self, lin: LinearData, anchor: CurveClass):
+        check_ceiling(lin.cl, anchor)  # before sector() lists the anchor's edges
+        self.lin = lin
+        self.anchor = anchor
+        self.n = sector(lin, anchor).n_beta
+
     def row(self, p: Polynomial, beta: CurveClass):
         """Correlator scalar of p in sector beta and a reason tag ('ok',
-        'degree', 'empty', 'ineffective')."""
-        reason = _row_reason(self.lin, self.anchor, p, beta)
-        if reason:
-            return Fraction(0), reason
+        'degree', 'empty', 'ineffective').  Raises for an insertion outside
+        Sym*W, a non-dominating anchor or failed degree bookkeeping."""
+        lin, cl, anchor = self.lin, self.lin.cl, self.anchor
+        if not p.is_psi_homogeneous() or p.has_q():
+            raise QuantumError("correlator insertions must be homogeneous in Sym*W")
+        if p.psi_degree() != beta.c1() + cl.fan.rank:
+            return Fraction(0), "degree"
+        sec = sector(lin, beta)
+        if not sec.effective:
+            return Fraction(0), "ineffective"
+        if not sec.nonempty:
+            return Fraction(0), "empty"
+        if not dominates(cl, anchor, beta):
+            raise NotDominating(f"{anchor.d} does not dominate {beta.d}")
+        _check_excess(lin, beta, sec.n_beta)
+        gap = self.n - sec.n_beta  # deg R, with deg Q_c = |c|, is this dimension gap
+        degree = sum(c.size * (h0(c.d(anchor)) - h0(c.d(beta))) for c in cl.equiv)
+        if degree != gap:
+            raise SectorError(f"transition degree {degree} != dimension gap {gap}")
         self.generator._check(p)  # same ring, as the product R * p * F_beta would demand
         return self._scalar(p, beta), "ok"
 
@@ -105,20 +105,21 @@ class _GroebnerRing(_AnchorRing):
     and per insertion, live as long as the ring."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
+        super().__init__(lin, anchor)
         gb = sector_gb(lin, anchor)
-        monos = standard_monomials(gb, sector(lin, anchor).n_beta)
+        monos = standard_monomials(gb, self.n)
         gen = sole_generator(monos)
         if gen is None:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-        self.lin = lin
-        self.anchor = anchor
         self.generator = gen
         self._value = top_functional(gb, gen.leading_monomial())
         self._forms = {}  # insertion p -> {m: sum_m' p_m' value(m m')}
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        f = transition(self.lin, self.anchor, beta) * four_fermi(self.lin, beta)
+        # R * F_beta = prod_c Q_c^((h0(d_c(A)) - h0(d_c)) + h1(d_c)), and h0 - h1 = d + 1
+        f = self.lin.q_product((c, h0(c.d(self.anchor)) - c.d(beta) - 1)
+                               for c in self.lin.cl.equiv)
         form = self._forms.setdefault(p, {})
         total = Fraction(0)
         try:
@@ -136,34 +137,26 @@ class _GroebnerRing(_AnchorRing):
 class _ResidueRing(_AnchorRing):
     """Picard rank <= 2: the functional as a sum of one-variable residues.
 
-    Put psi1 = u * psi2 and q_c(u) = Q_c(u, 1).  Rank 2 has exactly two
-    primitive collections (Kleinschmidt 1988; Batyrev 1991), so the anchor
-    ring is a complete intersection in two variables.  Fix a collection K
-    none of whose q_c drops degree, so u = oo is none of its roots.  The sum
-    over the roots of prod_{c in K} q_c of Res_u h(u, 1) / prod_c
-    q_c^h0(d_c(A)) vanishes on the anchor ideal, so it is a top-degree
+    Put psi1 = u * psi2 and q_c(u) = Q_c(u, 1); at rank 1, u = psi.  Rank 2
+    has exactly two primitive collections (Kleinschmidt 1988; Batyrev 1991),
+    so the anchor ring is a complete intersection in two variables.  Fix a
+    collection K none of whose q_c drops degree, so u = oo is none of its
+    roots.  The sum over the roots of prod_{c in K} q_c of Res_u h(u, 1) /
+    prod_c q_c^h0(d_c(A)) vanishes on the anchor ideal, so it is a top-degree
     functional (Cattani-Dickenstein, Introduction to residues and
     resultants, 2005).  R cancels into the denominator and h0 - h1 = d + 1,
     so a row is the residue sum of p(u, 1) / prod_c q_c^(d_c(beta) + 1).
     With D the K-part of that denominator and E the rest, the sum is
     [u^(deg D - 1)] (N * E^-1 mod D) / lc(D): one extended Euclid over Q[u],
-    and nothing is expanded in two variables.  At rank 1 every Q_c is
-    kappa_c psi^|c|, and a row is a product of powers of the kappa_c.
+    and nothing is expanded in two variables.
     """
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
-        cl = lin.cl
-        check_ceiling(cl, anchor)
-        self.lin = lin
-        self.anchor = anchor
-        n = sector(lin, anchor).n_beta
+        super().__init__(lin, anchor)
+        cl, n = lin.cl, self.n
         if any(not any(h0(c.d(anchor)) for c in cl.classes_of(K.edges))
                for K in cl.primitive_collections):
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
-        if cl.pic_rank == 1:
-            self._kappa = [next(iter(q.terms.values()), Fraction(0)) for q in lin.q]
-            self.generator = Polynomial(1, 0, {((n,), ()): Fraction(1)})
-            return
         self._q = [_dehomogenize(q) for q in lin.q]
         for K in cl.primitive_collections:
             if all(len(self._q[c.index]) == c.size + 1
@@ -182,17 +175,20 @@ class _ResidueRing(_AnchorRing):
             r = _urem([0] + r, d)
         else:
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
-        self.generator = Polynomial(2, 0, {((a, n - a), ()): Fraction(1)})
+        self.generator = Polynomial(cl.pic_rank, 0,
+                                    {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
         self._norm = top / lead  # rho_A(generator)
 
     def _residue_parts(self, exponents: list, numerator: list) -> tuple:
         """(D / lc(D), lc(D), N * E^-1 mod D) for numerator * prod_c
         q_c^-exponents[c]: D is the K-part of its denominator, E the rest,
-        and N the numerator with the factors of exponent < 0 folded in."""
+        and N the numerator with the factors of exponent < 0 folded in.
+        Every product is taken one factor q_c at a time; the sector ceiling
+        keeps deg D, and so the number of factors, at most 1000."""
         d = [1]
         for c in self._k:
-            if exponents[c.index] > 0:
-                d = _umul(d, _upow(self._q[c.index], exponents[c.index]))
+            for _ in range(exponents[c.index]):
+                d = _umul(d, self._q[c.index])
         if len(d) == 1:
             return d, Fraction(d[0]), []  # no pole, so the residue sum is 0
         lead = Fraction(d[-1])
@@ -200,11 +196,12 @@ class _ResidueRing(_AnchorRing):
             d = [x / lead for x in d]
         num, den = _urem(numerator, d), [1]
         for c in self.lin.cl.equiv:
-            e = exponents[c.index]
-            if e < 0:
-                num = _urem(_umul(num, _upowmod(self._q[c.index], -e, d)), d)
-            elif e and c not in self._k:
-                den = _urem(_umul(den, _upowmod(self._q[c.index], e, d)), d)
+            q, e = self._q[c.index], exponents[c.index]
+            for _ in range(-e):
+                num = _urem(_umul(num, q), d)
+            if c not in self._k:
+                for _ in range(e):
+                    den = _urem(_umul(den, q), d)
         inverse = _uinverse(den, d)
         if inverse is None:
             raise AnchorDegenerate(
@@ -213,11 +210,6 @@ class _ResidueRing(_AnchorRing):
         return d, lead, _urem(_umul(num, inverse), d)
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        if self.lin.cl.pic_rank == 1:
-            value = next(iter(p.terms.values()))
-            for c, kappa in zip(self.lin.cl.equiv, self._kappa):
-                value *= kappa ** (h0(c.d(self.anchor)) - c.d(beta) - 1)
-            return value
         d, lead, r = self._residue_parts([c.d(beta) + 1 for c in self.lin.cl.equiv],
                                          _dehomogenize(p))
         return _coefficient(r, len(d) - 2) / lead / self._norm
@@ -226,7 +218,7 @@ class _ResidueRing(_AnchorRing):
 # ---- one-variable polynomials over Q: dense lists, lowest coefficient first --
 
 def _dehomogenize(p: Polynomial) -> list:
-    """Coefficients of p(u, 1), u = psi1 / psi2, for p homogeneous in two variables."""
+    """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
     out = [0] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
     for (e, _), c in p.terms.items():
         out[e[0]] = c.numerator if c.denominator == 1 else c  # ints multiply fast
@@ -262,17 +254,6 @@ def _umul(a: list, b: list) -> list:
     return out
 
 
-def _upow(a: list, e: int) -> list:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _umul(result, a)
-        e >>= 1
-        if e:
-            a = _umul(a, a)
-    return result
-
-
 def _udivmod(a: list, b: list) -> tuple:
     """Quotient and remainder of a by a nonzero b."""
     n = len(b) - 1
@@ -290,17 +271,6 @@ def _udivmod(a: list, b: list) -> tuple:
 def _urem(a: list, d: list) -> list:
     """a mod a monic d."""
     return _udivmod(a, d)[1]
-
-
-def _upowmod(a: list, e: int, d: list) -> list:
-    result, a = [1], _urem(a, d)
-    while e:
-        if e & 1:
-            result = _urem(_umul(result, a), d)
-        e >>= 1
-        if e:
-            a = _urem(_umul(a, a), d)
-    return result
 
 
 def _uinverse(e: list, d: list) -> Optional[list]:

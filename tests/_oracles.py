@@ -9,6 +9,7 @@ cone membership by a Caratheodory search instead of facet inequalities.
 import itertools
 from fractions import Fraction
 
+from qsheaf.lattice import beta_K, cone_facets
 from qsheaf.linalg import in_span, matrix_rank, solve_columns
 from qsheaf.poly import Polynomial
 
@@ -97,6 +98,13 @@ def wall_classes(cl):
         if beta not in classes:
             classes.append(beta)
     return tuple(classes)
+
+
+def effective_cones_coincide_by_facets(cl):
+    """The beta_K span the Mori cone: the facets of the cone they span, one
+    kernel per (pic_rank - 1)-subset, equal the Mori cone's facets."""
+    bk_coords = [beta_K(cl, K)[0].coords for K in cl.primitive_collections]
+    return set(cone_facets(bk_coords, cl.pic_rank)) == set(cl.facets)
 
 
 def in_cone(vec, gens):

@@ -41,6 +41,18 @@ def hexagon():
     return build_fan(2, rays, [(i, (i + 1) % 6) for i in range(6)])
 
 
+def blown_up_p1xp1(n_rays):
+    """The smooth surface with n_rays >= 4 rays blown up from P1xP1 at
+    torus-fixed points: step k inserts v_i + v_(i+1) after the ray at
+    position i = 2k (mod the ray count) of the counterclockwise cycle."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for k in range(n_rays - 4):
+        i = 2 * k % len(rays)
+        a, b = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
+    return build_fan(2, rays, [(i, (i + 1) % n_rays) for i in range(n_rays)])
+
+
 def blowup_p3_point():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
     cones = [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)]

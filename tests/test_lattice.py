@@ -7,8 +7,8 @@ from qsheaf import (IneffectiveClass, NonProjectiveFan, beta_K,
                     class_lattice, dominates, effective_cones_coincide,
                     find_anchor, h0, h1)
 
-from _oracles import in_cone, wall_classes
-from conftest import (all_fans, blowup_p3_point, hexagon, hirzebruch,
+from _oracles import effective_cones_coincide_by_facets, in_cone, wall_classes
+from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, hexagon, hirzebruch,
                       non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
 
 
@@ -170,8 +170,14 @@ def test_anchor_dominates_all_inputs():
 
 
 def test_effective_cone_diagnostic():
-    for _, fan in all_fans():
-        assert effective_cones_coincide(class_lattice(fan))
+    # the primitive relations generate the Mori cone of a smooth projective
+    # toric variety (Batyrev 1991); the facet comparison, the reference, takes
+    # C(#collections, pic_rank - 1) kernels (15504 on the 8-ray surface)
+    fans = ([fan for _, fan in all_fans()] + [hexagon(), blowup_p3_point()]
+            + [p1_power(k) for k in (3, 4, 5)] + [blown_up_p1xp1(n) for n in range(5, 9)])
+    for fan in fans:
+        cl = class_lattice(fan)
+        assert effective_cones_coincide(cl) and effective_cones_coincide_by_facets(cl), fan.rays
 
 
 def test_in_cone_membership():

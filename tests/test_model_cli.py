@@ -10,7 +10,7 @@ import pytest
 from qsheaf.cli import run
 from qsheaf.model import ModelError, build_model, load_model
 
-from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS
+from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS, blown_up_p1xp1
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -390,6 +390,23 @@ def test_cli_trials_above_ceiling_is_deform_error(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == \
             "error[DeformError]: trials 100000000 is above the ceiling 10000\n"
+
+
+def test_cli_analyze_many_collections_is_fast(tmp_path):
+    # 35 primitive collections in Picard rank 8: a facet comparison of the
+    # beta_K cone would take C(35, 7), about 6.7 million, kernels
+    fan = blown_up_p1xp1(10)
+    path = tmp_path / "ten_rays.json"
+    path.write_text(json.dumps({"version": 1, "fan": {
+        "rank": 2, "rays": [list(v) for v in fan.rays],
+        "max_cones": [list(c) for c in fan.max_cones]}}))
+    proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "analyze", str(path),
+                           "--no-cache", "--format", "json"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["pic_rank"], len(report["primitive_collections"])) == (8, 35)
+    assert report["effective_cones_coincide"] is True
 
 
 def test_cli_poly_with_leading_minus_in_equals_form(capsys):

@@ -15,6 +15,7 @@ from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
                     sector, sector_ideal, sr_ideal, tangent_deformation, transition,
                     verify_qc_relation)
+import qsheaf.lattice
 import qsheaf.poly
 import qsheaf.quantum
 import qsheaf.sectors
@@ -516,10 +517,10 @@ def test_residue_ring_refuses_what_the_groebner_ring_refuses():
             make(lin, small).row(p, beta)
 
 
-def _forbid(monkeypatch, names):
-    """Make every binding of the named qsheaf.poly functions raise."""
+def _forbid(monkeypatch, names, home=qsheaf.poly):
+    """Make every binding of the named functions of the home module raise."""
     for fname in names:
-        original = getattr(qsheaf.poly, fname)
+        original = getattr(home, fname)
 
         def refuse(*args, fname=fname, **kwargs):
             raise AssertionError(f"{fname} called")
@@ -545,3 +546,24 @@ def test_rank_two_correlators_build_no_groebner_basis(monkeypatch):
     anchor = find_anchor(cl, [cl.zero_curve, bk, bk + cl.mori[1]])
     assert verify_qc_relation(lin, K, cl.zero_curve, anchor, route="correlator",
                               insertions=[Polynomial.const(2, 1), x, y, x * y])
+
+
+def test_rows_run_their_checks_once_and_multiply_one_product(monkeypatch):
+    # Picard rank 3, so the rows come off the Groebner ring
+    cl, lin = tangent_setup(_p1_cube_fan())
+    original = qsheaf.lattice.dominates
+    calls = []
+
+    def spy(cl, beta_prime, beta):
+        calls.append(beta)
+        return original(cl, beta_prime, beta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qsheaf" and vars(module).get("dominates") is original:
+            monkeypatch.setattr(module, "dominates", spy)
+    _forbid(monkeypatch, ("transition",), home=qsheaf.sectors)
+    _forbid(monkeypatch, ("four_fermi",), home=qsheaf.quantum)
+    rep = correlator_series(lin, sum(d_symbols(cl)) ** 7, 4)
+    ok = [row.beta for row in rep.rows if row.reason == "ok"]
+    assert len(ok) == 6
+    assert calls == ok
