@@ -21,7 +21,7 @@ from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
                      sr_ideal)
-from .sectors import SectorError, check_ceiling, sector, sector_ideal
+from .sectors import SectorError, sector, sector_ideal
 from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
                       effective_window, mori_change_of_basis, novikov_series_str,
                       novikov_symbol, qsr_generators, verify_qc_relation)
@@ -62,12 +62,9 @@ def _display_poly(cl, p: Polynomial) -> str:
     return p.map_q(to_mori, p.nq).to_str()
 
 
-def _beta_str(cl, beta) -> str:
-    mori = cl.mori_coordinates(beta)
-    base = f"d={list(beta.d)}"
-    if mori is not None:
-        base += f" mori={list(mori)}"
-    return base
+def _beta_str(beta: dict) -> str:
+    """Text form of a _beta_dict."""
+    return f"d={beta['d']}" + (f" mori={beta['mori']}" if "mori" in beta else "")
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -207,7 +204,6 @@ def cmd_sector(model: Model, args) -> tuple:
         raise ModelError("sector requires --beta <comma-separated Mori coordinates>")
     cl = model.cl
     beta = _parse_beta(model, args.beta)
-    check_ceiling(cl, beta)  # before sector() lists its sum (d_rho + 1) enhanced edges
     sec = sector(model.lin, beta)
     report = {
         "schema": SCHEMA,
@@ -221,7 +217,7 @@ def cmd_sector(model: Model, args) -> tuple:
         "ideal_generators": [g.to_str() for g in sector_ideal(model.lin, beta)],
     }
     lines = [
-        f"sector beta: {_beta_str(cl, beta)}",
+        f"sector beta: {_beta_str(report['beta'])}",
         f"enhanced edges ({len(sec.enhanced_edges)}): "
         + " ".join(f"({r},{i})" for r, i in sec.enhanced_edges),
         f"degenerate edges: " + (" ".join(f"({r},{i})" for r, i in sec.degenerate) or "none"),
@@ -286,12 +282,12 @@ def cmd_correlator(model: Model, args) -> tuple:
     }
     lines = [
         f"insertion: {report['poly']}",
-        f"anchor: {_beta_str(cl, rep.anchor)}",
+        f"anchor: {_beta_str(report['anchor'])}",
         f"anchor generator: {report['generator']} (normalization reference)",
         "sectors:",
     ]
-    for r in rep.rows:
-        lines.append(f"  beta {_beta_str(cl, r.beta)}: {rational_str(r.scalar)} [{r.reason}]")
+    for row in rows:
+        lines.append(f"  beta {_beta_str(row['beta'])}: {row['scalar']} [{row['reason']}]")
     lines.append(f"series: {series}")
     return lines, report, 0
 

@@ -179,15 +179,13 @@ class ClassLattice:
         coefficient sum and then lexicographically.  On a projective fan with
         ample class H the curve class H^(dim-1) meets every toric divisor
         positively, so some multiple of it is such a combination and the
-        enumeration ends.
+        enumeration ends.  A candidate's d_c are sums of the generators' d_c.
         """
+        rows = [[c.d(g) for g in self.mori] for c in self.equiv]
         for total in itertools.count(1):
-            for combo in itertools.product(range(total + 1), repeat=len(self.mori)):
-                if sum(combo) != total:
-                    continue
-                cand = self.from_mori(combo)
-                if all(c.d(cand) > 0 for c in self.equiv):
-                    return cand
+            for combo in compositions(total, len(self.mori)):
+                if all(_dot(row, combo) > 0 for row in rows):
+                    return self.from_mori(combo)
 
     def class_of_ray(self, rho: int) -> EquivClass:
         for c in self.equiv:
@@ -273,6 +271,16 @@ def class_lattice(fan: Fan) -> ClassLattice:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of parts >= 1 nonnegative integers summing to total, in
+    lexicographic order: the order of itertools.product filtered by sum."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        yield from ((first,) + rest for rest in compositions(total - first, parts - 1))
 
 
 def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:

@@ -16,14 +16,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fan import PrimitiveCollection
-from .lattice import (ClassLattice, CurveClass, beta_K, dominates, find_anchor,
-                      h0, h1)
+from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
+                      find_anchor, h0, h1)
 from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
                    monomial_str, normal_form, signed_sum, sole_generator,
                    standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import (NotDominating, SectorError, check_ceiling, sector,
-                      sector_gb, transition)
+from .sectors import NotDominating, SectorError, sector, sector_gb, transition
 
 
 class QuantumError(Exception):
@@ -69,7 +68,6 @@ class _AnchorRing:
         return super().__new__(cls)
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
-        check_ceiling(lin.cl, anchor)  # before sector() lists the anchor's edges
         self.lin = lin
         self.anchor = anchor
         self.n = sector(lin, anchor).n_beta
@@ -183,8 +181,8 @@ class _ResidueRing(_AnchorRing):
         """(D / lc(D), lc(D), N * E^-1 mod D) for numerator * prod_c
         q_c^-exponents[c]: D is the K-part of its denominator, E the rest,
         and N the numerator with the factors of exponent < 0 folded in.
-        Every product is taken one factor q_c at a time; the sector ceiling
-        keeps deg D, and so the number of factors, at most 1000."""
+        Every product is taken one factor q_c at a time; sector(lin, anchor) in
+        __init__ keeps deg D, and so the number of factors, at most 1000."""
         d = [1]
         for c in self._k:
             for _ in range(exponents[c.index]):
@@ -351,12 +349,11 @@ def effective_window(cl: ClassLattice, c1_bound: int,
         raise NonFanoEnumerationUnbounded(
             "non-Fano window needs an explicit coefficient bound")
     found = set()
-    for combo in itertools.product(range(coeff_bound + 1), repeat=len(gens)):
-        if sum(combo) > coeff_bound:
-            continue
-        beta = cl.from_mori(combo)
-        if beta.c1() <= c1_bound:
-            found.add(beta)
+    for total in range(coeff_bound + 1):
+        for combo in compositions(total, len(gens)):
+            beta = cl.from_mori(combo)
+            if beta.c1() <= c1_bound:
+                found.add(beta)
     return tuple(sorted(found, key=lambda b: b.d))
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import ClassLattice, CurveClass, dominates, h0
+from .lattice import CurveClass, dominates, h0
 from .poly import GroebnerBasis, Polynomial
 from .deform import LinearData
 
 
-_MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked before expanding
+_MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked by sector()
 
 
 class SectorError(Exception):
@@ -39,13 +39,21 @@ class SectorData:
 
 
 def sector(lin: LinearData, beta: CurveClass) -> SectorData:
-    """Sector bookkeeping for a curve class."""
+    """Sector bookkeeping for a curve class.  Its first step refuses a
+    generator prod_c Q_c^h0(d_c) of degree above _MAX_DEGREE, so a caller
+    that reads sector() before it expands anything needs no check of its own."""
     cl = lin.cl
     fan = cl.fan
     d = beta.d
+    pcs = cl.primitive_collections
+    for K in pcs:
+        # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
+        degree = sum(h0(d[rho]) for rho in K.edges)
+        if degree > _MAX_DEGREE:
+            raise SectorError(f"sector {d} needs a generator of degree {degree}, "
+                              f"above the ceiling {_MAX_DEGREE}")
     enhanced = tuple((rho, i) for rho in range(fan.n_rays) if d[rho] >= 0
                      for i in range(d[rho] + 1))
-    pcs = cl.primitive_collections
     degenerate = []
     for rho in range(fan.n_rays):
         if d[rho] != 0:
@@ -61,29 +69,18 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
                       nonempty=nonempty, effective=cl.is_effective(beta))
 
 
-def check_ceiling(cl: ClassLattice, beta: CurveClass) -> None:
-    """Raise SectorError when the generator prod_c Q_c^h0(d_c) of some
-    primitive collection would have degree above _MAX_DEGREE; integers only,
-    so it runs before anything of the sector is built."""
-    for K in cl.primitive_collections:
-        degree = sum(c.size * h0(c.d(beta)) for c in cl.classes_of(K.edges))
-        if degree > _MAX_DEGREE:  # deg Q_c = |c|
-            raise SectorError(f"sector {beta.d} needs a generator of degree {degree}, "
-                              f"above the ceiling {_MAX_DEGREE}")
-
-
 def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
     """Generators of the sector Stanley-Reisner ideal: prod_c Q_c^h0(d_c) over
     the classes of each primitive collection, and Q_[rho] for each degenerate
     edge (rho, 0).  A generator of degree above _MAX_DEGREE is a SectorError."""
     cl = lin.cl
-    check_ceiling(cl, beta)
+    sec = sector(lin, beta)
     gens = []
     for K in cl.primitive_collections:
         g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
         if g:
             gens.append(g)
-    for rho, _ in sector(lin, beta).degenerate:
+    for rho, _ in sec.degenerate:
         g = lin.q_of(cl.class_of_ray(rho))
         if g and g not in gens:
             gens.append(g)
@@ -101,12 +98,10 @@ def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Pol
     between the two moduli spaces, which is asserted.
     """
     cl = lin.cl
+    gap = sector(lin, beta_prime).n_beta - sector(lin, beta).n_beta
     if not dominates(cl, beta_prime, beta):
         raise NotDominating(f"{beta_prime.d} does not dominate {beta.d}")
     r = lin.q_product((c, h0(c.d(beta_prime)) - h0(c.d(beta))) for c in cl.equiv)
-    if r:
-        gap = sector(lin, beta_prime).n_beta - sector(lin, beta).n_beta
-        if r.psi_degree() != gap:
-            raise SectorError(
-                f"transition degree {r.psi_degree()} != dimension gap {gap}")
+    if r and r.psi_degree() != gap:
+        raise SectorError(f"transition degree {r.psi_degree()} != dimension gap {gap}")
     return r

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -271,3 +272,38 @@ def test_riemann_roch_helpers():
     assert (h0(2), h1(2)) == (3, 0)
     assert (h0(-1), h1(-1)) == (0, 0)
     assert (h0(-3), h1(-3)) == (0, 2)
+
+
+def _positive_by_filtered_product(cl):
+    """The definition of ClassLattice.positive: the first combination of the
+    Mori generators, by coefficient sum and then lexicographically, that is
+    positive on every class; the full product is walked and filtered by sum."""
+    for total in itertools.count(1):
+        for combo in itertools.product(range(total + 1), repeat=len(cl.mori)):
+            if sum(combo) != total:
+                continue
+            cand = cl.from_mori(combo)
+            if all(c.d(cand) > 0 for c in cl.equiv):
+                return cand
+
+
+# the conftest fans on which the filtered product finishes
+_POSITIVE_FANS = {**dict(all_fans()), "dP3": hexagon(), "Bl_pt P3": blowup_p3_point(),
+                  "(P1)^3": p1_power(3), "(P1)^4": p1_power(4),
+                  "blown_up_p1xp1(5)": blown_up_p1xp1(5),
+                  "blown_up_p1xp1(6)": blown_up_p1xp1(6)}
+
+
+@pytest.mark.parametrize("name", list(_POSITIVE_FANS))
+def test_positive_matches_filtered_product(name):
+    cl = class_lattice(_POSITIVE_FANS[name])
+    assert cl.positive == _positive_by_filtered_product(cl)
+
+
+def test_positive_on_eight_mori_generators_is_fast():
+    cl = class_lattice(blown_up_p1xp1(8))
+    assert len(cl.mori) == 8
+    start = time.perf_counter()
+    positive = cl.positive
+    assert time.perf_counter() - start < 10
+    assert all(c.d(positive) > 0 for c in cl.equiv)

@@ -96,6 +96,16 @@ def test_degree_slice_enumeration():
     assert len(rep.rows) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("coeff_bound", [4, 5, 6])
+def test_non_fano_window_matches_filtered_product(n, coeff_bound):
+    cl = class_lattice(hirzebruch(n))
+    combos = itertools.product(range(coeff_bound + 1), repeat=len(cl.mori))
+    found = {b for b in (cl.from_mori(c) for c in combos if sum(c) <= coeff_bound)
+             if b.c1() <= 4}
+    assert effective_window(cl, 4, coeff_bound) == tuple(sorted(found, key=lambda b: b.d))
+
+
 def test_qsr_generators_batyrev_specialization():
     # P2: psi^3 - q
     cl, lin = tangent_setup(p2_fan())

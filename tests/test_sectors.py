@@ -1,5 +1,6 @@
 import os
 import random
+import time
 import warnings
 
 import pytest
@@ -8,7 +9,7 @@ import qsheaf.deform
 from qsheaf.model import load_model
 from qsheaf.quantum import effective_window
 
-from qsheaf import (NotDominating, dominates, h0, quotient_dims,
+from qsheaf import (NotDominating, SectorError, dominates, h0, quotient_dims,
                     sector, sector_gb, sector_ideal, sr_ideal, standard_monomials,
                     transition)
 from qsheaf.poly import Polynomial
@@ -173,3 +174,33 @@ def test_sector_bookkeeping_expands_no_polynomial(monkeypatch):
         assert integers == [sector(model.lin, b) for b in betas]
         assert any(not s.nonempty for s in integers)
         assert any(s.degenerate for s in integers) == (name == "f1")
+
+
+CEILING = r"^sector \(30000000, 30000000, -30000000, 0\) needs a generator of degree " \
+    r"60000002, above the ceiling 1000$"
+
+
+def test_sector_refuses_an_oversized_class_at_once():
+    # the ceiling is sector()'s first step, so the 60 million enhanced edges
+    # of this class are never listed
+    cl, lin = tangent_setup(hirzebruch(1))
+    start = time.perf_counter()
+    with pytest.raises(SectorError, match=CEILING):
+        sector(lin, cl.from_mori((30000000, 0)))
+    assert time.perf_counter() - start < 1
+
+
+def test_ceiling_comes_before_every_expansion(monkeypatch):
+    # big does not dominate 0, so transition used to raise NotDominating
+    cl, lin = tangent_setup(hirzebruch(1))
+    big = cl.from_mori((30000000, 0))
+
+    def expand(*args):
+        raise AssertionError("a Q_c product was expanded before the ceiling")
+
+    monkeypatch.setattr(qsheaf.deform.LinearData, "q_product", expand)
+    for call in (lambda: transition(lin, big, cl.zero_curve),
+                 lambda: transition(lin, cl.zero_curve, big),
+                 lambda: sector_ideal(lin, big)):
+        with pytest.raises(SectorError, match=CEILING):
+            call()
