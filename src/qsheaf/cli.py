@@ -371,6 +371,9 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = make_parser()  # parse_args keeps no state between calls
+
+
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return rational_str(obj)
@@ -379,7 +382,7 @@ def _json_default(obj):
 
 def run(argv) -> int:
     try:
-        args = make_parser().parse_args(argv)  # --help still exits 0
+        args = _PARSER.parse_args(argv)  # --help still exits 0
         cache.set_store(None)
         if not args.no_cache:
             try:

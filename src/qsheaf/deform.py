@@ -8,6 +8,7 @@ equivalence class c, whose determinant Q_c generates everything downstream.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,9 +112,9 @@ def tangent_deformation(cl: ClassLattice) -> Deformation:
 def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
     """Validate raw (rho, m, coeff) triples into a Deformation.
 
-    `coeff` may be a Polynomial or a string in D-symbols.  Every character m
-    is checked against the polytope inequalities <m, v_rho'> >= -delta; the
-    pair (rho, m) must be unique.
+    `coeff` is a string in D-symbols.  Every character m must make the Cox
+    monomial x_rho chi^m a section of O(D_rho), with no negative exponent;
+    the pair (rho, m) must be unique.
     """
     fan = cl.fan
     syms = d_symbols(cl)
@@ -127,52 +128,41 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         m = tuple(int(x) for x in m)
         if len(m) != fan.rank:
             raise DeformError(f"character {m} must have {fan.rank} coordinates")
-        for rp in range(fan.n_rays):
-            pairing = sum(a * b for a, b in zip(m, fan.rays[rp]))
-            lower = -1 if rp == rho else 0
-            if pairing < lower:
+        for rp, e in enumerate(_cox_monomial(fan, rho, m)):
+            if e < 0:
                 raise CharacterOutsidePolytope(
-                    f"character {m} violates <m, v_{rp}> >= {lower} for ray {rp}")
+                    f"character {m} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
+                    f"for ray {rp}")
         if (rho, m) in seen:
             raise DuplicateEntry(f"duplicate entry for (rho={rho}, m={m})")
         seen.add((rho, m))
-        source = coeff if isinstance(coeff, str) else ""
-        if isinstance(coeff, str):
-            coeff = parse_polynomial(coeff, syms)
-        if not isinstance(coeff, Polynomial):
-            coeff = Polynomial.linear(cl.pic_rank, coeff)
-        if coeff.nq:
-            coeff = coeff.drop_q()
-        if coeff and (coeff.psi_degree() != 1 or not coeff.is_psi_homogeneous()):
+        if not isinstance(coeff, str):
+            raise DeformError(f"coefficient for (rho={rho}, m={m}) must be a D-symbol string")
+        poly = parse_polynomial(coeff, syms)
+        if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
             raise DeformError(
-                f"coefficient {coeff.to_str()} for (rho={rho}, m={m}) "
+                f"coefficient {poly.to_str()} for (rho={rho}, m={m}) "
                 "is not a linear form in W")
-        entries.append(DeformationEntry(rho, m, coeff, source))
+        entries.append(DeformationEntry(rho, m, poly, coeff))
     entries = tuple(entries)
     tangent = tangent_deformation(cl)
     is_tangent = set(entries) == set(tangent.entries)
     return Deformation(entries=entries, is_tangent=is_tangent)
 
 
+def _cox_monomial(fan, rho: int, m: tuple) -> tuple:
+    """Exponents of the Cox monomial x_rho chi^m: <m, v_rho'> + [rho' = rho]."""
+    return tuple(sum(a * b for a, b in zip(m, v)) + (rp == rho)
+                 for rp, v in enumerate(fan.rays))
+
+
 def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
-    """Slot (rho, rho') in A_c fed by this entry, or None for nonlinear terms."""
-    fan = cl.fan
-    if not any(entry.m):
-        return (entry.rho, entry.rho)
-    pairings = [sum(a * b for a, b in zip(entry.m, fan.rays[rp]))
-                for rp in range(fan.n_rays)]
-    if pairings[entry.rho] != -1:
+    """Slot (rho, rho') in A_c fed by this entry: its Cox monomial is the one
+    variable x_rho'.  None for nonlinear terms."""
+    mono = _cox_monomial(cl.fan, entry.rho, entry.m)
+    if mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
         return None
-    target = None
-    for rp, val in enumerate(pairings):
-        if rp == entry.rho:
-            continue
-        if val == 1 and target is None:
-            target = rp
-        elif val != 0:
-            return None
-    if target is None:
-        return None
+    target = mono.index(1)
     if cl.divisor_classes[target] != cl.divisor_classes[entry.rho]:
         raise DeformError(
             f"character {entry.m} links inequivalent divisors {entry.rho}, {target}")
@@ -205,9 +195,10 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
                          trials: int = 20) -> FreenessVerdict:
     """Probabilistic surjectivity test for the transposed deformation map.
 
-    Evaluates the rows E_rho(x) at rational points outside the irrelevant
-    locus, including one generic point per toric stratum, and checks that
-    they span W.  A rank drop returns the witness point.
+    Evaluates the rows E_rho(x) = sum_m a_{rho,m} x^(Cox monomial of (rho, m))
+    at rational points outside the irrelevant locus, including one generic
+    point per toric stratum, and checks that they span W.  A rank drop
+    returns the witness point.
     """
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {trials}")
@@ -225,12 +216,11 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     def in_irrelevant(x) -> bool:
         return any(all(x[rho] == 0 for rho in pc.edges) for pc in pcs)
 
-    points = []
-    for face in sorted(fan.cone_faces()):
-        if any(set(pc.edges) <= set(face) for pc in pcs):
-            continue  # stratum lies inside Z(Sigma)
-        points.append(tuple(Fraction(0) if rho in face else rand_nonzero()
-                            for rho in range(fan.n_rays)))
+    # one generic point per toric stratum; a cone spans no primitive
+    # collection, so none of them lies inside Z(Sigma)
+    points = [tuple(Fraction(0) if rho in face else rand_nonzero()
+                    for rho in range(fan.n_rays))
+              for face in sorted(fan.cone_faces())]
     # targeted points: kernel vectors of each class's linear coefficient map
     # catch rank drops along linear degeneracy loci that sampling misses
     lin = linear_part(cl, E)
@@ -251,28 +241,15 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
-    per_ray = {rho: [] for rho in range(fan.n_rays)}
-    for entry in E.entries:
-        if entry.coeff:
-            per_ray[entry.rho].append(entry)
+    terms = [(entry.rho, _cox_monomial(fan, entry.rho, entry.m),
+              entry.coeff.linear_coefficients()) for entry in E.entries if entry.coeff]
     for x in points:
-        rows = []
-        for rho in range(fan.n_rays):
-            acc = [Fraction(0)] * cl.pic_rank
-            for entry in per_ray[rho]:
-                value = Fraction(1)
-                for rp in range(fan.n_rays):
-                    e = sum(a * b for a, b in zip(entry.m, fan.rays[rp]))
-                    if rp == rho:
-                        e += 1
-                    if e:
-                        value *= x[rp] ** e
-                    if value == 0:
-                        break
-                if value:
-                    for k, cval in enumerate(entry.coeff.linear_coefficients()):
-                        acc[k] += cval * value
-            rows.append(acc)
+        rows = [[Fraction(0)] * cl.pic_rank for _ in range(fan.n_rays)]
+        for rho, mono, coeffs in terms:
+            value = math.prod(xi ** e for xi, e in zip(x, mono) if e)
+            if value:
+                for k, cval in enumerate(coeffs):
+                    rows[rho][k] += cval * value
         if matrix_rank(rows) != cl.pic_rank:
             return FreenessVerdict(passed=False, witness=x)
     return FreenessVerdict(passed=True)

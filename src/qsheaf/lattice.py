@@ -180,12 +180,29 @@ class ClassLattice:
         ample class H the curve class H^(dim-1) meets every toric divisor
         positively, so some multiple of it is such a combination and the
         enumeration ends.  A candidate's d_c are sums of the generators' d_c.
+        The walk over compositions cuts a prefix when some class stays <= 0
+        even if everything left goes to its largest remaining d_c: no
+        completion of that prefix is positive, so the first class is the same.
         """
         rows = [[c.d(g) for g in self.mori] for c in self.equiv]
+        n = len(self.mori)
+
+        def first(k: int, left: int, sums: list) -> Optional[tuple]:
+            # generators k.. share `left`; sums are the classes' d over 0..k-1
+            if any(s + left * max(row[k:]) <= 0 for s, row in zip(sums, rows)):
+                return None
+            if k == n - 1:
+                return (left,)
+            for a in range(left + 1):
+                rest = first(k + 1, left - a, [s + a * row[k] for s, row in zip(sums, rows)])
+                if rest is not None:
+                    return (a,) + rest
+            return None
+
         for total in itertools.count(1):
-            for combo in compositions(total, len(self.mori)):
-                if all(_dot(row, combo) > 0 for row in rows):
-                    return self.from_mori(combo)
+            combo = first(0, total, [0] * len(rows))
+            if combo is not None:
+                return self.from_mori(combo)
 
     def class_of_ray(self, rho: int) -> EquivClass:
         for c in self.equiv:

@@ -70,7 +70,10 @@ class _AnchorRing:
     def __init__(self, lin: LinearData, anchor: CurveClass):
         self.lin = lin
         self.anchor = anchor
-        self.n = sector(lin, anchor).n_beta
+        sec = sector(lin, anchor)
+        if not sec.nonempty:
+            raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
+        self.n = sec.n_beta
 
     def row(self, p: Polynomial, beta: CurveClass):
         """Correlator scalar of p in sector beta and a reason tag ('ok',
@@ -152,9 +155,6 @@ class _ResidueRing(_AnchorRing):
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
         cl, n = lin.cl, self.n
-        if any(not any(h0(c.d(anchor)) for c in cl.classes_of(K.edges))
-               for K in cl.primitive_collections):
-            raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
         self._q = [_dehomogenize(q) for q in lin.q]
         for K in cl.primitive_collections:
             if all(len(self._q[c.index]) == c.size + 1

@@ -126,3 +126,103 @@ def in_cone(vec, gens):
             if sol is not None and all(s >= 0 for s in sol):
                 return True
     return False
+
+
+def _pairings(fan, m):
+    return [sum(a * b for a, b in zip(m, v)) for v in fan.rays]
+
+
+def linear_slot_by_pairings(cl, entry):
+    """Slot (rho, rho') of A_c fed by a deformation entry, read off the
+    pattern of pairings <m, v_rho'>: -1 at rho, 1 at one other ray and 0 at
+    the rest links rho to that ray; m = 0 is the diagonal slot."""
+    from qsheaf.deform import DeformError
+
+    if not any(entry.m):
+        return (entry.rho, entry.rho)
+    pairings = _pairings(cl.fan, entry.m)
+    if pairings[entry.rho] != -1:
+        return None
+    target = None
+    for rp, val in enumerate(pairings):
+        if rp == entry.rho:
+            continue
+        if val == 1 and target is None:
+            target = rp
+        elif val != 0:
+            return None
+    if target is None:
+        return None
+    if cl.divisor_classes[target] != cl.divisor_classes[entry.rho]:
+        raise DeformError(
+            f"character {entry.m} links inequivalent divisors {entry.rho}, {target}")
+    return (entry.rho, target)
+
+
+def local_freeness_by_points(cl, E, trials=20):
+    """The local-freeness verdict with every exponent paired afresh at every
+    point: the same sample points as the library (the strata of every cone
+    face not spanning a primitive collection, kernel points, then `trials`
+    random ones, from the same seed), and E_rho(x) summed entry by entry."""
+    import random
+
+    from qsheaf.deform import _FRESHNESS_SEED, FreenessVerdict, linear_part
+    from qsheaf.linalg import kernel_basis
+
+    fan = cl.fan
+    rng = random.Random(_FRESHNESS_SEED)
+    pcs = cl.primitive_collections
+
+    def rand_nonzero():
+        num = rng.choice([n for n in range(-9, 10) if n])
+        den = rng.randint(1, 7)
+        return Fraction(num, den)
+
+    def in_irrelevant(x):
+        return any(all(x[rho] == 0 for rho in pc.edges) for pc in pcs)
+
+    points = []
+    for face in sorted(fan.cone_faces()):
+        if any(set(pc.edges) <= set(face) for pc in pcs):
+            continue
+        points.append(tuple(Fraction(0) if rho in face else rand_nonzero()
+                            for rho in range(fan.n_rays)))
+    lin = linear_part(cl, E)
+    for c in cl.equiv:
+        rows = []
+        for i in range(c.size):
+            for k in range(cl.pic_rank):
+                rows.append([lin.matrices[c.index][i][j].linear_coefficients()[k]
+                             if lin.matrices[c.index][i][j] else Fraction(0)
+                             for j in range(c.size)])
+        for u in kernel_basis(rows, c.size):
+            x = [rand_nonzero() for _ in range(fan.n_rays)]
+            for j, rho in enumerate(c.members):
+                x[rho] = u[j]
+            x = tuple(x)
+            if not in_irrelevant(x):
+                points.append(x)
+    for _ in range(trials):
+        points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
+
+    for x in points:
+        rows = []
+        for rho in range(fan.n_rays):
+            acc = [Fraction(0)] * cl.pic_rank
+            for entry in E.entries:
+                if entry.rho != rho or not entry.coeff:
+                    continue
+                value = Fraction(1)
+                for rp, pairing in enumerate(_pairings(fan, entry.m)):
+                    e = pairing + (1 if rp == rho else 0)
+                    if e:
+                        value *= x[rp] ** e
+                    if value == 0:
+                        break
+                if value:
+                    for k, cval in enumerate(entry.coeff.linear_coefficients()):
+                        acc[k] += cval * value
+            rows.append(acc)
+        if matrix_rank(rows) != cl.pic_rank:
+            return FreenessVerdict(passed=False, witness=x)
+    return FreenessVerdict(passed=True)

@@ -114,6 +114,12 @@ def deformed_p1xp1(g1, g2, d1, d2):
 def deformed_p1_power(k, rng):
     """(P^1)^k with seeded off-diagonal entries at the characters -e_i, +e_i,
     both multiples of the class of factor i+1 (mod k); cl and LinearData."""
+    cl, E = deformed_p1_power_entries(k, rng)
+    return cl, linear_part(cl, E)
+
+
+def deformed_p1_power_entries(k, rng):
+    """The deformation of deformed_p1_power: cl and the Deformation."""
     cl = class_lattice(p1_power(k))
     raw = [(rho, (0,) * k, f"D{rho + 1}") for rho in range(2 * k)]
     for i in range(k):
@@ -122,7 +128,7 @@ def deformed_p1_power(k, rng):
         for rho, m in ((2 * i, tuple(-x for x in e)), (2 * i + 1, e)):
             coeff = f"{rng.choice((-1, 1)) * rng.randint(1, 5)}/{rng.randint(1, 7)}"
             raw.append((rho, m, f"{coeff}*D{neighbour}"))
-    return cl, linear_part(cl, parse_deformation(cl, raw))
+    return cl, parse_deformation(cl, raw)
 
 
 @pytest.fixture

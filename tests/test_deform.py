@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -9,8 +11,16 @@ from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation
                     polymology, quotient_dims, sr_ideal, tangent_deformation)
 from qsheaf.poly import Polynomial
 
-from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, p1xp1_fan,
+from qsheaf.deform import DeformationEntry, _linear_slot
+from qsheaf.model import load_model
+
+from _oracles import linear_slot_by_pairings, local_freeness_by_points
+from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power_entries,
+                      deformed_p1xp1, hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan,
                       p2_fan, tangent_setup)
+from test_acceptance import _nonlinear_entries
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 def test_tangent_deformation_flag():
@@ -179,3 +189,86 @@ def test_deformed_polymology_keeps_hvector():
         picks = [values[rng.randrange(4)] for _ in range(4)]
         cl, E, lin = deformed_p1xp1(*picks)
         assert polymology(lin).dims == (1, 2, 1)
+
+
+# ---- Cox monomials x_rho chi^m against the pairing-pattern references ----
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except DeformError as exc:
+        return type(exc), str(exc)
+
+
+_SLOT_BOXES = {**{name: (fan, 3) for name, fan in all_fans()},
+               "dP3": (hexagon(), 3), "blown_up_p1xp1(6)": (blown_up_p1xp1(6), 3),
+               "Bl_pt P3": (blowup_p3_point(), 2), "(P1)^3": (p1_power(3), 2)}
+
+
+@pytest.mark.parametrize("name", list(_SLOT_BOXES))
+def test_linear_slot_matches_pairing_pattern(name):
+    fan, radius = _SLOT_BOXES[name]
+    cl = class_lattice(fan)
+    syms = d_symbols(cl)
+    box = range(-radius, radius + 1)
+    slots = set()
+    for rho in range(fan.n_rays):
+        for m in itertools.product(box, repeat=fan.rank):
+            if any(sum(a * b for a, b in zip(m, v)) < -(rp == rho)
+                   for rp, v in enumerate(fan.rays)):
+                continue  # outside the polytope of O(D_rho)
+            entry = DeformationEntry(rho, m, syms[rho])
+            outcome = _outcome(_linear_slot, cl, entry)
+            assert outcome == _outcome(linear_slot_by_pairings, cl, entry), (rho, m)
+            slots.add(outcome[1])
+    assert (0, 0) in slots  # the diagonal entry m = 0 was among them
+
+
+def _freeness_cases():
+    for name in sorted(os.listdir(MODELS)):
+        model = load_model(os.path.join(MODELS, name))
+        yield name, model.cl, model.deformation
+    for k, seed in ((2, 0), (2, 5), (3, 1)):
+        yield f"deformed (P1)^{k} seed {seed}", *deformed_p1_power_entries(k, random.Random(seed))
+    cl = class_lattice(p2_fan())
+    eps = "2/5"
+    yield "circulant P2", cl, parse_deformation(cl, [
+        (0, (0, 0), "D1"), (1, (0, 0), "D2"), (2, (0, 0), "D3"),
+        (0, (-1, 1), f"{eps}*D2"), (1, (0, -1), f"{eps}*D3"), (2, (1, 0), f"{eps}*D1")])
+    cl = class_lattice(p1_fan())
+    yield "rank-collapse P1", cl, parse_deformation(cl, [
+        (0, (0,), "D1"), (0, (-1,), "D1"), (1, (0,), "D1"), (1, (1,), "D1")])
+    cl = class_lattice(hirzebruch(1))
+    extras = _nonlinear_entries(cl, random.Random(3), 4)
+    assert extras
+    yield "F1 with nonlinear extras", cl, parse_deformation(
+        cl, [(rho, (0, 0), f"D{rho + 1}") for rho in range(4)] + extras)
+
+
+def test_local_freeness_matches_per_point_pairing():
+    verdicts = set()
+    for name, cl, E in _freeness_cases():
+        for trials in (0, 8, 20):
+            verdict = local_freeness_check(cl, E, trials=trials)
+            assert verdict == local_freeness_by_points(cl, E, trials), (name, trials)
+            verdicts.add(verdict.passed)
+    assert verdicts == {True, False}
+
+
+def test_character_outside_polytope_text():
+    cl = class_lattice(p1xp1_fan())  # rays (1, 0), (-1, 0), (0, 1), (0, -1)
+    with pytest.raises(CharacterOutsidePolytope) as exc:
+        parse_deformation(cl, [(0, (-2, 0), "D1")])  # the ray's own exponent
+    assert str(exc.value) == "character (-2, 0) violates <m, v_0> >= -1 for ray 0"
+    with pytest.raises(CharacterOutsidePolytope) as exc:
+        parse_deformation(cl, [(0, (0, 1), "D1")])
+    assert str(exc.value) == "character (0, 1) violates <m, v_3> >= 0 for ray 3"
+
+
+@pytest.mark.parametrize("coeff", ["polynomial", (1, 0)], ids=["polynomial", "vector"])
+def test_non_string_coefficient_is_deform_error(coeff):
+    cl = class_lattice(p1xp1_fan())
+    if coeff == "polynomial":
+        coeff = d_symbols(cl)[0]
+    with pytest.raises(DeformError, match="must be a D-symbol string"):
+        parse_deformation(cl, [(0, (0, 0), coeff)])

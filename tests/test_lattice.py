@@ -7,6 +7,7 @@ import pytest
 from qsheaf import (IneffectiveClass, NonProjectiveFan, beta_K,
                     class_lattice, dominates, effective_cones_coincide,
                     find_anchor, h0, h1)
+from qsheaf.lattice import compositions
 
 from _oracles import effective_cones_coincide_by_facets, in_cone, wall_classes
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, hexagon, hirzebruch,
@@ -307,3 +308,28 @@ def test_positive_on_eight_mori_generators_is_fast():
     positive = cl.positive
     assert time.perf_counter() - start < 10
     assert all(c.d(positive) > 0 for c in cl.equiv)
+
+
+def _positive_by_compositions(cl):
+    """The first positive class by the plain walk over every composition of
+    each coefficient sum, with no prefix cut."""
+    rows = [[c.d(g) for g in cl.mori] for c in cl.equiv]
+    for total in itertools.count(1):
+        for combo in compositions(total, len(cl.mori)):
+            if all(sum(a * b for a, b in zip(row, combo)) > 0 for row in rows):
+                return cl.from_mori(combo)
+
+
+@pytest.mark.parametrize("n_rays", [7, 8])
+def test_positive_matches_composition_walk(n_rays):
+    cl = class_lattice(blown_up_p1xp1(n_rays))
+    assert cl.positive == _positive_by_compositions(cl)
+
+
+def test_positive_on_nine_mori_generators_is_fast():
+    cl = class_lattice(blown_up_p1xp1(9))
+    assert len(cl.mori) == 9
+    start = time.perf_counter()
+    positive = cl.positive
+    assert time.perf_counter() - start < 5
+    assert positive.d == (1, 1, 1, 1, 1, 2, 2, 1, 1)

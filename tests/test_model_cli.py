@@ -497,3 +497,12 @@ def test_cli_poly_literal_above_the_int_digit_limit_is_refused(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error[ValueError]: Exceeds the limit")
     assert err.count("\n") == 1
+
+
+def test_cli_runs_in_one_process_keep_their_flags_apart(capsys):
+    # one parser serves every run; a flag of one call must not reach the next
+    code, out, _ = capture(capsys, ["sector", model_path("f1"), "--beta", "1,0", "--no-cache"])
+    assert code == 0 and out
+    code, out, err = capture(capsys, ["sector", model_path("f1"), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ModelError]: sector requires --beta ")

@@ -24,7 +24,7 @@ from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
 from conftest import (all_fans, blowup_p3_point, deformed_p1_power, deformed_p1xp1,
-                      hirzebruch, p1_fan, p1xp1_fan, p2_fan, tangent_setup)
+                      hexagon, hirzebruch, p1_fan, p1xp1_fan, p2_fan, tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -577,3 +577,25 @@ def test_rows_run_their_checks_once_and_multiply_one_product(monkeypatch):
     ok = [row.beta for row in rep.rows if row.reason == "ok"]
     assert len(ok) == 6
     assert calls == ok
+
+
+def test_empty_anchor_refused_before_any_basis(monkeypatch):
+    from qsheaf import AnchorDegenerate
+    from qsheaf.quantum import _GroebnerRing, _ResidueRing
+
+    # rank 4: an effective class of dP3 whose sector is empty (d_0 = d_4 = -1
+    # on the primitive collection {0, 4}); no Groebner basis may be built
+    cl, lin = tangent_setup(hexagon())
+    anchor = cl.curve_from_d((-1, 1, 0, 1, -1, 2))
+    assert cl.is_effective(anchor) and not sector(lin, anchor).nonempty
+    _forbid(monkeypatch, ("groebner",))
+    with pytest.raises(AnchorDegenerate) as exc:
+        _GroebnerRing(lin, anchor)
+    assert str(exc.value) == "anchor sector of (-1, 1, 0, 1, -1, 2) has top dimension 0"
+    # rank 2: a non-effective class of F1 with an empty sector
+    cl, lin = tangent_setup(hirzebruch(1))
+    anchor = cl.zero_curve + (-1) * cl.mori[0]
+    assert not cl.is_effective(anchor) and not sector(lin, anchor).nonempty
+    with pytest.raises(AnchorDegenerate) as exc:
+        _ResidueRing(lin, anchor)
+    assert str(exc.value) == f"anchor sector of {anchor.d} has top dimension 0"
