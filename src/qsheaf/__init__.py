@@ -16,7 +16,7 @@ from .deform import (Deformation, DeformationEntry, LinearData, FreenessVerdict,
                      PolymologyResult, DeformError, CharacterOutsidePolytope,
                      DuplicateEntry, UnknownRayIndex, DegenerateDeformation,
                      d_symbols, tangent_deformation, parse_deformation,
-                     linear_part, local_freeness_check, sr_ideal, polymology)
+                     linear_part, local_freeness_check, polymology)
 from .sectors import (SectorData, SectorError, NotDominating, sector,
                       sector_ideal, sector_gb, transition)
 from .quantum import (QuantumError, AnchorDegenerate,

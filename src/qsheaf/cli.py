@@ -19,8 +19,7 @@ from . import cache
 from .fan import FanError
 from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
-from .deform import (DeformError, d_symbols, local_freeness_check, polymology,
-                     sr_ideal)
+from .deform import DeformError, d_symbols, local_freeness_check, polymology
 from .sectors import SectorError, sector, sector_ideal
 from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
                       effective_window, mori_change_of_basis, novikov_series_str,
@@ -160,11 +159,10 @@ def cmd_analyze(model: Model, args) -> tuple:
 def cmd_polymology(model: Model, args) -> tuple:
     cl = model.cl
     result = polymology(model.lin)
-    ideal = sr_ideal(model.lin)
     report = {
         "schema": SCHEMA,
         "command": "polymology",
-        "sr_generators": [g.to_str() for g in ideal.generators],
+        "sr_generators": [g.to_str() for g in sector_ideal(model.lin, cl.zero_curve)],
         "groebner_basis": [g.to_str() for g in result.gb.polys],
         "dims": list(result.dims),
         "generator": result.generator.to_str(),
@@ -301,7 +299,6 @@ def cmd_verify(model: Model, args) -> tuple:
         window = effective_window(cl, grid, coeff_bound=grid)
     else:
         window = tuple(sorted({cl.zero_curve, *cl.mori}, key=lambda b: b.d))
-        window = tuple(b for b in window if cl.is_effective(b))
     cases = []
     for K in cl.primitive_collections:
         bk, _ = beta_K(cl, K)

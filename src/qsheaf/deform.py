@@ -19,6 +19,7 @@ from .lattice import ClassLattice, EquivClass
 from .linalg import kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
                    sole_generator, standard_monomials, det)
+from .sectors import sector_gb
 from . import cache
 
 
@@ -162,11 +163,7 @@ def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
     mono = _cox_monomial(cl.fan, entry.rho, entry.m)
     if mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
         return None
-    target = mono.index(1)
-    if cl.divisor_classes[target] != cl.divisor_classes[entry.rho]:
-        raise DeformError(
-            f"character {entry.m} links inequivalent divisors {entry.rho}, {target}")
-    return (entry.rho, target)
+    return (entry.rho, mono.index(1))
 
 
 def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
@@ -255,19 +252,6 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     return FreenessVerdict(passed=True)
 
 
-def sr_ideal(lin: LinearData) -> Ideal:
-    """Stanley-Reisner ideal of the deformation: Q_K = prod of Q_c over [K]."""
-    cl = lin.cl
-    gens = []
-    for K in cl.primitive_collections:
-        g = lin.q_k(K)
-        # a vanishing Q_K (singular A_c) generates nothing; the degeneracy
-        # surfaces through polymology's dimension check instead
-        if g:
-            gens.append(g)
-    return Ideal(tuple(gens), nv=cl.pic_rank)
-
-
 @dataclass(frozen=True)
 class PolymologyResult:
     gb: GroebnerBasis
@@ -284,7 +268,7 @@ def polymology(lin: LinearData) -> PolymologyResult:
     """
     cl = lin.cl
     n = cl.fan.rank
-    gb = lin.groebner_of(sr_ideal(lin).generators)
+    gb = sector_gb(lin, cl.zero_curve)
     graded = [standard_monomials(gb, k) for k in range(n + 2)]
     dims = tuple(len(monos) for monos in graded)
     hvec = cl.fan.h_vector()

@@ -458,7 +458,7 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     divides the lcm and its pairs with both are done (CLO ch. 2 §10).  The
     result is interreduced, monic, sorted by leading monomial: canonical.
     """
-    gens = [g for g in ideal.generators if g]
+    gens = ideal.generators
     if not gens:
         return GroebnerBasis((), ideal.nv)
     _require_nonnegative_q(gens)

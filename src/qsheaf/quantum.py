@@ -386,6 +386,8 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
 def novikov_symbol(cl: ClassLattice, beta: CurveClass) -> str:
     """q^beta in Mori coordinates (``q1*q2^3``, '' for beta = 0), or in curve
     coordinates (``q^[1, -2]``) when beta has none."""
+    if not any(beta.coords):
+        return ""
     mori = cl.mori_coordinates(beta)
     if mori is None:
         return "q^" + str(list(beta.coords))

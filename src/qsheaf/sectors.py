@@ -9,10 +9,13 @@ expands Q_c products, for the few sectors whose ring is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .lattice import CurveClass, dominates, h0
 from .poly import GroebnerBasis, Polynomial
-from .deform import LinearData
+
+if TYPE_CHECKING:
+    from .deform import LinearData
 
 
 _MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked by sector()
@@ -70,19 +73,21 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
 
 
 def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
-    """Generators of the sector Stanley-Reisner ideal: prod_c Q_c^h0(d_c) over
-    the classes of each primitive collection, and Q_[rho] for each degenerate
-    edge (rho, 0).  A generator of degree above _MAX_DEGREE is a SectorError."""
+    """Generators of the sector Stanley-Reisner ideal: the nonzero
+    prod_c Q_c^h0(d_c) over the classes of each primitive collection, in
+    collection order.  At beta = 0 every h0 is 1, so this is the classical
+    ideal SR(X, E) of Q_K.  A degenerate edge (rho, 0) adds nothing: the
+    collection flagging it has d < 0 on its other rays, so its own generator
+    is already Q_[rho].  A generator of degree above _MAX_DEGREE is a
+    SectorError."""
     cl = lin.cl
-    sec = sector(lin, beta)
+    sector(lin, beta)  # the degree ceiling, before anything is expanded
     gens = []
     for K in cl.primitive_collections:
+        # a vanishing product (singular A_c) generates nothing; the
+        # degeneracy surfaces through polymology's dimension check instead
         g = lin.q_product((c, h0(c.d(beta))) for c in cl.classes_of(K.edges))
         if g:
-            gens.append(g)
-    for rho, _ in sec.degenerate:
-        g = lin.q_of(cl.class_of_ray(rho))
-        if g and g not in gens:
             gens.append(g)
     return tuple(gens)
 

@@ -8,7 +8,7 @@ import pytest
 from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation,
                     DuplicateEntry, UnknownRayIndex, class_lattice, d_symbols,
                     groebner, linear_part, local_freeness_check, parse_deformation,
-                    polymology, quotient_dims, sr_ideal, tangent_deformation)
+                    polymology, quotient_dims, sector_ideal, tangent_deformation)
 from qsheaf.poly import Polynomial
 
 from qsheaf.deform import DeformationEntry, _linear_slot
@@ -80,8 +80,8 @@ def test_nonlinear_terms_do_not_change_anything():
     # m = (0,1) on rho=3 gives the quadratic monomial x2*x3: a nonlinear term
     lin1 = linear_part(cl, parse_deformation(cl, base + [(3, (0, 1), "2*D3")]))
     assert lin0 == lin1
-    assert [g.to_str() for g in sr_ideal(lin0).generators] == \
-        [g.to_str() for g in sr_ideal(lin1).generators]
+    assert [g.to_str() for g in sector_ideal(lin0, lin0.cl.zero_curve)] == \
+        [g.to_str() for g in sector_ideal(lin1, lin1.cl.zero_curve)]
     assert polymology(lin0) == polymology(lin1)
 
 
@@ -126,15 +126,15 @@ def test_local_freeness_rejects_negative_trials():
 def test_sr_ideal_examples():
     _, lin = tangent_setup(p2_fan())
     psi = Polynomial.variable(1, 0)
-    assert sr_ideal(lin).generators == (psi ** 3,)
+    assert sector_ideal(lin, lin.cl.zero_curve) == (psi ** 3,)
 
     cl, lin = tangent_setup(p1xp1_fan())
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert set(sr_ideal(lin).generators) == {x ** 2, y ** 2}
+    assert set(sector_ideal(lin, lin.cl.zero_curve)) == {x ** 2, y ** 2}
 
     cl, E, lin = deformed_p1xp1("1/7", "-1/3", "1/3", "1/7")
     syms = d_symbols(cl)
-    gens = sr_ideal(lin).generators
+    gens = sector_ideal(lin, lin.cl.zero_curve)
     # gamma1*gamma2 = -1/21, delta1*delta2 = +1/21
     assert gens[0] == syms[0] * syms[1] + Fraction(1, 21) * syms[2] * syms[3]
     assert gens[1] == syms[2] * syms[3] - Fraction(1, 21) * syms[0] * syms[1]
@@ -145,7 +145,7 @@ def test_tangent_q_k_is_image_of_monomial():
     for _, fan in all_fans():
         cl, lin = tangent_setup(fan)
         syms = d_symbols(cl)
-        for K, gen in zip(cl.primitive_collections, sr_ideal(lin).generators):
+        for K, gen in zip(cl.primitive_collections, sector_ideal(lin, lin.cl.zero_curve)):
             expected = Polynomial.const(cl.pic_rank, 1)
             for rho in K.edges:
                 expected = expected * syms[rho]

@@ -10,7 +10,7 @@ import pytest
 from qsheaf.cli import run
 from qsheaf.model import ModelError, build_model, load_model
 
-from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS, blown_up_p1xp1
+from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS, blown_up_p1xp1, hexagon
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -506,3 +506,20 @@ def test_cli_runs_in_one_process_keep_their_flags_apart(capsys):
     code, out, err = capture(capsys, ["sector", model_path("f1"), "--no-cache"])
     assert (code, out) == (1, "")
     assert err.startswith("error[ModelError]: sector requires --beta ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_series_of_degree_zero_on_dp3_has_no_novikov_symbol(tmp_path, capsys, fmt):
+    # dP3 has six Mori generators in rank 4, so beta = 0 has no Mori
+    # coordinates; q^0 = 1 still renders as the bare coefficient
+    fan = hexagon()
+    path = tmp_path / "dp3.json"
+    path.write_text(json.dumps({"version": 1, "fan": {
+        "rank": 2, "rays": [list(v) for v in fan.rays],
+        "max_cones": [list(c) for c in fan.max_cones]}}))
+    code, out, err = capture(capsys, ["correlator", str(path), "--poly",
+                                      "(D1+D2+D3+D4+D5+D6)^2", "--format", fmt,
+                                      "--no-cache"])
+    assert (code, err) == (0, "")
+    series = json.loads(out)["series"] if fmt == "json" else out.splitlines()[-1]
+    assert series == ("-1/4" if fmt == "json" else "series: -1/4")

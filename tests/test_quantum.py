@@ -13,7 +13,7 @@ from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
                     linear_part, novikov_series_str, parse_deformation, qsr_generators,
                     quantum_groebner, quantum_normal_form, relation_annihilates,
-                    sector, sector_ideal, sr_ideal, tangent_deformation, transition,
+                    sector, sector_ideal, tangent_deformation, transition,
                     verify_qc_relation)
 import qsheaf.lattice
 import qsheaf.poly
@@ -142,7 +142,7 @@ def test_qsr_generators_batyrev_specialization():
 def test_qsr_specializes_to_sr():
     for _, fan in all_fans():
         cl, lin = tangent_setup(fan)
-        sr = sr_ideal(lin).generators
+        sr = sector_ideal(lin, lin.cl.zero_curve)
         for rel, gen in zip(qsr_generators(lin), sr):
             assert rel.difference.q_set_zero().drop_q() == gen
 
@@ -226,7 +226,7 @@ def test_quantum_groebner_specializes_on_fano():
         qgb = quantum_groebner(lin)
         spec = sorted((g.q_set_zero().drop_q() for g in qgb if g.q_set_zero()),
                       key=lambda p: sorted(p.terms))
-        classical = sorted(groebner(sr_ideal(lin)).polys,
+        classical = sorted(groebner(Ideal(sector_ideal(lin, lin.cl.zero_curve))).polys,
                            key=lambda p: sorted(p.terms))
         assert spec == classical
 

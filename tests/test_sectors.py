@@ -1,3 +1,5 @@
+import glob
+import itertools
 import os
 import random
 import time
@@ -9,13 +11,16 @@ import qsheaf.deform
 from qsheaf.model import load_model
 from qsheaf.quantum import effective_window
 
-from qsheaf import (NotDominating, SectorError, dominates, h0, quotient_dims,
-                    sector, sector_gb, sector_ideal, sr_ideal, standard_monomials,
+from qsheaf import (NotDominating, SectorError, dominates, h0, polymology,
+                    quotient_dims, sector, sector_gb, sector_ideal, standard_monomials,
                     transition)
 from qsheaf.poly import Polynomial
 
-from conftest import (all_fans, hirzebruch, p1_fan, p1xp1_fan, tangent_setup,
+from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power,
+                      hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, tangent_setup,
                       transfers)
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 def test_hirzebruch_sector_worked_example():
@@ -38,9 +43,47 @@ def test_sector_zero_is_the_base_variety():
         cl, lin = tangent_setup(fan)
         sec = sector(lin, cl.zero_curve)
         assert sec.n_beta == fan.rank
-        assert sector_ideal(lin, cl.zero_curve) == sr_ideal(lin).generators
         assert sec.nonempty
         assert not sec.degenerate
+
+
+def _sector_ideal_fans():
+    """dP3, the 6-ray surface, Bl_pt P^3, (P^1)^3, the bundled models and two
+    seeded deformed (P^1)^2: (name, LinearData)."""
+    for name, fan in (("dP3", hexagon()), ("Bl6", blown_up_p1xp1(6)),
+                      ("BlP3", blowup_p3_point()), ("P1^3", p1_power(3))):
+        yield name, tangent_setup(fan)[1]
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.json"))):
+        yield os.path.basename(path), load_model(path).lin
+    for seed in (0, 1):
+        yield f"deformed P1^2 seed {seed}", deformed_p1_power(2, random.Random(seed))[1]
+
+
+def test_sector_ideal_is_the_collection_generators():
+    # the one owner of the generators prod_{c in [K]} Q_c^h0(d_c(beta)); at
+    # beta = 0 it gives the classical ring, and a degenerate edge (rho, 0)
+    # adds nothing because its collection's own generator is Q_[rho]
+    for name, lin in _sector_ideal_fans():
+        cl = lin.cl
+        bound = 4 if cl.pic_rank <= 2 else 2
+        products = {}  # exponents (class, h0) -> their product, built once
+        for coords in itertools.product(range(-bound, bound + 1), repeat=cl.pic_rank):
+            beta = cl.curve_from_coords(coords)
+            expected = []
+            for K in cl.primitive_collections:
+                key = tuple((c, h0(beta.d[c.members[0]])) for c in cl.classes_of(K.edges))
+                if key not in products:
+                    g = Polynomial.const(cl.pic_rank, 1)
+                    for c, e in key:
+                        g = g * lin.q_of(c) ** e
+                    products[key] = g
+                if products[key]:
+                    expected.append(products[key])
+            gens = sector_ideal(lin, beta)
+            assert gens == tuple(expected), (name, coords)
+            for rho, _ in sector(lin, beta).degenerate:
+                assert lin.q_of(cl.class_of_ray(rho)) in gens, (name, coords, rho)
+        assert polymology(lin).gb == sector_gb(lin, cl.zero_curve), name
 
 
 def test_p1_sector_ladder():
