@@ -126,4 +126,6 @@ def load_model(path: str) -> Model:
         raise ModelError(
             f"model file {path} is not valid JSON: line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise ModelError(f"model file {path} nests JSON too deeply") from None
     return build_model(data)

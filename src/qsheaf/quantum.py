@@ -22,7 +22,7 @@ from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
                    monomial_str, normal_form, signed_sum, sole_generator,
                    standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import NotDominating, SectorError, sector, sector_gb, transition
+from .sectors import NotDominating, sector, sector_gb, transition
 
 
 class QuantumError(Exception):
@@ -39,16 +39,8 @@ class NonFanoEnumerationUnbounded(QuantumError):
 
 def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     """Obstruction factor F_beta = prod_c Q_c^{h1(d_c)} for excess dimension."""
-    _check_excess(lin, beta, sector(lin, beta).n_beta)
+    sector(lin, beta)  # the degree ceiling, before anything is expanded
     return lin.q_product((c, h1(c.d(beta))) for c in lin.cl.equiv)
-
-
-def _check_excess(lin: LinearData, beta: CurveClass, n_beta: int) -> None:
-    """Degree bookkeeping of F_beta in integers: (c1.beta + dim X) + deg F == n_beta."""
-    cl = lin.cl
-    excess = sum(c.size * h1(c.d(beta)) for c in cl.equiv)
-    if beta.c1() + cl.fan.rank + excess != n_beta:
-        raise QuantumError("four-fermi degree bookkeeping failed")
 
 
 class _AnchorRing:
@@ -78,7 +70,7 @@ class _AnchorRing:
     def row(self, p: Polynomial, beta: CurveClass):
         """Correlator scalar of p in sector beta and a reason tag ('ok',
         'degree', 'empty', 'ineffective').  Raises for an insertion outside
-        Sym*W, a non-dominating anchor or failed degree bookkeeping."""
+        Sym*W or a non-dominating anchor."""
         lin, cl, anchor = self.lin, self.lin.cl, self.anchor
         if not p.is_psi_homogeneous() or p.has_q():
             raise QuantumError("correlator insertions must be homogeneous in Sym*W")
@@ -91,11 +83,6 @@ class _AnchorRing:
             return Fraction(0), "empty"
         if not dominates(cl, anchor, beta):
             raise NotDominating(f"{anchor.d} does not dominate {beta.d}")
-        _check_excess(lin, beta, sec.n_beta)
-        gap = self.n - sec.n_beta  # deg R, with deg Q_c = |c|, is this dimension gap
-        degree = sum(c.size * (h0(c.d(anchor)) - h0(c.d(beta))) for c in cl.equiv)
-        if degree != gap:
-            raise SectorError(f"transition degree {degree} != dimension gap {gap}")
         self.generator._check(p)  # same ring, as the product R * p * F_beta would demand
         return self._scalar(p, beta), "ok"
 
@@ -418,21 +405,14 @@ def qsr_generators(lin: LinearData) -> tuple:
     """One relation Q_K = q^{beta_K} prod_{c in [K^-]} Q_c^{-d_c} per collection."""
     cl = lin.cl
     nq = cl.pic_rank
-    weights = [sum(basis) for basis in cl.curve_basis_d]  # c1 of each basis vector
     out = []
     for K in cl.primitive_collections:
         bk, kminus = beta_K(cl, K)
         lhs = lin.q_k(K)
         rhs = (Polynomial.novikov(cl.pic_rank, nq, bk.coords)
                * lin.q_product(kminus).with_q(nq))
-        diff = lhs.with_q(nq) - rhs
-        # homogeneity when deg q^beta := c1 . beta
-        degs = {sum(mono[0]) + sum(w * e for w, e in zip(weights, mono[1]))
-                for mono in diff.terms}
-        if len(degs) > 1:
-            raise QuantumError(f"relation for {K.edges} is not homogeneous: {degs}")
-        out.append(QuantumRelation(collection=K, beta_k=bk, kminus=kminus,
-                                   lhs=lhs, rhs=rhs, difference=diff))
+        out.append(QuantumRelation(collection=K, beta_k=bk, kminus=kminus, lhs=lhs,
+                                   rhs=rhs, difference=lhs.with_q(nq) - rhs))
     return tuple(out)
 
 

@@ -1,9 +1,13 @@
 import itertools
+import os
+import random
 
 import pytest
 
-from qsheaf import (build_fan, class_lattice, h0, linear_part, normal_form,
+from qsheaf import (build_fan, class_lattice, h0, linear_part, load_model, normal_form,
                     parse_deformation, tangent_deformation, transition)
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 def p1_fan():
@@ -116,6 +120,13 @@ def deformed_p1_power(k, rng):
     both multiples of the class of factor i+1 (mod k); cl and LinearData."""
     cl, E = deformed_p1_power_entries(k, rng)
     return cl, linear_part(cl, E)
+
+
+def deformed_setups():
+    """LinearData of models/p1xp1_deformed.json, seeded deformed (P^1)^2
+    (seeds 0 and 1) and deformed (P^1)^3 (seed 0)."""
+    return [load_model(os.path.join(MODELS, "p1xp1_deformed.json")).lin] + [
+        deformed_p1_power(k, random.Random(seed))[1] for k, seed in ((2, 0), (2, 1), (3, 0))]
 
 
 def deformed_p1_power_entries(k, rng):

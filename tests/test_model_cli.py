@@ -92,6 +92,15 @@ def test_load_model_bad_json(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_cli_deeply_nested_json_is_model_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "fan": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == f"error[ModelError]: model file {path} nests JSON too deeply\n"
+
+
 def test_cli_polymology_p2(capsys):
     code, out, err = capture(capsys, ["polymology", model_path("p2"), "--no-cache"])
     assert code == 0

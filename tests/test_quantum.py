@@ -24,7 +24,8 @@ from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
 from conftest import (all_fans, blowup_p3_point, deformed_p1_power, deformed_p1xp1,
-                      hexagon, hirzebruch, p1_fan, p1xp1_fan, p2_fan, tangent_setup)
+                      deformed_setups, hexagon, hirzebruch, p1_fan, p1xp1_fan, p2_fan,
+                      tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -145,6 +146,19 @@ def test_qsr_specializes_to_sr():
         sr = sector_ideal(lin, lin.cl.zero_curve)
         for rel, gen in zip(qsr_generators(lin), sr):
             assert rel.difference.q_set_zero().drop_q() == gen
+
+
+def test_qsr_relations_are_homogeneous():
+    # with deg psi = 1 and deg q^beta := c1 . beta, every term of a relation
+    # has degree |K|: beta_K puts [K^-] inside one cone, one coefficient per class
+    setups = [tangent_setup(fan)[1] for _, fan in all_fans() + [("dP3", hexagon())]]
+    setups += deformed_setups()
+    for lin in setups:
+        weights = [sum(basis) for basis in lin.cl.curve_basis_d]  # c1 of each basis vector
+        for rel in qsr_generators(lin):
+            degs = {sum(psi) + sum(w * e for w, e in zip(weights, q))
+                    for psi, q in rel.difference.terms}
+            assert degs == {len(rel.collection.edges)}
 
 
 def test_verify_relation_grid():

@@ -11,14 +11,14 @@ import qsheaf.deform
 from qsheaf.model import load_model
 from qsheaf.quantum import effective_window
 
-from qsheaf import (NotDominating, SectorError, dominates, h0, polymology,
+from qsheaf import (NotDominating, SectorError, dominates, h0, h1, polymology,
                     quotient_dims, sector, sector_gb, sector_ideal, standard_monomials,
                     transition)
 from qsheaf.poly import Polynomial
 
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power,
-                      hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, tangent_setup,
-                      transfers)
+                      deformed_setups, hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan,
+                      tangent_setup, transfers)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -129,12 +129,15 @@ def test_transition_requires_dominance():
         transition(lin, g, 2 * g)
 
 
-def _random_dominating_pairs(rng, count):
+def _random_dominating_pairs(rng, count, setups=None):
+    """count dominating pairs (cl, lin, beta', beta), each drawn from setups,
+    a list of LinearData (by default the tangent bundles of all_fans)."""
+    if setups is None:
+        setups = [tangent_setup(fan)[1] for _, fan in all_fans()]
     pairs = []
-    fans = all_fans()
     while len(pairs) < count:
-        _, fan = fans[rng.randrange(len(fans))]
-        cl, lin = tangent_setup(fan)
+        lin = setups[rng.randrange(len(setups))]
+        cl = lin.cl
         beta = cl.zero_curve
         delta = cl.zero_curve
         for g in cl.mori:
@@ -147,8 +150,13 @@ def _random_dominating_pairs(rng, count):
 
 
 def test_dimension_identity_on_dominating_pairs():
+    # the identities the correlator layer relies on without re-checking
+    # them per row: n_beta' - n_beta is the transition degree, and
+    # c1 . beta + dim X + deg F_beta = n_beta for every class of each pair
     rng = random.Random(17)
-    for cl, lin, bprime, beta in _random_dominating_pairs(rng, 25):
+    pairs = _random_dominating_pairs(rng, 25)
+    pairs += _random_dominating_pairs(rng, 16, deformed_setups())
+    for cl, lin, bprime, beta in pairs:
         n_b = sector(lin, beta).n_beta
         n_bp = sector(lin, bprime).n_beta
         gap = sum(h0(bprime.d[rho]) - h0(beta.d[rho])
@@ -157,6 +165,9 @@ def test_dimension_identity_on_dominating_pairs():
         t = transition(lin, bprime, beta)
         if t:
             assert t.psi_degree() == gap
+        for b, n in ((beta, n_b), (bprime, n_bp)):
+            excess = sum(c.size * h1(c.d(b)) for c in cl.equiv)
+            assert b.c1() + cl.fan.rank + excess == n
 
 
 def test_transfer_check_on_dominating_pairs():
