@@ -2,9 +2,13 @@
 
 Polynomials live in Q[psi_1..psi_nv] optionally extended by Novikov
 variables; a term is keyed by a pair (psi exponents, q exponents) and its
-coefficient is a Fraction.  The q exponents are integer vectors (curve-class
-coordinates in the geometric layers) and may be negative in storage; the
-Groebner routines insist on nonnegative q exponents.
+coefficient is exact in one canonical form: an int when it is integral, a
+Fraction otherwise (CPython multiplies ints about a hundred times faster).
+`_exact` owns that form and `_div` is the one quotient of two coefficients;
+never `/` two coefficients elsewhere, since int / int is a float.  The q
+exponents are integer vectors (curve-class coordinates in the geometric
+layers) and may be negative in storage; the Groebner routines insist on
+nonnegative q exponents.
 
 The only monomial order used is graded reverse lexicographic with
 psi_1 > psi_2 > ..., with q exponents compared the same way in a second
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -59,27 +64,43 @@ def _heap_key(mon: tuple) -> tuple:
 
 
 def _mon_mul(a: tuple, b: tuple) -> tuple:
-    return (tuple(x + y for x, y in zip(a[0], b[0])),
-            tuple(x + y for x, y in zip(a[1], b[1])))
+    return (tuple(map(operator.add, a[0], b[0])), tuple(map(operator.add, a[1], b[1])))
 
 
 def _mon_divides(a: tuple, b: tuple) -> bool:
-    return (all(x <= y for x, y in zip(a[0], b[0]))
-            and all(x <= y for x, y in zip(a[1], b[1])))
+    return all(map(int.__le__, a[0], b[0])) and all(map(int.__le__, a[1], b[1]))
 
 
 def _mon_div(a: tuple, b: tuple) -> tuple:
-    return (tuple(x - y for x, y in zip(a[0], b[0])),
-            tuple(x - y for x, y in zip(a[1], b[1])))
+    return (tuple(map(operator.sub, a[0], b[0])), tuple(map(operator.sub, a[1], b[1])))
 
 
 def _mon_lcm(a: tuple, b: tuple) -> tuple:
-    return (tuple(max(x, y) for x, y in zip(a[0], b[0])),
-            tuple(max(x, y) for x, y in zip(a[1], b[1])))
+    return (tuple(map(max, a[0], b[0])), tuple(map(max, a[1], b[1])))
+
+
+def _exact(c):
+    """The canonical form of an exact coefficient: an int when it is
+    integral, else a Fraction.  A float is read exactly, as Fraction reads it."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """a / b for exact coefficients, in canonical form."""
+    return _exact(a if b == 1 else Fraction(a, b))
 
 
 class Polynomial:
-    """Immutable sparse polynomial; do not mutate `terms` after construction."""
+    """Immutable sparse polynomial; do not mutate `terms` after construction.
+
+    Every coefficient is in the canonical form of `_exact`: an int when it
+    is integral, a Fraction otherwise.  Since 2 == Fraction(2), hash(2) ==
+    hash(Fraction(2)) and str(2) == str(Fraction(2)), equality, hashing and
+    every rendering are those of all-Fraction coefficients.
+    """
 
     __slots__ = ("nv", "nq", "terms", "_hash", "_lead")
 
@@ -89,7 +110,7 @@ class Polynomial:
         clean = {}
         if terms:
             for mon, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     clean[mon] = c
         self.terms = clean
@@ -104,12 +125,12 @@ class Polynomial:
     @staticmethod
     def const(nv: int, value, nq: int = 0) -> "Polynomial":
         mon = ((0,) * nv, (0,) * nq)
-        return Polynomial(nv, nq, {mon: Fraction(value)})
+        return Polynomial(nv, nq, {mon: value})
 
     @staticmethod
     def variable(nv: int, i: int, nq: int = 0) -> "Polynomial":
         exps = tuple(1 if j == i else 0 for j in range(nv))
-        return Polynomial(nv, nq, {(exps, (0,) * nq): Fraction(1)})
+        return Polynomial(nv, nq, {(exps, (0,) * nq): 1})
 
     @staticmethod
     def linear(nv: int, coeffs: Sequence, nq: int = 0) -> "Polynomial":
@@ -117,12 +138,12 @@ class Polynomial:
         for i, c in enumerate(coeffs):
             if c:
                 exps = tuple(1 if j == i else 0 for j in range(nv))
-                terms[(exps, (0,) * nq)] = Fraction(c)
+                terms[(exps, (0,) * nq)] = c
         return Polynomial(nv, nq, terms)
 
     @staticmethod
     def novikov(nv: int, nq: int, q_exps: Sequence[int]) -> "Polynomial":
-        return Polynomial(nv, nq, {((0,) * nv, tuple(q_exps)): Fraction(1)})
+        return Polynomial(nv, nq, {((0,) * nv, tuple(q_exps)): 1})
 
     # ---- ring structure ------------------------------------------------
     def _check(self, other: "Polynomial"):
@@ -158,7 +179,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return Polynomial.zero(self.nv, self.nq)
             return Polynomial(self.nv, self.nq,
@@ -227,11 +248,11 @@ class Polynomial:
             self._lead = max(self.terms, key=monomial_key)
         return self._lead
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Polynomial":
-        result = self * (Fraction(1) / self.leading_coefficient())
+        result = self * _div(1, self.leading_coefficient())
         result._lead = self._lead  # scaling keeps the leading monomial
         return result
 
@@ -241,7 +262,7 @@ class Polynomial:
 
     def linear_coefficients(self) -> tuple:
         """Coefficient vector of a degree <= 1 element of W (no constant part)."""
-        coeffs = [Fraction(0)] * self.nv
+        coeffs = [0] * self.nv
         for (p, q), c in self.terms.items():
             if any(q) or sum(p) != 1:
                 raise PolyError("not a linear form in the psi variables")
@@ -378,7 +399,7 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
             continue
         for lm, g in leads:
             if _mon_divides(lm, mon):
-                factor = coeff / g.terms[lm]
+                factor = _div(coeff, g.terms[lm])
                 shift = _mon_div(mon, lm)
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
@@ -397,7 +418,7 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     return Polynomial(p.nv, p.nq, remainder)
 
 
-def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]:
+def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], int | Fraction]:
     """value(m): the coefficient of the monomial top in NF(m), for a monomial
     m of top's degree whose graded piece top spans alone.
 
@@ -408,10 +429,10 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]
     PolyError.
     """
     rules = [(g.leading_monomial(), g) for g in gb.polys if g]
-    memo = {top: Fraction(1)}
+    memo = {top: 1}
     tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
 
-    def value(mon: tuple) -> Fraction:
+    def value(mon: tuple) -> int | Fraction:
         if mon in memo:
             return memo[mon]
         stack = [mon]
@@ -434,7 +455,7 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]
             if missing:
                 stack.extend(missing)  # every tail monomial is smaller than m
                 continue
-            memo[m] = -sum(c * memo[t] for t, c in tail) / lc
+            memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
             del tails[m]
             stack.pop()
         return memo[mon]
@@ -445,8 +466,8 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], Fraction]
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mon_lcm(lf, lg)
-    tf = Polynomial(f.nv, f.nq, {_mon_div(lcm, lf): Fraction(1) / f.terms[lf]})
-    tg = Polynomial(g.nv, g.nq, {_mon_div(lcm, lg): Fraction(1) / g.terms[lg]})
+    tf = Polynomial(f.nv, f.nq, {_mon_div(lcm, lf): _div(1, f.terms[lf])})
+    tg = Polynomial(g.nv, g.nq, {_mon_div(lcm, lg): _div(1, g.terms[lg])})
     return tf * f - tg * g
 
 
@@ -564,7 +585,7 @@ def sole_generator(monos: tuple) -> Optional[Polynomial]:
     or None when the piece is not one-dimensional."""
     if len(monos) != 1:
         return None
-    return Polynomial(len(monos[0]), 0, {(monos[0], ()): Fraction(1)})
+    return Polynomial(len(monos[0]), 0, {(monos[0], ()): 1})
 
 
 # ---- determinants ---------------------------------------------------------

@@ -206,7 +206,7 @@ def _dehomogenize(p: Polynomial) -> list:
     """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
     out = [0] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
     for (e, _), c in p.terms.items():
-        out[e[0]] = c.numerator if c.denominator == 1 else c  # ints multiply fast
+        out[e[0]] = c
     return out
 
 
@@ -297,7 +297,13 @@ class CorrelatorReport:
 
 
 def degree_slice(cl: ClassLattice, t: int) -> tuple:
-    """All effective classes with c1 . beta = t (finite only in the Fano regime)."""
+    """All effective classes with c1 . beta = t (finite only in the Fano regime).
+
+    The slice lies in the bounding box of its vertices t / c1(g) * g over
+    the Mori generators g.  c1 is linear in the curve coordinates, so the
+    walk covers the box in every coordinate but the last one, j, whose basis
+    vector has c1 != 0, and solves c1 = t for coordinate j.
+    """
     gens = cl.mori
     weights = [g.c1() for g in gens]
     if any(w <= 0 for w in weights):
@@ -309,11 +315,16 @@ def degree_slice(cl: ClassLattice, t: int) -> tuple:
     vertices = [[Fraction(t * c, w) for c in g.coords] for g, w in zip(gens, weights)]
     lo = [min(v[k] for v in vertices) for k in range(cl.pic_rank)]
     hi = [max(v[k] for v in vertices) for k in range(cl.pic_rank)]
-    found = []
     ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    for coords in itertools.product(*ranges):
-        beta = cl.curve_from_coords(coords)
-        if beta.c1() == t and cl.is_effective(beta):
+    c1s = [sum(d) for d in cl.curve_basis_d]  # c1 of each curve-basis vector
+    j = max(k for k, w in enumerate(c1s) if w)  # some Mori generator has c1 > 0
+    found = []
+    for rest in itertools.product(*ranges[:j], *ranges[j + 1:]):
+        x, r = divmod(t - sum(c * w for c, w in zip(rest, c1s[:j] + c1s[j + 1:])), c1s[j])
+        if r or x not in ranges[j]:
+            continue
+        beta = cl.curve_from_coords(rest[:j] + (x,) + rest[j:])
+        if cl.is_effective(beta):
             found.append(beta)
     found.sort(key=lambda b: b.d)
     return tuple(found)

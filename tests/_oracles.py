@@ -7,6 +7,7 @@ cone membership by a Caratheodory search instead of facet inequalities.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from qsheaf.lattice import beta_K, cone_facets
@@ -226,3 +227,21 @@ def local_freeness_by_points(cl, E, trials=20):
         if matrix_rank(rows) != cl.pic_rank:
             return FreenessVerdict(passed=False, witness=x)
     return FreenessVerdict(passed=True)
+
+
+def degree_slice_by_box(cl, t):
+    """The degree slice by the plain box walk: every lattice point of the
+    bounding box of the vertices t / c1(g) * g, kept when c1 = t and it is
+    effective; sorted by d like qsheaf.quantum.degree_slice."""
+    weights = [g.c1() for g in cl.mori]
+    assert all(w > 0 for w in weights) and t >= 0
+    vertices = [[Fraction(t * c, w) for c in g.coords] for g, w in zip(cl.mori, weights)]
+    ranges = [range(math.ceil(min(v[k] for v in vertices)),
+                    math.floor(max(v[k] for v in vertices)) + 1)
+              for k in range(cl.pic_rank)]
+    found = []
+    for coords in itertools.product(*ranges):
+        beta = cl.curve_from_coords(coords)
+        if beta.c1() == t and cl.is_effective(beta):
+            found.append(beta)
+    return tuple(sorted(found, key=lambda b: b.d))

@@ -6,8 +6,13 @@ command set is every report the benchmark's CLI batch runs (analyze,
 polymology, qsr, sector per Mori generator, correlator series, verify --all)
 with the on-disk cache off.  A refactor that changes any report, anchors
 included, fails here.
+
+The JSON reports of the same commands would fill about 115 KB, so
+`golden_cli_json.sha256` keeps one line per command instead: the sha256 of
+its ``--format json`` stdout, ``exit=<code>`` and the argv.
 """
 
+import hashlib
 import os
 import re
 
@@ -15,6 +20,7 @@ from qsheaf.cli import run
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.txt")
+GOLDEN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_json.sha256")
 
 
 def test_golden_cli_reports(capsys):
@@ -25,4 +31,17 @@ def test_golden_cli_reports(capsys):
         argv = header.split(" ")
         got = run([argv[0], os.path.join(ROOT, argv[1])] + argv[2:])
         replayed.append(f"### exit={got} {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(replayed) == recorded
+
+
+def test_golden_cli_json_digests(capsys):
+    with open(GOLDEN_JSON, "rb") as fh:
+        recorded = fh.read().decode("utf-8")
+    replayed = []
+    for header in re.findall(r"^[0-9a-f]{64} exit=\d+ (.*)$", recorded, re.M):
+        argv = header.split(" ")
+        got = run([argv[0], os.path.join(ROOT, argv[1])] + argv[2:] + ["--format", "json"])
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        replayed.append(f"{digest} exit={got} {header}\n")
+    assert len(replayed) == len(recorded.splitlines())
     assert "".join(replayed) == recorded

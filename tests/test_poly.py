@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsheaf.poly
+from qsheaf import cache
 from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
@@ -285,7 +286,63 @@ def test_leading_monomial_found_once(monkeypatch):
     assert p.leading_coefficient() == 3
     m = p.monic()
     assert m.leading_monomial() == lead
-    assert m.terms == {mon: c / 3 for mon, c in p.terms.items()}
+    assert m.terms == {mon: Fraction(c, 3) for mon, c in p.terms.items()}
+
+
+
+# ---- the canonical coefficient form ---------------------------------------------
+
+def _canonical(c):
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _assert_canonical(*polys):
+    for p in polys:
+        assert all(map(_canonical, p.terms.values())), p.terms
+
+
+def _literal(c):
+    """A rational literal for c, not in lowest terms: 3 reads 6/2."""
+    c = Fraction(c)
+    return f"{2 * c.numerator}/{2 * c.denominator}"
+
+
+@given(polys(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_coefficients_stay_canonical(a, seed):
+    b = rand_poly(random.Random(seed))
+    _assert_canonical(a, b, a + b, a - b, b - b, a * b, b ** 3, a ** 2,
+                      b * Fraction(4, 2), Fraction(2, 3) * b, 3 * b)
+    if b:
+        _assert_canonical(b.monic())
+    # x^2 - 2/3 y^2 and y^3 leave x*y^2 alone in degree 3
+    gb = groebner(Ideal((x * x - Fraction(2, 3) * y * y, y ** 3)))
+    _assert_canonical(*gb.polys, normal_form(a * b, gb), normal_form(b, [b + x]))
+    if b:
+        _assert_canonical(*groebner(Ideal((b, x ** 3, y ** 4))).polys)
+    value = top_functional(gb, ((1, 2), ()))
+    values = [value((exps, ())) for exps in monomials_of_degree(2, 3)]
+    assert all(map(_canonical, values)), values
+    d_syms = [Polynomial.linear(2, (1, 0)), Polynomial.linear(2, (0, 1))]
+    text = " + ".join(f"{_literal(c)}*D1^{e0}*D2^{e1}" for ((e0, e1), _), c in b.terms.items())
+    parsed = parse_polynomial(text or "0/2", d_syms)
+    assert parsed == b
+    _assert_canonical(parsed)
+    stored = cache.deserialize_poly(cache.serialize_poly(b), 2, 0)
+    assert stored == b
+    _assert_canonical(stored, cache.deserialize_poly(
+        [[_literal(c), list(m[0]), list(m[1])] for m, c in b.terms.items()], 2, 0))
+
+
+def test_integral_fraction_and_int_coefficients_agree():
+    mon = ((1, 0), ())
+    a = Polynomial(2, 0, {mon: 2})
+    b = Polynomial(2, 0, {mon: Fraction(2)})
+    assert a == b and hash(a) == hash(b)
+    assert type(b.terms[mon]) is int
+    assert cache.ideal_key(Ideal((a,))) == cache.ideal_key(Ideal((b,)))
+    assert str(a) == str(b)
 
 
 def test_parser_caps_nesting():

@@ -23,9 +23,10 @@ from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
-from conftest import (all_fans, blowup_p3_point, deformed_p1_power, deformed_p1xp1,
-                      deformed_setups, hexagon, hirzebruch, p1_fan, p1xp1_fan, p2_fan,
-                      tangent_setup)
+from _oracles import degree_slice_by_box
+from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, deformed_p1_power,
+                      deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
+                      p1_power, p1xp1_fan, p2_fan, tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -77,6 +78,27 @@ def test_p2_classical_correlator():
     assert rep.series == ((cl.zero_curve, Fraction(1)),)
     rep = correlator_series(lin, psi ** 5, 8)
     assert rep.series == ((cl.mori[0], Fraction(1)),)
+
+
+def test_degree_slice_matches_box_walk():
+    p3 = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                   list(itertools.combinations(range(4), 3)))
+    fans = [fan for _, fan in all_fans()]
+    # dP3, a non-Fano surface, and the rest of the benchmark's tangent ladder
+    fans += [hexagon(), blown_up_p1xp1(8), p3, p1_power(3), p1_power(4), blowup_p3_point()]
+    compared = 0
+    for fan in fans:
+        cl = class_lattice(fan)
+        if any(g.c1() <= 0 for g in cl.mori):
+            with pytest.raises(NonFanoEnumerationUnbounded):
+                degree_slice(cl, 2)
+            continue
+        for t in range(9):
+            assert degree_slice(cl, t) == degree_slice_by_box(cl, t), (fan.rays, t)
+            compared += 1
+    assert compared == 81  # nine Fano fans; F2, F3 and the 8-ray surface are not
+    # F1: a*e + b*f with e, f of c1 = 1, 2; the box walk would scan 2.25 million
+    assert len(degree_slice(class_lattice(hirzebruch(1)), 2998)) == 1500
 
 
 def test_degree_slice_enumeration():
