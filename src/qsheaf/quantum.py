@@ -135,72 +135,89 @@ class _ResidueRing(_AnchorRing):
     resultants, 2005).  R cancels into the denominator and h0 - h1 = d + 1,
     so a row is the residue sum of p(u, 1) / prod_c q_c^(d_c(beta) + 1).
     With D the K-part of that denominator and E the rest, the sum is
-    [u^(deg D - 1)] (N * E^-1 mod D) / lc(D): one extended Euclid over Q[u],
-    and nothing is expanded in two variables.
+    [u^(deg D - 1)] (N * E^-1 mod D) / lc(D), and nothing is expanded in two
+    variables.
+
+    The arithmetic is over Z[u] with one rational scale: each q_c is kept as
+    a primitive integer list and its content, D stays integral and not
+    monic, every reduction mod D is a pseudo-division whose multiplier and
+    content go into integer accumulators, and E^-1 comes from one integer
+    pseudo-remainder sequence (Collins, JACM 1967; Brown-Traub, JACM 1971).
+    A value meets one Fraction, at the end.
     """
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
         cl, n = lin.cl, self.n
-        self._q = [_dehomogenize(q) for q in lin.q]
+        self._q = [_primitive(_dehomogenize(q)) for q in lin.q]
         for K in cl.primitive_collections:
-            if all(len(self._q[c.index]) == c.size + 1
+            if all(len(self._q[c.index][0]) == c.size + 1
                    for c in cl.classes_of(K.edges) if h0(c.d(anchor))):
                 break
         else:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d}: u = oo is a root of both collections")
         self._k = cl.classes_of(K.edges)
-        # rho_A(u^a) for a = 0, 1, ...: step u^a * E^-1 mod D, one Euclid for all a
-        d, lead, r = self._residue_parts([h0(c.d(anchor)) for c in cl.equiv], [1])
-        for a in range(n + 1):
-            top = _coefficient(r, len(d) - 2)
-            if top:
-                break
-            r = _urem([0] + r, d)
-        else:
+        # rho_A(u^a) = [u^(deg D - 1)] u^a * N * E^-1 mod D for N = 1: u^a * r
+        # needs no reduction while its top coefficient is 0, so the least a
+        # with rho_A(u^a) != 0 is the number of leading zeros of r
+        d, r, top, bottom = self._residue_parts([h0(c.d(anchor)) for c in cl.equiv], [1])
+        a = len(d) - 1 - len(r)
+        if not r or a > n:
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
         self.generator = Polynomial(cl.pic_rank, 0,
                                     {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
-        self._norm = top / lead  # rho_A(generator)
+        self._norm = Fraction(top * r[-1], bottom)  # rho_A(generator)
 
     def _residue_parts(self, exponents: list, numerator: list) -> tuple:
-        """(D / lc(D), lc(D), N * E^-1 mod D) for numerator * prod_c
-        q_c^-exponents[c]: D is the K-part of its denominator, E the rest,
-        and N the numerator with the factors of exponent < 0 folded in.
-        Every product is taken one factor q_c at a time; sector(lin, anchor) in
-        __init__ keeps deg D, and so the number of factors, at most 1000."""
+        """(D, r, top, bottom) for numerator * prod_c q_c^-exponents[c], with
+        the residue sum top / bottom * [u^(deg D - 1)] r.  D is the primitive
+        K-part of its denominator and E the rest; r is N * E^-1 mod D up to
+        that scale, N the numerator with the factors of exponent < 0 folded
+        in.  Every product is taken one factor q_c at a time; sector(lin,
+        anchor) in __init__ keeps deg D, and so the number of factors, at
+        most 1000."""
         d = [1]
-        for c in self._k:
-            for _ in range(exponents[c.index]):
-                d = _umul(d, self._q[c.index])
+        for cls in self._k:
+            for _ in range(exponents[cls.index]):
+                d = _umul(d, self._q[cls.index][0])
         if len(d) == 1:
-            return d, Fraction(d[0]), []  # no pole, so the residue sum is 0
-        lead = Fraction(d[-1])
-        if lead != 1:
-            d = [x / lead for x in d]
-        num, den = _urem(numerator, d), [1]
-        for c in self.lin.cl.equiv:
-            q, e = self._q[c.index], exponents[c.index]
+            return d, [], 0, 1  # no pole, so the residue sum is 0
+        num, scale = _primitive(numerator)
+        top, bottom = scale.numerator, scale.denominator * d[-1]
+        num, c, m = _reduce(num, d)
+        top, bottom = top * c, bottom * m
+        den = [1]
+        for cls in self.lin.cl.equiv:
+            (q, scale), e = self._q[cls.index], exponents[cls.index]
+            # q_c^-e = scale^-e * q^-e: the scale leaves as an integer ratio
+            if e < 0:
+                top, bottom = top * scale.numerator ** -e, bottom * scale.denominator ** -e
+            else:
+                top, bottom = top * scale.denominator ** e, bottom * scale.numerator ** e
             for _ in range(-e):
-                num = _urem(_umul(num, q), d)
-            if c not in self._k:
+                num, c, m = _reduce(_umul(num, q), d)
+                top, bottom = top * c, bottom * m
+            if cls not in self._k:
                 for _ in range(e):
-                    den = _urem(_umul(den, q), d)
-        inverse = _uinverse(den, d)
+                    den, c, m = _reduce(_umul(den, q), d)
+                    top, bottom = top * m, bottom * c
+        inverse = _inverse(den, d)
         if inverse is None:
             raise AnchorDegenerate(
                 f"anchor sector of {self.anchor.d}: the generators of its two "
                 "collections share a root")
-        return d, lead, _urem(_umul(num, inverse), d)
+        s, g = inverse
+        r, c, m = _reduce(_umul(num, s), d)
+        return d, r, top * c, bottom * m * g
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        d, lead, r = self._residue_parts([c.d(beta) + 1 for c in self.lin.cl.equiv],
-                                         _dehomogenize(p))
-        return _coefficient(r, len(d) - 2) / lead / self._norm
+        d, r, top, bottom = self._residue_parts(
+            [c.d(beta) + 1 for c in self.lin.cl.equiv], _dehomogenize(p))
+        return Fraction(top * _coefficient(r, len(d) - 2), bottom) / self._norm
 
 
-# ---- one-variable polynomials over Q: dense lists, lowest coefficient first --
+# ---- one-variable polynomials over Z: dense lists, lowest coefficient first --
 
 def _dehomogenize(p: Polynomial) -> list:
     """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
@@ -210,8 +227,17 @@ def _dehomogenize(p: Polynomial) -> list:
     return out
 
 
-def _coefficient(a: list, k: int) -> Fraction:
-    return Fraction(a[k]) if 0 <= k < len(a) else Fraction(0)
+def _primitive(a: list) -> tuple:
+    """(b, s): a = s * b for a list a of ints and Fractions, b an integer list
+    of content 1 (or empty) and s > 0 rational."""
+    den = math.lcm(*(x.denominator for x in a))
+    b = [x.numerator * (den // x.denominator) for x in a]
+    g = math.gcd(*b) or 1
+    return [x // g for x in b], Fraction(g, den)
+
+
+def _coefficient(a: list, k: int) -> int:
+    return a[k] if 0 <= k < len(a) else 0
 
 
 def _trim(a: list) -> list:
@@ -239,35 +265,61 @@ def _umul(a: list, b: list) -> list:
     return out
 
 
-def _udivmod(a: list, b: list) -> tuple:
-    """Quotient and remainder of a by a nonzero b."""
-    n = len(b) - 1
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(m, q, r) with m * a = q * b + r and deg r < deg b, for integer lists
+    and a trimmed nonzero b.  m > 0 is the product of the factors of lc(b)
+    that each eliminated leading coefficient needed, not lc(b)^(deg a -
+    deg b + 1)."""
+    n, lc = len(b) - 1, b[-1]
     a = list(a)
-    q = [0] * max(len(a) - n, 0)
-    inv = 1 if b[-1] == 1 else Fraction(1) / b[-1]
+    steps = []  # (quotient coefficient, multiplier), top step first
     for k in range(len(a) - 1, n - 1, -1):
-        c = q[k - n] = a[k] * inv
-        if c:
+        x = a[k]
+        if not x:
+            steps.append((0, 1))
+            continue
+        g = math.gcd(x, lc) if lc > 0 else -math.gcd(x, lc)
+        f, c = lc // g, x // g  # f * x = c * lc, f > 0
+        if f != 1:
+            for i in range(k - n):
+                a[i] *= f
+            for j in range(n):
+                a[k - n + j] = f * a[k - n + j] - c * b[j]
+        else:
             for j in range(n):
                 a[k - n + j] -= c * b[j]
-    return _trim(q), _trim(a[:n])
+        steps.append((c, f))
+    # a later step's multiplier scales every earlier quotient coefficient
+    q, m = [], 1
+    for c, f in reversed(steps):
+        q.append(c * m)
+        m *= f
+    return m, _trim(q), _trim(a[:n])
 
 
-def _urem(a: list, d: list) -> list:
-    """a mod a monic d."""
-    return _udivmod(a, d)[1]
+def _reduce(a: list, d: list) -> tuple:
+    """(r, c, m) with a = c / m * r mod d, r primitive (or empty)."""
+    m, _, r = _pseudo_divmod(a, d)
+    c = math.gcd(*r) or 1
+    return ([x // c for x in r] if c != 1 else r), c, m
 
 
-def _uinverse(e: list, d: list) -> Optional[list]:
-    """s with s * e = 1 mod d, for d of degree >= 1 and e reduced mod d, by
-    the extended Euclidean algorithm; None when e and d share a root."""
+def _inverse(e: list, d: list) -> Optional[tuple]:
+    """(s, g) with s * e = g mod d and g a nonzero int, for integer lists, d
+    of degree >= 1 and deg e < deg d, by a pseudo-remainder sequence that
+    carries the cofactor of e and divides each remainder and its cofactor by
+    their common content; None when e and d share a root."""
     r0, r1, s0, s1 = d, e, [], [1]
     while len(r1) > 1:
-        q, r = _udivmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, _usub(s0, _umul(q, s1))
+        m, q, r = _pseudo_divmod(r0, r1)
+        s = _usub([m * x for x in s0], _umul(q, s1))
+        c = math.gcd(*r, *s)
+        if c > 1:
+            r, s = [x // c for x in r], [x // c for x in s]
+        r0, r1, s0, s1 = r1, r, s1, s
     if not r1:
         return None
-    return [Fraction(x) / r1[0] for x in s1]
+    return s1, r1[0]
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,

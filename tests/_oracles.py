@@ -245,3 +245,120 @@ def degree_slice_by_box(cl, t):
         if beta.c1() == t and cl.is_effective(beta):
             found.append(beta)
     return tuple(sorted(found, key=lambda b: b.d))
+
+
+# ---- the Picard rank <= 2 residue functional over Q[u], in Fractions --------
+# The route qsheaf.quantum._ResidueRing took before its integer kernel: monic
+# D, Fraction long division and an extended Euclid over Q[u].  One-variable
+# polynomials are dense lists, lowest coefficient first.
+
+def utrim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def uproduct(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def udivmod(a, b):
+    """Quotient and remainder of a by a nonzero b, over Q."""
+    n = len(b) - 1
+    a = list(a)
+    q = [0] * max(len(a) - n, 0)
+    inv = Fraction(1) / b[-1]
+    for k in range(len(a) - 1, n - 1, -1):
+        c = q[k - n] = a[k] * inv
+        if c:
+            for j in range(n):
+                a[k - n + j] -= c * b[j]
+    return utrim(q), utrim(a[:n])
+
+
+def urem(a, d):
+    return udivmod(a, d)[1]
+
+
+def uinverse(e, d):
+    """s with s * e = 1 mod d, for d of degree >= 1 and e reduced mod d, by
+    the extended Euclidean algorithm over Q; None when e and d share a root."""
+    r0, r1, s0, s1 = d, e, [], [1]
+    while len(r1) > 1:
+        q, r = udivmod(r0, r1)
+        s = list(s0) + [0] * max(len(s1) + len(q) - 1 - len(s0), 0)
+        for i, y in enumerate(uproduct(q, s1)):
+            s[i] -= y
+        r0, r1, s0, s1 = r1, r, s1, utrim(s)
+    if not r1:
+        return None
+    return [Fraction(x) / r1[0] for x in s1]
+
+
+def _at_u(p):
+    """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
+    out = [Fraction(0)] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
+    for (e, _), c in p.terms.items():
+        out[e[0]] = Fraction(c)
+    return out
+
+
+class ResidueReference:
+    """The anchor functional of a Picard rank <= 2 sector ring as a residue
+    sum over Q[u]: the generator psi1^a psi2^(n - a) with the least a whose
+    residue is nonzero, norm = rho_A(generator), and scalar(p, beta) the row
+    of an insertion in a sector the anchor dominates.  Degenerate anchors
+    raise AssertionError; the typed errors are the package's to check."""
+
+    def __init__(self, lin, anchor):
+        from qsheaf.lattice import h0
+        from qsheaf.sectors import sector
+        cl = lin.cl
+        self.lin, self.q = lin, [_at_u(q) for q in lin.q]
+        n = sector(lin, anchor).n_beta
+        self.k = next(cl.classes_of(K.edges) for K in cl.primitive_collections
+                      if all(len(self.q[c.index]) == c.size + 1
+                             for c in cl.classes_of(K.edges) if h0(c.d(anchor))))
+        d, lead, r = self._parts([h0(c.d(anchor)) for c in cl.equiv], [Fraction(1)])
+        for a in range(n + 1):
+            top = r[len(d) - 2] if 0 <= len(d) - 2 < len(r) else 0
+            if top:
+                break
+            r = urem([0] + r, d)
+        else:
+            raise AssertionError("top dimension 0")
+        self.generator = Polynomial(cl.pic_rank, 0,
+                                    {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
+        self.norm = Fraction(top) / lead
+
+    def _parts(self, exponents, numerator):
+        d = [Fraction(1)]
+        for c in self.k:
+            for _ in range(exponents[c.index]):
+                d = uproduct(d, self.q[c.index])
+        if len(d) == 1:
+            return d, d[0], []
+        lead = d[-1]
+        d = [x / lead for x in d]
+        num, den = urem(numerator, d), [Fraction(1)]
+        for c in self.lin.cl.equiv:
+            q, e = self.q[c.index], exponents[c.index]
+            for _ in range(-e):
+                num = urem(uproduct(num, q), d)
+            if c not in self.k:
+                for _ in range(e):
+                    den = urem(uproduct(den, q), d)
+        inverse = uinverse(den, d)
+        assert inverse is not None, "the two collections share a root"
+        return d, lead, urem(uproduct(num, inverse), d)
+
+    def scalar(self, p, beta):
+        d, lead, r = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv], _at_u(p))
+        top = r[len(d) - 2] if 0 <= len(d) - 2 < len(r) else 0
+        return Fraction(top) / lead / self.norm

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     beta_K, build_fan, class_lattice, correlator_sector,
@@ -23,7 +25,8 @@ from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
-from _oracles import degree_slice_by_box
+from _oracles import (ResidueReference, degree_slice_by_box, uinverse, uproduct, urem,
+                      utrim)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, deformed_p1_power,
                       deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
                       p1_power, p1xp1_fan, p2_fan, tangent_setup)
@@ -540,6 +543,66 @@ def test_residue_ring_matches_groebner_ring(cl, lin, t_max):
     assert checked
 
 
+def _deformed_f1():
+    """F1 with rational entries: Q_c of the exceptional class D3 is
+    1/3 psi1 + 2/3 psi2, and d_c(beta) <= -2 at beta = 2E, so that Q_c
+    enters a row's numerator with its rational content."""
+    cl = class_lattice(hirzebruch(1))
+    raw = [(0, (0, 0), "D1"), (1, (0, 0), "D2"), (2, (0, 0), "D3 + 2/3*D1"),
+           (3, (0, 0), "D4"), (0, (-1, 0), "4/7*D3"), (1, (1, 0), "-1/2*D3")]
+    return cl, linear_part(cl, parse_deformation(cl, raw))
+
+
+def _reference_ladder():
+    """(cl, lin, slices), with an id, for the integer kernel's comparison
+    with the Fraction reference route: the deformed draws, every circulant
+    epsilon magnitude of the benchmark with both signs, tangent and deformed
+    F1, and tangent Bl_pt P^3."""
+    cases = [pytest.param(*deformed_p1_power(2, random.Random(seed)), range(17),
+                          id=f"dP1^2 seed {seed}") for seed in (0, 1)]
+    cases.append(pytest.param(*deformed_p1_power(2, random.Random(0)), (24,),
+                              id="dP1^2 seed 0 t=24"))
+    magnitudes = [Fraction(p, q) for q in (2, 3, 5, 7) for p in (1, 2, 3) if p < q]
+    cases += [pytest.param(*_circulant_p2(eps), range(10), id=f"circulant P2 {eps}")
+              for m in magnitudes for eps in (m, -m)]
+    model = load_model(os.path.join(MODELS, "p1xp1_deformed.json"))
+    cases.append(pytest.param(model.cl, model.lin, range(9), id="p1xp1_deformed.json"))
+    cases.append(pytest.param(*tangent_setup(hirzebruch(1)), range(9), id="F1"))
+    cases.append(pytest.param(*_deformed_f1(), range(7), id="deformed F1"))
+    cases.append(pytest.param(*tangent_setup(blowup_p3_point()), range(7), id="BlptP3"))
+    return cases
+
+
+@pytest.mark.parametrize("cl, lin, slices", _reference_ladder())
+def test_residue_ring_matches_fraction_reference(cl, lin, slices):
+    from qsheaf.quantum import _ResidueRing
+
+    L = sum(d_symbols(cl))
+    checked = 0
+    for t in slices:
+        window = _slice(cl, t)
+        if not window:
+            continue
+        anchor = find_anchor(cl, list(window))
+        ring, ref = _ResidueRing(lin, anchor), ResidueReference(lin, anchor)
+        assert ring.generator == ref.generator, t
+        assert Fraction(ring._norm) == ref.norm, t
+        n = cl.fan.rank + t
+        probes = [L ** n, Polynomial.variable(cl.pic_rank, 0) ** n]
+        if t <= 6 and cl.pic_rank == 2:  # every monomial of degree n
+            probes += [Polynomial(2, 0, {((a, n - a), ()): 1}) for a in range(n)]
+        for beta in window:
+            for p in probes:
+                value, reason = ring.row(p, beta)
+                assert type(value) is Fraction
+                if reason == "ok":
+                    assert value == ref.scalar(p, beta), (t, beta.d, p)
+                    checked += 1
+                else:
+                    assert value == 0
+    assert checked
+
+
 def test_residue_ring_refuses_what_the_groebner_ring_refuses():
     from qsheaf import AnchorDegenerate
     from qsheaf.quantum import _GroebnerRing, _ResidueRing
@@ -561,6 +624,77 @@ def test_residue_ring_refuses_what_the_groebner_ring_refuses():
     for make in (_ResidueRing, _GroebnerRing):
         with pytest.raises(qsheaf.sectors.NotDominating):
             make(lin, small).row(p, beta)
+
+
+def test_shared_root_text_is_unchanged():
+    from qsheaf import AnchorDegenerate
+    from qsheaf.quantum import _ResidueRing
+
+    cl, lin = deformed_p1_power(2, random.Random(2))  # Q_2 = 3 Q_1
+    with pytest.raises(AnchorDegenerate) as exc:
+        _ResidueRing(lin, find_anchor(cl, [cl.zero_curve]))
+    assert str(exc.value) == ("anchor sector of (1, 1, 1, 1): the generators of its "
+                              "two collections share a root")
+
+
+# ---- the integer one-variable kernel against Fraction arithmetic ------------
+
+_HUGE = 2 ** 200
+_coefficients = st.one_of(st.integers(-9, 9),
+                          st.integers(_HUGE - 2 ** 16, _HUGE + 2 ** 16),
+                          st.integers(-_HUGE - 2 ** 16, -_HUGE + 2 ** 16))
+
+
+@st.composite
+def _upolys(draw, min_degree, max_degree):
+    """Integer lists of degree min..max, lowest coefficient first; the lead
+    is +-1, small or near +-2^200."""
+    degree = draw(st.integers(min_degree, max_degree))
+    lead = draw(st.one_of(st.sampled_from((1, -1)), _coefficients.filter(bool)))
+    return draw(st.lists(_coefficients, min_size=degree, max_size=degree)) + [lead]
+
+
+@given(_upolys(0, 12), _upolys(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_pseudo_division_identity(a, b):
+    from qsheaf.quantum import _pseudo_divmod
+
+    m, q, r = _pseudo_divmod(a, b)
+    assert len(r) < len(b) and (not r or r[-1])
+    total = uproduct(q, b) + [0] * len(a)
+    for i, x in enumerate(r):
+        total[i] += x
+    assert utrim([m * x for x in a]) == utrim(total)
+    # m is made of factors of lc(b), never more than lc(b)^(deg a - deg b + 1)
+    assert m > 0 and b[-1] ** max(len(a) - len(b) + 1, 0) % m == 0
+
+
+@given(_upolys(1, 12), _upolys(0, 11))
+@settings(max_examples=50, deadline=None)
+def test_inverse_identity(d, e):
+    from qsheaf.quantum import _inverse
+
+    e = utrim(e[:len(d) - 1])
+    found, expected = _inverse(e, d), uinverse(e, d)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        s, g = found
+        assert type(g) is int and g != 0
+        residue = uproduct(s, e) or [0]
+        residue[0] -= g
+        assert not urem(residue, d)  # s * e = g mod d
+        assert utrim([Fraction(x, g) for x in s]) == expected
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_refuses_a_shared_factor(data):
+    from qsheaf.quantum import _inverse
+
+    f = data.draw(_upolys(1, 4))
+    x = data.draw(_upolys(1, 8))
+    y = data.draw(_upolys(0, len(x) - 2))
+    assert _inverse(uproduct(f, y), uproduct(f, x)) is None
 
 
 def _forbid(monkeypatch, names, home=qsheaf.poly):
