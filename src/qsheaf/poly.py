@@ -418,21 +418,50 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     return Polynomial(p.nv, p.nq, remainder)
 
 
-def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], int | Fraction]:
-    """value(m): the coefficient of the monomial top in NF(m), for a monomial
-    m of top's degree whose graded piece top spans alone.
+class _Packing:
+    """Nonnegative exponent vectors as ints (Monagan-Pearce, CASC 2007): a
+    w-bit field per variable, its top bit a guard kept 0.  Every entry up to
+    `limit`, at least the limit asked for, fits; a larger one raises and
+    never wraps.  A product of fitting vectors is the sum of their ints, and
+    a divides b when no field of (b | guard) - a borrows its guard bit."""
 
-    A normal form is linear and unique (CLO ch. 2 §6), so each monomial is
-    reduced once, by the first basis element whose lead divides it, and its
-    value is memoized for the life of the returned function.  The walk keeps
-    an explicit stack; meeting a standard monomial other than top raises
-    PolyError.
-    """
-    rules = [(g.leading_monomial(), g) for g in gb.polys if g]
-    memo = {top: 1}
+    def __init__(self, nv: int, limit: int):
+        width = max(limit, 1).bit_length() + 1
+        self.limit, self._shifts = (1 << width - 1) - 1, range(0, nv * width, width)
+        self.guard = sum(1 << s + width - 1 for s in self._shifts)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        if max(exps, default=0) > self.limit:
+            raise PolyError(f"exponent above the packing limit {self.limit} in {exps}")
+        return sum(map(operator.lshift, exps, self._shifts))
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(key >> s & self.limit for s in self._shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+
+def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
+    """(value, pack): value(pack(m)) is the coefficient of the psi monomial
+    top in NF(m), for psi exponents m of top's degree whose graded piece top
+    spans alone, and gb Novikov-free.  pack is a _Packing sized to top's
+    degree; each basis element that can divide such an m is packed once.  A
+    normal form is linear and unique (CLO ch. 2 §6), so each monomial is
+    reduced once, by the first element whose lead divides it, and memoized
+    for the life of value.  The walk keeps an explicit stack; meeting a
+    standard monomial other than top raises PolyError."""
+    degree = sum(top)
+    packing = _Packing(gb.nv, degree)
+    pack, divides = packing.pack, packing.divides
+    leads = [(g.leading_monomial()[0], g) for g in gb.polys]
+    rules = [(pack(lm), g.leading_coefficient(),
+              [(pack(m), c) for (m, _), c in g.terms.items() if m != lm])
+             for lm, g in leads if sum(lm) <= degree]
+    memo = {pack(top): 1}
     tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
 
-    def value(mon: tuple) -> int | Fraction:
+    def value(mon: int) -> int | Fraction:
         if mon in memo:
             return memo[mon]
         stack = [mon]
@@ -442,14 +471,12 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], int | Fra
                 stack.pop()
                 continue
             if m not in tails:
-                for lm, g in rules:
-                    if _mon_divides(lm, m):
+                for lm, lc, tail in rules:
+                    if divides(lm, m):
                         break
                 else:
-                    raise PolyError(f"standard monomial {m} other than {top}")
-                shift = _mon_div(m, lm)
-                tails[m] = ([(_mon_mul(shift, m2), c2) for m2, c2 in g.terms.items()
-                             if m2 != lm], g.terms[lm])
+                    raise PolyError(f"standard monomial {packing.unpack(m)} other than {top}")
+                tails[m] = ([(m - lm + t, c) for t, c in tail], lc)
             tail, lc = tails[m]
             missing = [t for t, _ in tail if t not in memo]
             if missing:
@@ -460,7 +487,7 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> Callable[[tuple], int | Fra
             stack.pop()
         return memo[mon]
 
-    return value
+    return value, pack
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
                       find_anchor, h0, h1)
-from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, _mon_mul,
-                   monomial_str, normal_form, signed_sum, sole_generator,
-                   standard_monomials, top_functional)
+from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, monomial_str,
+                   normal_form, signed_sum, sole_generator, standard_monomials,
+                   top_functional)
 from .deform import LinearData
 from .sectors import NotDominating, sector, sector_gb, transition
 
@@ -48,10 +48,10 @@ class _AnchorRing:
 
     The ring's top graded piece is one-dimensional, so a row is one nonzero
     linear functional of R * p * F_beta, divided by its value on the
-    generator.  `row` runs every check of a row once, for both rings; each
-    ring only computes its functional.  Picard rank <= 2 reads it off
-    one-variable residues (_ResidueRing); higher rank reduces by the anchor's
-    Groebner basis (_GroebnerRing), which stays the reference at every rank.
+    generator.  `row` runs every row check for both rings, reading an
+    insertion's own facts once per ring; a ring only computes its functional:
+    one-variable residues at Picard rank <= 2 (_ResidueRing), else the anchor's
+    Groebner basis (_GroebnerRing), the reference at every rank.
     """
 
     def __new__(cls, lin: LinearData, anchor: CurveClass):
@@ -66,15 +66,18 @@ class _AnchorRing:
         if not sec.nonempty:
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
         self.n = sec.n_beta
+        self._degrees = {}  # insertion p in Sym*W -> its psi degree
 
     def row(self, p: Polynomial, beta: CurveClass):
         """Correlator scalar of p in sector beta and a reason tag ('ok',
         'degree', 'empty', 'ineffective').  Raises for an insertion outside
         Sym*W or a non-dominating anchor."""
         lin, cl, anchor = self.lin, self.lin.cl, self.anchor
-        if not p.is_psi_homogeneous() or p.has_q():
-            raise QuantumError("correlator insertions must be homogeneous in Sym*W")
-        if p.psi_degree() != beta.c1() + cl.fan.rank:
+        if p not in self._degrees:
+            if not p.is_psi_homogeneous() or p.has_q():
+                raise QuantumError("correlator insertions must be homogeneous in Sym*W")
+            self._degrees[p] = p.psi_degree()
+        if self._degrees[p] != beta.c1() + cl.fan.rank:
             return Fraction(0), "degree"
         sec = sector(lin, beta)
         if not sec.effective:
@@ -89,37 +92,37 @@ class _AnchorRing:
 
 class _GroebnerRing(_AnchorRing):
     """A row is the coefficient of the generator in NF(R * p * F_beta), read
-    off the anchor basis's memoized top functional.  Its memos, per monomial
-    and per insertion, live as long as the ring."""
+    off the anchor basis's memoized top functional on packed monomials.  Its
+    memos, per monomial and per insertion, live as long as the ring."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
         gb = sector_gb(lin, anchor)
         monos = standard_monomials(gb, self.n)
-        gen = sole_generator(monos)
-        if gen is None:
+        self.generator = sole_generator(monos)
+        if self.generator is None:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-        self.generator = gen
-        self._value = top_functional(gb, gen.leading_monomial())
-        self._forms = {}  # insertion p -> {m: sum_m' p_m' value(m m')}
+        self._value, self._pack = top_functional(gb, monos[0])
+        self._forms = {}  # p -> (p's packed terms, {packed m: sum_m' p_m' value(m m')})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
         # R * F_beta = prod_c Q_c^((h0(d_c(A)) - h0(d_c)) + h1(d_c)), and h0 - h1 = d + 1
         f = self.lin.q_product((c, h0(c.d(self.anchor)) - c.d(beta) - 1)
                                for c in self.lin.cl.equiv)
-        form = self._forms.setdefault(p, {})
-        total = Fraction(0)
+        total, pack, value = 0, self._pack, self._value
+        if p not in self._forms:
+            self._forms[p] = ([(pack(mp), cp) for (mp, _), cp in p.terms.items()], {})
+        terms, sums = self._forms[p]
         try:
-            for m, c in f.terms.items():
-                lp = form.get(m)
-                if lp is None:
-                    lp = form[m] = sum(cp * self._value(_mon_mul(m, mp))
-                                       for mp, cp in p.terms.items())
-                total += c * lp
+            for (m, _), c in f.terms.items():
+                m = pack(m)
+                if m not in sums:
+                    sums[m] = sum(cp * value(m + mp) for mp, cp in terms)
+                total += c * sums[m]
         except PolyError:
             raise QuantumError("normal form escaped the top graded piece") from None
-        return total
+        return Fraction(total)
 
 
 class _ResidueRing(_AnchorRing):

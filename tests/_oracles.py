@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from qsheaf.lattice import beta_K, cone_facets
 from qsheaf.linalg import in_span, matrix_rank, solve_columns
-from qsheaf.poly import Polynomial
+from qsheaf.poly import Polynomial, PolyError, _div, _mon_div, _mon_divides, _mon_mul
 
 
 def monomials_of_degree(nv, d):
@@ -362,3 +362,73 @@ class ResidueReference:
         d, lead, r = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv], _at_u(p))
         top = r[len(d) - 2] if 0 <= len(d) - 2 < len(r) else 0
         return Fraction(top) / lead / self.norm
+
+
+# ---- the Picard rank >= 3 anchor functional on tuple-keyed monomials --------
+# The route qsheaf.quantum._GroebnerRing took before its packed-int kernel:
+# poly.top_functional keyed by (psi, q) exponent tuples, and rows summed
+# over the full image R * p * F_beta.
+
+def top_functional_by_tuples(gb, top):
+    """value(m): the coefficient of the monomial top in NF(m), for a monomial
+    m = (psi, q) of top's degree whose graded piece top spans alone; each
+    monomial is reduced once, by the first basis element whose lead divides
+    it, and memoized.  Meeting a standard monomial other than top raises
+    PolyError."""
+    rules = [(g.leading_monomial(), g) for g in gb.polys if g]
+    memo = {top: 1}
+    tails = {}
+
+    def value(mon):
+        if mon in memo:
+            return memo[mon]
+        stack = [mon]
+        while stack:
+            m = stack[-1]
+            if m in memo:
+                stack.pop()
+                continue
+            if m not in tails:
+                for lm, g in rules:
+                    if _mon_divides(lm, m):
+                        break
+                else:
+                    raise PolyError(f"standard monomial {m} other than {top}")
+                shift = _mon_div(m, lm)
+                tails[m] = ([(_mon_mul(shift, m2), c2) for m2, c2 in g.terms.items()
+                             if m2 != lm], g.terms[lm])
+            tail, lc = tails[m]
+            missing = [t for t, _ in tail if t not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
+            del tails[m]
+            stack.pop()
+        return memo[mon]
+
+    return value
+
+
+class GroebnerReference:
+    """The anchor functional of a sector ring read off its Groebner basis on
+    tuple-keyed monomials: the sole top-degree standard monomial as
+    generator, and scalar(p, beta) the generator's coefficient in the normal
+    form of the expanded image transition(anchor, beta) * p * F_beta, for an
+    insertion of the row's degree in a nonempty sector the anchor dominates."""
+
+    def __init__(self, lin, anchor):
+        from qsheaf.poly import sole_generator, standard_monomials
+        from qsheaf.sectors import sector, sector_gb
+        gb = sector_gb(lin, anchor)
+        monos = standard_monomials(gb, sector(lin, anchor).n_beta)
+        assert len(monos) == 1, "the anchor's top piece is not one-dimensional"
+        self.lin, self.anchor = lin, anchor
+        self.generator = sole_generator(monos)
+        self.value = top_functional_by_tuples(gb, self.generator.leading_monomial())
+
+    def scalar(self, p, beta):
+        from qsheaf.quantum import four_fermi
+        from qsheaf.sectors import transition
+        image = transition(self.lin, self.anchor, beta) * p * four_fermi(self.lin, beta)
+        return Fraction(sum(c * self.value(m) for m, c in image.terms.items()))

@@ -10,6 +10,13 @@ included, fails here.
 The JSON reports of the same commands would fill about 115 KB, so
 `golden_cli_json.sha256` keeps one line per command instead: the sha256 of
 its ``--format json`` stdout, ``exit=<code>`` and the argv.
+
+Every bundled model has Picard rank <= 2, so `golden_cli_rank3.txt` adds the
+same replay for three models under `tests/data/` (not under `models/`, which
+the benchmark's CLI batch globs) whose correlators run on the Groebner
+anchor ring: tangent (P^1)^3 at c1 <= 6, a deformed (P^1)^3 with fixed
+rational epsilon at c1 <= 4 and dP3, the hexagon fan, at c1 <= 1, each with
+its polymology and qsr reports.
 """
 
 import hashlib
@@ -20,11 +27,12 @@ from qsheaf.cli import run
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.txt")
+GOLDEN_RANK3 = os.path.join(os.path.dirname(__file__), "golden_cli_rank3.txt")
 GOLDEN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_json.sha256")
 
 
-def test_golden_cli_reports(capsys):
-    with open(GOLDEN, "rb") as fh:
+def _replay_text(path, capsys):
+    with open(path, "rb") as fh:
         recorded = fh.read().decode("utf-8")
     replayed = []
     for header in re.findall(r"^### exit=\d+ (.*)$", recorded, re.M):
@@ -32,6 +40,14 @@ def test_golden_cli_reports(capsys):
         got = run([argv[0], os.path.join(ROOT, argv[1])] + argv[2:])
         replayed.append(f"### exit={got} {' '.join(argv)}\n{capsys.readouterr().out}")
     assert "".join(replayed) == recorded
+
+
+def test_golden_cli_reports(capsys):
+    _replay_text(GOLDEN, capsys)
+
+
+def test_golden_cli_rank3_reports(capsys):
+    _replay_text(GOLDEN_RANK3, capsys)
 
 
 def test_golden_cli_json_digests(capsys):

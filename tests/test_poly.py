@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
                          quotient_dims, standard_monomials, top_functional)
+from qsheaf.poly import _mon_divides, _mon_mul, _Packing
 
 from _oracles import ideal_member_oracle, leibniz_det, monomials_of_degree
 from conftest import (all_fans, deformed_p1_power, hirzebruch, p1_power,
@@ -321,8 +323,8 @@ def test_coefficients_stay_canonical(a, seed):
     _assert_canonical(*gb.polys, normal_form(a * b, gb), normal_form(b, [b + x]))
     if b:
         _assert_canonical(*groebner(Ideal((b, x ** 3, y ** 4))).polys)
-    value = top_functional(gb, ((1, 2), ()))
-    values = [value((exps, ())) for exps in monomials_of_degree(2, 3)]
+    value, pack = top_functional(gb, (1, 2))
+    values = [value(pack(exps)) for exps in monomials_of_degree(2, 3)]
     assert all(map(_canonical, values)), values
     d_syms = [Polynomial.linear(2, (1, 0)), Polynomial.linear(2, (0, 1))]
     text = " + ".join(f"{_literal(c)}*D1^{e0}*D2^{e1}" for ((e0, e1), _), c in b.terms.items())
@@ -545,22 +547,49 @@ def _anchor_top_pieces():
         sec = sector(lin, find_anchor(cl, degree_slice(cl, t)))
         gb = groebner(Ideal(sector_ideal(lin, sec.beta)))
         (top,) = standard_monomials(gb, sec.n_beta)
-        yield gb, (top, ()), sec.n_beta
+        yield gb, top, sec.n_beta
 
 
 def test_top_functional_matches_normal_form():
     for gb, top, degree in _anchor_top_pieces():
-        value = top_functional(gb, top)
+        value, pack = top_functional(gb, top)
         for exps in monomials_of_degree(gb.nv, degree):
             nf = normal_form(Polynomial(gb.nv, 0, {(exps, ()): 1}), gb)
-            assert set(nf.terms) <= {top}
-            assert value((exps, ())) == nf.terms.get(top, 0), (exps, top)
+            assert set(nf.terms) <= {(top, ())}
+            assert value(pack(exps)) == nf.terms.get((top, ()), 0), (exps, top)
 
 
 def test_top_functional_refuses_a_piece_top_does_not_span():
     # x^2 - y^2 leads with x^2, so degree 2 keeps x*y and y^2 standard
     gb = groebner(Ideal((x * x - y * y,)))
-    value = top_functional(gb, ((0, 2), ()))
-    assert value(((2, 0), ())) == 1  # x^2 reduces to the top monomial y^2
+    value, pack = top_functional(gb, (0, 2))
+    assert value(pack((2, 0))) == 1  # x^2 reduces to the top monomial y^2
     with pytest.raises(PolyError, match="standard monomial"):
-        value(((1, 1), ()))
+        value(pack((1, 1)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packing_adds_divides_and_refuses_overflow(data):
+    nv = data.draw(st.integers(1, 6))
+    asked = data.draw(st.integers(0, 70))
+    packing = _Packing(nv, asked)
+    limit = packing.limit
+    assert limit >= asked
+    vector = st.lists(st.integers(0, limit), min_size=nv, max_size=nv).map(tuple)
+    a, b = data.draw(vector), data.draw(vector)
+    c = tuple(data.draw(st.integers(0, e)) for e in a)  # c divides a
+    d = tuple(min(y, limit - x) for x, y in zip(a, b))  # a * d still fits
+    vectors = [a, b, c, d, tuple(map(operator.add, a, d))]
+    for e in vectors:
+        assert packing.unpack(packing.pack(e)) == e
+    (ad, _) = _mon_mul((a, ()), (d, ()))
+    assert packing.pack(a) + packing.pack(d) == packing.pack(ad)
+    assert packing.pack(c) + packing.pack(tuple(map(operator.sub, a, c))) == packing.pack(a)
+    for u in vectors:
+        for v in vectors:
+            assert (packing.divides(packing.pack(u), packing.pack(v))
+                    == _mon_divides((u, ()), (v, ()))), (u, v)
+    i = data.draw(st.integers(0, nv - 1))
+    with pytest.raises(PolyError, match="packing limit"):
+        packing.pack(a[:i] + (limit + 1,) + a[i + 1:])

@@ -25,8 +25,8 @@ from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
-from _oracles import (ResidueReference, degree_slice_by_box, uinverse, uproduct, urem,
-                      utrim)
+from _oracles import (GroebnerReference, ResidueReference, degree_slice_by_box,
+                      monomials_of_degree, uinverse, uproduct, urem, utrim)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, deformed_p1_power,
                       deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
                       p1_power, p1xp1_fan, p2_fan, tangent_setup)
@@ -472,6 +472,76 @@ def test_series_rows_read_off_the_top_functional(monkeypatch):
         nf = normal_form(image, gb)
         assert set(nf.terms) <= {gen}
         assert row.scalar == nf.terms.get(gen, 0)
+
+
+# ---- Picard rank >= 3: packed monomials against the tuple-keyed reference ----
+
+def _high_rank_ladder():
+    """(cl, lin, largest t), with an id, for the Groebner ring's comparison
+    with the tuple-keyed reference route."""
+    cases = [pytest.param(*tangent_setup(p1_power(3)), 6, id="P1^3"),
+             pytest.param(*tangent_setup(p1_power(4)), 4, id="P1^4")]
+    cases += [pytest.param(*deformed_p1_power(3, random.Random(seed)), 2,
+                           id=f"dP1^3 seed {seed}") for seed in (0, 1, 2)]
+    cases.append(pytest.param(*tangent_setup(hexagon()), 1, id="dP3"))
+    return cases
+
+
+@pytest.mark.parametrize("cl, lin, t_max", _high_rank_ladder())
+def test_groebner_ring_matches_tuple_reference(cl, lin, t_max):
+    from qsheaf.quantum import _GroebnerRing
+
+    assert cl.pic_rank >= 3
+    divisors = d_symbols(cl)
+    L, W = sum(divisors), sum((k + 1) * D for k, D in enumerate(divisors))
+    checked = 0
+    for t in range(t_max + 1):
+        window = degree_slice(cl, t)
+        if not window:
+            continue
+        anchor = find_anchor(cl, list(window))
+        ring, ref = _AnchorRing(lin, anchor), GroebnerReference(lin, anchor)
+        assert type(ring) is _GroebnerRing
+        assert ring.generator == ref.generator, t
+        n = cl.fan.rank + t
+        probes = [L ** n, W ** n]
+        if t <= 1:  # every monomial of degree n, which spans the insertions
+            probes += [Polynomial(cl.pic_rank, 0, {(e, ()): 1})
+                       for e in monomials_of_degree(cl.pic_rank, n)]
+        for beta in window:
+            for p in probes:
+                value, reason = ring.row(p, beta)
+                assert type(value) is Fraction
+                if reason == "ok":
+                    assert value == ref.scalar(p, beta), (t, beta.d, p)
+                    checked += 1
+                else:
+                    assert value == 0
+    assert checked
+
+
+@pytest.mark.parametrize("setup", [pytest.param(lambda: tangent_setup(p1_power(3)), id="P1^3"),
+                                   pytest.param(lambda: tangent_setup(hirzebruch(1)), id="F1")])
+def test_row_checks_keep_their_order(setup):
+    from qsheaf import QuantumError
+    from qsheaf.poly import PolyError
+
+    cl, lin = setup()
+    window = degree_slice(cl, 2)
+    ring = _AnchorRing(lin, find_anchor(cl, list(window)))
+    n = cl.fan.rank + 2
+    # an insertion from a ring with one more variable: a row refused by
+    # degree never looks at its ring, a row that reaches the functional does
+    other = sum(Polynomial.variable(cl.pic_rank + 1, i) for i in range(cl.pic_rank + 1))
+    for _ in range(2):  # the insertion's facts are read once, the checks run every time
+        assert ring.row(other ** (n - 1), window[0]) == (0, "degree")
+        with pytest.raises(PolyError) as exc:
+            ring.row(other ** n, window[0])
+        assert str(exc.value) == "mixing polynomials from different rings"
+        mixed = other ** n + other
+        with pytest.raises(QuantumError, match="homogeneous in Sym"):
+            ring.row(mixed, window[0])
+    assert ring.row(sum(d_symbols(cl)) ** n, window[0])[1] == "ok"
 
 
 # ---- Picard rank <= 2: residues against the anchor ring's Groebner basis ----
