@@ -15,8 +15,11 @@ Every bundled model has Picard rank <= 2, so `golden_cli_rank3.txt` adds the
 same replay for three models under `tests/data/` (not under `models/`, which
 the benchmark's CLI batch globs) whose correlators run on the Groebner
 anchor ring: tangent (P^1)^3 at c1 <= 6, a deformed (P^1)^3 with fixed
-rational epsilon at c1 <= 4 and dP3, the hexagon fan, at c1 <= 1, each with
-its polymology and qsr reports.
+rational epsilon at c1 <= 4 and dP3, the hexagon fan, at c1 <= 1.  Each model
+also replays its analyze, polymology, qsr and ``verify --all --grid 2``
+reports.  dP3's Mori cone is not simplicial, so its generator numbering (and
+every Mori coordinate in its reports) rests on the rule that generators
+equal to some beta_K come first.
 """
 
 import hashlib
