@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import cache
 from .fan import FanError
-from .lattice import LatticeError, beta_K, effective_cones_coincide, find_anchor
+from .lattice import LatticeError, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import DeformError, d_symbols, local_freeness_check, polymology
 from .sectors import SectorError, sector, sector_ideal
@@ -52,8 +52,6 @@ def _beta_dict(cl, beta) -> dict:
 
 def _display_poly(cl, p: Polynomial) -> str:
     """Render with Novikov exponents in Mori coordinates when possible."""
-    if p.nq == 0 or not p.has_q():
-        return p.to_str()
     try:
         to_mori, _ = mori_change_of_basis(cl)
     except UnsupportedNovikovShape:
@@ -84,8 +82,7 @@ def cmd_analyze(model: Model, args) -> tuple:
     verdict = local_freeness_check(cl, model.deformation, trials=trials)
     coincide = effective_cones_coincide(cl)
     bk_rows = []
-    for K in cl.primitive_collections:
-        bk, kminus = beta_K(cl, K)
+    for K, (bk, kminus) in cl.primitive_relations.items():
         bk_rows.append({
             "collection": list(K.edges),
             "beta": _beta_dict(cl, bk),
@@ -299,11 +296,8 @@ def cmd_verify(model: Model, args) -> tuple:
         window = effective_window(cl, grid, coeff_bound=grid)
     else:
         window = tuple(sorted({cl.zero_curve, *cl.mori}, key=lambda b: b.d))
-    cases = []
-    for K in cl.primitive_collections:
-        bk, _ = beta_K(cl, K)
-        for beta in window:
-            cases.append((K, bk, beta))
+    cases = [(K, bk, beta) for K, (bk, _) in cl.primitive_relations.items()
+             for beta in window]
     rng = random.Random(20240)
     expand_idx = set()
     if args.all and cases:

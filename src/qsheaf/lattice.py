@@ -153,6 +153,48 @@ class ClassLattice:
         return primitive_collections(self.fan)
 
     @cached_property
+    def primitive_relations(self) -> dict:
+        """K -> (beta_K, [K^-]) for every primitive collection K, in
+        collection order: Batyrev's primitive relation of K.
+
+        Locates the sum of the rays of K inside the fan; the located cone's
+        rays carry the (necessarily integral, necessarily positive)
+        coefficients and contribute the multiset [K^-] of equivalence classes
+        with multiplicity -d_c.  Linearly equivalent rays of the located cone
+        are checked to carry identical coefficients.
+        """
+        fan = self.fan
+        out = {}
+        for K in self.primitive_collections:
+            point = tuple(sum(fan.rays[rho][j] for rho in K.edges) for j in range(fan.rank))
+            sigma, coeffs = locate_cone(fan, point)
+            if set(sigma) & set(K.edges):
+                raise LatticeError(
+                    f"located cone {sigma} meets the primitive collection {K.edges}")
+            d = [0] * fan.n_rays
+            for rho in K.edges:
+                d[rho] = 1
+            for rho, c in zip(sigma, coeffs):
+                if Fraction(c).denominator != 1:
+                    raise NonIntegralCoefficient(
+                        f"coefficient {c} on cone {sigma} is not an integer")
+                d[rho] = -int(c)
+            beta = self.curve_from_d(d)
+            # primitive collections are unions of full equivalence classes
+            for c in self.classes_of(K.edges):
+                if not set(c.members) <= set(K.edges):
+                    raise LatticeError(
+                        f"collection {K.edges} is not closed under linear equivalence")
+            # the located cone is closed under linear equivalence, with equal coefficients
+            kminus = self.classes_of(sigma)
+            for c in kminus:
+                if len({d[m] for m in c.members}) != 1:
+                    raise LatticeError(
+                        f"linearly equivalent rays {c.members} carry unequal coefficients")
+            out[K] = (beta, tuple((c, -c.d(beta)) for c in kminus))
+        return out
+
+    @cached_property
     def mori(self) -> tuple:
         return mori_generators(self)
 
@@ -337,51 +379,11 @@ def equiv_classes(cl: ClassLattice) -> tuple:
 
 
 def beta_K(cl: ClassLattice, K: PrimitiveCollection):
-    """The curve class of a primitive collection and its negative part [K^-].
-
-    Locates sum of the rays of K inside the fan; the located cone's rays
-    carry the (necessarily integral, necessarily positive) coefficients and
-    contribute the multiset [K^-] of equivalence classes with multiplicity
-    -d_c.  Linearly equivalent rays of the located cone are checked to carry
-    identical coefficients.
-    """
-    fan = cl.fan
-    point = tuple(sum(fan.rays[rho][j] for rho in K.edges) for j in range(fan.rank))
-    sigma, coeffs = locate_cone(fan, point)
-    if set(sigma) & set(K.edges):
-        raise LatticeError(f"located cone {sigma} meets the primitive collection {K.edges}")
-    ints = []
-    for c in coeffs:
-        if Fraction(c).denominator != 1:
-            raise NonIntegralCoefficient(
-                f"coefficient {c} on cone {sigma} is not an integer")
-        ints.append(int(c))
-    d = [0] * fan.n_rays
-    for rho in K.edges:
-        d[rho] = 1
-    for rho, c in zip(sigma, ints):
-        d[rho] = -c
-    beta = cl.curve_from_d(d)
-    # primitive collections are unions of full equivalence classes
-    for rho in K.edges:
-        if not set(cl.class_of_ray(rho).members) <= set(K.edges):
-            raise LatticeError(
-                f"collection {K.edges} is not closed under linear equivalence")
-    # the located cone is closed under linear equivalence, with equal coefficients
-    kminus = []
-    seen = set()
-    for rho in sigma:
-        c = cl.class_of_ray(rho)
-        if c.index in seen:
-            continue
-        seen.add(c.index)
-        values = {d[m] for m in c.members}
-        if len(values) != 1:
-            raise LatticeError(
-                f"linearly equivalent rays {c.members} carry unequal coefficients")
-        kminus.append((c, -c.d(beta)))
-    kminus.sort(key=lambda cm: cm[0].index)
-    return beta, tuple(kminus)
+    """The curve class of a primitive collection and its negative part [K^-],
+    as derived once in cl.primitive_relations."""
+    if K not in cl.primitive_relations:
+        raise LatticeError(f"{K.edges} is not a primitive collection of this fan")
+    return cl.primitive_relations[K]
 
 
 def mori_generators(cl: ClassLattice) -> tuple:
@@ -398,8 +400,7 @@ def mori_generators(cl: ClassLattice) -> tuple:
                 == cl.pic_rank - 1]
     # deterministic numbering: beta_K matches first, then by d-vector
     front = []
-    for K in cl.primitive_collections:
-        bk, _ = beta_K(cl, K)
+    for bk, _ in cl.primitive_relations.values():
         if bk in extremal and bk not in front:
             front.append(bk)
     rest = sorted((g for g in extremal if g not in front), key=lambda b: b.d)
@@ -446,5 +447,5 @@ def effective_cones_coincide(cl: ClassLattice) -> bool:
     is some beta_K: a generating set of a pointed cone meets every extremal
     ray, and both kinds of class are primitive.
     """
-    bks = {beta_K(cl, K)[0] for K in cl.primitive_collections}
+    bks = {bk for bk, _ in cl.primitive_relations.values()}
     return all(cl.is_effective(b) for b in bks) and all(g in bks for g in cl.mori)

@@ -472,8 +472,7 @@ def qsr_generators(lin: LinearData) -> tuple:
     cl = lin.cl
     nq = cl.pic_rank
     out = []
-    for K in cl.primitive_collections:
-        bk, kminus = beta_K(cl, K)
+    for K, (bk, kminus) in cl.primitive_relations.items():
         lhs = lin.q_k(K)
         rhs = (Polynomial.novikov(cl.pic_rank, nq, bk.coords)
                * lin.q_product(kminus).with_q(nq))

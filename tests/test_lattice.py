@@ -1,12 +1,15 @@
 import itertools
+import os
 import random
 import time
 
 import pytest
 
-from qsheaf import (IneffectiveClass, NonProjectiveFan, beta_K,
-                    class_lattice, dominates, effective_cones_coincide,
-                    find_anchor, h0, h1)
+from qsheaf import (IneffectiveClass, LatticeError, NonProjectiveFan, PrimitiveCollection,
+                    beta_K, class_lattice, dominates, effective_cones_coincide,
+                    find_anchor, h0, h1, load_model, qsr_generators)
+from qsheaf.cli import cmd_analyze, cmd_verify, make_parser
+import qsheaf.lattice
 from qsheaf.lattice import compositions
 
 from _oracles import effective_cones_coincide_by_facets, in_cone, wall_classes
@@ -90,6 +93,34 @@ def test_beta_k_consistency_and_primlin():
             # primitive collections are unions of equivalence classes
             for rho in K.edges:
                 assert set(cl.class_of_ray(rho).members) <= set(K.edges)
+
+
+def test_primitive_relations_are_derived_once(monkeypatch):
+    # dP3: nine primitive collections and a non-simplicial Mori cone, so the
+    # generator numbering reads the relations too
+    path = os.path.join(os.path.dirname(__file__), "data", "dp3.json")
+    original = qsheaf.lattice.locate_cone
+    located = []
+
+    def spy(fan, point):
+        located.append(point)
+        return original(fan, point)
+
+    monkeypatch.setattr(qsheaf.lattice, "locate_cone", spy)
+    model = load_model(path)
+    cl, parser = model.cl, make_parser()
+    assert cmd_analyze(model, parser.parse_args(["analyze", path]))[2] == 0
+    assert len(qsr_generators(model.lin)) == 9
+    assert cmd_verify(model, parser.parse_args(["verify", path, "--all", "--grid", "2"]))[2] == 0
+    assert len(located) == len(cl.primitive_collections) == 9
+    K = cl.primitive_collections[0]
+    assert beta_K(cl, K) is cl.primitive_relations[K]
+    # {0, 1} spans a cone of the hexagon; {0, 1, 2} is P2's only collection
+    for edges in ((0, 1), (0, 1, 2)):
+        with pytest.raises(LatticeError) as exc:
+            beta_K(cl, PrimitiveCollection(edges))
+        assert str(exc.value) == f"{edges} is not a primitive collection of this fan"
+    assert len(located) == 9
 
 
 def test_walls_match_facet_walk_oracle():

@@ -237,6 +237,52 @@ def test_verify_relation_correlator_route():
                               insertions=ys)
 
 
+def test_relation_and_series_refusals():
+    from qsheaf import NotDominating, QuantumError
+
+    cl, lin = tangent_setup(p1xp1_fan())
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    K = cl.primitive_collections[0]
+    bk, _ = beta_K(cl, K)
+    zero = cl.zero_curve
+    with pytest.raises(QuantumError) as exc:
+        verify_qc_relation(lin, K, -cl.mori[0], find_anchor(cl, [zero]))
+    assert str(exc.value) == f"sector {(-cl.mori[0]).d} is not effective"
+    # zero dominates itself but not beta_K
+    with pytest.raises(NotDominating) as exc:
+        verify_qc_relation(lin, K, zero, zero)
+    assert str(exc.value) == f"{zero.d} must dominate both {zero.d} and {bk.d}"
+    with pytest.raises(ValueError, match="unknown route 'bogus'"):
+        verify_qc_relation(lin, K, zero, find_anchor(cl, [zero, bk]), route="bogus")
+    with pytest.raises(QuantumError, match="series insertions must be homogeneous"):
+        correlator_series(lin, x * x + x * y * y, 4)
+    with pytest.raises(QuantumError) as exc:
+        correlator_series(lin, (x + y) ** 5, 2)
+    assert str(exc.value) == "degree slice c1 = 3 exceeds max_c1_degree = 2"
+    with pytest.raises(QuantumError, match="wrong Novikov ring"):
+        quantum_normal_form(lin, x.with_q(1))
+    with pytest.raises(UnsupportedNovikovShape, match="not effective"):
+        quantum_normal_form(lin, Polynomial.novikov(2, 2, (-cl.mori[0]).coords))
+
+
+def test_rows_report_ineffective_and_empty_sectors():
+    from qsheaf.quantum import _GroebnerRing, _ResidueRing
+
+    # F1: -mori[0] has c1 = -1, so D1 has its degree, and it is not effective
+    cl, lin = tangent_setup(hirzebruch(1))
+    beta = -cl.mori[0]
+    rep = correlator_series(lin, d_symbols(cl)[0], 3, sectors=[beta])
+    assert [(row.beta, row.scalar, row.reason) for row in rep.rows] == [(beta, 0, "ineffective")]
+    assert type(_AnchorRing(lin, rep.anchor)) is _ResidueRing
+    # dP3: effective, but d = -1 on both rays of the primitive collection {0, 4}
+    cl, lin = tangent_setup(hexagon())
+    beta = cl.curve_from_d((-1, 1, 0, 1, -1, 2))
+    assert beta.c1() == 2
+    rep = correlator_series(lin, sum(d_symbols(cl)) ** 4, 2, sectors=[beta])
+    assert [(row.beta, row.scalar, row.reason) for row in rep.rows] == [(beta, 0, "empty")]
+    assert type(_AnchorRing(lin, rep.anchor)) is _GroebnerRing
+
+
 def test_quantum_normal_form_examples():
     _, lin = tangent_setup(p1_fan())
     psi = Polynomial.variable(1, 0)
