@@ -23,9 +23,8 @@ from .quantum import (QuantumError, AnchorDegenerate,
                       NonFanoEnumerationUnbounded, CorrelatorReport, SectorRow,
                       QuantumRelation, four_fermi, correlator_sector,
                       correlator_series, degree_slice, effective_window,
-                      mori_change_of_basis, novikov_series_str, qsr_generators,
-                      verify_qc_relation, relation_annihilates,
-                      quantum_normal_form, quantum_groebner)
+                      novikov_series_str, qsr_generators, verify_qc_relation,
+                      relation_annihilates, quantum_normal_form, quantum_groebner)
 from .model import Model, ModelError, build_model, load_model
 
 __version__ = "0.1.0"

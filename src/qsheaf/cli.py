@@ -21,9 +21,9 @@ from .lattice import LatticeError, effective_cones_coincide, find_anchor
 from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
 from .deform import DeformError, d_symbols, local_freeness_check, polymology
 from .sectors import SectorError, sector, sector_ideal
-from .quantum import (QuantumError, UnsupportedNovikovShape, correlator_series,
-                      effective_window, mori_change_of_basis, novikov_series_str,
-                      novikov_symbol, qsr_generators, verify_qc_relation)
+from .quantum import (QuantumError, correlator_series, effective_window,
+                      novikov_series_str, novikov_symbol, qsr_generators,
+                      verify_qc_relation)
 from .model import Model, ModelError, load_model
 
 SCHEMA = "qsheaf-report/1"
@@ -52,11 +52,9 @@ def _beta_dict(cl, beta) -> dict:
 
 def _display_poly(cl, p: Polynomial) -> str:
     """Render with Novikov exponents in Mori coordinates when possible."""
-    try:
-        to_mori, _ = mori_change_of_basis(cl)
-    except UnsupportedNovikovShape:
-        return p.to_str(q_names=[f"qc{j + 1}" for j in range(p.nq)])
-    return p.map_q(to_mori, p.nq).to_str()
+    if cl.mori_is_basis:
+        return p.map_q(cl.to_mori, p.nq).to_str()
+    return p.to_str(q_names=[f"qc{j + 1}" for j in range(p.nq)])
 
 
 def _beta_str(beta: dict) -> str:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .fan import PrimitiveCollection
-from .lattice import ClassLattice, EquivClass
+from .lattice import ClassLattice
 from .linalg import kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
                    sole_generator, standard_monomials, det)
@@ -75,9 +75,6 @@ class LinearData:
     cl: ClassLattice
     matrices: tuple  # tuple (per equiv class) of row tuples of Polynomials
     q: tuple         # Q_c = det A_c, same order as cl.equiv
-
-    def q_of(self, c: EquivClass) -> Polynomial:
-        return self.q[c.index]
 
     def q_product(self, exponents: Iterable[tuple]) -> Polynomial:
         """prod Q_c^e over (EquivClass, e) pairs; zero exponents are skipped."""

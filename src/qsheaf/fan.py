@@ -108,10 +108,6 @@ class Fan:
                 faces.update(itertools.combinations(sigma, k))
         return frozenset(faces)
 
-    def spans_cone(self, edges) -> bool:
-        s = set(edges)
-        return any(s.issubset(sigma) for sigma in self.max_cones)
-
     def face_counts(self) -> tuple:
         """(f_{-1}, f_0, ..., f_{n-1}) where f_{i-1} counts (i-1)-dimensional cones."""
         by_size = [0] * (self.rank + 1)
@@ -193,19 +189,21 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
 
 
 def primitive_collections(fan: Fan) -> tuple:
-    """All primitive collections, ordered lexicographically by sorted indices."""
-    found = []
-    indices = range(fan.n_rays)
-    for k in range(2, fan.n_rays + 1):
-        for combo in itertools.combinations(indices, k):
-            if fan.spans_cone(combo):
-                continue
-            if any(set(pc.edges) < set(combo) for pc in found):
-                continue
-            # primitivity in the strong sense: all maximal proper subsets span
-            if all(fan.spans_cone(combo[:i] + combo[i + 1:]) for i in range(k)):
-                found.append(PrimitiveCollection(combo))
-    return tuple(found)
+    """All primitive collections, ordered by size and then lexicographically
+    by sorted indices.
+
+    They are the minimal non-faces of the fan: dropping any one ray leaves a
+    face, so each is a face plus one ray, and only those candidates are tried.
+    """
+    faces = fan.cone_faces()
+    found = set()
+    for face in faces:
+        for rho in set(range(fan.n_rays)) - set(face):
+            combo = tuple(sorted(face + (rho,)))
+            if combo not in faces and all(combo[:i] + combo[i + 1:] in faces
+                                          for i in range(len(combo))):
+                found.add(combo)
+    return tuple(PrimitiveCollection(c) for c in sorted(found, key=lambda c: (len(c), c)))
 
 
 def locate_cone(fan: Fan, point: Sequence) -> tuple:

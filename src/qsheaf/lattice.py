@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
-from .linalg import kernel_basis, matrix_rank, smith_normal_form, solve_columns
+from .linalg import kernel_basis, matrix_rank, rref, smith_normal_form
 
 
 class LatticeError(Exception):
@@ -246,47 +246,45 @@ class ClassLattice:
             if combo is not None:
                 return self.from_mori(combo)
 
-    def class_of_ray(self, rho: int) -> EquivClass:
-        for c in self.equiv:
-            if rho in c.members:
-                return c
-        raise LatticeError(f"ray {rho} missing from the class partition")
-
     def is_effective(self, beta: CurveClass) -> bool:
         return all(_dot(u, beta.coords) >= 0 for u in self.facets)
 
     @cached_property
-    def mori_inverse(self) -> Optional[tuple]:
-        """Row k holds the Mori coordinates of the k-th curve-basis vector.
-
-        None unless the Mori generators form a basis of the curve space.
-        """
+    def _mori_solve(self) -> tuple:
+        """(cols, den): the j-th Mori coordinate of a class is its curve
+        coordinates paired with the integer cols[j], over den, their least
+        common denominator; ((), None) unless the Mori generators form a
+        basis of the curve space.  One elimination of [generators | 1]."""
         r = self.pic_rank
-        cols = [[Fraction(x) for x in g.coords] for g in self.mori]
-        if len(cols) != r or matrix_rank(cols) != r:
-            return None
-        return tuple(tuple(solve_columns(cols, [Fraction(int(i == k)) for i in range(r)]))
-                     for k in range(r))
+        if len(self.mori) != r:
+            return (), None
+        red, pivots = rref([[g.coords[i] for g in self.mori] + [int(i == k) for k in range(r)]
+                            for i in range(r)])
+        if pivots != list(range(r)):
+            return (), None
+        den = lcm(*(x.denominator for row in red for x in row[r:]))
+        return tuple(tuple(int(x * den) for x in row[r:]) for row in red), den
 
-    def to_mori(self, coords: Sequence[int]) -> tuple:
-        """Curve coordinates rewritten in the Mori basis (exact rationals);
-        needs mori_inverse."""
-        return tuple(sum(row[j] * x for row, x in zip(self.mori_inverse, coords))
-                     for j in range(self.pic_rank))
+    @property
+    def mori_is_basis(self) -> bool:
+        """The Mori generators form a basis of the curve lattice, so every
+        curve class has integer Mori coordinates."""
+        return self._mori_solve[1] == 1
+
+    def to_mori(self, coords: Sequence[int]) -> Optional[tuple]:
+        """Curve coordinates rewritten in the Mori basis, as ints; None when
+        they have no integer Mori coordinates."""
+        cols, den = self._mori_solve
+        sol = tuple(_dot(col, coords) for col in cols)
+        if den is None or any(x % den for x in sol):
+            return None
+        return tuple(x // den for x in sol)
 
     def mori_coordinates(self, beta: CurveClass) -> Optional[tuple]:
-        """beta as nonnegative integer combination of the Mori generators.
-
-        Returns None when no such expression exists (including the
-        non-unimodular situations); used for display and Novikov
-        coordinatization.
-        """
-        if self.mori_inverse is None:
-            return None
+        """beta as a nonnegative integer combination of independent Mori
+        generators, or None when it is none; used for display."""
         sol = self.to_mori(beta.coords)
-        if any(s.denominator != 1 or s < 0 for s in sol):
-            return None
-        return tuple(int(s) for s in sol)
+        return None if sol is None or any(x < 0 for x in sol) else sol
 
     def classes_of(self, edges: Sequence[int]) -> tuple:
         """The equivalence classes meeting the given rays, in index order."""

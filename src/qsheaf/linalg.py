@@ -175,9 +175,3 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
             vec[p] = -row[f]
         basis.append(vec)
     return basis
-
-
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Exact membership of target in the rational span of the given vectors."""
-    base = [list(map(Fraction, v)) for v in vectors]
-    return matrix_rank(base) == matrix_rank(base + [list(map(Fraction, target))])

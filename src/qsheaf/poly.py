@@ -278,18 +278,6 @@ class Polynomial:
         zero = (0,) * nq
         return Polynomial(self.nv, nq, {(p, zero): c for (p, _), c in self.terms.items()})
 
-    def drop_q(self) -> "Polynomial":
-        """Forget Novikov exponents (requires none present)."""
-        if self.has_q():
-            raise PolyError("polynomial has nonzero Novikov exponents")
-        return Polynomial(self.nv, 0, {(p, ()): c for (p, _), c in self.terms.items()})
-
-    def q_set_zero(self) -> "Polynomial":
-        """Specialize all q^beta with beta != 0 to zero."""
-        zero = (0,) * self.nq
-        return Polynomial(self.nv, self.nq,
-                          {m: c for m, c in self.terms.items() if m[1] == zero})
-
     def map_q(self, fn: Callable[[tuple], tuple], nq: int) -> "Polynomial":
         """Re-coordinatize the Novikov exponents via fn."""
         terms = {}

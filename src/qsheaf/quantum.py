@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
                       find_anchor, h0, h1)
-from .poly import (PolyError, Polynomial, UnsupportedNovikovShape, monomial_str,
-                   normal_form, signed_sum, sole_generator, standard_monomials,
+from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape,
+                   monomial_str, normal_form, signed_sum, sole_generator, standard_monomials,
                    top_functional)
 from .deform import LinearData
 from .sectors import NotDominating, sector, sector_gb, transition
@@ -543,59 +543,43 @@ def _rows_agree(ring: _AnchorRing, bk: CurveClass, prod_k: Polynomial,
 
 # ---- quantum normal forms ---------------------------------------------------
 
-def mori_change_of_basis(cl: ClassLattice):
-    """Maps (to_mori, to_curve) between curve and Mori coordinates.
+def _mori_quantum_basis(lin: LinearData) -> GroebnerBasis:
+    """Reduced basis of the quantum ideal, Novikov exponents in Mori coordinates.
 
-    Raises UnsupportedNovikovShape unless the Mori generators form a
-    unimodular basis of the curve lattice.
+    Raises UnsupportedNovikovShape unless the Mori generators form a basis
+    of the curve lattice.
     """
-    inverse = cl.mori_inverse
-    if inverse is None:
+    cl = lin.cl
+    if not cl.mori_is_basis:
         raise UnsupportedNovikovShape(
-            f"{len(cl.mori)} Mori generators for curve rank {cl.pic_rank}; "
-            "no unimodular effective basis")
-    if any(x.denominator != 1 for row in inverse for x in row):
-        raise UnsupportedNovikovShape(
-            "Mori generators are not a unimodular basis of the curve lattice")
-
-    def to_mori(qpart: tuple) -> tuple:
-        return tuple(int(x) for x in cl.to_mori(qpart))
-
-    def to_curve(apart: tuple) -> tuple:
-        return cl.from_mori(apart).coords
-
-    return to_mori, to_curve
-
-
-def _mori_quantum_basis(lin: LinearData) -> tuple:
-    """(to_mori, to_curve, reduced basis of the quantum ideal in Mori coordinates)."""
-    to_mori, to_curve = mori_change_of_basis(lin.cl)
-    gens = tuple(rel.difference.map_q(to_mori, lin.cl.pic_rank)
-                 for rel in qsr_generators(lin))
-    return to_mori, to_curve, lin.groebner_of(gens)
+            f"{len(cl.mori)} Mori generators are no basis of the rank "
+            f"{cl.pic_rank} curve lattice")
+    return lin.groebner_of(tuple(rel.difference.map_q(cl.to_mori, cl.pic_rank)
+                                 for rel in qsr_generators(lin)))
 
 
 def quantum_groebner(lin: LinearData) -> tuple:
     """Reduced basis of the quantum ideal, Novikov exponents in curve coordinates."""
-    _, to_curve, gb = _mori_quantum_basis(lin)
-    return tuple(g.map_q(to_curve, lin.cl.pic_rank) for g in gb.polys)
+    cl = lin.cl
+    return tuple(g.map_q(lambda a: cl.from_mori(a).coords, cl.pic_rank)
+                 for g in _mori_quantum_basis(lin).polys)
 
 
 def quantum_normal_form(lin: LinearData, p: Polynomial) -> Polynomial:
     """Normal form in the quantum ring QH*_E(X).
 
-    Requires the Mori generators to form a unimodular basis of the curve
-    lattice, so the Novikov exponents can be coordinatized nonnegatively.
+    Requires the Mori generators to form a basis of the curve lattice, so
+    the Novikov exponents can be coordinatized nonnegatively.
     """
     cl = lin.cl
-    to_mori, to_curve, gb = _mori_quantum_basis(lin)
+    gb = _mori_quantum_basis(lin)
     if p.nq == 0:
         p = p.with_q(cl.pic_rank)
     if p.nq != cl.pic_rank:
         raise QuantumError("polynomial lives in the wrong Novikov ring")
-    q = p.map_q(to_mori, cl.pic_rank)
+    q = p.map_q(cl.to_mori, cl.pic_rank)
     for (_, qpart) in q.terms:
         if any(e < 0 for e in qpart):
             raise UnsupportedNovikovShape(
                 "input Novikov exponents are not effective")
-    return normal_form(q, gb).map_q(to_curve, cl.pic_rank)
+    return normal_form(q, gb).map_q(lambda a: cl.from_mori(a).coords, cl.pic_rank)

@@ -11,8 +11,25 @@ import math
 from fractions import Fraction
 
 from qsheaf.lattice import beta_K, cone_facets
-from qsheaf.linalg import in_span, matrix_rank, solve_columns
+from qsheaf.linalg import matrix_rank, solve_columns
 from qsheaf.poly import Polynomial, PolyError, _div, _mon_div, _mon_divides, _mon_mul
+
+
+def in_span(vectors, target):
+    """Exact membership of target in the rational span of the given vectors."""
+    base = [list(map(Fraction, v)) for v in vectors]
+    return matrix_rank(base) == matrix_rank(base + [list(map(Fraction, target))])
+
+
+def primitive_collections_by_subsets(fan):
+    """Primitive collections from the definition, as sorted index tuples: every
+    ray subset that lies in no maximal cone while each of its maximal proper
+    subsets does, walked over all subsets by size and then lexicographically."""
+    def spans(s):
+        return any(set(s) <= set(sigma) for sigma in fan.max_cones)
+    return tuple(combo for k in range(2, fan.n_rays + 1)
+                 for combo in itertools.combinations(range(fan.n_rays), k)
+                 if not spans(combo) and all(spans(combo[:i] + combo[i + 1:]) for i in range(k)))
 
 
 def monomials_of_degree(nv, d):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from qsheaf import (build_fan, class_lattice, h0, linear_part, load_model, normal_form,
-                    parse_deformation, tangent_deformation, transition)
+from qsheaf import (Polynomial, PolyError, build_fan, class_lattice, h0, linear_part,
+                    load_model, normal_form, parse_deformation, tangent_deformation,
+                    transition)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -81,6 +82,30 @@ def all_fans():
     """The six worked examples: P1, P2, P1xP1, F1, F2, F3."""
     return [("P1", p1_fan()), ("P2", p2_fan()), ("P1xP1", p1xp1_fan()),
             ("F1", hirzebruch(1)), ("F2", hirzebruch(2)), ("F3", hirzebruch(3))]
+
+
+def class_of_ray(cl, rho):
+    """The linear-equivalence class of the divisor D_rho."""
+    (c,) = (c for c in cl.equiv if rho in c.members)
+    return c
+
+
+def q_of(lin, c):
+    """Q_c = det A_c of the equivalence class c."""
+    return lin.q[c.index]
+
+
+def q_set_zero(p):
+    """p with every q^beta, beta != 0, specialized to zero."""
+    zero = (0,) * p.nq
+    return Polynomial(p.nv, p.nq, {m: c for m, c in p.terms.items() if m[1] == zero})
+
+
+def drop_q(p):
+    """p without its Novikov coordinates; it must carry no nonzero exponent."""
+    if p.has_q():
+        raise PolyError("polynomial has nonzero Novikov exponents")
+    return Polynomial(p.nv, 0, {(m, ()): c for (m, _), c in p.terms.items()})
 
 
 def transfers(lin, bprime, beta):

@@ -19,8 +19,8 @@ from qsheaf import (beta_K, class_lattice, correlator_series, d_symbols,
                     verify_qc_relation)
 from qsheaf.poly import Ideal, Polynomial
 
-from conftest import (all_fans, deformed_p1xp1, hirzebruch, p1_fan, tangent_setup,
-                      transfers)
+from conftest import (all_fans, class_of_ray, deformed_p1xp1, hirzebruch, p1_fan, q_of,
+                      tangent_setup, transfers)
 from _oracles import ideal_member_oracle, monomials_of_degree
 
 
@@ -105,7 +105,7 @@ def test_criterion_4_hirzebruch_worked_example():
             assert sec.n_beta == 3
             assert len(sec.enhanced_edges) == 5
             if n == 2:
-                assert four_fermi(lin, beta) == lin.q_of(cl.class_of_ray(2))
+                assert four_fermi(lin, beta) == q_of(lin, class_of_ray(cl, 2))
 
 
 def test_criterion_5_p1_correlator_ladder():

@@ -8,8 +8,9 @@ from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay,
                     Fan, NonUnimodularCone, build_fan, det, locate_cone,
                     primitive_collections)
 
-from conftest import (all_fans, blowup_p3_point, hexagon, hirzebruch, p1_fan,
-                      p1_power, p1xp1_fan, p2_fan)
+from _oracles import primitive_collections_by_subsets
+from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, hexagon, hirzebruch,
+                      p1_fan, p1_power, p1xp1_fan, p2_fan)
 
 
 def test_p1_is_smallest_complete_smooth_fan():
@@ -90,13 +91,24 @@ def test_primitive_collections_examples():
 
 def test_primitive_collection_definition_restated():
     for _, fan in all_fans():
+        faces = fan.cone_faces()
         for pc in primitive_collections(fan):
-            assert not fan.spans_cone(pc.edges)
+            assert pc.edges not in faces
             for i in range(pc.k):
                 subset = pc.edges[:i] + pc.edges[i + 1:]
-                assert fan.spans_cone(subset)
+                assert subset in faces
             for sigma in fan.max_cones:
                 assert not set(pc.edges) <= set(sigma)
+
+
+def test_primitive_collections_match_the_subset_walk():
+    # the minimal non-faces, built from faces plus one ray, against every
+    # ray subset tested by definition; both in (size, lex) order
+    fans = [blown_up_p1xp1(n) for n in range(4, 13)] + [hexagon(), blowup_p3_point()]
+    fans += [p1_power(k) for k in range(2, 6)]
+    for fan in fans:
+        assert (tuple(pc.edges for pc in primitive_collections(fan))
+                == primitive_collections_by_subsets(fan)), fan.rays
 
 
 def test_fan_reconstruction_from_primitive_collections():

@@ -10,7 +10,7 @@ from qsheaf import (beta_K, build_fan, class_lattice, correlator_series,
                     verify_qc_relation)
 from qsheaf.poly import Polynomial
 
-from conftest import p2_fan, tangent_setup
+from conftest import drop_q, p2_fan, q_set_zero, tangent_setup
 
 
 def p3_fan():
@@ -158,7 +158,7 @@ def test_deformed_p2_full_matrix():
     assert polymology(lin).dims == (1, 1, 1)
     (rel,) = qsr_generators(lin)
     assert rel.lhs == (1 + eps ** 3) * psi ** 3
-    assert rel.difference.q_set_zero().drop_q() == rel.lhs
+    assert drop_q(q_set_zero(rel.difference)) == rel.lhs
     K = cl.primitive_collections[0]
     bk, _ = beta_K(cl, K)
     for beta in effective_window(cl, 6):

@@ -1,3 +1,4 @@
+import glob
 import itertools
 import os
 import random
@@ -13,8 +14,8 @@ import qsheaf.lattice
 from qsheaf.lattice import compositions
 
 from _oracles import effective_cones_coincide_by_facets, in_cone, wall_classes
-from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, hexagon, hirzebruch,
-                      non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
+from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray, hexagon,
+                      hirzebruch, non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
 
 
 def test_p2_class_lattice():
@@ -92,7 +93,7 @@ def test_beta_k_consistency_and_primlin():
             assert bk.c1() == K.k - sum(c.size * m for c, m in kminus)
             # primitive collections are unions of equivalence classes
             for rho in K.edges:
-                assert set(cl.class_of_ray(rho).members) <= set(K.edges)
+                assert set(class_of_ray(cl, rho).members) <= set(K.edges)
 
 
 def test_primitive_relations_are_derived_once(monkeypatch):
@@ -235,10 +236,26 @@ def test_from_mori_inverts_mori_coordinates():
         cl = class_lattice(fan)
         for j, g in enumerate(cl.mori):
             assert cl.from_mori([int(k == j) for k in range(len(cl.mori))]) == g
-        if cl.mori_inverse is None:
+        if not cl.mori_is_basis:
             continue
         for coeffs in itertools.product(range(3), repeat=len(cl.mori)):
             assert cl.mori_coordinates(cl.from_mori(coeffs)) == coeffs
+
+
+def test_to_mori_gives_ints_on_every_bundled_model():
+    root = os.path.dirname(__file__)
+    paths = sorted(glob.glob(os.path.join(root, "..", "models", "*.json")))
+    for path in paths + sorted(glob.glob(os.path.join(root, "data", "*.json"))):
+        cl = load_model(path).cl
+        # dP3 alone has more Mori generators than its Picard rank
+        assert cl.mori_is_basis == (len(cl.mori) == cl.pic_rank), path
+        for coords in itertools.product(range(-2, 3), repeat=cl.pic_rank):
+            sol = cl.to_mori(coords)
+            if not cl.mori_is_basis:
+                assert sol is None, path
+                continue
+            assert all(type(x) is int for x in sol), path
+            assert cl.from_mori(sol).coords == coords, path
 
 
 def test_mori_generators_read_cached_primitive_collections(monkeypatch):

@@ -27,9 +27,10 @@ from qsheaf.quantum import _AnchorRing
 
 from _oracles import (GroebnerReference, ResidueReference, degree_slice_by_box,
                       monomials_of_degree, uinverse, uproduct, urem, utrim)
-from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, deformed_p1_power,
-                      deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
-                      p1_power, p1xp1_fan, p2_fan, tangent_setup)
+from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
+                      deformed_p1_power, deformed_p1xp1, deformed_setups, drop_q,
+                      hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, p2_fan,
+                      q_of, q_set_zero, tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -47,7 +48,7 @@ def test_four_fermi_examples():
     cl, lin = tangent_setup(hirzebruch(2))
     beta = cl.curve_from_d((1, 1, -2, 0))
     # h1(-2) = 1 on the class of rho3, trivial elsewhere
-    assert four_fermi(lin, beta) == lin.q_of(cl.class_of_ray(2))
+    assert four_fermi(lin, beta) == q_of(lin, class_of_ray(cl, 2))
 
 
 def test_p1_sector_correlators():
@@ -170,7 +171,7 @@ def test_qsr_specializes_to_sr():
         cl, lin = tangent_setup(fan)
         sr = sector_ideal(lin, lin.cl.zero_curve)
         for rel, gen in zip(qsr_generators(lin), sr):
-            assert rel.difference.q_set_zero().drop_q() == gen
+            assert drop_q(q_set_zero(rel.difference)) == gen
 
 
 def test_qsr_relations_are_homogeneous():
@@ -309,7 +310,7 @@ def test_quantum_groebner_specializes_on_fano():
         if any(g.c1() <= 0 for g in cl.mori):
             continue  # F2, F3: leading terms migrate into the Novikov part
         qgb = quantum_groebner(lin)
-        spec = sorted((g.q_set_zero().drop_q() for g in qgb if g.q_set_zero()),
+        spec = sorted((drop_q(q_set_zero(g)) for g in qgb if q_set_zero(g)),
                       key=lambda p: sorted(p.terms))
         classical = sorted(groebner(Ideal(sector_ideal(lin, lin.cl.zero_curve))).polys,
                            key=lambda p: sorted(p.terms))
@@ -321,6 +322,26 @@ def test_quantum_relations_hold_on_all_hirzebruch():
         _, lin = tangent_setup(hirzebruch(n))
         for rel in qsr_generators(lin):
             assert not quantum_normal_form(lin, rel.difference)
+
+
+def test_mori_pair_of_index_two_has_no_integer_basis():
+    # no real fan reaches a denominator > 1, so P1xP1's generators g1, g2 are
+    # replaced by g1 + g2, g1 - g2 (a basis of index 2) before the first read
+    from qsheaf.cli import _display_poly
+
+    cl = class_lattice(p1xp1_fan())
+    g1, g2 = cl.curve_from_d((1, 1, 0, 0)), cl.curve_from_d((0, 0, 1, 1))
+    cl.__dict__["mori"] = (g1 + g2, g1 - g2)
+    lin = linear_part(cl, tangent_deformation(cl))
+    assert not cl.mori_is_basis
+    assert cl.to_mori(g1.coords) is None and cl.mori_coordinates(g1) is None
+    assert cl.to_mori((2 * g1).coords) == (1, 1)
+    assert cl.to_mori((g1 - 3 * g2).coords) == (-1, 2)
+    with pytest.raises(UnsupportedNovikovShape, match="no basis"):
+        quantum_normal_form(lin, Polynomial.variable(2, 0))
+    rel = qsr_generators(lin)[0]
+    assert _display_poly(cl, rel.rhs) == rel.rhs.to_str(q_names=["qc1", "qc2"])
+    assert "qc" in _display_poly(cl, rel.rhs)
 
 
 def test_quantum_nf_refused_without_unimodular_basis():

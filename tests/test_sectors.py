@@ -16,9 +16,9 @@ from qsheaf import (NotDominating, SectorError, dominates, h0, h1, polymology,
                     transition)
 from qsheaf.poly import Polynomial
 
-from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power,
-                      deformed_setups, hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan,
-                      tangent_setup, transfers)
+from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, class_of_ray,
+                      deformed_p1_power, deformed_setups, hexagon, hirzebruch, p1_fan,
+                      p1_power, p1xp1_fan, q_of, tangent_setup, transfers)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -75,14 +75,14 @@ def test_sector_ideal_is_the_collection_generators():
                 if key not in products:
                     g = Polynomial.const(cl.pic_rank, 1)
                     for c, e in key:
-                        g = g * lin.q_of(c) ** e
+                        g = g * q_of(lin, c) ** e
                     products[key] = g
                 if products[key]:
                     expected.append(products[key])
             gens = sector_ideal(lin, beta)
             assert gens == tuple(expected), (name, coords)
             for rho, _ in sector(lin, beta).degenerate:
-                assert lin.q_of(cl.class_of_ray(rho)) in gens, (name, coords, rho)
+                assert q_of(lin, class_of_ray(cl, rho)) in gens, (name, coords, rho)
         assert polymology(lin).gb == sector_gb(lin, cl.zero_curve), name
 
 
@@ -193,7 +193,7 @@ def test_degenerate_edge_generator_is_consistent():
         beta = cl.curve_from_d((1, 1, -n, 0))
         sec = sector(lin, beta)
         assert sec.degenerate == ((3, 0),)
-        q_rho = lin.q_of(cl.class_of_ray(3))
+        q_rho = q_of(lin, class_of_ray(cl, 3))
         # K = {2,3}: h0(-n) = 0 and h0(0) = 1 leave exactly Q_{[rho4]}
         assert q_rho in sector_ideal(lin, beta)
 
@@ -223,7 +223,6 @@ def test_sector_bookkeeping_expands_no_polynomial(monkeypatch):
         betas = list(window) + [-b for b in window]
         with monkeypatch.context() as patch:
             patch.setattr(qsheaf.deform.LinearData, "q_product", expand)
-            patch.setattr(qsheaf.deform.LinearData, "q_of", expand)
             integers = [sector(model.lin, b) for b in betas]
         assert integers == [sector(model.lin, b) for b in betas]
         assert any(not s.nonempty for s in integers)
