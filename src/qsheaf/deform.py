@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fan import PrimitiveCollection
 from .lattice import ClassLattice
-from .linalg import kernel_basis, matrix_rank
+from .linalg import kernel_basis, matrix_rank, rank_mod
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
                    sole_generator, standard_monomials, det)
 from .sectors import sector_gb
@@ -58,7 +58,14 @@ class Deformation:
 
 
 _FRESHNESS_SEED = 7  # the sample points are fixed, so reports are reproducible
-_MAX_TRIALS = 10_000  # about 0.2 ms a trial: a few seconds, not hours
+_MAX_TRIALS = 10_000  # about 0.1 ms a trial: a second, not hours
+_FRESHNESS_PRIME = 2 ** 61 - 1  # ranks are certified modulo this prime first
+
+
+def _mod(x, p: int) -> Optional[int]:
+    """A rational x modulo the prime p, or None when p divides its denominator."""
+    den = x.denominator % p
+    return x.numerator * pow(den, -1, p) % p if den else None
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,33 @@ class LinearData:
     cl: ClassLattice
     matrices: tuple  # tuple (per equiv class) of row tuples of Polynomials
     q: tuple         # Q_c = det A_c, same order as cl.equiv
+    # per Q_c: its primitive integer part and content, Q_c = num / den * part
+    _parts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_parts", tuple(
+            (b, s.numerator, s.denominator) for b, s in map(Polynomial.primitive, self.q)))
 
     def q_product(self, exponents: Iterable[tuple]) -> Polynomial:
-        """prod Q_c^e over (EquivClass, e) pairs; zero exponents are skipped."""
-        f = Polynomial.const(self.cl.pic_rank, 1)
+        """prod Q_c^e over (EquivClass, e) pairs; zero exponents are skipped.
+
+        The one owner of Q_c products: the primitive integer parts are
+        multiplied in ints and the contents applied once, as one Fraction,
+        and not at all where they are integral (every tangent bundle)."""
+        f, num, den = self._q_parts(exponents)
+        if den != 1:
+            return f * Fraction(num, den)
+        return f * num if num != 1 else f
+
+    def _q_parts(self, exponents: Iterable[tuple]) -> tuple:
+        """(f, num, den): prod Q_c^e = num / den * f, f with int coefficients."""
+        f, num, den = Polynomial.const(self.cl.pic_rank, 1), 1, 1
         for c, e in exponents:
             if e:
-                f = f * self.q[c.index] ** e
-        return f
+                b, cn, cd = self._parts[c.index]
+                f = f * b ** e
+                num, den = num * cn ** e, den * cd ** e
+        return f, num, den
 
     def q_k(self, K: PrimitiveCollection) -> Polynomial:
         """Q_K: the product of Q_c over the classes meeting the collection K."""
@@ -192,7 +218,9 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     Evaluates the rows E_rho(x) = sum_m a_{rho,m} x^(Cox monomial of (rho, m))
     at rational points outside the irrelevant locus, including one generic
     point per toric stratum, and checks that they span W.  A rank drop
-    returns the witness point.
+    returns the witness point.  A full rank modulo _FRESHNESS_PRIME
+    certifies a point; only a drop there, or an input with the prime in a
+    denominator, is decided by the exact rank over Q.
     """
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {trials}")
@@ -237,14 +265,28 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
 
     terms = [(entry.rho, _cox_monomial(fan, entry.rho, entry.m),
               entry.coeff.linear_coefficients()) for entry in E.entries if entry.coeff]
-    for x in points:
-        rows = [[Fraction(0)] * cl.pic_rank for _ in range(fan.n_rays)]
-        for rho, mono, coeffs in terms:
+
+    def rows_at(x, entries):
+        rows = [[0] * cl.pic_rank for _ in range(fan.n_rays)]
+        for rho, mono, coeffs in entries:
             value = math.prod(xi ** e for xi, e in zip(x, mono) if e)
             if value:
                 for k, cval in enumerate(coeffs):
                     rows[rho][k] += cval * value
-        if matrix_rank(rows) != cl.pic_rank:
+        return rows
+
+    # rows of p-integral entries with full rank mod p have full rank over
+    # Q, so the verdict and the witness are those of the exact rank
+    p = _FRESHNESS_PRIME
+    mod_terms = [(rho, mono, [_mod(c, p) for c in coeffs]) for rho, mono, coeffs in terms]
+    if any(None in coeffs for _, _, coeffs in mod_terms):
+        mod_terms = None
+    for x in points:
+        xp = [_mod(xi, p) for xi in x]
+        if mod_terms is not None and None not in xp:
+            if rank_mod(rows_at(xp, mod_terms), p) == cl.pic_rank:
+                continue
+        if matrix_rank(rows_at(x, terms)) != cl.pic_rank:
             return FreenessVerdict(passed=False, witness=x)
     return FreenessVerdict(passed=True)
 

@@ -6,6 +6,7 @@ point is permitted anywhere in the kernel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -104,9 +105,24 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     return r_mat, r_inv, diag
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def _primitive(coeffs) -> tuple:
+    """(b, s): coeffs = s * b for exact rationals (ints or Fractions), b a
+    list of ints of content 1 (or all zero) and s > 0 rational."""
+    den = math.lcm(*(x.denominator for x in coeffs))
+    b = [x.numerator * (den // x.denominator) for x in coeffs]
+    g = math.gcd(*b) or 1
+    return [x // g for x in b], Fraction(g, den)
+
+
+def _integer_rref(rows: Sequence[Sequence]) -> tuple:
+    """(m, pivots): integer rows whose pivot-normalized form is the RREF.
+
+    Fraction-free Gauss-Jordan: every row is cleared to its primitive
+    integer multiple, and eliminating a pivot column from another row scales
+    that row by pivot / gcd instead of dividing, then removes its content.
+    Each row stays a nonzero multiple of the rational elimination's row, so
+    the pivots, and the rows below the rank (all zero), are the same."""
+    m = [_primitive(r)[0] for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
@@ -114,30 +130,55 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     for c in range(nc):
         if r >= nr:
             break
-        sel = None
-        for i in range(r, nr):
-            if m[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, nr) if m[i][c]), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row, p = m[r], m[r][c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            a = m[i][c]
+            if i != r and a:
+                k = math.gcd(p, a)
+                new = [p // k * x - a // k * y for x, y in zip(m[i], row)]
+                k = math.gcd(*new)
+                m[i] = [x // k for x in new] if k > 1 else new
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form over the rationals; returns (rows, pivot
+    columns), every entry a Fraction.  The RREF is unique, so it is read off
+    the fraction-free elimination, each row divided by its pivot entry."""
+    m, pivots = _integer_rref(rows)
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return red + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots
+
+
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_integer_rref(rows)[1])
+
+
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p), p prime, of a matrix of ints read modulo p."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        row = m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(rank + 1, len(m)):
+            a = m[i][c]
+            if a:
+                m[i] = [(x - a * y) % p for x, y in zip(m[i], row)]
+        rank += 1
+    return rank
 
 
 def solve_columns(cols: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Optional[list]:

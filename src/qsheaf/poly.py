@@ -25,6 +25,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .linalg import _primitive
+
 
 class PolyError(Exception):
     pass
@@ -90,6 +92,8 @@ def _exact(c):
 
 def _div(a, b):
     """a / b for exact coefficients, in canonical form."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
     return _exact(a if b == 1 else Fraction(a, b))
 
 
@@ -256,6 +260,14 @@ class Polynomial:
         result._lead = self._lead  # scaling keeps the leading monomial
         return result
 
+    def primitive(self) -> tuple:
+        """(b, s): self = s * b for b with integer coefficients of content 1
+        and s > 0 rational; b = 0 and s = 1 for the zero polynomial."""
+        ints, s = _primitive(self.terms.values())
+        b = Polynomial(self.nv, self.nq, dict(zip(self.terms, ints)))
+        b._lead = self._lead
+        return b, s
+
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
                       reverse=True)
@@ -372,38 +384,15 @@ def _require_nonnegative_q(polys: Iterable[Polynomial]):
 def normal_form(p: Polynomial, gb) -> Polynomial:
     """Complete division remainder of p modulo a (Groebner) basis: top-down,
     each term cancelled by the first basis element whose leading monomial
-    divides it.  Pending monomials wait in a heap, keyed once; cancelled
-    entries are skipped."""
+    divides it.  The division runs fraction-free on the primitive integer
+    multiples of p and of the basis (`_pseudo_remainder`), and the scale it
+    collects is divided out once, at the end."""
     basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
-    leads = [(g.leading_monomial(), g) for g in basis if g]
-    work = dict(p.terms)
-    heap = [(_heap_key(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        mon = heapq.heappop(heap)[1]
-        coeff = work.pop(mon, None)
-        if coeff is None:
-            continue
-        for lm, g in leads:
-            if _mon_divides(lm, mon):
-                factor = _div(coeff, g.terms[lm])
-                shift = _mon_div(mon, lm)
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    tgt = _mon_mul(shift, m2)
-                    if tgt not in work:
-                        heapq.heappush(heap, (_heap_key(tgt), tgt))
-                    s = work.get(tgt, 0) - factor * c2
-                    if s:
-                        work[tgt] = s
-                    else:
-                        del work[tgt]
-                break
-        else:
-            remainder[mon] = coeff
-    return Polynomial(p.nv, p.nq, remainder)
+    rules = [_rule(g.terms, g.leading_monomial()) for g in basis if g]
+    ints, s = p.primitive()
+    remainder, scale = _pseudo_remainder(ints.terms, rules)
+    num, den = s.numerator, s.denominator * scale
+    return Polynomial(p.nv, p.nq, {m: _div(num * c, den) for m, c in remainder.items()})
 
 
 class _Packing:
@@ -448,6 +437,10 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
              for lm, g in leads if sum(lm) <= degree]
     memo = {pack(top): 1}
     tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
+    # with unit leads a plain sum is cheapest (all ints on a primitive
+    # basis); otherwise each sum is taken over the common denominator of its
+    # values, one quotient instead of a Fraction addition per term
+    unit = all(lc in (1, -1) for _, lc, _ in rules)
 
     def value(mon: int) -> int | Fraction:
         if mon in memo:
@@ -470,7 +463,13 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
             if missing:
                 stack.extend(missing)  # every tail monomial is smaller than m
                 continue
-            memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
+            if unit:
+                memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
+            else:
+                values = [memo[t] for t, _ in tail]
+                den = math.lcm(*[v.denominator for v in values])
+                memo[m] = _div(sum(c * (v.numerator * (den // v.denominator))
+                                   for (_, c), v in zip(tail, values)), -lc * den)
             del tails[m]
             stack.pop()
         return memo[mon]
@@ -478,12 +477,77 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     return value, pack
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+def _rule(terms: dict, lead: tuple) -> tuple:
+    """(lead, the primitive integer multiple of nonzero terms with a positive
+    coefficient at lead): the one form of a divisor in the fraction-free
+    division, and of an element the Buchberger keeps."""
+    ints, _ = _primitive(terms.values())
+    if terms[lead] < 0:
+        ints = [-x for x in ints]
+    return lead, dict(zip(terms, ints))
+
+
+def _pseudo_spoly(f: dict, lf: tuple, g: dict, lg: tuple) -> dict:
+    """The S-polynomial of integer terms with positive leads, times the
+    positive integer lc(f) lc(g) / gcd: no quotient of coefficients."""
     lcm = _mon_lcm(lf, lg)
-    tf = Polynomial(f.nv, f.nq, {_mon_div(lcm, lf): _div(1, f.terms[lf])})
-    tg = Polynomial(g.nv, g.nq, {_mon_div(lcm, lg): _div(1, g.terms[lg])})
-    return tf * f - tg * g
+    k = math.gcd(f[lf], g[lg])
+    a, b = g[lg] // k, f[lf] // k
+    shift = _mon_div(lcm, lf)
+    out = {_mon_mul(shift, m): a * c for m, c in f.items()}
+    shift = _mon_div(lcm, lg)
+    for m, c in g.items():
+        tgt = _mon_mul(shift, m)
+        s = out.get(tgt, 0) - b * c
+        if s:
+            out[tgt] = s
+        else:
+            del out[tgt]
+    return out
+
+
+def _pseudo_remainder(terms: dict, rules: list) -> tuple:
+    """(r, k): k * R = r for the complete division remainder R of integer
+    terms modulo (lead, integer terms with a positive lead coefficient)
+    rules, top-down, each term cancelled by the first rule whose lead
+    divides it.  Where a division over Q subtracts c / lc times the shifted
+    rule, this scales the pending terms and the remainder by lc / gcd(c, lc)
+    and subtracts an integer multiple, so no coefficient leaves Z; k > 0 is
+    the product of those scales."""
+    work = dict(terms)
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder, total = {}, 1
+    while heap:
+        mon = heapq.heappop(heap)[1]
+        coeff = work.pop(mon, None)
+        if coeff is None:
+            continue
+        for lm, g in rules:
+            if _mon_divides(lm, mon):
+                lc = g[lm]
+                k = math.gcd(coeff, lc)
+                scale, factor = lc // k, coeff // k
+                if scale != 1:
+                    work = {m: c * scale for m, c in work.items()}
+                    remainder = {m: c * scale for m, c in remainder.items()}
+                    total *= scale
+                shift = _mon_div(mon, lm)
+                for m2, c2 in g.items():
+                    if m2 == lm:
+                        continue
+                    tgt = _mon_mul(shift, m2)
+                    if tgt not in work:
+                        heapq.heappush(heap, (_heap_key(tgt), tgt))
+                    s = work.get(tgt, 0) - factor * c2
+                    if s:
+                        work[tgt] = s
+                    else:
+                        del work[tgt]
+                break
+        else:
+            remainder[mon] = coeff
+    return remainder, total
 
 
 def groebner(ideal: Ideal) -> GroebnerBasis:
@@ -493,51 +557,63 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     skipped by the coprime criterion or by the chain criterion: another lead
     divides the lcm and its pairs with both are done (CLO ch. 2 §10).  The
     result is interreduced, monic, sorted by leading monomial: canonical.
+
+    The work is fraction-free: each element is kept as its primitive
+    integer multiple with a positive lead, S-polynomials take the integer
+    cofactors lc_g / k and lc_f / k, and remainders come from the integer
+    pseudo-reduction `_pseudo_remainder` (Collins, JACM 1967).  Every
+    element is a positive multiple of the monic one a Fraction Buchberger
+    keeps, so the leads, the pairs and the basis are the same; the basis is
+    made monic only when it is returned.
     """
     gens = ideal.generators
     if not gens:
         return GroebnerBasis((), ideal.nv)
     _require_nonnegative_q(gens)
-    basis = []
+    nv, nq = gens[0].nv, gens[0].nq
+    rules = []  # (lead, primitive integer terms), in the order they join
     for g in gens:
-        m = g.monic()
-        if m not in basis:
-            basis.append(m)
-    leads = [g.leading_monomial() for g in basis]
+        rule = _rule(g.terms, g.leading_monomial())
+        if rule not in rules:
+            rules.append(rule)
     heap, pending = [], set()  # pending pairs, stored in both orders
 
     def add_pairs(k):
         for i in range(k):
-            heapq.heappush(heap, (monomial_key(_mon_lcm(leads[i], leads[k])), i, k))
+            heapq.heappush(heap, (monomial_key(_mon_lcm(rules[i][0], rules[k][0])), i, k))
             pending.update(((i, k), (k, i)))
 
-    for k in range(len(basis)):
+    for k in range(len(rules)):
         add_pairs(k)
     while heap:
         _, i, j = heapq.heappop(heap)
         pending -= {(i, j), (j, i)}
-        lcm = _mon_lcm(leads[i], leads[j])
-        if _mon_mul(leads[i], leads[j]) == lcm:
+        (li, fi), (lj, fj) = rules[i], rules[j]
+        lcm = _mon_lcm(li, lj)
+        if _mon_mul(li, lj) == lcm:
             continue  # coprime criterion
         if any(_mon_divides(lk, lcm) and k not in (i, j) and (i, k) not in pending
-               and (j, k) not in pending for k, lk in enumerate(leads)):
+               and (j, k) not in pending for k, (lk, _) in enumerate(rules)):
             continue  # chain criterion
-        r = normal_form(_spoly(basis[i], basis[j]), basis)
+        r, _ = _pseudo_remainder(_pseudo_spoly(fi, li, fj, lj), rules)
         if r:
-            basis.append(r.monic())
-            leads.append(basis[-1].leading_monomial())
-            add_pairs(len(basis) - 1)
+            rules.append(_rule(r, max(r, key=monomial_key)))
+            add_pairs(len(rules) - 1)
     # minimalize: drop elements whose leading term is divisible by another's
-    basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
     minimal = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if not any(_mon_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
+    for lead, g in sorted(rules, key=lambda rule: monomial_key(rule[0])):
+        if not any(_mon_divides(lm, lead) for lm, _ in minimal):
+            minimal.append((lead, g))
     # interreduce tails: no other lead divides g's leading term, which
-    # therefore stays with coefficient 1, so the result is monic and sorted
-    return GroebnerBasis(tuple(normal_form(g, minimal[:idx] + minimal[idx + 1:])
-                               for idx, g in enumerate(minimal)))
+    # therefore stays first, so the result is sorted; then make it monic
+    polys = []
+    for idx, (lead, g) in enumerate(minimal):
+        r, _ = _pseudo_remainder(g, minimal[:idx] + minimal[idx + 1:])
+        lc = r[lead]
+        p = Polynomial(nv, nq, {m: _div(c, lc) for m, c in r.items()})
+        p._lead = lead
+        polys.append(p)
+    return GroebnerBasis(tuple(polys))
 
 
 def _capped_exponents(caps: Sequence[int], degree: int):

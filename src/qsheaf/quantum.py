@@ -22,6 +22,7 @@ from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape
                    monomial_str, normal_form, signed_sum, sole_generator, standard_monomials,
                    top_functional)
 from .deform import LinearData
+from .linalg import _primitive
 from .sectors import NotDominating, sector, sector_gb, transition
 
 
@@ -93,7 +94,10 @@ class _AnchorRing:
 class _GroebnerRing(_AnchorRing):
     """A row is the coefficient of the generator in NF(R * p * F_beta), read
     off the anchor basis's memoized top functional on packed monomials.  Its
-    memos, per monomial and per insertion, live as long as the ring."""
+    memos, per monomial and per insertion, live as long as the ring.  The
+    functional reads each basis element as its primitive integer multiple,
+    cleared once per ring: a normal form does not see the scale of a basis
+    element, and an int tail multiplies a value faster than a Fraction one."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
@@ -103,13 +107,15 @@ class _GroebnerRing(_AnchorRing):
         if self.generator is None:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-        self._value, self._pack = top_functional(gb, monos[0])
+        self._value, self._pack = top_functional(
+            GroebnerBasis(tuple(g.primitive()[0] for g in gb.polys), gb.nv), monos[0])
         self._forms = {}  # p -> (p's packed terms, {packed m: sum_m' p_m' value(m m')})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
         # R * F_beta = prod_c Q_c^((h0(d_c(A)) - h0(d_c)) + h1(d_c)), and h0 - h1 = d + 1
-        f = self.lin.q_product((c, h0(c.d(self.anchor)) - c.d(beta) - 1)
-                               for c in self.lin.cl.equiv)
+        # an integer product and its content num / den, applied once
+        f, num, den = self.lin._q_parts((c, h0(c.d(self.anchor)) - c.d(beta) - 1)
+                                        for c in self.lin.cl.equiv)
         total, pack, value = 0, self._pack, self._value
         if p not in self._forms:
             self._forms[p] = ([(pack(mp), cp) for (mp, _), cp in p.terms.items()], {})
@@ -122,7 +128,7 @@ class _GroebnerRing(_AnchorRing):
                 total += c * sums[m]
         except PolyError:
             raise QuantumError("normal form escaped the top graded piece") from None
-        return Fraction(total)
+        return Fraction(total * num, den)
 
 
 class _ResidueRing(_AnchorRing):
@@ -228,15 +234,6 @@ def _dehomogenize(p: Polynomial) -> list:
     for (e, _), c in p.terms.items():
         out[e[0]] = c
     return out
-
-
-def _primitive(a: list) -> tuple:
-    """(b, s): a = s * b for a list a of ints and Fractions, b an integer list
-    of content 1 (or empty) and s > 0 rational."""
-    den = math.lcm(*(x.denominator for x in a))
-    b = [x.numerator * (den // x.denominator) for x in a]
-    g = math.gcd(*b) or 1
-    return [x // g for x in b], Fraction(g, den)
 
 
 def _coefficient(a: list, k: int) -> int:

@@ -6,13 +6,15 @@ Leibniz sum, h-vectors come from face counts inside the fan module itself,
 cone membership by a Caratheodory search instead of facet inequalities.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
 
 from qsheaf.lattice import beta_K, cone_facets
 from qsheaf.linalg import matrix_rank, solve_columns
-from qsheaf.poly import Polynomial, PolyError, _div, _mon_div, _mon_divides, _mon_mul
+from qsheaf.poly import (GroebnerBasis, Polynomial, PolyError, _div, _heap_key, _mon_div,
+                         _mon_divides, _mon_lcm, _mon_mul, _require_nonnegative_q, monomial_key)
 
 
 def in_span(vectors, target):
@@ -449,3 +451,125 @@ class GroebnerReference:
         from qsheaf.sectors import transition
         image = transition(self.lin, self.anchor, beta) * p * four_fermi(self.lin, beta)
         return Fraction(sum(c * self.value(m) for m, c in image.terms.items()))
+
+
+# ---- the Buchberger over Q ----------------------------------------------------
+# The route qsheaf.poly.groebner and qsheaf.poly.normal_form took before
+# their fraction-free kernel: every element made monic, S-polynomials and
+# reductions in Fractions, the same pair heap and criteria.
+
+def normal_form_by_fractions(p, basis):
+    """Complete division remainder of p modulo a list of polynomials over Q:
+    top-down, each term cancelled by the first element whose leading
+    monomial divides it, c / lc times the shifted element subtracted."""
+    leads = [(g.leading_monomial(), g) for g in basis if g]
+    work = dict(p.terms)
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        mon = heapq.heappop(heap)[1]
+        coeff = work.pop(mon, None)
+        if coeff is None:
+            continue
+        for lm, g in leads:
+            if _mon_divides(lm, mon):
+                factor = _div(coeff, g.terms[lm])
+                shift = _mon_div(mon, lm)
+                for m2, c2 in g.terms.items():
+                    if m2 == lm:
+                        continue
+                    tgt = _mon_mul(shift, m2)
+                    if tgt not in work:
+                        heapq.heappush(heap, (_heap_key(tgt), tgt))
+                    s = work.get(tgt, 0) - factor * c2
+                    if s:
+                        work[tgt] = s
+                    else:
+                        del work[tgt]
+                break
+        else:
+            remainder[mon] = coeff
+    return Polynomial(p.nv, p.nq, remainder)
+
+
+def spoly_by_fractions(f, g):
+    """The S-polynomial of f and g with the leads made monic."""
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = _mon_lcm(lf, lg)
+    tf = Polynomial(f.nv, f.nq, {_mon_div(lcm, lf): _div(1, f.terms[lf])})
+    tg = Polynomial(g.nv, g.nq, {_mon_div(lcm, lg): _div(1, g.terms[lg])})
+    return tf * f - tg * g
+
+
+def groebner_by_fractions(ideal):
+    """Reduced monic Groebner basis by a Buchberger over Q: normal pair
+    selection from a heap (smallest lcm first, ties by index), the coprime
+    and chain criteria, monic elements, then minimalized and interreduced."""
+    gens = ideal.generators
+    if not gens:
+        return GroebnerBasis((), ideal.nv)
+    _require_nonnegative_q(gens)
+    basis = []
+    for g in gens:
+        m = g.monic()
+        if m not in basis:
+            basis.append(m)
+    leads = [g.leading_monomial() for g in basis]
+    heap, pending = [], set()
+
+    def add_pairs(k):
+        for i in range(k):
+            heapq.heappush(heap, (monomial_key(_mon_lcm(leads[i], leads[k])), i, k))
+            pending.update(((i, k), (k, i)))
+
+    for k in range(len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending -= {(i, j), (j, i)}
+        lcm = _mon_lcm(leads[i], leads[j])
+        if _mon_mul(leads[i], leads[j]) == lcm:
+            continue
+        if any(_mon_divides(lk, lcm) and k not in (i, j) and (i, k) not in pending
+               and (j, k) not in pending for k, lk in enumerate(leads)):
+            continue
+        r = normal_form_by_fractions(spoly_by_fractions(basis[i], basis[j]), basis)
+        if r:
+            basis.append(r.monic())
+            leads.append(basis[-1].leading_monomial())
+            add_pairs(len(basis) - 1)
+    basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
+    minimal = []
+    for g in basis:
+        lm = g.leading_monomial()
+        if not any(_mon_divides(h.leading_monomial(), lm) for h in minimal):
+            minimal.append(g)
+    return GroebnerBasis(tuple(normal_form_by_fractions(g, minimal[:idx] + minimal[idx + 1:])
+                               for idx, g in enumerate(minimal)))
+
+
+def rref_by_fractions(rows):
+    """Reduced row echelon form by Gauss-Jordan over Q: the first nonzero
+    row of each column is the pivot, scaled to 1; returns (rows, pivots)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots

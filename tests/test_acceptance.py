@@ -14,8 +14,7 @@ from qsheaf import (beta_K, class_lattice, correlator_series, d_symbols,
                     dominates, effective_window, find_anchor, four_fermi,
                     groebner, h0, h1, linear_part, normal_form,
                     novikov_series_str, parse_deformation, polymology,
-                    qsr_generators, quotient_dims, relation_annihilates,
-                    sector, sector_ideal, tangent_deformation, transition,
+                    qsr_generators, relation_annihilates, sector, sector_ideal,
                     verify_qc_relation)
 from qsheaf.poly import Ideal, Polynomial
 

@@ -7,8 +7,8 @@ import pytest
 
 from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation,
                     DuplicateEntry, UnknownRayIndex, class_lattice, d_symbols,
-                    groebner, linear_part, local_freeness_check, parse_deformation,
-                    polymology, quotient_dims, sector_ideal, tangent_deformation)
+                    linear_part, local_freeness_check, parse_deformation,
+                    polymology, sector_ideal, tangent_deformation)
 from qsheaf.poly import Polynomial
 
 from qsheaf.deform import DeformationEntry, _linear_slot
@@ -16,8 +16,8 @@ from qsheaf.model import load_model
 
 from _oracles import linear_slot_by_pairings, local_freeness_by_points
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power_entries,
-                      deformed_p1xp1, hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan,
-                      p2_fan, tangent_setup)
+                      deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
+                      p1_power, p1xp1_fan, p2_fan, tangent_setup)
 from test_acceptance import _nonlinear_entries
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -272,3 +272,76 @@ def test_non_string_coefficient_is_deform_error(coeff):
         coeff = d_symbols(cl)[0]
     with pytest.raises(DeformError, match="must be a D-symbol string"):
         parse_deformation(cl, [(0, (0, 0), coeff)])
+
+
+def test_q_product_equals_the_plain_product(monkeypatch):
+    cube = load_model(os.path.join(os.path.dirname(__file__), "data", "p1_cube_deformed.json"))
+    tangent = [tangent_setup(fan)[1] for fan in (p1_power(3), hirzebruch(1), hexagon())]
+    deformed = deformed_setups() + [cube.lin]
+    rng = random.Random(9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    for lin in tangent + deformed:
+        for _ in range(6):
+            exponents = [(c, rng.randint(0, 3)) for c in lin.cl.equiv]
+            plain = Polynomial.const(lin.cl.pic_rank, 1)
+            for c, e in exponents:
+                plain = plain * lin.q[c.index] ** e
+            if lin in tangent:  # integral Q_c: not one Fraction
+                with monkeypatch.context() as m:
+                    m.setattr(Fraction, "__new__", refuse)
+                    product = lin.q_product(exponents)
+            else:
+                product = lin.q_product(exponents)
+            assert product == plain
+    assert any(type(c) is Fraction for lin in deformed for q in lin.q for c in q.terms.values())
+
+
+def _spy_ranks(monkeypatch):
+    """Record the rank calls of local_freeness_check: ('mod', full rank?) and
+    ('exact', None), in order."""
+    import qsheaf.deform
+
+    events = []
+    exact, modular = qsheaf.deform.matrix_rank, qsheaf.deform.rank_mod
+
+    def spy_exact(rows):
+        events.append(("exact", None))
+        return exact(rows)
+
+    def spy_modular(rows, p):
+        rank = modular(rows, p)
+        events.append(("mod", rank == len(rows[0])))
+        return rank
+
+    monkeypatch.setattr(qsheaf.deform, "matrix_rank", spy_exact)
+    monkeypatch.setattr(qsheaf.deform, "rank_mod", spy_modular)
+    return events
+
+
+def test_local_freeness_certified_mod_p_needs_no_exact_rank(monkeypatch):
+    events = _spy_ranks(monkeypatch)
+    failed = 0
+    for name, cl, E in _freeness_cases():
+        verdict = local_freeness_check(cl, E, trials=20)
+        failed += not verdict.passed
+    # every passing point is certified mod 2^61 - 1; only a witness is exact
+    assert sum(kind == "exact" for kind, _ in events) == failed > 0
+
+
+@pytest.mark.parametrize("prime", [3, 7])
+def test_local_freeness_with_a_small_prime_matches_per_point_pairing(monkeypatch, prime):
+    import qsheaf.deform
+
+    monkeypatch.setattr(qsheaf.deform, "_FRESHNESS_PRIME", prime)
+    events = _spy_ranks(monkeypatch)
+    for name, cl, E in _freeness_cases():
+        for trials in (0, 20):
+            verdict = local_freeness_check(cl, E, trials=trials)
+            assert verdict == local_freeness_by_points(cl, E, trials), (name, trials)
+    # both fallbacks ran: a drop mod p, and an input with p in a denominator
+    before = [events[k - 1] if k else None for k, e in enumerate(events) if e[0] == "exact"]
+    assert ("mod", False) in before
+    assert any(e != ("mod", False) for e in before)

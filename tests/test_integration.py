@@ -6,8 +6,7 @@ from itertools import combinations
 from qsheaf import (beta_K, build_fan, class_lattice, correlator_series,
                     d_symbols, det, effective_window, find_anchor, linear_part,
                     parse_deformation, polymology, qsr_generators,
-                    quantum_normal_form, sector, tangent_deformation,
-                    verify_qc_relation)
+                    quantum_normal_form, sector, verify_qc_relation)
 from qsheaf.poly import Polynomial
 
 from conftest import drop_q, p2_fan, q_set_zero, tangent_setup

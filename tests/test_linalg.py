@@ -1,0 +1,63 @@
+"""The exact linear algebra kernel against plain rational elimination."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsheaf.linalg import kernel_basis, matrix_rank, rank_mod, rref
+
+from _oracles import rref_by_fractions
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=12)),
+    st.builds(Fraction, st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+              st.integers(min_value=1, max_value=2 ** 40)))
+
+
+@st.composite
+def matrices(draw):
+    """Rational matrices, wide and tall, with zero rows and columns planted."""
+    nr = draw(st.integers(min_value=0, max_value=6))
+    nc = draw(st.integers(min_value=1, max_value=7))
+    m = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=max(nr - 1, 0)), max_size=2)):
+        if i < nr:
+            m[i] = [0] * nc
+    for j in draw(st.sets(st.integers(min_value=0, max_value=nc - 1), max_size=2)):
+        for row in m:
+            row[j] = Fraction(0)
+    if nr and draw(st.booleans()):
+        m.append([2 * x - y for x, y in zip(m[0], m[-1])])  # a dependent row
+    return m
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_rational_elimination(m):
+    red, pivots = rref(m)
+    ref, ref_pivots = rref_by_fractions(m)
+    assert (red, pivots) == (ref, ref_pivots)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert matrix_rank(m) == len(ref_pivots)
+    # the kernel read off the RREF annihilates every row
+    width = len(m[0]) if m else 0
+    for vec in kernel_basis(m, width):
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+
+
+small_matrices = st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
+                         max_size=7)
+
+
+@given(small_matrices)
+@settings(max_examples=80, deadline=None)
+def test_rank_mod_a_large_prime_matches_rank_over_q(rows):
+    # Hadamard: every minor is below 7^(7/2) * 9^7 < 2^61 - 1, so none that
+    # is nonzero over Q vanishes mod p
+    rank = matrix_rank(rows)
+    assert rank_mod(rows, 2 ** 61 - 1) == rank
+    assert rank_mod(rows, 3) <= rank

@@ -3,6 +3,7 @@ import operator
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          quotient_dims, standard_monomials, top_functional)
 from qsheaf.poly import _mon_divides, _mon_mul, _Packing
 
-from _oracles import ideal_member_oracle, leibniz_det, monomials_of_degree
+from _oracles import (groebner_by_fractions, ideal_member_oracle, leibniz_det,
+                      monomials_of_degree, normal_form_by_fractions, spoly_by_fractions)
 from conftest import (all_fans, deformed_p1_power, hirzebruch, p1_power,
                       tangent_setup)
 
@@ -161,8 +163,7 @@ def test_groebner_examples():
     # verify the Groebner property by brute S-pair reduction
     for i, f in enumerate(gb.polys):
         for g in gb.polys[i + 1:]:
-            from qsheaf.poly import _spoly
-            assert not normal_form(_spoly(f, g), gb)
+            assert not normal_form(spoly_by_fractions(f, g), gb)
     # same ideal both ways
     for gen in (x * x - y * y, y ** 3):
         assert not normal_form(gen, gb)
@@ -360,6 +361,73 @@ def test_parser_caps_nesting():
     assert err.value.pos == depth + 1  # the leading sign belongs to the expression
 
 
+# ---- the fraction-free Buchberger against the one over Q --------------------------
+
+coefficients = st.one_of(
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool),
+              st.integers(min_value=1, max_value=7)),
+    st.builds(Fraction, st.sampled_from((-2 ** 200, 2 ** 200, 3 ** 127, -(2 ** 200 + 1))),
+              st.sampled_from((1, 7, 2 ** 200, 5 ** 90))))
+
+
+@st.composite
+def ideals(draw):
+    """Rational ideals in two or three psi variables: psi-homogeneous
+    generators, or with Novikov exponents (one or two q coordinates) whose
+    terms drop up to one psi degree, as the quantum relations do."""
+    nv = draw(st.integers(min_value=2, max_value=3))
+    nq = draw(st.sampled_from((0, 0, 1, 2)))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        deg = draw(st.integers(min_value=1, max_value=3))
+        terms = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            q = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(nq))
+            exps = [0] * nv
+            for _ in range(deg - (1 if any(q) else 0)):
+                exps[draw(st.integers(min_value=0, max_value=nv - 1))] += 1
+            terms[(tuple(exps), q)] = draw(coefficients)
+        gens.append(Polynomial(nv, nq, terms))
+    return gens
+
+
+@given(ideals(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_groebner_matches_fraction_reference(gens, seed):
+    gb = groebner(Ideal(tuple(gens)))
+    assert gb == groebner_by_fractions(Ideal(tuple(gens)))
+    _assert_canonical(*gb.polys)
+    # the division, also by the generators themselves: leads of either sign,
+    # neither monic nor a Groebner basis
+    rng = random.Random(seed)
+    nv, nq = gens[0].nv, gens[0].nq
+    for divisors in (list(gb.polys), gens):
+        p = rand_poly(rng, nv=nv, max_deg=4, terms=5).with_q(nq) * Fraction(2 ** 70 + 1, 3)
+        for q in (p, p * gens[0]):
+            r = normal_form(q, divisors)
+            assert r == normal_form_by_fractions(q, divisors)
+            _assert_canonical(r)
+
+
+def test_groebner_matches_fraction_reference_on_model_ideals():
+    from qsheaf.quantum import qsr_generators
+
+    model = _deformed_p1xp1()
+    cases = [_slice_anchor_ideal(model, t) for t in (4, 8)]
+    for seed in (0, 1):
+        cl, lin = deformed_p1_power(3, random.Random(seed))
+        cases += [_slice_anchor_ideal(SimpleNamespace(cl=cl, lin=lin), t) for t in (0, 2)]
+    # the quantum ideals, Novikov exponents in Mori coordinates
+    for lin in (model.lin, tangent_setup(hirzebruch(1))[1], tangent_setup(p1_power(3))[1],
+                deformed_p1_power(3, random.Random(0))[1]):
+        cl = lin.cl
+        cases.append([rel.difference.map_q(cl.to_mori, cl.pic_rank)
+                      for rel in qsr_generators(lin)])
+        assert any(g.has_q() for g in cases[-1])
+    for gens in cases:
+        assert groebner(Ideal(tuple(gens))) == groebner_by_fractions(Ideal(tuple(gens)))
+
+
 # ---- differential checks against sympy ---------------------------------------
 
 def _sympy_poly(sympy, p, gens):
@@ -445,13 +513,13 @@ def test_groebner_and_division_match_sympy():
 def test_groebner_chain_criterion_bounds_reductions(monkeypatch):
     gens = _slice_anchor_ideal(_deformed_p1xp1(), 10)
     calls = []
-    real = qsheaf.poly.normal_form
+    real = qsheaf.poly._pseudo_remainder
 
-    def spy(p, gb):
-        calls.append(p)
-        return real(p, gb)
+    def spy(terms, rules):
+        calls.append(terms)
+        return real(terms, rules)
 
-    monkeypatch.setattr(qsheaf.poly, "normal_form", spy)
+    monkeypatch.setattr(qsheaf.poly, "_pseudo_remainder", spy)
     gb = groebner(Ideal(tuple(gens)))
     assert len(gb.polys) == 18
     # one reduction per kept S-pair plus one per interreduced element; without

@@ -587,6 +587,39 @@ def test_groebner_ring_matches_tuple_reference(cl, lin, t_max):
     assert checked
 
 
+def _p1_cube_deformed():
+    model = load_model(os.path.join(os.path.dirname(__file__), "data", "p1_cube_deformed.json"))
+    return model.cl, model.lin
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param(_p1_cube_deformed, id="p1_cube_deformed"),
+    pytest.param(lambda: deformed_p1_power(3, random.Random(4)), id="dP1^3 seed 4")])
+def test_primitive_basis_rows_equal_monic_basis_rows(setup):
+    from qsheaf.poly import top_functional
+    from qsheaf.quantum import _GroebnerRing
+    from qsheaf.sectors import sector_gb
+
+    cl, lin = setup()
+    divisors = d_symbols(cl)
+    L, W = sum(divisors), sum((k + 1) * D for k, D in enumerate(divisors))
+    rational = 0
+    for t in (0, 2, 4):  # (P^1)^3 has c1 even on every class
+        window = degree_slice(cl, t)
+        anchor = find_anchor(cl, list(window))
+        gb = sector_gb(lin, anchor)
+        rational += any(type(c) is Fraction for g in gb.polys for c in g.terms.values())
+        ring, monic = _GroebnerRing(lin, anchor), _GroebnerRing(lin, anchor)
+        # the same ring, its functional read off the monic basis itself
+        top = ring.generator.leading_monomial()[0]
+        monic._value, monic._pack = top_functional(gb, top)
+        n = cl.fan.rank + t
+        for beta in window:
+            for p in (L ** n, W ** n):
+                assert ring.row(p, beta) == monic.row(p, beta), (t, beta.d)
+    assert rational  # some monic basis has a Fraction the primitive one clears
+
+
 @pytest.mark.parametrize("setup", [pytest.param(lambda: tangent_setup(p1_power(3)), id="P1^3"),
                                    pytest.param(lambda: tangent_setup(hirzebruch(1)), id="F1")])
 def test_row_checks_keep_their_order(setup):
