@@ -94,7 +94,10 @@ class LinearData:
 
         The one owner of Q_c products: the primitive integer parts are
         multiplied in ints and the contents applied once, as one Fraction,
-        and not at all where they are integral (every tangent bundle)."""
+        and not at all where they are integral (every tangent bundle).
+        Both go through _q_parts, which the Groebner anchor ring's rows call
+        directly to apply the content once per row: a sentinel that must see
+        every Q_c product patches _q_parts, not this method."""
         f, num, den = self._q_parts(exponents)
         if den != 1:
             return f * Fraction(num, den)

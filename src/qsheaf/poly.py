@@ -437,10 +437,6 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
              for lm, g in leads if sum(lm) <= degree]
     memo = {pack(top): 1}
     tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
-    # with unit leads a plain sum is cheapest (all ints on a primitive
-    # basis); otherwise each sum is taken over the common denominator of its
-    # values, one quotient instead of a Fraction addition per term
-    unit = all(lc in (1, -1) for _, lc, _ in rules)
 
     def value(mon: int) -> int | Fraction:
         if mon in memo:
@@ -463,13 +459,7 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
             if missing:
                 stack.extend(missing)  # every tail monomial is smaller than m
                 continue
-            if unit:
-                memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
-            else:
-                values = [memo[t] for t, _ in tail]
-                den = math.lcm(*[v.denominator for v in values])
-                memo[m] = _div(sum(c * (v.numerator * (den // v.denominator))
-                                   for (_, c), v in zip(tail, values)), -lc * den)
+            memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
             del tails[m]
             stack.pop()
         return memo[mon]
