@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .fan import PrimitiveCollection
 from .lattice import ClassLattice
 from .linalg import kernel_basis, matrix_rank, rank_mod
-from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial,
+from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial, power_product,
                    sole_generator, standard_monomials, det)
 from .sectors import sector_gb
 from . import cache
@@ -95,23 +95,26 @@ class LinearData:
         The one owner of Q_c products: the primitive integer parts are
         multiplied in ints and the contents applied once, as one Fraction,
         and not at all where they are integral (every tangent bundle).
-        Both go through _q_parts, which the Groebner anchor ring's rows call
-        directly to apply the content once per row: a sentinel that must see
-        every Q_c product patches _q_parts, not this method."""
+        Both go through _q_parts, which multiplies all the (part, exponent)
+        pairs in one poly.power_product call, and which the Groebner anchor
+        ring's rows call directly to apply the content once per row: a
+        sentinel that must see every Q_c product patches _q_parts, not this
+        method."""
         f, num, den = self._q_parts(exponents)
         if den != 1:
             return f * Fraction(num, den)
         return f * num if num != 1 else f
 
     def _q_parts(self, exponents: Iterable[tuple]) -> tuple:
-        """(f, num, den): prod Q_c^e = num / den * f, f with int coefficients."""
-        f, num, den = Polynomial.const(self.cl.pic_rank, 1), 1, 1
+        """(f, num, den): prod Q_c^e = num / den * f, f with int coefficients
+        and all its factors multiplied by one power_product."""
+        pairs, num, den = [], 1, 1
         for c, e in exponents:
             if e:
                 b, cn, cd = self._parts[c.index]
-                f = f * b ** e
+                pairs.append((b, e))
                 num, den = num * cn ** e, den * cd ** e
-        return f, num, den
+        return power_product(pairs, self.cl.pic_rank), num, den
 
     def q_k(self, K: PrimitiveCollection) -> Polynomial:
         """Q_K: the product of Q_c over the classes meeting the collection K."""

@@ -18,6 +18,7 @@ block (so classical monomials dominate Novikov ones of equal psi part).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -204,16 +205,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise PolyError("negative power of a polynomial")
-        result = Polynomial.const(self.nv, 1, self.nq)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power_product(((self, k),), self.nv, self.nq)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -308,6 +300,96 @@ class Polynomial:
         names = [f"psi{i + 1}" for i in range(self.nv)] + list(q_names)
         return signed_sum((c, monomial_str(names, p + q))
                           for (p, q), c in self.sorted_terms())
+
+
+def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
+    """prod p^k over (Polynomial, k) pairs of the ring with nv psi and nq
+    Novikov variables, on packed monomials (Monagan-Pearce, CASC 2007).
+
+    Each factor's exponents are packed relative to its least exponent in
+    each variable, so negative Novikov exponents pack too, into one int with
+    a field per variable wide enough for sum k * span, the most a partial
+    product reaches: a product of monomials is an int addition that never
+    carries between fields.  A one-term factor only shifts the exponents
+    and scales, so a product of monomials packs nothing.  Powers run by
+    binary powering on int-keyed dicts and the result is unpacked once.  A
+    negative k raises PolyError."""
+    offset, room, scale, factors = [0] * (nv + nq), [0] * (nv + nq), 1, []
+    for p, k in pairs:
+        if k < 0:
+            raise PolyError("negative power of a polynomial")
+        if p.nv != nv or p.nq != nq:
+            raise PolyError("mixing polynomials from different rings")
+        if not k:
+            continue
+        if not p.terms:
+            scale = 0
+        elif len(p.terms) == 1:
+            ((e, q), c), = p.terms.items()
+            offset = [o + k * x for o, x in zip(offset, e + q)]
+            scale *= c ** k
+        else:
+            exps = [e + q for e, q in p.terms]
+            lo = []
+            for v, col in enumerate(zip(*exps)):
+                low = min(col)
+                lo.append(low)
+                offset[v] += k * low
+                room[v] += k * (max(col) - low)
+            factors.append((exps, lo, p.terms.values(), k))
+    if not factors or not scale:
+        return Polynomial(nv, nq, {(tuple(offset[:nv]), tuple(offset[nv:])): scale})
+    widths = [r.bit_length() for r in room]
+    shifts = [0, *itertools.accumulate(widths[:-1])]
+    product = {0: scale}
+    for exps, lo, coeffs, k in factors:
+        base = {sum((x - low) << s for x, low, s in zip(e, lo, shifts)): c
+                for e, c in zip(exps, coeffs)}
+        product = _packed_mul(product, _packed_power(base, k))
+    columns = [[(key >> s & (1 << w) - 1) + o for key in product]
+               for s, w, o in zip(shifts, widths, offset)]
+    psi = zip(*columns[:nv]) if nv else itertools.repeat(())
+    q = zip(*columns[nv:]) if nq else itertools.repeat(())
+    return Polynomial(nv, nq, dict(zip(zip(psi, q), product.values())))
+
+
+def _packed_power(a: dict, k: int) -> dict:
+    """a^k for packed terms a and k >= 1, by binary powering."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _packed_mul(result, a)
+        k >>= 1
+        if not k:
+            return result
+        a = _packed_square(a)
+
+
+def _packed_square(a: dict) -> dict:
+    """a * a, each cross term formed once and doubled."""
+    items = list(a.items())
+    out = {}
+    get = out.get
+    for i, (m1, c1) in enumerate(items):
+        m = m1 + m1
+        out[m] = get(m, 0) + c1 * c1
+        c1 += c1
+        for m2, c2 in items[i + 1:]:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+def _packed_mul(a: dict, b: dict) -> dict:
+    """The product of packed terms; a zero sum stays, the constructor drops it."""
+    out = {}
+    get = out.get
+    right = list(b.items())
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
@@ -423,36 +505,47 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     """(value, pack): value(pack(m)) is the coefficient of the psi monomial
     top in NF(m), for psi exponents m of top's degree whose graded piece top
     spans alone, and gb Novikov-free.  pack is a _Packing sized to top's
-    degree; each basis element that can divide such an m is packed once.  A
-    normal form is linear and unique (CLO ch. 2 §6), so each monomial is
-    reduced once, by the first element whose lead divides it, and memoized
-    for the life of value.  The walk keeps an explicit stack; meeting a
+    degree; each basis element that can divide such an m is read once, as
+    its primitive integer `_rule`, since a normal form does not see the
+    scale of a divisor.  A normal form is linear and unique (CLO ch. 2 §6),
+    so each monomial is reduced once, by the first element whose lead
+    divides it (the mask test of _Packing.divides, inlined), and memoized
+    for the life of value; one reduced by a bare monomial is 0 at once.
+    Each call keeps an explicit stack and its own pending tails; meeting a
     standard monomial other than top raises PolyError."""
     degree = sum(top)
     packing = _Packing(gb.nv, degree)
-    pack, divides = packing.pack, packing.divides
-    leads = [(g.leading_monomial()[0], g) for g in gb.polys]
-    rules = [(pack(lm), g.leading_coefficient(),
-              [(pack(m), c) for (m, _), c in g.terms.items() if m != lm])
-             for lm, g in leads if sum(lm) <= degree]
+    pack, guard = packing.pack, packing.guard
+    rules = []
+    for g in gb.polys:
+        lead = g.leading_monomial()
+        if sum(lead[0]) <= degree:
+            _, ints = _rule(g.terms, lead)
+            rules.append((pack(lead[0]), ints[lead],
+                          [(pack(m), c) for (m, _), c in ints.items() if m != lead[0]]))
     memo = {pack(top): 1}
-    tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
 
     def value(mon: int) -> int | Fraction:
         if mon in memo:
             return memo[mon]
         stack = [mon]
+        tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
         while stack:
             m = stack[-1]
             if m in memo:
                 stack.pop()
                 continue
             if m not in tails:
+                high = m | guard
                 for lm, lc, tail in rules:
-                    if divides(lm, m):
+                    if (high - lm) & guard == guard:
                         break
                 else:
                     raise PolyError(f"standard monomial {packing.unpack(m)} other than {top}")
+                if not tail:
+                    memo[m] = 0
+                    stack.pop()
+                    continue
                 tails[m] = ([(m - lm + t, c) for t, c in tail], lc)
             tail, lc = tails[m]
             missing = [t for t, _ in tail if t not in memo]
@@ -460,7 +553,6 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
                 stack.extend(missing)  # every tail monomial is smaller than m
                 continue
             memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
-            del tails[m]
             stack.pop()
         return memo[mon]
 

@@ -95,9 +95,10 @@ class _GroebnerRing(_AnchorRing):
     """A row is the coefficient of the generator in NF(R * p * F_beta), read
     off the anchor basis's memoized top functional on packed monomials.  Its
     memos, per monomial and per insertion, live as long as the ring.  The
-    functional reads each basis element as its primitive integer multiple,
-    cleared once per ring: a normal form does not see the scale of a basis
-    element, and an int tail multiplies a value faster than a Fraction one."""
+    functional reads each element of the monic basis through poly._rule, as
+    its primitive integer multiple: a normal form does not see the scale of
+    a basis element, and an int tail multiplies a value faster than a
+    Fraction one."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
@@ -107,8 +108,7 @@ class _GroebnerRing(_AnchorRing):
         if self.generator is None:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-        self._value, self._pack = top_functional(
-            GroebnerBasis(tuple(g.primitive()[0] for g in gb.polys), gb.nv), monos[0])
+        self._value, self._pack = top_functional(gb, monos[0])
         self._forms = {}  # p -> (p's packed terms, {packed m: sum_m' p_m' value(m m')})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:

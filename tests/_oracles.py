@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from qsheaf.lattice import beta_K, cone_facets
+from qsheaf.lattice import beta_K, cone_facets, h0
 from qsheaf.linalg import matrix_rank, solve_columns
 from qsheaf.poly import (GroebnerBasis, Polynomial, PolyError, _div, _heap_key, _mon_div,
                          _mon_divides, _mon_lcm, _mon_mul, _require_nonnegative_q, monomial_key)
@@ -73,6 +73,45 @@ def ideal_member_oracle(generators, p):
             mono = Polynomial(nv, 0, {(shift, ()): Fraction(1)})
             span.append(coeff_vector(mono * g, basis))
     return in_span(span, coeff_vector(p, basis))
+
+
+def power_by_tuples(p, k):
+    """p^k by binary powering on tuple-keyed monomials, one Polynomial
+    product per step; a negative k raises PolyError."""
+    if k < 0:
+        raise PolyError("negative power of a polynomial")
+    result = Polynomial.const(p.nv, 1, p.nq)
+    base = p
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def sector_h_vector(cl, beta):
+    """The h-vector of the enhanced complex of sector beta: vertices (rho, j)
+    with j < m_rho = h0(d_rho(beta)), faces the sets containing no K x {all
+    j} for a primitive collection K.  A face's fully taken rays form a cone
+    sigma, so its f-polynomial is the sum over the cones of
+    prod_{rho in sigma} t^m_rho * prod_{rho not in sigma} ((1+t)^m_rho - t^m_rho),
+    and h(t) = sum_i f_(i-1) t^i (1-t)^(d-i) for d its degree.  At beta = 0
+    every m_rho is 1 and this is the fan's h-vector."""
+    m = [h0(x) for x in beta.d]
+    f = []
+    for sigma in cl.fan.cone_faces():
+        term = [1]
+        for rho, mr in enumerate(m):
+            term = uproduct(term, [0] * mr + [1] if rho in sigma
+                            else [math.comb(mr, j) for j in range(mr)])
+        f = [a + b for a, b in itertools.zip_longest(f, term, fillvalue=0)]
+    d = len(utrim(f)) - 1
+    h = [0] * (d + 1)
+    for i, fi in enumerate(f):
+        for j in range(d - i + 1):
+            h[i + j] += fi * (-1) ** j * math.comb(d - i, j)
+    return tuple(h)
 
 
 def leibniz_det(matrix):

@@ -14,11 +14,12 @@ from qsheaf import cache
 from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
-                         quotient_dims, standard_monomials, top_functional)
+                         power_product, quotient_dims, standard_monomials, top_functional)
 from qsheaf.poly import _mon_divides, _mon_mul, _Packing
 
 from _oracles import (groebner_by_fractions, ideal_member_oracle, leibniz_det,
-                      monomials_of_degree, normal_form_by_fractions, spoly_by_fractions)
+                      monomials_of_degree, normal_form_by_fractions, power_by_tuples,
+                      spoly_by_fractions)
 from conftest import (all_fans, deformed_p1_power, hirzebruch, p1_power,
                       tangent_setup)
 
@@ -661,3 +662,53 @@ def test_packing_adds_divides_and_refuses_overflow(data):
     i = data.draw(st.integers(0, nv - 1))
     with pytest.raises(PolyError, match="packing limit"):
         packing.pack(a[:i] + (limit + 1,) + a[i + 1:])
+
+
+@st.composite
+def novikov_polys(draw, nv, nq):
+    """Up to four terms, psi exponents 0..3, Novikov exponents of both signs,
+    int or Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mon = (tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nv)),
+               tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(nq)))
+        terms[mon] = draw(st.one_of(small_coeffs, st.fractions(
+            min_value=-5, max_value=5, max_denominator=6)))
+    return Polynomial(nv, nq, terms)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_power_product_equals_tuple_powering(data):
+    nv = data.draw(st.integers(min_value=1, max_value=3))
+    nq = data.draw(st.integers(min_value=0, max_value=2))
+    pairs = data.draw(st.lists(st.tuples(novikov_polys(nv, nq),
+                                         st.integers(min_value=0, max_value=5)), max_size=3))
+    expected = Polynomial.const(nv, 1, nq)
+    for p, k in pairs:
+        power = power_by_tuples(p, k)
+        assert p ** k == power
+        expected = expected * power
+    product = power_product(pairs, nv, nq)
+    assert product == expected
+    assert all(type(c) is int or c.denominator != 1 for c in product.terms.values())
+
+
+def test_power_product_edge_cases():
+    zero, one = Polynomial.zero(2), Polynomial.const(2, 1)
+    assert zero ** 0 == one == power_product([], 2) == power_product([(zero, 0), (x, 0)], 2)
+    assert zero ** 3 == zero == power_product([(x + y, 2), (zero, 1)], 2)
+    assert power_product([(x - y, 2), (x + y, 2)], 2) == x ** 4 - 2 * x * x * y * y + y ** 4
+    q = Polynomial(1, 1, {((1,), (-2,)): Fraction(1, 2), ((0,), (3,)): -1})
+    assert q ** 5 == power_by_tuples(q, 5)
+    with pytest.raises(PolyError):
+        power_product([(x, 1)], 3)  # another ring
+
+
+@pytest.mark.parametrize("base", [x + y, x, Polynomial.zero(2)])
+def test_negative_power_raises_at_once(base):
+    # k >>= 1 stays at -1, so a binary powering that started would not end
+    with pytest.raises(PolyError):
+        base ** -1
+    with pytest.raises(PolyError):
+        power_product([(x, 2), (base, -3)], 2)

@@ -8,14 +8,16 @@ import warnings
 import pytest
 
 import qsheaf.deform
+from qsheaf.lattice import find_anchor
 from qsheaf.model import load_model
-from qsheaf.quantum import effective_window
+from qsheaf.quantum import degree_slice, effective_window
 
 from qsheaf import (NotDominating, SectorError, dominates, h0, h1, polymology,
                     quotient_dims, sector, sector_gb, sector_ideal, standard_monomials,
                     transition)
 from qsheaf.poly import Polynomial
 
+from _oracles import sector_h_vector
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, class_of_ray,
                       deformed_p1_power, deformed_setups, hexagon, hirzebruch, p1_fan,
                       p1_power, p1xp1_fan, q_of, tangent_setup, transfers)
@@ -196,6 +198,30 @@ def test_degenerate_edge_generator_is_consistent():
         q_rho = q_of(lin, class_of_ray(cl, 3))
         # K = {2,3}: h0(-n) = 0 and h0(0) = 1 leave exactly Q_{[rho4]}
         assert q_rho in sector_ideal(lin, beta)
+
+
+@pytest.mark.parametrize("make, slices", [
+    pytest.param(lambda: tangent_setup(hirzebruch(1))[1], range(6), id="F1"),
+    pytest.param(lambda: tangent_setup(p1_power(3))[1], range(0, 5, 2), id="P1^3"),
+    pytest.param(lambda: tangent_setup(blowup_p3_point())[1], range(0, 5, 2), id="BlptP3"),
+    pytest.param(lambda: deformed_p1_power(2, random.Random(0))[1], range(0, 9, 2),
+                 id="deformed-P1^2"),
+    pytest.param(lambda: deformed_p1_power(3, random.Random(0))[1], range(0, 3, 2),
+                 id="deformed-P1^3"),
+])
+def test_anchor_rings_have_the_sector_h_vector(make, slices):
+    """The graded dimensions of every slice's anchor ring Sym*W / I_A are the
+    h-vector of the enhanced complex of A, counted by the cone sum in
+    _oracles, and the top one is 1; at A = 0 that is the fan's h-vector."""
+    lin = make()
+    cl = lin.cl
+    assert sector_h_vector(cl, cl.zero_curve) == cl.fan.h_vector()
+    for t in slices:
+        anchor = find_anchor(cl, degree_slice(cl, t))
+        n = sector(lin, anchor).n_beta
+        hvec = sector_h_vector(cl, anchor)
+        assert quotient_dims(sector_gb(lin, anchor), n) == hvec, (t, anchor.d)
+        assert hvec[n] == 1
 
 
 def test_sector_top_degree_one_dimensional_tangent():
