@@ -9,6 +9,7 @@ the lattice, so every report is reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,12 +58,12 @@ class CurveClass:
     d: tuple
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(tuple(a + b for a, b in zip(self.coords, other.coords)),
-                          tuple(a + b for a, b in zip(self.d, other.d)))
+        return CurveClass(tuple(map(operator.add, self.coords, other.coords)),
+                          tuple(map(operator.add, self.d, other.d)))
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(tuple(a - b for a, b in zip(self.coords, other.coords)),
-                          tuple(a - b for a, b in zip(self.d, other.d)))
+        return CurveClass(tuple(map(operator.sub, self.coords, other.coords)),
+                          tuple(map(operator.sub, self.d, other.d)))
 
     def __mul__(self, k: int) -> "CurveClass":
         return CurveClass(tuple(k * a for a in self.coords),
@@ -247,7 +248,11 @@ class ClassLattice:
                 return self.from_mori(combo)
 
     def is_effective(self, beta: CurveClass) -> bool:
-        return all(_dot(u, beta.coords) >= 0 for u in self.facets)
+        return self.is_effective_coords(beta.coords)
+
+    def is_effective_coords(self, coords: Sequence[int]) -> bool:
+        """Curve coordinates pair >= 0 with every facet normal of the Mori cone."""
+        return all(_dot(u, coords) >= 0 for u in self.facets)
 
     @cached_property
     def _mori_solve(self) -> tuple:
@@ -327,7 +332,7 @@ def class_lattice(fan: Fan) -> ClassLattice:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def compositions(total: int, parts: int):
@@ -406,11 +411,13 @@ def mori_generators(cl: ClassLattice) -> tuple:
 
 
 def dominates(cl: ClassLattice, beta_prime: CurveClass, beta: CurveClass) -> bool:
-    """beta' dominates beta: beta'-beta effective and h0 rises classwise."""
-    diff = beta_prime - beta
-    if not cl.is_effective(diff):
+    """beta' dominates beta: beta'-beta effective and h0 rises classwise.
+
+    Linearly equivalent rays share d, so the rays stand for their classes,
+    and h0(x') >= h0(x) exactly when x' >= x or x < 0."""
+    if not cl.is_effective_coords(tuple(map(operator.sub, beta_prime.coords, beta.coords))):
         return False
-    return all(h0(c.d(beta_prime)) >= h0(c.d(beta)) for c in cl.equiv)
+    return all(x1 >= x or x < 0 for x1, x in zip(beta_prime.d, beta.d))
 
 
 def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
@@ -429,12 +436,10 @@ def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
     for s in sectors:
         base = base + s
     # base - s sums effective sectors, so only h0(d_c) bounds n from below:
-    # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0
-    n = 1
-    for s in sectors:
-        for c in cl.equiv:
-            if c.d(s) >= 0:
-                n = max(n, -((c.d(base) - c.d(s)) // c.d(positive)))
+    # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0; the
+    # rays stand for their classes, as in dominates
+    n = max([1] + [-((b - x) // p) for s in sectors
+                   for x, b, p in zip(s.d, base.d, positive.d) if x >= 0])
     return base + n * positive
 
 

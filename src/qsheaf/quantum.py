@@ -23,7 +23,7 @@ from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape
                    top_functional)
 from .deform import LinearData
 from .linalg import _primitive
-from .sectors import NotDominating, sector, sector_gb, transition
+from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb, transition
 
 
 class QuantumError(Exception):
@@ -40,7 +40,7 @@ class NonFanoEnumerationUnbounded(QuantumError):
 
 def four_fermi(lin: LinearData, beta: CurveClass) -> Polynomial:
     """Obstruction factor F_beta = prod_c Q_c^{h1(d_c)} for excess dimension."""
-    sector(lin, beta)  # the degree ceiling, before anything is expanded
+    ceiling(lin.cl, beta.d)
     return lin.q_product((c, h1(c.d(beta))) for c in lin.cl.equiv)
 
 
@@ -73,17 +73,17 @@ class _AnchorRing:
         """Correlator scalar of p in sector beta and a reason tag ('ok',
         'degree', 'empty', 'ineffective').  Raises for an insertion outside
         Sym*W or a non-dominating anchor."""
-        lin, cl, anchor = self.lin, self.lin.cl, self.anchor
+        cl, anchor = self.lin.cl, self.anchor
         if p not in self._degrees:
             if not p.is_psi_homogeneous() or p.has_q():
                 raise QuantumError("correlator insertions must be homogeneous in Sym*W")
             self._degrees[p] = p.psi_degree()
         if self._degrees[p] != beta.c1() + cl.fan.rank:
             return Fraction(0), "degree"
-        sec = sector(lin, beta)
-        if not sec.effective:
+        ceiling(cl, beta.d)
+        if not cl.is_effective(beta):
             return Fraction(0), "ineffective"
-        if not sec.nonempty:
+        if not nonempty(cl, beta.d):
             return Fraction(0), "empty"
         if not dominates(cl, anchor, beta):
             raise NotDominating(f"{anchor.d} does not dominate {beta.d}")

@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .lattice import CurveClass, dominates, h0
+from .lattice import ClassLattice, CurveClass, dominates, h0
 from .poly import GroebnerBasis, Polynomial
 
 if TYPE_CHECKING:
     from .deform import LinearData
 
 
-_MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked by sector()
+_MAX_DEGREE = 1000  # psi degree of a sector ideal generator, checked by ceiling()
 
 
 class SectorError(Exception):
@@ -41,20 +41,35 @@ class SectorData:
     effective: bool
 
 
-def sector(lin: LinearData, beta: CurveClass) -> SectorData:
-    """Sector bookkeeping for a curve class.  Its first step refuses a
-    generator prod_c Q_c^h0(d_c) of degree above _MAX_DEGREE, so a caller
-    that reads sector() before it expands anything needs no check of its own."""
-    cl = lin.cl
-    fan = cl.fan
-    d = beta.d
-    pcs = cl.primitive_collections
-    for K in pcs:
+def ceiling(cl: ClassLattice, d: tuple) -> None:
+    """Refuse the sector of d-vector d when a generator prod_c Q_c^h0(d_c)
+    has degree above _MAX_DEGREE.  Every caller runs it before it expands
+    or lists anything of the sector: sector(), sector_ideal, transition,
+    four_fermi and each anchor-ring row."""
+    for K in cl.primitive_collections:
         # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
         degree = sum(h0(d[rho]) for rho in K.edges)
         if degree > _MAX_DEGREE:
             raise SectorError(f"sector {d} needs a generator of degree {degree}, "
                               f"above the ceiling {_MAX_DEGREE}")
+
+
+def nonempty(cl: ClassLattice, d: tuple) -> bool:
+    """The moduli space of d-vector d is nonempty: no primitive collection
+    has d < 0 on all of its rays."""
+    return not any(all(d[rho] < 0 for rho in K.edges) for K in cl.primitive_collections)
+
+
+def sector(lin: LinearData, beta: CurveClass) -> SectorData:
+    """Sector bookkeeping for a curve class.  Its first step is ceiling(),
+    so nothing of an oversized sector is listed.  Callers that need only
+    the ceiling, effectivity or nonemptiness call ceiling(),
+    cl.is_effective or nonempty() instead."""
+    cl = lin.cl
+    fan = cl.fan
+    d = beta.d
+    pcs = cl.primitive_collections
+    ceiling(cl, d)
     enhanced = tuple((rho, i) for rho in range(fan.n_rays) if d[rho] >= 0
                      for i in range(d[rho] + 1))
     degenerate = []
@@ -65,11 +80,10 @@ def sector(lin: LinearData, beta: CurveClass) -> SectorData:
             if rho in K.edges and all(d[rp] < 0 for rp in K.edges if rp != rho):
                 degenerate.append((rho, 0))
                 break
-    nonempty = not any(all(d[rho] < 0 for rho in K.edges) for K in pcs)
     n_beta = sum(h0(d[rho]) for rho in range(fan.n_rays)) - cl.pic_rank
     return SectorData(beta=beta, enhanced_edges=enhanced,
                       degenerate=tuple(degenerate), n_beta=n_beta,
-                      nonempty=nonempty, effective=cl.is_effective(beta))
+                      nonempty=nonempty(cl, d), effective=cl.is_effective(beta))
 
 
 def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
@@ -81,7 +95,7 @@ def sector_ideal(lin: LinearData, beta: CurveClass) -> tuple:
     is already Q_[rho].  A generator of degree above _MAX_DEGREE is a
     SectorError."""
     cl = lin.cl
-    sector(lin, beta)  # the degree ceiling, before anything is expanded
+    ceiling(cl, beta.d)
     gens = []
     for K in cl.primitive_collections:
         # a vanishing product (singular A_c) generates nothing; the
@@ -103,8 +117,8 @@ def transition(lin: LinearData, beta_prime: CurveClass, beta: CurveClass) -> Pol
     difference of the two moduli space dimensions.
     """
     cl = lin.cl
-    sector(lin, beta_prime)  # the degree ceilings, before anything is expanded
-    sector(lin, beta)
+    ceiling(cl, beta_prime.d)
+    ceiling(cl, beta.d)
     if not dominates(cl, beta_prime, beta):
         raise NotDominating(f"{beta_prime.d} does not dominate {beta.d}")
     return lin.q_product((c, h0(c.d(beta_prime)) - h0(c.d(beta))) for c in cl.equiv)

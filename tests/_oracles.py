@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from qsheaf.lattice import beta_K, cone_facets, h0
+from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
 from qsheaf.linalg import matrix_rank, solve_columns
 from qsheaf.poly import (GroebnerBasis, Polynomial, PolyError, _div, _heap_key, _mon_div,
                          _mon_divides, _mon_lcm, _mon_mul, _require_nonnegative_q, monomial_key)
@@ -164,6 +164,35 @@ def effective_cones_coincide_by_facets(cl):
     kernel per (pic_rank - 1)-subset, equal the Mori cone's facets."""
     bk_coords = [beta_K(cl, K)[0].coords for K in cl.primitive_collections]
     return set(cone_facets(bk_coords, cl.pic_rank)) == set(cl.facets)
+
+
+def dominates_by_difference(cl, beta_prime, beta):
+    """The definition qsheaf.lattice.dominates had before it ran on int
+    vectors: the CurveClass difference is effective, and h0 of every class's
+    EquivClass.d does not fall."""
+    if not cl.is_effective(beta_prime - beta):
+        return False
+    return all(h0(c.d(beta_prime)) >= h0(c.d(beta)) for c in cl.equiv)
+
+
+def find_anchor_by_classes(cl, sectors):
+    """qsheaf.lattice.find_anchor as it was before it read the d-vectors:
+    the sum of the sectors plus the least multiple n >= 1 of cl.positive with
+    d_c(base) + n * d_c(positive) >= d_c(s) wherever d_c(s) >= 0, one
+    EquivClass.d call per class."""
+    for s in sectors:
+        if not cl.is_effective(s):
+            raise IneffectiveClass(f"sector {s.d} is not effective")
+    positive = cl.positive
+    base = cl.zero_curve
+    for s in sectors:
+        base = base + s
+    n = 1
+    for s in sectors:
+        for c in cl.equiv:
+            if c.d(s) >= 0:
+                n = max(n, -((c.d(base) - c.d(s)) // c.d(positive)))
+    return base + n * positive
 
 
 def in_cone(vec, gens):

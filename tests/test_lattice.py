@@ -1,3 +1,4 @@
+import functools
 import glob
 import itertools
 import os
@@ -5,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsheaf import (IneffectiveClass, LatticeError, NonProjectiveFan, PrimitiveCollection,
                     beta_K, class_lattice, dominates, effective_cones_coincide,
@@ -12,8 +15,10 @@ from qsheaf import (IneffectiveClass, LatticeError, NonProjectiveFan, PrimitiveC
 from qsheaf.cli import cmd_analyze, cmd_verify, make_parser
 import qsheaf.lattice
 from qsheaf.lattice import compositions
+from qsheaf.quantum import effective_window
 
-from _oracles import effective_cones_coincide_by_facets, in_cone, wall_classes
+from _oracles import (dominates_by_difference, effective_cones_coincide_by_facets,
+                      find_anchor_by_classes, in_cone, wall_classes)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray, hexagon,
                       hirzebruch, non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
 
@@ -203,6 +208,39 @@ def test_anchor_dominates_all_inputs():
             assert dominates(cl, anchor, s)
 
 
+@functools.lru_cache(maxsize=None)
+def _guard_window(name):
+    """A lattice and its effective classes with c1 <= 5, with their negatives."""
+    cl = {"F1": lambda: class_lattice(hirzebruch(1)),
+          "deformed P1xP1": lambda: load_model(os.path.join(
+              os.path.dirname(__file__), "..", "models", "p1xp1_deformed.json")).cl,
+          "Bl_pt P3": lambda: class_lattice(blowup_p3_point()),
+          "dP3": lambda: class_lattice(hexagon())}[name]()
+    window = effective_window(cl, 5)
+    return cl, window + tuple(-b for b in window)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_guards_match_their_definitions(data):
+    """dominates and find_anchor on int vectors agree with the CurveClass
+    and EquivClass.d definitions; dP3's Mori cone (5 facets in Picard rank
+    4) is not simplicial."""
+    cl, window = _guard_window(data.draw(st.sampled_from(
+        ["F1", "deformed P1xP1", "Bl_pt P3", "dP3"])))
+    b1, b2 = data.draw(st.sampled_from(window)), data.draw(st.sampled_from(window))
+    for bp, b in ((b1, b2), (b1 + b2, b2), (b2, b1)):
+        assert dominates(cl, bp, b) == dominates_by_difference(cl, bp, b), (bp.d, b.d)
+    sectors = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=3))
+    try:
+        expected = find_anchor_by_classes(cl, sectors)
+    except IneffectiveClass:
+        with pytest.raises(IneffectiveClass):
+            find_anchor(cl, sectors)
+    else:
+        assert find_anchor(cl, sectors) == expected
+
+
 def test_effective_cone_diagnostic():
     # the primitive relations generate the Mori cone of a smooth projective
     # toric variety (Batyrev 1991); the facet comparison, the reference, takes
@@ -268,10 +306,6 @@ def test_mori_generators_read_cached_primitive_collections(monkeypatch):
 
     monkeypatch.setattr(qsheaf.lattice, "primitive_collections", walk)
     assert [g.d for g in qsheaf.lattice.mori_generators(cl)] == [(1, 1, -2, 0), (0, 0, 1, 1)]
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=2))

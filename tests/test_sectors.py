@@ -8,13 +8,16 @@ import warnings
 import pytest
 
 import qsheaf.deform
+import qsheaf.quantum
+import qsheaf.sectors
 from qsheaf.lattice import find_anchor
 from qsheaf.model import load_model
 from qsheaf.quantum import degree_slice, effective_window
 
-from qsheaf import (NotDominating, SectorError, dominates, h0, h1, polymology,
+from qsheaf import (NotDominating, SectorError, beta_K, correlator_sector,
+                    correlator_series, d_symbols, dominates, four_fermi, h0, h1, polymology,
                     quotient_dims, sector, sector_gb, sector_ideal, standard_monomials,
-                    transition)
+                    transition, verify_qc_relation)
 from qsheaf.poly import Polynomial
 
 from _oracles import sector_h_vector
@@ -283,3 +286,67 @@ def test_ceiling_comes_before_every_expansion(monkeypatch):
                  lambda: sector_ideal(lin, big)):
         with pytest.raises(SectorError, match=CEILING):
             call()
+    with pytest.raises(SectorError, match=CEILING):
+        four_fermi(lin, big)
+    # an ineffective class whose c1 matches the insertion: the row's ceiling
+    # comes before its effectivity check, so it raises instead of returning 0
+    g1, g2 = cl.mori
+    oversized = 30000000 * g1 - 14999999 * g2
+    assert oversized.c1() == 2 and not cl.is_effective(oversized)
+    with pytest.raises(SectorError, match=r"^sector \(30000000, 30000000, -44999999, "
+                       r"-14999999\) needs a generator of degree 60000002, above the "
+                       r"ceiling 1000$"):
+        correlator_sector(lin, sum(d_symbols(cl)) ** 4, oversized,
+                          find_anchor(cl, [cl.zero_curve]))
+
+
+@pytest.mark.parametrize("name", ["f1", "p1xp1_deformed"])
+def test_guards_build_no_sector_data(monkeypatch, name):
+    """The ceiling, effectivity and dominance guards read plain integers:
+    both verify_qc_relation routes, transition, four_fermi and sector_ideal
+    call no sector(), and a correlator query calls it once, for its anchor."""
+    model = load_model(os.path.join(MODELS, f"{name}.json"))
+    cl, lin = model.cl, model.lin
+    calls = []  # the d-vector of every sector() call, wherever it is bound
+
+    def spy(lin, beta):
+        calls.append(beta.d)
+        return sector(lin, beta)
+
+    monkeypatch.setattr(qsheaf.sectors, "sector", spy)
+    monkeypatch.setattr(qsheaf.quantum, "sector", spy)
+    for K in cl.primitive_collections:
+        bk, _ = beta_K(cl, K)
+        for beta in effective_window(cl, 3):
+            anchor = find_anchor(cl, [beta, beta + bk])
+            assert verify_qc_relation(lin, K, beta, anchor)
+            assert verify_qc_relation(lin, K, beta, anchor, route="expand")
+            transition(lin, anchor, beta)
+            four_fermi(lin, beta)
+            sector_ideal(lin, beta)
+    assert calls == []
+    report = correlator_series(lin, sum(d_symbols(cl)) ** 4, 2)
+    assert calls == [report.anchor.d]
+
+
+@pytest.mark.parametrize("name", ["f1", "p1xp1_deformed"])
+def test_row_reasons_agree_with_sector(name):
+    """Every row's tag is what sector(lin, beta).effective and .nonempty say,
+    over a window with its negated classes.  The empty sectors there are
+    all ineffective, and effectivity is checked first; an effective empty
+    sector (dP3) is in test_quantum.py::test_rows_report_ineffective_and_empty_sectors."""
+    model = load_model(os.path.join(MODELS, f"{name}.json"))
+    cl, lin = model.cl, model.lin
+    window = effective_window(cl, 4)
+    betas = window + tuple(-b for b in window)
+    seen = set()
+    for t in range(-2, 5):
+        report = correlator_series(lin, sum(d_symbols(cl)) ** (t + 2), 4, sectors=betas)
+        for row in report.rows:
+            sec = sector(lin, row.beta)
+            expected = ("degree" if row.beta.c1() != t else
+                        "ineffective" if not sec.effective else
+                        "ok" if sec.nonempty else "empty")
+            assert row.reason == expected, (t, row.beta.d)
+            seen.add((row.reason, sec.nonempty))
+    assert {("ok", True), ("ineffective", False)} <= seen
