@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import solve_columns
+from .linalg import _dot, inverse
 from .poly import det
 
 
@@ -68,14 +68,23 @@ class Fan:
         return len(self.rays)
 
     @cached_property
+    def duals(self) -> dict:
+        """sigma -> the dual basis (m_i) of each maximal cone, in sigma's
+        order: <m_i, v_j> = 1 if i == j else 0 for i, j in sigma.  Integral,
+        since build_fan has checked that every maximal cone is unimodular."""
+        return {sigma: inverse(list(zip(*(self.rays[i] for i in sigma))))[0]
+                for sigma in self.max_cones}
+
+    @cached_property
     def walls(self) -> tuple:
         """(facet, d) per facet of the maximal cones, in sorted facet order.
 
         Completeness by facet pairing: every facet F must be shared by exactly
-        two maximal cones F+{a} and F+{b} whose wall relation
-        v_a + v_b = sum_{i in F} lambda_i v_i has a solution; on unimodular
-        cones it does exactly when a and b lie on opposite sides of F.  Then
-        d is 1 on a and b and -lambda_i on F, so sum_rho d_rho v_rho = 0.
+        two maximal cones F+{a} and F+{b}.  In the dual basis (m_i) of F+{a},
+        v_b = sum_i <m_i, v_b> v_i, so d = 1 on b and -<m_i, v_b> on F+{a}
+        gives sum_rho d_rho v_rho = 0.  On unimodular cones a and b lie on
+        opposite sides of F exactly when d_a = 1: that is the wall relation
+        v_a + v_b = sum_{i in F} -d_i v_i.
         """
         facets = {}
         for sigma in self.max_cones:
@@ -88,15 +97,13 @@ class Fan:
                     f"facet {facet} lies in {len(owners)} maximal cone(s); "
                     "support does not close up")
             (a,), (b,) = (set(sigma) - set(facet) for sigma in owners)
-            target = [x + y for x, y in zip(self.rays[a], self.rays[b])]
-            lam = solve_columns([self.rays[i] for i in facet], target)
-            if lam is None:
+            d = [0] * self.n_rays
+            d[b] = 1
+            for i, m in zip(owners[0], self.duals[owners[0]]):
+                d[i] = -_dot(m, self.rays[b])
+            if d[a] != 1:
                 raise IncompleteFan(
                     f"maximal cones sharing facet {facet} overlap on one side")
-            d = [0] * self.n_rays
-            d[a] = d[b] = 1
-            for i, coeff in zip(facet, lam):
-                d[i] = -coeff
             walls.append((facet, tuple(d)))
         return tuple(walls)
 
@@ -141,9 +148,10 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     """Validate and construct a complete smooth simplicial fan.
 
     Checks: primitive rays, no duplicate rays, every maximal cone a lattice
-    basis (|det| = 1), and completeness by facet pairing, which solves and
-    keeps each wall's relation (`Fan.walls`).  Projectivity is checked
-    later, by `class_lattice`, which raises NonProjectiveFan.
+    basis (|det| = 1), and completeness by facet pairing, which reads each
+    wall's relation off a cone's dual basis and keeps it (`Fan.walls`).
+    Projectivity is checked later, by `class_lattice`, which raises
+    NonProjectiveFan.
     """
     if rank < 1:
         raise FanError("rank must be a positive integer")
@@ -210,18 +218,18 @@ def locate_cone(fan: Fan, point: Sequence) -> tuple:
     """Locate the unique cone containing a rational point in its relative interior.
 
     Returns (cone, coefficients): the sorted ray-index tuple of the cone and
-    the strictly positive rational coefficients of the point on its rays.
-    The zero vector yields the zero cone with no coefficients.
+    the strictly positive rational coefficients of the point on its rays,
+    its pairings with the cone's dual basis (`Fan.duals`).  The zero vector
+    yields the zero cone with no coefficients.
     """
     p = [Fraction(x) for x in point]
     if len(p) != fan.rank:
         raise FanError(f"point must have {fan.rank} coordinates")
     if all(x == 0 for x in p):
         return (), ()
-    for sigma in fan.max_cones:
-        cols = [[Fraction(fan.rays[i][j]) for j in range(fan.rank)] for i in sigma]
-        coeffs = solve_columns(cols, p)
-        if coeffs is None or any(c < 0 for c in coeffs):
+    for sigma, duals in fan.duals.items():
+        coeffs = [_dot(m, p) for m in duals]
+        if any(c < 0 for c in coeffs):
             continue
         support = tuple(i for i, c in zip(sigma, coeffs) if c > 0)
         values = tuple(c for c in coeffs if c > 0)

@@ -13,11 +13,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
-from .linalg import kernel_basis, matrix_rank, rref, smith_normal_form
+from .linalg import _dot, _primitive, inverse, kernel_basis, matrix_rank, smith_normal_form
 
 
 class LatticeError(Exception):
@@ -259,16 +258,9 @@ class ClassLattice:
         """(cols, den): the j-th Mori coordinate of a class is its curve
         coordinates paired with the integer cols[j], over den, their least
         common denominator; ((), None) unless the Mori generators form a
-        basis of the curve space.  One elimination of [generators | 1]."""
-        r = self.pic_rank
-        if len(self.mori) != r:
-            return (), None
-        red, pivots = rref([[g.coords[i] for g in self.mori] + [int(i == k) for k in range(r)]
-                            for i in range(r)])
-        if pivots != list(range(r)):
-            return (), None
-        den = lcm(*(x.denominator for row in red for x in row[r:]))
-        return tuple(tuple(int(x * den) for x in row[r:]) for row in red), den
+        basis of the curve space.  The inverse of the generator matrix."""
+        matrix = list(zip(*(g.coords for g in self.mori)))  # generators as columns
+        return len(self.mori) == self.pic_rank and inverse(matrix) or ((), None)
 
     @property
     def mori_is_basis(self) -> bool:
@@ -331,10 +323,6 @@ def class_lattice(fan: Fan) -> ClassLattice:
     return cl
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(operator.mul, u, v))
-
-
 def compositions(total: int, parts: int):
     """Every tuple of parts >= 1 nonnegative integers summing to total, in
     lexicographic order: the order of itertools.product filtered by sum."""
@@ -356,13 +344,10 @@ def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:
     """
     normals = []
     for subset in itertools.combinations(gens, dim - 1):
-        kernel = kernel_basis([[Fraction(x) for x in g] for g in subset], dim)
+        kernel = kernel_basis(subset, dim)
         if len(kernel) != 1:
             continue
-        scale = lcm(*(x.denominator for x in kernel[0]))
-        u = [int(x * scale) for x in kernel[0]]
-        g = gcd(*u)
-        u = tuple(x // g for x in u)
+        u = tuple(_primitive(kernel[0])[0])
         signs = {(_dot(u, v) > 0) - (_dot(u, v) < 0) for v in gens} - {0}
         if signs == {-1}:
             u = tuple(-x for x in u)

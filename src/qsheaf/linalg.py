@@ -7,6 +7,7 @@ point is permitted anywhere in the kernel.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -105,6 +106,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     return r_mat, r_inv, diag
 
 
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(operator.mul, u, v))
+
+
 def _primitive(coeffs) -> tuple:
     """(b, s): coeffs = s * b for exact rationals (ints or Fractions), b a
     list of ints of content 1 (or all zero) and s > 0 rational."""
@@ -156,6 +161,21 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return red + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots
 
 
+def inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """(inv, den) with rows^-1 = inv / den for a square integer matrix: inv
+    an integer matrix and den > 0 the least common denominator of rows^-1;
+    None when singular.  One fraction-free elimination of [rows | 1]: its
+    rows have content 1, so row i of the inverse is m[i][n:] / m[i][i] in
+    lowest terms, and den is the lcm of the pivots."""
+    n = len(rows)
+    m, pivots = _integer_rref([list(r) + [int(i == j) for j in range(n)]
+                               for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    den = math.lcm(*(m[i][i] for i in range(n)))
+    return tuple(tuple(x * (den // m[i][i]) for x in m[i][n:]) for i in range(n)), den
+
+
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
@@ -179,30 +199,6 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
                 m[i] = [(x - a * y) % p for x, y in zip(m[i], row)]
         rank += 1
     return rank
-
-
-def solve_columns(cols: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Optional[list]:
-    """Solve sum_j x_j * cols[j] = target for independent columns.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Raises ValueError if the columns are linearly dependent (the caller is
-    expected to pass an independent spanning subset).
-    """
-    ncols = len(cols)
-    if ncols == 0:
-        return [] if all(t == 0 for t in target) else None
-    nr = len(target)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nr)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) != ncols:
-        raise ValueError("columns are linearly dependent")
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        sol[c] = row[-1]
-    return sol
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:

@@ -364,10 +364,10 @@ def degree_slice(cl: ClassLattice, t: int) -> tuple:
             "the degree slice is infinite, supply explicit sectors")
     if t < 0:
         return ()
-    vertices = [[Fraction(t * c, w) for c in g.coords] for g, w in zip(gens, weights)]
-    lo = [min(v[k] for v in vertices) for k in range(cl.pic_rank)]
-    hi = [max(v[k] for v in vertices) for k in range(cl.pic_rank)]
-    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+    # w > 0, so the ceiling of the least vertex coordinate is the least ceiling
+    box = [[(t * g.coords[k], w) for g, w in zip(gens, weights)] for k in range(cl.pic_rank)]
+    ranges = [range(min(-(-a // w) for a, w in col), max(a // w for a, w in col) + 1)
+              for col in box]
     c1s = [sum(d) for d in cl.curve_basis_d]  # c1 of each curve-basis vector
     j = max(k for k, w in enumerate(c1s) if w)  # some Mori generator has c1 > 0
     found = []

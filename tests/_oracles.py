@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
-from qsheaf.linalg import matrix_rank, solve_columns
+from qsheaf.linalg import matrix_rank
 from qsheaf.poly import (GroebnerBasis, Polynomial, PolyError, _div, _heap_key, _mon_div,
                          _mon_divides, _mon_lcm, _mon_mul, _require_nonnegative_q, monomial_key)
 
@@ -641,3 +641,23 @@ def rref_by_fractions(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def solve_columns(cols, target):
+    """Solve sum_j x_j * cols[j] = target for independent columns by
+    rational elimination of the augmented matrix; the coefficient list, or
+    None when the system is inconsistent.  Raises ValueError if the columns
+    are linearly dependent."""
+    ncols = len(cols)
+    if ncols == 0:
+        return [] if all(t == 0 for t in target) else None
+    red, pivots = rref_by_fractions([[cols[j][i] for j in range(ncols)] + [target[i]]
+                                     for i in range(len(target))])
+    if ncols in pivots:
+        return None
+    if len(pivots) != ncols:
+        raise ValueError("columns are linearly dependent")
+    sol = [Fraction(0)] * ncols
+    for row, c in zip(red, pivots):
+        sol[c] = row[-1]
+    return sol

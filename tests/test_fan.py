@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay,
                     Fan, NonUnimodularCone, build_fan, det, locate_cone,
                     primitive_collections)
 
-from _oracles import primitive_collections_by_subsets
+from _oracles import primitive_collections_by_subsets, solve_columns
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, hexagon, hirzebruch,
                       p1_fan, p1_power, p1xp1_fan, p2_fan)
 
@@ -27,7 +28,8 @@ def test_hirzebruch_matches_paper_data():
 
 
 def test_non_unimodular_cone_rejected():
-    with pytest.raises(NonUnimodularCone):
+    with pytest.raises(NonUnimodularCone, match=re.escape(
+            "cone (0, 1) has determinant -2; fan is not smooth")):
         build_fan(2, [(0, 1), (2, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
@@ -42,18 +44,31 @@ def test_duplicate_ray_rejected():
 
 
 def test_incomplete_fan_rejected():
-    with pytest.raises(IncompleteFan):
+    with pytest.raises(IncompleteFan, match=re.escape(
+            "facet (0,) lies in 1 maximal cone(s); support does not close up")):
         build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
 
 
+def test_facet_in_three_cones_rejected():
+    with pytest.raises(IncompleteFan, match=re.escape("facet (0,) lies in 3 maximal cone(s)")):
+        build_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2), (0, 3)])
+
+
+def test_one_cone_rank_one_fan_rejected():
+    with pytest.raises(IncompleteFan, match=re.escape("facet () lies in 1 maximal cone(s)")):
+        build_fan(1, [(1,)], [(0,)])
+
+
 def test_wrong_cone_arity_rejected():
-    with pytest.raises(NonUnimodularCone):
+    with pytest.raises(NonUnimodularCone, match=re.escape(
+            "maximal cone (0, 1, 2) does not have exactly 2 distinct rays")):
         build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1, 2)])
 
 
 def test_overlapping_cones_rejected():
     # facet pairing holds but the quadrant cone overlaps its two subcones
-    with pytest.raises(IncompleteFan):
+    with pytest.raises(IncompleteFan, match=re.escape(
+            "maximal cones sharing facet (0,) overlap on one side")):
         build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
 
 
@@ -73,6 +88,16 @@ def test_wall_relations_stored_by_build_fan():
             cones = [tuple(sorted(facet + (c,))) for c in (a, b)]
             assert all(sigma in fan.max_cones for sigma in cones)
             assert sum(det([fan.rays[i] for i in facet + (c,)]) for c in (a, b)) == 0
+
+
+def test_duals_pair_to_the_identity_with_their_cone():
+    fans = [fan for _, fan in all_fans()]
+    fans += [p1_power(3), blowup_p3_point(), hexagon(), blown_up_p1xp1(6)]
+    for fan in fans:
+        assert list(fan.duals) == list(fan.max_cones)
+        for sigma, duals in fan.duals.items():
+            assert [[sum(a * b for a, b in zip(m, fan.rays[j])) for j in sigma]
+                    for m in duals] == [[int(i == j) for j in sigma] for i in sigma]
 
 
 def test_fan_equality_ignores_cached_walls():
@@ -136,8 +161,6 @@ def test_locate_cone_examples():
 
 def _relint_faces(fan, point):
     """Brute force: faces whose relative interior contains the point."""
-    from qsheaf.linalg import solve_columns
-
     hits = []
     for face in fan.cone_faces():
         if not face:

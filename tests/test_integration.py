@@ -9,6 +9,7 @@ from qsheaf import (beta_K, build_fan, class_lattice, correlator_series,
                     quantum_normal_form, sector, verify_qc_relation)
 from qsheaf.poly import Polynomial
 
+from _oracles import solve_columns
 from conftest import drop_q, p2_fan, q_set_zero, tangent_setup
 
 
@@ -82,8 +83,6 @@ def _surface_intersection_oracle(fan):
     its relation vector v_a + v_b + sum(lam * v) = 0 lists every pairing
     D_i . D_j directly.  No class-lattice machinery involved.
     """
-    from qsheaf.linalg import solve_columns
-
     pairs = {}
     for i in range(fan.n_rays):
         owners = [sigma for sigma in fan.max_cones if i in sigma]

@@ -1,11 +1,12 @@
 """The exact linear algebra kernel against plain rational elimination."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsheaf.linalg import kernel_basis, matrix_rank, rank_mod, rref
+from qsheaf.linalg import inverse, kernel_basis, matrix_rank, rank_mod, rref
 
 from _oracles import rref_by_fractions
 
@@ -61,3 +62,50 @@ def test_rank_mod_a_large_prime_matches_rank_over_q(rows):
     rank = matrix_rank(rows)
     assert rank_mod(rows, 2 ** 61 - 1) == rank
     assert rank_mod(rows, 3) <= rank
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices, some with a dependent row planted."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [[draw(st.integers(min_value=-9, max_value=9)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[-2])]
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_rational_elimination(m):
+    n = len(m)
+    red, pivots = rref_by_fractions([row + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        assert matrix_rank(m) < n and inverse(m) is None
+        return
+    inv, den = inverse(m)
+    ref = [row[n:] for row in red]
+    assert [[Fraction(x, den) for x in row] for row in inv] == ref
+    assert den == math.lcm(*(x.denominator for row in ref for x in row))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=-4, max_value=4)), max_size=12),
+       st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_inverse_of_a_unimodular_matrix_is_integral(ops, signs):
+    # row additions and sign changes of the identity have determinant +-1
+    m = [[s * int(i == j) for j in range(4)] for i, s in enumerate(signs)]
+    for i, j, k in ops:
+        if i != j:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    inv, den = inverse(m)
+    assert den == 1
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in m] == \
+        [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def test_inverse_of_a_singular_matrix_is_none():
+    assert inverse([[1, 2], [2, 4]]) is None
+    assert inverse([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) is None
