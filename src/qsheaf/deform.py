@@ -86,8 +86,7 @@ class LinearData:
     _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_parts", tuple(
-            (b, s.numerator, s.denominator) for b, s in map(Polynomial.primitive, self.q)))
+        object.__setattr__(self, "_parts", tuple(map(Polynomial.primitive, self.q)))
 
     def q_product(self, exponents: Iterable[tuple]) -> Polynomial:
         """prod Q_c^e over (EquivClass, e) pairs; zero exponents are skipped.

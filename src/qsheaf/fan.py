@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Sequence
@@ -218,20 +217,20 @@ def locate_cone(fan: Fan, point: Sequence) -> tuple:
     """Locate the unique cone containing a rational point in its relative interior.
 
     Returns (cone, coefficients): the sorted ray-index tuple of the cone and
-    the strictly positive rational coefficients of the point on its rays,
-    its pairings with the cone's dual basis (`Fan.duals`).  The zero vector
-    yields the zero cone with no coefficients.
+    the strictly positive coefficients of the point on its rays: its
+    pairings with the cone's integral dual basis (`Fan.duals`), so ints for
+    an integer point.  The zero vector yields the zero cone with no
+    coefficients.
     """
-    p = [Fraction(x) for x in point]
-    if len(p) != fan.rank:
+    if len(point) != fan.rank:
         raise FanError(f"point must have {fan.rank} coordinates")
-    if all(x == 0 for x in p):
+    if not any(point):
         return (), ()
     for sigma, duals in fan.duals.items():
-        coeffs = [_dot(m, p) for m in duals]
+        coeffs = [_dot(m, point) for m in duals]
         if any(c < 0 for c in coeffs):
             continue
         support = tuple(i for i, c in zip(sigma, coeffs) if c > 0)
         values = tuple(c for c in coeffs if c > 0)
         return support, values
-    raise NotInSupport(f"point {tuple(p)} lies in no cone; fan is not complete")
+    raise NotInSupport(f"point {tuple(point)} lies in no cone; fan is not complete")

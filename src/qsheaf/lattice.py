@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -175,10 +174,10 @@ class ClassLattice:
             for rho in K.edges:
                 d[rho] = 1
             for rho, c in zip(sigma, coeffs):
-                if Fraction(c).denominator != 1:
+                if c.denominator != 1:
                     raise NonIntegralCoefficient(
                         f"coefficient {c} on cone {sigma} is not an integer")
-                d[rho] = -int(c)
+                d[rho] = -c
             beta = self.curve_from_d(d)
             # primitive collections are unions of full equivalence classes
             for c in self.classes_of(K.edges):
@@ -297,7 +296,7 @@ def class_lattice(fan: Fan) -> ClassLattice:
     """
     n, r = fan.rank, fan.n_rays
     rows = [list(v) for v in fan.rays]
-    R, Rinv, diag = smith_normal_form(rows)
+    R, diag = smith_normal_form(rows)
     if len(diag) != n or any(abs(d) != 1 for d in diag):
         raise TorsionDetected(
             f"ray matrix has diagonal form {diag}; expected all +-1 "
@@ -305,8 +304,7 @@ def class_lattice(fan: Fan) -> ClassLattice:
     divisor_classes = tuple(tuple(R[n + k][rho] for k in range(r - n))
                             for rho in range(r))
     curve_basis_d = tuple(tuple(R[n + j]) for j in range(r - n))
-    section = tuple(tuple(Rinv[rho][n + k] for k in range(r - n))
-                    for rho in range(r))
+    section = tuple(row[n:] for row in inverse(R)[0])  # R unimodular: integral
     cl = ClassLattice(fan, divisor_classes, curve_basis_d, section)
     # exactness: the rows of the ray matrix pair to zero with every class
     for j in range(n):

@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra used by the geometric layers.
 
-Everything operates on plain Python ints / fractions.Fraction; no floating
-point is permitted anywhere in the kernel.
+Inputs are plain Python ints or fractions.Fraction; no floating point is
+permitted anywhere in the kernel.  Elimination is fraction-free (Bareiss,
+Math. Comp. 22, 1968): rows are kept as primitive integer vectors and a
+content is carried as a pair of ints.  Only kernel_basis returns Fractions.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import Optional, Sequence
 def smith_normal_form(rows: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (R, Rinv, diag) with R @ A @ C = D for some unimodular C, where
-    R is unimodular with inverse Rinv and diag lists the diagonal of D.
-    Column operations are not tracked; callers only need the row side.  The
-    diagonal is left as the pivoting produces it, with no entry made to divide
-    the next: a full-rank A has a free cokernel exactly when it is all +-1.
+    Returns (R, diag) with R @ A @ C = D for some unimodular C, where R is
+    unimodular and diag lists the diagonal of D.  Column operations are not
+    tracked; callers only need the row side.  The diagonal is left as the
+    pivoting produces it, with no entry made to divide the next: a
+    full-rank A has a free cokernel exactly when it is all +-1.
     Pivoting is deterministic (smallest absolute value, then position), so
     the output is platform independent.
     """
@@ -27,26 +29,18 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     nr = len(a)
     nc = len(a[0]) if nr else 0
     r_mat = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    r_inv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         r_mat[i], r_mat[j] = r_mat[j], r_mat[i]
-        for row in r_inv:
-            row[i], row[j] = row[j], row[i]
 
     def row_add(i, j, k):
-        # row_i += k * row_j ; inverse op: column_j -= k * column_i
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
         r_mat[i] = [x + k * y for x, y in zip(r_mat[i], r_mat[j])]
-        for row in r_inv:
-            row[j] -= k * row[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         r_mat[i] = [-x for x in r_mat[i]]
-        for row in r_inv:
-            row[i] = -row[i]
 
     def col_swap(i, j):
         for row in a:
@@ -103,7 +97,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     while t < min(nr, nc) and clear_step(t):
         t += 1
     diag = [a[i][i] for i in range(min(nr, nc))]
-    return r_mat, r_inv, diag
+    return r_mat, diag
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -111,12 +105,14 @@ def _dot(u: Sequence, v: Sequence):
 
 
 def _primitive(coeffs) -> tuple:
-    """(b, s): coeffs = s * b for exact rationals (ints or Fractions), b a
-    list of ints of content 1 (or all zero) and s > 0 rational."""
+    """(b, num, den): coeffs = num / den * b for exact rationals (ints or
+    Fractions), b ints of content 1 (or all zero, num = den = 1), num / den
+    > 0 in lowest terms: a prime's full power in den divides some entry's
+    denominator, so that entry's scaled numerator, hence g, is prime to it."""
     den = math.lcm(*(x.denominator for x in coeffs))
     b = [x.numerator * (den // x.denominator) for x in coeffs]
     g = math.gcd(*b) or 1
-    return [x // g for x in b], Fraction(g, den)
+    return [x // g for x in b], g, den
 
 
 def _integer_rref(rows: Sequence[Sequence]) -> tuple:
@@ -152,15 +148,6 @@ def _integer_rref(rows: Sequence[Sequence]) -> tuple:
     return m, pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form over the rationals; returns (rows, pivot
-    columns), every entry a Fraction.  The RREF is unique, so it is read off
-    the fraction-free elimination, each row divided by its pivot entry."""
-    m, pivots = _integer_rref(rows)
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return red + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots
-
-
 def inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
     """(inv, den) with rows^-1 = inv / den for a square integer matrix: inv
     an integer matrix and den > 0 the least common denominator of rows^-1;
@@ -177,8 +164,6 @@ def inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
     return len(_integer_rref(rows)[1])
 
 
@@ -202,13 +187,15 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
-    """Rational basis of the kernel of the matrix with the given rows."""
-    red, pivots = rref(rows) if rows else ([], [])
+    """Rational basis of the kernel of the matrix with the given rows: per
+    free column f, 1 at f, 0 at the other free columns, and at each pivot p
+    minus the RREF entry, read off the fraction-free rows as -row[f] / row[p]."""
+    m, pivots = _integer_rref(rows)
     basis = []
     for f in (j for j in range(width) if j not in pivots):
         vec = [Fraction(0)] * width
         vec[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f]
+        for row, p in zip(m, pivots):
+            vec[p] = Fraction(-row[f], row[p])
         basis.append(vec)
     return basis

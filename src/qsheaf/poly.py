@@ -253,12 +253,12 @@ class Polynomial:
         return result
 
     def primitive(self) -> tuple:
-        """(b, s): self = s * b for b with integer coefficients of content 1
-        and s > 0 rational; b = 0 and s = 1 for the zero polynomial."""
-        ints, s = _primitive(self.terms.values())
+        """(b, num, den): self = num / den * b for b with integer coefficients
+        of content 1 and num, den > 0 coprime ints; (0, 1, 1) for zero."""
+        ints, num, den = _primitive(self.terms.values())
         b = Polynomial(self.nv, self.nq, dict(zip(self.terms, ints)))
         b._lead = self._lead
-        return b, s
+        return b, num, den
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
@@ -471,9 +471,9 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     collects is divided out once, at the end."""
     basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
     rules = [_rule(g.terms, g.leading_monomial()) for g in basis if g]
-    ints, s = p.primitive()
+    ints, num, den = p.primitive()
     remainder, scale = _pseudo_remainder(ints.terms, rules)
-    num, den = s.numerator, s.denominator * scale
+    den *= scale
     return Polynomial(p.nv, p.nq, {m: _div(num * c, den) for m, c in remainder.items()})
 
 
@@ -563,7 +563,7 @@ def _rule(terms: dict, lead: tuple) -> tuple:
     """(lead, the primitive integer multiple of nonzero terms with a positive
     coefficient at lead): the one form of a divisor in the fraction-free
     division, and of an element the Buchberger keeps."""
-    ints, _ = _primitive(terms.values())
+    ints = _primitive(terms.values())[0]
     if terms[lead] < 0:
         ints = [-x for x in ints]
     return lead, dict(zip(terms, ints))
@@ -905,9 +905,10 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                 return one * Fraction(int(num), int(den))
             return one * int(val)
         if kind == "sym":
-            if val < 1 or val > len(d_symbols):
-                raise ParseError(f"unknown symbol D{val}", at)
-            return d_symbols[val - 1]
+            index = int(val[1:])
+            if index < 1 or index > len(d_symbols):
+                raise ParseError(f"unknown symbol D{index}", at)
+            return d_symbols[index - 1]
         if kind == "op" and val in "(-":
             if depth == _MAX_NESTING:
                 raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", at)
@@ -921,12 +922,16 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                     raise ParseError("expected ')'", at)
             depth -= 1
             return inner
-        raise ParseError(f"unexpected token {val!r}", at)
+        raise unexpected(kind, val, at)
+
+    def unexpected(kind, val, at):
+        if kind == "end":
+            return ParseError("unexpected end of input", at)
+        return ParseError(f"unexpected token {val!r}", at)
 
     result = parse_expr()
-    kind, val, at = peek()
-    if kind != "end":
-        raise ParseError(f"unexpected token {val!r}", at)
+    if peek()[0] != "end":
+        raise unexpected(*peek())
     return result
 
 
@@ -965,7 +970,7 @@ def _tokenize(text: str):
                 j += 1
             if j == i + 1:
                 raise ParseError("symbol 'D' needs a numeric index", i)
-            tokens.append(("sym", int(text[i + 1:j]), i))
+            tokens.append(("sym", text[i:j], i))
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)

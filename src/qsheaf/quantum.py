@@ -147,8 +147,8 @@ class _ResidueRing(_AnchorRing):
     [u^(deg D - 1)] (N * E^-1 mod D) / lc(D), and nothing is expanded in two
     variables.
 
-    The arithmetic is over Z[u] with one rational scale: each q_c is kept as
-    a primitive integer list and its content, D stays integral and not
+    The arithmetic is over Z[u] with one rational scale: each q_c is its
+    primitive part and content from LinearData, D stays integral and not
     monic, every reduction mod D is a pseudo-division whose multiplier and
     content go into integer accumulators, and E^-1 comes from one integer
     pseudo-remainder sequence (Collins, JACM 1967; Brown-Traub, JACM 1971).
@@ -158,7 +158,7 @@ class _ResidueRing(_AnchorRing):
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
         cl, n = lin.cl, self.n
-        self._q = [_primitive(_dehomogenize(q)) for q in lin.q]
+        self._q = [(_dehomogenize(b), num, den) for b, num, den in lin._parts]
         for K in cl.primitive_collections:
             if all(len(self._q[c.index][0]) == c.size + 1
                    for c in cl.classes_of(K.edges) if h0(c.d(anchor))):
@@ -192,18 +192,18 @@ class _ResidueRing(_AnchorRing):
                 d = _umul(d, self._q[cls.index][0])
         if len(d) == 1:
             return d, [], 0, 1  # no pole, so the residue sum is 0
-        num, scale = _primitive(numerator)
-        top, bottom = scale.numerator, scale.denominator * d[-1]
+        num, top, bottom = _primitive(numerator)
+        bottom *= d[-1]
         num, c, m = _reduce(num, d)
         top, bottom = top * c, bottom * m
         den = [1]
         for cls in self.lin.cl.equiv:
-            (q, scale), e = self._q[cls.index], exponents[cls.index]
-            # q_c^-e = scale^-e * q^-e: the scale leaves as an integer ratio
+            (q, qn, qd), e = self._q[cls.index], exponents[cls.index]
+            # q_c^-e = (qn / qd)^-e * q^-e: the content leaves as an integer ratio
             if e < 0:
-                top, bottom = top * scale.numerator ** -e, bottom * scale.denominator ** -e
+                top, bottom = top * qn ** -e, bottom * qd ** -e
             else:
-                top, bottom = top * scale.denominator ** e, bottom * scale.numerator ** e
+                top, bottom = top * qd ** e, bottom * qn ** e
             for _ in range(-e):
                 num, c, m = _reduce(_umul(num, q), d)
                 top, bottom = top * c, bottom * m

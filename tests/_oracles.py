@@ -396,6 +396,20 @@ def _at_u(p):
     return out
 
 
+def residue_q_by_fractions(lin):
+    """Each Q_c as qsheaf.quantum._ResidueRing derived it from Q_c itself
+    before reading it from LinearData: the primitive integer list of
+    Q_c(u, 1) and its content as one Fraction."""
+    out = []
+    for q in lin.q:
+        coeffs = _at_u(q)
+        den = math.lcm(*(x.denominator for x in coeffs))
+        b = [x.numerator * (den // x.denominator) for x in coeffs]
+        g = math.gcd(*b) or 1
+        out.append(([x // g for x in b], Fraction(g, den)))
+    return out
+
+
 class ResidueReference:
     """The anchor functional of a Picard rank <= 2 sector ring as a residue
     sum over Q[u]: the generator psi1^a psi2^(n - a) with the least a whose

@@ -308,6 +308,18 @@ def test_mori_generators_read_cached_primitive_collections(monkeypatch):
     assert [g.d for g in qsheaf.lattice.mori_generators(cl)] == [(1, 1, -2, 0), (0, 0, 1, 1)]
 
 
+def test_section_is_dual_to_the_divisor_classes():
+    fans = [fan for _, fan in all_fans()]
+    fans += [p1_power(3), blowup_p3_point(), hexagon(), blown_up_p1xp1(6)]
+    for fan in fans:
+        cl = class_lattice(fan)
+        rank = range(cl.pic_rank)
+        assert [[sum(cl.divisor_classes[rho][k] * cl._section[rho][j]
+                     for rho in range(fan.n_rays)) for j in rank]
+                for k in rank] == [[int(k == j) for j in rank] for k in rank]
+        assert all(cl.curve_from_d(g.d) == g for g in cl.mori)
+
+
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_curve_class_round_trip(coords):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsheaf.linalg import inverse, kernel_basis, matrix_rank, rank_mod, rref
+from qsheaf.linalg import _primitive, inverse, kernel_basis, matrix_rank, rank_mod
 
 from _oracles import rref_by_fractions
 
@@ -36,18 +36,35 @@ def matrices(draw):
     return m
 
 
+@given(st.lists(entries, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_primitive_content_is_a_reduced_pair_of_ints(coeffs):
+    b, num, den = _primitive(coeffs)
+    assert all(type(x) is int for x in b + [num, den]) and len(b) == len(coeffs)
+    assert all(num * x == c * den for x, c in zip(b, coeffs))
+    assert math.gcd(*b) == 1 or not any(b)
+    assert math.gcd(num, den) == 1 and num > 0 and den > 0
+    if not any(coeffs):
+        assert (b, num, den) == ([0] * len(coeffs), 1, 1)
+
+
 @given(matrices())
 @settings(max_examples=150, deadline=None)
-def test_rref_matches_rational_elimination(m):
-    red, pivots = rref(m)
-    ref, ref_pivots = rref_by_fractions(m)
-    assert (red, pivots) == (ref, ref_pivots)
-    assert all(type(x) is Fraction for row in red for x in row)
-    assert matrix_rank(m) == len(ref_pivots)
-    # the kernel read off the RREF annihilates every row
+def test_kernel_basis_matches_rational_elimination(m):
     width = len(m[0]) if m else 0
-    for vec in kernel_basis(m, width):
-        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+    ref, pivots = rref_by_fractions(m)
+    # one vector per free column f: 1 at f, 0 at the other free columns
+    expected = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [Fraction(int(j == f)) for j in range(width)]
+        for row, p in zip(ref, pivots):
+            vec[p] = -row[f]
+        expected.append(vec)
+    basis = kernel_basis(m, width)
+    assert basis == expected
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    assert matrix_rank(m) == len(pivots) == width - len(basis)
+    assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m for vec in basis)
 
 
 small_matrices = st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),

@@ -532,3 +532,90 @@ def test_cli_series_of_degree_zero_on_dp3_has_no_novikov_symbol(tmp_path, capsys
     assert (code, err) == (0, "")
     series = json.loads(out)["series"] if fmt == "json" else out.splitlines()[-1]
     assert series == ("-1/4" if fmt == "json" else "series: -1/4")
+
+
+def _f1_edited(edit):
+    """models/f1.json after edit(data), or what edit returns if anything."""
+    with open(model_path("f1")) as fh:
+        data = json.load(fh)
+    return edit(data) or data
+
+
+def _entry(**fields):
+    return {"entries": [{"rho": 0, "m": [0, 0], "coeff": "D1", **fields}]}
+
+
+# one edit of models/f1.json per validation check, and the line it prints
+_INVALID_MODELS = [
+    ("rank-0", lambda d: d["fan"].update(rank=0),
+     "error[FanError]: rank must be a positive integer"),
+    ("no-rays", lambda d: d["fan"].update(rays=[]), "error[FanError]: ray list is empty"),
+    ("no-cones", lambda d: d["fan"].update(max_cones=[]),
+     "error[FanError]: maximal cone list is empty"),
+    ("ray-arity", lambda d: d["fan"]["rays"].__setitem__(0, [1, 0, 0]),
+     "error[FanError]: ray (1, 0, 0) does not have 2 coordinates"),
+    ("ray-index", lambda d: d["fan"]["max_cones"].__setitem__(0, [0, 7]),
+     "error[FanError]: cone (0, 7) references an unknown ray index"),
+    ("duplicate-cone", lambda d: d["fan"]["max_cones"].append([2, 0]),
+     "error[IncompleteFan]: duplicate maximal cone"),
+    ("rank-bool", lambda d: d["fan"].update(rank=True),
+     "error[ModelError]: fan.rank: expected an integer, got a boolean"),
+    ("rank-word", lambda d: d["fan"].update(rank="two"),
+     "error[ModelError]: fan.rank: 'two' is not an integer"),
+    ("rank-float", lambda d: d["fan"].update(rank=1.5),
+     "error[ModelError]: fan.rank: 1.5 is not an integer"),
+    ("top-list", lambda d: [d], "error[ModelError]: model file must contain a JSON object"),
+    ("deformation-str", lambda d: d.update(deformation="x"),
+     "error[ModelError]: 'deformation' must be an object with 'entries'"),
+    ("entry-int", lambda d: d.update(deformation={"entries": [5]}),
+     "error[ModelError]: deformation entries must be objects"),
+    ("coeff-int", lambda d: d.update(deformation=_entry(coeff=3)),
+     "error[ModelError]: deformation coefficients must be D-symbol strings"),
+    ("character-arity", lambda d: d.update(deformation=_entry(m=[0])),
+     "error[DeformError]: character (0,) must have 2 coordinates"),
+    ("nonlinear-coeff", lambda d: d.update(deformation=_entry(coeff="D1*D2")),
+     "error[DeformError]: coefficient psi1^2 - 2*psi1*psi2 + psi2^2 for (rho=0, m=(0, 0)) "
+     "is not a linear form in W"),
+]
+
+
+@pytest.mark.parametrize("edit, line", [pytest.param(edit, line, id=name)
+                                        for name, edit, line in _INVALID_MODELS])
+def test_cli_invalid_model_prints_one_error_line(tmp_path, capsys, edit, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_f1_edited(edit)))
+    assert capture(capsys, ["analyze", str(path), "--no-cache"]) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("command, options, line", [
+    ("correlator", [], "error[ModelError]: correlator requires --poly <expression>"),
+    ("analyze", ["--trials", "10001"],
+     "error[DeformError]: trials 10001 is above the ceiling 10000"),
+    ("correlator", ["--poly", "D1^-1"],
+     "error[ParseError]: exponent must be a nonnegative integer (at position 3)"),
+    ("correlator", ["--poly", "(D1+D2"], "error[ParseError]: expected ')' (at position 6)"),
+    ("correlator", ["--poly", "1/"],
+     "error[ParseError]: malformed rational number (at position 1)"),
+    ("correlator", ["--poly", "D"],
+     "error[ParseError]: symbol 'D' needs a numeric index (at position 0)"),
+    # end of input, and a symbol token quoted as written
+    ("correlator", ["--poly", "D1+"],
+     "error[ParseError]: unexpected end of input (at position 3)"),
+    ("correlator", ["--poly", " "],
+     "error[ParseError]: unexpected end of input (at position 1)"),
+    ("correlator", ["--poly", "-"],
+     "error[ParseError]: unexpected end of input (at position 1)"),
+    ("correlator", ["--poly", "D1*"],
+     "error[ParseError]: unexpected end of input (at position 3)"),
+    ("correlator", ["--poly", "("],
+     "error[ParseError]: unexpected end of input (at position 1)"),
+    ("correlator", ["--poly", "D1 D2"],
+     "error[ParseError]: unexpected token 'D2' (at position 3)"),
+    ("correlator", ["--poly", "2 D1"],
+     "error[ParseError]: unexpected token 'D1' (at position 2)"),
+    ("correlator", ["--poly", "D1)"],
+     "error[ParseError]: unexpected token ')' (at position 2)"),
+])
+def test_cli_invalid_arguments_print_one_error_line(capsys, command, options, line):
+    argv = [command, model_path("f1"), *options, "--no-cache"]
+    assert capture(capsys, argv) == (1, "", line + "\n")

@@ -26,7 +26,8 @@ from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
 from _oracles import (GroebnerReference, ResidueReference, degree_slice_by_box,
-                      monomials_of_degree, uinverse, uproduct, urem, utrim)
+                      monomials_of_degree, residue_q_by_fractions, uinverse, uproduct,
+                      urem, utrim)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
                       deformed_p1_power, deformed_p1xp1, deformed_setups, drop_q,
                       hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, p2_fan,
@@ -741,6 +742,19 @@ def _reference_ladder():
     cases.append(pytest.param(*_deformed_f1(), range(7), id="deformed F1"))
     cases.append(pytest.param(*tangent_setup(blowup_p3_point()), range(7), id="BlptP3"))
     return cases
+
+
+def test_residue_ring_reads_q_content_from_linear_data():
+    from qsheaf.quantum import _ResidueRing
+
+    lins = [lin for lin in deformed_setups() if lin.cl.pic_rank <= 2] + [_deformed_f1()[1]]
+    assert len(lins) == 4
+    for lin in lins:
+        window = next(w for w in (_slice(lin.cl, t) for t in range(1, 6)) if w)
+        ring = _ResidueRing(lin, find_anchor(lin.cl, list(window)))
+        assert [(b, Fraction(num, den)) for b, num, den in ring._q] == \
+            residue_q_by_fractions(lin)
+        assert any(num != den for _, num, den in ring._q)  # a rational content
 
 
 @pytest.mark.parametrize("cl, lin, slices", _reference_ladder())
