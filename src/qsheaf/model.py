@@ -128,4 +128,7 @@ def load_model(path: str) -> Model:
             f"{exc.msg}") from None
     except RecursionError:
         raise ModelError(f"model file {path} nests JSON too deeply") from None
+    except ValueError:  # JSONDecodeError is caught above: an int past the digit limit
+        raise ModelError(f"model file {path} has an integer longer than Python's "
+                         f"int digit limit") from None
     return build_model(data)

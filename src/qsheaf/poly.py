@@ -21,6 +21,7 @@ import heapq
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -246,11 +247,6 @@ class Polynomial:
 
     def leading_coefficient(self) -> int | Fraction:
         return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "Polynomial":
-        result = self * _div(1, self.leading_coefficient())
-        result._lead = self._lead  # scaling keeps the leading monomial
-        return result
 
     def primitive(self) -> tuple:
         """(b, num, den): self = num / den * b for b with integer coefficients
@@ -828,88 +824,72 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
     nv, nq = d_symbols[0].nv, d_symbols[0].nq
     one = Polynomial.const(nv, 1, nq)
 
-    tokens = _tokenize(text)
-    pos = 0
-    depth = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None, len(text))
+    tokens = _tokenize(text)  # ends in the "end" token, which no rule takes past
+    pos = depth = 0
 
     def take():
         nonlocal pos
-        tok = peek()
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
-    def check_degree(degree: int, at: int):
+    def check(degree: int, bits: float, k: int, at: int):
+        # a product of the given degree, of k factors of the given height;
+        # k may be too large for a float
         if max_degree is not None and degree > max_degree:
             raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
-
-    def check_height(bits: float, k: int, at: int):
-        # k factors of the given height; k may be too large for a float
         if bits and k > _MAX_HEIGHT / bits:
             raise ParseError(f"coefficients would exceed {_MAX_HEIGHT} bits", at)
 
     def parse_expr():
-        kind, val, _ = peek()
-        sign = -1 if kind == "op" and val == "-" else 1
-        if kind == "op" and val in "+-":
-            take()
-        total = parse_term() * sign
-        while True:
-            kind, val, at = peek()
-            if kind == "op" and val in "+-":
-                take()
-                nxt = parse_term()
-                total = total + (nxt if val == "+" else -nxt)
-            else:
-                return total
+        sign = take()[1] if tokens[pos][1] in ("+", "-") else "+"
+        total = parse_term() if sign == "+" else -parse_term()
+        while tokens[pos][1] in ("+", "-"):
+            op = take()[1]
+            nxt = parse_term()
+            total = total + (nxt if op == "+" else -nxt)
+        return total
 
     def parse_term():
         result = parse_factor()
-        while True:
-            kind, val, at = peek()
-            if kind == "op" and val == "*":
-                take()
-                factor = parse_factor()
-                if result and factor:  # degrees add: Q[psi] has no zero divisors
-                    check_degree(result.psi_degree() + factor.psi_degree(), at)
-                    check_height(_height(result) + _height(factor), 1, at)
-                result = result * factor
-            else:
-                return result
+        while tokens[pos][1] == "*":
+            at = take()[2]
+            factor = parse_factor()
+            if result and factor:  # degrees add: Q[psi] has no zero divisors
+                check(result.psi_degree() + factor.psi_degree(),
+                      _height(result) + _height(factor), 1, at)
+            result = result * factor
+        return result
 
     def parse_factor():
         base = parse_atom()
-        kind, val, at = peek()
-        if kind == "op" and val == "^":
-            take()
-            kind, val, exp_at = take()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a nonnegative integer", exp_at)
-            k = int(val)
-            if base:
-                check_degree(k * base.psi_degree(), at)
-                check_height(_height(base), k, at)
-            return base ** k
-        return base
+        if tokens[pos][1] != "^":
+            return base
+        at = take()[2]
+        kind, val, exp_at = take()
+        if kind != "num" or "/" in val:
+            raise ParseError("exponent must be a nonnegative integer", exp_at)
+        k = _digits(val, exp_at)
+        if base:
+            check(k * base.psi_degree(), _height(base), k, at)
+        return base ** k
 
     def parse_atom():
         nonlocal depth
         kind, val, at = take()
         if kind == "num":
-            if "/" in val:
-                num, den = val.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", at)
-                return one * Fraction(int(num), int(den))
-            return one * int(val)
+            num, slash, den = val.partition("/")
+            if not slash:
+                return one * _digits(num, at)
+            den = _digits(den, at + len(num) + 1)
+            if den == 0:
+                raise ParseError("zero denominator", at)
+            return one * Fraction(_digits(num, at), den)
         if kind == "sym":
-            index = int(val[1:])
+            index = _digits(val[1:], at + 1)
             if index < 1 or index > len(d_symbols):
                 raise ParseError(f"unknown symbol D{index}", at)
             return d_symbols[index - 1]
-        if kind == "op" and val in "(-":
+        if val in ("(", "-"):
             if depth == _MAX_NESTING:
                 raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", at)
             depth += 1
@@ -922,56 +902,41 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                     raise ParseError("expected ')'", at)
             depth -= 1
             return inner
-        raise unexpected(kind, val, at)
-
-    def unexpected(kind, val, at):
-        if kind == "end":
-            return ParseError("unexpected end of input", at)
-        return ParseError(f"unexpected token {val!r}", at)
+        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", at)
 
     result = parse_expr()
-    if peek()[0] != "end":
-        raise unexpected(*peek())
+    kind, val, at = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"unexpected token {val!r}", at)
     return result
 
 
-def _tokenize(text: str):
+# \d is the set int() reads: the Unicode decimal digits, no superscripts
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^()])|(?P<sym>D\d*)|(?P<num>\d+(?:/\d*)?)"
+                    r"|(?P<end>\Z)|(?P<char>\S))")
+
+
+def _tokenize(text: str) -> list:
+    """(kind, text, position) triples, the last one ("end", "", len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed rational number", j)
-                tokens.append(("num", text[i:k], i))
-                i = k
-            else:
-                tokens.append(("num", text[i:j], i))
-                i = j
-            continue
-        if ch == "D":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("symbol 'D' needs a numeric index", i)
-            tokens.append(("sym", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val, at = m[kind], m.start(kind)
+        if kind == "char":
+            raise ParseError(f"unexpected character {val!r}", at)
+        if val == "D":
+            raise ParseError("symbol 'D' needs a numeric index", at)
+        if val[-1:] == "/":
+            raise ParseError("malformed rational number", m.end(kind) - 1)
+        tokens.append((kind, val, at))
+        if kind == "end":
+            return tokens
+
+
+def _digits(run: str, at: int) -> int:
+    """The int of a run of decimal digits; one longer than Python's int digit
+    limit (sys.set_int_max_str_digits) is refused as a ParseError."""
+    try:
+        return int(run)
+    except ValueError:
+        raise ParseError(f"{len(run)}-digit number exceeds Python's int digit limit", at) from None

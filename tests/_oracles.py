@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
 from qsheaf.linalg import matrix_rank
-from qsheaf.poly import (GroebnerBasis, Polynomial, PolyError, _div, _heap_key, _mon_div,
-                         _mon_divides, _mon_lcm, _mon_mul, _require_nonnegative_q, monomial_key)
+from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, Polynomial,
+                         PolyError, _div, _height, _heap_key, _mon_div, _mon_divides, _mon_lcm,
+                         _mon_mul, _require_nonnegative_q, monomial_key)
 
 
 def in_span(vectors, target):
@@ -575,6 +576,14 @@ def normal_form_by_fractions(p, basis):
     return Polynomial(p.nv, p.nq, remainder)
 
 
+def monic(p):
+    """p divided by its leading coefficient; it keeps p's cached leading
+    monomial, since scaling does not move it."""
+    result = p * _div(1, p.leading_coefficient())
+    result._lead = p._lead
+    return result
+
+
 def spoly_by_fractions(f, g):
     """The S-polynomial of f and g with the leads made monic."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
@@ -594,7 +603,7 @@ def groebner_by_fractions(ideal):
     _require_nonnegative_q(gens)
     basis = []
     for g in gens:
-        m = g.monic()
+        m = monic(g)
         if m not in basis:
             basis.append(m)
     leads = [g.leading_monomial() for g in basis]
@@ -618,7 +627,7 @@ def groebner_by_fractions(ideal):
             continue
         r = normal_form_by_fractions(spoly_by_fractions(basis[i], basis[j]), basis)
         if r:
-            basis.append(r.monic())
+            basis.append(monic(r))
             leads.append(basis[-1].leading_monomial())
             add_pairs(len(basis) - 1)
     basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
@@ -675,3 +684,172 @@ def solve_columns(cols, target):
     for row, c in zip(red, pivots):
         sol[c] = row[-1]
     return sol
+
+
+# The polynomial parser qsheaf.poly.parse_polynomial replaced: a character
+# loop that reads digits with str.isdigit, a set wider than the decimal
+# digits int() reads, so "D1^²" escaped as a ValueError.  Kept verbatim
+# (names aside) as the reference of the differential parser test.
+
+def parse_polynomial_by_characters(text, d_symbols, max_degree=None):
+    """Parse the user-facing polynomial syntax.
+
+    Terms like ``3/2*D1^2*D3 - D4^3``; ``D<i>`` is the class of the i-th
+    ray divisor (1-based), taken from the supplied symbol table.  Whitespace
+    is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError, and
+    so is a ``^`` or ``*`` whose result would exceed max_degree in psi or
+    _MAX_HEIGHT in coefficient bits: the checks come before the product is
+    expanded.
+    """
+    if not d_symbols:
+        raise PolyError("no divisor symbols supplied")
+    nv, nq = d_symbols[0].nv, d_symbols[0].nq
+    one = Polynomial.const(nv, 1, nq)
+
+    tokens = _tokenize_by_characters(text)
+    pos = 0
+    depth = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else ("end", None, len(text))
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        pos += 1
+        return tok
+
+    def check_degree(degree: int, at: int):
+        if max_degree is not None and degree > max_degree:
+            raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
+
+    def check_height(bits: float, k: int, at: int):
+        # k factors of the given height; k may be too large for a float
+        if bits and k > _MAX_HEIGHT / bits:
+            raise ParseError(f"coefficients would exceed {_MAX_HEIGHT} bits", at)
+
+    def parse_expr():
+        kind, val, _ = peek()
+        sign = -1 if kind == "op" and val == "-" else 1
+        if kind == "op" and val in "+-":
+            take()
+        total = parse_term() * sign
+        while True:
+            kind, val, at = peek()
+            if kind == "op" and val in "+-":
+                take()
+                nxt = parse_term()
+                total = total + (nxt if val == "+" else -nxt)
+            else:
+                return total
+
+    def parse_term():
+        result = parse_factor()
+        while True:
+            kind, val, at = peek()
+            if kind == "op" and val == "*":
+                take()
+                factor = parse_factor()
+                if result and factor:  # degrees add: Q[psi] has no zero divisors
+                    check_degree(result.psi_degree() + factor.psi_degree(), at)
+                    check_height(_height(result) + _height(factor), 1, at)
+                result = result * factor
+            else:
+                return result
+
+    def parse_factor():
+        base = parse_atom()
+        kind, val, at = peek()
+        if kind == "op" and val == "^":
+            take()
+            kind, val, exp_at = take()
+            if kind != "num" or "/" in val:
+                raise ParseError("exponent must be a nonnegative integer", exp_at)
+            k = int(val)
+            if base:
+                check_degree(k * base.psi_degree(), at)
+                check_height(_height(base), k, at)
+            return base ** k
+        return base
+
+    def parse_atom():
+        nonlocal depth
+        kind, val, at = take()
+        if kind == "num":
+            if "/" in val:
+                num, den = val.split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", at)
+                return one * Fraction(int(num), int(den))
+            return one * int(val)
+        if kind == "sym":
+            index = int(val[1:])
+            if index < 1 or index > len(d_symbols):
+                raise ParseError(f"unknown symbol D{index}", at)
+            return d_symbols[index - 1]
+        if kind == "op" and val in "(-":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", at)
+            depth += 1
+            if val == "-":
+                inner = -parse_atom()
+            else:
+                inner = parse_expr()
+                _, close, at = take()
+                if close != ")":
+                    raise ParseError("expected ')'", at)
+            depth -= 1
+            return inner
+        raise unexpected(kind, val, at)
+
+    def unexpected(kind, val, at):
+        if kind == "end":
+            return ParseError("unexpected end of input", at)
+        return ParseError(f"unexpected token {val!r}", at)
+
+    result = parse_expr()
+    if peek()[0] != "end":
+        raise unexpected(*peek())
+    return result
+
+
+def _tokenize_by_characters(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^()":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise ParseError("malformed rational number", j)
+                tokens.append(("num", text[i:k], i))
+                i = k
+            else:
+                tokens.append(("num", text[i:j], i))
+                i = j
+            continue
+        if ch == "D":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError("symbol 'D' needs a numeric index", i)
+            tokens.append(("sym", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens

@@ -1,8 +1,10 @@
 import itertools
 import os
 import random
+import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from qsheaf import (Polynomial, PolyError, build_fan, class_lattice, h0, linear_part,
                     load_model, normal_form, parse_deformation, tangent_deformation,
@@ -82,6 +84,20 @@ def all_fans():
     """The six worked examples: P1, P2, P1xP1, F1, F2, F3."""
     return [("P1", p1_fan()), ("P2", p2_fan()), ("P1xP1", p1xp1_fan()),
             ("F1", hirzebruch(1)), ("F2", hirzebruch(2)), ("F3", hirzebruch(3))]
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+
+
+def poly_texts(max_pieces):
+    """Strings in and around the polynomial syntax: symbols, numbers, the six
+    operators and the slash, whitespace beyond the space, the superscript
+    digit '²' (str.isdigit, yet not a digit int() reads), the Arabic-Indic
+    three '٣' (one it does read), and digit runs at Python's int digit limit."""
+    pieces = ["D", "D1", "D2", "D3", "D7", "0", "1", "2", "12", "3/2", "/", "+", "-", "*",
+              "^", "(", ")", " ", "\t", "\n", "\xa0", "\u3000", "²", "٣", "%"]
+    pieces += ["7" * n for n in range(INT_DIGIT_LIMIT - 1, INT_DIGIT_LIMIT + 2)]
+    return st.lists(st.sampled_from(pieces), max_size=max_pieces).map("".join)
 
 
 def class_of_ray(cl, rho):

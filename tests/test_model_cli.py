@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from qsheaf.cli import run
 from qsheaf.model import ModelError, build_model, load_model
 
-from conftest import NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS, blown_up_p1xp1, hexagon
+from conftest import (INT_DIGIT_LIMIT, NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS,
+                      blown_up_p1xp1, hexagon, poly_texts)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -99,6 +104,20 @@ def test_cli_deeply_nested_json_is_model_error(tmp_path, capsys):
     code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
     assert (code, out) == (1, "")
     assert err == f"error[ModelError]: model file {path} nests JSON too deeply\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_cli_json_integer_past_the_int_digit_limit_is_model_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for such an int
+    text = open(model_path("f1")).read()
+    path = tmp_path / "long.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(text.replace('"rank": 2', f'"rank": {digits}'))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == (f"error[ModelError]: model file {path} has an integer longer than "
+                   f"Python's int digit limit\n")
 
 
 def test_cli_polymology_p2(capsys):
@@ -504,8 +523,28 @@ def test_cli_poly_literal_above_the_int_digit_limit_is_refused(capsys):
     code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly",
                                       f"{digits}*D1^3", "--no-cache"])
     assert (code, out) == (1, "")
-    assert err.startswith("error[ValueError]: Exceeds the limit")
+    assert err.startswith(f"error[ParseError]: {len(digits)}-digit number exceeds Python's int")
     assert err.count("\n") == 1
+
+
+@given(poly_texts(16))
+@example("D1^²")
+@example("7" * (INT_DIGIT_LIMIT + 1) + "*D1")
+@settings(max_examples=300, deadline=None)
+def test_cli_poly_fuzz_exits_0_or_1_with_one_typed_error_line(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["correlator", model_path("f1"), f"--poly={text}", "--max-degree", "4",
+                    "--no-cache"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (text, code)
+    if code == 0:
+        assert out and err == "", (text, err)
+    else:
+        # one line naming the error's own type: a bare ValueError is untyped
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (text, err)
+        assert re.fullmatch(r"error\[\w+\]: .+\n", err) and "Traceback" not in err, (text, err)
+        assert not err.startswith("error[ValueError]"), (text, err)
 
 
 def test_cli_runs_in_one_process_keep_their_flags_apart(capsys):

@@ -2,11 +2,12 @@ import math
 import operator
 import os
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsheaf.poly
@@ -17,11 +18,11 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          power_product, quotient_dims, standard_monomials, top_functional)
 from qsheaf.poly import _mon_divides, _mon_mul, _Packing
 
-from _oracles import (groebner_by_fractions, ideal_member_oracle, leibniz_det,
-                      monomials_of_degree, normal_form_by_fractions, power_by_tuples,
-                      spoly_by_fractions)
-from conftest import (all_fans, deformed_p1_power, hirzebruch, p1_power,
-                      tangent_setup)
+from _oracles import (groebner_by_fractions, ideal_member_oracle, leibniz_det, monic,
+                      monomials_of_degree, normal_form_by_fractions,
+                      parse_polynomial_by_characters, power_by_tuples, spoly_by_fractions)
+from conftest import (INT_DIGIT_LIMIT, all_fans, deformed_p1_power, hirzebruch, p1_power,
+                      poly_texts, tangent_setup)
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -288,7 +289,7 @@ def test_leading_monomial_found_once(monkeypatch):
     monkeypatch.setattr(qsheaf.poly, "monomial_key", no_search)
     assert p.leading_monomial() == lead == ((2, 1), ())
     assert p.leading_coefficient() == 3
-    m = p.monic()
+    m = monic(p)
     assert m.leading_monomial() == lead
     assert m.terms == {mon: Fraction(c, 3) for mon, c in p.terms.items()}
 
@@ -319,7 +320,7 @@ def test_coefficients_stay_canonical(a, seed):
     _assert_canonical(a, b, a + b, a - b, b - b, a * b, b ** 3, a ** 2,
                       b * Fraction(4, 2), Fraction(2, 3) * b, 3 * b)
     if b:
-        _assert_canonical(b.monic())
+        _assert_canonical(monic(b))
     # x^2 - 2/3 y^2 and y^3 leave x*y^2 alone in degree 3
     gb = groebner(Ideal((x * x - Fraction(2, 3) * y * y, y ** 3)))
     _assert_canonical(*gb.polys, normal_form(a * b, gb), normal_form(b, [b + x]))
@@ -360,6 +361,74 @@ def test_parser_caps_nesting():
     with pytest.raises(ParseError, match="nesting deeper") as err:
         parse_polynomial("-" * 3000 + "D1", d_syms)
     assert err.value.pos == depth + 1  # the leading sign belongs to the expression
+
+
+# always a degree bound, as every --poly has: without one, a power such as
+# (D1+D2)^1212 passes the height check and expands in full
+@given(poly_texts(24), st.integers(min_value=0, max_value=8))
+@example("D1^²", 8)
+@example("7" * (INT_DIGIT_LIMIT + 1) + "*D1", 8)
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_the_character_loop(text, max_degree):
+    """The token-regex parser against the character loop it replaced: the
+    same polynomial, or the same message at the same position.  Where the
+    loop let a ValueError out, the regex parser raises a ParseError."""
+    d_syms = [Polynomial.linear(3, e) for e in ((1, 0, 0), (0, 1, 0), (1, 1, 1))]
+    try:
+        expected = parse_polynomial_by_characters(text, d_syms, max_degree)
+    except (ParseError, ValueError) as exc:
+        expected = exc
+    try:
+        got = parse_polynomial(text, d_syms, max_degree)
+    except ParseError as exc:
+        got = exc
+    nondecimal = [i for i, ch in enumerate(text) if ch.isdigit() and not ch.isdecimal()]
+    if nondecimal:
+        # the loop read '²' as a digit and refused it no earlier than int(),
+        # after any refusal of the tokens before; the regex reads it as an
+        # unexpected character, so its refusal can come first
+        assert isinstance(expected, Exception), text
+        assert isinstance(got, ParseError) and got.pos <= nondecimal[0], (text, got)
+    elif isinstance(expected, ValueError):  # only the int digit limit is left
+        assert isinstance(got, ParseError), (text, got)
+        assert str(got).endswith("exceeds Python's int digit limit"
+                                  f" (at position {got.pos})"), got
+    elif isinstance(expected, ParseError):
+        assert (type(got), str(got), got.pos) == (ParseError, str(expected), expected.pos)
+    else:
+        assert isinstance(got, Polynomial), (text, got)
+        assert {m: (c, type(c)) for m, c in got.terms.items()} == \
+            {m: (c, type(c)) for m, c in expected.terms.items()}
+
+
+def test_parser_reads_decimal_digits_as_int_does():
+    d_syms = [Polynomial.linear(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert parse_polynomial("٣*D٣ - ٣/١٢", d_syms) == 3 * d_syms[2] - Fraction(1, 4)
+    for text, message in [("D1^²", "unexpected character '²' (at position 3)"),
+                          ("D²", "symbol 'D' needs a numeric index (at position 0)"),
+                          ("1/²", "malformed rational number (at position 1)")]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, d_syms)
+        assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_parser_refuses_digit_runs_past_the_int_digit_limit():
+    d_syms = [Polynomial.linear(1, (1,))]
+    run = "7" * (sys.get_int_max_str_digits() + 1)
+    # each run is refused where it starts: numerator, denominator, exponent, index
+    for text, at in [(f"{run}*D1", 0), (f"D1 - 1/{run}", 7), (f"D1^{run}", 3),
+                     (f"D{run}", 1)]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, d_syms)
+        assert str(err.value) == (f"{len(run)}-digit number exceeds Python's int digit limit"
+                                  f" (at position {at})")
+    # a zero denominator is checked before its numerator is read, as before
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial(f"{run}/0", d_syms)
+    ones = "1" * (len(run) - 1)  # at the limit itself
+    assert parse_polynomial(f"{ones}*D1", d_syms) == int(ones) * d_syms[0]
 
 
 # ---- the fraction-free Buchberger against the one over Q --------------------------
