@@ -18,13 +18,14 @@ from fractions import Fraction
 from . import cache
 from .fan import FanError
 from .lattice import LatticeError, effective_cones_coincide, find_anchor
-from .poly import PolyError, Polynomial, parse_polynomial, rational_str, signed_sum
+from .poly import (PolyError, Polynomial, echo, parse_polynomial, rational_str,
+                   signed_sum)
 from .deform import DeformError, d_symbols, local_freeness_check, polymology
 from .sectors import SectorError, sector, sector_ideal
 from .quantum import (QuantumError, correlator_series, effective_window,
                       novikov_series_str, novikov_symbol, qsr_generators,
                       verify_qc_relation)
-from .model import Model, ModelError, load_model
+from .model import Model, ModelError, load_model, read_int
 
 SCHEMA = "qsheaf-report/1"
 
@@ -79,17 +80,11 @@ def cmd_analyze(model: Model, args) -> tuple:
     trials = args.trials if args.trials is not None else model.option("trials")
     verdict = local_freeness_check(cl, model.deformation, trials=trials)
     coincide = effective_cones_coincide(cl)
-    bk_rows = []
-    for K, (bk, kminus) in cl.primitive_relations.items():
-        bk_rows.append({
-            "collection": list(K.edges),
-            "beta": _beta_dict(cl, bk),
-            "kminus": [{"class_index": c.index, "members": list(c.members),
-                        "multiplicity": m} for c, m in kminus],
-        })
-    report = {
-        "schema": SCHEMA,
-        "command": "analyze",
+    bk_rows = [{"collection": list(K.edges), "beta": _beta_dict(cl, bk),
+                "kminus": [{"class_index": c.index, "members": list(c.members),
+                            "multiplicity": m} for c, m in kminus]}
+               for K, (bk, kminus) in cl.primitive_relations.items()]
+    body = {
         "fan": {"rank": fan.rank, "rays": [list(v) for v in fan.rays],
                 "max_cones": [list(c) for c in fan.max_cones]},
         "pic_rank": cl.pic_rank,
@@ -119,20 +114,16 @@ def cmd_analyze(model: Model, args) -> tuple:
         f"fan: rank {fan.rank}, {fan.n_rays} rays, {len(fan.max_cones)} maximal cones",
         f"pic rank: {cl.pic_rank}",
     ]
-    for row in report["divisor_classes"]:
-        lines.append(f"  [{row['symbol']}] = {row['class']}")
+    lines += [f"  [{row['symbol']}] = {row['class']}" for row in body["divisor_classes"]]
     lines.append("picard basis:")
-    for row in report["picard_basis"]:
-        lines.append(f"  {row['symbol']} = {row['in_divisors']}")
+    lines += [f"  {row['symbol']} = {row['in_divisors']}" for row in body["picard_basis"]]
     lines.append("equivalence classes:")
-    for c in report["equiv_classes"]:
-        lines.append(f"  c{c['index']}: rays {c['members']} class {c['class']}")
+    lines += [f"  c{c['index']}: rays {c['members']} class {c['class']}"
+              for c in body["equiv_classes"]]
     lines.append("primitive collections:")
-    for pc in report["primitive_collections"]:
-        lines.append(f"  {pc}")
+    lines += [f"  {pc}" for pc in body["primitive_collections"]]
     lines.append("mori generators:")
-    for g in report["mori_generators"]:
-        lines.append(f"  {g['symbol']}: d={g['d']} c1={g['c1']}")
+    lines += [f"  {g['symbol']}: d={g['d']} c1={g['c1']}" for g in body["mori_generators"]]
     lines.append("beta_K:")
     for row in bk_rows:
         km = ", ".join(f"c{e['class_index']}^{e['multiplicity']}" for e in row["kminus"])
@@ -147,16 +138,14 @@ def cmd_analyze(model: Model, args) -> tuple:
             lines.append(f"  rho={e.rho} m={list(e.m)}: {e.coeff.to_str()}{src}")
     lines.append(f"local freeness ({trials} trials): "
                  + ("pass (probabilistic)" if verdict.passed
-                    else f"FAIL witness={report['local_freeness']['witness']}"))
-    return lines, report, 0
+                    else f"FAIL witness={body['local_freeness']['witness']}"))
+    return lines, body, 0
 
 
 def cmd_polymology(model: Model, args) -> tuple:
     cl = model.cl
     result = polymology(model.lin)
-    report = {
-        "schema": SCHEMA,
-        "command": "polymology",
+    body = {
         "sr_generators": [g.to_str() for g in sector_ideal(model.lin, cl.zero_curve)],
         "groebner_basis": [g.to_str() for g in result.gb.polys],
         "dims": list(result.dims),
@@ -167,13 +156,13 @@ def cmd_polymology(model: Model, args) -> tuple:
                             for rho in range(model.fan.n_rays)],
     }
     lines = ["stanley-reisner generators:"]
-    lines += [f"  {s}" for s in report["sr_generators"]]
+    lines += [f"  {s}" for s in body["sr_generators"]]
     lines.append("groebner basis:")
-    lines += [f"  {s}" for s in report["groebner_basis"]]
+    lines += [f"  {s}" for s in body["groebner_basis"]]
     lines.append("graded dims: " + ",".join(str(d) for d in result.dims))
-    lines.append(f"top-degree generator: {report['generator']}")
-    lines.append("h-vector: " + ",".join(str(h) for h in report["h_vector"]))
-    return lines, report, 0
+    lines.append(f"top-degree generator: {body['generator']}")
+    lines.append("h-vector: " + ",".join(str(h) for h in body["h_vector"]))
+    return lines, body, 0
 
 
 def _parse_beta(model: Model, text: str):
@@ -181,11 +170,11 @@ def _parse_beta(model: Model, text: str):
     coeffs = []
     for k, field in enumerate(text.split(","), 1):
         if not field.strip():
-            raise ModelError(f"--beta field {k} of {text!r} is empty")
-        try:
-            coeffs.append(int(field))
-        except ValueError:
-            raise ModelError(f"--beta field {k} of {text!r} is not an integer") from None
+            raise ModelError(f"--beta field {k} of {echo(text)} is empty")
+        n = read_int(field, f"--beta field {k}")
+        if n is None:
+            raise ModelError(f"--beta field {k} of {echo(text)} is not an integer")
+        coeffs.append(n)
     if len(coeffs) != len(cl.mori):
         raise ModelError(
             f"--beta needs {len(cl.mori)} Mori coordinates, got {len(coeffs)}")
@@ -198,9 +187,7 @@ def cmd_sector(model: Model, args) -> tuple:
     cl = model.cl
     beta = _parse_beta(model, args.beta)
     sec = sector(model.lin, beta)
-    report = {
-        "schema": SCHEMA,
-        "command": "sector",
+    body = {
         "beta": _beta_dict(cl, beta),
         "enhanced_edges": [list(e) for e in sec.enhanced_edges],
         "degenerate_edges": [list(e) for e in sec.degenerate],
@@ -210,7 +197,7 @@ def cmd_sector(model: Model, args) -> tuple:
         "ideal_generators": [g.to_str() for g in sector_ideal(model.lin, beta)],
     }
     lines = [
-        f"sector beta: {_beta_str(report['beta'])}",
+        f"sector beta: {_beta_str(body['beta'])}",
         f"enhanced edges ({len(sec.enhanced_edges)}): "
         + " ".join(f"({r},{i})" for r, i in sec.enhanced_edges),
         f"degenerate edges: " + (" ".join(f"({r},{i})" for r, i in sec.degenerate) or "none"),
@@ -219,24 +206,17 @@ def cmd_sector(model: Model, args) -> tuple:
         f"effective: {sec.effective}",
         "ideal generators:",
     ]
-    lines += [f"  {s}" for s in report["ideal_generators"]]
-    return lines, report, 0
+    lines += [f"  {s}" for s in body["ideal_generators"]]
+    return lines, body, 0
 
 
 def cmd_qsr(model: Model, args) -> tuple:
     cl = model.cl
     rels = qsr_generators(model.lin)
-    rows = []
-    for rel in rels:
-        rows.append({
-            "collection": list(rel.collection.edges),
-            "beta_K": _beta_dict(cl, rel.beta_k),
-            "lhs": rel.lhs.to_str(),
-            "rhs": _display_poly(cl, rel.rhs),
-            "difference": _display_poly(cl, rel.difference),
-            "degree": rel.degree(),
-        })
-    report = {"schema": SCHEMA, "command": "qsr", "relations": rows}
+    rows = [{"collection": list(rel.collection.edges), "beta_K": _beta_dict(cl, rel.beta_k),
+             "lhs": rel.lhs.to_str(), "rhs": _display_poly(cl, rel.rhs),
+             "difference": _display_poly(cl, rel.difference), "degree": rel.degree()}
+            for rel in rels]
     lines = ["quantum stanley-reisner relations:"]
     for rel, row in zip(rels, rows):
         qsym = novikov_symbol(cl, rel.beta_k) or "1"
@@ -246,7 +226,7 @@ def cmd_qsr(model: Model, args) -> tuple:
                      f"Q_K = {structure}")
         lines.append(f"    Q_K = {row['lhs']}")
         lines.append(f"    rhs = {row['rhs']}")
-    return lines, report, 0
+    return lines, {"relations": rows}, 0
 
 
 def cmd_correlator(model: Model, args) -> tuple:
@@ -264,9 +244,7 @@ def cmd_correlator(model: Model, args) -> tuple:
     rows = [{"beta": _beta_dict(cl, r.beta), "scalar": rational_str(r.scalar),
              "reason": r.reason} for r in rep.rows]
     series = novikov_series_str(cl, rep.series)
-    report = {
-        "schema": SCHEMA,
-        "command": "correlator",
+    body = {
         "poly": p.to_str(),
         "anchor": _beta_dict(cl, rep.anchor),
         "generator": rep.generator.to_str(),
@@ -274,15 +252,15 @@ def cmd_correlator(model: Model, args) -> tuple:
         "series": series,
     }
     lines = [
-        f"insertion: {report['poly']}",
-        f"anchor: {_beta_str(report['anchor'])}",
-        f"anchor generator: {report['generator']} (normalization reference)",
+        f"insertion: {body['poly']}",
+        f"anchor: {_beta_str(body['anchor'])}",
+        f"anchor generator: {body['generator']} (normalization reference)",
         "sectors:",
     ]
     for row in rows:
         lines.append(f"  beta {_beta_str(row['beta'])}: {row['scalar']} [{row['reason']}]")
     lines.append(f"series: {series}")
-    return lines, report, 0
+    return lines, body, 0
 
 
 def cmd_verify(model: Model, args) -> tuple:
@@ -314,20 +292,14 @@ def cmd_verify(model: Model, args) -> tuple:
         rows.append({"collection": list(K.edges), "beta": _beta_dict(cl, beta),
                      "anchor": _beta_dict(cl, anchor),
                      "routes": routes, "passed": ok})
-    report = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "grid": grid,
-        "cases": rows,
-        "all_passed": all_ok,
-    }
+    body = {"grid": grid, "cases": rows, "all_passed": all_ok}
     lines = [f"verifying quantum relations over {len(window)} sector(s), grid {grid}:"]
     for row in rows:
         status = "pass" if row["passed"] else "FAIL"
         lines.append(f"  K={row['collection']} beta d={row['beta']['d']} "
                      f"[{'+'.join(row['routes'])}]: {status}")
     lines.append("result: " + ("all relations verified" if all_ok else "FAILURES detected"))
-    return lines, report, 0 if all_ok else 2
+    return lines, body, 0 if all_ok else 2
 
 
 COMMANDS = {
@@ -379,13 +351,15 @@ def run(argv) -> int:
             except OSError:
                 pass
         model = load_model(args.model)
-        lines, report, code = COMMANDS[args.command](model, args)
+        lines, body, code = COMMANDS[args.command](model, args)
     except VALIDATION_ERRORS as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     finally:
         cache.set_store(None)
     if args.format == "json":
+        # every report's envelope: schema and command are its first keys
+        report = {"schema": SCHEMA, "command": args.command, **body}
         print(json.dumps(report, indent=2, default=_json_default))
     else:
         print("\n".join(lines))

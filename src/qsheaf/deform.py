@@ -141,9 +141,9 @@ def tangent_deformation(cl: ClassLattice) -> Deformation:
 def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
     """Validate raw (rho, m, coeff) triples into a Deformation.
 
-    `coeff` is a string in D-symbols.  Every character m must make the Cox
-    monomial x_rho chi^m a section of O(D_rho), with no negative exponent;
-    the pair (rho, m) must be unique.
+    `coeff` is a D-symbol string, parsed under the degree ceiling 1 of a
+    linear form.  Every character m must make the Cox monomial x_rho chi^m
+    a section of O(D_rho), with no negative exponent; (rho, m) is unique.
     """
     fan = cl.fan
     syms = d_symbols(cl)
@@ -167,7 +167,7 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         seen.add((rho, m))
         if not isinstance(coeff, str):
             raise DeformError(f"coefficient for (rho={rho}, m={m}) must be a D-symbol string")
-        poly = parse_polynomial(coeff, syms)
+        poly = parse_polynomial(coeff, syms, max_degree=1)
         if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
             raise DeformError(
                 f"coefficient {poly.to_str()} for (rho={rho}, m={m}) "

@@ -8,11 +8,13 @@ expressions, which are parsed by the polynomial parser.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from .fan import Fan, build_fan
 from .lattice import ClassLattice, class_lattice
 from .deform import (Deformation, LinearData, linear_part, parse_deformation,
                      tangent_deformation)
+from .poly import echo
 
 MODEL_VERSION = 1
 
@@ -41,17 +43,30 @@ class Model:
         return self.options.get(key, DEFAULT_OPTIONS[key])
 
 
+_INT = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")  # the base-10 syntax int() reads
+
+
+def read_int(text: str, context: str) -> int | None:
+    """int(text, 10), or None when text is no integer; a digit run past
+    Python's int digit limit is a ModelError naming context."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        if not _INT.fullmatch(text):
+            return None
+    digits = sum(map(str.isdecimal, text))
+    raise ModelError(f"{context}: {digits}-digit integer exceeds Python's int digit limit")
+
+
 def _as_int(value, context: str) -> int:
     if isinstance(value, bool):
         raise ModelError(f"{context}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ModelError(f"{context}: {value!r} is not an integer") from None
-    raise ModelError(f"{context}: {value!r} is not an integer")
+    n = read_int(value, context) if isinstance(value, str) else None
+    if n is None:
+        raise ModelError(f"{context}: {echo(value)} is not an integer")
+    return n
 
 
 def _list(value, context: str):
@@ -70,7 +85,7 @@ def build_model(data: dict) -> Model:
         raise ModelError("model file must contain a JSON object")
     version = _as_int(data.get("version", 0), "version")
     if version != MODEL_VERSION:
-        raise ModelError(f"unrecognized model version {version!r}; expected {MODEL_VERSION}")
+        raise ModelError(f"unrecognized model version {echo(version)}; expected {MODEL_VERSION}")
     fan_section = data.get("fan")
     if not isinstance(fan_section, dict):
         raise ModelError("model file needs a 'fan' section")
@@ -107,7 +122,7 @@ def build_model(data: dict) -> Model:
         if key in IGNORED_OPTIONS:
             continue
         if key not in DEFAULT_OPTIONS:
-            raise ModelError(f"unknown option {key!r}")
+            raise ModelError(f"unknown option {echo(key)}")
         options[key] = _as_int(value, f"options.{key}")
 
     lin = linear_part(cl, deformation)

@@ -406,6 +406,16 @@ def rational_str(x) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
+def echo(value) -> str:
+    """``repr(value)`` cut to 48 characters, for a one-line error message;
+    a value holding an int past Python's digit limit echoes as ``...``."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return "..."
+    return text if len(text) <= 48 else text[:48] + "..."
+
+
 def signed_sum(terms: Iterable[tuple]) -> str:
     """Render (coefficient, symbol) terms as ``a - 2*b + c``.
 
@@ -493,9 +503,6 @@ class _Packing:
     def unpack(self, key: int) -> tuple:
         return tuple(key >> s & self.limit for s in self._shifts)
 
-    def divides(self, a: int, b: int) -> bool:
-        return ((b | self.guard) - a) & self.guard == self.guard
-
 
 def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     """(value, pack): value(pack(m)) is the coefficient of the psi monomial
@@ -504,9 +511,9 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     degree; each basis element that can divide such an m is read once, as
     its primitive integer `_rule`, since a normal form does not see the
     scale of a divisor.  A normal form is linear and unique (CLO ch. 2 §6),
-    so each monomial is reduced once, by the first element whose lead
-    divides it (the mask test of _Packing.divides, inlined), and memoized
-    for the life of value; one reduced by a bare monomial is 0 at once.
+    so each monomial m is reduced once, by the first element whose lead l
+    divides it, the mask test ((m | guard) - l) & guard == guard, and is
+    memoized for the life of value; one reduced by a bare monomial is 0.
     Each call keeps an explicit stack and its own pending tails; meeting a
     standard monomial other than top raises PolyError."""
     degree = sum(top)
@@ -836,7 +843,7 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
         # a product of the given degree, of k factors of the given height;
         # k may be too large for a float
         if max_degree is not None and degree > max_degree:
-            raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
+            raise ParseError(f"degree {echo(degree)} exceeds the ceiling {max_degree}", at)
         if bits and k > _MAX_HEIGHT / bits:
             raise ParseError(f"coefficients would exceed {_MAX_HEIGHT} bits", at)
 
@@ -887,7 +894,7 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
         if kind == "sym":
             index = _digits(val[1:], at + 1)
             if index < 1 or index > len(d_symbols):
-                raise ParseError(f"unknown symbol D{index}", at)
+                raise ParseError(f"unknown symbol D{echo(index)}", at)
             return d_symbols[index - 1]
         if val in ("(", "-"):
             if depth == _MAX_NESTING:
@@ -902,12 +909,12 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
                     raise ParseError("expected ')'", at)
             depth -= 1
             return inner
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", at)
+        raise ParseError(f"unexpected token {echo(val)}" if val else "unexpected end of input", at)
 
     result = parse_expr()
     kind, val, at = tokens[pos]
     if kind != "end":
-        raise ParseError(f"unexpected token {val!r}", at)
+        raise ParseError(f"unexpected token {echo(val)}", at)
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .lattice import ClassLattice, CurveClass, dominates, h0
-from .poly import GroebnerBasis, Polynomial
+from .poly import GroebnerBasis, Polynomial, echo
 
 if TYPE_CHECKING:
     from .deform import LinearData
@@ -50,7 +50,7 @@ def ceiling(cl: ClassLattice, d: tuple) -> None:
         # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
         degree = sum(h0(d[rho]) for rho in K.edges)
         if degree > _MAX_DEGREE:
-            raise SectorError(f"sector {d} needs a generator of degree {degree}, "
+            raise SectorError(f"sector {echo(d)} needs a generator of degree {echo(degree)}, "
                               f"above the ceiling {_MAX_DEGREE}")
 
 

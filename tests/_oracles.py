@@ -15,7 +15,7 @@ from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
 from qsheaf.linalg import matrix_rank
 from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, Polynomial,
                          PolyError, _div, _height, _heap_key, _mon_div, _mon_divides, _mon_lcm,
-                         _mon_mul, _require_nonnegative_q, monomial_key)
+                         _mon_mul, _require_nonnegative_q, echo, monomial_key)
 
 
 def in_span(vectors, target):
@@ -689,7 +689,10 @@ def solve_columns(cols, target):
 # The polynomial parser qsheaf.poly.parse_polynomial replaced: a character
 # loop that reads digits with str.isdigit, a set wider than the decimal
 # digits int() reads, so "D1^²" escaped as a ValueError.  Kept verbatim
-# (names aside) as the reference of the differential parser test.
+# as the reference of the differential parser test, but for its names and
+# for the tokens, indices and degrees its messages echo: those go through
+# poly.echo, as the parser's do, so a long one is cut and one past the int
+# digit limit no longer raises a ValueError.
 
 def parse_polynomial_by_characters(text, d_symbols, max_degree=None):
     """Parse the user-facing polynomial syntax.
@@ -721,7 +724,7 @@ def parse_polynomial_by_characters(text, d_symbols, max_degree=None):
 
     def check_degree(degree: int, at: int):
         if max_degree is not None and degree > max_degree:
-            raise ParseError(f"degree {degree} exceeds the ceiling {max_degree}", at)
+            raise ParseError(f"degree {echo(degree)} exceeds the ceiling {max_degree}", at)
 
     def check_height(bits: float, k: int, at: int):
         # k factors of the given height; k may be too large for a float
@@ -785,7 +788,7 @@ def parse_polynomial_by_characters(text, d_symbols, max_degree=None):
         if kind == "sym":
             index = int(val[1:])
             if index < 1 or index > len(d_symbols):
-                raise ParseError(f"unknown symbol D{index}", at)
+                raise ParseError(f"unknown symbol D{echo(index)}", at)
             return d_symbols[index - 1]
         if kind == "op" and val in "(-":
             if depth == _MAX_NESTING:
@@ -805,7 +808,7 @@ def parse_polynomial_by_characters(text, d_symbols, max_degree=None):
     def unexpected(kind, val, at):
         if kind == "end":
             return ParseError("unexpected end of input", at)
-        return ParseError(f"unexpected token {val!r}", at)
+        return ParseError(f"unexpected token {echo(val)}", at)
 
     result = parse_expr()
     if peek()[0] != "end":

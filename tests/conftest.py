@@ -100,6 +100,17 @@ def poly_texts(max_pieces):
     return st.lists(st.sampled_from(pieces), max_size=max_pieces).map("".join)
 
 
+def beta_texts(max_pieces):
+    """Strings in and around a --beta list of Mori coordinates: digits,
+    signs, commas (so empty fields too), whitespace beyond the space, '٣'
+    (a digit int() reads), '²' (one it does not), letters, an underscore,
+    and digit runs at Python's int digit limit."""
+    pieces = ["0", "1", "2", "7", "12", "-", "+", ",", ",", " ", "\t", "\u3000", "٣", "²",
+              "x", "e", "_"]
+    pieces += ["7" * n for n in range(INT_DIGIT_LIMIT - 1, INT_DIGIT_LIMIT + 2)]
+    return st.lists(st.sampled_from(pieces), max_size=max_pieces).map("".join)
+
+
 def class_of_ray(cl, rho):
     """The linear-equivalence class of the divisor D_rho."""
     (c,) = (c for c in cl.equiv if rho in c.members)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,9 +16,14 @@ from qsheaf.cli import run
 from qsheaf.model import ModelError, build_model, load_model
 
 from conftest import (INT_DIGIT_LIMIT, NON_PROJECTIVE_CONES, NON_PROJECTIVE_RAYS,
-                      blown_up_p1xp1, hexagon, poly_texts)
+                      beta_texts, blown_up_p1xp1, hexagon, poly_texts)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no int digit limit")
+PAST_THE_LIMIT = f"{INT_DIGIT_LIMIT + 1}-digit integer exceeds Python's int digit limit"
 
 
 def model_path(name):
@@ -118,6 +124,36 @@ def test_cli_json_integer_past_the_int_digit_limit_is_model_error(tmp_path, caps
     assert (code, out) == (1, "")
     assert err == (f"error[ModelError]: model file {path} has an integer longer than "
                    f"Python's int digit limit\n")
+
+
+@pytest.mark.parametrize("rank, message", [
+    pytest.param("7" * (INT_DIGIT_LIMIT + 1), f"fan.rank: {PAST_THE_LIMIT}",
+                 marks=NEEDS_DIGIT_LIMIT, id="past-the-digit-limit"),
+    pytest.param("x" * 5000, "fan.rank: '" + "x" * 47 + "... is not an integer", id="long-word"),
+])
+def test_cli_long_integer_field_is_one_short_model_error(tmp_path, capsys, rank, message):
+    # a string integer field is echoed cut, never in full
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(_f1_edited(lambda d: d["fan"].update(rank=rank))))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out, err) == (1, "", f"error[ModelError]: {message}\n")
+    assert len(err.encode()) <= 200
+
+
+def test_cli_model_coefficient_power_is_refused_before_it_is_expanded(tmp_path, capsys):
+    # a coefficient is parsed under the degree ceiling 1 of a linear form, so
+    # this power is refused unexpanded: expanding it took seconds and the
+    # error line echoed the expanded polynomial
+    with open(model_path("p1xp1_deformed")) as fh:
+        data = json.load(fh)
+    data["deformation"]["entries"][4]["coeff"] = "(D1+D2+D3+D4)^2000"
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err == "error[ParseError]: degree 2000 exceeds the ceiling 1 (at position 13)\n"
 
 
 def test_cli_polymology_p2(capsys):
@@ -387,6 +423,19 @@ def test_cli_malformed_beta_is_model_error(capsys, beta, message):
     assert err == f"error[ModelError]: {message}\n"
 
 
+@pytest.mark.parametrize("beta, message", [
+    pytest.param("7" * (INT_DIGIT_LIMIT + 1) + ",0", f"--beta field 1: {PAST_THE_LIMIT}",
+                 marks=NEEDS_DIGIT_LIMIT, id="past-the-digit-limit"),
+    pytest.param("1," + "x" * 5000, "--beta field 2 of '1," + "x" * 45 + "... is not an integer",
+                 id="long-word"),
+])
+def test_cli_long_beta_is_one_short_model_error(capsys, beta, message):
+    # the --beta text is echoed cut, never in full
+    code, out, err = capture(capsys, ["sector", model_path("f1"), "--beta", beta, "--no-cache"])
+    assert (code, out, err) == (1, "", f"error[ModelError]: {message}\n")
+    assert len(err.encode()) <= 200
+
+
 def test_cli_f1_degree_36_series_matches_frozen_report(capsys):
     # the report of the Groebner-basis route, recorded before Picard rank 2
     # moved to residues; degree 38 stays above the sector ceiling
@@ -527,24 +576,43 @@ def test_cli_poly_literal_above_the_int_digit_limit_is_refused(capsys):
     assert err.count("\n") == 1
 
 
-@given(poly_texts(16))
-@example("D1^²")
-@example("7" * (INT_DIGIT_LIMIT + 1) + "*D1")
-@settings(max_examples=300, deadline=None)
-def test_cli_poly_fuzz_exits_0_or_1_with_one_typed_error_line(text):
+def _check_fuzz_case(argv, text):
+    """run(argv) in-process exits 0, or 1 with one short line naming the
+    error's own type: a bare ValueError is untyped."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["correlator", model_path("f1"), f"--poly={text}", "--max-degree", "4",
-                    "--no-cache"])
+        code = run(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1), (text, code)
     if code == 0:
         assert out and err == "", (text, err)
     else:
-        # one line naming the error's own type: a bare ValueError is untyped
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (text, err)
         assert re.fullmatch(r"error\[\w+\]: .+\n", err) and "Traceback" not in err, (text, err)
         assert not err.startswith("error[ValueError]"), (text, err)
+        assert len(err.encode()) <= 200, (text, err)
+
+
+# each case within a budget of a few seconds, and tier-1 time kept small
+@given(poly_texts(16))
+@example("D1^²")
+@example("7" * (INT_DIGIT_LIMIT + 1) + "*D1")
+@example("D1 " + "7" * INT_DIGIT_LIMIT)
+@example("D" + "7" * INT_DIGIT_LIMIT)
+@example("(D1*D1)^" + "7" * INT_DIGIT_LIMIT)
+@settings(max_examples=300, deadline=3000)
+def test_cli_poly_fuzz_exits_0_or_1_with_one_typed_error_line(text):
+    _check_fuzz_case(["correlator", model_path("f1"), f"--poly={text}", "--max-degree", "4",
+                      "--no-cache"], text)
+
+
+@given(beta_texts(8))
+@example("7" * INT_DIGIT_LIMIT + ",0")
+@example("7" * (INT_DIGIT_LIMIT + 1) + ",0")
+@example("1,,٣,x" + "7" * (INT_DIGIT_LIMIT - 1))
+@settings(max_examples=200, deadline=3000)
+def test_cli_beta_fuzz_exits_0_or_1_with_one_typed_error_line(text):
+    _check_fuzz_case(["sector", model_path("f1"), "--beta", text, "--no-cache"], text)
 
 
 def test_cli_runs_in_one_process_keep_their_flags_apart(capsys):
@@ -612,8 +680,15 @@ _INVALID_MODELS = [
      "error[ModelError]: deformation coefficients must be D-symbol strings"),
     ("character-arity", lambda d: d.update(deformation=_entry(m=[0])),
      "error[DeformError]: character (0,) must have 2 coordinates"),
+    # a coefficient is parsed under the degree ceiling 1 of a linear form
     ("nonlinear-coeff", lambda d: d.update(deformation=_entry(coeff="D1*D2")),
-     "error[DeformError]: coefficient psi1^2 - 2*psi1*psi2 + psi2^2 for (rho=0, m=(0, 0)) "
+     "error[ParseError]: degree 2 exceeds the ceiling 1 (at position 2)"),
+    ("cancelled-coeff", lambda d: d.update(deformation=_entry(coeff="D1^2 - D1^2 + D2")),
+     "error[ParseError]: degree 2 exceeds the ceiling 1 (at position 2)"),
+    ("constant-coeff", lambda d: d.update(deformation=_entry(coeff="3")),
+     "error[DeformError]: coefficient 3 for (rho=0, m=(0, 0)) is not a linear form in W"),
+    ("inhomogeneous-coeff", lambda d: d.update(deformation=_entry(coeff="D1 + 1")),
+     "error[DeformError]: coefficient -psi1 + psi2 + 1 for (rho=0, m=(0, 0)) "
      "is not a linear form in W"),
 ]
 

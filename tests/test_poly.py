@@ -368,6 +368,8 @@ def test_parser_caps_nesting():
 @given(poly_texts(24), st.integers(min_value=0, max_value=8))
 @example("D1^²", 8)
 @example("7" * (INT_DIGIT_LIMIT + 1) + "*D1", 8)
+@example("D" + "7" * INT_DIGIT_LIMIT, 8)  # the index and the degree below are
+@example("(D1*D1)^" + "7" * INT_DIGIT_LIMIT, 8)  # echoed cut, the degree past the limit
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_the_character_loop(text, max_degree):
     """The token-regex parser against the character loop it replaced: the
@@ -724,10 +726,12 @@ def test_packing_adds_divides_and_refuses_overflow(data):
     (ad, _) = _mon_mul((a, ()), (d, ()))
     assert packing.pack(a) + packing.pack(d) == packing.pack(ad)
     assert packing.pack(c) + packing.pack(tuple(map(operator.sub, a, c))) == packing.pack(a)
+    guard = packing.guard
     for u in vectors:
         for v in vectors:
-            assert (packing.divides(packing.pack(u), packing.pack(v))
-                    == _mon_divides((u, ()), (v, ()))), (u, v)
+            # top_functional's divisibility test: no field of (v | guard) - u borrows
+            divides = ((packing.pack(v) | guard) - packing.pack(u)) & guard == guard
+            assert divides == _mon_divides((u, ()), (v, ())), (u, v)
     i = data.draw(st.integers(0, nv - 1))
     with pytest.raises(PolyError, match="packing limit"):
         packing.pack(a[:i] + (limit + 1,) + a[i + 1:])
