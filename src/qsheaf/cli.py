@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import cache
 from .fan import FanError
@@ -335,12 +334,6 @@ def make_parser() -> argparse.ArgumentParser:
 _PARSER = make_parser()  # parse_args keeps no state between calls
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return rational_str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)  # --help still exits 0
@@ -360,7 +353,7 @@ def run(argv) -> int:
     if args.format == "json":
         # every report's envelope: schema and command are its first keys
         report = {"schema": SCHEMA, "command": args.command, **body}
-        print(json.dumps(report, indent=2, default=_json_default))
+        print(json.dumps(report, indent=2))
     else:
         print("\n".join(lines))
     return code

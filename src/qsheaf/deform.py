@@ -18,7 +18,7 @@ from .fan import PrimitiveCollection
 from .lattice import ClassLattice
 from .linalg import kernel_basis, matrix_rank, rank_mod
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial, power_product,
-                   sole_generator, standard_monomials, det)
+                   sole_generator, standard_monomials, det, echo)
 from .sectors import sector_gb
 from . import cache
 
@@ -153,24 +153,25 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         rho, m, coeff = raw
         rho = int(rho)
         if rho < 0 or rho >= fan.n_rays:
-            raise UnknownRayIndex(f"ray index {rho} out of range")
+            raise UnknownRayIndex(f"ray index {echo(rho)} out of range")
         m = tuple(int(x) for x in m)
         if len(m) != fan.rank:
-            raise DeformError(f"character {m} must have {fan.rank} coordinates")
+            raise DeformError(f"character {echo(m)} must have {echo(fan.rank)} coordinates")
         for rp, e in enumerate(_cox_monomial(fan, rho, m)):
             if e < 0:
                 raise CharacterOutsidePolytope(
-                    f"character {m} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
+                    f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
                     f"for ray {rp}")
         if (rho, m) in seen:
-            raise DuplicateEntry(f"duplicate entry for (rho={rho}, m={m})")
+            raise DuplicateEntry(f"duplicate entry for (rho={echo(rho)}, m={echo(m)})")
         seen.add((rho, m))
         if not isinstance(coeff, str):
-            raise DeformError(f"coefficient for (rho={rho}, m={m}) must be a D-symbol string")
+            raise DeformError(
+                f"coefficient for (rho={echo(rho)}, m={echo(m)}) must be a D-symbol string")
         poly = parse_polynomial(coeff, syms, max_degree=1)
         if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
             raise DeformError(
-                f"coefficient {poly.to_str()} for (rho={rho}, m={m}) "
+                f"coefficient {poly.to_str()} for (rho={echo(rho)}, m={echo(m)}) "
                 "is not a linear form in W")
         entries.append(DeformationEntry(rho, m, poly, coeff))
     entries = tuple(entries)
@@ -228,9 +229,9 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     denominator, is decided by the exact rank over Q.
     """
     if trials < 0:
-        raise DeformError(f"trials must be nonnegative, got {trials}")
+        raise DeformError(f"trials must be nonnegative, got {echo(trials)}")
     if trials > _MAX_TRIALS:
-        raise DeformError(f"trials {trials} is above the ceiling {_MAX_TRIALS}")
+        raise DeformError(f"trials {echo(trials)} is above the ceiling {_MAX_TRIALS}")
     fan = cl.fan
     rng = random.Random(_FRESHNESS_SEED)
     pcs = cl.primitive_collections
@@ -252,12 +253,8 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     # catch rank drops along linear degeneracy loci that sampling misses
     lin = linear_part(cl, E)
     for c in cl.equiv:
-        rows = []
-        for i in range(c.size):
-            for k in range(cl.pic_rank):
-                rows.append([lin.matrices[c.index][i][j].linear_coefficients()[k]
-                             if lin.matrices[c.index][i][j] else Fraction(0)
-                             for j in range(c.size)])
+        rows = [list(col) for row in lin.matrices[c.index]
+                for col in zip(*(e.linear_coefficients() for e in row))]
         for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
             for j, rho in enumerate(c.members):

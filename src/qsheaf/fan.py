@@ -15,7 +15,7 @@ from math import gcd
 from typing import Sequence
 
 from .linalg import _dot, inverse
-from .poly import det
+from .poly import det, echo
 
 
 class FanError(Exception):
@@ -136,13 +136,6 @@ class Fan:
         return tuple(coeffs)
 
 
-def _is_primitive(vec) -> bool:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g == 1
-
-
 def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]]) -> Fan:
     """Validate and construct a complete smooth simplicial fan.
 
@@ -162,9 +155,9 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     for v in rays:
         t = tuple(int(x) for x in v)
         if len(t) != rank:
-            raise FanError(f"ray {v} does not have {rank} coordinates")
-        if not _is_primitive(t):
-            raise NonPrimitiveRay(f"ray {t} is not primitive")
+            raise FanError(f"ray {echo(v)} does not have {echo(rank)} coordinates")
+        if gcd(*t) != 1:
+            raise NonPrimitiveRay(f"ray {echo(t)} is not primitive")
         ray_tuples.append(t)
     if len(set(ray_tuples)) != len(ray_tuples):
         raise DuplicateRay("ray list contains duplicates")
@@ -173,14 +166,14 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     for sigma in max_cones:
         idx = tuple(sorted(int(i) for i in sigma))
         if any(i < 0 or i >= len(ray_tuples) for i in idx):
-            raise FanError(f"cone {sigma} references an unknown ray index")
+            raise FanError(f"cone {echo(sigma)} references an unknown ray index")
         if len(set(idx)) != len(idx) or len(idx) != rank:
             raise NonUnimodularCone(
-                f"maximal cone {sigma} does not have exactly {rank} distinct rays")
+                f"maximal cone {echo(sigma)} does not have exactly {echo(rank)} distinct rays")
         d = det([ray_tuples[i] for i in idx])
         if abs(d) != 1:
             raise NonUnimodularCone(
-                f"cone {idx} has determinant {d}; fan is not smooth")
+                f"cone {echo(idx)} has determinant {echo(d)}; fan is not smooth")
         cones.append(idx)
     if len(set(cones)) != len(cones):
         raise IncompleteFan("duplicate maximal cone")
@@ -188,7 +181,7 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
     used = set(itertools.chain.from_iterable(cones))
     if used != set(range(len(ray_tuples))):
         missing = sorted(set(range(len(ray_tuples))) - used)
-        raise IncompleteFan(f"rays {missing} appear in no maximal cone")
+        raise IncompleteFan(f"rays {echo(missing)} appear in no maximal cone")
 
     fan = Fan(rank=rank, rays=tuple(ray_tuples), max_cones=tuple(cones))
     fan.walls  # raises IncompleteFan unless the facets pair up
@@ -223,7 +216,7 @@ def locate_cone(fan: Fan, point: Sequence) -> tuple:
     coefficients.
     """
     if len(point) != fan.rank:
-        raise FanError(f"point must have {fan.rank} coordinates")
+        raise FanError(f"point must have {echo(fan.rank)} coordinates")
     if not any(point):
         return (), ()
     for sigma, duals in fan.duals.items():
@@ -233,4 +226,4 @@ def locate_cone(fan: Fan, point: Sequence) -> tuple:
         support = tuple(i for i, c in zip(sigma, coeffs) if c > 0)
         values = tuple(c for c in coeffs if c > 0)
         return support, values
-    raise NotInSupport(f"point {tuple(point)} lies in no cone; fan is not complete")
+    raise NotInSupport(f"point {echo(tuple(point))} lies in no cone; fan is not complete")

@@ -27,7 +27,7 @@ class TorsionDetected(LatticeError):
 
 
 class NonIntegralCoefficient(LatticeError):
-    """Internal inconsistency: cone coefficients must be integers on smooth fans."""
+    """Never raised: cone coefficients are pairings with integral dual bases."""
 
 
 class NonProjectiveFan(LatticeError):
@@ -174,9 +174,6 @@ class ClassLattice:
             for rho in K.edges:
                 d[rho] = 1
             for rho, c in zip(sigma, coeffs):
-                if c.denominator != 1:
-                    raise NonIntegralCoefficient(
-                        f"coefficient {c} on cone {sigma} is not an integer")
                 d[rho] = -c
             beta = self.curve_from_d(d)
             # primitive collections are unions of full equivalence classes
@@ -201,11 +198,7 @@ class ClassLattice:
     def walls(self) -> tuple:
         """Distinct classes of the fan's wall relations, in wall order; they
         span the Mori cone."""
-        for facet, d in self.fan.walls:
-            if any(x.denominator != 1 for x in d):
-                raise NonIntegralCoefficient(
-                    f"relation {d} of wall {facet} has a non-integer coefficient")
-        return tuple(dict.fromkeys(self.curve_from_d(d) for _, d in self.fan.walls))
+        return tuple(map(self.curve_from_d, dict.fromkeys(d for _, d in self.fan.walls)))
 
     @cached_property
     def facets(self) -> tuple:

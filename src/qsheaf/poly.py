@@ -358,22 +358,7 @@ def _packed_power(a: dict, k: int) -> dict:
         k >>= 1
         if not k:
             return result
-        a = _packed_square(a)
-
-
-def _packed_square(a: dict) -> dict:
-    """a * a, each cross term formed once and doubled."""
-    items = list(a.items())
-    out = {}
-    get = out.get
-    for i, (m1, c1) in enumerate(items):
-        m = m1 + m1
-        out[m] = get(m, 0) + c1 * c1
-        c1 += c1
-        for m2, c2 in items[i + 1:]:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-    return out
+        a = _packed_mul(a, a)
 
 
 def _packed_mul(a: dict, b: dict) -> dict:
@@ -810,9 +795,8 @@ def _height(p: Polynomial) -> float:
     under products, and is 0 for 0, 1 and -1."""
     if not p:
         return 0.0
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    num = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
-    return math.log2(num) + math.log2(den)
+    b, g, den = _primitive(p.terms.values())
+    return math.log2(sum(map(abs, b)) * g) + math.log2(den)
 
 
 def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],

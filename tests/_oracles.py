@@ -686,6 +686,17 @@ def solve_columns(cols, target):
     return sol
 
 
+def height_by_lcm(p):
+    """log2(N * D) for the common denominator D and the sum N of the numerators'
+    absolute values over it, with D an lcm and N summed term by term: the
+    formula poly._height had before it read both from linalg._primitive."""
+    if not p:
+        return 0.0
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return math.log2(num) + math.log2(den)
+
+
 # The polynomial parser qsheaf.poly.parse_polynomial replaced: a character
 # loop that reads digits with str.isdigit, a set wider than the decimal
 # digits int() reads, so "D1^²" escaped as a ValueError.  Kept verbatim

@@ -701,6 +701,36 @@ def test_cli_invalid_model_prints_one_error_line(tmp_path, capsys, edit, line):
     assert capture(capsys, ["analyze", str(path), "--no-cache"]) == (1, "", line + "\n")
 
 
+_AT_THE_LIMIT = int("7" * INT_DIGIT_LIMIT)  # the longest int a model file can hold
+
+# an integer at the digit limit in each fan and deformation field a message
+# echoes, and the error it types; the determinant is past the limit
+_LONG_FIELDS = [
+    ("non-primitive-ray", lambda d: d["fan"]["rays"].__setitem__(0, [_AT_THE_LIMIT, 0]),
+     "NonPrimitiveRay"),
+    ("ray-arity", lambda d: d["fan"]["rays"].__setitem__(0, [_AT_THE_LIMIT, 0, 0]), "FanError"),
+    ("determinant",
+     lambda d: d["fan"].update(rays=[[_AT_THE_LIMIT, 1], [1, _AT_THE_LIMIT], [-1, 0], [0, -1]],
+                               max_cones=[[0, 1], [1, 2], [2, 3], [3, 0]]),
+     "NonUnimodularCone"),
+    ("character", lambda d: d.update(deformation=_entry(m=[_AT_THE_LIMIT, 0])),
+     "CharacterOutsidePolytope"),
+    ("ray-index", lambda d: d.update(deformation=_entry(rho=_AT_THE_LIMIT)), "UnknownRayIndex"),
+]
+
+
+@pytest.mark.parametrize("edit, error", [pytest.param(edit, error, id=name)
+                                         for name, edit, error in _LONG_FIELDS])
+def test_cli_long_fan_or_deformation_integer_is_one_short_error(tmp_path, capsys, edit, error):
+    # echoed cut, never in full, and never str() of an int past the limit
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_f1_edited(edit)))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
+
+
 @pytest.mark.parametrize("command, options, line", [
     ("correlator", [], "error[ModelError]: correlator requires --poly <expression>"),
     ("analyze", ["--trials", "10001"],

@@ -18,8 +18,8 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          power_product, quotient_dims, standard_monomials, top_functional)
 from qsheaf.poly import _mon_divides, _mon_mul, _Packing
 
-from _oracles import (groebner_by_fractions, ideal_member_oracle, leibniz_det, monic,
-                      monomials_of_degree, normal_form_by_fractions,
+from _oracles import (groebner_by_fractions, height_by_lcm, ideal_member_oracle, leibniz_det,
+                      monic, monomials_of_degree, normal_form_by_fractions,
                       parse_polynomial_by_characters, power_by_tuples, spoly_by_fractions)
 from conftest import (INT_DIGIT_LIMIT, all_fans, deformed_p1_power, hirzebruch, p1_power,
                       poly_texts, tangent_setup)
@@ -277,6 +277,20 @@ def test_parser_caps_coefficient_height():
     with pytest.raises(ParseError, match="would exceed") as err:
         parse_polynomial(f"2^{bits - 5}*64*D1", d_syms)
     assert err.value.pos == len(f"2^{bits - 5}")
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.one_of(st.integers(-2 ** 80, 2 ** 80),
+                                 st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+                                           st.sampled_from((1, 2, 6, 7, 3 ** 40, 10 ** 30)))),
+                       max_size=5))
+@example({})
+@example({(1, 0): Fraction(1, 6), (0, 1): Fraction(-5, 4), (1, 1): 3})
+@settings(max_examples=200, deadline=None)
+def test_height_is_the_lcm_formula_bit_for_bit(terms):
+    # the content from linalg._primitive gives the same two log2 arguments
+    p = Polynomial(2, 0, {(e, ()): c for e, c in terms.items()})
+    assert qsheaf.poly._height(p) == height_by_lcm(p)
 
 
 def test_leading_monomial_found_once(monkeypatch):
