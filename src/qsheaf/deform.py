@@ -170,9 +170,8 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
                 f"coefficient for (rho={echo(rho)}, m={echo(m)}) must be a D-symbol string")
         poly = parse_polynomial(coeff, syms, max_degree=1)
         if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
-            raise DeformError(
-                f"coefficient {poly.to_str()} for (rho={echo(rho)}, m={echo(m)}) "
-                "is not a linear form in W")
+            raise DeformError(f"coefficient {echo(poly.to_str(), quote=False)} for "
+                              f"(rho={echo(rho)}, m={echo(m)}) is not a linear form in W")
         entries.append(DeformationEntry(rho, m, poly, coeff))
     entries = tuple(entries)
     tangent = tangent_deformation(cl)
@@ -207,14 +206,10 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
         slot = _linear_slot(cl, entry)
         if slot is not None:
             slots[slot] = slots.get(slot, zero) + entry.coeff
-    matrices = []
-    dets = []
-    for c in cl.equiv:
-        rows = tuple(tuple(slots.get((i, j), zero) for j in c.members)
-                     for i in c.members)
-        matrices.append(rows)
-        dets.append(det([list(r) for r in rows]))
-    return LinearData(cl=cl, matrices=tuple(matrices), q=tuple(dets))
+    matrices = tuple(tuple(tuple(slots.get((i, j), zero) for j in c.members)
+                           for i in c.members) for c in cl.equiv)
+    return LinearData(cl=cl, matrices=matrices,
+                      q=tuple(det([list(r) for r in rows]) for rows in matrices))
 
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,
@@ -257,8 +252,9 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
                 for col in zip(*(e.linear_coefficients() for e in row))]
         for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
+            last = next(v for v in reversed(u) if v)  # the free entry: 1 in the RREF vector
             for j, rho in enumerate(c.members):
-                x[rho] = u[j]
+                x[rho] = Fraction(u[j], last)
             x = tuple(x)
             if not in_irrelevant(x):
                 points.append(x)

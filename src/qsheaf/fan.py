@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 from .linalg import _dot, inverse
@@ -68,43 +68,75 @@ class Fan:
 
     @cached_property
     def duals(self) -> dict:
-        """sigma -> the dual basis (m_i) of each maximal cone, in sigma's
-        order: <m_i, v_j> = 1 if i == j else 0 for i, j in sigma.  Integral,
-        since build_fan has checked that every maximal cone is unimodular."""
-        return {sigma: inverse(list(zip(*(self.rays[i] for i in sigma))))[0]
-                for sigma in self.max_cones}
+        """sigma -> the integral dual basis (m_i) of each maximal cone, in
+        sigma's order: <m_i, v_j> = 1 if i == j else 0 (`_walk`)."""
+        return self._walk[0]
 
     @cached_property
     def walls(self) -> tuple:
-        """(facet, d) per facet of the maximal cones, in sorted facet order.
+        """(F, d) per facet F, in sorted order, with d its wall relation (`_walk`)."""
+        return self._walk[1]
 
-        Completeness by facet pairing: every facet F must be shared by exactly
-        two maximal cones F+{a} and F+{b}.  In the dual basis (m_i) of F+{a},
-        v_b = sum_i <m_i, v_b> v_i, so d = 1 on b and -<m_i, v_b> on F+{a}
-        gives sum_rho d_rho v_rho = 0.  On unimodular cones a and b lie on
-        opposite sides of F exactly when d_a = 1: that is the wall relation
-        v_a + v_b = sum_{i in F} -d_i v_i.
+    @cached_property
+    def _walk(self) -> tuple:
+        """(duals, walls) from one walk over the facet graph of the maximal cones.
+
+        Each component's first cone takes one integer inverse.  Across a facet
+        F from F+{a}, with dual basis (m_i), to F+{b}, the pivots t_i =
+        <m_i, v_b> give v_b = sum_i t_i v_i, so det(F+{b}) = t_a det(F+{a}):
+        the neighbour is unimodular exactly when |t_a| = 1, and then its dual
+        basis is the exchange m'_b = t_a m_a, m'_i = m_i - t_i m'_b.  The same
+        pivots give the wall relation sum_rho d_rho v_rho = 0: d_b = 1 and d_i =
+        -t_i.  Then, in sorted facet order, every facet must lie in exactly two
+        maximal cones, and on unimodular cones a and b lie on opposite sides
+        of F exactly when d_a = 1: v_a + v_b = sum_{i in F} -d_i v_i.
         """
         facets = {}
         for sigma in self.max_cones:
-            for facet in itertools.combinations(sigma, self.rank - 1):
-                facets.setdefault(facet, []).append(sigma)
-        walls = []
+            for p, a in enumerate(sigma):
+                facets.setdefault(sigma[:p] + sigma[p + 1:], []).append((sigma, a))
+        duals, walls = {}, {}
+        for start in self.max_cones:
+            if start in duals:
+                continue
+            inv = inverse(list(zip(*(self.rays[i] for i in start))))
+            if inv is None or inv[1] != 1:
+                _singular(self, start)
+            duals[start] = dict(zip(start, inv[0]))
+            todo = [start]
+            while todo:
+                sigma = todo.pop()
+                m = duals[sigma]
+                for p, a in enumerate(sigma):
+                    facet = sigma[:p] + sigma[p + 1:]
+                    owners = facets[facet]
+                    if facet in walls or len(owners) != 2:
+                        continue
+                    other, b = owners[1] if owners[0][0] == sigma else owners[0]
+                    d = [0] * len(self.rays)  # d_i = -t_i
+                    for i, mi in m.items():
+                        d[i] = -_dot(mi, self.rays[b])
+                    d[b] = 1
+                    walls[facet] = tuple(d)
+                    if other not in duals:
+                        if abs(d[a]) != 1:
+                            _singular(self, other)
+                        mb = tuple(-d[a] * x for x in m[a])
+                        duals[other] = {i: mb if i == b else
+                                        tuple(x + d[i] * y for x, y in zip(m[i], mb))
+                                        for i in other}
+                        todo.append(other)
+        ordered = []
         for facet, owners in sorted(facets.items()):
             if len(owners) != 2:
                 raise IncompleteFan(
                     f"facet {facet} lies in {len(owners)} maximal cone(s); "
                     "support does not close up")
-            (a,), (b,) = (set(sigma) - set(facet) for sigma in owners)
-            d = [0] * self.n_rays
-            d[b] = 1
-            for i, m in zip(owners[0], self.duals[owners[0]]):
-                d[i] = -_dot(m, self.rays[b])
-            if d[a] != 1:
+            if any(walls[facet][a] != 1 for _, a in owners):
                 raise IncompleteFan(
                     f"maximal cones sharing facet {facet} overlap on one side")
-            walls.append((facet, tuple(d)))
-        return tuple(walls)
+            ordered.append((facet, walls[facet]))
+        return {sigma: tuple(duals[sigma].values()) for sigma in self.max_cones}, tuple(ordered)
 
     def cone_faces(self) -> frozenset:
         """All cones of the fan, as the subsets of maximal cones (incl. the zero cone)."""
@@ -122,28 +154,21 @@ class Fan:
         return tuple(by_size)
 
     def h_vector(self) -> tuple:
-        """h-vector from face counts: sum_i f_{i-1} t^i (1-t)^(n-i)."""
-        n = self.rank
-        f = self.face_counts()
-        coeffs = [0] * (n + 1)
-        for i in range(n + 1):
-            # expand t^i (1-t)^(n-i)
-            m = n - i
-            binom = 1
-            for j in range(m + 1):
-                coeffs[i + j] += f[i] * ((-1) ** j) * binom
-                binom = binom * (m - j) // (j + 1)
-        return tuple(coeffs)
+        """h-vector from face counts: sum_i f_{i-1} t^i (1-t)^(n-i), whose t^k
+        coefficient is sum_i f_{i-1} (-1)^(k-i) C(n-i, k-i)."""
+        n, f = self.rank, self.face_counts()
+        return tuple(sum(f[i] * (-1) ** (k - i) * comb(n - i, k - i) for i in range(k + 1))
+                     for k in range(n + 1))
 
 
 def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]]) -> Fan:
     """Validate and construct a complete smooth simplicial fan.
 
-    Checks: primitive rays, no duplicate rays, every maximal cone a lattice
-    basis (|det| = 1), and completeness by facet pairing, which reads each
-    wall's relation off a cone's dual basis and keeps it (`Fan.walls`).
-    Projectivity is checked later, by `class_lattice`, which raises
-    NonProjectiveFan.
+    Checks primitive, distinct rays, rank distinct rays per maximal cone, no
+    duplicate cone and no unused ray; then one walk over the facet graph
+    (`Fan._walk`) checks smoothness and completeness and keeps the dual bases
+    and wall relations.  Projectivity is checked later, by `class_lattice`,
+    which raises NonProjectiveFan.
     """
     if rank < 1:
         raise FanError("rank must be a positive integer")
@@ -170,22 +195,23 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
         if len(set(idx)) != len(idx) or len(idx) != rank:
             raise NonUnimodularCone(
                 f"maximal cone {echo(sigma)} does not have exactly {echo(rank)} distinct rays")
-        d = det([ray_tuples[i] for i in idx])
-        if abs(d) != 1:
-            raise NonUnimodularCone(
-                f"cone {echo(idx)} has determinant {echo(d)}; fan is not smooth")
         cones.append(idx)
     if len(set(cones)) != len(cones):
         raise IncompleteFan("duplicate maximal cone")
 
-    used = set(itertools.chain.from_iterable(cones))
-    if used != set(range(len(ray_tuples))):
-        missing = sorted(set(range(len(ray_tuples))) - used)
+    missing = sorted(set(range(len(ray_tuples))).difference(*cones))
+    if missing:
         raise IncompleteFan(f"rays {echo(missing)} appear in no maximal cone")
 
     fan = Fan(rank=rank, rays=tuple(ray_tuples), max_cones=tuple(cones))
-    fan.walls  # raises IncompleteFan unless the facets pair up
+    fan.walls  # the walk: raises NonUnimodularCone or IncompleteFan
     return fan
+
+
+def _singular(fan: Fan, sigma: tuple):
+    """Refuse a maximal cone that is not a lattice basis, naming its determinant."""
+    d = det([fan.rays[i] for i in sigma])
+    raise NonUnimodularCone(f"cone {echo(sigma)} has determinant {echo(d)}; fan is not smooth")
 
 
 def primitive_collections(fan: Fan) -> tuple:
@@ -193,16 +219,17 @@ def primitive_collections(fan: Fan) -> tuple:
     by sorted indices.
 
     They are the minimal non-faces of the fan: dropping any one ray leaves a
-    face, so each is a face plus one ray, and only those candidates are tried.
+    face, in particular dropping the largest.  So each candidate is built
+    once, already sorted, as a face plus a ray above the face's largest index.
     """
     faces = fan.cone_faces()
-    found = set()
+    found = []
     for face in faces:
-        for rho in set(range(fan.n_rays)) - set(face):
-            combo = tuple(sorted(face + (rho,)))
+        for rho in range(face[-1] + 1 if face else 0, fan.n_rays):
+            combo = face + (rho,)
             if combo not in faces and all(combo[:i] + combo[i + 1:] in faces
-                                          for i in range(len(combo))):
-                found.add(combo)
+                                          for i in range(len(combo) - 1)):
+                found.append(combo)
     return tuple(PrimitiveCollection(c) for c in sorted(found, key=lambda c: (len(c), c)))
 
 

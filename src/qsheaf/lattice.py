@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
-from .linalg import _dot, _primitive, inverse, kernel_basis, matrix_rank, smith_normal_form
+from .linalg import _dot, inverse, kernel_basis, matrix_rank, smith_normal_form
 
 
 class LatticeError(Exception):
@@ -127,9 +127,8 @@ class ClassLattice:
         d = tuple(int(x) for x in d)
         if len(d) != self.fan.n_rays:
             raise LatticeError("d-vector length must equal the number of rays")
-        for j in range(self.fan.rank):
-            if sum(d[rho] * self.fan.rays[rho][j] for rho in range(self.fan.n_rays)):
-                raise LatticeError(f"{d} is not a relation among the rays")
+        if any(_dot(d, col) for col in zip(*self.fan.rays)):
+            raise LatticeError(f"{d} is not a relation among the rays")
         coords = tuple(sum(d[rho] * self._section[rho][k]
                            for rho in range(self.fan.n_rays))
                        for k in range(self.pic_rank))
@@ -170,9 +169,7 @@ class ClassLattice:
             if set(sigma) & set(K.edges):
                 raise LatticeError(
                     f"located cone {sigma} meets the primitive collection {K.edges}")
-            d = [0] * fan.n_rays
-            for rho in K.edges:
-                d[rho] = 1
+            d = [int(rho in K.edges) for rho in range(fan.n_rays)]
             for rho, c in zip(sigma, coeffs):
                 d[rho] = -c
             beta = self.curve_from_d(d)
@@ -300,13 +297,8 @@ def class_lattice(fan: Fan) -> ClassLattice:
     section = tuple(row[n:] for row in inverse(R)[0])  # R unimodular: integral
     cl = ClassLattice(fan, divisor_classes, curve_basis_d, section)
     # exactness: the rows of the ray matrix pair to zero with every class
-    for j in range(n):
-        acc = [0] * cl.pic_rank
-        for rho in range(r):
-            for k in range(cl.pic_rank):
-                acc[k] += fan.rays[rho][j] * divisor_classes[rho][k]
-        if any(acc):
-            raise TorsionDetected("Picard presentation failed exactness check")
+    if any(_dot(col, cls) for col in zip(*fan.rays) for cls in zip(*divisor_classes)):
+        raise TorsionDetected("Picard presentation failed exactness check")
     if matrix_rank(cl.facets) != cl.pic_rank:
         raise NonProjectiveFan(
             "the cone of wall curves is not pointed (its facet normals do not "
@@ -338,7 +330,7 @@ def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:
         kernel = kernel_basis(subset, dim)
         if len(kernel) != 1:
             continue
-        u = tuple(_primitive(kernel[0])[0])
+        u = tuple(kernel[0])
         signs = {(_dot(u, v) > 0) - (_dot(u, v) < 0) for v in gens} - {0}
         if signs == {-1}:
             u = tuple(-x for x in u)

@@ -3,7 +3,7 @@
 Inputs are plain Python ints or fractions.Fraction; no floating point is
 permitted anywhere in the kernel.  Elimination is fraction-free (Bareiss,
 Math. Comp. 22, 1968): rows are kept as primitive integer vectors and a
-content is carried as a pair of ints.  Only kernel_basis returns Fractions.
+content is carried as a pair of ints.  No function returns Fractions.
 """
 
 from __future__ import annotations
@@ -187,15 +187,18 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
-    """Rational basis of the kernel of the matrix with the given rows: per
-    free column f, 1 at f, 0 at the other free columns, and at each pivot p
-    minus the RREF entry, read off the fraction-free rows as -row[f] / row[p]."""
+    """Integer basis of the kernel of the matrix with the given rows: per
+    free column f, the primitive multiple, positive at f, of the RREF kernel
+    vector (1 at f, 0 at the other free columns, and -row[f] / row[p] at each
+    pivot p of the fraction-free rows).  A pivot row's entries before its
+    pivot are 0, so f is the vector's last nonzero entry."""
     m, pivots = _integer_rref(rows)
     basis = []
     for f in (j for j in range(width) if j not in pivots):
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
+        den = math.lcm(*(row[p] for row, p in zip(m, pivots) if row[f]))
+        vec = [0] * width
+        vec[f] = den
         for row, p in zip(m, pivots):
-            vec[p] = Fraction(-row[f], row[p])
-        basis.append(vec)
+            vec[p] = -row[f] * (den // row[p])
+        basis.append(_primitive(vec)[0])
     return basis

@@ -391,11 +391,12 @@ def rational_str(x) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def echo(value) -> str:
-    """``repr(value)`` cut to 48 characters, for a one-line error message;
-    a value holding an int past Python's digit limit echoes as ``...``."""
+def echo(value, quote: bool = True) -> str:
+    """``repr(value)``, or a string as it stands when not quote, cut to 48
+    characters, for a one-line error message; a value holding an int past
+    Python's digit limit echoes as ``...``."""
     try:
-        text = repr(value)
+        text = repr(value) if quote else value
     except ValueError:
         return "..."
     return text if len(text) <= 48 else text[:48] + "..."

@@ -133,19 +133,17 @@ def leibniz_det(matrix):
     return total
 
 
-def wall_classes(cl):
-    """The wall-curve classes by a walk over the facets of the maximal cones.
+def walls_by_pairing(fan):
+    """(facet, d) per facet of the maximal cones, in sorted facet order.
 
     Per facet F shared by F+{a} and F+{b}: solve v_a + v_b = sum lambda_i v_i
-    over F, set d = 1 on a and b and -lambda on F, and keep each class of d
-    once, in sorted facet order.
+    over F by rational elimination, and set d = 1 on a and b and -lambda on F.
     """
-    fan = cl.fan
     owners = {}
     for sigma in fan.max_cones:
         for facet in itertools.combinations(sigma, fan.rank - 1):
             owners.setdefault(facet, []).append(sigma)
-    classes = []
+    walls = []
     for facet, (s1, s2) in sorted(owners.items()):
         (a,), (b,) = set(s1) - set(facet), set(s2) - set(facet)
         target = [x + y for x, y in zip(fan.rays[a], fan.rays[b])]
@@ -154,6 +152,15 @@ def wall_classes(cl):
         d[a] = d[b] = 1
         for i, coeff in zip(facet, lam):
             d[i] = -int(coeff)
+        walls.append((facet, tuple(d)))
+    return tuple(walls)
+
+
+def wall_classes(cl):
+    """The wall-curve classes of `walls_by_pairing`, each class once, in
+    sorted facet order."""
+    classes = []
+    for _, d in walls_by_pairing(cl.fan):
         beta = cl.curve_from_d(d)
         if beta not in classes:
             classes.append(beta)
@@ -256,7 +263,6 @@ def local_freeness_by_points(cl, E, trials=20):
     import random
 
     from qsheaf.deform import _FRESHNESS_SEED, FreenessVerdict, linear_part
-    from qsheaf.linalg import kernel_basis
 
     fan = cl.fan
     rng = random.Random(_FRESHNESS_SEED)
@@ -284,7 +290,7 @@ def local_freeness_by_points(cl, E, trials=20):
                 rows.append([lin.matrices[c.index][i][j].linear_coefficients()[k]
                              if lin.matrices[c.index][i][j] else Fraction(0)
                              for j in range(c.size)])
-        for u in kernel_basis(rows, c.size):
+        for u in kernel_by_fractions(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
             for j, rho in enumerate(c.members):
                 x[rho] = u[j]
@@ -638,6 +644,19 @@ def groebner_by_fractions(ideal):
             minimal.append(g)
     return GroebnerBasis(tuple(normal_form_by_fractions(g, minimal[:idx] + minimal[idx + 1:])
                                for idx, g in enumerate(minimal)))
+
+
+def kernel_by_fractions(rows, width):
+    """The RREF kernel basis over Q: per free column f, 1 at f, 0 at the other
+    free columns, and minus the RREF entry of column f at each pivot."""
+    ref, pivots = rref_by_fractions(rows)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [Fraction(int(j == f)) for j in range(width)]
+        for row, p in zip(ref, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def rref_by_fractions(rows):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay,
-                    Fan, NonUnimodularCone, build_fan, det, locate_cone,
+import qsheaf.fan
+from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay, NonProjectiveFan,
+                    Fan, NonUnimodularCone, build_fan, class_lattice, det, locate_cone,
                     primitive_collections)
+from qsheaf.linalg import inverse
 
-from _oracles import primitive_collections_by_subsets, solve_columns
+from _oracles import primitive_collections_by_subsets, solve_columns, walls_by_pairing
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, hexagon, hirzebruch,
                       p1_fan, p1_power, p1xp1_fan, p2_fan)
 
@@ -28,6 +30,7 @@ def test_hirzebruch_matches_paper_data():
 
 
 def test_non_unimodular_cone_rejected():
+    # the first listed cone, where the walk starts, is the singular one
     with pytest.raises(NonUnimodularCone, match=re.escape(
             "cone (0, 1) has determinant -2; fan is not smooth")):
         build_fan(2, [(0, 1), (2, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -72,10 +75,18 @@ def test_overlapping_cones_rejected():
         build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
 
 
+def _walk_fans():
+    """The fans the walk's oracle checks run on: (P^1)^k for k <= 5, F_a for
+    a <= 3, dP3, P1xP1 blown up to eight rays, and Bl_pt P^3."""
+    return ([p1_power(k) for k in range(1, 6)] + [hirzebruch(a) for a in range(4)]
+            + [hexagon(), blown_up_p1xp1(8), blowup_p3_point()])
+
+
 def test_wall_relations_stored_by_build_fan():
-    fans = [fan for _, fan in all_fans()]
-    fans += [p1_power(3), blowup_p3_point(), hexagon()]
+    fans = [fan for _, fan in all_fans()] + _walk_fans()
     for fan in fans:
+        # the walk's pivots against rational elimination, facet by facet
+        assert fan.walls == walls_by_pairing(fan), fan.rays
         facets = {facet for sigma in fan.max_cones
                   for facet in itertools.combinations(sigma, fan.rank - 1)}
         assert [facet for facet, _ in fan.walls] == sorted(facets)
@@ -91,13 +102,56 @@ def test_wall_relations_stored_by_build_fan():
 
 
 def test_duals_pair_to_the_identity_with_their_cone():
-    fans = [fan for _, fan in all_fans()]
-    fans += [p1_power(3), blowup_p3_point(), hexagon(), blown_up_p1xp1(6)]
+    fans = [fan for _, fan in all_fans()] + _walk_fans() + [blown_up_p1xp1(6)]
     for fan in fans:
         assert list(fan.duals) == list(fan.max_cones)
         for sigma, duals in fan.duals.items():
             assert [[sum(a * b for a, b in zip(m, fan.rays[j])) for j in sigma]
                     for m in duals] == [[int(i == j) for j in sigma] for i in sigma]
+            # the exchange gives the cone's own inverse, not only some dual basis
+            assert (duals, 1) == inverse(list(zip(*(fan.rays[i] for i in sigma)))), sigma
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_walk_takes_one_inverse_per_component_and_no_determinant(monkeypatch):
+    inverses = _count_calls(monkeypatch, qsheaf.fan, "inverse")
+    dets = _count_calls(monkeypatch, qsheaf.fan, "det")
+    fan = p1_power(5)
+    assert (len(fan.max_cones), len(inverses), len(dets)) == (32, 1, 0)
+    # two copies of P^2's fan, one turned by a half turn: every facet pairs
+    # up on opposite sides, so the walk starts twice; the cone of wall curves
+    # is not pointed, so class_lattice refuses the fan
+    inverses.clear()
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+                    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert (len(inverses), len(dets)) == (2, 0)
+    assert fan.walls == walls_by_pairing(fan)
+    assert all((duals, 1) == inverse(list(zip(*(fan.rays[i] for i in sigma))))
+               for sigma, duals in fan.duals.items())
+    with pytest.raises(NonProjectiveFan, match=re.escape(
+            "the cone of wall curves is not pointed (its facet normals do not "
+            "span the Picard group), so the fan is not projective")):
+        class_lattice(fan)
+
+
+def test_cone_reached_by_exchange_refused_with_its_determinant(monkeypatch):
+    # the walk starts at (0, 1), reaches (1, 2) with pivot -1, then (0, 2)
+    # with pivot -2: only the refusal computes a determinant
+    dets = _count_calls(monkeypatch, qsheaf.fan, "det")
+    with pytest.raises(NonUnimodularCone, match=re.escape(
+            "cone (0, 2) has determinant -2; fan is not smooth")):
+        build_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    assert dets == [([(1, 0), (-1, -2)],)]
 
 
 def test_fan_equality_ignores_cached_walls():
@@ -130,7 +184,7 @@ def test_primitive_collections_match_the_subset_walk():
     # the minimal non-faces, built from faces plus one ray, against every
     # ray subset tested by definition; both in (size, lex) order
     fans = [blown_up_p1xp1(n) for n in range(4, 13)] + [hexagon(), blowup_p3_point()]
-    fans += [p1_power(k) for k in range(2, 6)]
+    fans += [p1_power(k) for k in range(2, 6)] + [hirzebruch(a) for a in range(4)]
     for fan in fans:
         assert (tuple(pc.edges for pc in primitive_collections(fan))
                 == primitive_collections_by_subsets(fan)), fan.rays

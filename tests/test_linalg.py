@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qsheaf.linalg import _primitive, inverse, kernel_basis, matrix_rank, rank_mod
 
-from _oracles import rref_by_fractions
+from _oracles import kernel_by_fractions, rref_by_fractions
 
 entries = st.one_of(
     st.just(0),
@@ -52,17 +52,17 @@ def test_primitive_content_is_a_reduced_pair_of_ints(coeffs):
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_matches_rational_elimination(m):
     width = len(m[0]) if m else 0
-    ref, pivots = rref_by_fractions(m)
-    # one vector per free column f: 1 at f, 0 at the other free columns
-    expected = []
-    for f in (j for j in range(width) if j not in pivots):
-        vec = [Fraction(int(j == f)) for j in range(width)]
-        for row, p in zip(ref, pivots):
-            vec[p] = -row[f]
-        expected.append(vec)
+    pivots = rref_by_fractions(m)[1]
+    # one primitive int vector per free column f, positive at f, a multiple
+    # of the RREF vector (1 at f, 0 at the other free columns); f is its
+    # last nonzero entry, so dividing by that entry gives the RREF vector back
     basis = kernel_basis(m, width)
-    assert basis == expected
-    assert all(type(x) is Fraction for vec in basis for x in vec)
+    expected = kernel_by_fractions(m, width)
+    assert len(basis) == len(expected)
+    for vec, ref in zip(basis, expected):
+        assert all(type(x) is int for x in vec) and math.gcd(*vec) == 1
+        last = next(x for x in reversed(vec) if x)
+        assert last > 0 and [Fraction(x, last) for x in vec] == ref
     assert matrix_rank(m) == len(pivots) == width - len(basis)
     assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m for vec in basis)
 

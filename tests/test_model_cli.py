@@ -731,6 +731,21 @@ def test_cli_long_fan_or_deformation_integer_is_one_short_error(tmp_path, capsys
     assert len(err.encode()) <= 200
 
 
+def test_cli_long_constant_coefficient_is_cut_in_its_error(tmp_path, capsys):
+    # a coefficient at the digit limit parses to a constant, which is no
+    # linear form; its rendered form is cut like an echo, but not quoted
+    with open(model_path("p1xp1_deformed")) as fh:
+        data = json.load(fh)
+    data["deformation"]["entries"][4]["coeff"] = "7" * INT_DIGIT_LIMIT
+    path = tmp_path / "long_coeff.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == ("error[DeformError]: coefficient " + "7" * 48 + "... for (rho=0, m=(-1, 0)) "
+                   "is not a linear form in W\n")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("command, options, line", [
     ("correlator", [], "error[ModelError]: correlator requires --poly <expression>"),
     ("analyze", ["--trials", "10001"],
