@@ -81,62 +81,67 @@ class Fan:
     def _walk(self) -> tuple:
         """(duals, walls) from one walk over the facet graph of the maximal cones.
 
-        Each component's first cone takes one integer inverse.  Across a facet
-        F from F+{a}, with dual basis (m_i), to F+{b}, the pivots t_i =
-        <m_i, v_b> give v_b = sum_i t_i v_i, so det(F+{b}) = t_a det(F+{a}):
-        the neighbour is unimodular exactly when |t_a| = 1, and then its dual
+        The first cone takes the one integer inverse.  Across a facet F from
+        F+{a}, with dual basis (m_i), to F+{b}, the pivots t_i = <m_i, v_b>
+        give v_b = sum_i t_i v_i, so det(F+{b}) = t_a det(F+{a}): the
+        neighbour is unimodular exactly when |t_a| = 1, and then its dual
         basis is the exchange m'_b = t_a m_a, m'_i = m_i - t_i m'_b.  The same
         pivots give the wall relation sum_rho d_rho v_rho = 0: d_b = 1 and d_i =
         -t_i.  Then, in sorted facet order, every facet must lie in exactly two
-        maximal cones, and on unimodular cones a and b lie on opposite sides
-        of F exactly when d_a = 1: v_a + v_b = sum_{i in F} -d_i v_i.
+        maximal cones; the walk must have reached every cone, since a complete
+        fan's facet graph is connected; and on unimodular cones a and b lie on
+        opposite sides of F exactly when d_a = 1: v_a + v_b = sum_{i in F}
+        -d_i v_i.
         """
         facets = {}
         for sigma in self.max_cones:
             for p, a in enumerate(sigma):
                 facets.setdefault(sigma[:p] + sigma[p + 1:], []).append((sigma, a))
         duals, walls = {}, {}
-        for start in self.max_cones:
-            if start in duals:
-                continue
-            inv = inverse(list(zip(*(self.rays[i] for i in start))))
-            if inv is None or inv[1] != 1:
-                _singular(self, start)
-            duals[start] = dict(zip(start, inv[0]))
-            todo = [start]
-            while todo:
-                sigma = todo.pop()
-                m = duals[sigma]
-                for p, a in enumerate(sigma):
-                    facet = sigma[:p] + sigma[p + 1:]
-                    owners = facets[facet]
-                    if facet in walls or len(owners) != 2:
-                        continue
-                    other, b = owners[1] if owners[0][0] == sigma else owners[0]
-                    d = [0] * len(self.rays)  # d_i = -t_i
-                    for i, mi in m.items():
-                        d[i] = -_dot(mi, self.rays[b])
-                    d[b] = 1
-                    walls[facet] = tuple(d)
-                    if other not in duals:
-                        if abs(d[a]) != 1:
-                            _singular(self, other)
-                        mb = tuple(-d[a] * x for x in m[a])
-                        duals[other] = {i: mb if i == b else
-                                        tuple(x + d[i] * y for x, y in zip(m[i], mb))
-                                        for i in other}
-                        todo.append(other)
-        ordered = []
-        for facet, owners in sorted(facets.items()):
+        start = self.max_cones[0]
+        inv = inverse(list(zip(*(self.rays[i] for i in start))))
+        if inv is None or inv[1] != 1:
+            _singular(self, start)
+        duals[start] = dict(zip(start, inv[0]))
+        todo = [start]
+        while todo:
+            sigma = todo.pop()
+            m = duals[sigma]
+            for p, a in enumerate(sigma):
+                facet = sigma[:p] + sigma[p + 1:]
+                owners = facets[facet]
+                if facet in walls or len(owners) != 2:
+                    continue
+                other, b = owners[1] if owners[0][0] == sigma else owners[0]
+                d = [0] * len(self.rays)  # d_i = -t_i
+                for i, mi in m.items():
+                    d[i] = -_dot(mi, self.rays[b])
+                d[b] = 1
+                walls[facet] = tuple(d)
+                if other not in duals:
+                    if abs(d[a]) != 1:
+                        _singular(self, other)
+                    mb = tuple(-d[a] * x for x in m[a])
+                    duals[other] = {i: mb if i == b else
+                                    tuple(x + d[i] * y for x, y in zip(m[i], mb))
+                                    for i in other}
+                    todo.append(other)
+        ordered = sorted(facets.items())
+        for facet, owners in ordered:
             if len(owners) != 2:
                 raise IncompleteFan(
                     f"facet {facet} lies in {len(owners)} maximal cone(s); "
                     "support does not close up")
+        for sigma in self.max_cones:
+            if sigma not in duals:
+                raise IncompleteFan(f"cone {sigma} is not reached from cone {start} across "
+                                    "shared facets; a complete fan's facet graph is connected")
+        for facet, owners in ordered:
             if any(walls[facet][a] != 1 for _, a in owners):
                 raise IncompleteFan(
                     f"maximal cones sharing facet {facet} overlap on one side")
-            ordered.append((facet, walls[facet]))
-        return {sigma: tuple(duals[sigma].values()) for sigma in self.max_cones}, tuple(ordered)
+        return ({sigma: tuple(duals[sigma].values()) for sigma in self.max_cones},
+                tuple((facet, walls[facet]) for facet, _ in ordered))
 
     def cone_faces(self) -> frozenset:
         """All cones of the fan, as the subsets of maximal cones (incl. the zero cone)."""

@@ -13,6 +13,10 @@ nonnegative q exponents.
 The only monomial order used is graded reverse lexicographic with
 psi_1 > psi_2 > ..., with q exponents compared the same way in a second
 block (so classical monomials dominate Novikov ones of equal psi part).
+`Polynomial` keeps its monomials as tuple pairs.  `groebner`, `normal_form`
+and `top_functional` pack them on entry into one `_Packing` int each, whose
+int order is this order, and unpack once on return; a run whose monomials
+outgrow their packing starts over on a wider one, so nothing ever wraps.
 """
 
 from __future__ import annotations
@@ -62,25 +66,8 @@ def monomial_key(mon: tuple) -> tuple:
     return _grevlex_key(p) + _grevlex_key(q)
 
 
-def _heap_key(mon: tuple) -> tuple:
-    """Negated monomial_key: a min-heap on it pops the largest monomial first."""
-    return tuple(-k for k in monomial_key(mon))
-
-
 def _mon_mul(a: tuple, b: tuple) -> tuple:
     return (tuple(map(operator.add, a[0], b[0])), tuple(map(operator.add, a[1], b[1])))
-
-
-def _mon_divides(a: tuple, b: tuple) -> bool:
-    return all(map(int.__le__, a[0], b[0])) and all(map(int.__le__, a[1], b[1]))
-
-
-def _mon_div(a: tuple, b: tuple) -> tuple:
-    return (tuple(map(operator.sub, a[0], b[0])), tuple(map(operator.sub, a[1], b[1])))
-
-
-def _mon_lcm(a: tuple, b: tuple) -> tuple:
-    return (tuple(map(max, a[0], b[0])), tuple(map(max, a[1], b[1])))
 
 
 def _exact(c):
@@ -88,7 +75,8 @@ def _exact(c):
     integral, else a Fraction.  A float is read exactly, as Fraction reads it."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:  # a Fraction is immutable: it is not rebuilt
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -459,58 +447,140 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
     """Complete division remainder of p modulo a (Groebner) basis: top-down,
     each term cancelled by the first basis element whose leading monomial
     divides it.  The division runs fraction-free on the primitive integer
-    multiples of p and of the basis (`_pseudo_remainder`), and the scale it
-    collects is divided out once, at the end."""
-    basis = gb.polys if isinstance(gb, GroebnerBasis) else gb
-    rules = [_rule(g.terms, g.leading_monomial()) for g in basis if g]
+    multiples of p and of the basis (`_pseudo_remainder`), on packed
+    monomials (`_Packing`, `_widening`), and the scale it collects is
+    divided out once, at the end.  Novikov exponents must be nonnegative."""
+    basis = [g for g in (gb.polys if isinstance(gb, GroebnerBasis) else gb) if g]
+    _require_nonnegative_q([p, *basis])
     ints, num, den = p.primitive()
-    remainder, scale = _pseudo_remainder(ints.terms, rules)
+
+    def run(packing):
+        pack = packing.pack
+        rules = [packing.rule({pack(m): c for m, c in g.terms.items()}) for g in basis]
+        r, scale = _pseudo_remainder({pack(m): c for m, c in ints.terms.items()}, rules, packing)
+        return [(packing.unpack(m), c) for m, c in r.items()], scale
+
+    # the division never raises a psi degree; a q degree may grow
+    remainder, scale = _widening(run, p.nv, p.nq, 2 * max(map(_degree, [p, *basis])))
     den *= scale
-    return Polynomial(p.nv, p.nq, {m: _div(num * c, den) for m, c in remainder.items()})
+    return Polynomial(p.nv, p.nq, {m: _div(num * c, den) for m, c in remainder})
+
+
+class _Overflow(PolyError):
+    """A packed monomial past its packing's limit; `_widening` widens it."""
 
 
 class _Packing:
-    """Nonnegative exponent vectors as ints (Monagan-Pearce, CASC 2007): a
-    w-bit field per variable, its top bit a guard kept 0.  Every entry up to
-    `limit`, at least the limit asked for, fits; a larger one raises and
-    never wraps.  A product of fitting vectors is the sum of their ints, and
-    a divides b when no field of (b | guard) - a borrows its guard bit."""
+    """(psi, q) monomials of nonnegative exponents as ints whose int order is
+    monomial_key's block grevlex order (Monagan-Pearce, CASC 2007; JSC 2011).
+    From the top, w-bit fields hold the psi degree, B - e_nv, ..., B - e_1
+    and, when nq > 0, the q degree, B - q_nq, ..., B - q_1, for B = limit =
+    2^(w-1) - 1, at least the limit asked for.  A monomial fits when both
+    degrees are at most B; then the top bit of every field, its guard, is 0.
+    With offset the int of B in every exponent field, a product is a + b -
+    offset and a cofactor shift is m - lead + t.  Each field of such a result
+    of fitting ints lies in [-B, 2B], so the lowest field out of range shows
+    its guard: r fits exactly when r & overflow is 0, and no borrow hides a
+    degree overflow.  a divides b exactly when no exponent field of (a & mask
+    | guard) - (b & mask) borrows its guard: a divisor's complemented
+    exponents are the larger.  `Polynomial` keeps tuple storage."""
 
-    def __init__(self, nv: int, limit: int):
+    def __init__(self, nv: int, limit: int, nq: int = 0):
         width = max(limit, 1).bit_length() + 1
-        self.limit, self._shifts = (1 << width - 1) - 1, range(0, nv * width, width)
-        self.guard = sum(1 << s + width - 1 for s in self._shifts)
+        self.limit, self._field = (1 << width - 1) - 1, (1 << width) - 1
+        fields = range(0, (nv + nq + 1 + (nq > 0)) * width, width)  # from the bottom
+        self._q, self._q_at = fields[:nq], fields[nq]  # exponent shifts, degree shift
+        self._psi, self._psi_at = fields[nq + (nq > 0):-1], fields[-1]
+        ones = sum(1 << s for s in (*self._psi, *self._q))  # 1 in every exponent field
+        self.offset, self.mask = self.limit * ones, self._field * ones
+        self.guard = (self.limit + 1) * ones
+        self.overflow = (self.limit + 1) * sum(1 << s for s in fields)
 
-    def pack(self, exps: Sequence[int]) -> int:
-        if max(exps, default=0) > self.limit:
-            raise PolyError(f"exponent above the packing limit {self.limit} in {exps}")
-        return sum(map(operator.lshift, exps, self._shifts))
+    def pack(self, mon: tuple) -> int:
+        p, q = mon
+        dp, dq = sum(p), sum(q)
+        if dp > self.limit or dq > self.limit:
+            raise _Overflow(f"degree above the packing limit {self.limit} in {mon}")
+        return (self.offset + (dp << self._psi_at) + (dq << self._q_at)
+                - sum(map(operator.lshift, p, self._psi)) - sum(map(operator.lshift, q, self._q)))
 
     def unpack(self, key: int) -> tuple:
-        return tuple(key >> s & self.limit for s in self._shifts)
+        limit, field = self.limit, self._field
+        return (tuple([limit - (key >> s & field) for s in self._psi]),
+                tuple([limit - (key >> s & field) for s in self._q]))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise, the smaller complemented exponent; _Overflow past the limit."""
+        limit, field, key = self.limit, self._field, 0
+        for shifts, at in ((self._psi, self._psi_at), (self._q, self._q_at)):
+            degree = 0
+            for s in shifts:
+                x, y = a >> s & field, b >> s & field
+                if y < x:
+                    x = y
+                key += x << s
+                degree += limit - x
+            if degree > limit:
+                raise _Overflow(f"lcm degree above the packing limit {limit}")
+            key += degree << at
+        return key
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((a & self.mask | self.guard) - (b & self.mask)) & self.guard == self.guard
+
+    def rule(self, terms: dict) -> tuple:
+        """(lead & mask | guard, lead, integer terms): packed terms' `_rule`
+        and the divisor form of its lead that the division tests."""
+        lead, ints = _rule(terms, max(terms))
+        return lead & self.mask | self.guard, lead, ints
+
+
+def _widening(run: Callable, nv: int, nq: int, limit: int):
+    """run(packing) on a _Packing of nv psi and nq Novikov variables sized to
+    limit, and while it raises _Overflow, on one two bits wider per field."""
+    while True:
+        packing = _Packing(nv, limit, nq)
+        try:
+            return run(packing)
+        except _Overflow:
+            limit = 4 * packing.limit
+
+
+def _degree(g: Polynomial) -> int:
+    return max(map(sum, itertools.chain.from_iterable(g.terms)), default=0)
 
 
 def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     """(value, pack): value(pack(m)) is the coefficient of the psi monomial
     top in NF(m), for psi exponents m of top's degree whose graded piece top
-    spans alone, and gb Novikov-free.  pack is a _Packing sized to top's
-    degree; each basis element that can divide such an m is read once, as
-    its primitive integer `_rule`, since a normal form does not see the
-    scale of a divisor.  A normal form is linear and unique (CLO ch. 2 §6),
-    so each monomial m is reduced once, by the first element whose lead l
-    divides it, the mask test ((m | guard) - l) & guard == guard, and is
-    memoized for the life of value; one reduced by a bare monomial is 0.
-    Each call keeps an explicit stack and its own pending tails; meeting a
-    standard monomial other than top raises PolyError."""
+    spans alone, and gb Novikov-free.  pack(m) is m's int in a _Packing
+    sized to top's degree, less its offset, so pack(a) + pack(b) is pack(a
+    * b); each basis element that can divide such an m is read once, as its
+    primitive integer `_rule`, since a normal form does not see the scale of
+    a divisor.  A normal form is linear and unique (CLO ch. 2 §6), so each
+    monomial m is reduced once, by the first element whose lead divides it
+    (the _Packing mask test), and is memoized for the life of value; one
+    reduced by a bare monomial is 0.  Each call keeps an explicit stack and
+    its own pending tails; meeting a standard monomial other than top, or a
+    monomial past the packing, raises PolyError."""
     degree = sum(top)
     packing = _Packing(gb.nv, degree)
-    pack, guard = packing.pack, packing.guard
+    offset, mask, guard, overflow = packing.offset, packing.mask, packing.guard, packing.overflow
+    shifts, at = packing._psi, packing._psi_at
+
+    def pack(exps: Sequence[int]) -> int:
+        d = sum(exps)
+        if d > degree:
+            raise PolyError(f"degree above the packing limit {degree} in {exps}")
+        return (d << at) - sum(map(operator.lshift, exps, shifts))
+
     rules = []
     for g in gb.polys:
         lead = g.leading_monomial()
         if sum(lead[0]) <= degree:
             _, ints = _rule(g.terms, lead)
-            rules.append((pack(lead[0]), ints[lead],
+            lm = pack(lead[0])
+            rules.append((lm + offset & mask | guard, lm, ints[lead],
                           [(pack(m), c) for (m, _), c in ints.items() if m != lead[0]]))
     memo = {pack(top): 1}
 
@@ -525,12 +595,16 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
                 stack.pop()
                 continue
             if m not in tails:
-                high = m | guard
-                for lm, lc, tail in rules:
-                    if (high - lm) & guard == guard:
+                low = m + offset
+                if low & overflow:
+                    raise PolyError(f"monomial above the packing limit {packing.limit}")
+                low &= mask
+                for high, lm, lc, tail in rules:
+                    if (high - low) & guard == guard:
                         break
                 else:
-                    raise PolyError(f"standard monomial {packing.unpack(m)} other than {top}")
+                    raise PolyError(f"standard monomial {packing.unpack(m + offset)[0]} "
+                                    f"other than {top}")
                 if not tail:
                     memo[m] = 0
                     stack.pop()
@@ -558,44 +632,43 @@ def _rule(terms: dict, lead: tuple) -> tuple:
     return lead, dict(zip(terms, ints))
 
 
-def _pseudo_spoly(f: dict, lf: tuple, g: dict, lg: tuple) -> dict:
-    """The S-polynomial of integer terms with positive leads, times the
-    positive integer lc(f) lc(g) / gcd: no quotient of coefficients."""
-    lcm = _mon_lcm(lf, lg)
+def _pseudo_spoly(f: dict, lf: int, g: dict, lg: int, lcm: int, overflow: int) -> dict:
+    """The S-polynomial of packed integer terms with positive leads, times
+    the positive integer lc(f) lc(g) / gcd: no quotient of coefficients.  A
+    term past the packing raises _Overflow; a zero sum is dropped only after
+    that test, so two such terms cannot cancel unseen."""
     k = math.gcd(f[lf], g[lg])
-    a, b = g[lg] // k, f[lf] // k
-    shift = _mon_div(lcm, lf)
-    out = {_mon_mul(shift, m): a * c for m, c in f.items()}
-    shift = _mon_div(lcm, lg)
+    out = {lcm - lf + m: g[lg] // k * c for m, c in f.items()}
     for m, c in g.items():
-        tgt = _mon_mul(shift, m)
-        s = out.get(tgt, 0) - b * c
-        if s:
-            out[tgt] = s
-        else:
-            del out[tgt]
-    return out
+        m += lcm - lg
+        out[m] = out.get(m, 0) - f[lf] // k * c
+    if any(m & overflow for m in out):
+        raise _Overflow("S-polynomial term past the packing")
+    return {m: c for m, c in out.items() if c}
 
 
-def _pseudo_remainder(terms: dict, rules: list) -> tuple:
-    """(r, k): k * R = r for the complete division remainder R of integer
-    terms modulo (lead, integer terms with a positive lead coefficient)
-    rules, top-down, each term cancelled by the first rule whose lead
-    divides it.  Where a division over Q subtracts c / lc times the shifted
-    rule, this scales the pending terms and the remainder by lc / gcd(c, lc)
-    and subtracts an integer multiple, so no coefficient leaves Z; k > 0 is
-    the product of those scales."""
+def _pseudo_remainder(terms: dict, rules: list, packing: _Packing) -> tuple:
+    """(r, k): k * R = r for the complete division remainder R of packed
+    integer terms modulo `_Packing.rule`s (integer terms with a positive
+    lead coefficient), top-down from a heap of negated ints, each term
+    cancelled by the first rule whose lead divides it.  Where a division
+    over Q subtracts c / lc times the shifted rule, this scales the pending
+    terms and the remainder by lc / gcd(c, lc) and subtracts an integer
+    multiple, so no coefficient leaves Z; k > 0 is the product of those
+    scales.  A new term past the packing raises _Overflow."""
+    mask, guard, overflow = packing.mask, packing.guard, packing.overflow
     work = dict(terms)
-    heap = [(_heap_key(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     remainder, total = {}, 1
     while heap:
-        mon = heapq.heappop(heap)[1]
+        mon = -heapq.heappop(heap)
         coeff = work.pop(mon, None)
         if coeff is None:
             continue
-        for lm, g in rules:
-            if _mon_divides(lm, mon):
+        low = mon & mask
+        for high, lm, g in rules:
+            if (high - low) & guard == guard:
                 lc = g[lm]
                 k = math.gcd(coeff, lc)
                 scale, factor = lc // k, coeff // k
@@ -603,13 +676,15 @@ def _pseudo_remainder(terms: dict, rules: list) -> tuple:
                     work = {m: c * scale for m, c in work.items()}
                     remainder = {m: c * scale for m, c in remainder.items()}
                     total *= scale
-                shift = _mon_div(mon, lm)
+                shift = mon - lm
                 for m2, c2 in g.items():
                     if m2 == lm:
                         continue
-                    tgt = _mon_mul(shift, m2)
+                    tgt = shift + m2
                     if tgt not in work:
-                        heapq.heappush(heap, (_heap_key(tgt), tgt))
+                        if tgt & overflow:
+                            raise _Overflow("reduction term past the packing")
+                        heapq.heappush(heap, -tgt)
                     s = work.get(tgt, 0) - factor * c2
                     if s:
                         work[tgt] = s
@@ -635,56 +710,69 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     pseudo-reduction `_pseudo_remainder` (Collins, JACM 1967).  Every
     element is a positive multiple of the monic one a Fraction Buchberger
     keeps, so the leads, the pairs and the basis are the same; the basis is
-    made monic only when it is returned.
+    made monic only when it is returned.  Monomials are packed ints
+    (`_Packing`), so the pair heap is keyed by the packed lcm; a run whose
+    monomials outgrow the packing starts over on a wider one (`_widening`).
     """
     gens = ideal.generators
     if not gens:
         return GroebnerBasis((), ideal.nv)
     _require_nonnegative_q(gens)
     nv, nq = gens[0].nv, gens[0].nq
-    rules = []  # (lead, primitive integer terms), in the order they join
-    for g in gens:
-        rule = _rule(g.terms, g.leading_monomial())
-        if rule not in rules:
-            rules.append(rule)
-    heap, pending = [], set()  # pending pairs, stored in both orders
 
-    def add_pairs(k):
-        for i in range(k):
-            heapq.heappush(heap, (monomial_key(_mon_lcm(rules[i][0], rules[k][0])), i, k))
-            pending.update(((i, k), (k, i)))
+    def run(packing):
+        mask, guard, pack = packing.mask, packing.guard, packing.pack
+        rules, highs = [], []  # packing.rule of each element, in the order they join
+        for g in gens:
+            rule = packing.rule({pack(m): c for m, c in g.terms.items()})
+            if rule not in rules:
+                rules.append(rule)
+        heap, pending = [], set()  # pending pairs, stored in both orders
 
-    for k in range(len(rules)):
-        add_pairs(k)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending -= {(i, j), (j, i)}
-        (li, fi), (lj, fj) = rules[i], rules[j]
-        lcm = _mon_lcm(li, lj)
-        if _mon_mul(li, lj) == lcm:
-            continue  # coprime criterion
-        if any(_mon_divides(lk, lcm) and k not in (i, j) and (i, k) not in pending
-               and (j, k) not in pending for k, (lk, _) in enumerate(rules)):
-            continue  # chain criterion
-        r, _ = _pseudo_remainder(_pseudo_spoly(fi, li, fj, lj), rules)
-        if r:
-            rules.append(_rule(r, max(r, key=monomial_key)))
-            add_pairs(len(rules) - 1)
-    # minimalize: drop elements whose leading term is divisible by another's
-    minimal = []
-    for lead, g in sorted(rules, key=lambda rule: monomial_key(rule[0])):
-        if not any(_mon_divides(lm, lead) for lm, _ in minimal):
-            minimal.append((lead, g))
-    # interreduce tails: no other lead divides g's leading term, which
-    # therefore stays first, so the result is sorted; then make it monic
-    polys = []
-    for idx, (lead, g) in enumerate(minimal):
-        r, _ = _pseudo_remainder(g, minimal[:idx] + minimal[idx + 1:])
-        lc = r[lead]
-        p = Polynomial(nv, nq, {m: _div(c, lc) for m, c in r.items()})
-        p._lead = lead
-        polys.append(p)
-    return GroebnerBasis(tuple(polys))
+        def add_pairs(k):
+            highs.append(rules[k][0])
+            for i in range(k):
+                heapq.heappush(heap, (packing.lcm(rules[i][1], rules[k][1]), i, k))
+                pending.update(((i, k), (k, i)))
+
+        for k in range(len(rules)):
+            add_pairs(k)
+        while heap:
+            lcm, i, j = heapq.heappop(heap)
+            pending -= {(i, j), (j, i)}
+            (_, li, fi), (_, lj, fj) = rules[i], rules[j]
+            if li + lj - packing.offset == lcm:
+                continue  # coprime criterion
+            low = lcm & mask
+            for k, high in enumerate(highs):
+                if ((high - low) & guard == guard and k != i and k != j
+                        and (i, k) not in pending and (j, k) not in pending):
+                    break  # chain criterion
+            else:
+                spoly = _pseudo_spoly(fi, li, fj, lj, lcm, packing.overflow)
+                r, _ = _pseudo_remainder(spoly, rules, packing)
+                if r:
+                    rules.append(packing.rule(r))
+                    add_pairs(len(rules) - 1)
+        # minimalize: drop elements whose leading term is divisible by another's
+        minimal = []
+        for rule in sorted(rules, key=operator.itemgetter(1)):
+            if not any(packing.divides(lm, rule[1]) for _, lm, _ in minimal):
+                minimal.append(rule)
+        # interreduce tails: no other lead divides g's leading term, which
+        # therefore stays first, so the result is sorted; then make it monic
+        polys = []
+        for idx, (_, lead, g) in enumerate(minimal):
+            r, _ = _pseudo_remainder(g, minimal[:idx] + minimal[idx + 1:], packing)
+            lc = r[lead]
+            p = Polynomial(nv, nq, {packing.unpack(m): _div(c, lc) for m, c in r.items()})
+            p._lead = packing.unpack(lead)
+            polys.append(p)
+        return GroebnerBasis(tuple(polys))
+
+    # an element's degree seldom passes the sum of the generators' (a complete
+    # intersection's regularity), and an lcm joins two elements
+    return _widening(run, nv, nq, 2 * sum(map(_degree, gens)))
 
 
 def _capped_exponents(caps: Sequence[int], degree: int):

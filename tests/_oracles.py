@@ -9,13 +9,35 @@ cone membership by a Caratheodory search instead of facet inequalities.
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
 from qsheaf.linalg import matrix_rank
 from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, Polynomial,
-                         PolyError, _div, _height, _heap_key, _mon_div, _mon_divides, _mon_lcm,
-                         _mon_mul, _require_nonnegative_q, echo, monomial_key)
+                         PolyError, _div, _height, _mon_mul, _require_nonnegative_q, echo,
+                         monomial_key)
+
+
+# ---- monomials as (psi exponents, q exponents) pairs of tuples ----------------
+# The oracles' own monomial arithmetic, apart from the packed ints of
+# qsheaf.poly's Buchberger and division.
+
+def _heap_key(mon):
+    """Negated monomial_key: a min-heap on it pops the largest monomial first."""
+    return tuple(-k for k in monomial_key(mon))
+
+
+def _mon_divides(a, b):
+    return all(map(int.__le__, a[0], b[0])) and all(map(int.__le__, a[1], b[1]))
+
+
+def _mon_div(a, b):
+    return (tuple(map(operator.sub, a[0], b[0])), tuple(map(operator.sub, a[1], b[1])))
+
+
+def _mon_lcm(a, b):
+    return (tuple(map(max, a[0], b[0])), tuple(map(max, a[1], b[1])))
 
 
 def in_span(vectors, target):

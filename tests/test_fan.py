@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 import qsheaf.fan
-from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay, NonProjectiveFan,
-                    Fan, NonUnimodularCone, build_fan, class_lattice, det, locate_cone,
-                    primitive_collections)
+from qsheaf import (DuplicateRay, IncompleteFan, NonPrimitiveRay, Fan, NonUnimodularCone,
+                    build_fan, det, locate_cone, primitive_collections)
 from qsheaf.linalg import inverse
 
 from _oracles import primitive_collections_by_subsets, solve_columns, walls_by_pairing
@@ -129,19 +128,16 @@ def test_walk_takes_one_inverse_per_component_and_no_determinant(monkeypatch):
     fan = p1_power(5)
     assert (len(fan.max_cones), len(inverses), len(dets)) == (32, 1, 0)
     # two copies of P^2's fan, one turned by a half turn: every facet pairs
-    # up on opposite sides, so the walk starts twice; the cone of wall curves
-    # is not pointed, so class_lattice refuses the fan
+    # up on opposite sides, but the facet graph has two components, so the
+    # walk from the first cone refuses the first cone of the second one
+    # before it takes a second inverse
     inverses.clear()
-    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
-                    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert (len(inverses), len(dets)) == (2, 0)
-    assert fan.walls == walls_by_pairing(fan)
-    assert all((duals, 1) == inverse(list(zip(*(fan.rays[i] for i in sigma))))
-               for sigma, duals in fan.duals.items())
-    with pytest.raises(NonProjectiveFan, match=re.escape(
-            "the cone of wall curves is not pointed (its facet normals do not "
-            "span the Picard group), so the fan is not projective")):
-        class_lattice(fan)
+    with pytest.raises(IncompleteFan, match=re.escape(
+            "cone (3, 4) is not reached from cone (0, 1) across shared facets; "
+            "a complete fan's facet graph is connected")):
+        build_fan(2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+                  [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert (len(inverses), len(dets)) == (1, 0)
 
 
 def test_cone_reached_by_exchange_refused_with_its_determinant(monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import operator
 import os
 import random
 import sys
@@ -16,10 +15,11 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
                          power_product, quotient_dims, standard_monomials, top_functional)
-from qsheaf.poly import _mon_divides, _mon_mul, _Packing
+from qsheaf.poly import _mon_mul, _Overflow, _Packing
 
-from _oracles import (groebner_by_fractions, height_by_lcm, ideal_member_oracle, leibniz_det,
-                      monic, monomials_of_degree, normal_form_by_fractions,
+from _oracles import (_heap_key, _mon_div, _mon_divides, _mon_lcm, groebner_by_fractions,
+                      height_by_lcm, ideal_member_oracle, leibniz_det, monic,
+                      monomials_of_degree, normal_form_by_fractions,
                       parse_polynomial_by_characters, power_by_tuples, spoly_by_fractions)
 from conftest import (INT_DIGIT_LIMIT, all_fans, deformed_p1_power, hirzebruch, p1_power,
                       poly_texts, tangent_setup)
@@ -503,6 +503,9 @@ def test_groebner_matches_fraction_reference_on_model_ideals():
     for seed in (0, 1):
         cl, lin = deformed_p1_power(3, random.Random(seed))
         cases += [_slice_anchor_ideal(SimpleNamespace(cl=cl, lin=lin), t) for t in (0, 2)]
+    # a Picard rank 4 anchor ring: deformed (P^1)^4 at t = 2
+    cl, lin = deformed_p1_power(4, random.Random(0))
+    cases.append(_slice_anchor_ideal(SimpleNamespace(cl=cl, lin=lin), 2))
     # the quantum ideals, Novikov exponents in Mori coordinates
     for lin in (model.lin, tangent_setup(hirzebruch(1))[1], tangent_setup(p1_power(3))[1],
                 deformed_p1_power(3, random.Random(0))[1]):
@@ -601,9 +604,9 @@ def test_groebner_chain_criterion_bounds_reductions(monkeypatch):
     calls = []
     real = qsheaf.poly._pseudo_remainder
 
-    def spy(terms, rules):
+    def spy(terms, rules, packing):
         calls.append(terms)
-        return real(terms, rules)
+        return real(terms, rules, packing)
 
     monkeypatch.setattr(qsheaf.poly, "_pseudo_remainder", spy)
     gb = groebner(Ideal(tuple(gens)))
@@ -613,13 +616,104 @@ def test_groebner_chain_criterion_bounds_reductions(monkeypatch):
     assert len(calls) <= 3 * len(gb.polys), len(calls)
 
 
-def test_heap_key_ascends_as_monomial_order_descends():
-    rng = random.Random(11)
-    mons = {(tuple(rng.randint(0, 3) for _ in range(3)),
-             tuple(rng.randint(0, 2) for _ in range(2))) for _ in range(300)}
-    by_heap = sorted(mons, key=qsheaf.poly._heap_key)
-    assert by_heap == sorted(mons, key=monomial_key, reverse=True)
-    assert len({qsheaf.poly._heap_key(m) for m in mons}) == len(mons)
+def _exponents(data, n, degree):
+    """n nonnegative ints of sum at most degree, in a drawn order."""
+    left, exps = data.draw(st.integers(0, degree)), []
+    for _ in range(n):
+        exps.append(data.draw(st.integers(0, left)))
+        left -= exps[-1]
+    return tuple(data.draw(st.permutations(exps)))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_packed_monomials_match_the_tuple_oracles(data):
+    nv, nq = data.draw(st.integers(1, 4)), data.draw(st.sampled_from((0, 1, 2)))
+    packing = _Packing(nv, data.draw(st.integers(0, 24)), nq)
+    pack, half = packing.pack, packing.limit // 2  # a product of two halves fits
+
+    def monomial(degree=half):
+        return _exponents(data, nv, degree), _exponents(data, nq, degree)
+
+    mons = [monomial() for _ in range(5)]
+    # int order is monomial_key's order, and the packing is one-to-one
+    assert sorted(mons, key=pack) == sorted(mons, key=monomial_key)
+    assert all(packing.unpack(pack(m)) == m for m in mons)
+    assert len({pack(m) for m in mons}) == len(set(mons))
+    for a in mons:
+        c = (tuple(data.draw(st.integers(0, e)) for e in a[0]),
+             tuple(data.draw(st.integers(0, e)) for e in a[1]))  # c divides a
+        for b in mons:
+            assert pack(a) + pack(b) - packing.offset == pack(_mon_mul(a, b))
+            assert pack(a) - pack(c) + pack(b) == pack(_mon_mul(_mon_div(a, c), b))
+            assert packing.divides(pack(a), pack(b)) == _mon_divides(a, b), (a, b)
+            assert packing.lcm(pack(a), pack(b)) == pack(_mon_lcm(a, b))
+            # the negated ints of the division heap pop the larger monomial first
+            assert (-pack(a) < -pack(b)) == (_heap_key(a) < _heap_key(b))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packing_adds_divides_and_refuses_overflow(data):
+    nv, nq = data.draw(st.integers(1, 5)), data.draw(st.sampled_from((0, 1, 2)))
+    asked = data.draw(st.integers(0, 70))
+    packing = _Packing(nv, asked, nq)
+    limit, pack, overflow = packing.limit, packing.pack, packing.overflow
+    assert limit >= asked
+    zero = ((0,) * nv, (0,) * nq)
+
+    def at_limit(n):
+        """n exponents of sum exactly limit (none when n is 0)."""
+        if not n:
+            return ()
+        exps = list(_exponents(data, n, limit))
+        exps[data.draw(st.integers(0, n - 1))] += limit - sum(exps)
+        return tuple(exps)
+
+    top = (at_limit(nv), at_limit(nq))
+    assert not pack(top) & overflow and packing.unpack(pack(top)) == top
+    block = data.draw(st.integers(0, 1 if nq else 0))
+    i = data.draw(st.integers(0, len(zero[block]) - 1))
+    one = tuple(tuple(int(b == block and j == i) for j in range(len(zero[b]))) for b in (0, 1))
+    # limit + 1 is refused by pack; a product or a shift that reaches it, or
+    # an lcm past it, shows a guard bit or raises: never a fitting monomial
+    with pytest.raises(_Overflow, match="packing limit"):
+        pack(_mon_mul(top, one))
+    assert (pack(top) + pack(one) - packing.offset) & overflow
+    assert (pack(top) - pack(zero) + pack(one)) & overflow
+    assert packing.divides(pack(one), pack(top)) == _mon_divides(one, top)
+    if not _mon_divides(one, top):
+        with pytest.raises(_Overflow, match="packing limit"):
+            packing.lcm(pack(top), pack(one))
+
+
+def test_groebner_widens_a_run_that_outgrows_its_packing(monkeypatch):
+    # groebner sizes its packing to twice the sum of the generators' degrees
+    # (limit 31 and 63 here): the S-polynomial of the first two reaches
+    # q1^40, and Mora's ideal for n = 8 has a basis element of psi degree
+    # 65; normal_form sizes to twice the largest degree (limit 15), and the
+    # remainder is q1^24 * psi2^6.  Each run starts over once, wider.
+    limits = []
+    real = _Packing.__init__
+
+    def spy(self, nv, limit, nq=0):
+        real(self, nv, limit, nq)
+        limits.append(self.limit)
+
+    monkeypatch.setattr(_Packing, "__init__", spy)
+    a, b = (Polynomial.variable(2, i, 1) for i in range(2))
+    q = Polynomial.novikov(2, 1, (1,))
+    u, v, z, w = (Polynomial.variable(4, i) for i in range(4))
+    n = 8
+    for gens, widened in (((a - 3 * q ** 8 * b, a ** 5 - 2 * b ** 5), [31, 127]),
+                          ((u ** (n + 1) - v * z ** (n - 1) * w, u * v ** (n - 1) - z ** n,
+                            u ** n * z - v ** n * w), [63, 255])):
+        limits.clear()
+        assert groebner(Ideal(gens)) == groebner_by_fractions(Ideal(gens))
+        assert limits == widened
+    limits.clear()
+    assert normal_form(a ** 6, [a - q ** 4 * b]) == b ** 6 * q ** 24
+    assert limits == [15, 63]
 
 
 # ---- the capped walk of standard_monomials ------------------------------------
@@ -720,35 +814,6 @@ def test_top_functional_refuses_a_piece_top_does_not_span():
     assert value(pack((2, 0))) == 1  # x^2 reduces to the top monomial y^2
     with pytest.raises(PolyError, match="standard monomial"):
         value(pack((1, 1)))
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_packing_adds_divides_and_refuses_overflow(data):
-    nv = data.draw(st.integers(1, 6))
-    asked = data.draw(st.integers(0, 70))
-    packing = _Packing(nv, asked)
-    limit = packing.limit
-    assert limit >= asked
-    vector = st.lists(st.integers(0, limit), min_size=nv, max_size=nv).map(tuple)
-    a, b = data.draw(vector), data.draw(vector)
-    c = tuple(data.draw(st.integers(0, e)) for e in a)  # c divides a
-    d = tuple(min(y, limit - x) for x, y in zip(a, b))  # a * d still fits
-    vectors = [a, b, c, d, tuple(map(operator.add, a, d))]
-    for e in vectors:
-        assert packing.unpack(packing.pack(e)) == e
-    (ad, _) = _mon_mul((a, ()), (d, ()))
-    assert packing.pack(a) + packing.pack(d) == packing.pack(ad)
-    assert packing.pack(c) + packing.pack(tuple(map(operator.sub, a, c))) == packing.pack(a)
-    guard = packing.guard
-    for u in vectors:
-        for v in vectors:
-            # top_functional's divisibility test: no field of (v | guard) - u borrows
-            divides = ((packing.pack(v) | guard) - packing.pack(u)) & guard == guard
-            assert divides == _mon_divides((u, ()), (v, ())), (u, v)
-    i = data.draw(st.integers(0, nv - 1))
-    with pytest.raises(PolyError, match="packing limit"):
-        packing.pack(a[:i] + (limit + 1,) + a[i + 1:])
 
 
 @st.composite
