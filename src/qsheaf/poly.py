@@ -566,13 +566,9 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     degree = sum(top)
     packing = _Packing(gb.nv, degree)
     offset, mask, guard, overflow = packing.offset, packing.mask, packing.guard, packing.overflow
-    shifts, at = packing._psi, packing._psi_at
 
     def pack(exps: Sequence[int]) -> int:
-        d = sum(exps)
-        if d > degree:
-            raise PolyError(f"degree above the packing limit {degree} in {exps}")
-        return (d << at) - sum(map(operator.lshift, exps, shifts))
+        return packing.pack((exps, ())) - offset
 
     rules = []
     for g in gb.polys:

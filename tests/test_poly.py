@@ -242,6 +242,11 @@ def test_groebner_rejects_negative_novikov_exponents():
     p = Polynomial(1, 1, {((1,), (-1,)): Fraction(1), ((0,), (0,)): Fraction(1)})
     with pytest.raises(UnsupportedNovikovShape):
         groebner(Ideal((p,)))
+    # normal_form refuses them too, in the input and in a divisor
+    q = Polynomial(1, 1, {((1,), (1,)): Fraction(1)})
+    for f, divisors in ((p, [q]), (q, [p])):
+        with pytest.raises(UnsupportedNovikovShape):
+            normal_form(f, divisors)
 
 
 def test_parser_round_trip():
@@ -814,6 +819,9 @@ def test_top_functional_refuses_a_piece_top_does_not_span():
     assert value(pack((2, 0))) == 1  # x^2 reduces to the top monomial y^2
     with pytest.raises(PolyError, match="standard monomial"):
         value(pack((1, 1)))
+    # a product past the packing (limit 3 for degree 2) is refused, not wrapped
+    with pytest.raises(PolyError, match="monomial above the packing limit 3"):
+        value(pack((3, 0)) + pack((1, 0)))
 
 
 @st.composite
