@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fan import PrimitiveCollection
 from .lattice import ClassLattice
-from .linalg import kernel_basis, matrix_rank, rank_mod
+from .linalg import _dot, kernel_basis, matrix_rank, rank_mod
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial, power_product,
                    sole_generator, standard_monomials, det, echo)
 from .sectors import sector_gb
@@ -49,6 +49,7 @@ class DeformationEntry:
     m: tuple
     coeff: Polynomial  # linear form in the Picard basis
     source: str = field(default="", compare=False)  # D-symbol form as given
+    mono: tuple = field(default=(), compare=False, repr=False)  # Cox monomial, if known
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,15 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         rho = int(rho)
         if rho < 0 or rho >= fan.n_rays:
             raise UnknownRayIndex(f"ray index {echo(rho)} out of range")
-        m = tuple(int(x) for x in m)
+        m = tuple(map(int, m))
         if len(m) != fan.rank:
             raise DeformError(f"character {echo(m)} must have {echo(fan.rank)} coordinates")
-        for rp, e in enumerate(_cox_monomial(fan, rho, m)):
-            if e < 0:
-                raise CharacterOutsidePolytope(
-                    f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
-                    f"for ray {rp}")
+        mono = _cox_monomial(fan, rho, m)
+        if min(mono) < 0:
+            rp = next(rp for rp, e in enumerate(mono) if e < 0)
+            raise CharacterOutsidePolytope(
+                f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
+                f"for ray {rp}")
         if (rho, m) in seen:
             raise DuplicateEntry(f"duplicate entry for (rho={echo(rho)}, m={echo(m)})")
         seen.add((rho, m))
@@ -172,23 +174,25 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
             raise DeformError(f"coefficient {echo(poly.to_str(), quote=False)} for "
                               f"(rho={echo(rho)}, m={echo(m)}) is not a linear form in W")
-        entries.append(DeformationEntry(rho, m, poly, coeff))
-    entries = tuple(entries)
-    tangent = tangent_deformation(cl)
-    is_tangent = set(entries) == set(tangent.entries)
-    return Deformation(entries=entries, is_tangent=is_tangent)
+        entries.append(DeformationEntry(rho, m, poly, coeff, mono))
+    # the tangent deformation's entries, (rho, 0, [D_rho]) for every ray; the
+    # (rho, m) are distinct, so this is set equality with them
+    is_tangent = len(entries) == fan.n_rays and all(
+        not any(e.m) and e.coeff == syms[e.rho] for e in entries)
+    return Deformation(entries=tuple(entries), is_tangent=is_tangent)
 
 
 def _cox_monomial(fan, rho: int, m: tuple) -> tuple:
     """Exponents of the Cox monomial x_rho chi^m: <m, v_rho'> + [rho' = rho]."""
-    return tuple(sum(a * b for a, b in zip(m, v)) + (rp == rho)
-                 for rp, v in enumerate(fan.rays))
+    return tuple([_dot(m, v) + (rp == rho) for rp, v in enumerate(fan.rays)])
 
 
 def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
     """Slot (rho, rho') in A_c fed by this entry: its Cox monomial is the one
-    variable x_rho'.  None for nonlinear terms."""
-    mono = _cox_monomial(cl.fan, entry.rho, entry.m)
+    variable x_rho' (x_rho itself when m = 0).  None for nonlinear terms."""
+    if not any(entry.m):
+        return (entry.rho, entry.rho)
+    mono = entry.mono or _cox_monomial(cl.fan, entry.rho, entry.m)
     if mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
         return None
     return (entry.rho, mono.index(1))
@@ -204,12 +208,13 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
     slots = {}
     for entry in E.entries:
         slot = _linear_slot(cl, entry)
-        if slot is not None:
-            slots[slot] = slots.get(slot, zero) + entry.coeff
-    matrices = tuple(tuple(tuple(slots.get((i, j), zero) for j in c.members)
-                           for i in c.members) for c in cl.equiv)
-    return LinearData(cl=cl, matrices=matrices,
-                      q=tuple(det([list(r) for r in rows]) for rows in matrices))
+        if slot in slots:
+            slots[slot] = slots[slot] + entry.coeff
+        elif slot is not None:
+            slots[slot] = entry.coeff
+    matrices = tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
+                             for i in c.members]) for c in cl.equiv])
+    return LinearData(cl=cl, matrices=matrices, q=tuple([det(rows) for rows in matrices]))
 
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,
@@ -261,7 +266,7 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
-    terms = [(entry.rho, _cox_monomial(fan, entry.rho, entry.m),
+    terms = [(entry.rho, entry.mono or _cox_monomial(fan, entry.rho, entry.m),
               entry.coeff.linear_coefficients()) for entry in E.entries if entry.coeff]
 
     def rows_at(x, entries):

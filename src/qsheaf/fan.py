@@ -66,13 +66,13 @@ class Fan:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    @cached_property
+    @property
     def duals(self) -> dict:
         """sigma -> the integral dual basis (m_i) of each maximal cone, in
         sigma's order: <m_i, v_j> = 1 if i == j else 0 (`_walk`)."""
         return self._walk[0]
 
-    @cached_property
+    @property
     def walls(self) -> tuple:
         """(F, d) per facet F, in sorted order, with d its wall relation (`_walk`)."""
         return self._walk[1]
@@ -93,17 +93,17 @@ class Fan:
         opposite sides of F exactly when d_a = 1: v_a + v_b = sum_{i in F}
         -d_i v_i.
         """
-        facets = {}
+        rays, facets = self.rays, {}
         for sigma in self.max_cones:
             for p, a in enumerate(sigma):
                 facets.setdefault(sigma[:p] + sigma[p + 1:], []).append((sigma, a))
         duals, walls = {}, {}
         start = self.max_cones[0]
-        inv = inverse(list(zip(*(self.rays[i] for i in start))))
+        inv = inverse(list(zip(*(rays[i] for i in start))))
         if inv is None or inv[1] != 1:
             _singular(self, start)
         duals[start] = dict(zip(start, inv[0]))
-        todo = [start]
+        todo, zero = [start], [0] * len(rays)
         while todo:
             sigma = todo.pop()
             m = duals[sigma]
@@ -112,36 +112,37 @@ class Fan:
                 owners = facets[facet]
                 if facet in walls or len(owners) != 2:
                     continue
-                other, b = owners[1] if owners[0][0] == sigma else owners[0]
-                d = [0] * len(self.rays)  # d_i = -t_i
+                other, b = owners[owners[0][0] == sigma]
+                d, vb = zero[:], rays[b]  # d_i = -t_i
                 for i, mi in m.items():
-                    d[i] = -_dot(mi, self.rays[b])
+                    d[i] = -_dot(mi, vb)
                 d[b] = 1
                 walls[facet] = tuple(d)
                 if other not in duals:
                     if abs(d[a]) != 1:
                         _singular(self, other)
-                    mb = tuple(-d[a] * x for x in m[a])
+                    mb = tuple([-d[a] * x for x in m[a]])
                     duals[other] = {i: mb if i == b else
-                                    tuple(x + d[i] * y for x, y in zip(m[i], mb))
+                                    tuple([x + d[i] * y for x, y in zip(m[i], mb)])
                                     for i in other}
                     todo.append(other)
-        ordered = sorted(facets.items())
-        for facet, owners in ordered:
-            if len(owners) != 2:
+        ordered = sorted(facets)
+        for facet in ordered:
+            if len(facets[facet]) != 2:
                 raise IncompleteFan(
-                    f"facet {facet} lies in {len(owners)} maximal cone(s); "
+                    f"facet {facet} lies in {len(facets[facet])} maximal cone(s); "
                     "support does not close up")
         for sigma in self.max_cones:
             if sigma not in duals:
                 raise IncompleteFan(f"cone {sigma} is not reached from cone {start} across "
                                     "shared facets; a complete fan's facet graph is connected")
-        for facet, owners in ordered:
-            if any(walls[facet][a] != 1 for _, a in owners):
+        for facet in ordered:
+            (_, a), (_, b) = facets[facet]
+            if walls[facet][a] != 1 or walls[facet][b] != 1:
                 raise IncompleteFan(
                     f"maximal cones sharing facet {facet} overlap on one side")
         return ({sigma: tuple(duals[sigma].values()) for sigma in self.max_cones},
-                tuple((facet, walls[facet]) for facet, _ in ordered))
+                tuple([(facet, walls[facet]) for facet in ordered]))
 
     def cone_faces(self) -> frozenset:
         """All cones of the fan, as the subsets of maximal cones (incl. the zero cone)."""
@@ -183,7 +184,7 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
         raise FanError("maximal cone list is empty")
     ray_tuples = []
     for v in rays:
-        t = tuple(int(x) for x in v)
+        t = tuple(map(int, v))
         if len(t) != rank:
             raise FanError(f"ray {echo(v)} does not have {echo(rank)} coordinates")
         if gcd(*t) != 1:
@@ -194,8 +195,8 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
 
     cones = []
     for sigma in max_cones:
-        idx = tuple(sorted(int(i) for i in sigma))
-        if any(i < 0 or i >= len(ray_tuples) for i in idx):
+        idx = tuple(sorted(map(int, sigma)))
+        if idx and (idx[0] < 0 or idx[-1] >= len(ray_tuples)):
             raise FanError(f"cone {echo(sigma)} references an unknown ray index")
         if len(set(idx)) != len(idx) or len(idx) != rank:
             raise NonUnimodularCone(
@@ -209,7 +210,7 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequ
         raise IncompleteFan(f"rays {echo(missing)} appear in no maximal cone")
 
     fan = Fan(rank=rank, rays=tuple(ray_tuples), max_cones=tuple(cones))
-    fan.walls  # the walk: raises NonUnimodularCone or IncompleteFan
+    fan._walk  # raises NonUnimodularCone or IncompleteFan
     return fan
 
 
@@ -227,10 +228,9 @@ def primitive_collections(fan: Fan) -> tuple:
     face, in particular dropping the largest.  So each candidate is built
     once, already sorted, as a face plus a ray above the face's largest index.
     """
-    faces = fan.cone_faces()
-    found = []
+    faces, found, n = fan.cone_faces(), [], fan.n_rays
     for face in faces:
-        for rho in range(face[-1] + 1 if face else 0, fan.n_rays):
+        for rho in range(face[-1] + 1 if face else 0, n):
             combo = face + (rho,)
             if combo not in faces and all(combo[:i] + combo[i + 1:] in faces
                                           for i in range(len(combo) - 1)):
@@ -253,7 +253,7 @@ def locate_cone(fan: Fan, point: Sequence) -> tuple:
         return (), ()
     for sigma, duals in fan.duals.items():
         coeffs = [_dot(m, point) for m in duals]
-        if any(c < 0 for c in coeffs):
+        if min(coeffs) < 0:
             continue
         support = tuple(i for i, c in zip(sigma, coeffs) if c > 0)
         values = tuple(c for c in coeffs if c > 0)

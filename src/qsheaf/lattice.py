@@ -1,9 +1,11 @@
 """Picard group, divisor classes, curve lattice, Mori cone and dominance.
 
 The presentation 0 -> M -> Z^rays -> Pic -> 0 is diagonalized by unimodular
-operations once; the chosen Picard basis and the dual basis of the curve
-(relation) lattice are read off the transform and fixed for the lifetime of
-the lattice, so every report is reproducible.
+operations once, their inverse carried along; the chosen Picard basis, the
+dual basis of the curve (relation) lattice and the section that gives a
+relation its curve coordinates are read off and fixed for the lifetime of
+the lattice, so every report is reproducible.  One sweep over the walls
+gives the Mori cone's facets, its pointedness and its extremal walls.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
-from .linalg import _dot, inverse, kernel_basis, matrix_rank, smith_normal_form
+from .linalg import _dot, inverse, kernel_basis, smith_normal_form
+from .poly import echo
 
 
 class LatticeError(Exception):
@@ -102,6 +105,7 @@ class ClassLattice:
         self.divisor_classes = divisor_classes
         self.curve_basis_d = curve_basis_d
         self._section = section
+        self._section_cols = tuple(zip(*section))
 
     # ---- curve classes --------------------------------------------------
     @property
@@ -109,31 +113,32 @@ class ClassLattice:
         return CurveClass((0,) * self.pic_rank, (0,) * self.fan.n_rays)
 
     def curve_from_coords(self, coords: Sequence[int]) -> CurveClass:
-        coords = tuple(int(c) for c in coords)
+        coords = _ints(coords, "curve coordinate")
         if len(coords) != self.pic_rank:
             raise LatticeError(f"curve coordinates must have length {self.pic_rank}")
-        d = tuple(sum(c * basis[rho] for c, basis in zip(coords, self.curve_basis_d))
-                  for rho in range(self.fan.n_rays))
-        return CurveClass(coords, d)
+        return self._from_coords(coords)
+
+    def _from_coords(self, coords: tuple) -> CurveClass:  # d_rho pairs coords with [D_rho]
+        return CurveClass(coords, tuple([_dot(coords, v) for v in self.divisor_classes]))
 
     def from_mori(self, coeffs: Sequence[int]) -> CurveClass:
-        """The class sum_j coeffs[j] * mori[j]."""
-        beta = self.zero_curve
-        for a, g in zip(coeffs, self.mori):
-            beta = beta + a * g
-        return beta
+        """The class sum_j coeffs[j] * mori[j], by one product."""
+        return self._from_coords(tuple([_dot(coeffs, col)
+                                        for col in zip(*[g.coords for g in self.mori])]))
 
     def curve_from_d(self, d: Sequence[int]) -> CurveClass:
-        d = tuple(int(x) for x in d)
+        d = _ints(d, "d-vector entry")
         if len(d) != self.fan.n_rays:
             raise LatticeError("d-vector length must equal the number of rays")
-        if any(_dot(d, col) for col in zip(*self.fan.rays)):
-            raise LatticeError(f"{d} is not a relation among the rays")
-        coords = tuple(sum(d[rho] * self._section[rho][k]
-                           for rho in range(self.fan.n_rays))
-                       for k in range(self.pic_rank))
-        beta = self.curve_from_coords(coords)
+        return self._class(d)
+
+    def _class(self, d: tuple) -> CurveClass:
+        """The class of an int relation vector d, whose coordinates pair d with
+        the section; they must give d back, which a d that is no relation fails."""
+        beta = self._from_coords(tuple([_dot(d, col) for col in self._section_cols]))
         if beta.d != d:
+            if any(_dot(d, col) for col in zip(*self.fan.rays)):
+                raise LatticeError(f"{d} is not a relation among the rays")
             raise LatticeError("relation vector escapes the curve lattice")
         return beta
 
@@ -161,21 +166,22 @@ class ClassLattice:
         with multiplicity -d_c.  Linearly equivalent rays of the located cone
         are checked to carry identical coefficients.
         """
-        fan = self.fan
-        out = {}
+        fan, out = self.fan, {}
+        walls = {w.d: w for w in self.walls}  # a wall's relation has its class already
         for K in self.primitive_collections:
-            point = tuple(sum(fan.rays[rho][j] for rho in K.edges) for j in range(fan.rank))
-            sigma, coeffs = locate_cone(fan, point)
-            if set(sigma) & set(K.edges):
+            edges = set(K.edges)
+            sigma, coeffs = locate_cone(fan, tuple(map(sum, zip(*[fan.rays[rho]
+                                                                  for rho in K.edges]))))
+            if edges.intersection(sigma):
                 raise LatticeError(
                     f"located cone {sigma} meets the primitive collection {K.edges}")
-            d = [int(rho in K.edges) for rho in range(fan.n_rays)]
+            d = [int(rho in edges) for rho in range(fan.n_rays)]
             for rho, c in zip(sigma, coeffs):
                 d[rho] = -c
-            beta = self.curve_from_d(d)
+            beta = walls.get(tuple(d)) or self._class(tuple(d))
             # primitive collections are unions of full equivalence classes
             for c in self.classes_of(K.edges):
-                if not set(c.members) <= set(K.edges):
+                if not edges.issuperset(c.members):
                     raise LatticeError(
                         f"collection {K.edges} is not closed under linear equivalence")
             # the located cone is closed under linear equivalence, with equal coefficients
@@ -195,11 +201,16 @@ class ClassLattice:
     def walls(self) -> tuple:
         """Distinct classes of the fan's wall relations, in wall order; they
         span the Mori cone."""
-        return tuple(map(self.curve_from_d, dict.fromkeys(d for _, d in self.fan.walls)))
+        return tuple(map(self._class, dict.fromkeys(d for _, d in self.fan.walls)))
 
     @cached_property
     def facets(self) -> tuple:
         """Primitive inward facet normals of the Mori cone."""
+        return tuple(self._facet_walls)
+
+    @cached_property
+    def _facet_walls(self) -> dict:
+        """Each facet normal -> the bitmask of the walls it is tight on."""
         return cone_facets([w.coords for w in self.walls], self.pic_rank)
 
     @cached_property
@@ -214,17 +225,28 @@ class ClassLattice:
         The walk over compositions cuts a prefix when some class stays <= 0
         even if everything left goes to its largest remaining d_c: no
         completion of that prefix is positive, so the first class is the same.
+        The cut is linear in the next coefficient, so only passing ones are tried.
         """
         rows = [[c.d(g) for g in self.mori] for c in self.equiv]
         n = len(self.mori)
+        tops = [[max(row[k:]) for k in range(n)] for row in rows]
 
         def first(k: int, left: int, sums: list) -> Optional[tuple]:
             # generators k.. share `left`; sums are the classes' d over 0..k-1
-            if any(s + left * max(row[k:]) <= 0 for s, row in zip(sums, rows)):
+            if any(s + left * top[k] <= 0 for s, top in zip(sums, tops)):
                 return None
             if k == n - 1:
                 return (left,)
-            for a in range(left + 1):
+            lo, hi = 0, left  # the a passing the test one level down: a * slope + base > 0
+            for s, row, top in zip(sums, rows, tops):
+                slope, base = row[k] - top[k + 1], s + left * top[k + 1]
+                if slope > 0:
+                    lo = max(lo, -base // slope + 1)
+                elif slope < 0:
+                    hi = min(hi, (base - 1) // -slope)
+                elif base <= 0:
+                    return None
+            for a in range(lo, hi + 1):
                 rest = first(k + 1, left - a, [s + a * row[k] for s, row in zip(sums, rows)])
                 if rest is not None:
                     return (a,) + rest
@@ -274,7 +296,8 @@ class ClassLattice:
 
     def classes_of(self, edges: Sequence[int]) -> tuple:
         """The equivalence classes meeting the given rays, in index order."""
-        return tuple(c for c in self.equiv if not set(c.members).isdisjoint(edges))
+        edges = set(edges)
+        return tuple(c for c in self.equiv if not edges.isdisjoint(c.members))
 
 
 def class_lattice(fan: Fan) -> ClassLattice:
@@ -284,26 +307,34 @@ def class_lattice(fan: Fan) -> ClassLattice:
     by Kleiman's criterion a complete toric variety is projective exactly
     when its cone of curves is (Cox-Little-Schenck, Toric Varieties, ch. 6).
     """
-    n, r = fan.rank, fan.n_rays
-    rows = [list(v) for v in fan.rays]
-    R, diag = smith_normal_form(rows)
+    n = fan.rank
+    R, T, diag = smith_normal_form(fan.rays)
     if len(diag) != n or any(abs(d) != 1 for d in diag):
         raise TorsionDetected(
             f"ray matrix has diagonal form {diag}; expected all +-1 "
             "(smooth complete fans have torsion-free class groups)")
-    divisor_classes = tuple(tuple(R[n + k][rho] for k in range(r - n))
-                            for rho in range(r))
-    curve_basis_d = tuple(tuple(R[n + j]) for j in range(r - n))
-    section = tuple(row[n:] for row in inverse(R)[0])  # R unimodular: integral
-    cl = ClassLattice(fan, divisor_classes, curve_basis_d, section)
+    # rows n.. of R: the curve basis, and by column the classes; of T: the section
+    curve_basis_d = tuple(map(tuple, R[n:]))
+    cl = ClassLattice(fan, tuple(zip(*R[n:])), curve_basis_d, tuple(zip(*T[n:])))
     # exactness: the rows of the ray matrix pair to zero with every class
-    if any(_dot(col, cls) for col in zip(*fan.rays) for cls in zip(*divisor_classes)):
+    if any(_dot(col, cls) for col in zip(*fan.rays) for cls in curve_basis_d):
         raise TorsionDetected("Picard presentation failed exactness check")
-    if matrix_rank(cl.facets) != cl.pic_rank:
+    # the facet normals span Pic exactly when no wall lies on every facet: such
+    # a wall spans a line the cone contains, or the cone is not full-dimensional
+    if reduce(operator.and_, cl._facet_walls.values(), -1):
         raise NonProjectiveFan(
             "the cone of wall curves is not pointed (its facet normals do not "
             "span the Picard group), so the fan is not projective")
     return cl
+
+
+def _ints(values: Sequence[int], what: str) -> tuple:
+    """values as a tuple of ints; any other entry, a bool included, is refused."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise LatticeError(f"{what} {echo(x)} is not an integer")
+    return values
 
 
 def compositions(total: int, parts: int):
@@ -316,8 +347,9 @@ def compositions(total: int, parts: int):
         yield from ((first,) + rest for rest in compositions(total - first, parts - 1))
 
 
-def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:
-    """Primitive integer inward facet normals of the cone spanned by gens.
+def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> dict:
+    """Primitive integer inward facet normals of the cone spanned by gens, in
+    order of first appearance, each mapped to the bitmask of gens on it.
 
     Every rank dim-1 subset of generators has a one-dimensional kernel; its
     primitive normal is kept (with the sign that makes it inward) when all
@@ -325,28 +357,27 @@ def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> tuple:
     alike.  The normals span Q^dim exactly when the cone is full-dimensional
     and pointed.
     """
-    normals = []
+    normals = {}
     for subset in itertools.combinations(gens, dim - 1):
         kernel = kernel_basis(subset, dim)
         if len(kernel) != 1:
             continue
-        u = tuple(kernel[0])
-        signs = {(_dot(u, v) > 0) - (_dot(u, v) < 0) for v in gens} - {0}
-        if signs == {-1}:
-            u = tuple(-x for x in u)
-        if len(signs) < 2 and u not in normals:
-            normals.append(u)
-    return tuple(normals)
+        pairs = [_dot(kernel[0], v) for v in gens]
+        low, high = min(pairs, default=0), max(pairs, default=0)
+        if low < 0 < high:
+            continue
+        u = tuple(-x for x in kernel[0]) if low < 0 else tuple(kernel[0])
+        normals.setdefault(u, sum(1 << i for i, x in enumerate(pairs) if not x))
+    return normals
 
 
 def equiv_classes(cl: ClassLattice) -> tuple:
     """Partition of the rays by equality of divisor class, ordered by least member."""
-    groups = {}
-    for rho in range(cl.fan.n_rays):
-        groups.setdefault(cl.divisor_classes[rho], []).append(rho)
-    ordered = sorted(groups.values(), key=lambda ms: ms[0])
-    return tuple(EquivClass(index=i, members=tuple(ms), vec=cl.divisor_classes[ms[0]])
-                 for i, ms in enumerate(ordered))
+    groups = {}  # in order of first member
+    for rho, vec in enumerate(cl.divisor_classes):
+        groups.setdefault(vec, []).append(rho)
+    return tuple([EquivClass(index=i, members=tuple(ms), vec=vec)
+                  for i, (vec, ms) in enumerate(groups.items())])
 
 
 def beta_K(cl: ClassLattice, K: PrimitiveCollection):
@@ -360,15 +391,18 @@ def beta_K(cl: ClassLattice, K: PrimitiveCollection):
 def mori_generators(cl: ClassLattice) -> tuple:
     """Extremal wall-curve classes.
 
-    A wall class spans an extremal ray of the Mori cone exactly when the
-    facets tight on it have normals of rank pic_rank - 1.  Wall classes are
-    primitive (they carry coefficient 1), so each extremal ray keeps one.
+    A wall class spans an extremal ray of the pointed Mori cone exactly when
+    the face cut out by the facets tight on it is its ray.  A face is spanned
+    by the walls on it, and walls are primitive (they carry coefficient 1)
+    and distinct, so that is when no other wall lies on all those facets.
     Generators matching some beta_K come first (in primitive-collection
     order) so that Novikov symbols line up with the quantum relations.
     """
-    extremal = [g for g in cl.walls
-                if matrix_rank([u for u in cl.facets if _dot(u, g.coords) == 0])
-                == cl.pic_rank - 1]
+    masks = cl._facet_walls.values()
+    full = (1 << len(cl.walls)) - 1
+    extremal = [g for i, g in enumerate(cl.walls)
+                if reduce(operator.and_, (t for t in masks if t >> i & 1), full)
+                == 1 << i]
     # deterministic numbering: beta_K matches first, then by d-vector
     front = []
     for bk, _ in cl.primitive_relations.values():

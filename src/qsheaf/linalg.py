@@ -17,8 +17,10 @@ from typing import Optional, Sequence
 def smith_normal_form(rows: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (R, diag) with R @ A @ C = D for some unimodular C, where R is
-    unimodular and diag lists the diagonal of D.  Column operations are not
+    Returns (R, T, diag) with R @ A @ C = D for some unimodular C, where R
+    is unimodular, T is the transpose of R^-1 and diag lists the diagonal of
+    D.  Every row operation on R is undone on the columns of R^-1, i.e. on
+    the rows of T, so no inverse is taken.  Column operations are not
     tracked; callers only need the row side.  The diagonal is left as the
     pivoting produces it, with no entry made to divide the next: a
     full-rank A has a free cokernel exactly when it is all +-1.
@@ -28,41 +30,33 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     a = [list(r) for r in rows]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    r_mat = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    r_mat = [[0] * i + [1] + [0] * (nr - 1 - i) for i in range(nr)]
+    t_mat = [r[:] for r in r_mat]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        r_mat[i], r_mat[j] = r_mat[j], r_mat[i]
+        a[i], a[j], r_mat[i], r_mat[j] = a[j], a[i], r_mat[j], r_mat[i]
+        t_mat[i], t_mat[j] = t_mat[j], t_mat[i]
 
-    def row_add(i, j, k):
+    def row_add(i, j, k):  # row i += k row j: column j of R^-1 -= k column i
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
         r_mat[i] = [x + k * y for x, y in zip(r_mat[i], r_mat[j])]
+        t_mat[j] = [x - k * y for x, y in zip(t_mat[j], t_mat[i])]
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        r_mat[i] = [-x for x in r_mat[i]]
+        a[i], r_mat[i] = [-x for x in a[i]], [-x for x in r_mat[i]]
+        t_mat[i] = [-x for x in t_mat[i]]
 
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
 
-    def col_add(i, j, k):
-        for row in a:
-            row[i] += k * row[j]
-
     def clear_step(t: int) -> bool:
         # deterministic pivot: smallest |entry| != 0, earliest position
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
+        pivot = min(((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc)
+                     if a[i][j]), default=None)
         if pivot is None:
             return False
-        pi, pj = pivot
+        _, pi, pj = pivot
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -74,8 +68,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
             # strictly smaller pivot, so this terminates
             for i in range(t + 1, nr):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
+                    row_add(i, t, -(a[i][t] // a[t][t]))
                     if a[i][t]:
                         row_swap(t, i)
             if any(a[i][t] for i in range(t + 1, nr)):
@@ -83,7 +76,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
             for j in range(t + 1, nc):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
+                    for row in a:  # column j -= q column t
+                        row[j] -= q * row[t]
                     if a[t][j]:
                         col_swap(t, j)
             if any(a[t][j] for j in range(t + 1, nc)):
@@ -97,7 +91,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
     while t < min(nr, nc) and clear_step(t):
         t += 1
     diag = [a[i][i] for i in range(min(nr, nc))]
-    return r_mat, diag
+    return r_mat, t_mat, diag
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -109,10 +103,13 @@ def _primitive(coeffs) -> tuple:
     Fractions), b ints of content 1 (or all zero, num = den = 1), num / den
     > 0 in lowest terms: a prime's full power in den divides some entry's
     denominator, so that entry's scaled numerator, hence g, is prime to it."""
-    den = math.lcm(*(x.denominator for x in coeffs))
-    b = [x.numerator * (den // x.denominator) for x in coeffs]
-    g = math.gcd(*b) or 1
-    return [x // g for x in b], g, den
+    try:  # all ints: no denominator to clear
+        g, den = math.gcd(*coeffs) or 1, 1
+    except TypeError:  # a Fraction among them
+        den = math.lcm(*[x.denominator for x in coeffs])
+        coeffs = [x.numerator * (den // x.denominator) for x in coeffs]
+        g = math.gcd(*coeffs) or 1
+    return [x // g for x in coeffs], g, den
 
 
 def _integer_rref(rows: Sequence[Sequence]) -> tuple:
@@ -155,12 +152,12 @@ def inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
     rows have content 1, so row i of the inverse is m[i][n:] / m[i][i] in
     lowest terms, and den is the lcm of the pivots."""
     n = len(rows)
-    m, pivots = _integer_rref([list(r) + [int(i == j) for j in range(n)]
+    m, pivots = _integer_rref([[*r] + [0] * i + [1] + [0] * (n - 1 - i)
                                for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         return None
-    den = math.lcm(*(m[i][i] for i in range(n)))
-    return tuple(tuple(x * (den // m[i][i]) for x in m[i][n:]) for i in range(n)), den
+    den = math.lcm(*[row[i] for i, row in enumerate(m)])
+    return tuple([tuple([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(m)]), den
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -194,11 +191,12 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
     pivot are 0, so f is the vector's last nonzero entry."""
     m, pivots = _integer_rref(rows)
     basis = []
-    for f in (j for j in range(width) if j not in pivots):
-        den = math.lcm(*(row[p] for row, p in zip(m, pivots) if row[f]))
+    for f in [j for j in range(width) if j not in pivots]:
+        den = math.lcm(*[row[p] for row, p in zip(m, pivots) if row[f]])
         vec = [0] * width
         vec[f] = den
         for row, p in zip(m, pivots):
             vec[p] = -row[f] * (den // row[p])
-        basis.append(_primitive(vec)[0])
+        g = math.gcd(*vec)  # vec[f] = den > 0
+        basis.append([x // g for x in vec])
     return basis

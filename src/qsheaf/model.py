@@ -76,7 +76,7 @@ def _list(value, context: str):
 
 
 def _int_vector(value, context: str) -> tuple:
-    return tuple(_as_int(x, context) for x in _list(value, context))
+    return tuple([x if type(x) is int else _as_int(x, context) for x in _list(value, context)])
 
 
 def build_model(data: dict) -> Model:
@@ -115,10 +115,10 @@ def build_model(data: dict) -> Model:
         deformation = parse_deformation(cl, raw)
 
     options = {}
-    section = data.get("options") or {}
-    if not isinstance(section, dict):
+    section = data.get("options")
+    if not isinstance(section, (dict, type(None))):
         raise ModelError("'options' must be an object")
-    for key, value in section.items():
+    for key, value in (section or {}).items():
         if key in IGNORED_OPTIONS:
             continue
         if key not in DEFAULT_OPTIONS:

@@ -240,6 +240,8 @@ class Polynomial:
         """(b, num, den): self = num / den * b for b with integer coefficients
         of content 1 and num, den > 0 coprime ints; (0, 1, 1) for zero."""
         ints, num, den = _primitive(self.terms.values())
+        if num == den == 1:  # int coefficients of content 1: self is b
+            return self, 1, 1
         b = Polynomial(self.nv, self.nq, dict(zip(self.terms, ints)))
         b._lead = self._lead
         return b, num, den
@@ -842,13 +844,20 @@ def det(matrix: Sequence[Sequence]):
 
     Laplace expansion along the rows, zero entries skipped: the minor on rows
     k.. and a tuple of columns is computed once, so at most 2^n minors and no
-    division.
+    division.  A diagonal matrix (every tangent bundle's A_c) takes none: its
+    determinant is the expansion's own product a_0 * (a_1 * ...), terms in
+    the same order.
     """
     n = len(matrix)
     if n == 0:
         raise NonSquare("empty matrix")
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
+    if not any(x for i, row in enumerate(matrix) for j, x in enumerate(row) if i != j):
+        product = matrix[n - 1][n - 1]
+        for k in range(n - 2, -1, -1):
+            product = matrix[k][k] * product
+        return product
     zero = matrix[0][0] * 0
     memo = {}
 
@@ -898,7 +907,6 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
     nv, nq = d_symbols[0].nv, d_symbols[0].nq
-    one = Polynomial.const(nv, 1, nq)
 
     tokens = _tokenize(text)  # ends in the "end" token, which no rule takes past
     pos = depth = 0
@@ -955,11 +963,11 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
         if kind == "num":
             num, slash, den = val.partition("/")
             if not slash:
-                return one * _digits(num, at)
+                return Polynomial.const(nv, _digits(num, at), nq)
             den = _digits(den, at + len(num) + 1)
             if den == 0:
                 raise ParseError("zero denominator", at)
-            return one * Fraction(_digits(num, at), den)
+            return Polynomial.const(nv, Fraction(_digits(num, at), den), nq)
         if kind == "sym":
             index = _digits(val[1:], at + 1)
             if index < 1 or index > len(d_symbols):

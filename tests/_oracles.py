@@ -12,8 +12,9 @@ import math
 import operator
 from fractions import Fraction
 
-from qsheaf.lattice import IneffectiveClass, beta_K, cone_facets, h0
-from qsheaf.linalg import matrix_rank
+from qsheaf.fan import locate_cone, primitive_collections
+from qsheaf.lattice import CurveClass, EquivClass, IneffectiveClass, LatticeError, beta_K, h0
+from qsheaf.linalg import inverse, kernel_basis, matrix_rank, smith_normal_form
 from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, Polynomial,
                          PolyError, _div, _height, _mon_mul, _require_nonnegative_q, echo,
                          monomial_key)
@@ -193,7 +194,154 @@ def effective_cones_coincide_by_facets(cl):
     """The beta_K span the Mori cone: the facets of the cone they span, one
     kernel per (pic_rank - 1)-subset, equal the Mori cone's facets."""
     bk_coords = [beta_K(cl, K)[0].coords for K in cl.primitive_collections]
-    return set(cone_facets(bk_coords, cl.pic_rank)) == set(cl.facets)
+    return set(cone_facets_by_subsets(bk_coords, cl.pic_rank)) == set(cl.facets)
+
+
+# ---- model construction by inverse(R), curve_from_d and per-wall ranks --------
+# The construction as it stood before the Smith form carried R^-1 along and
+# one sweep over the walls gave the Mori cone's facets, pointedness and
+# extremal walls; `construction_by_inverse` returns what it derived.
+
+def cone_facets_by_subsets(gens, dim):
+    """Primitive integer inward facet normals of the cone spanned by gens:
+    the kernel of every rank dim-1 subset, kept (turned inward) when all
+    generators lie on one side of it, in order of first appearance."""
+    normals = []
+    for subset in itertools.combinations(gens, dim - 1):
+        kernel = kernel_basis(subset, dim)
+        if len(kernel) != 1:
+            continue
+        u = tuple(kernel[0])
+        signs = {(_dot(u, v) > 0) - (_dot(u, v) < 0) for v in gens} - {0}
+        if signs == {-1}:
+            u = tuple(-x for x in u)
+        if len(signs) < 2 and u not in normals:
+            normals.append(u)
+    return tuple(normals)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def det_by_laplace(matrix):
+    """Laplace expansion along the rows, zero entries skipped and minors
+    memoized, on every matrix: diagonal ones expand like the rest."""
+    n = len(matrix)
+    zero = matrix[0][0] * 0
+    memo = {}
+
+    def minor(cols):
+        k = n - len(cols)
+        if len(cols) == 1:
+            return matrix[k][cols[0]]
+        if cols not in memo:
+            total = zero
+            for j, c in enumerate(cols):
+                if matrix[k][c]:
+                    term = matrix[k][c] * minor(cols[:j] + cols[j + 1:])
+                    total = total + (term if j % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(n)))
+
+
+def construction_by_inverse(fan, deformation=None):
+    """Pic, the curve lattice, the Mori cone and Q_c as derived before: the
+    section as columns n.. of inverse(R); every relation made a class by
+    curve_from_d's int coercion, relation check and round trip through the
+    curve coordinates; facets one kernel per subset, pointedness by
+    matrix_rank(facets) and extremality by the rank of each wall's facets;
+    the positive class by the unbounded walk over each coefficient; Q_c by
+    Laplace expansion.  Returns a dict keyed by the ClassLattice attribute
+    names (plus "q"), or None when the facet normals do not span Pic."""
+    n, r = fan.rank, fan.n_rays
+    R, _, _ = smith_normal_form(fan.rays)
+    divisor_classes = tuple(tuple(R[n + k][rho] for k in range(r - n)) for rho in range(r))
+    curve_basis_d = tuple(tuple(R[n + j]) for j in range(r - n))
+    section = tuple(row[n:] for row in inverse(R)[0])
+    p = r - n
+
+    def curve(d):
+        d = tuple(int(x) for x in d)
+        if any(_dot(d, col) for col in zip(*fan.rays)):
+            raise LatticeError(f"{d} is not a relation among the rays")
+        coords = tuple(sum(d[rho] * section[rho][k] for rho in range(r)) for k in range(p))
+        if tuple(_dot(coords, col) for col in zip(*curve_basis_d)) != d:
+            raise LatticeError("relation vector escapes the curve lattice")
+        return CurveClass(coords, d)
+
+    walls = tuple(map(curve, dict.fromkeys(d for _, d in fan.walls)))
+    facets = cone_facets_by_subsets([w.coords for w in walls], p)
+    if matrix_rank(facets) != p:
+        return None
+    groups = {}
+    for rho in range(r):
+        groups.setdefault(divisor_classes[rho], []).append(rho)
+    equiv = [EquivClass(index=i, members=tuple(ms), vec=divisor_classes[ms[0]])
+             for i, ms in enumerate(sorted(groups.values(), key=lambda ms: ms[0]))]
+
+    def classes_of(edges):
+        return tuple(c for c in equiv if set(c.members) & set(edges))
+
+    relations = {}
+    for K in primitive_collections(fan):
+        point = tuple(sum(fan.rays[rho][j] for rho in K.edges) for j in range(n))
+        sigma, coeffs = locate_cone(fan, point)
+        d = [int(rho in K.edges) for rho in range(r)]
+        for rho, c in zip(sigma, coeffs):
+            d[rho] = -c
+        beta = curve(d)
+        relations[K] = (beta, tuple((c, -c.d(beta)) for c in classes_of(sigma)))
+    extremal = [g for g in walls
+                if matrix_rank([u for u in facets if _dot(u, g.coords) == 0]) == p - 1]
+    front = []
+    for bk, _ in relations.values():
+        if bk in extremal and bk not in front:
+            front.append(bk)
+    mori = tuple(front + sorted((g for g in extremal if g not in front), key=lambda b: b.d))
+
+    def from_mori(coeffs):
+        beta = CurveClass((0,) * p, (0,) * r)
+        for a, g in zip(coeffs, mori):
+            beta = beta + a * g
+        return beta
+
+    rows = [[c.d(g) for g in mori] for c in equiv]
+
+    def first(k, left, sums):
+        if any(s + left * max(row[k:]) <= 0 for s, row in zip(sums, rows)):
+            return None
+        if k == len(mori) - 1:
+            return (left,)
+        for a in range(left + 1):
+            rest = first(k + 1, left - a, [s + a * row[k] for s, row in zip(sums, rows)])
+            if rest is not None:
+                return (a,) + rest
+        return None
+
+    for total in itertools.count(1):
+        combo = first(0, total, [0] * len(rows))
+        if combo is not None:
+            positive = from_mori(combo)
+            break
+    matrix = list(zip(*(g.coords for g in mori)))
+    out = {"divisor_classes": divisor_classes, "curve_basis_d": curve_basis_d,
+           "_section": section, "walls": walls, "facets": facets, "mori": mori,
+           "primitive_relations": relations, "positive": positive,
+           "_mori_solve": len(mori) == p and inverse(matrix) or ((), None)}
+    if deformation is not None:
+        zero = Polynomial.zero(p)
+        slots = {}
+        for e in deformation.entries:
+            mono = tuple(_dot(e.m, v) + (rp == e.rho) for rp, v in enumerate(fan.rays))
+            if mono.count(1) == 1 and mono.count(0) == len(mono) - 1:
+                slot = (e.rho, mono.index(1))
+                slots[slot] = slots.get(slot, zero) + e.coeff
+        out["q"] = tuple(det_by_laplace([[slots.get((i, j), zero) for j in c.members]
+                                         for i in c.members]) for c in equiv)
+    return out
 
 
 def dominates_by_difference(cl, beta_prime, beta):

@@ -4,23 +4,32 @@ import itertools
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsheaf import (IneffectiveClass, LatticeError, NonProjectiveFan, PrimitiveCollection,
-                    beta_K, class_lattice, dominates, effective_cones_coincide,
-                    find_anchor, h0, h1, load_model, qsr_generators)
+                    beta_K, build_fan, class_lattice, dominates, effective_cones_coincide,
+                    find_anchor, h0, h1, linear_part, load_model, parse_deformation,
+                    qsr_generators, tangent_deformation)
 from qsheaf.cli import cmd_analyze, cmd_verify, make_parser
 import qsheaf.lattice
+import qsheaf.linalg
 from qsheaf.lattice import compositions
 from qsheaf.quantum import effective_window
 
-from _oracles import (dominates_by_difference, effective_cones_coincide_by_facets,
-                      find_anchor_by_classes, in_cone, wall_classes)
-from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray, hexagon,
-                      hirzebruch, non_projective_fan, p1_fan, p1_power, p1xp1_fan, p2_fan)
+from _oracles import (construction_by_inverse, dominates_by_difference,
+                      effective_cones_coincide_by_facets, find_anchor_by_classes, in_cone,
+                      wall_classes)
+from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
+                      deformed_p1_power_entries, hexagon, hirzebruch, non_projective_fan,
+                      p1_fan, p1_power, p1xp1_fan, p2_fan)
+
+ROOT = os.path.dirname(__file__)
+MODEL_FILES = (sorted(glob.glob(os.path.join(ROOT, "..", "models", "*.json")))
+               + sorted(glob.glob(os.path.join(ROOT, "data", "*.json"))))
 
 
 def test_p2_class_lattice():
@@ -427,3 +436,136 @@ def test_positive_on_nine_mori_generators_is_fast():
     positive = cl.positive
     assert time.perf_counter() - start < 5
     assert positive.d == (1, 1, 1, 1, 1, 2, 2, 1, 1)
+
+
+def _projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return build_fan(n, rays, list(itertools.combinations(range(n + 1), n)))
+
+
+def _from_file(path):
+    model = load_model(path)
+    return model.cl, model.deformation
+
+
+def _tangent(fan):
+    cl = class_lattice(fan)
+    return cl, tangent_deformation(cl)
+
+
+def _circulant_p2():
+    cl = class_lattice(p2_fan())
+    return cl, parse_deformation(cl, [
+        (0, (0, 0), "D1"), (1, (0, 0), "D2"), (2, (0, 0), "D3"),
+        (0, (-1, 1), "2/5*D2"), (1, (0, -1), "2/5*D3"), (2, (1, 0), "2/5*D1")])
+
+
+def _diagonal_p1xp1():
+    # diagonal A_c whose entries differ, so the order of their product shows
+    cl = class_lattice(p1xp1_fan())
+    return cl, parse_deformation(cl, [(0, (0, 0), "D3 + D1"), (1, (0, 0), "D2 - D3"),
+                                      (2, (0, 0), "2*D4"), (3, (0, 0), "D1 + D4")])
+
+
+# name -> () -> (cl, deformation): the bundled and test model files, P^n,
+# (P^1)^k, F_a, three larger fans, seeded deformed (P^1)^k, a circulant P^2
+# and a diagonal but not tangent P1xP1
+_CONSTRUCTION_CASES = {
+    **{os.path.basename(path): functools.partial(_from_file, path) for path in MODEL_FILES},
+    **{f"P{n}": (lambda n=n: _tangent(_projective_space(n))) for n in range(1, 5)},
+    **{f"(P1)^{k}": (lambda k=k: _tangent(p1_power(k))) for k in range(1, 6)},
+    **{f"F{a}": (lambda a=a: _tangent(hirzebruch(a))) for a in range(4)},
+    "dP3": lambda: _tangent(hexagon()),
+    "blown_up_p1xp1(8)": lambda: _tangent(blown_up_p1xp1(8)),
+    "Bl_pt P3": lambda: _tangent(blowup_p3_point()),
+    **{f"deformed (P1)^{k} seed {seed}":
+       (lambda k=k, seed=seed: deformed_p1_power_entries(k, random.Random(seed)))
+       for k, seed in ((2, 0), (2, 1), (3, 0), (4, 2))},
+    "circulant P2": _circulant_p2,
+    "diagonal P1xP1": _diagonal_p1xp1,
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTION_CASES))
+def test_construction_matches_the_inverse_oracle(name):
+    """The section carried through the Smith form, the walls and located
+    relations made classes by one product, and the one facet sweep give
+    exactly, and in the same order, what inverse(R), curve_from_d, per-wall
+    ranks and Laplace expansion gave."""
+    cl, deformation = _CONSTRUCTION_CASES[name]()
+    expected = construction_by_inverse(cl.fan, deformation)
+    for key in ("divisor_classes", "curve_basis_d", "_section", "walls", "facets", "mori",
+                "positive", "_mori_solve"):
+        assert getattr(cl, key) == expected[key], key
+    assert list(cl.primitive_relations.items()) == list(expected["primitive_relations"].items())
+    q = linear_part(cl, deformation).q
+    assert [list(p.terms.items()) for p in q] == [list(p.terms.items()) for p in expected["q"]]
+
+
+def test_pointedness_matches_the_rank_oracle():
+    # no wall lies on every facet exactly when the facet normals span Pic
+    assert construction_by_inverse(non_projective_fan()) is None
+    with pytest.raises(NonProjectiveFan):
+        class_lattice(non_projective_fan())
+    assert all(construction_by_inverse(fan) is not None for _, fan in all_fans())
+
+
+# eliminations (linalg._integer_rref calls) of load_model then cl.mori: one
+# inverse for the walk's first cone, then one kernel per (pic_rank - 1)-subset
+# of the distinct walls; no inverse of the Smith transform and no rank
+_ELIMINATIONS = {"f1.json": 4, "f2.json": 4, "f3.json": 4, "p1.json": 2, "p1xp1.json": 3,
+                 "p1xp1_deformed.json": 3, "p2.json": 2}
+
+
+def test_bundled_models_take_pinned_eliminations(monkeypatch):
+    calls = []
+    original = qsheaf.linalg._integer_rref
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(qsheaf.linalg, "_integer_rref", counted)
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "..", "models", "*.json"))):
+        calls.clear()
+        load_model(path).cl.mori
+        counts[os.path.basename(path)] = len(calls)
+    assert counts == _ELIMINATIONS
+
+
+@pytest.mark.parametrize("method, entries, message", [
+    ("curve_from_coords", [Fraction(1, 2), 0], "curve coordinate Fraction(1, 2) is not an integer"),
+    ("curve_from_coords", [1.5, 0], "curve coordinate 1.5 is not an integer"),
+    ("curve_from_coords", [True, 0], "curve coordinate True is not an integer"),
+    ("curve_from_coords", [1, "0"], "curve coordinate '0' is not an integer"),
+    ("curve_from_d", [0.5, 0.5, 0, 0], "d-vector entry 0.5 is not an integer"),
+    ("curve_from_d", [1, 1, -1, False], "d-vector entry False is not an integer"),
+    ("curve_from_d", ["1", "1", "-1", "0"], "d-vector entry '1' is not an integer"),
+    ("curve_from_d", [Fraction(1), 1, -1, 0], "d-vector entry Fraction(1, 1) is not an integer"),
+    ("curve_from_coords", [Fraction(1, 3 ** 100), 0],
+     "curve coordinate " + repr(Fraction(1, 3 ** 100))[:48] + "... is not an integer"),
+], ids=["half", "float", "bool", "str", "float-d", "bool-d", "str-d", "integral-fraction-d",
+        "long-echo"])
+def test_curve_entries_must_be_ints(method, entries, message):
+    # int() once made Fraction(1, 2) and 0.5 the zero class and 1.5 a 1
+    cl = load_model(os.path.join(ROOT, "..", "models", "f1.json")).cl
+    with pytest.raises(LatticeError) as exc:
+        getattr(cl, method)(entries)
+    assert str(exc.value) == message
+    assert cl.curve_from_coords([1, 0]).coords == (1, 0)
+    assert cl.curve_from_d((1, 1, -1, 0)).d == (1, 1, -1, 0)
+
+
+@pytest.mark.parametrize("make_fan", [p1xp1_fan, lambda: hirzebruch(1), lambda: p1_power(3)],
+                         ids=["P1xP1", "F1", "(P1)^3"])
+def test_positive_walk_takes_zero_coefficients(make_fan):
+    # with the sum of the generators and the last one again appended, the
+    # first positive combination is that class alone: zeros before the last
+    cl = class_lattice(make_fan())
+    total = cl.mori[-1]
+    for g in cl.mori:
+        total = total + g
+    cl.__dict__["mori"] = cl.mori + (total,)
+    assert cl.positive == total
+    assert cl.positive == _positive_by_filtered_product(cl)

@@ -6,7 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsheaf.linalg import _primitive, inverse, kernel_basis, matrix_rank, rank_mod
+from qsheaf.linalg import (_primitive, inverse, kernel_basis, matrix_rank, rank_mod,
+                           smith_normal_form)
 
 from _oracles import kernel_by_fractions, rref_by_fractions
 
@@ -126,3 +127,18 @@ def test_inverse_of_a_unimodular_matrix_is_integral(ops, signs):
 def test_inverse_of_a_singular_matrix_is_none():
     assert inverse([[1, 2], [2, 4]]) is None
     assert inverse([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) is None
+
+
+@given(st.lists(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_smith_carries_the_transpose_of_its_inverse(rows):
+    # small entries other than +-1 make remainders, so pivot rows trade places
+    # after a row addition and T's updated rows move below the pivots
+    R, T, diag = smith_normal_form(rows)
+    n = len(rows)
+    assert [[sum(a * b for a, b in zip(r, t)) for t in T] for r in R] == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+    assert (tuple(map(tuple, zip(*T))), 1) == inverse(R)
+    RA = [[sum(a * b for a, b in zip(r, col)) for col in zip(*rows)] for r in R]
+    assert all(not any(row) for row in RA[len(diag):])

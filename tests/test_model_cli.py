@@ -690,7 +690,21 @@ _INVALID_MODELS = [
     ("inhomogeneous-coeff", lambda d: d.update(deformation=_entry(coeff="D1 + 1")),
      "error[DeformError]: coefficient -psi1 + psi2 + 1 for (rho=0, m=(0, 0)) "
      "is not a linear form in W"),
+    # options must be an object, absent or null: a falsy value of another type is refused
+    ("options-empty-list", lambda d: d.update(options=[]),
+     "error[ModelError]: 'options' must be an object"),
+    ("options-zero", lambda d: d.update(options=0),
+     "error[ModelError]: 'options' must be an object"),
+    ("options-false", lambda d: d.update(options=False),
+     "error[ModelError]: 'options' must be an object"),
+    ("options-empty-str", lambda d: d.update(options=""),
+     "error[ModelError]: 'options' must be an object"),
 ]
+
+
+def test_null_or_absent_options_mean_no_options():
+    for edit in (lambda d: d.update(options=None), lambda d: d.pop("options", None)):
+        assert build_model(_f1_edited(edit)).options == {}
 
 
 @pytest.mark.parametrize("edit, line", [pytest.param(edit, line, id=name)
