@@ -49,7 +49,6 @@ class DeformationEntry:
     m: tuple
     coeff: Polynomial  # linear form in the Picard basis
     source: str = field(default="", compare=False)  # D-symbol form as given
-    mono: tuple = field(default=(), compare=False, repr=False)  # Cox monomial, if known
 
 
 @dataclass(frozen=True)
@@ -158,12 +157,11 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         m = tuple(map(int, m))
         if len(m) != fan.rank:
             raise DeformError(f"character {echo(m)} must have {echo(fan.rank)} coordinates")
-        mono = _cox_monomial(fan, rho, m)
-        if min(mono) < 0:
-            rp = next(rp for rp, e in enumerate(mono) if e < 0)
-            raise CharacterOutsidePolytope(
-                f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
-                f"for ray {rp}")
+        for rp, e in enumerate(_cox_monomial(fan, rho, m)):
+            if e < 0:
+                raise CharacterOutsidePolytope(
+                    f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
+                    f"for ray {rp}")
         if (rho, m) in seen:
             raise DuplicateEntry(f"duplicate entry for (rho={echo(rho)}, m={echo(m)})")
         seen.add((rho, m))
@@ -174,7 +172,7 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
         if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
             raise DeformError(f"coefficient {echo(poly.to_str(), quote=False)} for "
                               f"(rho={echo(rho)}, m={echo(m)}) is not a linear form in W")
-        entries.append(DeformationEntry(rho, m, poly, coeff, mono))
+        entries.append(DeformationEntry(rho, m, poly, coeff))
     # the tangent deformation's entries, (rho, 0, [D_rho]) for every ray; the
     # (rho, m) are distinct, so this is set equality with them
     is_tangent = len(entries) == fan.n_rays and all(
@@ -192,7 +190,7 @@ def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
     variable x_rho' (x_rho itself when m = 0).  None for nonlinear terms."""
     if not any(entry.m):
         return (entry.rho, entry.rho)
-    mono = entry.mono or _cox_monomial(cl.fan, entry.rho, entry.m)
+    mono = _cox_monomial(cl.fan, entry.rho, entry.m)
     if mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
         return None
     return (entry.rho, mono.index(1))
@@ -208,10 +206,9 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
     slots = {}
     for entry in E.entries:
         slot = _linear_slot(cl, entry)
-        if slot in slots:
-            slots[slot] = slots[slot] + entry.coeff
-        elif slot is not None:
-            slots[slot] = entry.coeff
+        if slot is not None:
+            zero._check(entry.coeff)  # refuses a coefficient from another ring
+            slots[slot] = slots[slot] + entry.coeff if slot in slots else entry.coeff
     matrices = tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
                              for i in c.members]) for c in cl.equiv])
     return LinearData(cl=cl, matrices=matrices, q=tuple([det(rows) for rows in matrices]))
@@ -266,7 +263,7 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
-    terms = [(entry.rho, entry.mono or _cox_monomial(fan, entry.rho, entry.m),
+    terms = [(entry.rho, _cox_monomial(fan, entry.rho, entry.m),
               entry.coeff.linear_coefficients()) for entry in E.entries if entry.coeff]
 
     def rows_at(x, entries):

@@ -1,11 +1,10 @@
 """Picard group, divisor classes, curve lattice, Mori cone and dominance.
 
 The presentation 0 -> M -> Z^rays -> Pic -> 0 is diagonalized by unimodular
-operations once, their inverse carried along; the chosen Picard basis, the
-dual basis of the curve (relation) lattice and the section that gives a
-relation its curve coordinates are read off and fixed for the lifetime of
-the lattice, so every report is reproducible.  One sweep over the walls
-gives the Mori cone's facets, its pointedness and its extremal walls.
+operations once, their inverse carried along; the Picard basis, the curve
+lattice's dual basis and the section giving a relation its curve coordinates
+are read off and fixed, so every report is reproducible.  One sweep over the
+walls gives the Mori cone's facets, its pointedness and its extremal walls.
 """
 
 from __future__ import annotations
@@ -13,10 +12,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
-from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
+from .fan import (Fan, PrimitiveCollection, cached_property, locate_cone,
+                  primitive_collections)
 from .linalg import _dot, inverse, kernel_basis, smith_normal_form
 from .poly import echo
 
@@ -225,7 +225,8 @@ class ClassLattice:
         The walk over compositions cuts a prefix when some class stays <= 0
         even if everything left goes to its largest remaining d_c: no
         completion of that prefix is positive, so the first class is the same.
-        The cut is linear in the next coefficient, so only passing ones are tried.
+        The cut is linear in the next coefficient: where it bounds it, no
+        coefficient outside the bound is tried.
         """
         rows = [[c.d(g) for g in self.mori] for c in self.equiv]
         n = len(self.mori)
@@ -244,8 +245,6 @@ class ClassLattice:
                     lo = max(lo, -base // slope + 1)
                 elif slope < 0:
                     hi = min(hi, (base - 1) // -slope)
-                elif base <= 0:
-                    return None
             for a in range(lo, hi + 1):
                 rest = first(k + 1, left - a, [s + a * row[k] for s, row in zip(sums, rows)])
                 if rest is not None:

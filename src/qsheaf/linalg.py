@@ -197,6 +197,5 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
         vec[f] = den
         for row, p in zip(m, pivots):
             vec[p] = -row[f] * (den // row[p])
-        g = math.gcd(*vec)  # vec[f] = den > 0
-        basis.append([x // g for x in vec])
+        basis.append(_primitive(vec)[0])
     return basis

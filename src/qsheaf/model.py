@@ -76,7 +76,7 @@ def _list(value, context: str):
 
 
 def _int_vector(value, context: str) -> tuple:
-    return tuple([x if type(x) is int else _as_int(x, context) for x in _list(value, context)])
+    return tuple(_as_int(x, context) for x in _list(value, context))
 
 
 def build_model(data: dict) -> Model:

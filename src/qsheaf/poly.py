@@ -21,6 +21,7 @@ outgrow their packing starts over on a wider one, so nothing ever wraps.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -844,9 +845,8 @@ def det(matrix: Sequence[Sequence]):
 
     Laplace expansion along the rows, zero entries skipped: the minor on rows
     k.. and a tuple of columns is computed once, so at most 2^n minors and no
-    division.  A diagonal matrix (every tangent bundle's A_c) takes none: its
-    determinant is the expansion's own product a_0 * (a_1 * ...), terms in
-    the same order.
+    division.  A diagonal matrix (every tangent bundle's A_c) takes none: the
+    expansion's own product a_0 * (a_1 * ...), terms in the same order.
     """
     n = len(matrix)
     if n == 0:
@@ -854,10 +854,7 @@ def det(matrix: Sequence[Sequence]):
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
     if not any(x for i, row in enumerate(matrix) for j, x in enumerate(row) if i != j):
-        product = matrix[n - 1][n - 1]
-        for k in range(n - 2, -1, -1):
-            product = matrix[k][k] * product
-        return product
+        return functools.reduce(lambda p, a: a * p, [r[i] for i, r in enumerate(matrix)][::-1])
     zero = matrix[0][0] * 0
     memo = {}
 

@@ -9,9 +9,9 @@ from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation
                     DuplicateEntry, UnknownRayIndex, class_lattice, d_symbols,
                     linear_part, local_freeness_check, parse_deformation,
                     polymology, sector_ideal, tangent_deformation)
-from qsheaf.poly import Polynomial
+from qsheaf.poly import Polynomial, PolyError
 
-from qsheaf.deform import DeformationEntry, _linear_slot
+from qsheaf.deform import Deformation, DeformationEntry, _linear_slot
 from qsheaf.model import load_model
 
 from _oracles import linear_slot_by_pairings, local_freeness_by_points
@@ -50,6 +50,19 @@ def test_off_diagonal_linear_entry_accepted():
     lin = linear_part(cl, E)
     c0 = cl.equiv[0]
     assert lin.matrices[c0.index][0][1] == Polynomial.linear(2, cl.divisor_classes[2])
+
+
+@pytest.mark.parametrize("wrong", [Polynomial.linear(3, (1, 0, 0)),
+                                   Polynomial.linear(2, (1, 0), nq=1)])
+def test_linear_part_refuses_a_coefficient_from_another_ring(wrong):
+    # ray 2 of F_1 is its class alone, so Q_c would be the entry itself: alone
+    # in its slot, after another entry in that slot, and among valid entries
+    cl = class_lattice(hirzebruch(1))
+    entry = DeformationEntry(2, (0, 0), wrong)
+    tangent = tangent_deformation(cl).entries
+    for entries in ((entry,), tangent[2:3] + (entry,), tangent[:2] + (entry,)):
+        with pytest.raises(PolyError, match="^mixing polynomials from different rings$"):
+            linear_part(cl, Deformation(entries, is_tangent=False))
 
 
 def test_linear_part_tangent_is_diagonal():
