@@ -129,6 +129,8 @@ class Polynomial:
 
     @staticmethod
     def linear(nv: int, coeffs: Sequence, nq: int = 0) -> "Polynomial":
+        if len(coeffs) != nv:
+            raise PolyError(f"coeffs has length {len(coeffs)}, not nv = {nv}")
         terms = {}
         for i, c in enumerate(coeffs):
             if c:
@@ -243,9 +245,7 @@ class Polynomial:
         ints, num, den = _primitive(self.terms.values())
         if num == den == 1:  # int coefficients of content 1: self is b
             return self, 1, 1
-        b = Polynomial(self.nv, self.nq, dict(zip(self.terms, ints)))
-        b._lead = self._lead
-        return b, num, den
+        return Polynomial(self.nv, self.nq, dict(zip(self.terms, ints))), num, den
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
@@ -532,10 +532,16 @@ class _Packing:
         return ((a & self.mask | self.guard) - (b & self.mask)) & self.guard == self.guard
 
     def rule(self, terms: dict) -> tuple:
-        """(lead & mask | guard, lead, integer terms): packed terms' `_rule`
-        and the divisor form of its lead that the division tests."""
-        lead, ints = _rule(terms, max(terms))
-        return lead & self.mask | self.guard, lead, ints
+        """(lead & mask | guard, lead, ints) for nonzero packed terms: the
+        divisor form of the lead that the division tests, and the primitive
+        integer multiple of the terms with a positive coefficient at the
+        lead.  The one form of a divisor in the fraction-free division, and
+        of an element the Buchberger keeps."""
+        lead = max(terms)
+        ints = _primitive(terms.values())[0]
+        if terms[lead] < 0:
+            ints = [-x for x in ints]
+        return lead & self.mask | self.guard, lead, dict(zip(terms, ints))
 
 
 def _widening(run: Callable, nv: int, nq: int, limit: int):
@@ -558,14 +564,14 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     top in NF(m), for psi exponents m of top's degree whose graded piece top
     spans alone, and gb Novikov-free.  pack(m) is m's int in a _Packing
     sized to top's degree, less its offset, so pack(a) + pack(b) is pack(a
-    * b); each basis element that can divide such an m is read once, as its
-    primitive integer `_rule`, since a normal form does not see the scale of
-    a divisor.  A normal form is linear and unique (CLO ch. 2 §6), so each
-    monomial m is reduced once, by the first element whose lead divides it
-    (the _Packing mask test), and is memoized for the life of value; one
-    reduced by a bare monomial is 0.  Each call keeps an explicit stack and
-    its own pending tails; meeting a standard monomial other than top, or a
-    monomial past the packing, raises PolyError."""
+    * b); each basis element that can divide such an m is read once through
+    `_Packing.rule`, as its primitive integer multiple, since a normal form
+    does not see the scale of a divisor.  A normal form is linear and unique
+    (CLO ch. 2 §6), so each monomial m is reduced once, by the first element
+    whose lead divides it (the _Packing mask test), and is memoized for the
+    life of value; one reduced by a bare monomial is 0.  Each call keeps an
+    explicit stack and its own pending tails; meeting a standard monomial
+    other than top, or a monomial past the packing, raises PolyError."""
     degree = sum(top)
     packing = _Packing(gb.nv, degree)
     offset, mask, guard, overflow = packing.offset, packing.mask, packing.guard, packing.overflow
@@ -575,12 +581,10 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
 
     rules = []
     for g in gb.polys:
-        lead = g.leading_monomial()
-        if sum(lead[0]) <= degree:
-            _, ints = _rule(g.terms, lead)
-            lm = pack(lead[0])
-            rules.append((lm + offset & mask | guard, lm, ints[lead],
-                          [(pack(m), c) for (m, _), c in ints.items() if m != lead[0]]))
+        if sum(g.leading_monomial()[0]) <= degree:
+            high, lm, ints = packing.rule({packing.pack(m): c for m, c in g.terms.items()})
+            rules.append((high, lm - offset, ints[lm],
+                          [(m - offset, c) for m, c in ints.items() if m != lm]))
     memo = {pack(top): 1}
 
     def value(mon: int) -> int | Fraction:
@@ -619,16 +623,6 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
         return memo[mon]
 
     return value, pack
-
-
-def _rule(terms: dict, lead: tuple) -> tuple:
-    """(lead, the primitive integer multiple of nonzero terms with a positive
-    coefficient at lead): the one form of a divisor in the fraction-free
-    division, and of an element the Buchberger keeps."""
-    ints = _primitive(terms.values())[0]
-    if terms[lead] < 0:
-        ints = [-x for x in ints]
-    return lead, dict(zip(terms, ints))
 
 
 def _pseudo_spoly(f: dict, lf: int, g: dict, lg: int, lcm: int, overflow: int) -> dict:
@@ -721,11 +715,10 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     def run(packing):
         mask, guard, pack = packing.mask, packing.guard, packing.pack
-        rules, highs = [], []  # packing.rule of each element, in the order they join
-        for g in gens:
-            rule = packing.rule({pack(m): c for m, c in g.terms.items()})
-            if rule not in rules:
-                rules.append(rule)
+        # packing.rule of each element, in the order they join; a duplicate
+        # generator's S-pair reduces to 0 and minimalization drops the copy
+        rules = [packing.rule({pack(m): c for m, c in g.terms.items()}) for g in gens]
+        highs = []
         heap, pending = [], set()  # pending pairs, stored in both orders
 
         def add_pairs(k):

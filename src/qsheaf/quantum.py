@@ -95,10 +95,10 @@ class _GroebnerRing(_AnchorRing):
     """A row is the coefficient of the generator in NF(R * p * F_beta), read
     off the anchor basis's memoized top functional on packed monomials.  Its
     memos, per monomial and per insertion, live as long as the ring.  The
-    functional reads each element of the monic basis through poly._rule, as
-    its primitive integer multiple: a normal form does not see the scale of
-    a basis element, and an int tail multiplies a value faster than a
-    Fraction one."""
+    functional reads each element of the monic basis through
+    poly._Packing.rule, as its primitive integer multiple: a normal form
+    does not see the scale of a basis element, and an int tail multiplies a
+    value faster than a Fraction one."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)

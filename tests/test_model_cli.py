@@ -338,6 +338,25 @@ def test_cli_negative_trials_rejected(capsys, tmp_path):
     assert "local freeness (0 trials): pass (probabilistic)" in out
 
 
+def test_cli_analyze_reports_a_failed_local_freeness_check(capsys, tmp_path):
+    # the rank-collapse P^1 of tests/test_deform.py: x0 + x1 = 0 drops the rank
+    entries = [{"rho": rho, "m": m, "coeff": "D1"}
+               for rho, m in ((0, [0]), (0, [-1]), (1, [0]), (1, [1]))]
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps({"version": 1, "fan": _P1_FAN,
+                                "deformation": {"entries": entries}}))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    # the report says FAIL, yet analyze exits 0, not the 2 the CLI
+    # docstring reserves for a verification failure
+    assert (code, err) == (0, "")
+    assert "local freeness (20 trials): FAIL witness=['-1', '1']\n" in out
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["local_freeness"] == {
+        "passed": False, "witness": ["-1", "1"], "trials": 20,
+        "note": "probabilistic check; a pass is evidence, not proof"}
+
+
 @pytest.mark.parametrize("poly", ["(" * 400 + "D1" + ")" * 400, "-" * 3000 + "D1"],
                          ids=["parentheses", "unary-minus"])
 def test_cli_deep_poly_nesting_is_parse_error(capsys, poly):

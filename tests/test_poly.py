@@ -182,6 +182,13 @@ def test_groebner_examples():
                                zip(lm2[0] + lm2[1], lm[0] + lm[1]))
 
 
+def test_groebner_of_repeated_generators_is_the_basis_without_them():
+    # a repeated generator's S-pair reduces to 0 and minimalization drops it
+    gens = (x * x - y * y, y ** 3)
+    gb = groebner(Ideal(gens))
+    assert groebner(Ideal((gens[0], gens[1], gens[0], 2 * gens[1], gens[1]))) == gb
+
+
 def test_normal_form_examples():
     z = Polynomial.variable(1, 0)
     assert not normal_form(z ** 4, groebner(Ideal((z ** 3,))))
@@ -296,6 +303,14 @@ def test_height_is_the_lcm_formula_bit_for_bit(terms):
     # the content from linalg._primitive gives the same two log2 arguments
     p = Polynomial(2, 0, {(e, ()): c for e, c in terms.items()})
     assert qsheaf.poly._height(p) == height_by_lcm(p)
+
+
+def test_linear_refuses_a_coefficient_count_other_than_nv():
+    assert Polynomial.linear(2, (0, 3)) == 3 * y
+    with pytest.raises(PolyError, match=r"^coeffs has length 2, not nv = 1$"):
+        Polynomial.linear(1, [1, 1])
+    with pytest.raises(PolyError, match=r"^coeffs has length 1, not nv = 2$"):
+        Polynomial.linear(2, [1])
 
 
 def test_leading_monomial_found_once(monkeypatch):
@@ -810,6 +825,22 @@ def test_top_functional_matches_normal_form():
             nf = normal_form(Polynomial(gb.nv, 0, {(exps, ()): 1}), gb)
             assert set(nf.terms) <= {(top, ())}
             assert value(pack(exps)) == nf.terms.get((top, ()), 0), (exps, top)
+
+
+def test_top_functional_reads_every_divisor_through_the_packing_rule(monkeypatch):
+    rules = []
+    real = _Packing.rule
+
+    def spy(self, terms):
+        rules.append(real(self, terms))
+        return rules[-1]
+
+    monkeypatch.setattr(_Packing, "rule", spy)
+    for gb, top, degree in _anchor_top_pieces():
+        rules.clear()
+        top_functional(gb, top)
+        assert len(rules) == sum(sum(g.leading_monomial()[0]) <= degree for g in gb.polys)
+        assert all(ints[lead] > 0 for _, lead, ints in rules)
 
 
 def test_top_functional_refuses_a_piece_top_does_not_span():
