@@ -2,15 +2,14 @@
 
 Sector ideals recur across queries, so the CLI persists reduced bases keyed
 by a hash of (key format, generators).  The store is process-global and
-off by default; results are identical with or without it.
+off by default; results are identical with or without it.  hashlib (and
+with it OpenSSL) loads only at the first key, tempfile at the first write.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from fractions import Fraction
 from typing import Optional
 
@@ -55,15 +54,16 @@ def ideal_key(ideal: Ideal) -> str:
         "nq": nq,
         "gens": [serialize_poly(g) for g in ideal.generators],
     }, separators=(",", ":"), sort_keys=True)
+    import hashlib
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class FileCache:
-    """Writes are atomic (write to a temp file, then rename)."""
+    """Writes are atomic (write to a temp file, then rename).  The directory
+    is made at the first write, and a write that fails is dropped."""
 
     def __init__(self, root: Optional[str] = None):
         self.root = root or default_cache_dir()
-        os.makedirs(self.root, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
@@ -90,15 +90,19 @@ class FileCache:
             "nq": nq,
             "polys": [serialize_poly(g) for g in gb.polys],
         }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        import tempfile
+        tmp = None
         try:
+            os.makedirs(self.root, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, separators=(",", ":"))
             os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError:
+            pass  # an unwritable store stores nothing; the caller has its basis
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
 
 
 def cached_groebner(ideal: Ideal) -> GroebnerBasis:

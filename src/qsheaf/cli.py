@@ -337,12 +337,7 @@ _PARSER = make_parser()  # parse_args keeps no state between calls
 def run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)  # --help still exits 0
-        cache.set_store(None)
-        if not args.no_cache:
-            try:
-                cache.set_store(cache.FileCache())
-            except OSError:
-                pass
+        cache.set_store(None if args.no_cache else cache.FileCache())
         model = load_model(args.model)
         lines, body, code = COMMANDS[args.command](model, args)
     except VALIDATION_ERRORS as exc:

@@ -5,6 +5,7 @@ lines.  Every expected value is exact (rational/integer identity); the time
 budgets are asserted as stated.
 """
 
+import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -127,7 +128,7 @@ def _nonlinear_entries(cl, rng, count):
     box = range(-3, 4)
     candidates = []
     for rho in range(fan.n_rays):
-        for m in ((a, b) for a in box for b in box):
+        for m in itertools.product(box, repeat=fan.rank):
             if not any(m):
                 continue
             ok = all(sum(x * v for x, v in zip(m, fan.rays[rp]))

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import random
 from fractions import Fraction
@@ -6,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation,
-                    DuplicateEntry, UnknownRayIndex, class_lattice, d_symbols,
-                    linear_part, local_freeness_check, parse_deformation,
-                    polymology, sector_ideal, tangent_deformation)
+                    DuplicateEntry, UnknownRayIndex, class_lattice, correlator_series,
+                    d_symbols, linear_part, local_freeness_check, parse_deformation,
+                    polymology, qsr_generators, sector_ideal, tangent_deformation)
 from qsheaf.poly import Polynomial, PolyError
 
 from qsheaf.deform import Deformation, DeformationEntry, _linear_slot
@@ -96,6 +98,41 @@ def test_nonlinear_terms_do_not_change_anything():
     assert [g.to_str() for g in sector_ideal(lin0, lin0.cl.zero_curve)] == \
         [g.to_str() for g in sector_ideal(lin1, lin1.cl.zero_curve)]
     assert polymology(lin0) == polymology(lin1)
+
+
+def _deformed_bases():
+    """(cl, raw linear entries, c1 bound) of deformed bases that admit
+    nonlinear characters; (P^1)^k and P^2 admit none, since there every
+    section of O(D_rho) is linear in the Cox variables.  F1 admits two;
+    Bl_pt P^3 three, the exceptional variable times each of the other three
+    on the hyperplane ray (-1, -1, -1)."""
+    f1 = [(0, (0, 0), "D1"), (1, (0, 0), "D2"), (2, (0, 0), "D3 + 2/3*D1"),
+          (3, (0, 0), "D4"), (0, (-1, 0), "4/7*D3"), (1, (1, 0), "-1/2*D3")]
+    blowup = [(rho, (0, 0, 0), f"D{rho + 1}") for rho in range(5)] + [
+        (0, (-1, 1, 0), "1/3*D5"), (1, (0, -1, 1), "-2/5*D4"), (2, (1, 0, -1), "3/7*D1")]
+    return [pytest.param(class_lattice(hirzebruch(1)), f1, 4, id="deformed F1"),
+            pytest.param(class_lattice(blowup_p3_point()), blowup, 2, id="deformed BlptP3")]
+
+
+@pytest.mark.parametrize("cl, base, max_t", _deformed_bases())
+def test_nonlinear_extras_on_a_deformed_base_change_no_correlator(cl, base, max_t):
+    # the paper's independence of nonlinear deformations, past the linear
+    # data: seeded nonlinear entries on a deformed (not tangent) base leave
+    # the quantum relations and the series of <L^(n+t)>, L = -K, as they are
+    extras = _nonlinear_entries(cl, random.Random(17), 3)
+    assert extras
+    lin0 = linear_part(cl, parse_deformation(cl, base))
+    lin1 = linear_part(cl, parse_deformation(cl, base + extras))
+    assert lin0.q != linear_part(cl, tangent_deformation(cl)).q
+    assert qsr_generators(lin1) == qsr_generators(lin0)
+    anticanonical = functools.reduce(operator.add, d_symbols(cl))
+    quantum_terms = 0
+    for t in range(max_t + 1):
+        p = anticanonical ** (cl.fan.rank + t)
+        report = correlator_series(lin0, p, t)
+        assert correlator_series(lin1, p, t) == report, t
+        quantum_terms += sum(1 for beta, _ in report.series if any(beta.coords))
+    assert quantum_terms
 
 
 def test_zero_parameters_recover_tangent():

@@ -296,6 +296,66 @@ def _cli_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace"])
+def test_failed_store_write_is_ignored(tmp_path, capsys, monkeypatch, target):
+    # an unwritable $QSHEAF_CACHE costs the store, never the report; a write
+    # that fails after its temp file was made leaves no temp file behind
+    monkeypatch.setenv("QSHEAF_CACHE", str(tmp_path / "cache"))
+    argv = ["polymology", model_path("p1xp1_deformed")]
+    code, off, _ = capture(capsys, argv + ["--no-cache"])
+    assert code == 0
+    monkeypatch.setattr(target, _refuse)
+    assert capture(capsys, argv) == (0, off, "")
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_store_directory_appears_at_first_write(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "absent"
+    monkeypatch.setenv("QSHEAF_CACHE", str(root))
+    code, _, _ = capture(capsys, ["analyze", model_path("p1xp1_deformed")])
+    assert code == 0 and not root.exists()
+    code, _, _ = capture(capsys, ["polymology", model_path("p1xp1_deformed")])
+    assert code == 0 and list(root.glob("*.json"))
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, os, sys
+bare = "_hashlib" in sys.modules
+import qsheaf, qsheaf.cli
+models = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qsheaf.cli.run(argv) for argv in (
+        ["analyze", os.path.join(models, "p1xp1_deformed.json")],
+        ["verify", os.path.join(models, "f1.json")],
+        ["correlator", os.path.join(models, "p1xp1_deformed.json"), "--poly", "D1^2"])]
+    before = "_hashlib" in sys.modules
+    codes.append(qsheaf.cli.run(["polymology", os.path.join(models, "p2.json")]))
+print(json.dumps({"bare": bare, "codes": codes, "before": before,
+                  "after": "_hashlib" in sys.modules}))
+"""
+
+
+def test_only_a_stored_basis_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; no command that builds no basis
+    # through the store may load it, so it runs in a fresh interpreter
+    root = tmp_path / "cache"
+    env = dict(_cli_env(), QSHEAF_CACHE=str(root))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, MODELS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if seen["bare"]:
+        pytest.skip("this interpreter loads _hashlib at startup")
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["before"] is False
+    assert seen["after"] is True
+    assert list(root.glob("*.json"))
+
+
 def test_cli_sector_of_ineffective_class_writes_nothing_to_stderr():
     # run as a separate process so that a Python warning would reach stderr
     proc = subprocess.run([sys.executable, "-m", "qsheaf.cli", "sector",
