@@ -95,8 +95,9 @@ class LinearData:
         multiplied in ints and the contents applied once, as one Fraction,
         and not at all where they are integral (every tangent bundle).
         Both go through _q_parts, which multiplies all the (part, exponent)
-        pairs in one poly.power_product call, and which the Groebner anchor
-        ring's rows call directly to apply the content once per row: a
+        pairs in one poly.power_product call.  The Groebner anchor ring's
+        rows call it directly to apply the content once per row, and the
+        expand route of verify_qc_relation to compare contents apart: a
         sentinel that must see every Q_c product patches _q_parts, not this
         method."""
         f, num, den = self._q_parts(exponents)

@@ -261,7 +261,7 @@ class ClassLattice:
 
     def is_effective_coords(self, coords: Sequence[int]) -> bool:
         """Curve coordinates pair >= 0 with every facet normal of the Mori cone."""
-        return all(_dot(u, coords) >= 0 for u in self.facets)
+        return all(sum(map(operator.mul, u, coords)) >= 0 for u in self.facets)
 
     @cached_property
     def _mori_solve(self) -> tuple:
@@ -433,15 +433,16 @@ def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
         if not cl.is_effective(s):
             raise IneffectiveClass(f"sector {s.d} is not effective")
     positive = cl.positive
-    base = cl.zero_curve
-    for s in sectors:
-        base = base + s
+    # the base sums the sectors, column by column
+    coords = tuple(map(sum, zip(*(s.coords for s in sectors))))
+    base = tuple(map(sum, zip(*(s.d for s in sectors))))
     # base - s sums effective sectors, so only h0(d_c) bounds n from below:
     # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0; the
     # rays stand for their classes, as in dominates
     n = max([1] + [-((b - x) // p) for s in sectors
-                   for x, b, p in zip(s.d, base.d, positive.d) if x >= 0])
-    return base + n * positive
+                   for x, b, p in zip(s.d, base, positive.d) if x >= 0])
+    return CurveClass(tuple(a + n * p for a, p in zip(coords, positive.coords)),
+                      tuple(b + n * p for b, p in zip(base, positive.d)))
 
 
 def effective_cones_coincide(cl: ClassLattice) -> bool:

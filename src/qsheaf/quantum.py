@@ -23,7 +23,7 @@ from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape
                    top_functional)
 from .deform import LinearData
 from .linalg import _primitive
-from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb, transition
+from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb
 
 
 class QuantumError(Exception):
@@ -484,8 +484,9 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
     """Check the quantum relation for K against sectors beta and beta + beta_K.
 
     route 'exponent' checks the per-class exponent identity with exact
-    integer arithmetic; 'expand' compares the two fully expanded products in
-    Sym*W; 'correlator' compares correlators of the supplied insertions
+    integer arithmetic; 'expand' expands each side of the identity in Sym*W
+    as one product of its integer parts and compares those, then the two
+    contents; 'correlator' compares correlators of the supplied insertions
     against the anchor beta_prime.
     """
     cl = lin.cl
@@ -508,14 +509,18 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
         return True
     if route not in ("expand", "correlator"):
         raise ValueError(f"unknown route {route!r}")
-    prod_k = lin.q_k(K)  # d_c(beta_K) > 0 exactly on the classes of K
-    prod_m = lin.q_product(kminus)
-    if route == "expand":
-        lhs = transition(lin, beta_prime, shifted) * four_fermi(lin, shifted) * prod_k
-        rhs = transition(lin, beta_prime, beta) * four_fermi(lin, beta) * prod_m
-        return lhs == rhs
-    return _rows_agree(_AnchorRing(lin, beta_prime), bk, prod_k, prod_m,
-                       ((y, beta) for y in insertions))
+    qk = [(c, 1) for c in cl.classes_of(K.edges)]  # d_c(beta_K) > 0 exactly there
+    if route == "expand":  # the ceilings transition and four_fermi ran, in order
+        for b in (beta_prime, shifted, beta):
+            ceiling(cl, b.d)
+        # R_{beta'<-b} * F_b * Q, one product per side, as num / den * (int part)
+        (lhs, ln, ld), (rhs, rn, rd) = (lin._q_parts(itertools.chain(
+            [(c, h0(c.d(beta_prime)) - h0(c.d(b))) for c in cl.equiv],
+            [(c, h1(c.d(b))) for c in cl.equiv], q)) for b, q in ((shifted, qk), (beta, kminus)))
+        # Gauss: products of primitive parts are primitive, and contents are > 0
+        return lhs == rhs and (not lhs or ln * rd == rn * ld)
+    return _rows_agree(_AnchorRing(lin, beta_prime), bk, lin.q_product(qk),
+                       lin.q_product(kminus), ((y, beta) for y in insertions))
 
 
 def relation_annihilates(lin: LinearData, rel: QuantumRelation,

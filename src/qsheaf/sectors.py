@@ -45,7 +45,8 @@ def ceiling(cl: ClassLattice, d: tuple) -> None:
     """Refuse the sector of d-vector d when a generator prod_c Q_c^h0(d_c)
     has degree above _MAX_DEGREE.  Every caller runs it before it expands
     or lists anything of the sector: sector(), sector_ideal, transition,
-    four_fermi and each anchor-ring row."""
+    four_fermi, the expand route of verify_qc_relation and each anchor-ring
+    row."""
     for K in cl.primitive_collections:
         # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
         degree = sum(h0(d[rho]) for rho in K.edges)

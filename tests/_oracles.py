@@ -18,6 +18,8 @@ from qsheaf.linalg import inverse, kernel_basis, matrix_rank, smith_normal_form
 from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, Polynomial,
                          PolyError, _div, _height, _mon_mul, _require_nonnegative_q, echo,
                          monomial_key)
+from qsheaf.quantum import four_fermi
+from qsheaf.sectors import transition
 
 
 # ---- monomials as (psi exponents, q exponents) pairs of tuples ----------------
@@ -371,6 +373,35 @@ def find_anchor_by_classes(cl, sectors):
             if c.d(s) >= 0:
                 n = max(n, -((c.d(base) - c.d(s)) // c.d(positive)))
     return base + n * positive
+
+
+def find_anchor_by_search(cl, sectors):
+    """The anchor as a fold of CurveClass sums: zero_curve + sum of the
+    sectors + n * cl.positive for the least n >= 1 that dominates every
+    sector by dominates_by_difference, found by counting n up."""
+    if not sectors:
+        raise LatticeError("anchor search requires at least one sector")
+    for s in sectors:
+        if not cl.is_effective(s):
+            raise IneffectiveClass(f"sector {s.d} is not effective")
+    base = cl.zero_curve
+    for s in sectors:
+        base = base + s
+    n = 1
+    while not all(dominates_by_difference(cl, base + n * cl.positive, s) for s in sectors):
+        n += 1
+    return base + n * cl.positive
+
+
+def expand_sides(lin, K, beta, beta_prime):
+    """The two sides the expand route of verify_qc_relation compares, each
+    a product of three expanded polynomials:
+    R_{beta' <- beta+beta_K} * F_{beta+beta_K} * Q_K and
+    R_{beta' <- beta} * F_beta * Q_[K^-]."""
+    bk, kminus = beta_K(lin.cl, K)
+    shifted = beta + bk
+    return (transition(lin, beta_prime, shifted) * four_fermi(lin, shifted) * lin.q_k(K),
+            transition(lin, beta_prime, beta) * four_fermi(lin, beta) * lin.q_product(kminus))
 
 
 def in_cone(vec, gens):

@@ -21,8 +21,8 @@ from qsheaf.lattice import compositions
 from qsheaf.quantum import effective_window
 
 from _oracles import (construction_by_inverse, dominates_by_difference,
-                      effective_cones_coincide_by_facets, find_anchor_by_classes, in_cone,
-                      wall_classes)
+                      effective_cones_coincide_by_facets, find_anchor_by_classes,
+                      find_anchor_by_search, in_cone, wall_classes)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
                       deformed_p1_power_entries, hexagon, hirzebruch, non_projective_fan,
                       p1_fan, p1_power, p1xp1_fan, p2_fan)
@@ -248,6 +248,43 @@ def test_integer_guards_match_their_definitions(data):
             find_anchor(cl, sectors)
     else:
         assert find_anchor(cl, sectors) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _anchor_window(name):
+    """A lattice and its effective classes with c1 <= 4 and Mori
+    coefficients <= 4, as `verify --all --grid 4` reads them."""
+    cl = class_lattice({"F1": lambda: hirzebruch(1), "F3": lambda: hirzebruch(3),
+                        "Bl_pt P3": blowup_p3_point, "(P1)^4": lambda: p1_power(4),
+                        "dP3": hexagon}[name]())
+    return cl, effective_window(cl, 4, coeff_bound=4)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_anchor_is_the_least_dominating_fold(data):
+    """find_anchor sums its sectors column by column; it is the fold
+    zero_curve + sum of the sectors + n * positive with the least n >= 1
+    that dominates every sector.  An ineffective sector among them is
+    refused with its own message."""
+    cl, window = _anchor_window(data.draw(st.sampled_from(
+        ["F1", "F3", "Bl_pt P3", "(P1)^4", "dP3"])))
+    sectors = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=4))
+    anchor = find_anchor(cl, sectors)
+    assert anchor == find_anchor_by_search(cl, sectors)
+    assert all(dominates(cl, anchor, s) for s in sectors)
+    bad = -data.draw(st.sampled_from([b for b in window if any(b.coords)]))
+    sectors.insert(data.draw(st.integers(0, len(sectors))), bad)
+    with pytest.raises(IneffectiveClass) as exc:
+        find_anchor(cl, sectors)
+    assert str(exc.value) == f"sector {bad.d} is not effective"
+
+
+def test_find_anchor_refuses_no_sectors():
+    cl = class_lattice(hirzebruch(1))
+    with pytest.raises(LatticeError) as exc:
+        find_anchor(cl, [])
+    assert str(exc.value) == "anchor search requires at least one sector"
 
 
 def test_effective_cone_diagnostic():

@@ -21,13 +21,15 @@ import qsheaf.lattice
 import qsheaf.poly
 import qsheaf.quantum
 import qsheaf.sectors
+from qsheaf.deform import LinearData
+from qsheaf.lattice import CurveClass
 from qsheaf.model import load_model
 from qsheaf.poly import Polynomial, normal_form
 from qsheaf.quantum import _AnchorRing
 
 from _oracles import (GroebnerReference, ResidueReference, degree_slice_by_box,
-                      monomials_of_degree, residue_q_by_fractions, uinverse, uproduct,
-                      urem, utrim)
+                      expand_sides, monomials_of_degree, residue_q_by_fractions, uinverse,
+                      uproduct, urem, utrim)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
                       deformed_p1_power, deformed_p1xp1, deformed_setups, drop_q,
                       hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, p2_fan,
@@ -237,6 +239,126 @@ def test_verify_relation_correlator_route():
     ys = [Polynomial.const(2, 1), x, y, x * y, x * x * y * y]
     assert verify_qc_relation(lin, K, beta, anchor, route="correlator",
                               insertions=ys)
+
+
+VERIFY_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "models", "*.json")))
+VERIFY_FILES += [os.path.join(os.path.dirname(__file__), "data", name)
+                 for name in ("dp3.json", "p1_cube_deformed.json")]
+
+
+def _record_q_parts(monkeypatch) -> list:
+    """Patch LinearData._q_parts to append each (f, num, den) it returns
+    to the list returned."""
+    q_parts, seen = LinearData._q_parts, []
+
+    def spy(self, exponents):
+        seen.append(q_parts(self, exponents))
+        return seen[-1]
+
+    monkeypatch.setattr(LinearData, "_q_parts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("path", VERIFY_FILES, ids=os.path.basename)
+def test_expand_route_products_equal_the_composed_sides(monkeypatch, path):
+    """Each side of the expand route is one LinearData._q_parts product.
+    Read as f * num / den, the two are transition * four_fermi * Q_K (or
+    Q_[K^-]) as polynomials, on every `verify --all --grid 4` case.  dP3's
+    Mori cone is not simplicial; the deformed models carry contents."""
+    model = load_model(path)
+    cl, lin = model.cl, model.lin
+    seen = _record_q_parts(monkeypatch)
+    for K, (bk, _) in cl.primitive_relations.items():
+        for beta in effective_window(cl, 4, coeff_bound=4):
+            anchor = find_anchor(cl, [beta, beta + bk])
+            seen.clear()
+            assert verify_qc_relation(lin, K, beta, anchor, route="expand")
+            sides = tuple(f * Fraction(num, den) for f, num, den in seen)
+            assert sides == expand_sides(lin, K, beta, anchor), (K.edges, beta.d)
+
+
+def test_verify_routes_refuse_a_wrong_primitive_relation(monkeypatch):
+    """On a fresh lattice of F1, a [K^-] multiplicity off by one fails the
+    expand route.  The exponent route reads no [K^-] multiplicity: its
+    left - right is 1 - d_c(beta_K) where d_c(beta_K) > 0 and 0 elsewhere,
+    so it still passes.  A d_c(beta_K) of 2 on a class of K fails both."""
+    cl = class_lattice(hirzebruch(1))
+    lin = linear_part(cl, tangent_deformation(cl))
+    K, (bk, kminus) = next((K, rel) for K, rel in cl.primitive_relations.items() if rel[1])
+    (c, m), *rest = kminus
+    window = effective_window(cl, 3)
+    monkeypatch.setitem(cl.primitive_relations, K, (bk, ((c, m + 1), *rest)))
+    for beta in window:
+        anchor = find_anchor(cl, [beta, beta + bk])
+        assert not verify_qc_relation(lin, K, beta, anchor, route="expand"), beta.d
+        assert verify_qc_relation(lin, K, beta, anchor), beta.d
+    c = cl.classes_of(K.edges)[0]
+    bk2 = CurveClass(bk.coords, tuple(x + (rho in c.members) for rho, x in enumerate(bk.d)))
+    monkeypatch.setitem(cl.primitive_relations, K, (bk2, kminus))
+    for beta in window:
+        anchor = find_anchor(cl, [beta, beta + bk2])
+        assert not verify_qc_relation(lin, K, beta, anchor, route="expand"), beta.d
+        assert not verify_qc_relation(lin, K, beta, anchor), beta.d
+
+
+def test_expand_route_compares_contents(monkeypatch):
+    """On P^1 x P^1 with Q_c1 = 2 psi2^2 and Q_c2 = psi2^2, one primitive
+    part, a d_c2(beta_K) of -1 adds a Q_c2 to the left side and one more
+    Q_c1 in [K^-] adds a Q_c1 to the right: the integer parts agree, and
+    only the contents, 2^a against 2^(a+1), tell the sides apart."""
+    cl = class_lattice(p1xp1_fan())
+    lin = linear_part(cl, parse_deformation(cl, [(0, (0, 0), "2*D3"), (1, (0, 0), "D3"),
+                                                 (2, (0, 0), "D3"), (3, (0, 0), "D4")]))
+    c1, c2 = cl.equiv
+    assert [lin._parts[c.index][1] for c in cl.equiv] == [2, 1]
+    K = next(K for K in cl.primitive_collections if K.edges == c1.members)
+    bk, kminus = cl.primitive_relations[K]
+    bk2 = CurveClass(bk.coords, tuple(x - (rho in c2.members) for rho, x in enumerate(bk.d)))
+    monkeypatch.setitem(cl.primitive_relations, K, (bk2, kminus + ((c1, 1),)))
+    seen = _record_q_parts(monkeypatch)
+    for beta in effective_window(cl, 4):
+        anchor = find_anchor(cl, [beta, beta + bk])
+        seen.clear()
+        assert not verify_qc_relation(lin, K, beta, anchor, route="expand"), beta.d
+        (f, n, d), (g, m, e) = seen
+        assert f == g and n * e * 2 == m * d, beta.d
+        left, right = expand_sides(lin, K, beta, anchor)
+        assert left * 2 == right
+
+
+def test_expand_route_with_a_singular_class(monkeypatch):
+    """A singular A_c (the rank-collapse P^1 of test_deform.py) makes Q_c = 0,
+    so both expand sides are zero and compare equal.  A zero side compares
+    as the expanded zero did whatever contents the other classes carry:
+    on P^1 x P^1 with the collapse on one factor and Q_c = 2 psi2^2 on the
+    other, one more Q_c in [K^-] leaves both sides zero, with contents 2^a
+    and 2^(a+1), and the route still passes, as 0 == 0 did."""
+    collapse = [(0, (0,), "D1"), (0, (-1,), "D1"), (1, (0,), "D1"), (1, (1,), "D1")]
+    cl = class_lattice(p1_fan())
+    lin = linear_part(cl, parse_deformation(cl, collapse))
+    assert not lin.q[0]
+    for K, (bk, _) in cl.primitive_relations.items():
+        for beta in effective_window(cl, 4):
+            anchor = find_anchor(cl, [beta, beta + bk])
+            assert not any(expand_sides(lin, K, beta, anchor))
+            assert verify_qc_relation(lin, K, beta, anchor, route="expand")
+    cl = class_lattice(p1xp1_fan())
+    lin = linear_part(cl, parse_deformation(cl, [
+        (rho, (m, 0), "D1") for rho, m in ((0, 0), (0, -1), (1, 0), (1, 1))] + [
+        (2, (0, 0), "2*D3"), (3, (0, 0), "D3")]))
+    c1, c2 = cl.equiv
+    assert not lin.q[0] and lin._parts[1][1:] == (2, 1)
+    K = next(K for K in cl.primitive_collections if K.edges == c2.members)
+    bk, kminus = cl.primitive_relations[K]
+    monkeypatch.setitem(cl.primitive_relations, K, (bk, kminus + ((c2, 1),)))
+    seen = _record_q_parts(monkeypatch)
+    for beta in effective_window(cl, 4):
+        anchor = find_anchor(cl, [beta, beta + bk])
+        seen.clear()
+        assert verify_qc_relation(lin, K, beta, anchor, route="expand")
+        (f, n, d), (g, m, e) = seen
+        assert not f and not g and n * e * 2 == m * d, beta.d
+        assert not any(expand_sides(lin, K, beta, anchor))
 
 
 def test_relation_and_series_refusals():

@@ -2,6 +2,7 @@ import glob
 import itertools
 import os
 import random
+import re
 import time
 import warnings
 
@@ -281,6 +282,7 @@ def test_ceiling_comes_before_every_expansion(monkeypatch):
         raise AssertionError("a Q_c product was expanded before the ceiling")
 
     monkeypatch.setattr(qsheaf.deform.LinearData, "q_product", expand)
+    monkeypatch.setattr(qsheaf.deform.LinearData, "_q_parts", expand)
     for call in (lambda: transition(lin, big, cl.zero_curve),
                  lambda: transition(lin, cl.zero_curve, big),
                  lambda: sector_ideal(lin, big)):
@@ -288,6 +290,13 @@ def test_ceiling_comes_before_every_expansion(monkeypatch):
             call()
     with pytest.raises(SectorError, match=CEILING):
         four_fermi(lin, big)
+    # the expand route: an oversized anchor that dominates both sectors
+    for K, (bk, _) in cl.primitive_relations.items():
+        anchor = bk + 30000000 * cl.positive
+        assert dominates(cl, anchor, cl.zero_curve) and dominates(cl, anchor, bk)
+        with pytest.raises(SectorError, match=rf"^sector {re.escape(str(anchor.d))} needs a "
+                           r"generator of degree \d+, above the ceiling 1000$"):
+            verify_qc_relation(lin, K, cl.zero_curve, anchor, route="expand")
     # an ineffective class whose c1 matches the insertion: the row's ceiling
     # comes before its effectivity check, so it raises instead of returning 0
     g1, g2 = cl.mori
