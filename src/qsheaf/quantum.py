@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -92,13 +93,19 @@ class _AnchorRing:
 
 
 class _GroebnerRing(_AnchorRing):
-    """A row is the coefficient of the generator in NF(R * p * F_beta), read
-    off the anchor basis's memoized top functional on packed monomials.  Its
-    memos, per monomial and per insertion, live as long as the ring.  The
-    functional reads each element of the monic basis through
-    poly._Packing.rule, as its primitive integer multiple: a normal form
-    does not see the scale of a basis element, and an int tail multiplies a
-    value faster than a Fraction one."""
+    """A row is the coefficient of the generator in NF(R * p * F_beta).
+
+    When every element of the anchor basis is one monomial (T_X of a product
+    of projective spaces, whose Q_c are powers of one Picard generator, and
+    rescaled Euler maps of it), a monomial's normal form is itself or 0 (CLO
+    ch. 2), so the functional is 1 at the generator and 0 elsewhere: a row
+    is one lookup of p's coefficient at generator / m per term m of R *
+    F_beta.  Otherwise it is read off the anchor basis's memoized top
+    functional on packed monomials.  Its memos, per monomial and per
+    insertion, live as long as the ring.  The functional reads each element
+    of the monic basis through poly._Packing.rule, as its primitive integer
+    multiple: a normal form does not see the scale of a basis element, and
+    an int tail multiplies a value faster than a Fraction one."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
@@ -108,14 +115,20 @@ class _GroebnerRing(_AnchorRing):
         if self.generator is None:
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d} has top dimension {len(monos)}")
-        self._value, self._pack = top_functional(gb, monos[0])
-        self._forms = {}  # p -> (p's packed terms, {packed m: sum_m' p_m' value(m m')})
+        self._top = monos[0] if all(len(g.terms) == 1 for g in gb.polys) else None
+        if self._top is None:
+            self._value, self._pack = top_functional(gb, monos[0])
+            self._forms = {}  # p -> (p's packed terms, {packed m: sum_m' p_m' value(m m')})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
         # R * F_beta = prod_c Q_c^((h0(d_c(A)) - h0(d_c)) + h1(d_c)), and h0 - h1 = d + 1
         # an integer product and its content num / den, applied once
         f, num, den = self.lin._q_parts((c, h0(c.d(self.anchor)) - c.d(beta) - 1)
                                         for c in self.lin.cl.equiv)
+        if self._top is not None:  # p has no term whose exponents go negative
+            total = sum(c * p.terms.get((tuple(map(operator.sub, self._top, m)), ()), 0)
+                        for (m, _), c in f.terms.items())
+            return Fraction(total * num, den)
         total, pack, value = 0, self._pack, self._value
         if p not in self._forms:
             self._forms[p] = ([(pack(mp), cp) for (mp, _), cp in p.terms.items()], {})

@@ -664,6 +664,30 @@ def test_series_rows_read_off_the_top_functional(monkeypatch):
         assert row.scalar == nf.terms.get(gen, 0)
 
 
+def test_only_non_monomial_anchor_rings_read_the_top_functional(monkeypatch):
+    original = qsheaf.quantum.top_functional
+
+    def refuse(gb, top):
+        raise AssertionError("a monomial anchor ideal walked the top functional")
+
+    monkeypatch.setattr(qsheaf.quantum, "top_functional", refuse)
+    for k, t_max in ((3, 6), (4, 4)):  # tangent (P^1)^k: every Q_c is a power of psi_i
+        cl, lin = tangent_setup(p1_power(k))
+        L = sum(d_symbols(cl))
+        for t in range(0, t_max + 1, 2):
+            assert correlator_series(lin, L ** (k + t), t).series
+    calls = []
+    monkeypatch.setattr(qsheaf.quantum, "top_functional",
+                        lambda gb, top: calls.append(gb) or original(gb, top))
+    # both anchor bases mix monomial elements with binomials and longer ones
+    for (cl, lin), t in ((deformed_p1_power(3, random.Random(0)), 2),
+                         (tangent_setup(hexagon()), 1)):
+        del calls[:]
+        assert correlator_series(lin, sum(d_symbols(cl)) ** (cl.fan.rank + t), t).series
+        (gb,) = calls
+        assert {1, 2} <= {len(g.terms) for g in gb.polys}
+
+
 # ---- Picard rank >= 3: packed monomials against the tuple-keyed reference ----
 
 def _high_rank_ladder():
@@ -674,7 +698,35 @@ def _high_rank_ladder():
     cases += [pytest.param(*deformed_p1_power(3, random.Random(seed)), 2,
                            id=f"dP1^3 seed {seed}") for seed in (0, 1, 2)]
     cases.append(pytest.param(*tangent_setup(hexagon()), 1, id="dP3"))
+    # monomial anchor ideals whose classes differ in size, and whose Q_c carry contents
+    cases.append(pytest.param(*tangent_setup(_projective_product_fan(2, 1, 1)), 4,
+                              id="P2xP1xP1"))
+    cases.append(pytest.param(*_rescaled_p1_cube(), 6, id="rescaled P1^3"))
     return cases
+
+
+def _projective_product_fan(*dims):
+    """P^a x P^b x ...: factor P^a has rays e_1, ..., e_a and -(e_1 + ... + e_a)
+    in its own coordinates, and a cone picks a of its a + 1 rays."""
+    rank = sum(dims)
+    rays, blocks, at = [], [], 0
+    for a in dims:
+        first = len(rays)
+        rays += [tuple(int(j == at + i) for j in range(rank)) for i in range(a)]
+        rays.append(tuple(-int(at <= j < at + a) for j in range(rank)))
+        blocks.append(list(itertools.combinations(range(first, first + a + 1), a)))
+        at += a
+    return build_fan(rank, rays, [sum(choice, ()) for choice in itertools.product(*blocks)])
+
+
+def _rescaled_p1_cube():
+    """Tangent (P^1)^3 with its six Euler-map entries rescaled by 2, 3, 1/5,
+    7, -2/3 and 1: Q_c = 6 psi2^2, 7/5 psi1^2 and -2/3 psi3^2, still monomial."""
+    cl = class_lattice(p1_power(3))
+    factors = ("2", "3", "1/5", "7", "-2/3", "1")
+    E = parse_deformation(cl, [(rho, (0, 0, 0), f"{k}*D{rho + 1}")
+                               for rho, k in enumerate(factors)])
+    return cl, linear_part(cl, E)
 
 
 @pytest.mark.parametrize("cl, lin, t_max", _high_rank_ladder())
