@@ -565,13 +565,13 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
     spans alone, and gb Novikov-free.  pack(m) is m's int in a _Packing
     sized to top's degree, less its offset, so pack(a) + pack(b) is pack(a
     * b); each basis element that can divide such an m is read once through
-    `_Packing.rule`, as its primitive integer multiple, since a normal form
-    does not see the scale of a divisor.  A normal form is linear and unique
-    (CLO ch. 2 §6), so each monomial m is reduced once, by the first element
-    whose lead divides it (the _Packing mask test), and is memoized for the
-    life of value; one reduced by a bare monomial is 0.  Each call keeps an
-    explicit stack and its own pending tails; meeting a standard monomial
-    other than top, or a monomial past the packing, raises PolyError."""
+    `_Packing.rule`, as its primitive integer multiple.  A normal form is
+    linear and unique (CLO ch. 2 §6), so each m is reduced once, by the
+    first element whose lead divides it, and memoized in value.memo as
+    value.pair(m) = (v, k): the value v / value.scale^k, least k, for scale
+    the lcm of the leads.  value.dot sums c * w / scale^j over (c, (w, j)) as
+    such a pair.  A standard monomial other than top, or a monomial past the
+    packing, raises PolyError."""
     degree = sum(top)
     packing = _Packing(gb.nv, degree)
     offset, mask, guard, overflow = packing.offset, packing.mask, packing.guard, packing.overflow
@@ -585,13 +585,20 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
             high, lm, ints = packing.rule({packing.pack(m): c for m, c in g.terms.items()})
             rules.append((high, lm - offset, ints[lm],
                           [(m - offset, c) for m, c in ints.items() if m != lm]))
-    memo = {pack(top): 1}
+    scale = math.lcm(*[lc for _, _, lc, _ in rules])
+    memo, powers = {pack(top): (1, 0)}, [1]
 
-    def value(mon: int) -> int | Fraction:
+    def dot(terms: Iterable[tuple]) -> tuple:
+        terms = list(terms)
+        k = max((j for _, (_, j) in terms), default=0)
+        while len(powers) <= k:
+            powers.append(powers[-1] * scale)
+        return sum(c * w * powers[k - j] for c, (w, j) in terms), k
+
+    def pair(mon: int) -> tuple:
         if mon in memo:
             return memo[mon]
-        stack = [mon]
-        tails = {}  # m -> (tail of the rule reducing m, shifted; its lead coefficient)
+        stack, tails = [mon], {}  # m -> (its rule's shifted tail, scale / lead)
         while stack:
             m = stack[-1]
             if m in memo:
@@ -608,20 +615,25 @@ def top_functional(gb: GroebnerBasis, top: tuple) -> tuple:
                 else:
                     raise PolyError(f"standard monomial {packing.unpack(m + offset)[0]} "
                                     f"other than {top}")
-                if not tail:
-                    memo[m] = 0
-                    stack.pop()
-                    continue
-                tails[m] = ([(m - lm + t, c) for t, c in tail], lc)
-            tail, lc = tails[m]
+                tails[m] = ([(m - lm + t, c) for t, c in tail], scale // lc)
+            tail, up = tails[m]
             missing = [t for t, _ in tail if t not in memo]
             if missing:
                 stack.extend(missing)  # every tail monomial is smaller than m
                 continue
-            memo[m] = _div(-sum(c * memo[t] for t, c in tail), lc)
+            w, k = dot((c, memo[t]) for t, c in tail)
+            w, k = -w * up, k + 1
+            while k and not w % scale:  # the least k keeps w short
+                w, k = w // scale, k - 1
+            memo[m] = (w, k)
             stack.pop()
         return memo[mon]
 
+    def value(mon: int) -> int | Fraction:
+        v, k = pair(mon)
+        return _div(v, scale ** k)
+
+    value.pair, value.dot, value.scale, value.memo = pair, dot, scale, memo
     return value, pack
 
 

@@ -101,11 +101,9 @@ class _GroebnerRing(_AnchorRing):
     ch. 2), so the functional is 1 at the generator and 0 elsewhere: a row
     is one lookup of p's coefficient at generator / m per term m of R *
     F_beta.  Otherwise it is read off the anchor basis's memoized top
-    functional on packed monomials.  Its memos, per monomial and per
-    insertion, live as long as the ring.  The functional reads each element
-    of the monic basis through poly._Packing.rule, as its primitive integer
-    multiple: a normal form does not see the scale of a basis element, and
-    an int tail multiplies a value faster than a Fraction one."""
+    functional on packed monomials, int pairs over one scale: a row sums in
+    ints and makes one Fraction.  Its memos, per monomial and per insertion,
+    live as long as the ring."""
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
@@ -129,19 +127,21 @@ class _GroebnerRing(_AnchorRing):
             total = sum(c * p.terms.get((tuple(map(operator.sub, self._top, m)), ()), 0)
                         for (m, _), c in f.terms.items())
             return Fraction(total * num, den)
-        total, pack, value = 0, self._pack, self._value
+        pack, value = self._pack, self._value
         if p not in self._forms:
             self._forms[p] = ([(pack(mp), cp) for (mp, _), cp in p.terms.items()], {})
         terms, sums = self._forms[p]
+        row = []
         try:
             for (m, _), c in f.terms.items():
                 m = pack(m)
                 if m not in sums:
-                    sums[m] = sum(cp * value(m + mp) for mp, cp in terms)
-                total += c * sums[m]
+                    sums[m] = value.dot((cp, value.pair(m + mp)) for mp, cp in terms)
+                row.append((c, sums[m]))
         except PolyError:
             raise QuantumError("normal form escaped the top graded piece") from None
-        return Fraction(total * num, den)
+        total, k = value.dot(row)
+        return Fraction(total * num, den * value.scale ** k)
 
 
 class _ResidueRing(_AnchorRing):
@@ -162,16 +162,17 @@ class _ResidueRing(_AnchorRing):
 
     The arithmetic is over Z[u] with one rational scale: each q_c is its
     primitive part and content from LinearData, D stays integral and not
-    monic, every reduction mod D is a pseudo-division whose multiplier and
-    content go into integer accumulators, and E^-1 comes from one integer
-    pseudo-remainder sequence (Collins, JACM 1967; Brown-Traub, JACM 1971).
-    A value meets one Fraction, at the end.
+    monic, N and E are reduced mod D once, by a pseudo-division whose
+    multiplier and content go into integer accumulators, and E^-1 comes from
+    one integer pseudo-remainder sequence (Collins, JACM 1967; Brown-Traub,
+    JACM 1971), of which the anchor reads only the remainders.
     """
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
         super().__init__(lin, anchor)
         cl, n = lin.cl, self.n
         self._q = [(_dehomogenize(b), num, den) for b, num, den in lin._parts]
+        self._powers = [[[1], q] for q, _, _ in self._q]  # q_c^j
         for K in cl.primitive_collections:
             if all(len(self._q[c.index][0]) == c.size + 1
                    for c in cl.classes_of(K.edges) if h0(c.d(anchor))):
@@ -180,63 +181,67 @@ class _ResidueRing(_AnchorRing):
             raise AnchorDegenerate(
                 f"anchor sector of {anchor.d}: u = oo is a root of both collections")
         self._k = cl.classes_of(K.edges)
-        # rho_A(u^a) = [u^(deg D - 1)] u^a * N * E^-1 mod D for N = 1: u^a * r
-        # needs no reduction while its top coefficient is 0, so the least a
-        # with rho_A(u^a) != 0 is the number of leading zeros of r
-        d, r, top, bottom = self._residue_parts([h0(c.d(anchor)) for c in cl.equiv], [1])
-        a = len(d) - 1 - len(r)
-        if not r or a > n:
+        self._rest = [c for c in cl.equiv if c not in self._k]
+        # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
+        # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
+        parts = self._parts([h0(c.d(anchor)) for c in cl.equiv], [1], _inverse_lead)
+        if parts is not None:
+            d, _, (k, lead, g), top, bottom = parts
+            a = len(d) - 2 - k
+        if parts is None or a > n:
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
         self.generator = Polynomial(cl.pic_rank, 0,
                                     {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
-        self._norm = Fraction(top * r[-1], bottom)  # rho_A(generator)
+        self._norm = Fraction(top * lead, bottom * g)  # rho_A(generator)
 
-    def _residue_parts(self, exponents: list, numerator: list) -> tuple:
-        """(D, r, top, bottom) for numerator * prod_c q_c^-exponents[c], with
-        the residue sum top / bottom * [u^(deg D - 1)] r.  D is the primitive
-        K-part of its denominator and E the rest; r is N * E^-1 mod D up to
-        that scale, N the numerator with the factors of exponent < 0 folded
-        in.  Every product is taken one factor q_c at a time; sector(lin,
-        anchor) in __init__ keeps deg D, and so the number of factors, at
-        most 1000."""
-        d = [1]
-        for cls in self._k:
-            for _ in range(exponents[cls.index]):
-                d = _umul(d, self._q[cls.index][0])
+    def _product(self, classes, exponents: list) -> list:
+        """prod q_c^e over the classes c with e = exponents[c.index] > 0."""
+        out = [1]
+        for c in classes:
+            e, powers = exponents[c.index], self._powers[c.index]
+            if e > 0:
+                while len(powers) <= e:
+                    powers.append(_umul(powers[-1], powers[1]))
+                out = _umul(out, powers[e]) if len(out) > 1 else powers[e]
+        return out
+
+    def _parts(self, exponents: list, numerator: list, invert) -> Optional[tuple]:
+        """(D, N, invert(E, D), top, bottom), the residue sum of numerator *
+        prod_c q_c^-exponents[c] being top / bottom * [u^(deg D - 1)] N * E^-1
+        mod D, or None without a pole.  D is the K-part of the denominator, E
+        the rest, N the numerator times the factors of exponent < 0; sector()
+        in __init__ keeps deg D at most 1000."""
+        equiv = self.lin.cl.equiv
+        d = self._product(self._k, exponents)
         if len(d) == 1:
-            return d, [], 0, 1  # no pole, so the residue sum is 0
+            return None
         num, top, bottom = _primitive(numerator)
         bottom *= d[-1]
-        num, c, m = _reduce(num, d)
-        top, bottom = top * c, bottom * m
-        den = [1]
-        for cls in self.lin.cl.equiv:
-            (q, qn, qd), e = self._q[cls.index], exponents[cls.index]
+        for c in equiv:
+            (_, qn, qd), e = self._q[c.index], exponents[c.index]
             # q_c^-e = (qn / qd)^-e * q^-e: the content leaves as an integer ratio
             if e < 0:
                 top, bottom = top * qn ** -e, bottom * qd ** -e
             else:
                 top, bottom = top * qd ** e, bottom * qn ** e
-            for _ in range(-e):
-                num, c, m = _reduce(_umul(num, q), d)
-                top, bottom = top * c, bottom * m
-            if cls not in self._k:
-                for _ in range(e):
-                    den, c, m = _reduce(_umul(den, q), d)
-                    top, bottom = top * m, bottom * c
-        inverse = _inverse(den, d)
+        num, c, m = _reduce(_umul(num, self._product(equiv, [-e for e in exponents])), d)
+        den, cd, md = _reduce(self._product(self._rest, exponents), d)
+        inverse = invert(den, d)
         if inverse is None:
             raise AnchorDegenerate(
                 f"anchor sector of {self.anchor.d}: the generators of its two "
                 "collections share a root")
-        s, g = inverse
-        r, c, m = _reduce(_umul(num, s), d)
-        return d, r, top * c, bottom * m * g
+        return d, num, inverse, top * c * md, bottom * m * cd
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        d, r, top, bottom = self._residue_parts(
-            [c.d(beta) + 1 for c in self.lin.cl.equiv], _dehomogenize(p))
-        return Fraction(top * _coefficient(r, len(d) - 2), bottom) / self._norm
+        parts = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv], _dehomogenize(p), _inverse)
+        if parts is None:
+            return Fraction(0)
+        d, num, (s, g), top, bottom = parts
+        r, c, m = _reduce(_umul(num, s), d)
+        if len(r) < len(d) - 1:  # no u^(deg D - 1) term
+            return Fraction(0)
+        return Fraction(top * c * r[-1], bottom * m * g) / self._norm
 
 
 # ---- one-variable polynomials over Z: dense lists, lowest coefficient first --
@@ -249,21 +254,10 @@ def _dehomogenize(p: Polynomial) -> list:
     return out
 
 
-def _coefficient(a: list, k: int) -> int:
-    return a[k] if 0 <= k < len(a) else 0
-
-
 def _trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _usub(a: list, b: list) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
 
 
 def _umul(a: list, b: list) -> list:
@@ -325,7 +319,9 @@ def _inverse(e: list, d: list) -> Optional[tuple]:
     r0, r1, s0, s1 = d, e, [], [1]
     while len(r1) > 1:
         m, q, r = _pseudo_divmod(r0, r1)
-        s = _usub([m * x for x in s0], _umul(q, s1))
+        s = [-x for x in _umul(q, s1)]  # deg(q * s1) > deg s0
+        for i, x in enumerate(s0):
+            s[i] += m * x
         c = math.gcd(*r, *s)
         if c > 1:
             r, s = [x // c for x in r], [x // c for x in s]
@@ -333,6 +329,20 @@ def _inverse(e: list, d: list) -> Optional[tuple]:
     if not r1:
         return None
     return s1, r1[0]
+
+
+def _inverse_lead(e: list, d: list) -> Optional[tuple]:
+    """(deg s, lc(s), g) for _inverse's s * e = g mod d, up to one scale,
+    from its remainders alone: m r0 = q r1 + c r2 gives s2 = (m s0 - q s1) /
+    c with deg(q s1) > deg s0 (Brown-Traub, JACM 1971)."""
+    r0, r1, k, lead, g = d, e, 0, 1, 1
+    while len(r1) > 1:
+        _, q, r = _pseudo_divmod(r0, r1)
+        c = math.gcd(*r) or 1
+        r0, r1, k, lead, g = r1, [x // c for x in r], k + len(q) - 1, -lead * q[-1], g * c
+    if not r1:
+        return None
+    return k, lead, g * r1[0]
 
 
 def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
@@ -430,7 +440,8 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     cl = lin.cl
     if not p.is_psi_homogeneous() or p.has_q():
         raise QuantumError("series insertions must be homogeneous in Sym*W")
-    target = p.psi_degree() - cl.fan.rank
+    degree = p.psi_degree()
+    target = degree - cl.fan.rank
     if sectors is None:
         if target > max_c1_degree:
             raise QuantumError(
@@ -440,6 +451,7 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
     anchor = find_anchor(cl, anchor_inputs)
     ring = _AnchorRing(lin, anchor)
+    ring._degrees[p] = degree  # checked above
     rows = tuple(SectorRow(beta, *ring.row(p, beta)) for beta in sectors)
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
     return CorrelatorReport(poly=p, anchor=anchor, generator=ring.generator,

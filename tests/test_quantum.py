@@ -762,6 +762,30 @@ def test_groebner_ring_matches_tuple_reference(cl, lin, t_max):
     assert checked
 
 
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_top_functional_keeps_int_pairs_and_matches_the_tuple_reference(seed):
+    from _oracles import top_functional_by_tuples
+    from qsheaf.poly import standard_monomials, top_functional
+    from qsheaf.sectors import sector_gb
+
+    cl, lin = deformed_p1_power(3, random.Random(seed))
+    scales = set()
+    for t in (0, 2):
+        anchor = find_anchor(cl, list(degree_slice(cl, t)))
+        gb, n = sector_gb(lin, anchor), sector(lin, anchor).n_beta
+        (top,) = standard_monomials(gb, n)
+        value, pack = top_functional(gb, top)
+        ref = top_functional_by_tuples(gb, (top, ()))
+        for exps in monomials_of_degree(cl.pic_rank, n):
+            assert value(pack(exps)) == ref((exps, ())), (t, exps)
+        assert len(value.memo) > 1
+        assert all(type(v) is int and type(k) is int for v, k in value.memo.values())
+        # the least power of the scale: a longer one would carry its factors in v
+        assert all(k == 0 or v % value.scale for v, k in value.memo.values())
+        scales.add(value.scale)
+    assert scales != {1}  # a scale that is no unit, so the powers of S are exercised
+
+
 def _p1_cube_deformed():
     model = load_model(os.path.join(os.path.dirname(__file__), "data", "p1_cube_deformed.json"))
     return model.cl, model.lin
@@ -1047,12 +1071,41 @@ def test_inverse_identity(d, e):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_inverse_refuses_a_shared_factor(data):
-    from qsheaf.quantum import _inverse
+    from qsheaf.quantum import _inverse, _inverse_lead
 
     f = data.draw(_upolys(1, 4))
     x = data.draw(_upolys(1, 8))
     y = data.draw(_upolys(0, len(x) - 2))
     assert _inverse(uproduct(f, y), uproduct(f, x)) is None
+    assert _inverse_lead(uproduct(f, y), uproduct(f, x)) is None
+
+
+@st.composite
+def _skipping_pairs(draw):
+    """(e, d) whose remainder sequence skips degrees: built bottom-up, a
+    step (a, b) -> (b, q * b + a) with deg a < deg b and a quotient q of
+    degree 1 to 3, from a nonzero constant."""
+    a, b = [draw(_coefficients.filter(bool))], draw(_upolys(1, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(_upolys(1, 3))
+        a, b = b, [x + (a[i] if i < len(a) else 0) for i, x in enumerate(uproduct(q, b))]
+    return a, b
+
+
+@given(st.one_of(st.tuples(_upolys(0, 11), _upolys(1, 12)), _skipping_pairs()))
+@settings(max_examples=80, deadline=None)
+def test_inverse_lead_reads_the_cofactor_off_the_remainders(pair):
+    from qsheaf.quantum import _inverse, _inverse_lead
+
+    e, d = pair
+    e = utrim(e[:len(d) - 1])
+    lead, full, expected = _inverse_lead(e, d), _inverse(e, d), uinverse(e, d)
+    assert (lead is None) == (full is None) == (expected is None)
+    if lead is not None:
+        (k, lc, g), (s, h) = lead, full
+        assert all(type(x) is int for x in (k, lc, g)) and g != 0
+        assert k == len(s) - 1 == len(expected) - 1
+        assert Fraction(lc, g) == Fraction(s[-1], h) == expected[-1]
 
 
 def _forbid(monkeypatch, names, home=qsheaf.poly):
@@ -1105,6 +1158,20 @@ def test_rows_run_their_checks_once_and_multiply_one_product(monkeypatch):
     ok = [row.beta for row in rep.rows if row.reason == "ok"]
     assert len(ok) == 6
     assert calls == ok
+
+
+def test_series_checks_its_insertion_once(monkeypatch):
+    original = Polynomial.is_psi_homogeneous
+    checked = []
+    monkeypatch.setattr(Polynomial, "is_psi_homogeneous",
+                        lambda self: checked.append(self) or original(self))
+    # F1 rows come off the residue ring, tangent (P^1)^3 ones off the Groebner ring
+    for cl, lin in (tangent_setup(hirzebruch(1)), tangent_setup(_p1_cube_fan())):
+        p = sum(d_symbols(cl)) ** (cl.fan.rank + 2)
+        checked.clear()
+        rep = correlator_series(lin, p, 2)
+        assert sum(row.reason == "ok" for row in rep.rows) > 1
+        assert sum(q is p for q in checked) == 1
 
 
 def test_empty_anchor_refused_before_any_basis(monkeypatch):
