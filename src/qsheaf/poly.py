@@ -299,8 +299,10 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     product reaches: a product of monomials is an int addition that never
     carries between fields.  A one-term factor only shifts the exponents
     and scales, so a product of monomials packs nothing.  Powers run by
-    binary powering on int-keyed dicts and the result is unpacked once.  A
-    negative k raises PolyError."""
+    binary powering on int-keyed dicts and the result is unpacked once,
+    except that when the one factor of two or more terms is a linear form,
+    its power is its multinomial expansion (Monagan-Pearce, CASC 2012),
+    each term made once.  A negative k raises PolyError."""
     offset, room, scale, factors = [0] * (nv + nq), [0] * (nv + nq), 1, []
     for p, k in pairs:
         if k < 0:
@@ -326,6 +328,24 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
             factors.append((exps, lo, p.terms.values(), k))
     if not factors or not scale:
         return Polynomial(nv, nq, {(tuple(offset[:nv]), tuple(offset[nv:])): scale})
+    if len(factors) == 1 and not any(factors[0][1]) and all(sum(e) == 1 for e in factors[0][0]):
+        # exponents >= 0 of degree 1: a linear form sum c_v x_v, expanded by
+        # the multinomial theorem, int binomials C(left, j) times c_v^j
+        exps, _, coeffs, k = factors[0]
+        *head, (v, c) = sorted((e.index(1), c) for e, c in zip(exps, coeffs))
+        terms, done = [((), scale, k)], 0  # (exponents up to done, coefficient, degree left)
+        for u, b in head:
+            powers = [b ** j for j in range(k + 1)]
+            tails = [(*offset[done:u], offset[u] + j) for j in range(k + 1)]
+            terms = [(a + tails[j], s * math.comb(left, j) * powers[j], left - j)
+                     for a, s, left in terms for j in range(left + 1)]
+            done = u + 1
+        # the last variable takes the degree left
+        powers = [c ** j for j in range(k + 1)]
+        tails = [(*offset[done:v], offset[v] + j, *offset[v + 1:]) for j in range(k + 1)]
+        keys = [a + tails[left] for a, _, left in terms]
+        return Polynomial(nv, nq, {(e[:nv], e[nv:]): s * powers[left]
+                                   for e, (_, s, left) in zip(keys, terms)})
     widths = [r.bit_length() for r in room]
     shifts = [0, *itertools.accumulate(widths[:-1])]
     product = {0: scale}
@@ -718,12 +738,25 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     made monic only when it is returned.  Monomials are packed ints
     (`_Packing`), so the pair heap is keyed by the packed lcm; a run whose
     monomials outgrow the packing starts over on a wider one (`_widening`).
+    A monomial ideal takes none of this: its minimal generators, monic.
     """
     gens = ideal.generators
     if not gens:
         return GroebnerBasis((), ideal.nv)
     _require_nonnegative_q(gens)
     nv, nq = gens[0].nv, gens[0].nq
+    if all(len(g.terms) == 1 for g in gens):
+        # a monomial ideal's reduced basis (CLO ch. 2 §4): a divisor sorts
+        # before each of its multiples
+        polys, leads = [], []
+        for mon in sorted({m for g in gens for m in g.terms}, key=monomial_key):
+            flat = mon[0] + mon[1]
+            if not any(all(map(operator.le, lead, flat)) for lead in leads):
+                leads.append(flat)
+                p = Polynomial(nv, nq, {mon: 1})
+                p._lead = mon
+                polys.append(p)
+        return GroebnerBasis(tuple(polys))
 
     def run(packing):
         mask, guard, pack = packing.mask, packing.guard, packing.pack

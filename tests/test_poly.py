@@ -256,6 +256,66 @@ def test_groebner_rejects_negative_novikov_exponents():
             normal_form(f, divisors)
 
 
+@st.composite
+def monomial_ideals(draw):
+    """One-term generators: repeated monomials, multiples of one another and
+    Novikov exponents, with nonzero int or Fraction coefficients."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    nq = draw(st.integers(min_value=0, max_value=2))
+    exps = st.tuples(st.tuples(*[st.integers(min_value=0, max_value=3)] * nv),
+                     st.tuples(*[st.integers(min_value=0, max_value=2)] * nq))
+    mons = draw(st.lists(exps, min_size=1, max_size=4))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        mon = draw(st.sampled_from(mons))
+        if draw(st.booleans()):
+            mon = _mon_mul(mon, draw(exps))
+        gens.append(Polynomial(nv, nq, {mon: draw(st.one_of(small_coeffs, st.fractions(
+            min_value=-5, max_value=5, max_denominator=6)).filter(bool))}))
+    return gens
+
+
+@given(monomial_ideals())
+@settings(max_examples=80, deadline=None)
+def test_monomial_ideal_basis_matches_fraction_reference(gens):
+    gb = groebner(Ideal(tuple(gens)))
+    assert gb == groebner_by_fractions(Ideal(tuple(gens)))
+    assert gb.nv == gens[0].nv
+    for g in gb.polys:
+        assert g.terms == {g._lead: 1} and type(g.terms[g._lead]) is int
+
+
+def test_monomial_ideals_take_no_division(monkeypatch):
+    # the minimal generators are the basis: no S-pair, no remainder
+    calls = []
+    divide = qsheaf.poly._pseudo_remainder
+
+    def counted(*args):
+        calls.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(qsheaf.poly, "_pseudo_remainder", counted)
+    gens = (3 * x ** 2, x * y, Fraction(1, 2) * y ** 3, x ** 3, x * y)
+    assert groebner(Ideal(gens)).polys == (x * y, x ** 2, y ** 3)
+    assert not calls
+    # one binomial generator takes the Buchberger
+    groebner(Ideal((x ** 2, x * y - y ** 2)))
+    assert calls
+    # a negative Novikov exponent is refused before the monomial basis
+    from qsheaf.poly import UnsupportedNovikovShape
+    with pytest.raises(UnsupportedNovikovShape):
+        groebner(Ideal((Polynomial(1, 1, {((1,), (-1,)): 1}),)))
+
+
+def test_stored_monomial_basis_reads_back_equal(tmp_path, monkeypatch):
+    gens = (Fraction(2, 3) * x ** 2, y ** 2, x ** 3 * y)
+    monkeypatch.setattr(cache, "_store", cache.FileCache(str(tmp_path / "store")))
+    first = cache.cached_groebner(Ideal(gens))
+    assert len(list((tmp_path / "store").iterdir())) == 1
+    monkeypatch.setattr(cache, "groebner", None)  # the second call is a hit
+    assert cache.cached_groebner(Ideal(gens)) == first == groebner(Ideal(gens))
+
+
 def test_parser_round_trip():
     d_syms = [Polynomial.linear(2, (1, 0)), Polynomial.linear(2, (0, 1))]
     p = parse_polynomial("3/2*D1^2*D2 - D2^3", d_syms)
@@ -883,6 +943,59 @@ def test_power_product_equals_tuple_powering(data):
     product = power_product(pairs, nv, nq)
     assert product == expected
     assert all(type(c) is int or c.denominator != 1 for c in product.terms.values())
+
+
+@st.composite
+def linear_forms(draw, nv, nq):
+    """Two or more of the psi and Novikov variables, each to the first power,
+    with nonzero int or Fraction coefficients of either sign."""
+    variables = draw(st.lists(st.integers(min_value=0, max_value=nv + nq - 1),
+                              min_size=2, max_size=nv + nq, unique=True))
+    terms = {}
+    for v in variables:
+        e = tuple(int(j == v) for j in range(nv + nq))
+        terms[(e[:nv], e[nv:])] = draw(st.one_of(small_coeffs, st.fractions(
+            min_value=-5, max_value=5, max_denominator=6)).filter(bool))
+    return Polynomial(nv, nq, terms)
+
+
+@st.composite
+def one_term_polys(draw, nv, nq):
+    """One term: psi exponents 0..3, Novikov exponents of both signs, a
+    nonzero int or Fraction coefficient."""
+    mon = (tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nv)),
+           tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(nq)))
+    return Polynomial(nv, nq, {mon: draw(st.one_of(small_coeffs, st.fractions(
+        min_value=-5, max_value=5, max_denominator=6)).filter(bool))})
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_linear_form_powers_equal_tuple_powering(data):
+    # the multinomial expansion, shifted and scaled by one-term cofactors
+    nv = data.draw(st.integers(min_value=1, max_value=3))
+    nq = data.draw(st.integers(min_value=int(nv == 1), max_value=2))
+    linear = data.draw(linear_forms(nv, nq))
+    k = data.draw(st.integers(min_value=0, max_value=9))
+    cofactors = data.draw(st.lists(st.tuples(one_term_polys(nv, nq),
+                                             st.integers(min_value=0, max_value=4)), max_size=2))
+    pairs = list(cofactors)
+    pairs.insert(data.draw(st.integers(min_value=0, max_value=len(pairs))), (linear, k))
+    expected = Polynomial.const(nv, 1, nq)
+    for p, j in pairs:
+        expected = expected * power_by_tuples(p, j)
+    product = power_product(pairs, nv, nq)
+    assert product == expected
+    assert linear ** k == power_by_tuples(linear, k)
+    _assert_canonical(product, linear ** k)
+
+
+def test_rational_linear_form_power_matches_tuple_powering():
+    # the insertion of the rational p1_cube correlator in CI's smoke step
+    linear = Polynomial.linear(6, [Fraction(1, 2), 1, Fraction(-2, 3), 1, 1, 3])
+    for k in range(10):
+        assert linear ** k == power_by_tuples(linear, k)
+        _assert_canonical(linear ** k)
 
 
 def test_power_product_edge_cases():
