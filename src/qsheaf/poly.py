@@ -17,6 +17,11 @@ block (so classical monomials dominate Novikov ones of equal psi part).
 and `top_functional` pack them on entry into one `_Packing` int each, whose
 int order is this order, and unpack once on return; a run whose monomials
 outgrow their packing starts over on a wider one, so nothing ever wraps.
+
+Homogeneous forms in two psi variables are one-variable polynomials in
+u = psi1 / psi2: this module owns their dense int lists (`_dehomogenize`,
+`_umul`), on which `power_product` multiplies such forms and the residue
+anchor ring of `quantum` does all its arithmetic.
 """
 
 from __future__ import annotations
@@ -300,9 +305,14 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     carries between fields.  A one-term factor only shifts the exponents
     and scales, so a product of monomials packs nothing.  Powers run by
     binary powering on int-keyed dicts and the result is unpacked once,
-    except that when the one factor of two or more terms is a linear form,
-    its power is its multinomial expansion (Monagan-Pearce, CASC 2012),
-    each term made once.  A negative k raises PolyError."""
+    with two exceptions.  With two psi variables, no Novikov variable and
+    every factor homogeneous with int coefficients, each factor is its int
+    list in u = psi1 / psi2 (`_dehomogenize`), raised by binary powering on
+    `_umul`, the one dense multiply, which the residue route shares; psi2
+    takes the degree left.  Otherwise, when the one factor of two or more
+    terms is a linear form, its power is its multinomial expansion
+    (Monagan-Pearce, CASC 2012), each term made once.  A negative k raises
+    PolyError."""
     offset, room, scale, factors = [0] * (nv + nq), [0] * (nv + nq), 1, []
     for p, k in pairs:
         if k < 0:
@@ -325,14 +335,23 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
                 lo.append(low)
                 offset[v] += k * low
                 room[v] += k * (max(col) - low)
-            factors.append((exps, lo, p.terms.values(), k))
+            factors.append((exps, lo, p, k))
     if not factors or not scale:
         return Polynomial(nv, nq, {(tuple(offset[:nv]), tuple(offset[nv:])): scale})
+    if nv == 2 and not nq and type(scale) is int and all(
+            len({a + b for a, b in exps}) == 1 and all(type(c) is int for c in p.terms.values())
+            for exps, _, p, _ in factors):
+        # the index of a list entry is its psi1 exponent past offset[0]
+        out = functools.reduce(_umul, [_power(_dehomogenize(p)[lo[0]:], k, _umul)
+                                       for _, lo, p, k in factors])
+        top = offset[1] + len(out) - 1
+        return Polynomial(2, 0, {((offset[0] + i, top - i), ()): scale * c
+                                 for i, c in enumerate(out)})
     if len(factors) == 1 and not any(factors[0][1]) and all(sum(e) == 1 for e in factors[0][0]):
         # exponents >= 0 of degree 1: a linear form sum c_v x_v, expanded by
         # the multinomial theorem, int binomials C(left, j) times c_v^j
-        exps, _, coeffs, k = factors[0]
-        *head, (v, c) = sorted((e.index(1), c) for e, c in zip(exps, coeffs))
+        exps, _, p, k = factors[0]
+        *head, (v, c) = sorted((e.index(1), c) for e, c in zip(exps, p.terms.values()))
         terms, done = [((), scale, k)], 0  # (exponents up to done, coefficient, degree left)
         for u, b in head:
             powers = [b ** j for j in range(k + 1)]
@@ -349,10 +368,10 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     widths = [r.bit_length() for r in room]
     shifts = [0, *itertools.accumulate(widths[:-1])]
     product = {0: scale}
-    for exps, lo, coeffs, k in factors:
+    for exps, lo, p, k in factors:
         base = {sum((x - low) << s for x, low, s in zip(e, lo, shifts)): c
-                for e, c in zip(exps, coeffs)}
-        product = _packed_mul(product, _packed_power(base, k))
+                for e, c in zip(exps, p.terms.values())}
+        product = _packed_mul(product, _power(base, k, _packed_mul))
     columns = [[(key >> s & (1 << w) - 1) + o for key in product]
                for s, w, o in zip(shifts, widths, offset)]
     psi = zip(*columns[:nv]) if nv else itertools.repeat(())
@@ -360,16 +379,16 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     return Polynomial(nv, nq, dict(zip(zip(psi, q), product.values())))
 
 
-def _packed_power(a: dict, k: int) -> dict:
-    """a^k for packed terms a and k >= 1, by binary powering."""
+def _power(a, k: int, mul: Callable):
+    """a^k for k >= 1 by binary powering, mul the product of two a's."""
     result = None
     while True:
         if k & 1:
-            result = a if result is None else _packed_mul(result, a)
+            result = a if result is None else mul(result, a)
         k >>= 1
         if not k:
             return result
-        a = _packed_mul(a, a)
+        a = mul(a, a)
 
 
 def _packed_mul(a: dict, b: dict) -> dict:
@@ -381,6 +400,28 @@ def _packed_mul(a: dict, b: dict) -> dict:
         for m2, c2 in right:
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+# ---- one-variable polynomials over Z: dense lists, lowest coefficient first --
+
+def _dehomogenize(p: Polynomial) -> list:
+    """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
+    out = [0] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
+    for (e, _), c in p.terms.items():
+        out[e[0]] = c
+    return out
+
+
+def _umul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
     return out
 
 

@@ -20,8 +20,8 @@ from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
                       find_anchor, h0, h1)
 from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape,
-                   monomial_str, normal_form, signed_sum, sole_generator, standard_monomials,
-                   top_functional)
+                   _dehomogenize, _umul, monomial_str, normal_form, signed_sum,
+                   sole_generator, standard_monomials, top_functional)
 from .deform import LinearData
 from .linalg import _primitive
 from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb
@@ -160,12 +160,14 @@ class _ResidueRing(_AnchorRing):
     [u^(deg D - 1)] (N * E^-1 mod D) / lc(D), and nothing is expanded in two
     variables.
 
-    The arithmetic is over Z[u] with one rational scale: each q_c is its
-    primitive part and content from LinearData, D stays integral and not
-    monic, N and E are reduced mod D once, by a pseudo-division whose
-    multiplier and content go into integer accumulators, and E^-1 comes from
-    one integer pseudo-remainder sequence (Collins, JACM 1967; Brown-Traub,
-    JACM 1971), of which the anchor reads only the remainders.
+    The arithmetic is over Z[u] with one rational scale, on poly's dense
+    int lists (`_dehomogenize`, and `_umul`, the multiply power_product
+    uses on the same forms): each q_c is its primitive part and content
+    from LinearData, D stays integral and not monic, N and E are reduced
+    mod D once, by a pseudo-division whose multiplier and content go into
+    integer accumulators, and E^-1 comes from one integer pseudo-remainder
+    sequence (Collins, JACM 1967; Brown-Traub, JACM 1971), of which the
+    anchor reads only the remainders.
     """
 
     def __init__(self, lin: LinearData, anchor: CurveClass):
@@ -246,30 +248,10 @@ class _ResidueRing(_AnchorRing):
 
 # ---- one-variable polynomials over Z: dense lists, lowest coefficient first --
 
-def _dehomogenize(p: Polynomial) -> list:
-    """Coefficients of p(u, 1), u = psi1 / psi2 (u = psi at rank 1)."""
-    out = [0] * (max((e[0] for e, _ in p.terms), default=-1) + 1)
-    for (e, _), c in p.terms.items():
-        out[e[0]] = c
-    return out
-
-
 def _trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _umul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    b = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b:
-                out[i + j] += x * y
-    return out
 
 
 def _pseudo_divmod(a: list, b: list) -> tuple:

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -998,6 +999,64 @@ def test_rational_linear_form_power_matches_tuple_powering():
         _assert_canonical(linear ** k)
 
 
+@st.composite
+def binary_forms(draw):
+    """A form in psi1, psi2 of degree 0..3 with int coefficients -5..5, zeros
+    included, so constants, one-term forms and the zero form among them."""
+    d = draw(st.integers(min_value=0, max_value=3))
+    coeffs = draw(st.lists(small_coeffs, min_size=d + 1, max_size=d + 1))
+    return Polynomial(2, 0, {((a, d - a), ()): c for a, c in enumerate(coeffs)})
+
+
+def _product_by_tuples(pairs, nv, nq=0):
+    expected = Polynomial.const(nv, 1, nq)
+    for p, k in pairs:
+        expected = expected * power_by_tuples(p, k)
+    return expected
+
+
+@given(st.lists(st.tuples(st.one_of(binary_forms(), st.sampled_from(
+    [x - y, x + y, x * x - y * y, -3 * x + y, 2 * y, x * x * y - 2 * x * y * y,
+     Polynomial.zero(2)])),
+    st.integers(min_value=0, max_value=9)), max_size=4))
+@settings(max_examples=80, deadline=None)
+@example([(x - y, 1), (x + y, 1)])
+@example([(x - y, 3), (x + y, 3), (x * x - y * y, 2)])
+@example([(-3 * x + y, 9), (Polynomial.zero(2), 2), (x - y, 4)])
+@example([(x * x * y - 2 * x * y * y, 3), (x, 2), (x - y, 1)])  # both least exponents > 0
+def test_binary_form_products_take_the_int_list_path(pairs):
+    # two psi variables, no Novikov one, homogeneous int factors: every
+    # product with a factor of two or more terms is made on int lists
+    with mock.patch.object(qsheaf.poly, "_dehomogenize",
+                           wraps=qsheaf.poly._dehomogenize) as spy:
+        product = power_product(pairs, 2)
+    assert product == _product_by_tuples(pairs, 2)
+    assert all(type(c) is int for c in product.terms.values())
+    listed = [p for p, k in pairs if k and len(p.terms) > 1]
+    zero = any(k and not p.terms for p, k in pairs)
+    assert spy.call_count == (0 if zero else len(listed))
+
+
+X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
+psi1_q, psi2_q = (Polynomial(2, 1, {(e, (1,)): 1}) for e in ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("pairs, nv, nq", [
+    ([(x * Fraction(1, 3) + 2 * y, 7)], 2, 0),               # a Fraction coefficient
+    ([(x - y, 3), (x * Fraction(1, 2), 2)], 2, 0),          # a Fraction one-term factor
+    ([(x * x + y, 3), (x - y, 2)], 2, 0),                   # not homogeneous
+    ([(psi1_q - psi2_q, 3), (psi1_q + 2 * psi2_q, 2)], 2, 1),  # a Novikov variable
+    ([(X - Y, 3), (Y + 2 * Z, 2), (X * Y - Z * Z, 2)], 3, 0),   # three psi variables
+], ids=["fraction", "fraction-scale", "inhomogeneous", "novikov", "nv3"])
+def test_power_product_keeps_other_inputs_off_the_int_lists(pairs, nv, nq):
+    with mock.patch.object(qsheaf.poly, "_dehomogenize",
+                           wraps=qsheaf.poly._dehomogenize) as spy:
+        product = power_product(pairs, nv, nq)
+    assert product == _product_by_tuples(pairs, nv, nq)
+    _assert_canonical(product)
+    assert not spy.called
+
+
 def test_power_product_edge_cases():
     zero, one = Polynomial.zero(2), Polynomial.const(2, 1)
     assert zero ** 0 == one == power_product([], 2) == power_product([(zero, 0), (x, 0)], 2)
@@ -1007,6 +1066,13 @@ def test_power_product_edge_cases():
     assert q ** 5 == power_by_tuples(q, 5)
     with pytest.raises(PolyError):
         power_product([(x, 1)], 3)  # another ring
+    # homogeneous int factors of two psi variables are refused as before,
+    # whatever comes first: a negative k, or a factor of another ring
+    for bad in [(x + y, -1), (Polynomial.variable(3, 0), 1), (psi1_q - psi2_q, 1),
+                (Polynomial.variable(3, 0), 0)]:
+        for pairs in ([(x - y, 2), bad], [bad, (x - y, 2)], [(Polynomial.zero(2), 1), bad]):
+            with pytest.raises(PolyError):
+                power_product(pairs, 2)
 
 
 @pytest.mark.parametrize("base", [x + y, x, Polynomial.zero(2)])

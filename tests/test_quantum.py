@@ -277,6 +277,29 @@ def test_expand_route_products_equal_the_composed_sides(monkeypatch, path):
             assert sides == expand_sides(lin, K, beta, anchor), (K.edges, beta.d)
 
 
+@pytest.mark.parametrize("name", ["f1.json", "f3.json"])
+def test_rank_two_expand_route_packs_nothing(monkeypatch, name):
+    """At Picard rank 2 every expand-route product multiplies tangent Q_c,
+    homogeneous forms in psi1, psi2 with int coefficients, so power_product
+    takes its int-list path and never the packed one: F1's squared binomial
+    (psi1 - psi2)^2 and F3's -3*psi1 + psi2, on every `verify --all --grid 4`
+    case."""
+    def refuse(a, b):
+        raise AssertionError("a rank-2 Q_c product reached the packed multiply")
+
+    model = load_model(os.path.join(MODELS, name))
+    cl, lin = model.cl, model.lin
+    monkeypatch.setattr(qsheaf.poly, "_packed_mul", refuse)
+    cases = 0
+    for K, (bk, _) in cl.primitive_relations.items():
+        for beta in effective_window(cl, 4, coeff_bound=4):
+            anchor = find_anchor(cl, [beta, beta + bk])
+            assert verify_qc_relation(lin, K, beta, anchor, route="expand"), (K.edges, beta.d)
+            cases += 1
+    assert cases > 10
+    assert any(len(b.terms) > 2 for b, _, _ in lin._parts) == (name == "f1.json")
+
+
 def test_verify_routes_refuse_a_wrong_primitive_relation(monkeypatch):
     """On a fresh lattice of F1, a [K^-] multiplicity off by one fails the
     expand route.  The exponent route reads no [K^-] multiplicity: its
