@@ -8,9 +8,9 @@ then assume the standing hypotheses of smooth complete toric geometry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd
 from typing import Sequence
 
@@ -40,17 +40,6 @@ class DuplicateRay(FanError):
 
 class NotInSupport(FanError):
     """Defensive: a point escaped the support of a complete fan."""
-
-
-class cached_property(functools.cached_property):
-    """functools.cached_property less the lock Python 3.10 and 3.11 take on
-    each first access (3.12 dropped it): a model build makes about ten."""
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.attrname] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)

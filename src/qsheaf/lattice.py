@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
-from .fan import (Fan, PrimitiveCollection, cached_property, locate_cone,
-                  primitive_collections)
+from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
 from .linalg import _dot, inverse, kernel_basis, smith_normal_form
 from .poly import echo
 
@@ -338,12 +337,11 @@ def _ints(values: Sequence[int], what: str) -> tuple:
 
 def compositions(total: int, parts: int):
     """Every tuple of parts >= 1 nonnegative integers summing to total, in
-    lexicographic order: the order of itertools.product filtered by sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        yield from ((first,) + rest for rest in compositions(total - first, parts - 1))
+    lexicographic order: the order of itertools.product filtered by sum.  Stars
+    and bars: each part counts the places between two of the parts - 1 bars."""
+    places = total + parts - 1
+    return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
+            for bars in itertools.combinations(range(places), parts - 1))
 
 
 def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> dict:

@@ -158,7 +158,11 @@ class _ResidueRing(_AnchorRing):
     so a row is the residue sum of p(u, 1) / prod_c q_c^(d_c(beta) + 1).
     With D the K-part of that denominator and E the rest, the sum is
     [u^(deg D - 1)] (N * E^-1 mod D) / lc(D), and nothing is expanded in two
-    variables.
+    variables.  Three facts leave no other case: the anchor and every row
+    sector are nonempty, so D has a pole; the anchor dominates each row, so a
+    row's D and E divide the anchor's, which __init__ checks are coprime; and
+    n_A = deg D + deg E - pic_rank with deg E >= pic_rank - 1, so the
+    generator's u-degree, at most deg D - 1, is at most n_A.
 
     The arithmetic is over Z[u] with one rational scale, on poly's dense
     int lists (`_dehomogenize`, and `_umul`, the multiply power_product
@@ -186,12 +190,13 @@ class _ResidueRing(_AnchorRing):
         self._rest = [c for c in cl.equiv if c not in self._k]
         # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
         # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
-        parts = self._parts([h0(c.d(anchor)) for c in cl.equiv], [1], _inverse_lead)
-        if parts is not None:
-            d, _, (k, lead, g), top, bottom = parts
-            a = len(d) - 2 - k
-        if parts is None or a > n:
-            raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
+        d, _, e, top, bottom = self._parts([h0(c.d(anchor)) for c in cl.equiv], [1])
+        inverse = _inverse_lead(e, d)
+        if inverse is None:
+            raise AnchorDegenerate(f"anchor sector of {anchor.d}: the generators of its two "
+                                   "collections share a root")
+        k, lead, g = inverse
+        a = len(d) - 2 - k
         self.generator = Polynomial(cl.pic_rank, 0,
                                     {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
         self._norm = Fraction(top * lead, bottom * g)  # rho_A(generator)
@@ -207,16 +212,14 @@ class _ResidueRing(_AnchorRing):
                 out = _umul(out, powers[e]) if len(out) > 1 else powers[e]
         return out
 
-    def _parts(self, exponents: list, numerator: list, invert) -> Optional[tuple]:
-        """(D, N, invert(E, D), top, bottom), the residue sum of numerator *
-        prod_c q_c^-exponents[c] being top / bottom * [u^(deg D - 1)] N * E^-1
-        mod D, or None without a pole.  D is the K-part of the denominator, E
-        the rest, N the numerator times the factors of exponent < 0; sector()
-        in __init__ keeps deg D at most 1000."""
+    def _parts(self, exponents: list, numerator: list) -> tuple:
+        """(D, N, E, top, bottom), the residue sum of numerator * prod_c
+        q_c^-exponents[c] being top / bottom * [u^(deg D - 1)] N * E^-1 mod D.
+        D is the K-part of the denominator, E the rest reduced mod D, N the
+        numerator times the factors of exponent < 0; sector() in __init__
+        keeps deg D at most 1000."""
         equiv = self.lin.cl.equiv
         d = self._product(self._k, exponents)
-        if len(d) == 1:
-            return None
         num, top, bottom = _primitive(numerator)
         bottom *= d[-1]
         for c in equiv:
@@ -228,18 +231,12 @@ class _ResidueRing(_AnchorRing):
                 top, bottom = top * qd ** e, bottom * qn ** e
         num, c, m = _reduce(_umul(num, self._product(equiv, [-e for e in exponents])), d)
         den, cd, md = _reduce(self._product(self._rest, exponents), d)
-        inverse = invert(den, d)
-        if inverse is None:
-            raise AnchorDegenerate(
-                f"anchor sector of {self.anchor.d}: the generators of its two "
-                "collections share a root")
-        return d, num, inverse, top * c * md, bottom * m * cd
+        return d, num, den, top * c * md, bottom * m * cd
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        parts = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv], _dehomogenize(p), _inverse)
-        if parts is None:
-            return Fraction(0)
-        d, num, (s, g), top, bottom = parts
+        d, num, e, top, bottom = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv],
+                                             _dehomogenize(p))
+        s, g = _inverse(e, d)
         r, c, m = _reduce(_umul(num, s), d)
         if len(r) < len(d) - 1:  # no u^(deg D - 1) term
             return Fraction(0)

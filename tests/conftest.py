@@ -66,6 +66,20 @@ def blowup_p3_point():
     return build_fan(3, rays, cones)
 
 
+def projective_bundle(s, a):
+    """P(O + O(a_1) + ... + O(a_r)) over P^s, of dimension r + s: the rays
+    e_1, ..., e_r, -sum e_i, then f_1, ..., f_s, -sum f_j + sum a_i e_i, and
+    each maximal cone omits one ray of each group.  Every smooth complete
+    toric variety of Picard rank 2 is one (Kleinschmidt 1988)."""
+    r = len(a)
+    n = r + s
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = unit[:r] + [(-1,) * r + (0,) * s] + unit[r:] + [tuple(a) + (-1,) * s]
+    cones = [tuple(k for k in range(n + 2) if k not in (i, r + 1 + j))
+             for i in range(r + 1) for j in range(s + 1)]
+    return build_fan(n, rays, cones)
+
+
 # A smooth complete fan with no strictly convex support function: the six
 # cones joining e1, e2, e3 to the inner triangle (2,1,1), (1,2,1), (1,1,2)
 # are glued with a twist.

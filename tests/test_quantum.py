@@ -1,5 +1,7 @@
 import glob
 import itertools
+import json
+import math
 import os
 import random
 import sys
@@ -13,10 +15,10 @@ from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
                     beta_K, build_fan, class_lattice, correlator_sector,
                     correlator_series, d_symbols, degree_slice, dominates,
                     effective_window, find_anchor, four_fermi, groebner, h0, h1,
-                    linear_part, novikov_series_str, parse_deformation, qsr_generators,
-                    quantum_groebner, quantum_normal_form, relation_annihilates,
-                    sector, sector_ideal, tangent_deformation, transition,
-                    verify_qc_relation)
+                    linear_part, novikov_series_str, parse_deformation, polymology,
+                    qsr_generators, quantum_groebner, quantum_normal_form,
+                    relation_annihilates, sector, sector_ideal, tangent_deformation,
+                    transition, verify_qc_relation)
 import qsheaf.lattice
 import qsheaf.poly
 import qsheaf.quantum
@@ -33,7 +35,7 @@ from _oracles import (GroebnerReference, ResidueReference, degree_slice_by_box,
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
                       deformed_p1_power, deformed_p1xp1, deformed_setups, drop_q,
                       hexagon, hirzebruch, p1_fan, p1_power, p1xp1_fan, p2_fan,
-                      q_of, q_set_zero, tangent_setup)
+                      projective_bundle, q_of, q_set_zero, tangent_setup)
 
 
 def test_riemann_roch_range():
@@ -298,6 +300,24 @@ def test_rank_two_expand_route_packs_nothing(monkeypatch, name):
             cases += 1
     assert cases > 10
     assert any(len(b.terms) > 2 for b, _, _ in lin._parts) == (name == "f1.json")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_tangent_linear_form_powers_pack_nothing(monkeypatch, k):
+    """On tangent (P^1)^k, L = -K = 2 psi1 + ... + 2 psik is one linear form,
+    so power_product expands L^(n + t) by the multinomial theorem and never
+    reaches the packed multiply; each coefficient is 2^m m! / prod e_i!."""
+    def refuse(a, b):
+        raise AssertionError("a linear-form power reached the packed multiply")
+
+    cl, _ = tangent_setup(p1_power(k))
+    L = sum(d_symbols(cl))
+    assert set(L.terms.values()) == {2} and len(L.terms) == k
+    monkeypatch.setattr(qsheaf.poly, "_packed_mul", refuse)
+    for m in range(k, k + 5):
+        expected = {(e, ()): 2 ** m * math.factorial(m) // math.prod(map(math.factorial, e))
+                    for e in itertools.product(range(m + 1), repeat=k) if sum(e) == m}
+        assert (L ** m).terms == expected, m
 
 
 def test_verify_routes_refuse_a_wrong_primitive_relation(monkeypatch):
@@ -883,9 +903,18 @@ def _p3_fan():
     return build_fan(3, rays, list(itertools.combinations(range(4), 3)))
 
 
+# the tangent bundle of every P(O + O(a_1) + ... + O(a_r)) over P^s with r + s
+# <= 5 and 0 <= a_i <= 3: (id, r, s, cl, lin); those with sum a_i > s are not
+# Fano and take _slice's windows
+_RANK_TWO_FAMILY = [(f"P(O+O({', '.join(map(str, a))})) over P^{s}", len(a), s,
+                     *tangent_setup(projective_bundle(s, a)))
+                    for r in range(1, 5) for s in range(1, 6 - r)
+                    for a in itertools.product(range(4), repeat=r)]
+
+
 def _low_rank_ladder():
     """(cl, lin, largest t), with an id, for every Picard rank <= 2 case the
-    residue route is checked on."""
+    residue route is checked on, the rank-2 family last."""
     cases = [pytest.param(*tangent_setup(fan), 5, id=name) for name, fan in
              (("F1", hirzebruch(1)), ("P2", p2_fan()), ("P3", _p3_fan()),
               ("BlptP3", blowup_p3_point()))]
@@ -897,6 +926,7 @@ def _low_rank_ladder():
     for path in sorted(glob.glob(os.path.join(MODELS, "*.json"))):
         model = load_model(path)
         cases.append(pytest.param(model.cl, model.lin, 4, id=os.path.basename(path)))
+    cases += [pytest.param(cl, lin, 3, id=name) for name, _, _, cl, lin in _RANK_TWO_FAMILY]
     return cases
 
 
@@ -933,6 +963,16 @@ def test_residue_ring_matches_groebner_ring(cl, lin, t_max):
                 assert type(value[0]) is Fraction
                 checked += value[1] == "ok"
     assert checked
+
+
+def test_rank_two_family_polymology_is_the_h_vector():
+    """Each tangent bundle of the family has the classical ring whose graded
+    dimensions are its fan's h-vector, the Betti numbers of P^r x P^s."""
+    assert len(_RANK_TWO_FAMILY) == 448
+    for name, r, s, cl, lin in _RANK_TWO_FAMILY:
+        assert cl.pic_rank == 2 and len(cl.primitive_collections) == 2, name
+        betti = tuple(sum(0 <= k - i <= s for i in range(r + 1)) for k in range(r + s + 1))
+        assert polymology(lin).dims == cl.fan.h_vector() == betti, name
 
 
 def _deformed_f1():
@@ -1040,6 +1080,37 @@ def test_shared_root_text_is_unchanged():
         _ResidueRing(lin, find_anchor(cl, [cl.zero_curve]))
     assert str(exc.value) == ("anchor sector of (1, 1, 1, 1): the generators of its "
                               "two collections share a root")
+
+
+def test_infinite_root_of_both_collections_is_refused(tmp_path, capsys):
+    """On P1xP1 with the diagonal entries D3, D4, D3, D4 both Q_c are psi2^2,
+    so u = psi1 / psi2 = oo is a root of each collection and neither can be
+    K: the residue ring refuses, in the library and through the CLI, whose
+    anchor is the least positive class."""
+    from qsheaf import AnchorDegenerate
+    from qsheaf.cli import run
+    from qsheaf.quantum import _ResidueRing
+
+    entries = [(0, [0, 0], "D3"), (1, [0, 0], "D4"), (2, [0, 0], "D3"), (3, [0, 0], "D4")]
+    cl = class_lattice(p1xp1_fan())
+    lin = linear_part(cl, parse_deformation(cl, entries))
+    assert [b for b, _, _ in lin._parts] == [Polynomial.variable(2, 1) ** 2] * 2
+    with pytest.raises(AnchorDegenerate) as exc:
+        _ResidueRing(lin, cl.zero_curve)
+    assert str(exc.value) == ("anchor sector of (0, 0, 0, 0): u = oo is a root of both "
+                              "collections")
+    fan = cl.fan
+    model = {"version": 1,
+             "fan": {"rank": 2, "rays": fan.rays, "max_cones": fan.max_cones},
+             "deformation": {"entries": [{"rho": rho, "m": m, "coeff": coeff}
+                                         for rho, m, coeff in entries]}}
+    path = tmp_path / "both_at_infinity.json"
+    path.write_text(json.dumps(model))
+    assert run(["correlator", str(path), "--poly", "D1^2", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[AnchorDegenerate]: anchor sector of (1, 1, 1, 1): u = oo is a "
+                   "root of both collections\n")
 
 
 # ---- the integer one-variable kernel against Fraction arithmetic ------------
