@@ -23,7 +23,6 @@ from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape
                    _dehomogenize, _umul, monomial_str, normal_form, signed_sum,
                    sole_generator, standard_monomials, top_functional)
 from .deform import LinearData
-from .linalg import _primitive
 from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb
 
 
@@ -53,15 +52,17 @@ class _AnchorRing:
     generator.  `row` runs every row check for both rings, reading an
     insertion's own facts once per ring; a ring only computes its functional:
     one-variable residues at Picard rank <= 2 (_ResidueRing), else the anchor's
-    Groebner basis (_GroebnerRing), the reference at every rank.
+    Groebner basis (_GroebnerRing), the reference at every rank.  cover
+    holds the sectors the caller will read rows of; only the residue ring
+    reads it.
     """
 
-    def __new__(cls, lin: LinearData, anchor: CurveClass):
+    def __new__(cls, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
         if cls is _AnchorRing:
             cls = _ResidueRing if lin.cl.pic_rank <= 2 else _GroebnerRing
         return super().__new__(cls)
 
-    def __init__(self, lin: LinearData, anchor: CurveClass):
+    def __init__(self, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
         self.lin = lin
         self.anchor = anchor
         sec = sector(lin, anchor)
@@ -105,7 +106,7 @@ class _GroebnerRing(_AnchorRing):
     ints and makes one Fraction.  Its memos, per monomial and per insertion,
     live as long as the ring."""
 
-    def __init__(self, lin: LinearData, anchor: CurveClass):
+    def __init__(self, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
         super().__init__(lin, anchor)
         gb = sector_gb(lin, anchor)
         monos = standard_monomials(gb, self.n)
@@ -156,29 +157,51 @@ class _ResidueRing(_AnchorRing):
     functional (Cattani-Dickenstein, Introduction to residues and
     resultants, 2005).  R cancels into the denominator and h0 - h1 = d + 1,
     so a row is the residue sum of p(u, 1) / prod_c q_c^(d_c(beta) + 1).
-    With D the K-part of that denominator and E the rest, the sum is
-    [u^(deg D - 1)] (N * E^-1 mod D) / lc(D), and nothing is expanded in two
-    variables.  Three facts leave no other case: the anchor and every row
-    sector are nonempty, so D has a pole; the anchor dominates each row, so a
-    row's D and E divide the anchor's, which __init__ checks are coprime; and
-    n_A = deg D + deg E - pic_rank with deg E >= pic_rank - 1, so the
-    generator's u-degree, at most deg D - 1, is at most n_A.
 
-    The arithmetic is over Z[u] with one rational scale, on poly's dense
-    int lists (`_dehomogenize`, and `_umul`, the multiply power_product
-    uses on the same forms): each q_c is its primitive part and content
-    from LinearData, D stays integral and not monic, N and E are reduced
-    mod D once, by a pseudo-division whose multiplier and content go into
-    integer accumulators, and E^-1 comes from one integer pseudo-remainder
-    sequence (Collins, JACM 1967; Brown-Traub, JACM 1971), of which the
-    anchor reads only the remainders.
+    The rows of a query read one functional, that of the ring's cover m:
+    m_c = max(0, max_beta d_c(beta) + 1) over the sectors the caller will
+    read, capped at the anchor's exponents h0(d_c(A)).  A row outside the
+    cover, or on a ring without one, takes m from its own sector alone.
+    With D_m = prod_{c in K} q_c^m_c and E_m the product over the other
+    classes, rho_m(h) is the residue sum of h / (D_m * E_m) over the roots
+    of D_m: [u^(deg D_m - 1)] (h * E_m^-1 mod D_m) / lc(D_m).  A row is
+    rho_m(p * prod_c q_c^(m_c - d_c(beta) - 1)).  Every exponent there is
+    >= 0, because m covers the row, so no row has a numerator of Q_c
+    factors of its own; the added factors cancel against the denominator,
+    and a root of D_m where the row has no pole adds a residue of 0.
+    m_c <= h0(d_c(A)), by the cap or, for a row's own m, because the
+    anchor dominates the row and h0 rises classwise.  So D_m and E_m divide
+    the anchor's D and E, which __init__ checks are coprime, and are
+    coprime too.  The anchor and every row sector are nonempty, so D_m has
+    a pole.  And n_A = deg D + deg E - pic_rank with deg E >= pic_rank - 1,
+    so the generator's u-degree, at most deg D - 1, is at most n_A.  No
+    other case is left.
+
+    The arithmetic is over Z[u] with one rational scale per functional,
+    on poly's dense int lists (`_dehomogenize`, and `_umul`, the multiply
+    power_product uses on the same forms): each q_c is its primitive part
+    and content from LinearData, and D stays integral and not monic.  The
+    powers q_c^j up to the cover are cached; the anchor's come from
+    `_upower`.  E is reduced mod D once, by a pseudo-division whose
+    multiplier and content go into integer accumulators.  E_m^-1 mod D_m
+    is one integer pseudo-remainder sequence per functional (`_inverse`;
+    Collins, JACM 1967; Brown-Traub, JACM 1971).  `_inverse_lead` serves
+    only the anchor normalization: it reads the generator and
+    rho_A(generator) off the remainders of the anchor's sequence.  A
+    functional keeps rho_m(u^i), i = 0..n_m, as ints over one scale, and
+    per insertion p the values rho_m(p * u^j), so a row is one product of
+    cached q_c powers, one dot and one Fraction; the scale and
+    rho_A(generator) are folded into one num / den per functional.
     """
 
-    def __init__(self, lin: LinearData, anchor: CurveClass):
-        super().__init__(lin, anchor)
+    def __init__(self, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
+        super().__init__(lin, anchor, cover)
         cl, n = lin.cl, self.n
         self._q = [(_dehomogenize(b), num, den) for b, num, den in lin._parts]
         self._powers = [[[1], q] for q, _, _ in self._q]  # q_c^j
+        # (c.index, num, den) for each Q_c = num / den * q_c with num / den != 1
+        self._contents = [(i, num, den) for i, (_, num, den) in enumerate(self._q)
+                          if num != den]
         for K in cl.primitive_collections:
             if all(len(self._q[c.index][0]) == c.size + 1
                    for c in cl.classes_of(K.edges) if h0(c.d(anchor))):
@@ -188,9 +211,23 @@ class _ResidueRing(_AnchorRing):
                 f"anchor sector of {anchor.d}: u = oo is a root of both collections")
         self._k = cl.classes_of(K.edges)
         self._rest = [c for c in cl.equiv if c not in self._k]
+        exponents = [h0(c.d(anchor)) for c in cl.equiv]
+        self._cover = None
+        if cover:
+            m = [0] * len(exponents)
+            for beta in cover:
+                for c in cl.equiv:
+                    if c.d(beta) >= m[c.index]:
+                        m[c.index] = c.d(beta) + 1
+            # capped at the anchor's exponents, whatever sectors the caller hands
+            self._cover = tuple(map(min, m, exponents))
+            for powers, e in zip(self._powers, self._cover):  # q_c^j, all the rows read
+                while len(powers) <= e:
+                    powers.append(_umul(powers[-1], powers[1]))
+        self._functionals = {}  # m -> (rho_m values, offset, num, den, {p: p * rho_m})
         # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
         # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
-        d, _, e, top, bottom = self._parts([h0(c.d(anchor)) for c in cl.equiv], [1])
+        d, e, top, bottom = self._parts(exponents)
         inverse = _inverse_lead(e, d)
         if inverse is None:
             raise AnchorDegenerate(f"anchor sector of {anchor.d}: the generators of its two "
@@ -201,46 +238,98 @@ class _ResidueRing(_AnchorRing):
                                     {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
         self._norm = Fraction(top * lead, bottom * g)  # rho_A(generator)
 
-    def _product(self, classes, exponents: list) -> list:
-        """prod q_c^e over the classes c with e = exponents[c.index] > 0."""
+    def _product(self, classes, exponents) -> list:
+        """prod q_c^e over the classes c with e = exponents[c.index] > 0.  The
+        powers q_c^j are cached one step at a time; an exponent at least
+        twice the cached ones (the anchor's, as a rule) is raised on its own
+        by _upower, and not cached."""
         out = [1]
         for c in classes:
             e, powers = exponents[c.index], self._powers[c.index]
             if e > 0:
-                while len(powers) <= e:
-                    powers.append(_umul(powers[-1], powers[1]))
-                out = _umul(out, powers[e]) if len(out) > 1 else powers[e]
+                if e >= 2 * len(powers):
+                    power = _upower(powers[1], e)
+                else:
+                    while len(powers) <= e:
+                        powers.append(_umul(powers[-1], powers[1]))
+                    power = powers[e]
+                out = _umul(out, power) if len(out) > 1 else power
         return out
 
-    def _parts(self, exponents: list, numerator: list) -> tuple:
-        """(D, N, E, top, bottom), the residue sum of numerator * prod_c
-        q_c^-exponents[c] being top / bottom * [u^(deg D - 1)] N * E^-1 mod D.
-        D is the K-part of the denominator, E the rest reduced mod D, N the
-        numerator times the factors of exponent < 0; sector() in __init__
-        keeps deg D at most 1000."""
-        equiv = self.lin.cl.equiv
+    def _parts(self, exponents) -> tuple:
+        """(D, E, top, bottom), the residue sum of h * prod_c Q_c^-exponents[c]
+        being top / bottom * [u^(deg D - 1)] h * E^-1 mod D, for exponents
+        >= 0.  D is the K-part of the denominator, E the rest reduced mod D;
+        sector() in __init__ keeps deg D at most 1000."""
         d = self._product(self._k, exponents)
-        num, top, bottom = _primitive(numerator)
-        bottom *= d[-1]
-        for c in equiv:
-            (_, qn, qd), e = self._q[c.index], exponents[c.index]
-            # q_c^-e = (qn / qd)^-e * q^-e: the content leaves as an integer ratio
-            if e < 0:
-                top, bottom = top * qn ** -e, bottom * qd ** -e
-            else:
-                top, bottom = top * qd ** e, bottom * qn ** e
-        num, c, m = _reduce(_umul(num, self._product(equiv, [-e for e in exponents])), d)
-        den, cd, md = _reduce(self._product(self._rest, exponents), d)
-        return d, num, den, top * c * md, bottom * m * cd
+        top, bottom = 1, d[-1]
+        for i, qn, qd in self._contents:  # Q_c^-e = (qd / qn)^e * q_c^-e
+            top, bottom = top * qd ** exponents[i], bottom * qn ** exponents[i]
+        e, c, m = _reduce(self._product(self._rest, exponents), d)
+        return d, e, top * m, bottom * c
+
+    def _functional(self, m: tuple) -> tuple:
+        """rho_m(u^i), i = 0..n_m, as ints over one scale; the offset below
+        which they vanish; num / den, which turns their dot with a row's
+        numerator into its value against the generator; and the insertion
+        memo."""
+        cl = self.lin.cl
+        d, e, top, bottom = self._parts(m)
+        s, g = _inverse(e, d)
+        n, lc = len(d) - 1, d[-1]
+        size = sum(c.size * x for c, x in zip(cl.equiv, m)) - cl.pic_rank + 1
+        # [u^(n - 1)] (u^i * s mod D): read off s while u^i * s has degree <
+        # n, then shift by u and reduce mod D, multiplying only by the factor
+        # of lc(D) that each step needs
+        a = n - len(s)
+        r, values, steps = [0] * a + s, [0] * a + [s[-1]], [1] * (a + 1)
+        while len(values) < size:
+            x, f = r.pop(), 1
+            r.insert(0, 0)
+            if x and lc != 1:
+                h = math.gcd(x, lc) if lc > 0 else -math.gcd(x, lc)
+                f, x = lc // h, x // h
+            if f != 1:
+                for j in range(n):
+                    r[j] = f * r[j] - x * d[j]
+            elif x:
+                for j in range(n):
+                    r[j] -= x * d[j]
+            values.append(r[-1])
+            steps.append(f)
+        del values[size:]
+        scale = 1  # each value times the multipliers of the steps after it
+        if lc not in (1, -1):
+            for i in range(len(values) - 1, a - 1, -1):
+                values[i] *= scale
+                scale *= steps[i]
+        c = math.gcd(*values) or 1
+        if c != 1:
+            values = [x // c for x in values]
+        return (values, a, top * c * self._norm.denominator,
+                bottom * g * scale * self._norm.numerator, {})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
-        d, num, e, top, bottom = self._parts([c.d(beta) + 1 for c in self.lin.cl.equiv],
-                                             _dehomogenize(p))
-        s, g = _inverse(e, d)
-        r, c, m = _reduce(_umul(num, s), d)
-        if len(r) < len(d) - 1:  # no u^(deg D - 1) term
-            return Fraction(0)
-        return Fraction(top * c * r[-1], bottom * m * g) / self._norm
+        equiv = self.lin.cl.equiv
+        e = [c.d(beta) + 1 for c in equiv]
+        m = self._cover
+        if m is None or any(map(operator.gt, e, m)):
+            m = tuple(x if x > 0 else 0 for x in e)
+        functional = self._functionals.get(m)
+        if functional is None:
+            functional = self._functionals[m] = self._functional(m)
+        values, a, top, bottom, sums = functional
+        row = sums.get(p)
+        if row is None:  # row[j] = rho_m(p * u^j), times the scale
+            h = _dehomogenize(p)
+            tail, j = values[a:], len(values) - len(h) + 1  # values below a are 0
+            row = sums[p] = ([sum(map(operator.mul, h[a - i:], tail)) for i in range(min(a, j))]
+                             + [sum(map(operator.mul, h, values[i:])) for i in range(a, j)])
+        k = [y - x for x, y in zip(e, m)]  # all >= 0
+        for i, qn, qd in self._contents:  # Q_c^k = (qn / qd)^k * q_c^k
+            if k[i]:
+                top, bottom = top * qn ** k[i], bottom * qd ** k[i]
+        return Fraction(top * sum(map(operator.mul, self._product(equiv, k), row)), bottom)
 
 
 # ---- one-variable polynomials over Z: dense lists, lowest coefficient first --
@@ -249,6 +338,24 @@ def _trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def _upower(q: list, e: int) -> list:
+    """q^e for an integer list q and e >= 1 by J.C.P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7): where q_0 != 0, the coefficients of p = q^e
+    obey k * q_0 * p_k = sum_{j >= 1} ((e + 1) * j - k) * q_j * p_(k - j),
+    from q p' = e q' p, so each costs deg q products and one exact division.
+    Zero low coefficients of q shift p."""
+    v = next((i for i, x in enumerate(q) if x), None)
+    if v is None:
+        return []
+    q = q[v:]
+    a, n = q[0], (len(q) - 1) * e
+    terms = [(j, x) for j, x in enumerate(q) if j and x]
+    p = [a ** e] + [0] * n
+    for k in range(1, n + 1):
+        p[k] = sum(((e + 1) * j - k) * x * p[k - j] for j, x in terms if j <= k) // (k * a)
+    return [0] * (v * e) + p
 
 
 def _pseudo_divmod(a: list, b: list) -> tuple:
@@ -298,7 +405,7 @@ def _inverse(e: list, d: list) -> Optional[tuple]:
     r0, r1, s0, s1 = d, e, [], [1]
     while len(r1) > 1:
         m, q, r = _pseudo_divmod(r0, r1)
-        s = [-x for x in _umul(q, s1)]  # deg(q * s1) > deg s0
+        s = [-x for x in (_umul(q, s1) if s0 else q)]  # s1 = [1] at first; deg(q * s1) > deg s0
         for i, x in enumerate(s0):
             s[i] += m * x
         c = math.gcd(*r, *s)
@@ -331,7 +438,7 @@ def correlator_sector(lin: LinearData, p: Polynomial, beta: CurveClass,
     Raises AnchorDegenerate for a degenerate anchor, even where the value
     would be 0 by degree.
     """
-    return _AnchorRing(lin, anchor).row(p, beta)[0]
+    return _AnchorRing(lin, anchor, (beta,)).row(p, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -429,7 +536,7 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     sectors = tuple(sectors)
     anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
     anchor = find_anchor(cl, anchor_inputs)
-    ring = _AnchorRing(lin, anchor)
+    ring = _AnchorRing(lin, anchor, anchor_inputs)
     ring._degrees[p] = degree  # checked above
     rows = tuple(SectorRow(beta, *ring.row(p, beta)) for beta in sectors)
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
@@ -523,7 +630,7 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
             [(c, h1(c.d(b))) for c in cl.equiv], q)) for b, q in ((shifted, qk), (beta, kminus)))
         # Gauss: products of primitive parts are primitive, and contents are > 0
         return lhs == rhs and (not lhs or ln * rd == rn * ld)
-    return _rows_agree(_AnchorRing(lin, beta_prime), bk, lin.q_product(qk),
+    return _rows_agree(_AnchorRing(lin, beta_prime, (beta, shifted)), bk, lin.q_product(qk),
                        lin.q_product(kminus), ((y, beta) for y in insertions))
 
 
@@ -534,8 +641,8 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
     window = [b for b in window if cl.is_effective(b)]
     if not window:
         return True
-    anchor = find_anchor(cl, window + [b + rel.beta_k for b in window])
-    return _rows_agree(_AnchorRing(lin, anchor), rel.beta_k, rel.lhs,
+    sectors = window + [b + rel.beta_k for b in window]
+    return _rows_agree(_AnchorRing(lin, find_anchor(cl, sectors), sectors), rel.beta_k, rel.lhs,
                        lin.q_product(rel.kminus), ((insertion, b) for b in window))
 
 

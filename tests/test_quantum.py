@@ -952,15 +952,18 @@ def test_residue_ring_matches_groebner_ring(cl, lin, t_max):
         residue, ring = _ResidueRing(lin, anchor), _GroebnerRing(lin, anchor)
         assert type(_AnchorRing(lin, anchor)) is _ResidueRing
         assert residue.generator == ring.generator, t
+        # one functional for the whole window, as correlator_series builds it
+        covered = _AnchorRing(lin, anchor, [b for b in window if cl.is_effective(b)])
+        assert covered._cover is not None and covered.generator == ring.generator, t
         n = cl.fan.rank + t
         # L^n, and every monomial of degree n, which spans the insertions
         probes = [L ** n] + [Polynomial(cl.pic_rank, 0, {((a, n - a)[:cl.pic_rank], ()): 1})
                              for a in range(n + 1 if cl.pic_rank == 2 else 1)]
         for beta in window:
             for p in probes:
-                value = residue.row(p, beta)
-                assert value == ring.row(p, beta), (t, beta.d, p)
-                assert type(value[0]) is Fraction
+                value, again = residue.row(p, beta), covered.row(p, beta)
+                assert value == ring.row(p, beta) == again, (t, beta.d, p)
+                assert type(value[0]) is type(again[0]) is Fraction
                 checked += value[1] == "ok"
     assert checked
 
@@ -1032,20 +1035,67 @@ def test_residue_ring_matches_fraction_reference(cl, lin, slices):
         ring, ref = _ResidueRing(lin, anchor), ResidueReference(lin, anchor)
         assert ring.generator == ref.generator, t
         assert Fraction(ring._norm) == ref.norm, t
+        covered = _ResidueRing(lin, anchor, [b for b in window if cl.is_effective(b)])
         n = cl.fan.rank + t
         probes = [L ** n, Polynomial.variable(cl.pic_rank, 0) ** n]
         if t <= 6 and cl.pic_rank == 2:  # every monomial of degree n
             probes += [Polynomial(2, 0, {((a, n - a), ()): 1}) for a in range(n)]
         for beta in window:
             for p in probes:
-                value, reason = ring.row(p, beta)
-                assert type(value) is Fraction
+                # each row on its own functional, then off the one covering the window
+                (value, reason), again = ring.row(p, beta), covered.row(p, beta)
+                assert type(value) is type(again[0]) is Fraction, (t, beta.d, p)
+                assert again == (value, reason), (t, beta.d, p)
                 if reason == "ok":
                     assert value == ref.scalar(p, beta), (t, beta.d, p)
                     checked += 1
                 else:
                     assert value == 0
     assert checked
+
+
+def test_explicit_sectors_read_off_one_cover_match_correlator_sector():
+    """Rows of a deformed P1xP1 series over explicit sectors, read off one
+    functional covering them, equal correlator_sector's, which reads each
+    sector alone.  The sectors include an empty class (ineffective at
+    Picard rank 2), another ineffective class, and effective classes of the
+    wrong degree, which widen the anchor and the cover past every row."""
+    cl, _, lin = deformed_p1xp1("1/7", "-1/3", "2/5", "3/2")
+    p = sum(d_symbols(cl)) ** 8  # the slice c1 = 6
+    empty, ineffective = cl.curve_from_coords((-1, 4)), cl.curve_from_coords((5, -2))
+    assert not sector(lin, empty).nonempty and not cl.is_effective(empty)
+    wide = [cl.curve_from_coords((5, 4)), cl.curve_from_coords((1, 0))]
+    sectors = [*degree_slice(cl, 6), empty, ineffective, *wide]
+    rep = correlator_series(lin, p, 6, sectors=sectors)
+    ring = _AnchorRing(lin, rep.anchor, [b for b in sectors if cl.is_effective(b)])
+    assert ring._cover == (6, 5)  # from (5, 4); the slice's rows need at most (4, 4)
+    reasons = [row.reason for row in rep.rows]
+    assert reasons == ["ok"] * 4 + ["ineffective"] * 2 + ["degree"] * 2
+    for row in rep.rows:
+        assert row.scalar == correlator_sector(lin, p, row.beta, rep.anchor), row.beta.d
+    assert sum(1 for row in rep.rows if row.scalar) == 4
+    # a cover of the first sector alone: the other rows fall outside it and
+    # read their own functionals; a cover past the anchor is capped at it
+    for cover in ([sectors[0]], [rep.anchor + rep.anchor]):
+        ring = _AnchorRing(lin, rep.anchor, cover)
+        assert [ring.row(p, row.beta)[0] for row in rep.rows] == [row.scalar for row in rep.rows]
+    assert ring._cover == tuple(h0(c.d(rep.anchor)) for c in cl.equiv)
+
+
+def test_rank_two_series_inverts_once(monkeypatch):
+    """One deformed (P^1)^2 series at t = 10 reads its six rows off one
+    functional: quantum._inverse runs once per query, not once per row."""
+    cl, lin = deformed_p1_power(2, random.Random(0))
+    inverse, calls = qsheaf.quantum._inverse, []
+
+    def counted(e, d):
+        calls.append(len(d))
+        return inverse(e, d)
+
+    monkeypatch.setattr(qsheaf.quantum, "_inverse", counted)
+    rep = correlator_series(lin, sum(d_symbols(cl)) ** 12, 10)
+    assert sum(row.reason == "ok" and row.scalar != 0 for row in rep.rows) == 6
+    assert len(calls) == 1
 
 
 def test_residue_ring_refuses_what_the_groebner_ring_refuses():
@@ -1128,6 +1178,19 @@ def _upolys(draw, min_degree, max_degree):
     degree = draw(st.integers(min_degree, max_degree))
     lead = draw(st.one_of(st.sampled_from((1, -1)), _coefficients.filter(bool)))
     return draw(st.lists(_coefficients, min_size=degree, max_size=degree)) + [lead]
+
+
+@given(st.integers(0, 3), _upolys(0, 4), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_upower_is_the_repeated_product(shift, q, e):
+    from qsheaf.quantum import _upower
+
+    q = [0] * shift + q  # zero low coefficients, as in Q_c = psi1 * ...
+    expected = [1]
+    for _ in range(e):
+        expected = uproduct(expected, q)
+    assert _upower(q, e) == expected
+    assert _upower([0] * shift, e) == []  # Q_c = 0
 
 
 @given(_upolys(0, 12), _upolys(1, 12))
