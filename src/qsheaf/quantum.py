@@ -161,7 +161,7 @@ class _ResidueRing(_AnchorRing):
     The rows of a query read one functional, that of the ring's cover m:
     m_c = max(0, max_beta d_c(beta) + 1) over the sectors the caller will
     read, capped at the anchor's exponents h0(d_c(A)).  A row outside the
-    cover, or on a ring without one, takes m from its own sector alone.
+    cover takes m from its own sector alone.
     With D_m = prod_{c in K} q_c^m_c and E_m the product over the other
     classes, rho_m(h) is the residue sum of h / (D_m * E_m) over the roots
     of D_m: [u^(deg D_m - 1)] (h * E_m^-1 mod D_m) / lc(D_m).  A row is
@@ -181,8 +181,8 @@ class _ResidueRing(_AnchorRing):
     on poly's dense int lists (`_dehomogenize`, and `_umul`, the multiply
     power_product uses on the same forms): each q_c is its primitive part
     and content from LinearData, and D stays integral and not monic.  The
-    powers q_c^j up to the cover are cached; the anchor's come from
-    `_upower`.  E is reduced mod D once, by a pseudo-division whose
+    powers q_c^j are cached one step at a time, up to the anchor's
+    exponents.  E is reduced mod D once, by a pseudo-division whose
     multiplier and content go into integer accumulators.  E_m^-1 mod D_m
     is one integer pseudo-remainder sequence per functional (`_inverse`;
     Collins, JACM 1967; Brown-Traub, JACM 1971).  `_inverse_lead` serves
@@ -212,18 +212,13 @@ class _ResidueRing(_AnchorRing):
         self._k = cl.classes_of(K.edges)
         self._rest = [c for c in cl.equiv if c not in self._k]
         exponents = [h0(c.d(anchor)) for c in cl.equiv]
-        self._cover = None
-        if cover:
-            m = [0] * len(exponents)
-            for beta in cover:
-                for c in cl.equiv:
-                    if c.d(beta) >= m[c.index]:
-                        m[c.index] = c.d(beta) + 1
-            # capped at the anchor's exponents, whatever sectors the caller hands
-            self._cover = tuple(map(min, m, exponents))
-            for powers, e in zip(self._powers, self._cover):  # q_c^j, all the rows read
-                while len(powers) <= e:
-                    powers.append(_umul(powers[-1], powers[1]))
+        m = [0] * len(exponents)
+        for beta in cover:
+            for c in cl.equiv:
+                if c.d(beta) >= m[c.index]:
+                    m[c.index] = c.d(beta) + 1
+        # capped at the anchor's exponents, whatever sectors the caller hands
+        self._cover = tuple(map(min, m, exponents))
         self._functionals = {}  # m -> (rho_m values, offset, num, den, {p: p * rho_m})
         # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
         # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
@@ -239,21 +234,14 @@ class _ResidueRing(_AnchorRing):
         self._norm = Fraction(top * lead, bottom * g)  # rho_A(generator)
 
     def _product(self, classes, exponents) -> list:
-        """prod q_c^e over the classes c with e = exponents[c.index] > 0.  The
-        powers q_c^j are cached one step at a time; an exponent at least
-        twice the cached ones (the anchor's, as a rule) is raised on its own
-        by _upower, and not cached."""
+        """prod q_c^e over the classes c with e = exponents[c.index] > 0."""
         out = [1]
         for c in classes:
             e, powers = exponents[c.index], self._powers[c.index]
             if e > 0:
-                if e >= 2 * len(powers):
-                    power = _upower(powers[1], e)
-                else:
-                    while len(powers) <= e:
-                        powers.append(_umul(powers[-1], powers[1]))
-                    power = powers[e]
-                out = _umul(out, power) if len(out) > 1 else power
+                while len(powers) <= e:
+                    powers.append(_umul(powers[-1], powers[1]))
+                out = _umul(out, powers[e]) if len(out) > 1 else powers[e]
         return out
 
     def _parts(self, exponents) -> tuple:
@@ -313,7 +301,7 @@ class _ResidueRing(_AnchorRing):
         equiv = self.lin.cl.equiv
         e = [c.d(beta) + 1 for c in equiv]
         m = self._cover
-        if m is None or any(map(operator.gt, e, m)):
+        if any(map(operator.gt, e, m)):
             m = tuple(x if x > 0 else 0 for x in e)
         functional = self._functionals.get(m)
         if functional is None:
@@ -338,24 +326,6 @@ def _trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _upower(q: list, e: int) -> list:
-    """q^e for an integer list q and e >= 1 by J.C.P. Miller's recurrence
-    (Knuth, TAOCP vol. 2, 4.7): where q_0 != 0, the coefficients of p = q^e
-    obey k * q_0 * p_k = sum_{j >= 1} ((e + 1) * j - k) * q_j * p_(k - j),
-    from q p' = e q' p, so each costs deg q products and one exact division.
-    Zero low coefficients of q shift p."""
-    v = next((i for i, x in enumerate(q) if x), None)
-    if v is None:
-        return []
-    q = q[v:]
-    a, n = q[0], (len(q) - 1) * e
-    terms = [(j, x) for j, x in enumerate(q) if j and x]
-    p = [a ** e] + [0] * n
-    for k in range(1, n + 1):
-        p[k] = sum(((e + 1) * j - k) * x * p[k - j] for j, x in terms if j <= k) // (k * a)
-    return [0] * (v * e) + p
 
 
 def _pseudo_divmod(a: list, b: list) -> tuple:
@@ -405,7 +375,7 @@ def _inverse(e: list, d: list) -> Optional[tuple]:
     r0, r1, s0, s1 = d, e, [], [1]
     while len(r1) > 1:
         m, q, r = _pseudo_divmod(r0, r1)
-        s = [-x for x in (_umul(q, s1) if s0 else q)]  # s1 = [1] at first; deg(q * s1) > deg s0
+        s = [-x for x in _umul(q, s1)]  # deg(q * s1) > deg s0
         for i, x in enumerate(s0):
             s[i] += m * x
         c = math.gcd(*r, *s)

@@ -954,7 +954,7 @@ def test_residue_ring_matches_groebner_ring(cl, lin, t_max):
         assert residue.generator == ring.generator, t
         # one functional for the whole window, as correlator_series builds it
         covered = _AnchorRing(lin, anchor, [b for b in window if cl.is_effective(b)])
-        assert covered._cover is not None and covered.generator == ring.generator, t
+        assert any(covered._cover) and covered.generator == ring.generator, t
         n = cl.fan.rank + t
         # L^n, and every monomial of degree n, which spans the insertions
         probes = [L ** n] + [Polynomial(cl.pic_rank, 0, {((a, n - a)[:cl.pic_rank], ()): 1})
@@ -1178,19 +1178,6 @@ def _upolys(draw, min_degree, max_degree):
     degree = draw(st.integers(min_degree, max_degree))
     lead = draw(st.one_of(st.sampled_from((1, -1)), _coefficients.filter(bool)))
     return draw(st.lists(_coefficients, min_size=degree, max_size=degree)) + [lead]
-
-
-@given(st.integers(0, 3), _upolys(0, 4), st.integers(1, 40))
-@settings(max_examples=80, deadline=None)
-def test_upower_is_the_repeated_product(shift, q, e):
-    from qsheaf.quantum import _upower
-
-    q = [0] * shift + q  # zero low coefficients, as in Q_c = psi1 * ...
-    expected = [1]
-    for _ in range(e):
-        expected = uproduct(expected, q)
-    assert _upower(q, e) == expected
-    assert _upower([0] * shift, e) == []  # Q_c = 0
 
 
 @given(_upolys(0, 12), _upolys(1, 12))
