@@ -232,7 +232,7 @@ class Polynomial:
         return len(degs) <= 1
 
     def has_q(self) -> bool:
-        return any(any(m[1]) for m in self.terms)
+        return bool(self.nq) and any(any(m[1]) for m in self.terms)
 
     def leading_monomial(self) -> tuple:
         if self._lead is None:
@@ -423,6 +423,30 @@ def _umul(a: list, b: list) -> list:
             for j, y in b:
                 out[i + j] += x * y
     return out
+
+
+def _upower(a: list, e: int) -> list:
+    """a^e for e >= 0 by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7): strip u^v so that a_0 != 0; then p = a^e has p_0 = a_0^e and
+    k a_0 p_k = sum_(j >= 1) ((e + 1) j - k) a_j p_(k-j), an exact int
+    division, so a^e costs O(e deg^2 a) products, not O(e^2 deg^2 a)."""
+    if not e:
+        return [1]
+    v = next((i for i, x in enumerate(a) if x), None)
+    if v is None:  # the zero list
+        return []
+    a = a[v:]
+    a0 = a[0]
+    terms = [(j, (e + 1) * j, x) for j, x in enumerate(a) if j and x]
+    p = [a0 ** e]
+    for k in range(1, e * (len(a) - 1) + 1):
+        total = 0
+        for j, w, x in terms:
+            if j > k:
+                break
+            total += (w - k) * x * p[k - j]
+        p.append(total // (k * a0))
+    return [0] * (v * e) + p
 
 
 def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:

@@ -20,10 +20,10 @@ from .fan import PrimitiveCollection
 from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
                       find_anchor, h0, h1)
 from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape,
-                   _dehomogenize, _umul, monomial_str, normal_form, signed_sum,
+                   _dehomogenize, _umul, _upower, monomial_str, normal_form, signed_sum,
                    sole_generator, standard_monomials, top_functional)
 from .deform import LinearData
-from .sectors import NotDominating, ceiling, nonempty, sector, sector_gb
+from .sectors import NotDominating, ceiling, nonempty, sector_gb
 
 
 class QuantumError(Exception):
@@ -49,12 +49,14 @@ class _AnchorRing:
 
     The ring's top graded piece is one-dimensional, so a row is one nonzero
     linear functional of R * p * F_beta, divided by its value on the
-    generator.  `row` runs every row check for both rings, reading an
+    generator.  `row` runs the row checks for both rings, reading an
     insertion's own facts once per ring; a ring only computes its functional:
     one-variable residues at Picard rank <= 2 (_ResidueRing), else the anchor's
     Groebner basis (_GroebnerRing), the reference at every rank.  cover
     holds the sectors the caller will read rows of; only the residue ring
-    reads it.
+    reads it.  A ring built by `over` owns its sectors: find_anchor proved
+    each effective and the anchor dominates each, so their rows skip the
+    ceiling, effectivity and dominance checks (see sectors.ceiling).
     """
 
     def __new__(cls, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
@@ -63,34 +65,51 @@ class _AnchorRing:
         return super().__new__(cls)
 
     def __init__(self, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
+        cl = lin.cl
         self.lin = lin
         self.anchor = anchor
-        sec = sector(lin, anchor)
-        if not sec.nonempty:
+        ceiling(cl, anchor.d)
+        if not nonempty(cl, anchor.d):
             raise AnchorDegenerate(f"anchor sector of {anchor.d} has top dimension 0")
-        self.n = sec.n_beta
+        self.n = sum(map(h0, anchor.d)) - cl.pic_rank  # n_A, as sector() counts it
         self._degrees = {}  # insertion p in Sym*W -> its psi degree
+        self._own = frozenset()  # d-vectors of the sectors find_anchor built the anchor from
+
+    @classmethod
+    def over(cls, lin: LinearData, sectors: Sequence[CurveClass]) -> _AnchorRing:
+        """The ring of find_anchor(sectors), covering them and owning them."""
+        ring = cls(lin, find_anchor(lin.cl, sectors), sectors)
+        ring._own = frozenset(beta.d for beta in sectors)
+        return ring
 
     def row(self, p: Polynomial, beta: CurveClass):
         """Correlator scalar of p in sector beta and a reason tag ('ok',
         'degree', 'empty', 'ineffective').  Raises for an insertion outside
         Sym*W or a non-dominating anchor."""
-        cl, anchor = self.lin.cl, self.anchor
+        cl = self.lin.cl
         if p not in self._degrees:
-            if not p.is_psi_homogeneous() or p.has_q():
-                raise QuantumError("correlator insertions must be homogeneous in Sym*W")
-            self._degrees[p] = p.psi_degree()
+            self._degrees[p] = _insertion_degree(p, "correlator")
         if self._degrees[p] != beta.c1() + cl.fan.rank:
             return Fraction(0), "degree"
-        ceiling(cl, beta.d)
-        if not cl.is_effective(beta):
-            return Fraction(0), "ineffective"
+        own = beta.d in self._own
+        if not own:
+            ceiling(cl, beta.d)
+            if not cl.is_effective(beta):
+                return Fraction(0), "ineffective"
         if not nonempty(cl, beta.d):
             return Fraction(0), "empty"
-        if not dominates(cl, anchor, beta):
-            raise NotDominating(f"{anchor.d} does not dominate {beta.d}")
+        if not own and not dominates(cl, self.anchor, beta):
+            raise NotDominating(f"{self.anchor.d} does not dominate {beta.d}")
         self.generator._check(p)  # same ring, as the product R * p * F_beta would demand
         return self._scalar(p, beta), "ok"
+
+
+def _insertion_degree(p: Polynomial, what: str) -> int:
+    """The psi degree of an insertion in Sym*W, that of any one of its terms;
+    a QuantumError names what the insertion was for."""
+    if not p.is_psi_homogeneous() or p.has_q():
+        raise QuantumError(f"{what} insertions must be homogeneous in Sym*W")
+    return sum(next(iter(p.terms))[0]) if p.terms else -1
 
 
 class _GroebnerRing(_AnchorRing):
@@ -181,10 +200,14 @@ class _ResidueRing(_AnchorRing):
     on poly's dense int lists (`_dehomogenize`, and `_umul`, the multiply
     power_product uses on the same forms): each q_c is its primitive part
     and content from LinearData, and D stays integral and not monic.  The
-    powers q_c^j are cached one step at a time, up to the anchor's
-    exponents.  E is reduced mod D once, by a pseudo-division whose
-    multiplier and content go into integer accumulators.  E_m^-1 mod D_m
-    is one integer pseudo-remainder sequence per functional (`_inverse`;
+    anchor raises each q_c to h0(d_c(A)) in one step (`_upower`, Miller's
+    recurrence); the cover and the rows, whose exponents are at most m,
+    share powers q_c^j cached one step at a time.  A vanishing q_c (a
+    singular A_c) is never in K, and its empty power makes E = 0, which
+    the anchor's inversion refuses as a shared root.  E is reduced mod D
+    once, by a pseudo-division whose multiplier and content go into
+    integer accumulators.  E_m^-1 mod D_m is one integer
+    pseudo-remainder sequence per functional (`_inverse`;
     Collins, JACM 1967; Brown-Traub, JACM 1971).  `_inverse_lead` serves
     only the anchor normalization: it reads the generator and
     rho_A(generator) off the remainders of the anchor's sequence.  A
@@ -222,7 +245,8 @@ class _ResidueRing(_AnchorRing):
         self._functionals = {}  # m -> (rho_m values, offset, num, den, {p: p * rho_m})
         # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
         # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
-        d, e, top, bottom = self._parts(exponents)
+        # the anchor's powers in one step each, by Miller's recurrence
+        d, e, top, bottom = self._parts(exponents, lambda i, x: _upower(self._q[i][0], x))
         inverse = _inverse_lead(e, d)
         if inverse is None:
             raise AnchorDegenerate(f"anchor sector of {anchor.d}: the generators of its two "
@@ -233,27 +257,34 @@ class _ResidueRing(_AnchorRing):
                                     {((a, n - a)[:cl.pic_rank], ()): Fraction(1)})
         self._norm = Fraction(top * lead, bottom * g)  # rho_A(generator)
 
-    def _product(self, classes, exponents) -> list:
-        """prod q_c^e over the classes c with e = exponents[c.index] > 0."""
+    def _power(self, i: int, e: int) -> list:
+        """q_c^e for c.index = i, from the one-step list of the ring's powers."""
+        powers = self._powers[i]
+        while len(powers) <= e:
+            powers.append(_umul(powers[-1], powers[1]))
+        return powers[e]
+
+    def _product(self, classes, exponents, power=None) -> list:
+        """prod q_c^e over the classes c with e = exponents[c.index] > 0,
+        each power taken by power(c.index, e), by default the one-step list."""
+        power = power or self._power
         out = [1]
         for c in classes:
-            e, powers = exponents[c.index], self._powers[c.index]
+            e = exponents[c.index]
             if e > 0:
-                while len(powers) <= e:
-                    powers.append(_umul(powers[-1], powers[1]))
-                out = _umul(out, powers[e]) if len(out) > 1 else powers[e]
+                out = _umul(out, power(c.index, e)) if len(out) > 1 else power(c.index, e)
         return out
 
-    def _parts(self, exponents) -> tuple:
+    def _parts(self, exponents, power=None) -> tuple:
         """(D, E, top, bottom), the residue sum of h * prod_c Q_c^-exponents[c]
         being top / bottom * [u^(deg D - 1)] h * E^-1 mod D, for exponents
         >= 0.  D is the K-part of the denominator, E the rest reduced mod D;
-        sector() in __init__ keeps deg D at most 1000."""
-        d = self._product(self._k, exponents)
+        the ceiling in __init__ keeps deg D at most 1000."""
+        d = self._product(self._k, exponents, power)
         top, bottom = 1, d[-1]
         for i, qn, qd in self._contents:  # Q_c^-e = (qd / qn)^e * q_c^-e
             top, bottom = top * qd ** exponents[i], bottom * qn ** exponents[i]
-        e, c, m = _reduce(self._product(self._rest, exponents), d)
+        e, c, m = _reduce(self._product(self._rest, exponents, power), d)
         return d, e, top * m, bottom * c
 
     def _functional(self, m: tuple) -> tuple:
@@ -494,23 +525,21 @@ def correlator_series(lin: LinearData, p: Polynomial, max_c1_degree: int,
     anchor dominating all of them fixes the normalization and is recorded.
     """
     cl = lin.cl
-    if not p.is_psi_homogeneous() or p.has_q():
-        raise QuantumError("series insertions must be homogeneous in Sym*W")
-    degree = p.psi_degree()
+    degree = _insertion_degree(p, "series")
     target = degree - cl.fan.rank
     if sectors is None:
         if target > max_c1_degree:
             raise QuantumError(
                 f"degree slice c1 = {target} exceeds max_c1_degree = {max_c1_degree}")
-        sectors = degree_slice(cl, target)
-    sectors = tuple(sectors)
-    anchor_inputs = [b for b in sectors if cl.is_effective(b)] or [cl.zero_curve]
-    anchor = find_anchor(cl, anchor_inputs)
-    ring = _AnchorRing(lin, anchor, anchor_inputs)
+        sectors = inputs = degree_slice(cl, target)  # effective, as find_anchor checks
+    else:
+        sectors = tuple(sectors)
+        inputs = [b for b in sectors if cl.is_effective(b)]
+    ring = _AnchorRing.over(lin, inputs or [cl.zero_curve])
     ring._degrees[p] = degree  # checked above
     rows = tuple(SectorRow(beta, *ring.row(p, beta)) for beta in sectors)
     series = tuple((row.beta, row.scalar) for row in rows if row.scalar)
-    return CorrelatorReport(poly=p, anchor=anchor, generator=ring.generator,
+    return CorrelatorReport(poly=p, anchor=ring.anchor, generator=ring.generator,
                             rows=rows, series=series)
 
 
@@ -612,7 +641,7 @@ def relation_annihilates(lin: LinearData, rel: QuantumRelation,
     if not window:
         return True
     sectors = window + [b + rel.beta_k for b in window]
-    return _rows_agree(_AnchorRing(lin, find_anchor(cl, sectors), sectors), rel.beta_k, rel.lhs,
+    return _rows_agree(_AnchorRing.over(lin, sectors), rel.beta_k, rel.lhs,
                        lin.q_product(rel.kminus), ((insertion, b) for b in window))
 
 

@@ -45,8 +45,10 @@ def ceiling(cl: ClassLattice, d: tuple) -> None:
     """Refuse the sector of d-vector d when a generator prod_c Q_c^h0(d_c)
     has degree above _MAX_DEGREE.  Every caller runs it before it expands
     or lists anything of the sector: sector(), sector_ideal, transition,
-    four_fermi, the expand route of verify_qc_relation and each anchor-ring
-    row."""
+    four_fermi, the expand route of verify_qc_relation, each anchor ring on
+    its anchor and each row of a sector the caller chose.  A sector the
+    anchor dominates needs no check of its own: h0 rises classwise, so each
+    of its generator degrees is at most the anchor's."""
     for K in cl.primitive_collections:
         # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
         degree = sum(h0(d[rho]) for rho in K.edges)

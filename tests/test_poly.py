@@ -16,12 +16,13 @@ from qsheaf.poly import (Ideal, NonHomogeneousIdeal, NonSquare,
                          ParseError, PolyError, Polynomial, det, groebner,
                          monomial_key, normal_form, parse_polynomial,
                          power_product, quotient_dims, standard_monomials, top_functional)
-from qsheaf.poly import _mon_mul, _Overflow, _Packing
+from qsheaf.poly import _mon_mul, _Overflow, _Packing, _upower
 
 from _oracles import (_heap_key, _mon_div, _mon_divides, _mon_lcm, groebner_by_fractions,
                       height_by_lcm, ideal_member_oracle, leibniz_det, monic,
                       monomials_of_degree, normal_form_by_fractions,
-                      parse_polynomial_by_characters, power_by_tuples, spoly_by_fractions)
+                      parse_polynomial_by_characters, power_by_tuples, spoly_by_fractions,
+                      uproduct, utrim)
 from conftest import (INT_DIGIT_LIMIT, all_fans, deformed_p1_power, hirzebruch, p1_power,
                       poly_texts, tangent_setup)
 
@@ -1082,3 +1083,46 @@ def test_negative_power_raises_at_once(base):
         base ** -1
     with pytest.raises(PolyError):
         power_product([(x, 2), (base, -3)], 2)
+
+
+# ---- powers of one-variable int lists by Miller's recurrence ---------------
+
+_WIDE = 2 ** 70
+_ucoefficients = st.one_of(st.integers(-9, 9), st.integers(_WIDE - 2 ** 8, _WIDE + 2 ** 8),
+                           st.integers(-_WIDE - 2 ** 8, -_WIDE + 2 ** 8))
+
+
+@st.composite
+def _ulists(draw):
+    """Int lists, lowest coefficient first: up to three zero low
+    coefficients, then a nonzero one and up to four more of any size,
+    wider than 64 bits and negative ones included; a constant when there
+    are none."""
+    low = [0] * draw(st.integers(0, 3))
+    first = draw(_ucoefficients.filter(bool))
+    rest = draw(st.lists(_ucoefficients, max_size=4))
+    return low + [first] + utrim(rest)
+
+
+def _repeated_product(a, e):
+    out = [1]
+    for _ in range(e):
+        out = uproduct(out, a)
+    return out
+
+
+@given(_ulists(), st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+@example([0, 0, 3], 17)           # a monomial with zero low coefficients
+@example([-7], 40)                # a constant
+@example([5, 0, 0, -_WIDE], 9)    # wide and negative, gaps inside
+def test_upower_equals_repeated_products(a, e):
+    p = _upower(a, e)
+    assert p == _repeated_product(a, e)
+    assert all(type(x) is int for x in p) and p[-1]
+
+
+def test_upower_edge_exponents_and_zero_lists():
+    assert _upower([3, -1], 0) == [1] == _upower([], 0)
+    assert _upower([3, -1], 1) == [3, -1]
+    assert _upower([], 5) == [] == _upower([0, 0], 5)  # a vanishing q_c

@@ -6,9 +6,10 @@ import os
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsheaf import (Ideal, NonFanoEnumerationUnbounded, UnsupportedNovikovShape,
@@ -1082,6 +1083,121 @@ def test_explicit_sectors_read_off_one_cover_match_correlator_sector():
     assert ring._cover == tuple(h0(c.d(rep.anchor)) for c in cl.equiv)
 
 
+def _trusted_row_cases():
+    """(cl, lin, largest t), with an id: the bundled models and the tests/data
+    models at t <= 4 (dP3 at t <= 1: its series at t = 2 takes about 20 s
+    through the Groebner basis), then the 448-fan rank-2 family at t <= 3."""
+    paths = sorted(glob.glob(os.path.join(MODELS, "*.json"))
+                   + glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.json")))
+    cases = []
+    for path in paths:
+        model = load_model(path)
+        name = os.path.basename(path)
+        cases.append(pytest.param(model.cl, model.lin, 1 if name == "dp3.json" else 4, id=name))
+    return cases + [pytest.param(cl, lin, 3, id=name) for name, _, _, cl, lin in _RANK_TWO_FAMILY]
+
+
+def _checked_rows(lin, p, anchor, sectors):
+    """Each sector's (scalar, reason) off a ring that owns none of them, so
+    every row runs the ceiling, effectivity and dominance checks."""
+    ring = _AnchorRing(lin, anchor, [b for b in sectors if lin.cl.is_effective(b)])
+    assert not ring._own
+    return [ring.row(p, beta) for beta in sectors]
+
+
+@pytest.mark.parametrize("cl, lin, t_max", _trusted_row_cases())
+def test_trusted_rows_equal_checked_rows(cl, lin, t_max):
+    """correlator_series builds its anchor from its effective sectors, so
+    their rows skip the ceiling, effectivity and dominance checks: each of
+    its rows equals the fully checked row against the same anchor, and its
+    scalar is correlator_sector's.  Every nonempty slice is read, also as
+    explicit sectors with an ineffective class of the slice's degree (at
+    Picard rank 1, where there is none, the negated first Mori generator)
+    and, below the largest t, an effective class of the next degree, which
+    widens the anchor."""
+    L = sum(d_symbols(cl))
+    checked = 0
+    for t in range(t_max + 1):
+        window = _slice(cl, t)
+        if not window:
+            continue
+        p = L ** (cl.fan.rank + t)
+        wider = _slice(cl, t + 1)[:1] if t < t_max else ()
+        # window[0] moved along c1 = t by a multiple of c1(h) g - c1(g) h
+        ineffective = next((beta for g, h in itertools.combinations(cl.mori, 2)
+                            for a in range(-20, 21)
+                            for beta in [window[0] + a * (h.c1() * g + (-g.c1()) * h)]
+                            if not cl.is_effective(beta)), -cl.mori[0])
+        assert not cl.is_effective(ineffective)
+        assert (ineffective.c1() == t) == (len(cl.mori) > 1)
+        try:
+            reports = [correlator_series(lin, p, t)]
+        except NonFanoEnumerationUnbounded:
+            reports = []
+        reports += [correlator_series(lin, p, t, sectors=window),
+                    correlator_series(lin, p, t, sectors=[*window, ineffective, *wider])]
+        for rep in reports:
+            sectors = [row.beta for row in rep.rows]
+            found = [(row.scalar, row.reason) for row in rep.rows]
+            assert found == _checked_rows(lin, p, rep.anchor, sectors), t
+            for row in rep.rows:
+                if row.reason == "ok":
+                    assert row.scalar == correlator_sector(lin, p, row.beta, rep.anchor), t
+                    checked += 1
+        assert reports[-1].rows[len(window)].reason == (
+            "ineffective" if ineffective.c1() == t else "degree")
+        assert all(row.reason == "degree" for row in reports[-1].rows[len(window) + 1:])
+    assert checked
+
+
+def test_trusted_rows_with_an_effective_empty_sector():
+    """dP3's effective class with d = -1 on both rays of the primitive
+    collection {0, 4} is an input of the anchor, so its row is owned, and it
+    still reads 'empty': the nonemptiness check runs on every row."""
+    cl, lin = tangent_setup(hexagon())
+    empty = cl.curve_from_d((-1, 1, 0, 1, -1, 2))
+    ineffective = cl.curve_from_d((-5, 6, -2, -1, 2, 2))
+    assert cl.is_effective(empty) and not cl.is_effective(ineffective)
+    p = sum(d_symbols(cl)) ** 4  # the slice c1 = 2
+    sectors = [cl.curve_from_d((-2, 2, 0, 0, 0, 2)), empty, ineffective, degree_slice(cl, 1)[0]]
+    rep = correlator_series(lin, p, 2, sectors=sectors)
+    assert [row.reason for row in rep.rows] == ["ok", "empty", "ineffective", "degree"]
+    assert rep.rows[0].scalar
+    assert [(row.scalar, row.reason) for row in rep.rows] == \
+        _checked_rows(lin, p, rep.anchor, sectors)
+
+
+_CEILING_FANS = {name: class_lattice(fan) for name, fan in (
+    ("F1", hirzebruch(1)), ("P2", p2_fan()), ("P1xP1", p1xp1_fan()), ("dP3", hexagon()),
+    ("P1^3", p1_power(3)), ("BlptP3", blowup_p3_point()))}
+
+
+@given(st.sampled_from(("F1", "P2", "P1xP1", "dP3", "P1^3", "BlptP3")),
+       st.lists(st.integers(0, 6), min_size=6, max_size=6),
+       st.lists(st.integers(0, 6), min_size=6, max_size=6),
+       st.booleans(), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_ceiling_passes_on_every_dominated_sector(name, a, b, anchored, bound):
+    """The lemma the owned rows lean on: if A dominates beta, every h0(d_c)
+    rises from beta to A, so each collection's generator degree does, and
+    a sector ceiling that passes on A passes on beta (here with the
+    ceiling lowered to `bound`, so both outcomes occur)."""
+    cl = _CEILING_FANS[name]
+    mori = len(cl.mori)
+    beta = cl.from_mori(b[:mori])
+    other = cl.from_mori(a[:mori])
+    A = find_anchor(cl, [beta, other]) if anchored else beta + other
+    assume(dominates(cl, A, beta))
+    for K in cl.primitive_collections:
+        assert sum(h0(beta.d[r]) for r in K.edges) <= sum(h0(A.d[r]) for r in K.edges)
+    with mock.patch.object(qsheaf.sectors, "_MAX_DEGREE", bound):
+        try:
+            qsheaf.sectors.ceiling(cl, A.d)
+        except qsheaf.sectors.SectorError:
+            return
+        qsheaf.sectors.ceiling(cl, beta.d)
+
+
 def test_rank_two_series_inverts_once(monkeypatch):
     """One deformed (P^1)^2 series at t = 10 reads its six rows off one
     functional: quantum._inverse runs once per query, not once per row."""
@@ -1130,6 +1246,29 @@ def test_shared_root_text_is_unchanged():
         _ResidueRing(lin, find_anchor(cl, [cl.zero_curve]))
     assert str(exc.value) == ("anchor sector of (1, 1, 1, 1): the generators of its "
                               "two collections share a root")
+
+
+def test_vanishing_q_outside_k_is_a_shared_root():
+    """P1xP1 with the rank-collapse entries of test_deform.py on the class of
+    D3, D4: that Q_c is 0, the other is psi1^2, so K is the collection of
+    D1, D2 and every anchor's E vanishes.  The anchor's power of the zero
+    q_c is the empty list, so E = 0 and the refusal is the shared root."""
+    from qsheaf import AnchorDegenerate
+    from qsheaf.quantum import _ResidueRing
+
+    cl = class_lattice(p1xp1_fan())
+    lin = linear_part(cl, parse_deformation(cl, [
+        (0, (0, 0), "D1"), (1, (0, 0), "D2"),
+        (2, (0, 0), "D3"), (2, (0, -1), "D3"), (3, (0, 0), "D3"), (3, (0, 1), "D3")]))
+    assert lin.q[0] == Polynomial.variable(2, 0) ** 2 and not lin.q[1]
+    L = sum(d_symbols(cl))
+    for anchor, make in [(cl.zero_curve, lambda a: _ResidueRing(lin, a))] + [
+            (find_anchor(cl, list(degree_slice(cl, t))),
+             lambda a, t=t: correlator_series(lin, L ** (t + 2), t)) for t in (0, 2, 4)]:
+        with pytest.raises(AnchorDegenerate) as exc:
+            make(anchor)
+        assert str(exc.value) == (f"anchor sector of {anchor.d}: the generators of its "
+                                  "two collections share a root")
 
 
 def test_infinite_root_of_both_collections_is_refused(tmp_path, capsys):
@@ -1298,9 +1437,15 @@ def test_rows_run_their_checks_once_and_multiply_one_product(monkeypatch):
             monkeypatch.setattr(module, "dominates", spy)
     _forbid(monkeypatch, ("transition",), home=qsheaf.sectors)
     _forbid(monkeypatch, ("four_fermi",), home=qsheaf.quantum)
-    rep = correlator_series(lin, sum(d_symbols(cl)) ** 7, 4)
+    p = sum(d_symbols(cl)) ** 7
+    rep = correlator_series(lin, p, 4)
     ok = [row.beta for row in rep.rows if row.reason == "ok"]
     assert len(ok) == 6
+    # the series built its anchor from these sectors, so its rows trust dominance
+    assert calls == []
+    # an anchor the caller chooses is checked once per row
+    for beta in ok:
+        correlator_sector(lin, p, beta, rep.anchor)
     assert calls == ok
 
 
