@@ -225,7 +225,8 @@ class ClassLattice:
         even if everything left goes to its largest remaining d_c: no
         completion of that prefix is positive, so the first class is the same.
         The cut is linear in the next coefficient: where it bounds it, no
-        coefficient outside the bound is tried.
+        coefficient outside the bound is tried.  The walk starts at
+        `_packing_bound`, below which no combination is positive.
         """
         rows = [[c.d(g) for g in self.mori] for c in self.equiv]
         n = len(self.mori)
@@ -250,7 +251,7 @@ class ClassLattice:
                     return (a,) + rest
             return None
 
-        for total in itertools.count(1):
+        for total in itertools.count(_packing_bound(rows)):
             combo = first(0, total, [0] * len(rows))
             if combo is not None:
                 return self.from_mori(combo)
@@ -260,7 +261,15 @@ class ClassLattice:
 
     def is_effective_coords(self, coords: Sequence[int]) -> bool:
         """Curve coordinates pair >= 0 with every facet normal of the Mori cone."""
-        return all(sum(map(operator.mul, u, coords)) >= 0 for u in self.facets)
+        for u in self.facets:
+            if sum(map(operator.mul, u, coords)) < 0:
+                return False
+        return True
+
+    @cached_property
+    def _representatives(self) -> tuple:
+        """The least ray of each equivalence class, in class order."""
+        return tuple(c.members[0] for c in self.equiv)
 
     @cached_property
     def _mori_solve(self) -> tuple:
@@ -335,6 +344,18 @@ def _ints(values: Sequence[int], what: str) -> tuple:
     return values
 
 
+def _packing_bound(rows: Sequence[Sequence[int]]) -> int:
+    """A lower bound >= 1 on the coefficient sum of a combination positive
+    on every row: classes picked greedily, fewest positive entries first,
+    with disjoint positive supports each need a generator of their own."""
+    used = count = 0
+    for mask in sorted((sum(1 << j for j, x in enumerate(row) if x > 0) for row in rows),
+                       key=int.bit_count):
+        if mask and not mask & used:
+            used, count = used | mask, count + 1
+    return max(1, count)
+
+
 def compositions(total: int, parts: int):
     """Every tuple of parts >= 1 nonnegative integers summing to total, in
     lexicographic order: the order of itertools.product filtered by sum.  Stars
@@ -380,9 +401,10 @@ def equiv_classes(cl: ClassLattice) -> tuple:
 def beta_K(cl: ClassLattice, K: PrimitiveCollection):
     """The curve class of a primitive collection and its negative part [K^-],
     as derived once in cl.primitive_relations."""
-    if K not in cl.primitive_relations:
+    rel = cl.primitive_relations.get(K)
+    if rel is None:
         raise LatticeError(f"{K.edges} is not a primitive collection of this fan")
-    return cl.primitive_relations[K]
+    return rel
 
 
 def mori_generators(cl: ClassLattice) -> tuple:
@@ -416,7 +438,10 @@ def dominates(cl: ClassLattice, beta_prime: CurveClass, beta: CurveClass) -> boo
     and h0(x') >= h0(x) exactly when x' >= x or x < 0."""
     if not cl.is_effective_coords(tuple(map(operator.sub, beta_prime.coords, beta.coords))):
         return False
-    return all(x1 >= x or x < 0 for x1, x in zip(beta_prime.d, beta.d))
+    for x1, x in zip(beta_prime.d, beta.d):
+        if x1 < x and x >= 0:
+            return False
+    return True
 
 
 def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
@@ -428,17 +453,23 @@ def find_anchor(cl: ClassLattice, sectors: Sequence[CurveClass]) -> CurveClass:
     if not sectors:
         raise LatticeError("anchor search requires at least one sector")
     for s in sectors:
-        if not cl.is_effective(s):
+        if not cl.is_effective_coords(s.coords):
             raise IneffectiveClass(f"sector {s.d} is not effective")
     positive = cl.positive
     # the base sums the sectors, column by column
-    coords = tuple(map(sum, zip(*(s.coords for s in sectors))))
-    base = tuple(map(sum, zip(*(s.d for s in sectors))))
+    coords = tuple(map(sum, zip(*[s.coords for s in sectors])))
+    base = tuple(map(sum, zip(*[s.d for s in sectors])))
     # base - s sums effective sectors, so only h0(d_c) bounds n from below:
-    # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0; the
-    # rays stand for their classes, as in dominates
-    n = max([1] + [-((b - x) // p) for s in sectors
-                   for x, b, p in zip(s.d, base, positive.d) if x >= 0])
+    # d_c(base) + n * d_c(positive) >= d_c(s) wherever h0(d_c(s)) > 0, a
+    # ceiling division as d_c(positive) > 0; the rays stand for their
+    # classes, as in dominates
+    n = 1
+    for s in sectors:
+        for x, b, p in zip(s.d, base, positive.d):
+            if x >= 0:
+                m = (x - b + p - 1) // p
+                if m > n:
+                    n = m
     return CurveClass(tuple(a + n * p for a, p in zip(coords, positive.coords)),
                       tuple(b + n * p for b, p in zip(base, positive.d)))
 

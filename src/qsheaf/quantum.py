@@ -608,10 +608,8 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
         raise NotDominating(
             f"{beta_prime.d} must dominate both {beta.d} and {shifted.d}")
     if route == "exponent":
-        for c in cl.equiv:
-            dk = c.d(bk)
-            db = c.d(beta)
-            dbp = c.d(beta_prime)
+        for rho in cl._representatives:
+            dk, db, dbp = bk.d[rho], beta.d[rho], beta_prime.d[rho]
             left = (h0(dbp) - h0(db + dk)) + h1(db + dk) + (1 if dk > 0 else 0)
             right = (h0(dbp) - h0(db)) + h1(db) + (-dk if dk < 0 else 0)
             if left != right:
@@ -623,10 +621,16 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
     if route == "expand":  # the ceilings transition and four_fermi ran, in order
         for b in (beta_prime, shifted, beta):
             ceiling(cl, b.d)
-        # R_{beta'<-b} * F_b * Q, one product per side, as num / den * (int part)
-        (lhs, ln, ld), (rhs, rn, rd) = (lin._q_parts(itertools.chain(
-            [(c, h0(c.d(beta_prime)) - h0(c.d(b))) for c in cl.equiv],
-            [(c, h1(c.d(b))) for c in cl.equiv], q)) for b, q in ((shifted, qk), (beta, kminus)))
+        # R_{beta'<-b} * F_b * Q, one product per side, as num / den * (int
+        # part), with one exponent per class
+        sides = []
+        for b, q in ((shifted, qk), (beta, kminus)):
+            exps = [h0(beta_prime.d[rho]) - h0(b.d[rho]) + h1(b.d[rho])
+                    for rho in cl._representatives]
+            for c, m in q:
+                exps[c.index] += m
+            sides.append(lin._q_parts(zip(cl.equiv, exps)))
+        (lhs, ln, ld), (rhs, rn, rd) = sides
         # Gauss: products of primitive parts are primitive, and contents are > 0
         return lhs == rhs and (not lhs or ln * rd == rn * ld)
     return _rows_agree(_AnchorRing(lin, beta_prime, (beta, shifted)), bk, lin.q_product(qk),

@@ -51,7 +51,10 @@ def ceiling(cl: ClassLattice, d: tuple) -> None:
     of its generator degrees is at most the anchor's."""
     for K in cl.primitive_collections:
         # K is a union of classes c (beta_K pairs 1 with K only), deg Q_c = |c|
-        degree = sum(h0(d[rho]) for rho in K.edges)
+        degree = 0
+        for rho in K.edges:
+            if d[rho] >= 0:  # h0(d_rho)
+                degree += d[rho] + 1
         if degree > _MAX_DEGREE:
             raise SectorError(f"sector {echo(d)} needs a generator of degree {echo(degree)}, "
                               f"above the ceiling {_MAX_DEGREE}")
@@ -60,7 +63,13 @@ def ceiling(cl: ClassLattice, d: tuple) -> None:
 def nonempty(cl: ClassLattice, d: tuple) -> bool:
     """The moduli space of d-vector d is nonempty: no primitive collection
     has d < 0 on all of its rays."""
-    return not any(all(d[rho] < 0 for rho in K.edges) for K in cl.primitive_collections)
+    for K in cl.primitive_collections:
+        for rho in K.edges:
+            if d[rho] >= 0:
+                break
+        else:
+            return False
+    return True
 
 
 def sector(lin: LinearData, beta: CurveClass) -> SectorData:

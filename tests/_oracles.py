@@ -19,7 +19,7 @@ from qsheaf.poly import (_MAX_HEIGHT, _MAX_NESTING, GroebnerBasis, ParseError, P
                          PolyError, _div, _height, _mon_mul, _require_nonnegative_q, echo,
                          monomial_key)
 from qsheaf.quantum import four_fermi
-from qsheaf.sectors import transition
+from qsheaf.sectors import _MAX_DEGREE, SectorError, transition
 
 
 # ---- monomials as (psi exponents, q exponents) pairs of tuples ----------------
@@ -391,6 +391,88 @@ def find_anchor_by_search(cl, sectors):
     while not all(dominates_by_difference(cl, base + n * cl.positive, s) for s in sectors):
         n += 1
     return base + n * cl.positive
+
+
+# ---- reference forms of the Mori-cone kernels --------------------------------
+# qsheaf's lattice and sector kernels as generator expressions, the form they
+# had before they became early-exit loops.
+
+def is_effective_coords_reference(cl, coords):
+    """ClassLattice.is_effective_coords: coords pair >= 0 with every facet."""
+    return all(sum(map(operator.mul, u, coords)) >= 0 for u in cl.facets)
+
+
+def dominates_reference(cl, beta_prime, beta):
+    """qsheaf.lattice.dominates: the difference is effective and no d entry
+    falls from >= 0."""
+    if not is_effective_coords_reference(cl, tuple(map(operator.sub, beta_prime.coords,
+                                                       beta.coords))):
+        return False
+    return all(x1 >= x or x < 0 for x1, x in zip(beta_prime.d, beta.d))
+
+
+def find_anchor_reference(cl, sectors):
+    """qsheaf.lattice.find_anchor: the sectors' sum plus the least n >= 1
+    times cl.positive, n a max over floor divisions."""
+    if not sectors:
+        raise LatticeError("anchor search requires at least one sector")
+    for s in sectors:
+        if not cl.is_effective(s):
+            raise IneffectiveClass(f"sector {s.d} is not effective")
+    positive = cl.positive
+    coords = tuple(map(sum, zip(*(s.coords for s in sectors))))
+    base = tuple(map(sum, zip(*(s.d for s in sectors))))
+    n = max([1] + [-((b - x) // p) for s in sectors
+                   for x, b, p in zip(s.d, base, positive.d) if x >= 0])
+    return CurveClass(tuple(a + n * p for a, p in zip(coords, positive.coords)),
+                      tuple(b + n * p for b, p in zip(base, positive.d)))
+
+
+def ceiling_reference(cl, d):
+    """qsheaf.sectors.ceiling: SectorError when some primitive collection's
+    generator degree, the sum of h0 over its rays, is above the ceiling."""
+    for K in cl.primitive_collections:
+        degree = sum(h0(d[rho]) for rho in K.edges)
+        if degree > _MAX_DEGREE:
+            raise SectorError(f"sector {echo(d)} needs a generator of degree {echo(degree)}, "
+                              f"above the ceiling {_MAX_DEGREE}")
+
+
+def nonempty_reference(cl, d):
+    """qsheaf.sectors.nonempty: no primitive collection is negative on all rays."""
+    return not any(all(d[rho] < 0 for rho in K.edges) for K in cl.primitive_collections)
+
+
+def positive_walk(cl):
+    """The Mori coefficients of ClassLattice.positive by its walk started at
+    coefficient sum 1: the first composition, by sum and then
+    lexicographically, positive on every class, with the same prefix cut."""
+    rows = [[c.d(g) for g in cl.mori] for c in cl.equiv]
+    n = len(cl.mori)
+    tops = [[max(row[k:]) for k in range(n)] for row in rows]
+
+    def first(k, left, sums):
+        if any(s + left * top[k] <= 0 for s, top in zip(sums, tops)):
+            return None
+        if k == n - 1:
+            return (left,)
+        lo, hi = 0, left
+        for s, row, top in zip(sums, rows, tops):
+            slope, base = row[k] - top[k + 1], s + left * top[k + 1]
+            if slope > 0:
+                lo = max(lo, -base // slope + 1)
+            elif slope < 0:
+                hi = min(hi, (base - 1) // -slope)
+        for a in range(lo, hi + 1):
+            rest = first(k + 1, left - a, [s + a * row[k] for s, row in zip(sums, rows)])
+            if rest is not None:
+                return (a,) + rest
+        return None
+
+    for total in itertools.count(1):
+        combo = first(0, total, [0] * len(rows))
+        if combo is not None:
+            return combo
 
 
 def expand_sides(lin, K, beta, beta_prime):

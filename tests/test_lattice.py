@@ -20,12 +20,16 @@ import qsheaf.linalg
 from qsheaf.lattice import compositions
 from qsheaf.quantum import effective_window
 
-from _oracles import (construction_by_inverse, dominates_by_difference,
-                      effective_cones_coincide_by_facets, find_anchor_by_classes,
-                      find_anchor_by_search, in_cone, wall_classes)
+from qsheaf.sectors import SectorError, ceiling, nonempty
+
+from _oracles import (ceiling_reference, construction_by_inverse, dominates_by_difference,
+                      dominates_reference, effective_cones_coincide_by_facets,
+                      find_anchor_by_classes, find_anchor_by_search, find_anchor_reference,
+                      in_cone, is_effective_coords_reference, nonempty_reference,
+                      positive_walk, wall_classes)
 from conftest import (all_fans, blown_up_p1xp1, blowup_p3_point, class_of_ray,
                       deformed_p1_power_entries, hexagon, hirzebruch, non_projective_fan,
-                      p1_fan, p1_power, p1xp1_fan, p2_fan)
+                      p1_fan, p1_power, p1xp1_fan, p2_fan, projective_bundle)
 
 ROOT = os.path.dirname(__file__)
 MODEL_FILES = (sorted(glob.glob(os.path.join(ROOT, "..", "models", "*.json")))
@@ -285,6 +289,102 @@ def test_find_anchor_refuses_no_sectors():
     with pytest.raises(LatticeError) as exc:
         find_anchor(cl, [])
     assert str(exc.value) == "anchor search requires at least one sector"
+
+
+def _outcome(f, *args):
+    """("value", f(*args)), or ("raise", type, text) of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+
+
+@functools.cache
+def _kernel_lattices() -> dict:
+    """id -> ClassLattice: the bundled and tests/data models, dP3 and every
+    P(O + O(a_1) + ... + O(a_r)) over P^s with r + s <= 5 and 0 <= a_i <= 3."""
+    out = {os.path.basename(path): load_model(path).cl for path in MODEL_FILES}
+    out["dP3"] = class_lattice(hexagon())
+    for r in range(1, 5):
+        for s in range(1, 6 - r):
+            for a in itertools.product(range(4), repeat=r):
+                out[f"P(O+O{a}) over P^{s}"] = class_lattice(projective_bundle(s, a))
+    return out
+
+
+def _assert_kernels_match(cl, classes, d_vectors):
+    """Every Mori-cone kernel agrees with its reference form on the classes
+    and d-vectors, in value or in the exception's type and text."""
+    for b in classes:
+        assert (cl.is_effective_coords(b.coords)
+                == is_effective_coords_reference(cl, b.coords)), b.coords
+        for s in classes:
+            assert dominates(cl, b, s) == dominates_reference(cl, b, s), (b.d, s.d)
+    for sectors in ([], classes[:1], classes[:2], classes[1:3], classes):
+        anchor = _outcome(find_anchor, cl, sectors)
+        assert anchor == _outcome(find_anchor_reference, cl, sectors), [s.d for s in sectors]
+        if anchor[0] == "value":
+            for s in sectors:
+                assert dominates(cl, anchor[1], s) and dominates_reference(cl, anchor[1], s)
+    for d in d_vectors:
+        assert _outcome(ceiling, cl, d) == _outcome(ceiling_reference, cl, d), d
+        assert nonempty(cl, d) == nonempty_reference(cl, d), d
+
+
+def test_mori_kernels_match_their_reference_forms_on_every_fan():
+    """On each fan: zero, the Mori generators, their negatives, the positive
+    class and 1000 times it (above the sector ceiling)."""
+    fans = _kernel_lattices()
+    assert len(fans) == 7 + 3 + 1 + 448
+    for name, cl in fans.items():
+        big = cl.positive * 1000
+        classes = [cl.zero_curve, *cl.mori, cl.positive, *(-g for g in cl.mori), big]
+        _assert_kernels_match(cl, classes, [b.d for b in classes])
+        assert _outcome(ceiling, cl, big.d)[1] is SectorError, name
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mori_kernels_match_their_reference_forms(data):
+    """Random integer curve coordinates, so ineffective classes and negative
+    d entries, some of magnitude past the ceiling, and random d-vectors."""
+    fans = _kernel_lattices()
+    cl = fans[data.draw(st.sampled_from(sorted(fans)))]
+    entry = st.one_of(st.integers(-4, 4), st.integers(-1500, 1500))
+    coords = st.lists(entry, min_size=cl.pic_rank, max_size=cl.pic_rank)
+    classes = data.draw(st.lists(coords.map(cl.curve_from_coords), min_size=1, max_size=4))
+    d_vectors = data.draw(st.lists(st.lists(entry, min_size=cl.fan.n_rays,
+                                            max_size=cl.fan.n_rays).map(tuple), max_size=3))
+    # classes a sum of sectors dominates, and one short of it
+    effective = [b for b in classes if cl.is_effective(b)]
+    if effective:
+        anchor = find_anchor(cl, effective)
+        classes += [anchor, anchor - cl.mori[data.draw(st.integers(0, len(cl.mori) - 1))]]
+    _assert_kernels_match(cl, classes, d_vectors + [b.d for b in classes])
+
+
+def test_positive_matches_the_walk_from_one():
+    """The walk started at the packing bound returns the class the walk from
+    coefficient sum 1 returns, and the bound is at most that sum: on the
+    kernel fans, the blown-up surfaces with 8 to 10 rays and F_a, a <= 20."""
+    fans = {name: cl.fan for name, cl in _kernel_lattices().items()}
+    fans.update((f"blown_up_p1xp1({n})", blown_up_p1xp1(n)) for n in (8, 9, 10))
+    fans.update((f"F_{a}", hirzebruch(a)) for a in range(21))
+    for name, fan in fans.items():
+        cl = class_lattice(fan)  # a fresh lattice: no cached positive
+        combo = positive_walk(cl)
+        assert cl.positive == cl.from_mori(combo), name
+        rows = [[c.d(g) for g in cl.mori] for c in cl.equiv]
+        assert 1 <= qsheaf.lattice._packing_bound(rows) <= sum(combo), name
+
+
+def test_packing_bound_on_product_of_lines():
+    """(P^1)^5: five classes, each positive on one generator of its own,
+    so the walk starts at its answer's sum, 5."""
+    cl = class_lattice(p1_power(5))
+    rows = [[c.d(g) for g in cl.mori] for c in cl.equiv]
+    assert qsheaf.lattice._packing_bound(rows) == 5
+    assert cl.positive.d == (1,) * 10
 
 
 def test_effective_cone_diagnostic():

@@ -280,6 +280,31 @@ def test_expand_route_products_equal_the_composed_sides(monkeypatch, path):
             assert sides == expand_sides(lin, K, beta, anchor), (K.edges, beta.d)
 
 
+@pytest.mark.parametrize("path", VERIFY_FILES, ids=os.path.basename)
+def test_expand_route_raises_each_class_once_per_side(monkeypatch, path):
+    """Each side's LinearData._q_parts call receives at most one (class,
+    exponent) pair per class: R, F and Q merged into one exponent, so each
+    Q_c is raised once, on every `verify --all --grid 4` case."""
+    model = load_model(path)
+    cl, lin = model.cl, model.lin
+    q_parts, calls = LinearData._q_parts, []
+
+    def spy(self, exponents):
+        calls.append(list(exponents))
+        return q_parts(self, calls[-1])
+
+    monkeypatch.setattr(LinearData, "_q_parts", spy)
+    for K, (bk, _) in cl.primitive_relations.items():
+        for beta in effective_window(cl, 4, coeff_bound=4):
+            calls.clear()
+            assert verify_qc_relation(lin, K, beta, find_anchor(cl, [beta, beta + bk]),
+                                      route="expand")
+            assert len(calls) == 2
+            for pairs in calls:
+                classes = [c.index for c, _ in pairs]
+                assert len(classes) == len(set(classes)), (K.edges, beta.d)
+
+
 @pytest.mark.parametrize("name", ["f1.json", "f3.json"])
 def test_rank_two_expand_route_packs_nothing(monkeypatch, name):
     """At Picard rank 2 every expand-route product multiplies tangent Q_c,
