@@ -211,10 +211,11 @@ class _ResidueRing(_AnchorRing):
     Collins, JACM 1967; Brown-Traub, JACM 1971).  `_inverse_lead` serves
     only the anchor normalization: it reads the generator and
     rho_A(generator) off the remainders of the anchor's sequence.  A
-    functional keeps rho_m(u^i), i = 0..n_m, as ints over one scale, and
-    per insertion p the values rho_m(p * u^j), so a row is one product of
-    cached q_c powers, one dot and one Fraction; the scale and
-    rho_A(generator) are folded into one num / den per functional.
+    functional keeps rho_m(u^i), i = 0..n_m, the digits of the quotient of
+    u^(n_m + 1) * s by D_m (s * E_m = g mod D_m), and per insertion p the
+    values rho_m(p * u^j), so a row is one product of cached q_c powers, one
+    dot and one Fraction; the quotient's scale and rho_A(generator) are
+    folded into one num / den per functional.
     """
 
     def __init__(self, lin: LinearData, anchor: CurveClass, cover: Sequence[CurveClass] = ()):
@@ -242,7 +243,7 @@ class _ResidueRing(_AnchorRing):
                     m[c.index] = c.d(beta) + 1
         # capped at the anchor's exponents, whatever sectors the caller hands
         self._cover = tuple(map(min, m, exponents))
-        self._functionals = {}  # m -> (rho_m values, offset, num, den, {p: p * rho_m})
+        self._functionals = {}  # m -> (rho_m values, num, den, {p: p * rho_m})
         # rho_A(u^a) = [u^(deg D - 1)] u^a * s / g for s * E = g mod D, deg s <
         # deg D: the least a with rho_A(u^a) != 0 is deg D - 1 - deg s
         # the anchor's powers in one step each, by Miller's recurrence
@@ -288,44 +289,21 @@ class _ResidueRing(_AnchorRing):
         return d, e, top * m, bottom * c
 
     def _functional(self, m: tuple) -> tuple:
-        """rho_m(u^i), i = 0..n_m, as ints over one scale; the offset below
-        which they vanish; num / den, which turns their dot with a row's
-        numerator into its value against the generator; and the insertion
-        memo."""
+        """rho_m(u^i), i = 0..n_m, as ints; num / den, which turns their dot
+        with a row's numerator into its value against the generator; and the
+        insertion memo."""
         cl = self.lin.cl
         d, e, top, bottom = self._parts(m)
         s, g = _inverse(e, d)
-        n, lc = len(d) - 1, d[-1]
         size = sum(c.size * x for c, x in zip(cl.equiv, m)) - cl.pic_rank + 1
-        # [u^(n - 1)] (u^i * s mod D): read off s while u^i * s has degree <
-        # n, then shift by u and reduce mod D, multiplying only by the factor
-        # of lc(D) that each step needs
-        a = n - len(s)
-        r, values, steps = [0] * a + s, [0] * a + [s[-1]], [1] * (a + 1)
-        while len(values) < size:
-            x, f = r.pop(), 1
-            r.insert(0, 0)
-            if x and lc != 1:
-                h = math.gcd(x, lc) if lc > 0 else -math.gcd(x, lc)
-                f, x = lc // h, x // h
-            if f != 1:
-                for j in range(n):
-                    r[j] = f * r[j] - x * d[j]
-            elif x:
-                for j in range(n):
-                    r[j] -= x * d[j]
-            values.append(r[-1])
-            steps.append(f)
-        del values[size:]
-        scale = 1  # each value times the multipliers of the steps after it
-        if lc not in (1, -1):
-            for i in range(len(values) - 1, a - 1, -1):
-                values[i] *= scale
-                scale *= steps[i]
+        # [u^(deg D - 1)] (u^i * s mod D) = lc(D) [u^-(i + 1)] s / D at u = oo,
+        # and scale * u^size * s = q * D + r: so it is lc(D) q[size - 1 - i] / scale
+        scale, q, _ = _pseudo_divmod([0] * size + s, d)
+        values = [0] * (size - len(q)) + q[::-1]
         c = math.gcd(*values) or 1
         if c != 1:
             values = [x // c for x in values]
-        return (values, a, top * c * self._norm.denominator,
+        return (values, top * c * d[-1] * self._norm.denominator,
                 bottom * g * scale * self._norm.numerator, {})
 
     def _scalar(self, p: Polynomial, beta: CurveClass) -> Fraction:
@@ -337,13 +315,12 @@ class _ResidueRing(_AnchorRing):
         functional = self._functionals.get(m)
         if functional is None:
             functional = self._functionals[m] = self._functional(m)
-        values, a, top, bottom, sums = functional
+        values, top, bottom, sums = functional
         row = sums.get(p)
         if row is None:  # row[j] = rho_m(p * u^j), times the scale
             h = _dehomogenize(p)
-            tail, j = values[a:], len(values) - len(h) + 1  # values below a are 0
-            row = sums[p] = ([sum(map(operator.mul, h[a - i:], tail)) for i in range(min(a, j))]
-                             + [sum(map(operator.mul, h, values[i:])) for i in range(a, j)])
+            row = sums[p] = [sum(map(operator.mul, h, values[j:]))
+                             for j in range(len(values) - len(h) + 1)]
         k = [y - x for x, y in zip(e, m)]  # all >= 0
         for i, qn, qd in self._contents:  # Q_c^k = (qn / qd)^k * q_c^k
             if k[i]:

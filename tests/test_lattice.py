@@ -335,7 +335,7 @@ def test_mori_kernels_match_their_reference_forms_on_every_fan():
     """On each fan: zero, the Mori generators, their negatives, the positive
     class and 1000 times it (above the sector ceiling)."""
     fans = _kernel_lattices()
-    assert len(fans) == 7 + 3 + 1 + 448
+    assert len(fans) == 7 + 4 + 1 + 448
     for name, cl in fans.items():
         big = cl.positive * 1000
         classes = [cl.zero_curve, *cl.mori, cl.positive, *(-g for g in cl.mori), big]

@@ -1014,11 +1014,19 @@ def _deformed_f1():
     return cl, linear_part(cl, parse_deformation(cl, raw))
 
 
+def _negative_lead():
+    """(cl, lin) of `tests/data/f1_negative_lead.json`: F1 with
+    q_c = -2u^2 + 2u - 1 for its collection {D1, D2}, so the residue ring's
+    D_m have negative leading coefficients other than -1."""
+    model = load_model(os.path.join(os.path.dirname(__file__), "data", "f1_negative_lead.json"))
+    return model.cl, model.lin
+
+
 def _reference_ladder():
     """(cl, lin, slices), with an id, for the integer kernel's comparison
     with the Fraction reference route: the deformed draws, every circulant
     epsilon magnitude of the benchmark with both signs, tangent and deformed
-    F1, and tangent Bl_pt P^3."""
+    F1, F1 with a negative lc(D_m), and tangent Bl_pt P^3."""
     cases = [pytest.param(*deformed_p1_power(2, random.Random(seed)), range(17),
                           id=f"dP1^2 seed {seed}") for seed in (0, 1)]
     cases.append(pytest.param(*deformed_p1_power(2, random.Random(0)), (24,),
@@ -1030,8 +1038,29 @@ def _reference_ladder():
     cases.append(pytest.param(model.cl, model.lin, range(9), id="p1xp1_deformed.json"))
     cases.append(pytest.param(*tangent_setup(hirzebruch(1)), range(9), id="F1"))
     cases.append(pytest.param(*_deformed_f1(), range(7), id="deformed F1"))
+    cases.append(pytest.param(*_negative_lead(), range(9), id="f1_negative_lead.json"))
     cases.append(pytest.param(*tangent_setup(blowup_p3_point()), range(7), id="BlptP3"))
     return cases
+
+
+def test_negative_lead_rung_reaches_a_negative_lc():
+    """The ladder's f1_negative_lead.json rung, at t <= 8, reads functionals
+    whose D_m has a leading coefficient below -1, so the quotient that
+    carries rho_m runs the negative branch of the step multipliers."""
+    from qsheaf.quantum import _ResidueRing
+
+    cl, lin = _negative_lead()
+    L = sum(d_symbols(cl))
+    leads = set()
+    for t in range(9):
+        window = _slice(cl, t)
+        if not window:
+            continue
+        ring = _ResidueRing(lin, find_anchor(cl, list(window)))
+        for beta in window:
+            ring.row(L ** (cl.fan.rank + t), beta)
+        leads.update(ring._parts(m)[0][-1] for m in ring._functionals)
+    assert min(leads) < -1
 
 
 def test_residue_ring_reads_q_content_from_linear_data():
