@@ -58,8 +58,12 @@ class Deformation:
 
 
 _FRESHNESS_SEED = 7  # the sample points are fixed, so reports are reproducible
-_MAX_TRIALS = 10_000  # about 0.1 ms a trial: a second, not hours
+# a deformation's trial takes about 0.03 ms: a fraction of a second, not hours;
+# T_X draws none
+_MAX_TRIALS = 10_000
 _FRESHNESS_PRIME = 2 ** 61 - 1  # ranks are certified modulo this prime first
+# a draw's numerator; random.choice reads only the length, so the stream is fixed
+_NUMERATORS = tuple(n for n in range(-9, 10) if n)
 
 
 def _mod(x, p: int) -> Optional[int]:
@@ -217,35 +221,41 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,
                          trials: int = 20) -> FreenessVerdict:
-    """Probabilistic surjectivity test for the transposed deformation map.
+    """Surjectivity of the transposed deformation map outside Z(Sigma).
 
-    Evaluates the rows E_rho(x) = sum_m a_{rho,m} x^(Cox monomial of (rho, m))
-    at rational points outside the irrelevant locus, including one generic
-    point per toric stratum, and checks that they span W.  A rank drop
-    returns the witness point.  A full rank modulo _FRESHNESS_PRIME
-    certifies a point; only a drop there, or an input with the prime in a
-    denominator, is decided by the exact rank over Q.
+    T_X passes without a sample point: by the Euler sequence, a point
+    outside Z(Sigma) has x_rho != 0 for every rho off some maximal cone, and
+    those [D_rho] are a basis of W.  Any other deformation is tested by
+    sampling: the rows E_rho(x) = sum_m a_{rho,m} x^(Cox monomial of (rho, m))
+    are evaluated at rational points outside the irrelevant locus, including
+    one generic point per toric stratum, and must span W.  A rank drop
+    returns the witness point.  Each coordinate is drawn as an int pair
+    (num, den); a full rank of the residues modulo _FRESHNESS_PRIME
+    certifies a point, and only a drop there, or a pair or an input with the
+    prime in a denominator, is decided by the exact rank over Q.
     """
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {echo(trials)}")
     if trials > _MAX_TRIALS:
         raise DeformError(f"trials {echo(trials)} is above the ceiling {_MAX_TRIALS}")
+    if E.is_tangent:
+        return FreenessVerdict(passed=True)
     fan = cl.fan
     rng = random.Random(_FRESHNESS_SEED)
     pcs = cl.primitive_collections
+    p = _FRESHNESS_PRIME
+    # inverses mod p of every denominator drawn or met, but those p divides
+    inverse = {den: pow(den, -1, p) for den in range(1, 8) if den % p}
 
-    def rand_nonzero() -> Fraction:
-        num = rng.choice([n for n in range(-9, 10) if n])
-        den = rng.randint(1, 7)
-        return Fraction(num, den)
+    def rand_nonzero() -> tuple:
+        return rng.choice(_NUMERATORS), rng.randint(1, 7)
 
     def in_irrelevant(x) -> bool:
-        return any(all(x[rho] == 0 for rho in pc.edges) for pc in pcs)
+        return any(all(x[rho][0] == 0 for rho in pc.edges) for pc in pcs)
 
     # one generic point per toric stratum; a cone spans no primitive
     # collection, so none of them lies inside Z(Sigma)
-    points = [tuple(Fraction(0) if rho in face else rand_nonzero()
-                    for rho in range(fan.n_rays))
+    points = [tuple((0, 1) if rho in face else rand_nonzero() for rho in range(fan.n_rays))
               for face in sorted(fan.cone_faces())]
     # targeted points: kernel vectors of each class's linear coefficient map
     # catch rank drops along linear degeneracy loci that sampling misses
@@ -256,21 +266,24 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
         for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
             last = next(v for v in reversed(u) if v)  # the free entry: 1 in the RREF vector
+            if last % p:
+                inverse[last] = pow(last, -1, p)
             for j, rho in enumerate(c.members):
-                x[rho] = Fraction(u[j], last)
-            x = tuple(x)
+                x[rho] = (u[j], last)
             if not in_irrelevant(x):
-                points.append(x)
+                points.append(tuple(x))
     for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
-    terms = [(entry.rho, _cox_monomial(fan, entry.rho, entry.m),
-              entry.coeff.linear_coefficients()) for entry in E.entries if entry.coeff]
+    # each entry's Cox monomial as its (ray, exponent) pairs with exponent > 0
+    terms = [(entry.rho, [(rp, e) for rp, e in enumerate(_cox_monomial(fan, entry.rho, entry.m))
+                          if e], entry.coeff.linear_coefficients())
+             for entry in E.entries if entry.coeff]
 
     def rows_at(x, entries):
         rows = [[0] * cl.pic_rank for _ in range(fan.n_rays)]
         for rho, mono, coeffs in entries:
-            value = math.prod(xi ** e for xi, e in zip(x, mono) if e)
+            value = math.prod([x[rp] ** e for rp, e in mono])
             if value:
                 for k, cval in enumerate(coeffs):
                     rows[rho][k] += cval * value
@@ -278,15 +291,15 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
 
     # rows of p-integral entries with full rank mod p have full rank over
     # Q, so the verdict and the witness are those of the exact rank
-    p = _FRESHNESS_PRIME
     mod_terms = [(rho, mono, [_mod(c, p) for c in coeffs]) for rho, mono, coeffs in terms]
     if any(None in coeffs for _, _, coeffs in mod_terms):
         mod_terms = None
     for x in points:
-        xp = [_mod(xi, p) for xi in x]
-        if mod_terms is not None and None not in xp:
+        if mod_terms is not None and all(den in inverse for _, den in x):
+            xp = [num * inverse[den] % p for num, den in x]
             if rank_mod(rows_at(xp, mod_terms), p) == cl.pic_rank:
                 continue
+        x = tuple([Fraction(num, den) for num, den in x])
         if matrix_rank(rows_at(x, terms)) != cl.pic_rank:
             return FreenessVerdict(passed=False, witness=x)
     return FreenessVerdict(passed=True)

@@ -13,13 +13,13 @@ from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation
                     polymology, qsr_generators, sector_ideal, tangent_deformation)
 from qsheaf.poly import Polynomial, PolyError
 
-from qsheaf.deform import Deformation, DeformationEntry, _linear_slot
+from qsheaf.deform import _MAX_TRIALS, Deformation, DeformationEntry, FreenessVerdict, _linear_slot
 from qsheaf.model import load_model
 
 from _oracles import linear_slot_by_pairings, local_freeness_by_points
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power_entries,
                       deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
-                      p1_power, p1xp1_fan, p2_fan, tangent_setup)
+                      p1_power, p1xp1_fan, p2_fan, projective_bundle, tangent_setup)
 from test_acceptance import _nonlinear_entries
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -395,3 +395,62 @@ def test_local_freeness_with_a_small_prime_matches_per_point_pairing(monkeypatch
     before = [events[k - 1] if k else None for k, e in enumerate(events) if e[0] == "exact"]
     assert ("mod", False) in before
     assert any(e != ("mod", False) for e in before)
+
+
+def _euler_fans():
+    """The fans whose T_X skips sampling in the tests: the six worked
+    examples, dP3, Bl_pt P^3 and the 24 P(O + O(a_1) + ... + O(a_r)) over
+    P^s with r + s <= 3 and 0 <= a_i <= 3."""
+    yield from all_fans()
+    yield "dP3", load_model(os.path.join(os.path.dirname(__file__), "data", "dp3.json")).cl.fan
+    yield "Bl_pt P3", blowup_p3_point()
+    for r in (1, 2):
+        for s in range(1, 4 - r):
+            for a in itertools.product(range(4), repeat=r):
+                yield f"P(O+O{a}) over P^{s}", projective_bundle(s, a)
+
+
+def test_local_freeness_of_a_tangent_bundle_samples_no_point(monkeypatch):
+    lattices = [(name, class_lattice(fan)) for name, fan in _euler_fans()]
+    assert len(lattices) == 32
+    events = _spy_ranks(monkeypatch)
+    for name, cl in lattices:
+        E = tangent_deformation(cl)
+        assert local_freeness_check(cl, E, trials=_MAX_TRIALS) == FreenessVerdict(passed=True)
+        with pytest.raises(DeformError, match=f"trials {_MAX_TRIALS + 1} is above the ceiling"):
+            local_freeness_check(cl, E, trials=_MAX_TRIALS + 1)
+    assert events == []
+    # the Euler-sequence argument against sampling: every point passes
+    for name, cl in lattices:
+        assert local_freeness_by_points(cl, tangent_deformation(cl), 8).passed, name
+
+
+def test_local_freeness_samples_every_deformation_but_the_tangent_entries(monkeypatch):
+    cl, E, lin = deformed_p1xp1("0", "0", "0", "0")
+    assert lin.q == tangent_setup(p1xp1_fan())[1].q  # T_X's Q_c, not T_X's entries
+    rescaled = parse_deformation(cl, [(0, (0, 0), "2*D1"), (1, (0, 0), "D2"),
+                                      (2, (0, 0), "D3"), (3, (0, 0), "D4")])
+    events = _spy_ranks(monkeypatch)
+    for E in (E, rescaled):
+        assert not E.is_tangent
+        del events[:]
+        verdict = local_freeness_check(cl, E, trials=8)
+        assert verdict.passed and events
+        assert verdict == local_freeness_by_points(cl, E, 8)
+
+
+@pytest.mark.parametrize("prime", [3, 7])
+def test_local_freeness_kernel_point_with_a_small_prime_denominator(monkeypatch, prime):
+    """A kernel point (u_j, last) with last = 21: the prime divides its
+    denominator, so the exact rank decides it, and it is the witness."""
+    import qsheaf.deform
+
+    cl = class_lattice(p1_fan())
+    E = parse_deformation(cl, [(0, (0,), "21*D1"), (0, (-1,), "D1"),
+                               (1, (0,), "D1"), (1, (1,), "21*D1")])
+    monkeypatch.setattr(qsheaf.deform, "_FRESHNESS_PRIME", prime)
+    events = _spy_ranks(monkeypatch)
+    verdict = local_freeness_check(cl, E, trials=20)
+    assert verdict == local_freeness_by_points(cl, E, 20)
+    assert verdict.witness == (Fraction(-1, 21), Fraction(1))
+    assert events[-1] == ("exact", None)
