@@ -20,8 +20,8 @@ outgrow their packing starts over on a wider one, so nothing ever wraps.
 
 Homogeneous forms in two psi variables are one-variable polynomials in
 u = psi1 / psi2: this module owns their dense int lists (`_dehomogenize`,
-`_umul`), on which `power_product` multiplies such forms and the residue
-anchor ring of `quantum` does all its arithmetic.
+`_umul`, `_upower`), on which `power_product` raises and multiplies such
+forms and the residue anchor ring of `quantum` does all its arithmetic.
 """
 
 from __future__ import annotations
@@ -307,12 +307,12 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     binary powering on int-keyed dicts and the result is unpacked once,
     with two exceptions.  With two psi variables, no Novikov variable and
     every factor homogeneous with int coefficients, each factor is its int
-    list in u = psi1 / psi2 (`_dehomogenize`), raised by binary powering on
-    `_umul`, the one dense multiply, which the residue route shares; psi2
-    takes the degree left.  Otherwise, when the one factor of two or more
-    terms is a linear form, its power is its multinomial expansion
-    (Monagan-Pearce, CASC 2012), each term made once.  A negative k raises
-    PolyError."""
+    list in u = psi1 / psi2 (`_dehomogenize`), raised by `_upower` and
+    multiplied by `_umul`, the residue route's one power and one dense
+    multiply; psi2 takes the degree left.  Otherwise, when the one factor of
+    two or more terms is a linear form, its power is its multinomial
+    expansion (Monagan-Pearce, CASC 2012), each term made once.  A negative
+    k raises PolyError."""
     offset, room, scale, factors = [0] * (nv + nq), [0] * (nv + nq), 1, []
     for p, k in pairs:
         if k < 0:
@@ -342,7 +342,7 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
             len({a + b for a, b in exps}) == 1 and all(type(c) is int for c in p.terms.values())
             for exps, _, p, _ in factors):
         # the index of a list entry is its psi1 exponent past offset[0]
-        out = functools.reduce(_umul, [_power(_dehomogenize(p)[lo[0]:], k, _umul)
+        out = functools.reduce(_umul, [_upower(_dehomogenize(p)[lo[0]:], k)
                                        for _, lo, p, k in factors])
         top = offset[1] + len(out) - 1
         return Polynomial(2, 0, {((offset[0] + i, top - i), ()): scale * c
@@ -371,7 +371,7 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     for exps, lo, p, k in factors:
         base = {sum((x - low) << s for x, low, s in zip(e, lo, shifts)): c
                 for e, c in zip(exps, p.terms.values())}
-        product = _packed_mul(product, _power(base, k, _packed_mul))
+        product = _packed_mul(product, _packed_power(base, k))
     columns = [[(key >> s & (1 << w) - 1) + o for key in product]
                for s, w, o in zip(shifts, widths, offset)]
     psi = zip(*columns[:nv]) if nv else itertools.repeat(())
@@ -379,16 +379,16 @@ def power_product(pairs: Iterable[tuple], nv: int, nq: int = 0) -> Polynomial:
     return Polynomial(nv, nq, dict(zip(zip(psi, q), product.values())))
 
 
-def _power(a, k: int, mul: Callable):
-    """a^k for k >= 1 by binary powering, mul the product of two a's."""
+def _packed_power(a: dict, k: int) -> dict:
+    """a^k of packed terms for k >= 1, by binary powering."""
     result = None
     while True:
         if k & 1:
-            result = a if result is None else mul(result, a)
+            result = a if result is None else _packed_mul(result, a)
         k >>= 1
         if not k:
             return result
-        a = mul(a, a)
+        a = _packed_mul(a, a)
 
 
 def _packed_mul(a: dict, b: dict) -> dict:
@@ -429,12 +429,15 @@ def _upower(a: list, e: int) -> list:
     """a^e for e >= 0 by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
     4.7): strip u^v so that a_0 != 0; then p = a^e has p_0 = a_0^e and
     k a_0 p_k = sum_(j >= 1) ((e + 1) j - k) a_j p_(k-j), an exact int
-    division, so a^e costs O(e deg^2 a) products, not O(e^2 deg^2 a)."""
+    division, so a^e costs O(e deg^2 a) products, not O(e^2 deg^2 a).
+    Below the cube `_umul` is cheaper: a^1 is a itself, a^2 one product."""
     if not e:
         return [1]
     v = next((i for i, x in enumerate(a) if x), None)
     if v is None:  # the zero list
         return []
+    if e <= 2:
+        return a if e == 1 else _umul(a, a)
     a = a[v:]
     a0 = a[0]
     terms = [(j, (e + 1) * j, x) for j, x in enumerate(a) if j and x]

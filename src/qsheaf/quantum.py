@@ -23,6 +23,7 @@ from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape
                    _dehomogenize, _umul, _upower, monomial_str, normal_form, signed_sum,
                    sole_generator, standard_monomials, top_functional)
 from .deform import LinearData
+from .linalg import _primitive
 from .sectors import NotDominating, ceiling, nonempty, sector_gb
 
 
@@ -285,7 +286,8 @@ class _ResidueRing(_AnchorRing):
         top, bottom = 1, d[-1]
         for i, qn, qd in self._contents:  # Q_c^-e = (qd / qn)^e * q_c^-e
             top, bottom = top * qd ** exponents[i], bottom * qn ** exponents[i]
-        e, c, m = _reduce(self._product(self._rest, exponents, power), d)
+        m, _, e = _pseudo_divmod(self._product(self._rest, exponents, power), d)
+        e, c, _ = _primitive(e)
         return d, e, top * m, bottom * c
 
     def _functional(self, m: tuple) -> tuple:
@@ -299,10 +301,7 @@ class _ResidueRing(_AnchorRing):
         # [u^(deg D - 1)] (u^i * s mod D) = lc(D) [u^-(i + 1)] s / D at u = oo,
         # and scale * u^size * s = q * D + r: so it is lc(D) q[size - 1 - i] / scale
         scale, q, _ = _pseudo_divmod([0] * size + s, d)
-        values = [0] * (size - len(q)) + q[::-1]
-        c = math.gcd(*values) or 1
-        if c != 1:
-            values = [x // c for x in values]
+        values, c, _ = _primitive([0] * (size - len(q)) + q[::-1])
         return (values, top * c * d[-1] * self._norm.denominator,
                 bottom * g * scale * self._norm.numerator, {})
 
@@ -368,13 +367,6 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
     return m, _trim(q), _trim(a[:n])
 
 
-def _reduce(a: list, d: list) -> tuple:
-    """(r, c, m) with a = c / m * r mod d, r primitive (or empty)."""
-    m, _, r = _pseudo_divmod(a, d)
-    c = math.gcd(*r) or 1
-    return ([x // c for x in r] if c != 1 else r), c, m
-
-
 def _inverse(e: list, d: list) -> Optional[tuple]:
     """(s, g) with s * e = g mod d and g a nonzero int, for integer lists, d
     of degree >= 1 and deg e < deg d, by a pseudo-remainder sequence that
@@ -402,8 +394,8 @@ def _inverse_lead(e: list, d: list) -> Optional[tuple]:
     r0, r1, k, lead, g = d, e, 0, 1, 1
     while len(r1) > 1:
         _, q, r = _pseudo_divmod(r0, r1)
-        c = math.gcd(*r) or 1
-        r0, r1, k, lead, g = r1, [x // c for x in r], k + len(q) - 1, -lead * q[-1], g * c
+        r, c, _ = _primitive(r)
+        r0, r1, k, lead, g = r1, r, k + len(q) - 1, -lead * q[-1], g * c
     if not r1:
         return None
     return k, lead, g * r1[0]
@@ -595,9 +587,8 @@ def verify_qc_relation(lin: LinearData, K: PrimitiveCollection, beta: CurveClass
     if route not in ("expand", "correlator"):
         raise ValueError(f"unknown route {route!r}")
     qk = [(c, 1) for c in cl.classes_of(K.edges)]  # d_c(beta_K) > 0 exactly there
-    if route == "expand":  # the ceilings transition and four_fermi ran, in order
-        for b in (beta_prime, shifted, beta):
-            ceiling(cl, b.d)
+    if route == "expand":  # beta' dominates beta and beta + beta_K: its ceiling is theirs
+        ceiling(cl, beta_prime.d)
         # R_{beta'<-b} * F_b * Q, one product per side, as num / den * (int
         # part), with one exponent per class
         sides = []

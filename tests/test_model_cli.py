@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -529,6 +530,33 @@ def test_cli_f1_degree_36_series_matches_frozen_report(capsys):
     assert (code, out) == (1, "")
     assert err == ("error[SectorError]: sector (531, 531, 18, 549) needs a generator "
                    "of degree 1064, above the ceiling 1000\n")
+
+
+def test_cli_f1_d1_3000_is_refused_by_the_sector_ceiling(capsys):
+    # the parser's ^ raises D1 = psi1 in one step of _upower, so the
+    # ceiling, not the power, sets how long the refusal takes
+    code, out, err = capture(capsys, ["correlator", model_path("f1"), "--poly", "D1^3000",
+                                      "--max-degree", "3000", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == ("error[SectorError]: sector (3374249, 3374249, 1499, 3375748) needs a "
+                   "generator of degree 6748500, above the ceiling 1000\n")
+
+
+def test_cli_qsr_of_f1000_matches_recorded_digests(tmp_path, capsys):
+    # F_1000, (P^1)^2 with the ray (0, -1) turned to (1000, -1): its quantum
+    # relations raise int lists in u to powers near 1000; the digests were
+    # recorded while power_product raised them by binary powering
+    with open(model_path("p1xp1")) as fh:
+        data = json.load(fh)
+    data["fan"]["rays"][3] = [1000, -1]
+    path = tmp_path / "f1000.json"
+    path.write_text(json.dumps(data))
+    for fmt, digest in (
+            ("text", "8399685dde2ffb590054e95a7b7bb85e3cf9c232d44817859a42f36c22f647d6"),
+            ("json", "0a49ec5cbe6840f6a60a778d5e0a399f0d4e31dc641a71f85373a1f400aa0c8c")):
+        code, out, err = capture(capsys, ["qsr", str(path), "--no-cache", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_trials_above_ceiling_is_deform_error(tmp_path):

@@ -1038,6 +1038,29 @@ def test_binary_form_products_take_the_int_list_path(pairs):
     assert spy.call_count == (0 if zero else len(listed))
 
 
+@given(st.lists(st.tuples(binary_forms(), st.integers(min_value=0, max_value=12)),
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+@example([(x - y, 3), (x + y, 2), (x * x - y * y, 1)])
+@example([(-3 * x + y, 500), (x * x * y - 2 * x * y * y, 2), (x, 7)])
+def test_int_list_products_raise_each_factor_in_one_step(pairs):
+    # _upower raises a list by Miller's recurrence, or by one _umul when
+    # squaring: one multiply per listed factor after the first, and one per
+    # square; binary powering would take about 2 log2 k per factor
+    with mock.patch.object(qsheaf.poly, "_umul", wraps=qsheaf.poly._umul) as spy:
+        product = power_product(pairs, 2)
+    assert product == _product_by_tuples(pairs, 2)
+    ks = [k for p, k in pairs if k and len(p.terms) > 1]
+    zero = any(k and not p.terms for p, k in pairs)
+    assert spy.call_count == (0 if zero or not ks else len(ks) - 1 + ks.count(2))
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, -3), (-7, 5), (2 ** 70, -1)])
+def test_binary_linear_form_power_is_its_binomial_expansion(a, b):
+    assert power_product([(a * x + b * y, 500)], 2) == Polynomial(2, 0, {
+        ((j, 500 - j), ()): math.comb(500, j) * a ** j * b ** (500 - j) for j in range(501)})
+
+
 X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
 psi1_q, psi2_q = (Polynomial(2, 1, {(e, (1,)): 1}) for e in ((1, 0), (0, 1)))
 
@@ -1126,3 +1149,6 @@ def test_upower_edge_exponents_and_zero_lists():
     assert _upower([3, -1], 0) == [1] == _upower([], 0)
     assert _upower([3, -1], 1) == [3, -1]
     assert _upower([], 5) == [] == _upower([0, 0], 5)  # a vanishing q_c
+    # below the cube: a itself, or one product, keeping the low zeros the recurrence gave
+    assert [_upower(a, 1) for a in ([0, 0], [0, 3], [3, -1])] == [[], [0, 3], [3, -1]]
+    assert [_upower(a, 2) for a in ([0, 0], [0, 3], [3, -1])] == [[], [0, 0, 9], [9, -6, 1]]
