@@ -154,19 +154,19 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
     syms = d_symbols(cl)
     seen = set()
     entries = []
-    for raw in raw_entries:
-        rho, m, coeff = raw
+    for rho, m, coeff in raw_entries:
         rho = int(rho)
         if rho < 0 or rho >= fan.n_rays:
             raise UnknownRayIndex(f"ray index {echo(rho)} out of range")
         m = tuple(map(int, m))
         if len(m) != fan.rank:
             raise DeformError(f"character {echo(m)} must have {echo(fan.rank)} coordinates")
-        for rp, e in enumerate(_cox_monomial(fan, rho, m)):
-            if e < 0:
-                raise CharacterOutsidePolytope(
-                    f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
-                    f"for ray {rp}")
+        mono = _cox_monomial(fan, rho, m) if any(m) else ()  # m = 0: x_rho itself
+        if mono and min(mono) < 0:
+            rp = next(rp for rp, e in enumerate(mono) if e < 0)
+            raise CharacterOutsidePolytope(
+                f"character {echo(m)} violates <m, v_{rp}> >= {-1 if rp == rho else 0} "
+                f"for ray {rp}")
         if (rho, m) in seen:
             raise DuplicateEntry(f"duplicate entry for (rho={echo(rho)}, m={echo(m)})")
         seen.add((rho, m))
@@ -174,7 +174,7 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
             raise DeformError(
                 f"coefficient for (rho={echo(rho)}, m={echo(m)}) must be a D-symbol string")
         poly = parse_polynomial(coeff, syms, max_degree=1)
-        if poly and (poly.psi_degree() != 1 or not poly.is_psi_homogeneous()):
+        if poly and {sum(e) for e, _ in poly.terms} != {1}:  # no linear form in W
             raise DeformError(f"coefficient {echo(poly.to_str(), quote=False)} for "
                               f"(rho={echo(rho)}, m={echo(m)}) is not a linear form in W")
         entries.append(DeformationEntry(rho, m, poly, coeff))
@@ -187,7 +187,9 @@ def parse_deformation(cl: ClassLattice, raw_entries: Sequence) -> Deformation:
 
 def _cox_monomial(fan, rho: int, m: tuple) -> tuple:
     """Exponents of the Cox monomial x_rho chi^m: <m, v_rho'> + [rho' = rho]."""
-    return tuple([_dot(m, v) + (rp == rho) for rp, v in enumerate(fan.rays)])
+    mono = [_dot(m, v) for v in fan.rays]
+    mono[rho] += 1
+    return tuple(mono)
 
 
 def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
@@ -206,6 +208,7 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
 
     Nonlinear entries are ignored; missing linear coefficients default to
     zero.  Rows and columns are indexed by the sorted members of each class.
+    A class of one ray has its one entry for determinant.
     """
     zero = Polynomial.zero(cl.pic_rank)
     slots = {}
@@ -216,7 +219,8 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
             slots[slot] = slots[slot] + entry.coeff if slot in slots else entry.coeff
     matrices = tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
                              for i in c.members]) for c in cl.equiv])
-    return LinearData(cl=cl, matrices=matrices, q=tuple([det(rows) for rows in matrices]))
+    return LinearData(cl, matrices, tuple([rows[0][0] if len(rows) == 1 else det(rows)
+                                           for rows in matrices]))
 
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,

@@ -10,12 +10,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, gcd
 from typing import Sequence
 
 from .linalg import _dot, inverse
 from .poly import det, echo
+
+
+class _cached_property:
+    """functools.cached_property as Python 3.12 made it, without the lock
+    that 3.10 and 3.11 take on each first access: the value is stored in the
+    instance's __dict__, which shadows this non-data descriptor, so it is
+    computed once (twice at worst under a thread race, to an equal value)."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class FanError(Exception):
@@ -77,7 +96,7 @@ class Fan:
         """(F, d) per facet F, in sorted order, with d its wall relation (`_walk`)."""
         return self._walk[1]
 
-    @cached_property
+    @_cached_property
     def _walk(self) -> tuple:
         """(duals, walls) from one walk over the facet graph of the maximal cones.
 
@@ -93,24 +112,28 @@ class Fan:
         opposite sides of F exactly when d_a = 1: v_a + v_b = sum_{i in F}
         -d_i v_i.
         """
-        rays, facets = self.rays, {}
+        rays, facets, sides = self.rays, {}, {}
         for sigma in self.max_cones:
+            sides[sigma] = own = []
             for p, a in enumerate(sigma):
-                facets.setdefault(sigma[:p] + sigma[p + 1:], []).append((sigma, a))
+                facet = sigma[:p] + sigma[p + 1:]
+                facets.setdefault(facet, []).append((sigma, a))
+                own.append((facet, a))
         duals, walls = {}, {}
         start = self.max_cones[0]
         inv = inverse(list(zip(*(rays[i] for i in start))))
         if inv is None or inv[1] != 1:
             _singular(self, start)
         duals[start] = dict(zip(start, inv[0]))
-        todo, zero = [start], [0] * len(rays)
+        todo, zero, overlap = [start], [0] * len(rays), False
         while todo:
             sigma = todo.pop()
             m = duals[sigma]
-            for p, a in enumerate(sigma):
-                facet = sigma[:p] + sigma[p + 1:]
+            for facet, a in sides[sigma]:
+                if facet in walls:
+                    continue
                 owners = facets[facet]
-                if facet in walls or len(owners) != 2:
+                if len(owners) != 2:
                     continue
                 other, b = owners[owners[0][0] == sigma]
                 d, vb = zero[:], rays[b]  # d_i = -t_i
@@ -118,29 +141,36 @@ class Fan:
                     d[i] = -_dot(mi, vb)
                 d[b] = 1
                 walls[facet] = tuple(d)
+                da = d[a]
+                if da != 1:  # d_b = 1 by construction
+                    overlap = True
                 if other not in duals:
-                    if abs(d[a]) != 1:
+                    if da != 1 and da != -1:
                         _singular(self, other)
-                    mb = tuple([-d[a] * x for x in m[a]])
+                    mb = m[a] if da == -1 else tuple([-x for x in m[a]])  # t_a m_a
                     duals[other] = {i: mb if i == b else
                                     tuple([x + d[i] * y for x, y in zip(m[i], mb)])
                                     for i in other}
                     todo.append(other)
         ordered = sorted(facets)
-        for facet in ordered:
-            if len(facets[facet]) != 2:
-                raise IncompleteFan(
-                    f"facet {facet} lies in {len(facets[facet])} maximal cone(s); "
-                    "support does not close up")
-        for sigma in self.max_cones:
-            if sigma not in duals:
-                raise IncompleteFan(f"cone {sigma} is not reached from cone {start} across "
-                                    "shared facets; a complete fan's facet graph is connected")
-        for facet in ordered:
-            (_, a), (_, b) = facets[facet]
-            if walls[facet][a] != 1 or walls[facet][b] != 1:
-                raise IncompleteFan(
-                    f"maximal cones sharing facet {facet} overlap on one side")
+        if set(map(len, facets.values())) != {2}:
+            for facet in ordered:
+                if len(facets[facet]) != 2:
+                    raise IncompleteFan(
+                        f"facet {facet} lies in {len(facets[facet])} maximal cone(s); "
+                        "support does not close up")
+        if len(duals) != len(self.max_cones):
+            for sigma in self.max_cones:
+                if sigma not in duals:
+                    raise IncompleteFan(f"cone {sigma} is not reached from cone {start} across "
+                                        "shared facets; a complete fan's facet graph is connected")
+        if overlap:
+            for facet in ordered:
+                (_, a), (_, b) = facets[facet]
+                d = walls[facet]
+                if d[a] != 1 or d[b] != 1:
+                    raise IncompleteFan(
+                        f"maximal cones sharing facet {facet} overlap on one side")
         return ({sigma: tuple(duals[sigma].values()) for sigma in self.max_cones},
                 tuple([(facet, walls[facet]) for facet in ordered]))
 
@@ -226,16 +256,27 @@ def primitive_collections(fan: Fan) -> tuple:
 
     They are the minimal non-faces of the fan: dropping any one ray leaves a
     face, in particular dropping the largest.  So each candidate is built
-    once, already sorted, as a face plus a ray above the face's largest index.
+    once, as a face plus a ray above the face's largest index.  Faces are
+    bitmasks of rays: the submasks of each maximal cone's mask.
     """
-    faces, found, n = fan.cone_faces(), [], fan.n_rays
+    faces, found, n = set(), [], fan.n_rays
+    for sigma in fan.max_cones:
+        full = sub = sum(1 << i for i in sigma)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & full
+    faces.add(0)
     for face in faces:
-        for rho in range(face[-1] + 1 if face else 0, n):
-            combo = face + (rho,)
-            if combo not in faces and all(combo[:i] + combo[i + 1:] in faces
-                                          for i in range(len(combo) - 1)):
-                found.append(combo)
-    return tuple(PrimitiveCollection(c) for c in sorted(found, key=lambda c: (len(c), c)))
+        for rho in range(face.bit_length(), n):
+            combo = face | 1 << rho
+            if combo in faces:
+                continue
+            rest = face  # drop each ray of the face in turn
+            while rest and combo ^ (rest & -rest) in faces:
+                rest &= rest - 1
+            if not rest:
+                found.append(tuple([i for i in range(rho + 1) if combo >> i & 1]))
+    return tuple([PrimitiveCollection(c) for c in sorted(found, key=lambda c: (len(c), c))])
 
 
 def locate_cone(fan: Fan, point: Sequence) -> tuple:

@@ -10,14 +10,18 @@ walls gives the Mori cone's facets, its pointedness and its extremal walls.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
-from .fan import Fan, PrimitiveCollection, locate_cone, primitive_collections
+from .fan import (Fan, PrimitiveCollection, _cached_property, locate_cone,
+                  primitive_collections)
 from .linalg import _dot, inverse, kernel_basis, smith_normal_form
 from .poly import echo
+
+_mul = operator.mul  # sum(map(_mul, u, v)) is linalg._dot without the call
 
 
 class LatticeError(Exception):
@@ -118,7 +122,7 @@ class ClassLattice:
         return self._from_coords(coords)
 
     def _from_coords(self, coords: tuple) -> CurveClass:  # d_rho pairs coords with [D_rho]
-        return CurveClass(coords, tuple([_dot(coords, v) for v in self.divisor_classes]))
+        return CurveClass(coords, tuple([sum(map(_mul, coords, v)) for v in self.divisor_classes]))
 
     def from_mori(self, coeffs: Sequence[int]) -> CurveClass:
         """The class sum_j coeffs[j] * mori[j], by one product."""
@@ -134,7 +138,7 @@ class ClassLattice:
     def _class(self, d: tuple) -> CurveClass:
         """The class of an int relation vector d, whose coordinates pair d with
         the section; they must give d back, which a d that is no relation fails."""
-        beta = self._from_coords(tuple([_dot(d, col) for col in self._section_cols]))
+        beta = self._from_coords(tuple([sum(map(_mul, d, col)) for col in self._section_cols]))
         if beta.d != d:
             if any(_dot(d, col) for col in zip(*self.fan.rays)):
                 raise LatticeError(f"{d} is not a relation among the rays")
@@ -146,15 +150,15 @@ class ClassLattice:
         return sum(int(w) * b for w, b in zip(class_vec, beta.coords))
 
     # ---- cached combinatorial structure ---------------------------------
-    @cached_property
+    @_cached_property
     def equiv(self) -> tuple:
         return equiv_classes(self)
 
-    @cached_property
+    @_cached_property
     def primitive_collections(self) -> tuple:
         return primitive_collections(self.fan)
 
-    @cached_property
+    @_cached_property
     def primitive_relations(self) -> dict:
         """K -> (beta_K, [K^-]) for every primitive collection K, in
         collection order: Batyrev's primitive relation of K.
@@ -168,51 +172,54 @@ class ClassLattice:
         fan, out = self.fan, {}
         walls = {w.d: w for w in self.walls}  # a wall's relation has its class already
         for K in self.primitive_collections:
-            edges = set(K.edges)
+            edges = K.edges
             sigma, coeffs = locate_cone(fan, tuple(map(sum, zip(*[fan.rays[rho]
-                                                                  for rho in K.edges]))))
-            if edges.intersection(sigma):
+                                                                  for rho in edges]))))
+            if not set(sigma).isdisjoint(edges):
                 raise LatticeError(
-                    f"located cone {sigma} meets the primitive collection {K.edges}")
-            d = [int(rho in edges) for rho in range(fan.n_rays)]
+                    f"located cone {sigma} meets the primitive collection {edges}")
+            d = [0] * fan.n_rays
+            for rho in edges:
+                d[rho] = 1
             for rho, c in zip(sigma, coeffs):
                 d[rho] = -c
-            beta = walls.get(tuple(d)) or self._class(tuple(d))
-            # primitive collections are unions of full equivalence classes
-            for c in self.classes_of(K.edges):
-                if not edges.issuperset(c.members):
-                    raise LatticeError(
-                        f"collection {K.edges} is not closed under linear equivalence")
+            d = tuple(d)
+            beta = walls.get(d) or self._class(d)
+            # primitive collections are unions of full equivalence classes: the
+            # classes meeting K, which cover it, have no member outside it
+            if sum(c.size for c in self.classes_of(edges)) != len(edges):
+                raise LatticeError(
+                    f"collection {edges} is not closed under linear equivalence")
             # the located cone is closed under linear equivalence, with equal coefficients
             kminus = self.classes_of(sigma)
             for c in kminus:
-                if len({d[m] for m in c.members}) != 1:
+                if c.size > 1 and len({d[m] for m in c.members}) != 1:
                     raise LatticeError(
                         f"linearly equivalent rays {c.members} carry unequal coefficients")
-            out[K] = (beta, tuple((c, -c.d(beta)) for c in kminus))
+            out[K] = (beta, tuple([(c, -d[c.members[0]]) for c in kminus]))
         return out
 
-    @cached_property
+    @_cached_property
     def mori(self) -> tuple:
         return mori_generators(self)
 
-    @cached_property
+    @_cached_property
     def walls(self) -> tuple:
         """Distinct classes of the fan's wall relations, in wall order; they
         span the Mori cone."""
         return tuple(map(self._class, dict.fromkeys(d for _, d in self.fan.walls)))
 
-    @cached_property
+    @_cached_property
     def facets(self) -> tuple:
         """Primitive inward facet normals of the Mori cone."""
         return tuple(self._facet_walls)
 
-    @cached_property
+    @_cached_property
     def _facet_walls(self) -> dict:
         """Each facet normal -> the bitmask of the walls it is tight on."""
         return cone_facets([w.coords for w in self.walls], self.pic_rank)
 
-    @cached_property
+    @_cached_property
     def positive(self) -> CurveClass:
         """Effective curve class positive against every divisor class.
 
@@ -228,13 +235,15 @@ class ClassLattice:
         coefficient outside the bound is tried.  The walk starts at
         `_packing_bound`, below which no combination is positive.
         """
-        rows = [[c.d(g) for g in self.mori] for c in self.equiv]
+        rows = [[g.d[c.members[0]] for g in self.mori] for c in self.equiv]  # d_c(g)
         n = len(self.mori)
-        tops = [[max(row[k:]) for k in range(n)] for row in rows]
+        tops = [list(itertools.accumulate(row[::-1], max))[::-1] for row in rows]  # max(row[k:])
 
         def first(k: int, left: int, sums: list) -> Optional[tuple]:
-            # generators k.. share `left`; sums are the classes' d over 0..k-1
-            if any(s + left * top[k] <= 0 for s, top in zip(sums, tops)):
+            # generators k.. share `left`; sums are the classes' d over 0..k-1.
+            # Every class has s + left * top[k] > 0: checked at k = 0, and
+            # below it the a range keeps it (a class of slope 0 keeps its base)
+            if k == 0 and any(left * top[0] <= 0 for top in tops):
                 return None
             if k == n - 1:
                 return (left,)
@@ -266,12 +275,12 @@ class ClassLattice:
                 return False
         return True
 
-    @cached_property
+    @_cached_property
     def _representatives(self) -> tuple:
         """The least ray of each equivalence class, in class order."""
         return tuple(c.members[0] for c in self.equiv)
 
-    @cached_property
+    @_cached_property
     def _mori_solve(self) -> tuple:
         """(cols, den): the j-th Mori coordinate of a class is its curve
         coordinates paired with the integer cols[j], over den, their least
@@ -290,10 +299,12 @@ class ClassLattice:
         """Curve coordinates rewritten in the Mori basis, as ints; None when
         they have no integer Mori coordinates."""
         cols, den = self._mori_solve
-        sol = tuple(_dot(col, coords) for col in cols)
-        if den is None or any(x % den for x in sol):
+        if den is None:
             return None
-        return tuple(x // den for x in sol)
+        sol = tuple([sum(map(_mul, col, coords)) for col in cols])
+        if den == 1:  # a Mori basis of the curve lattice
+            return sol
+        return None if any(x % den for x in sol) else tuple([x // den for x in sol])
 
     def mori_coordinates(self, beta: CurveClass) -> Optional[tuple]:
         """beta as a nonnegative integer combination of independent Mori
@@ -304,7 +315,7 @@ class ClassLattice:
     def classes_of(self, edges: Sequence[int]) -> tuple:
         """The equivalence classes meeting the given rays, in index order."""
         edges = set(edges)
-        return tuple(c for c in self.equiv if not edges.isdisjoint(c.members))
+        return tuple([c for c in self.equiv if not edges.isdisjoint(c.members)])
 
 
 def class_lattice(fan: Fan) -> ClassLattice:
@@ -324,7 +335,7 @@ def class_lattice(fan: Fan) -> ClassLattice:
     curve_basis_d = tuple(map(tuple, R[n:]))
     cl = ClassLattice(fan, tuple(zip(*R[n:])), curve_basis_d, tuple(zip(*T[n:])))
     # exactness: the rows of the ray matrix pair to zero with every class
-    if any(_dot(col, cls) for col in zip(*fan.rays) for cls in curve_basis_d):
+    if any(sum(map(_mul, col, cls)) for col in zip(*fan.rays) for cls in curve_basis_d):
         raise TorsionDetected("Picard presentation failed exactness check")
     # the facet normals span Pic exactly when no wall lies on every facet: such
     # a wall spans a line the cone contains, or the cone is not full-dimensional
@@ -377,16 +388,37 @@ def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> dict:
     """
     normals = {}
     for subset in itertools.combinations(gens, dim - 1):
-        kernel = kernel_basis(subset, dim)
-        if len(kernel) != 1:
+        kernel = _normal(subset, dim)
+        if kernel is None:
             continue
-        pairs = [_dot(kernel[0], v) for v in gens]
+        pairs = [sum(map(_mul, kernel, v)) for v in gens]
         low, high = min(pairs, default=0), max(pairs, default=0)
         if low < 0 < high:
             continue
-        u = tuple(-x for x in kernel[0]) if low < 0 else tuple(kernel[0])
+        u = tuple([-x for x in kernel]) if low < 0 else kernel
         normals.setdefault(u, sum(1 << i for i, x in enumerate(pairs) if not x))
     return normals
+
+
+def _normal(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
+    """The kernel_basis vector of dim - 1 rows of length dim when their
+    kernel is a line, else None: the primitive kernel vector whose last
+    nonzero entry is positive.  Up to dim 3 it is the cross product of the
+    rows (1 in dim 1) divided by its content, which has that sign."""
+    if dim > 3:
+        kernel = kernel_basis(rows, dim)
+        return tuple(kernel[0]) if len(kernel) == 1 else None
+    if dim == 3:
+        (a, b, c), (d, e, f) = rows
+        u = (b * f - c * e, c * d - a * f, a * e - b * d)
+    else:
+        u = (-rows[0][1], rows[0][0]) if dim == 2 else (1,)
+    g = math.gcd(*u)
+    if not g:
+        return None
+    if (u[-1] or u[-2] or u[0]) < 0:  # its last nonzero entry
+        g = -g
+    return tuple([x // g for x in u])
 
 
 def equiv_classes(cl: ClassLattice) -> tuple:
@@ -394,8 +426,7 @@ def equiv_classes(cl: ClassLattice) -> tuple:
     groups = {}  # in order of first member
     for rho, vec in enumerate(cl.divisor_classes):
         groups.setdefault(vec, []).append(rho)
-    return tuple([EquivClass(index=i, members=tuple(ms), vec=vec)
-                  for i, (vec, ms) in enumerate(groups.items())])
+    return tuple([EquivClass(i, tuple(ms), vec) for i, (vec, ms) in enumerate(groups.items())])
 
 
 def beta_K(cl: ClassLattice, K: PrimitiveCollection):

@@ -37,59 +37,62 @@ def smith_normal_form(rows: Sequence[Sequence[int]]):
         a[i], a[j], r_mat[i], r_mat[j] = a[j], a[i], r_mat[j], r_mat[i]
         t_mat[i], t_mat[j] = t_mat[j], t_mat[i]
 
-    def row_add(i, j, k):  # row i += k row j: column j of R^-1 -= k column i
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        r_mat[i] = [x + k * y for x, y in zip(r_mat[i], r_mat[j])]
-        t_mat[j] = [x - k * y for x, y in zip(t_mat[j], t_mat[i])]
-
-    def row_neg(i):
-        a[i], r_mat[i] = [-x for x in a[i]], [-x for x in r_mat[i]]
-        t_mat[i] = [-x for x in t_mat[i]]
-
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
 
-    def clear_step(t: int) -> bool:
-        # deterministic pivot: smallest |entry| != 0, earliest position
-        pivot = min(((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc)
-                     if a[i][j]), default=None)
-        if pivot is None:
-            return False
-        _, pi, pj = pivot
+    for t in range(min(nr, nc)):
+        # deterministic pivot: smallest |entry| != 0, earliest position; a
+        # unit is the least, so the scan stops at the first one
+        best = pi = pj = 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = abs(row[j])
+                if x and (x < best or not best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
         if pi != t:
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
         if a[t][t] < 0:
-            row_neg(t)
-        while True:
-            # clear column t below the pivot; a nonzero remainder is a
-            # strictly smaller pivot, so this terminates
+            a[t], r_mat[t] = [-x for x in a[t]], [-x for x in r_mat[t]]
+            t_mat[t] = [-x for x in t_mat[t]]
+        swapped = True
+        while swapped:
+            # clear column t below the pivot, then row t right of it; a
+            # nonzero remainder is a strictly smaller pivot, swapped in, and
+            # the pass repeats, so this terminates.  A pass with no swap
+            # leaves both cleared.  Row i += k row t is undone on the
+            # columns of R^-1: column t -= k column i.
+            swapped = False
             for i in range(t + 1, nr):
                 if a[i][t]:
-                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    k = -(a[i][t] // a[t][t])
+                    a[i] = [x + k * y for x, y in zip(a[i], a[t])]
+                    r_mat[i] = [x + k * y for x, y in zip(r_mat[i], r_mat[t])]
+                    t_mat[t] = [x - k * y for x, y in zip(t_mat[t], t_mat[i])]
                     if a[i][t]:
                         row_swap(t, i)
-            if any(a[i][t] for i in range(t + 1, nr)):
+                        swapped = True
+            if swapped:
                 continue
+            row = a[t]
             for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:  # column j -= q column t
-                        row[j] -= q * row[t]
-                    if a[t][j]:
+                if row[j]:
+                    q = row[j] // row[t]
+                    for other in a:  # column j -= q column t
+                        if other[t]:
+                            other[j] -= q * other[t]
+                    if row[j]:
                         col_swap(t, j)
-            if any(a[t][j] for j in range(t + 1, nc)):
-                continue
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            break
-        return True
-
-    t = 0
-    while t < min(nr, nc) and clear_step(t):
-        t += 1
+                        swapped = True
     diag = [a[i][i] for i in range(min(nr, nc))]
     return r_mat, t_mat, diag
 
@@ -122,36 +125,50 @@ def _integer_rref(rows: Sequence[Sequence]) -> tuple:
     the pivots, and the rows below the rank (all zero), are the same."""
     m = [_primitive(r)[0] for r in rows]
     nr = len(m)
-    nc = len(m[0]) if nr else 0
     pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
+    for c in range(len(m[0]) if nr else 0):
+        r = len(pivots)
+        if r == nr:
             break
-        sel = next((i for i in range(r, nr) if m[i][c]), None)
-        if sel is None:
+        for sel in range(r, nr):
+            if m[sel][c]:
+                break
+        else:
             continue
-        m[r], m[sel] = m[sel], m[r]
-        row, p = m[r], m[r][c]
+        row = m[sel]
+        m[r], m[sel] = row, m[r]
+        p = row[c]
         for i in range(nr):
-            a = m[i][c]
-            if i != r and a:
+            mi = m[i]
+            a = mi[c]
+            if a and i != r:
                 k = math.gcd(p, a)
-                new = [p // k * x - a // k * y for x, y in zip(m[i], row)]
+                pk, ak = p // k, a // k
+                new = [pk * x - ak * y for x, y in zip(mi, row)]
                 k = math.gcd(*new)
                 m[i] = [x // k for x in new] if k > 1 else new
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
 def inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple]:
     """(inv, den) with rows^-1 = inv / den for a square integer matrix: inv
     an integer matrix and den > 0 the least common denominator of rows^-1;
-    None when singular.  One fraction-free elimination of [rows | 1]: its
-    rows have content 1, so row i of the inverse is m[i][n:] / m[i][i] in
-    lowest terms, and den is the lcm of the pivots."""
+    None when singular.  Up to 2x2 the adjugate over the determinant,
+    divided by their content; else one fraction-free elimination of
+    [rows | 1]: its rows have content 1, so row i of the inverse is
+    m[i][n:] / m[i][i] in lowest terms, and den is the lcm of the pivots."""
     n = len(rows)
+    if n in (1, 2):  # the adjugate over the determinant, in lowest terms
+        if n == 2:
+            (a, b), (c, d) = rows
+            adj, det = (d, -b, -c, a), a * d - b * c
+        else:
+            adj, det = (1,), rows[0][0]
+        if not det:
+            return None
+        g = math.gcd(det, *adj) if det > 0 else -math.gcd(det, *adj)
+        return tuple([tuple([x // g for x in adj[i:i + n]]) for i in range(0, n * n, n)]), det // g
     m, pivots = _integer_rref([[*r] + [0] * i + [1] + [0] * (n - 1 - i)
                                for i, r in enumerate(rows)])
     if pivots != list(range(n)):

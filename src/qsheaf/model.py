@@ -76,7 +76,25 @@ def _list(value, context: str):
 
 
 def _int_vector(value, context: str) -> tuple:
-    return tuple(_as_int(x, context) for x in _list(value, context))
+    value = tuple(_list(value, context))
+    if {int}.issuperset(map(type, value)):  # JSON numbers, no bool: nothing to read
+        return value
+    return tuple(_as_int(x, context) for x in value)
+
+
+# the keys of each object in a version-1 file; any other is a misspelling,
+# which must not silently select a default (a lost "deformation" is T_X)
+_KEYS = {"": frozenset({"version", "fan", "deformation", "options"}),
+         "'fan'": frozenset({"rank", "rays", "max_cones"}),
+         "'deformation'": frozenset({"entries"}),
+         "a deformation entry": frozenset({"rho", "m", "coeff"})}
+
+
+def _known_keys(section: dict, where: str):
+    keys = _KEYS[where]
+    if not keys.issuperset(section):
+        key = next(k for k in section if k not in keys)  # the first, in file order
+        raise ModelError(f"unknown key {echo(key)}" + (f" in {where}" if where else ""))
 
 
 def build_model(data: dict) -> Model:
@@ -86,9 +104,11 @@ def build_model(data: dict) -> Model:
     version = _as_int(data.get("version", 0), "version")
     if version != MODEL_VERSION:
         raise ModelError(f"unrecognized model version {echo(version)}; expected {MODEL_VERSION}")
+    _known_keys(data, "")
     fan_section = data.get("fan")
     if not isinstance(fan_section, dict):
         raise ModelError("model file needs a 'fan' section")
+    _known_keys(fan_section, "'fan'")
     rank = _as_int(fan_section.get("rank", 0), "fan.rank")
     rays = [_int_vector(v, "fan.rays") for v in _list(fan_section.get("rays", []), "fan.rays")]
     cones = [_int_vector(c, "fan.max_cones")
@@ -102,10 +122,12 @@ def build_model(data: dict) -> Model:
     else:
         if not isinstance(deform_section, dict):
             raise ModelError("'deformation' must be an object with 'entries'")
+        _known_keys(deform_section, "'deformation'")
         raw = []
         for entry in _list(deform_section.get("entries", []), "deformation.entries"):
             if not isinstance(entry, dict):
                 raise ModelError("deformation entries must be objects")
+            _known_keys(entry, "a deformation entry")
             rho = _as_int(entry.get("rho"), "deformation.rho")
             m = _int_vector(entry.get("m", []), "deformation.m")
             coeff = entry.get("coeff")
@@ -131,10 +153,17 @@ def build_model(data: dict) -> Model:
 
 def load_model(path: str) -> Model:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from None
+    try:  # UTF-8 text, as json.loads(bytes) would also take UTF-16 and UTF-32
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file {path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+    if "\r" in text:  # the newlines text mode reads, which JSON error lines count
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -109,10 +109,14 @@ class Polynomial:
         self.nq = nq
         clean = {}
         if terms:
-            for mon, coeff in terms.items():
-                c = _exact(coeff)
-                if c:
-                    clean[mon] = c
+            for mon, c in terms.items():
+                if type(c) is int:
+                    if c:
+                        clean[mon] = c
+                else:
+                    c = _exact(c)
+                    if type(c) is not int or c:  # a Fraction _exact keeps is not 0
+                        clean[mon] = c
         self.terms = clean
         self._hash = None
         self._lead = None  # leading monomial, found on first use
@@ -136,12 +140,10 @@ class Polynomial:
     def linear(nv: int, coeffs: Sequence, nq: int = 0) -> "Polynomial":
         if len(coeffs) != nv:
             raise PolyError(f"coeffs has length {len(coeffs)}, not nv = {nv}")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exps = tuple(1 if j == i else 0 for j in range(nv))
-                terms[(exps, (0,) * nq)] = c
-        return Polynomial(nv, nq, terms)
+        zero = (0,) * nv
+        q = (0,) * nq
+        return Polynomial(nv, nq, {(zero[:i] + (1,) + zero[i + 1:], q): c
+                                   for i, c in enumerate(coeffs) if c})
 
     @staticmethod
     def novikov(nv: int, nq: int, q_exps: Sequence[int]) -> "Polynomial":
@@ -158,11 +160,14 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for mon, c in other.terms.items():
-            s = terms.get(mon, 0) + c
-            if s:
-                terms[mon] = s
-            else:
-                terms.pop(mon, None)
+            if mon in terms:
+                s = terms[mon] + c
+                if s:
+                    terms[mon] = s
+                else:
+                    del terms[mon]
+            else:  # 0 + c is c: no Fraction arithmetic
+                terms[mon] = c
         return Polynomial(self.nv, self.nq, terms)
 
     def __radd__(self, other):
@@ -188,14 +193,18 @@ class Polynomial:
                               {m: c * v for m, v in self.terms.items()})
         self._check(other)
         terms = {}
+        right = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 mon = _mon_mul(m1, m2)
-                s = terms.get(mon, 0) + c1 * c2
-                if s:
-                    terms[mon] = s
-                else:
-                    terms.pop(mon, None)
+                if mon in terms:
+                    s = terms[mon] + c1 * c2
+                    if s:
+                        terms[mon] = s
+                    else:
+                        del terms[mon]
+                else:  # 0 + c1 * c2, a nonzero product, is the product itself
+                    terms[mon] = c1 * c2
         return Polynomial(self.nv, self.nq, terms)
 
     def __rmul__(self, other):
@@ -952,13 +961,20 @@ def det(matrix: Sequence[Sequence]):
     Laplace expansion along the rows, zero entries skipped: the minor on rows
     k.. and a tuple of columns is computed once, so at most 2^n minors and no
     division.  A diagonal matrix (every tangent bundle's A_c) takes none: the
-    expansion's own product a_0 * (a_1 * ...), terms in the same order.
+    expansion's own product a_0 * (a_1 * ...), terms in the same order.  So
+    does a 2x2 one: a * d - b * c is the expansion itself, as 0 + x is x.
     """
     n = len(matrix)
     if n == 0:
         raise NonSquare("empty matrix")
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
+    if n == 2:
+        (a, b), (c, d) = matrix
+        if not (b or c):
+            return a * d
+        total = a * d if a else a * 0
+        return total - b * c if b else total
     if not any(x for i, row in enumerate(matrix) for j, x in enumerate(row) if i != j):
         return functools.reduce(lambda p, a: a * p, [r[i] for i, r in enumerate(matrix)][::-1])
     zero = matrix[0][0] * 0
@@ -986,12 +1002,14 @@ _MAX_NESTING = 100  # parentheses plus unary minus signs; keeps recursion bounde
 _MAX_HEIGHT = 100_000  # bits of a coefficient's numerator and denominator
 
 
-def _height(p: Polynomial) -> float:
+def _height(p) -> float:
     """log2(N * D) for the common denominator D and the sum N of the numerators'
-    absolute values over it: it bounds the bits of every coefficient, adds up
-    under products, and is 0 for 0, 1 and -1."""
+    absolute values over it, of a Polynomial or a number: it bounds the bits
+    of every coefficient, adds up under products, and is 0 for 0, 1 and -1."""
     if not p:
         return 0.0
+    if type(p) is not Polynomial:  # an int or a Fraction: N = |numerator|
+        return math.log2(abs(p.numerator)) + math.log2(p.denominator)
     b, g, den = _primitive(p.terms.values())
     return math.log2(sum(map(abs, b)) * g) + math.log2(den)
 
@@ -1005,7 +1023,8 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
     is insignificant.  Nesting deeper than _MAX_NESTING is a ParseError, and
     so is a ``^`` or ``*`` whose result would exceed max_degree in psi or
     _MAX_HEIGHT in coefficient bits: the checks come before the product is
-    expanded.
+    expanded.  A number stays an int or a Fraction through its term's
+    products and powers, so ``1/7*D3`` is one scalar multiple of D3.
     """
     if not d_symbols:
         raise PolyError("no divisor symbols supplied")
@@ -1036,16 +1055,18 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
             total = total + (nxt if op == "+" else -nxt)
         return total
 
+    def degree(x) -> int:  # of a nonzero Polynomial or number
+        return x.psi_degree() if type(x) is Polynomial else 0
+
     def parse_term():
         result = parse_factor()
         while tokens[pos][1] == "*":
             at = take()[2]
             factor = parse_factor()
             if result and factor:  # degrees add: Q[psi] has no zero divisors
-                check(result.psi_degree() + factor.psi_degree(),
-                      _height(result) + _height(factor), 1, at)
+                check(degree(result) + degree(factor), _height(result) + _height(factor), 1, at)
             result = result * factor
-        return result
+        return result if type(result) is Polynomial else Polynomial.const(nv, result, nq)
 
     def parse_factor():
         base = parse_atom()
@@ -1057,20 +1078,20 @@ def parse_polynomial(text: str, d_symbols: Sequence[Polynomial],
             raise ParseError("exponent must be a nonnegative integer", exp_at)
         k = _digits(val, exp_at)
         if base:
-            check(k * base.psi_degree(), _height(base), k, at)
+            check(k * degree(base), _height(base), k, at)
         return base ** k
 
     def parse_atom():
         nonlocal depth
         kind, val, at = take()
-        if kind == "num":
+        if kind == "num":  # an int or a Fraction, made a Polynomial by parse_term
             num, slash, den = val.partition("/")
             if not slash:
-                return Polynomial.const(nv, _digits(num, at), nq)
+                return _digits(num, at)
             den = _digits(den, at + len(num) + 1)
             if den == 0:
                 raise ParseError("zero denominator", at)
-            return Polynomial.const(nv, Fraction(_digits(num, at), den), nq)
+            return _exact(Fraction(_digits(num, at), den))
         if kind == "sym":
             index = _digits(val[1:], at + 1)
             if index < 1 or index > len(d_symbols):

@@ -226,6 +226,60 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def smith_by_min_scans(rows):
+    """(R, T, diag) of linalg.smith_normal_form by its pivoting rule, with a
+    full min scan for each pivot and every clearing pass ended by scanning
+    column and row again: each row operation on A and R undone on the rows
+    of T, column operations on A alone."""
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
+    r_mat = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    t_mat = [row[:] for row in r_mat]
+
+    def row_swap(i, j):
+        for m in (a, r_mat, t_mat):
+            m[i], m[j] = m[j], m[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if a[t][t] < 0:
+            for m in (a, r_mat, t_mat):
+                m[t] = [-x for x in m[t]]
+        while True:
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    k = -(a[i][t] // a[t][t])
+                    a[i] = [x + k * y for x, y in zip(a[i], a[t])]
+                    r_mat[i] = [x + k * y for x, y in zip(r_mat[i], r_mat[t])]
+                    t_mat[t] = [x - k * y for x, y in zip(t_mat[t], t_mat[i])]
+                    if a[i][t]:
+                        row_swap(t, i)
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        col_swap(t, j)
+            if any(a[t][j] for j in range(t + 1, nc)) or any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            break
+        t += 1
+    return r_mat, t_mat, [a[i][i] for i in range(min(nr, nc))]
+
+
 def det_by_laplace(matrix):
     """Laplace expansion along the rows, zero entries skipped and minors
     memoized, on every matrix: diagonal ones expand like the rest."""

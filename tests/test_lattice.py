@@ -605,8 +605,10 @@ def _diagonal_p1xp1():
 
 
 # name -> () -> (cl, deformation): the bundled and test model files, P^n,
-# (P^1)^k, F_a, three larger fans, seeded deformed (P^1)^k, a circulant P^2
-# and a diagonal but not tangent P1xP1
+# (P^1)^k, F_a, four larger fans (the Picard rank-7 surface among them), the
+# 24 P(O + O(a_1) + ... + O(a_r)) over P^s with r + s <= 3 and 0 <= a_i <= 3
+# (non-Fano once a_i >= 2), seeded deformed (P^1)^k, a circulant P^2 and a
+# diagonal but not tangent P1xP1
 _CONSTRUCTION_CASES = {
     **{os.path.basename(path): functools.partial(_from_file, path) for path in MODEL_FILES},
     **{f"P{n}": (lambda n=n: _tangent(_projective_space(n))) for n in range(1, 5)},
@@ -614,7 +616,10 @@ _CONSTRUCTION_CASES = {
     **{f"F{a}": (lambda a=a: _tangent(hirzebruch(a))) for a in range(4)},
     "dP3": lambda: _tangent(hexagon()),
     "blown_up_p1xp1(8)": lambda: _tangent(blown_up_p1xp1(8)),
+    "blown_up_p1xp1(9)": lambda: _tangent(blown_up_p1xp1(9)),
     "Bl_pt P3": lambda: _tangent(blowup_p3_point()),
+    **{f"P(O+O{a}) over P^{s}": (lambda s=s, a=a: _tangent(projective_bundle(s, a)))
+       for r in (1, 2) for s in range(1, 4 - r) for a in itertools.product(range(4), repeat=r)},
     **{f"deformed (P1)^{k} seed {seed}":
        (lambda k=k, seed=seed: deformed_p1_power_entries(k, random.Random(seed)))
        for k, seed in ((2, 0), (2, 1), (3, 0), (4, 2))},
@@ -639,6 +644,19 @@ def test_construction_matches_the_inverse_oracle(name):
     assert [list(p.terms.items()) for p in q] == [list(p.terms.items()) for p in expected["q"]]
 
 
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda dim: st.tuples(st.lists(st.lists(st.integers(min_value=-4, max_value=4),
+                                            min_size=dim, max_size=dim),
+                                   min_size=dim - 1, max_size=dim - 1),
+                          st.just(dim))))
+@settings(max_examples=300, deadline=None)
+def test_facet_normal_is_the_kernel_basis_vector(case):
+    # up to dim 3 the normal is a cross product, with kernel_basis's sign
+    rows, dim = case
+    kernel = qsheaf.linalg.kernel_basis(rows, dim)
+    assert qsheaf.lattice._normal(rows, dim) == (tuple(kernel[0]) if len(kernel) == 1 else None)
+
+
 def test_pointedness_matches_the_rank_oracle():
     # no wall lies on every facet exactly when the facet normals span Pic
     assert construction_by_inverse(non_projective_fan()) is None
@@ -647,11 +665,12 @@ def test_pointedness_matches_the_rank_oracle():
     assert all(construction_by_inverse(fan) is not None for _, fan in all_fans())
 
 
-# eliminations (linalg._integer_rref calls) of load_model then cl.mori: one
-# inverse for the walk's first cone, then one kernel per (pic_rank - 1)-subset
-# of the distinct walls; no inverse of the Smith transform and no rank
-_ELIMINATIONS = {"f1.json": 4, "f2.json": 4, "f3.json": 4, "p1.json": 2, "p1xp1.json": 3,
-                 "p1xp1_deformed.json": 3, "p2.json": 2}
+# eliminations (linalg._integer_rref calls) of load_model then cl.mori: none
+# at rank and Picard rank <= 2, where the walk's first inverse is an adjugate
+# and each facet normal a cross product; no inverse of the Smith transform
+# and no rank
+_ELIMINATIONS = {"f1.json": 0, "f2.json": 0, "f3.json": 0, "p1.json": 0, "p1xp1.json": 0,
+                 "p1xp1_deformed.json": 0, "p2.json": 0}
 
 
 def test_bundled_models_take_pinned_eliminations(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qsheaf.linalg import (_primitive, inverse, kernel_basis, matrix_rank, rank_mod,
                            smith_normal_form)
 
-from _oracles import kernel_by_fractions, rref_by_fractions
+from _oracles import kernel_by_fractions, rref_by_fractions, smith_by_min_scans
 
 entries = st.one_of(
     st.just(0),
@@ -142,3 +142,15 @@ def test_smith_carries_the_transpose_of_its_inverse(rows):
     assert (tuple(map(tuple, zip(*T))), 1) == inverse(R)
     RA = [[sum(a * b for a, b in zip(r, col)) for col in zip(*rows)] for r in R]
     assert all(not any(row) for row in RA[len(diag):])
+
+
+@given(st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+                min_size=1, max_size=7),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_smith_matches_the_full_scan_pivoting(rows, width):
+    # the pivot scan stops at the first unit and a pass with no swap ends
+    # the clearing; R, T and the diagonal are those of the full scans
+    rows = [row[:width] for row in rows]
+    R, T, diag = smith_normal_form(rows)
+    assert (R, T, diag) == smith_by_min_scans(rows)

@@ -113,6 +113,55 @@ def test_cli_deeply_nested_json_is_model_error(tmp_path, capsys):
     assert err == f"error[ModelError]: model file {path} nests JSON too deeply\n"
 
 
+def test_cli_model_file_that_is_not_utf8_is_model_error(tmp_path, capsys):
+    # a UnicodeDecodeError once escaped load_model naming no file; UTF-16,
+    # which json.loads(bytes) would take, is refused at its byte-order mark
+    path = tmp_path / "utf16.json"
+    path.write_text(open(model_path("p1")).read(), encoding="utf-16")
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out) == (1, "")
+    assert err == (f"error[ModelError]: model file {path} is not UTF-8 text: "
+                   "invalid start byte at byte 0\n")
+    with pytest.raises(ModelError, match="is not UTF-8 text"):
+        load_model(str(path))
+
+
+def _misspelled(data, where):
+    if where == "top":
+        data["deformations"] = data.pop("deformation")
+    elif where == "fan":
+        data["fan"]["cones"] = data["fan"]["max_cones"]
+    elif where == "deformation":
+        data["deformation"]["entry"] = []
+    else:
+        data["deformation"]["entries"][4]["coef"] = data["deformation"]["entries"][4]["coeff"]
+    return data
+
+
+@pytest.mark.parametrize("where, message", [
+    ("top", "unknown key 'deformations'"),
+    ("fan", "unknown key 'cones' in 'fan'"),
+    ("deformation", "unknown key 'entry' in 'deformation'"),
+    ("entry", "unknown key 'coef' in a deformation entry"),
+])
+def test_cli_unknown_model_key_is_model_error(tmp_path, capsys, where, message):
+    # a misspelled "deformation" once selected T_X: qsr printed Q_K = psi1^2
+    # for the deformed P1xP1, in place of psi1^2 + 1/21*psi2^2, and exited 0
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(_misspelled(json.load(open(model_path("p1xp1_deformed"))), where)))
+    code, out, err = capture(capsys, ["qsr", str(path), "--no-cache"])
+    assert (code, out, err) == (1, "", f"error[ModelError]: {message}\n")
+
+
+def test_every_model_file_has_only_known_keys():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    paths = ([os.path.join(MODELS, name) for name in sorted(os.listdir(MODELS))]
+             + [os.path.join(data, name) for name in sorted(os.listdir(data))])
+    assert len(paths) == 11
+    for path in paths:
+        load_model(path)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int digit limit")
 def test_cli_json_integer_past_the_int_digit_limit_is_model_error(tmp_path, capsys):
