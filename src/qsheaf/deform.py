@@ -219,8 +219,7 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
             slots[slot] = slots[slot] + entry.coeff if slot in slots else entry.coeff
     matrices = tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
                              for i in c.members]) for c in cl.equiv])
-    return LinearData(cl, matrices, tuple([rows[0][0] if len(rows) == 1 else det(rows)
-                                           for rows in matrices]))
+    return LinearData(cl, matrices, tuple([det(rows) for rows in matrices]))
 
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,

@@ -8,6 +8,7 @@ then assume the standing hypotheses of smooth complete toric geometry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
@@ -17,23 +18,16 @@ from .linalg import _dot, inverse
 from .poly import det, echo
 
 
-class _cached_property:
-    """functools.cached_property as Python 3.12 made it, without the lock
-    that 3.10 and 3.11 take on each first access: the value is stored in the
+class _cached_property(functools.cached_property):
+    """functools.cached_property without the lock that Python 3.10 and 3.11
+    take on each first access (3.12 dropped it): the value is stored in the
     instance's __dict__, which shadows this non-data descriptor, so it is
     computed once (twice at worst under a thread race, to an equal value)."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.func(instance)
+        value = instance.__dict__[self.attrname] = self.func(instance)
         return value
 
 

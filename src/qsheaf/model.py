@@ -23,9 +23,6 @@ DEFAULT_OPTIONS = {
     "max_c1_degree": 8,
 }
 
-# accepted in version-1 files and ignored: the anchor search needs no bound
-IGNORED_OPTIONS = ("anchor_bound",)
-
 
 class ModelError(Exception):
     pass
@@ -141,8 +138,6 @@ def build_model(data: dict) -> Model:
     if not isinstance(section, (dict, type(None))):
         raise ModelError("'options' must be an object")
     for key, value in (section or {}).items():
-        if key in IGNORED_OPTIONS:
-            continue
         if key not in DEFAULT_OPTIONS:
             raise ModelError(f"unknown option {echo(key)}")
         options[key] = _as_int(value, f"options.{key}")

@@ -438,15 +438,12 @@ def _upower(a: list, e: int) -> list:
     """a^e for e >= 0 by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
     4.7): strip u^v so that a_0 != 0; then p = a^e has p_0 = a_0^e and
     k a_0 p_k = sum_(j >= 1) ((e + 1) j - k) a_j p_(k-j), an exact int
-    division, so a^e costs O(e deg^2 a) products, not O(e^2 deg^2 a).
-    Below the cube `_umul` is cheaper: a^1 is a itself, a^2 one product."""
+    division, so a^e costs O(e deg^2 a) products, not O(e^2 deg^2 a)."""
     if not e:
         return [1]
     v = next((i for i, x in enumerate(a) if x), None)
     if v is None:  # the zero list
         return []
-    if e <= 2:
-        return a if e == 1 else _umul(a, a)
     a = a[v:]
     a0 = a[0]
     terms = [(j, (e + 1) * j, x) for j, x in enumerate(a) if j and x]
@@ -960,9 +957,9 @@ def det(matrix: Sequence[Sequence]):
 
     Laplace expansion along the rows, zero entries skipped: the minor on rows
     k.. and a tuple of columns is computed once, so at most 2^n minors and no
-    division.  A diagonal matrix (every tangent bundle's A_c) takes none: the
-    expansion's own product a_0 * (a_1 * ...), terms in the same order.  So
-    does a 2x2 one: a * d - b * c is the expansion itself, as 0 + x is x.
+    division.  On a diagonal matrix (every tangent bundle's A_c) it makes the
+    one product a_0 * (a_1 * ...).  A 2x2 one takes a * d - b * c, the
+    expansion itself, as 0 + x is x.
     """
     n = len(matrix)
     if n == 0:
@@ -975,8 +972,6 @@ def det(matrix: Sequence[Sequence]):
             return a * d
         total = a * d if a else a * 0
         return total - b * c if b else total
-    if not any(x for i, row in enumerate(matrix) for j, x in enumerate(row) if i != j):
-        return functools.reduce(lambda p, a: a * p, [r[i] for i, r in enumerate(matrix)][::-1])
     zero = matrix[0][0] * 0
     memo = {}
 

@@ -15,6 +15,7 @@ from qsheaf import (IneffectiveClass, LatticeError, NonProjectiveFan, PrimitiveC
                     find_anchor, h0, h1, linear_part, load_model, parse_deformation,
                     qsr_generators, tangent_deformation)
 from qsheaf.cli import cmd_analyze, cmd_verify, make_parser
+import qsheaf.fan
 import qsheaf.lattice
 import qsheaf.linalg
 from qsheaf.lattice import compositions
@@ -725,3 +726,31 @@ def test_positive_walk_takes_zero_coefficients(make_fan):
     cl.__dict__["mori"] = cl.mori + (total,)
     assert cl.positive == total
     assert cl.positive == _positive_by_filtered_product(cl)
+
+
+_LAZIES = {qsheaf.fan.Fan: ("_walk",),
+           qsheaf.lattice.ClassLattice: ("equiv", "primitive_collections", "primitive_relations",
+                                         "mori", "walls", "facets", "_facet_walls", "positive",
+                                         "_representatives", "_mori_solve")}
+
+
+@pytest.mark.parametrize("make_fan", [p2_fan, lambda: hirzebruch(1), blowup_p3_point],
+                         ids=["P2", "F1", "BlptP3"])
+def test_lazies_fill_the_instance_dict_once(make_fan):
+    # fan._cached_property computes a lazy on its first read and stores it in
+    # the instance __dict__, which then answers every later read, also on the
+    # frozen Fan, whose own __setattr__ refuses; the class reads the descriptor
+    built = make_fan()
+    fan = qsheaf.fan.Fan(rank=built.rank, rays=built.rays, max_cones=built.max_cones)
+    cl = class_lattice(built)
+    for obj, names in ((fan, _LAZIES[qsheaf.fan.Fan]), (cl, _LAZIES[qsheaf.lattice.ClassLattice])):
+        kind = type(obj)
+        assert {name for name, attr in vars(kind).items()
+                if isinstance(attr, qsheaf.fan._cached_property)} == set(names)
+        for name in names:
+            assert getattr(kind, name) is vars(kind)[name]
+            obj.__dict__.pop(name, None)
+            first = getattr(obj, name)
+            assert obj.__dict__[name] is first
+            assert getattr(obj, name) is first
+    assert fan._walk == built._walk

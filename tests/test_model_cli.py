@@ -75,12 +75,15 @@ def test_cli_malformed_section_is_model_error(tmp_path, capsys, data):
     assert "Traceback" not in err
 
 
-def test_anchor_bound_option_accepted_and_ignored():
+def test_anchor_bound_option_refused(tmp_path, capsys):
     fan = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
-    m = build_model({"version": 1, "fan": fan, "options": {"anchor_bound": 10}})
-    assert m.options == {}
-    with pytest.raises(ModelError, match="unknown option 'anchor'"):
-        build_model({"version": 1, "fan": fan, "options": {"anchor": 10}})
+    for key in ("anchor_bound", "anchor"):
+        with pytest.raises(ModelError, match=f"^unknown option '{key}'$"):
+            build_model({"version": 1, "fan": fan, "options": {key: 10}})
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"version": 1, "fan": fan, "options": {"anchor_bound": 10}}))
+    code, out, err = capture(capsys, ["analyze", str(path), "--no-cache"])
+    assert (code, out, err) == (1, "", "error[ModelError]: unknown option 'anchor_bound'\n")
 
 
 def test_string_integers_accepted():
