@@ -8,7 +8,6 @@ equivalence class c, whose determinant Q_c generates everything downstream.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fan import PrimitiveCollection
 from .lattice import ClassLattice
-from .linalg import _dot, kernel_basis, matrix_rank, rank_mod
+from .linalg import _dot, _primitive, kernel_basis, matrix_rank
 from .poly import (GroebnerBasis, Ideal, Polynomial, parse_polynomial, power_product,
                    sole_generator, standard_monomials, det, echo)
 from .sectors import sector_gb
@@ -58,18 +57,11 @@ class Deformation:
 
 
 _FRESHNESS_SEED = 7  # the sample points are fixed, so reports are reproducible
-# a deformation's trial takes about 0.03 ms: a fraction of a second, not hours;
-# T_X draws none
+# a deformation's trial takes 0.02-0.03 ms (deformed (P^1)^2 and (P^1)^3): a
+# fraction of a second, not hours; T_X draws none
 _MAX_TRIALS = 10_000
-_FRESHNESS_PRIME = 2 ** 61 - 1  # ranks are certified modulo this prime first
 # a draw's numerator; random.choice reads only the length, so the stream is fixed
 _NUMERATORS = tuple(n for n in range(-9, 10) if n)
-
-
-def _mod(x, p: int) -> Optional[int]:
-    """A rational x modulo the prime p, or None when p divides its denominator."""
-    den = x.denominator % p
-    return x.numerator * pow(den, -1, p) % p if den else None
 
 
 @dataclass(frozen=True)
@@ -233,9 +225,9 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     are evaluated at rational points outside the irrelevant locus, including
     one generic point per toric stratum, and must span W.  A rank drop
     returns the witness point.  Each coordinate is drawn as an int pair
-    (num, den); a full rank of the residues modulo _FRESHNESS_PRIME
-    certifies a point, and only a drop there, or a pair or an input with the
-    prime in a denominator, is decided by the exact rank over Q.
+    (num, den), den > 0, and each row is multiplied by one positive
+    rational that makes it integral, so one exact integer rank decides each
+    point: no prime, and no Fraction until a witness is returned.
     """
     if trials < 0:
         raise DeformError(f"trials must be nonnegative, got {echo(trials)}")
@@ -246,9 +238,6 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     fan = cl.fan
     rng = random.Random(_FRESHNESS_SEED)
     pcs = cl.primitive_collections
-    p = _FRESHNESS_PRIME
-    # inverses mod p of every denominator drawn or met, but those p divides
-    inverse = {den: pow(den, -1, p) for den in range(1, 8) if den % p}
 
     def rand_nonzero() -> tuple:
         return rng.choice(_NUMERATORS), rng.randint(1, 7)
@@ -269,8 +258,6 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
         for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]
             last = next(v for v in reversed(u) if v)  # the free entry: 1 in the RREF vector
-            if last % p:
-                inverse[last] = pow(last, -1, p)
             for j, rho in enumerate(c.members):
                 x[rho] = (u[j], last)
             if not in_irrelevant(x):
@@ -278,33 +265,33 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
     for _ in range(trials):
         points.append(tuple(rand_nonzero() for _ in range(fan.n_rays)))
 
-    # each entry's Cox monomial as its (ray, exponent) pairs with exponent > 0
-    terms = [(entry.rho, [(rp, e) for rp, e in enumerate(_cox_monomial(fan, entry.rho, entry.m))
-                          if e], entry.coeff.linear_coefficients())
-             for entry in E.entries if entry.coeff]
-
-    def rows_at(x, entries):
-        rows = [[0] * cl.pic_rank for _ in range(fan.n_rays)]
-        for rho, mono, coeffs in entries:
-            value = math.prod([x[rp] ** e for rp, e in mono])
-            if value:
-                for k, cval in enumerate(coeffs):
-                    rows[rho][k] += cval * value
-        return rows
-
-    # rows of p-integral entries with full rank mod p have full rank over
-    # Q, so the verdict and the witness are those of the exact rank
-    mod_terms = [(rho, mono, [_mod(c, p) for c in coeffs]) for rho, mono, coeffs in terms]
-    if any(None in coeffs for _, _, coeffs in mod_terms):
-        mod_terms = None
+    # E_rho(x) times one positive rational per row: its coefficients over
+    # their content, and den^t at x_rp = num / den for t the largest exponent
+    # of x_rp in the row, so an entry with exponents e gives num^e den^(t - e)
+    r = cl.pic_rank
+    row_terms = []
+    for rho in range(fan.n_rays):
+        row = [(_cox_monomial(fan, rho, entry.m), entry.coeff.linear_coefficients())
+               for entry in E.entries if entry.rho == rho and entry.coeff]
+        top = [max(col) for col in zip(*[mono for mono, _ in row])]
+        flat = _primitive([c for _, coeffs in row for c in coeffs])[0]
+        row_terms.append([(flat[k * r:k * r + r],
+                           [(rp, e, t - e) for rp, (e, t) in enumerate(zip(mono, top)) if t])
+                          for k, (mono, _) in enumerate(row)])
     for x in points:
-        if mod_terms is not None and all(den in inverse for _, den in x):
-            xp = [num * inverse[den] % p for num, den in x]
-            if rank_mod(rows_at(xp, mod_terms), p) == cl.pic_rank:
-                continue
-        x = tuple([Fraction(num, den) for num, den in x])
-        if matrix_rank(rows_at(x, terms)) != cl.pic_rank:
-            return FreenessVerdict(passed=False, witness=x)
+        matrix = []
+        for row in row_terms:
+            acc = [0] * r
+            for coeffs, mono in row:
+                value = 1
+                for rp, e, d in mono:
+                    num, den = x[rp]
+                    value *= num ** e * den ** d
+                for k, c in enumerate(coeffs):
+                    acc[k] += c * value
+            matrix.append(acc)
+        if matrix_rank(matrix) != r:
+            return FreenessVerdict(passed=False, witness=tuple([Fraction(*xy) for xy in x]))
     return FreenessVerdict(passed=True)
 
 

@@ -181,25 +181,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_integer_rref(rows)[1])
 
 
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p), p prime, of a matrix of ints read modulo p."""
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        sel = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        row = m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(rank + 1, len(m)):
-            a = m[i][c]
-            if a:
-                m[i] = [(x - a * y) % p for x, y in zip(m[i], row)]
-        rank += 1
-    return rank
-
-
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list:
     """Integer basis of the kernel of the matrix with the given rows: per
     free column f, the primitive multiple, positive at f, of the RREF kernel

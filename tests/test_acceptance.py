@@ -120,13 +120,15 @@ def test_criterion_5_p1_correlator_ladder():
             assert novikov_series_str(cl, rep.series) == expected
 
 
-def _nonlinear_entries(cl, rng, count):
-    """Random valid nonlinear characters with random rational coefficients."""
+def _characters(cl):
+    """(rho, m, slot) for every nonzero character m in [-3, 3]^n that makes
+    x_rho chi^m a section of O(D_rho); slot is its linear slot in A_c, None
+    for a nonlinear term."""
     from qsheaf.deform import _linear_slot, DeformationEntry
 
     fan = cl.fan
     box = range(-3, 4)
-    candidates = []
+    characters = []
     for rho in range(fan.n_rays):
         for m in itertools.product(box, repeat=fan.rank):
             if not any(m):
@@ -137,8 +139,14 @@ def _nonlinear_entries(cl, rng, count):
                 continue
             entry = DeformationEntry(rho, m, Polynomial.linear(cl.pic_rank,
                                                                cl.divisor_classes[rho]))
-            if _linear_slot(cl, entry) is None:
-                candidates.append((rho, m))
+            characters.append((rho, m, _linear_slot(cl, entry)))
+    return characters
+
+
+def _nonlinear_entries(cl, rng, count):
+    """Random valid nonlinear characters with random rational coefficients."""
+    fan = cl.fan
+    candidates = [(rho, m) for rho, m, slot in _characters(cl) if slot is None]
     rng.shuffle(candidates)
     picked = []
     for rho, m in candidates[:count]:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsheaf import (CharacterOutsidePolytope, DeformError, DegenerateDeformation,
                     DuplicateEntry, UnknownRayIndex, class_lattice, correlator_series,
@@ -20,7 +22,7 @@ from _oracles import linear_slot_by_pairings, local_freeness_by_points
 from conftest import (all_fans, blowup_p3_point, blown_up_p1xp1, deformed_p1_power_entries,
                       deformed_p1xp1, deformed_setups, hexagon, hirzebruch, p1_fan,
                       p1_power, p1xp1_fan, p2_fan, projective_bundle, tangent_setup)
-from test_acceptance import _nonlinear_entries
+from test_acceptance import _characters, _nonlinear_entries
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -305,6 +307,43 @@ def test_local_freeness_matches_per_point_pairing():
     assert verdicts == {True, False}
 
 
+def test_local_freeness_matches_the_oracle_on_drawn_deformations():
+    """Drawn deformations of the six worked examples: the entries (rho, 0)
+    and every off-diagonal linear entry, each kept or not, and 0-3 nonlinear
+    extras, whose monomials put exponents below a row's largest.  A row's
+    rational coefficients share one denominator, 1 to 7, no two rows alike.
+    Verdicts and witnesses are the oracle's, and both verdicts occur."""
+    setups = []
+    for _, fan in all_fans():
+        cl = class_lattice(fan)
+        characters = _characters(cl)
+        setups.append((cl, [(rho, m) for rho, m, slot in characters if slot and slot[1] != rho],
+                       [(rho, m) for rho, m, slot in characters if slot is None]))
+    passed = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        cl, linear, nonlinear = data.draw(st.sampled_from(setups))
+        n = cl.fan.n_rays
+        dens = data.draw(st.permutations(range(1, 8)))
+        extras = data.draw(st.lists(st.sampled_from(nonlinear), max_size=3, unique=True)
+                           if nonlinear else st.just([]))
+        raw = []
+        for rho, m in [(rho, (0,) * cl.fan.rank) for rho in range(n)] + linear + extras:
+            num = data.draw(st.integers(-2, 2))
+            if num:
+                raw.append((rho, m, f"{num}/{dens[rho]}*D{data.draw(st.integers(1, n))}"))
+        E = parse_deformation(cl, raw)
+        for trials in (0, 5):
+            verdict = local_freeness_check(cl, E, trials)
+            assert verdict == local_freeness_by_points(cl, E, trials), (raw, trials)
+        passed.append(verdict.passed)
+
+    check()
+    assert 0 < passed.count(False) < len(passed), (passed.count(False), len(passed))
+
+
 def test_character_outside_polytope_text():
     cl = class_lattice(p1xp1_fan())  # rays (1, 0), (-1, 0), (0, 1), (0, -1)
     with pytest.raises(CharacterOutsidePolytope) as exc:
@@ -350,51 +389,40 @@ def test_q_product_equals_the_plain_product(monkeypatch):
 
 
 def _spy_ranks(monkeypatch):
-    """Record the rank calls of local_freeness_check: ('mod', full rank?) and
-    ('exact', None), in order."""
+    """Record the matrix of every rank local_freeness_check takes, in order."""
     import qsheaf.deform
 
-    events = []
-    exact, modular = qsheaf.deform.matrix_rank, qsheaf.deform.rank_mod
+    matrices = []
+    exact = qsheaf.deform.matrix_rank
 
-    def spy_exact(rows):
-        events.append(("exact", None))
+    def spy(rows):
+        matrices.append(rows)
         return exact(rows)
 
-    def spy_modular(rows, p):
-        rank = modular(rows, p)
-        events.append(("mod", rank == len(rows[0])))
-        return rank
-
-    monkeypatch.setattr(qsheaf.deform, "matrix_rank", spy_exact)
-    monkeypatch.setattr(qsheaf.deform, "rank_mod", spy_modular)
-    return events
+    monkeypatch.setattr(qsheaf.deform, "matrix_rank", spy)
+    return matrices
 
 
-def test_local_freeness_certified_mod_p_needs_no_exact_rank(monkeypatch):
-    events = _spy_ranks(monkeypatch)
-    failed = 0
-    for name, cl, E in _freeness_cases():
-        verdict = local_freeness_check(cl, E, trials=20)
-        failed += not verdict.passed
-    # every passing point is certified mod 2^61 - 1; only a witness is exact
-    assert sum(kind == "exact" for kind, _ in events) == failed > 0
+def test_local_freeness_takes_one_integer_rank_per_point(monkeypatch):
+    import _oracles
 
+    points = []
+    exact = _oracles.matrix_rank
 
-@pytest.mark.parametrize("prime", [3, 7])
-def test_local_freeness_with_a_small_prime_matches_per_point_pairing(monkeypatch, prime):
-    import qsheaf.deform
+    def count(rows):  # the oracle takes one rank per sample point
+        points.append(None)
+        return exact(rows)
 
-    monkeypatch.setattr(qsheaf.deform, "_FRESHNESS_PRIME", prime)
-    events = _spy_ranks(monkeypatch)
+    monkeypatch.setattr(_oracles, "matrix_rank", count)
+    matrices = _spy_ranks(monkeypatch)
     for name, cl, E in _freeness_cases():
         for trials in (0, 20):
+            del points[:], matrices[:]
             verdict = local_freeness_check(cl, E, trials=trials)
             assert verdict == local_freeness_by_points(cl, E, trials), (name, trials)
-    # both fallbacks ran: a drop mod p, and an input with p in a denominator
-    before = [events[k - 1] if k else None for k, e in enumerate(events) if e[0] == "exact"]
-    assert ("mod", False) in before
-    assert any(e != ("mod", False) for e in before)
+            if not E.is_tangent:
+                assert len(matrices) == len(points), (name, trials)
+            assert all(type(v) is int for rows in matrices for row in rows for v in row), name
 
 
 def _euler_fans():
@@ -441,16 +469,15 @@ def test_local_freeness_samples_every_deformation_but_the_tangent_entries(monkey
 
 @pytest.mark.parametrize("prime", [3, 7])
 def test_local_freeness_kernel_point_with_a_small_prime_denominator(monkeypatch, prime):
-    """A kernel point (u_j, last) with last = 21: the prime divides its
-    denominator, so the exact rank decides it, and it is the witness."""
-    import qsheaf.deform
-
+    """A kernel point (u_j, last) with last = 21 * prime, so the prime divides
+    it twice, a denominator no random draw (den <= 7) makes: the row scaling
+    clears it, the last rank is taken on integers, and it is the witness."""
+    last = 21 * prime
     cl = class_lattice(p1_fan())
-    E = parse_deformation(cl, [(0, (0,), "21*D1"), (0, (-1,), "D1"),
-                               (1, (0,), "D1"), (1, (1,), "21*D1")])
-    monkeypatch.setattr(qsheaf.deform, "_FRESHNESS_PRIME", prime)
-    events = _spy_ranks(monkeypatch)
+    E = parse_deformation(cl, [(0, (0,), f"{last}*D1"), (0, (-1,), "D1"),
+                               (1, (0,), "D1"), (1, (1,), f"{last}*D1")])
+    matrices = _spy_ranks(monkeypatch)
     verdict = local_freeness_check(cl, E, trials=20)
+    assert verdict.witness == (Fraction(-1, last), Fraction(1))
+    assert all(type(v) is int for row in matrices[-1] for v in row)
     assert verdict == local_freeness_by_points(cl, E, 20)
-    assert verdict.witness == (Fraction(-1, 21), Fraction(1))
-    assert events[-1] == ("exact", None)

@@ -6,8 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsheaf.linalg import (_primitive, inverse, kernel_basis, matrix_rank, rank_mod,
-                           smith_normal_form)
+from qsheaf.linalg import _primitive, inverse, kernel_basis, matrix_rank, smith_normal_form
 
 from _oracles import kernel_by_fractions, rref_by_fractions, smith_by_min_scans
 
@@ -66,20 +65,6 @@ def test_kernel_basis_matches_rational_elimination(m):
         assert last > 0 and [Fraction(x, last) for x in vec] == ref
     assert matrix_rank(m) == len(pivots) == width - len(basis)
     assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m for vec in basis)
-
-
-small_matrices = st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
-                         max_size=7)
-
-
-@given(small_matrices)
-@settings(max_examples=80, deadline=None)
-def test_rank_mod_a_large_prime_matches_rank_over_q(rows):
-    # Hadamard: every minor is below 7^(7/2) * 9^7 < 2^61 - 1, so none that
-    # is nonzero over Q vanishes mod p
-    rank = matrix_rank(rows)
-    assert rank_mod(rows, 2 ** 61 - 1) == rank
-    assert rank_mod(rows, 3) <= rank
 
 
 @st.composite

@@ -105,6 +105,12 @@ def test_load_model_bad_json(tmp_path):
     with pytest.raises(ModelError) as err:
         load_model(str(path))
     assert "line" in str(err.value)
+    # CR and CRLF endings count lines as LF does
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes('{\n  "version": 1,\n  "fan": {\n    "rank": ,\n  }\n}\n'
+                         .replace("\n", newline).encode())
+        with pytest.raises(ModelError, match="line 4 column 13: Expecting value"):
+            load_model(str(path))
 
 
 def test_cli_deeply_nested_json_is_model_error(tmp_path, capsys):

@@ -444,6 +444,11 @@ def test_integral_fraction_and_int_coefficients_agree():
     assert type(b.terms[mon]) is int
     assert cache.ideal_key(Ideal((a,))) == cache.ideal_key(Ideal((b,)))
     assert str(a) == str(b)
+    assert Polynomial.const(1, 0.1).terms == {((0,), ()): Fraction(0.1)}  # a float, exactly
+    three = Polynomial.const(2, 3)
+    assert three == 3 and three == Fraction(3) and three != "3"  # "3": NotImplemented
+    assert Polynomial.zero(2).psi_degree() == -1
+    assert (1 - x).to_str() == "-psi1 + 1"
 
 
 def test_parser_caps_nesting():
