@@ -196,12 +196,16 @@ def _linear_slot(cl: ClassLattice, entry: DeformationEntry) -> Optional[tuple]:
 
 
 def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
-    """Extract the linear coefficient matrices A_c and Q_c = det A_c.
+    """The linear coefficient matrices A_c (`_matrices`) and Q_c = det A_c;
+    a class of one ray has its one entry for determinant."""
+    matrices = _matrices(cl, E)
+    return LinearData(cl, matrices, tuple([det(rows) for rows in matrices]))
 
-    Nonlinear entries are ignored; missing linear coefficients default to
-    zero.  Rows and columns are indexed by the sorted members of each class.
-    A class of one ray has its one entry for determinant.
-    """
+
+def _matrices(cl: ClassLattice, E: Deformation) -> tuple:
+    """The matrices A_c in cl.equiv order, rows and columns indexed by the
+    sorted members of each class; nonlinear entries are ignored and missing
+    linear coefficients are zero."""
     zero = Polynomial.zero(cl.pic_rank)
     slots = {}
     for entry in E.entries:
@@ -209,9 +213,8 @@ def linear_part(cl: ClassLattice, E: Deformation) -> LinearData:
         if slot is not None:
             zero._check(entry.coeff)  # refuses a coefficient from another ring
             slots[slot] = slots[slot] + entry.coeff if slot in slots else entry.coeff
-    matrices = tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
-                             for i in c.members]) for c in cl.equiv])
-    return LinearData(cl, matrices, tuple([det(rows) for rows in matrices]))
+    return tuple([tuple([tuple([slots.get((i, j), zero) for j in c.members])
+                         for i in c.members]) for c in cl.equiv])
 
 
 def local_freeness_check(cl: ClassLattice, E: Deformation,
@@ -251,9 +254,8 @@ def local_freeness_check(cl: ClassLattice, E: Deformation,
               for face in sorted(fan.cone_faces())]
     # targeted points: kernel vectors of each class's linear coefficient map
     # catch rank drops along linear degeneracy loci that sampling misses
-    lin = linear_part(cl, E)
-    for c in cl.equiv:
-        rows = [list(col) for row in lin.matrices[c.index]
+    for c, matrix in zip(cl.equiv, _matrices(cl, E)):
+        rows = [list(col) for row in matrix
                 for col in zip(*(e.linear_coefficients() for e in row))]
         for u in kernel_basis(rows, c.size):
             x = [rand_nonzero() for _ in range(fan.n_rays)]

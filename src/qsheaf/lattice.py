@@ -367,15 +367,6 @@ def _packing_bound(rows: Sequence[Sequence[int]]) -> int:
     return max(1, count)
 
 
-def compositions(total: int, parts: int):
-    """Every tuple of parts >= 1 nonnegative integers summing to total, in
-    lexicographic order: the order of itertools.product filtered by sum.  Stars
-    and bars: each part counts the places between two of the parts - 1 bars."""
-    places = total + parts - 1
-    return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
-            for bars in itertools.combinations(range(places), parts - 1))
-
-
 def cone_facets(gens: Sequence[Sequence[int]], dim: int) -> dict:
     """Primitive integer inward facet normals of the cone spanned by gens, in
     order of first appearance, each mapped to the bitmask of gens on it.

@@ -9,6 +9,7 @@ full polynomial-expansion route and a correlator route as cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -17,11 +18,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fan import PrimitiveCollection
-from .lattice import (ClassLattice, CurveClass, beta_K, compositions, dominates,
-                      find_anchor, h0, h1)
+from .lattice import ClassLattice, CurveClass, beta_K, dominates, find_anchor, h0, h1
 from .poly import (GroebnerBasis, PolyError, Polynomial, UnsupportedNovikovShape,
-                   _dehomogenize, _umul, _upower, monomial_str, normal_form, signed_sum,
-                   sole_generator, standard_monomials, top_functional)
+                   _capped_exponents, _dehomogenize, _umul, _upower, monomial_str, normal_form,
+                   signed_sum, sole_generator, standard_monomials, top_functional)
 from .deform import LinearData
 from .linalg import _primitive
 from .sectors import NotDominating, ceiling, nonempty, sector_gb
@@ -270,12 +270,8 @@ class _ResidueRing(_AnchorRing):
         """prod q_c^e over the classes c with e = exponents[c.index] > 0,
         each power taken by power(c.index, e), by default the one-step list."""
         power = power or self._power
-        out = [1]
-        for c in classes:
-            e = exponents[c.index]
-            if e > 0:
-                out = _umul(out, power(c.index, e)) if len(out) > 1 else power(c.index, e)
-        return out
+        factors = [power(c.index, exponents[c.index]) for c in classes if exponents[c.index] > 0]
+        return functools.reduce(_umul, factors) if factors else [1]
 
     def _parts(self, exponents, power=None) -> tuple:
         """(D, E, top, bottom), the residue sum of h * prod_c Q_c^-exponents[c]
@@ -479,7 +475,7 @@ def effective_window(cl: ClassLattice, c1_bound: int,
             "non-Fano window needs an explicit coefficient bound")
     found = set()
     for total in range(coeff_bound + 1):
-        for combo in compositions(total, len(gens)):
+        for combo in _capped_exponents([total + 1] * len(gens), total):
             beta = cl.from_mori(combo)
             if beta.c1() <= c1_bound:
                 found.add(beta)

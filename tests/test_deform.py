@@ -467,6 +467,29 @@ def test_local_freeness_samples_every_deformation_but_the_tangent_entries(monkey
         assert verdict == local_freeness_by_points(cl, E, 8)
 
 
+def test_local_freeness_of_a_deformation_takes_no_determinant(monkeypatch):
+    """The check reads the matrices A_c for its kernel points and never Q_c:
+    poly.det, which linear_part runs once per class, runs zero times."""
+    import qsheaf.deform
+
+    calls = []
+    exact = qsheaf.deform.det
+    monkeypatch.setattr(qsheaf.deform, "det", lambda rows: calls.append(rows) or exact(rows))
+    checked = 0
+    for name, cl, E in _freeness_cases():
+        if E.is_tangent:
+            continue
+        del calls[:]  # load_model's own linear_part
+        verdict = local_freeness_check(cl, E, trials=20)
+        assert calls == [], name
+        assert verdict == local_freeness_by_points(cl, E, 20), name
+        checked += 1
+    del calls[:]
+    assert checked > 1
+    linear_part(cl, E)  # the spy sees the determinants the check skips
+    assert len(calls) == len(cl.equiv)
+
+
 @pytest.mark.parametrize("prime", [3, 7])
 def test_local_freeness_kernel_point_with_a_small_prime_denominator(monkeypatch, prime):
     """A kernel point (u_j, last) with last = 21 * prime, so the prime divides

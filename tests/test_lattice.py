@@ -18,7 +18,7 @@ from qsheaf.cli import cmd_analyze, cmd_verify, make_parser
 import qsheaf.fan
 import qsheaf.lattice
 import qsheaf.linalg
-from qsheaf.lattice import compositions
+from qsheaf.poly import _capped_exponents
 from qsheaf.quantum import effective_window
 
 from qsheaf.sectors import SectorError, ceiling, nonempty
@@ -553,10 +553,11 @@ def test_positive_on_eight_mori_generators_is_fast():
 
 def _positive_by_compositions(cl):
     """The first positive class by the plain walk over every composition of
-    each coefficient sum, with no prefix cut."""
+    each coefficient sum, with no prefix cut: poly's lex-descending walker,
+    reversed into lexicographic order."""
     rows = [[c.d(g) for g in cl.mori] for c in cl.equiv]
     for total in itertools.count(1):
-        for combo in compositions(total, len(cl.mori)):
+        for combo in reversed(list(_capped_exponents([total + 1] * len(cl.mori), total))):
             if all(sum(a * b for a, b in zip(row, combo)) > 0 for row in rows):
                 return cl.from_mori(combo)
 

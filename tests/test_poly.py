@@ -894,6 +894,30 @@ def test_top_functional_matches_normal_form():
             assert value(pack(exps)) == nf.terms.get((top, ()), 0), (exps, top)
 
 
+def test_top_functional_on_a_basis_read_back_from_the_store():
+    """The on-disk store writes each basis element's terms in sorted exponent
+    order, so a basis read back from it lists its tails in that order, not
+    largest first.  The walk from psi1^3 on this one then pushes a tail
+    monomial again, while a larger monomial pushed after it reduces, and
+    pops the second push once it is memoized.  Every value is still the
+    coefficient of the top monomial in the normal form."""
+    x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+    ideal = Ideal((2 * x2 * x3 + 2 * x3 * x3,
+                   3 * x1 * x1 - 3 * x1 * x2 - 3 * x2 * x2 - 3 * x1 * x3 - x2 * x3,
+                   x1 * x2 - 2 * x2 * x2 - x1 * x3 - 2 * x3 * x3))
+    gb = groebner(ideal)
+    (top,) = standard_monomials(gb, 3)
+    stored = qsheaf.poly.GroebnerBasis(tuple(
+        cache.deserialize_poly(cache.serialize_poly(g), 3, 0) for g in gb.polys))
+    assert stored.polys == gb.polys
+    assert any(list(g.terms) != sorted(g.terms, key=monomial_key, reverse=True)
+               for g in stored.polys)
+    value, pack = top_functional(stored, top)
+    for exps in sorted(monomials_of_degree(3, 3), reverse=True):
+        nf = normal_form(Polynomial(3, 0, {(exps, ()): 1}), gb)
+        assert value(pack(exps)) == nf.terms.get((top, ()), 0), exps
+
+
 def test_top_functional_reads_every_divisor_through_the_packing_rule(monkeypatch):
     rules = []
     real = _Packing.rule

@@ -650,6 +650,18 @@ def test_relation_annihilates_window():
             assert relation_annihilates(lin, rel, insertion, window)
 
 
+def test_relation_annihilates_a_window_with_no_effective_class(monkeypatch):
+    """No sector of the window is effective, so no correlator is read: the
+    relation holds there vacuously and no anchor ring is built."""
+    cl, lin = tangent_setup(hirzebruch(1))
+    window = [cl.zero_curve + (-1) * g for g in cl.mori]
+    assert not any(map(cl.is_effective, window))
+    monkeypatch.setattr(_AnchorRing, "over", mock.Mock(side_effect=AssertionError("built")))
+    for rel in qsr_generators(lin):
+        for w in (window, []):
+            assert relation_annihilates(lin, rel, Polynomial.variable(2, 0), w) is True
+
+
 def _p1_cube_fan():
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     cones = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
@@ -1354,6 +1366,129 @@ def test_infinite_root_of_both_collections_is_refused(tmp_path, capsys):
     assert out == ""
     assert err == ("error[AnchorDegenerate]: anchor sector of (1, 1, 1, 1): u = oo is a "
                    "root of both collections\n")
+
+
+# ---- the residue route against both reference rings on drawn deformations ---
+
+_DRAWN_LATTICES = {name: class_lattice(fan) for name, fan in (
+    ("F1", hirzebruch(1)), ("F2", hirzebruch(2)), ("F3", hirzebruch(3)),
+    ("P2", p2_fan()), ("P1xP1", p1xp1_fan()))}
+
+
+def _drawn_rows(make, refusals, read, window, probes):
+    """read(ring, p, beta) for every sector of the window and every probe,
+    off the ring make() builds; None when building it or reading a row
+    raises one of the refusals."""
+    try:
+        ring = make()
+        return [read(ring, p, beta) for beta in window for p in probes]
+    except refusals:
+        return None
+
+
+def _differential_slices(cl, lin):
+    """(t, anchor, residue rows, Fraction reference rows, Groebner rows) for
+    every nonempty degree slice with t <= 3, each ring on the slice's anchor;
+    the probes are L^n and every monomial of degree n, and a refusal is None."""
+    from qsheaf import QuantumError
+    from qsheaf.quantum import _GroebnerRing, _ResidueRing
+
+    def package(ring, p, beta):
+        return ring.row(p, beta)[0]
+
+    def reference(ring, p, beta):
+        return ring.scalar(p, beta) if sector(lin, beta).nonempty else 0
+
+    L = sum(d_symbols(cl))
+    for t in range(4):
+        window = _slice(cl, t)
+        if not window:
+            continue
+        anchor = find_anchor(cl, list(window))
+        n = cl.fan.rank + t
+        probes = [L ** n] + [Polynomial(cl.pic_rank, 0, {((a, n - a)[:cl.pic_rank], ()): 1})
+                             for a in range(n + 1 if cl.pic_rank == 2 else 1)]
+        yield (t, anchor,
+               _drawn_rows(lambda: _ResidueRing(lin, anchor), QuantumError, package,
+                           window, probes),
+               # a degenerate anchor: no collection K, no top piece or a shared root
+               _drawn_rows(lambda: ResidueReference(lin, anchor),
+                           (AssertionError, StopIteration), reference, window, probes),
+               _drawn_rows(lambda: _GroebnerRing(lin, anchor), QuantumError, package,
+                           window, probes))
+
+
+def _artinian(lin, anchor):
+    """Whether the anchor ring is Artinian: a leading monomial of its
+    Groebner basis is a pure power of each variable (CLO ch. 5 section 3)."""
+    leads = [g.leading_monomial()[0] for g in qsheaf.sectors.sector_gb(lin, anchor).polys]
+    return all(any(m[i] == sum(m) > 0 for m in leads) for i in range(lin.cl.pic_rank))
+
+
+@given(st.sampled_from(sorted(_DRAWN_LATTICES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_residue_ring_matches_both_references_on_drawn_deformations(name, data):
+    """Linear deformations of F1, F2, F3, P^2 and P^1 x P^1: ray rho gets
+    k * D_rho, k in {0, +-1, +-2, 1/2}, sometimes plus +-D_sigma for another
+    ray.  At every degree slice with t <= 3 the residue ring's rows equal
+    the Fraction reference's and the Groebner ring's, or all three refuse.
+    One exclusion: the Groebner ring accepts an anchor ring that is not
+    Artinian whenever its top piece is one-dimensional (at Picard rank 1
+    with Q = 0 every graded piece of Q[psi] is; at rank 2, F1 with the
+    entries D2, D1, D1, D4 at t = 1), and the residue ring refuses there."""
+    cl = _DRAWN_LATTICES[name]
+    raw = []
+    for rho in range(cl.fan.n_rays):
+        coeff = f"{data.draw(st.sampled_from(('0', '1', '-1', '2', '-2', '1/2')))}*D{rho + 1}"
+        if data.draw(st.booleans()):
+            sigma = data.draw(st.sampled_from([x for x in range(cl.fan.n_rays) if x != rho]))
+            coeff += f" {data.draw(st.sampled_from('+-'))} D{sigma + 1}"
+        raw.append((rho, (0, 0), coeff))
+    lin = linear_part(cl, parse_deformation(cl, raw))
+    for t, anchor, residue, fractions, groebner in _differential_slices(cl, lin):
+        assert residue == fractions, (raw, t)
+        if groebner is not None and not _artinian(lin, anchor):
+            assert residue is None, (raw, t)
+        else:
+            assert residue == groebner, (raw, t)
+
+
+_F1_SERIES = """\
+insertion: -psi1^3 + 9*psi1^2*psi2 - 27*psi1*psi2^2 + 27*psi2^3
+anchor: d=[2, 2, 0, 2] mori=[2, 2]
+anchor generator: psi1^5*psi2^3 (normalization reference)
+sectors:
+  beta d=[1, 1, -1, 0] mori=[1, 0]: 1 [ok]
+series: q1
+"""
+_F1_SHARED_ROOT = ("error[AnchorDegenerate]: anchor sector of (2, 2, 0, 2): the generators "
+                   "of its two collections share a root\n")
+
+
+@pytest.mark.parametrize("rho, coeff, code, out, err", [
+    pytest.param(2, "-D4", 0, _F1_SERIES, "", id="-D4 at rho 2"),  # q_c = -1, class of D3
+    pytest.param(2, "0*D3", 1, "", _F1_SHARED_ROOT, id="0*D3 at rho 2"),  # ahead of D4's
+    pytest.param(3, "0*D4", 1, "", _F1_SHARED_ROOT, id="0*D4 at rho 3"),  # the last class
+])
+def test_f1_unit_and_zero_factors_of_the_residue_product(tmp_path, capsys, rho, coeff, code,
+                                                        out, err):
+    """models/f1.json with the tangent entries but one: the residue ring
+    multiplies a q_c of -1 or 0 into E wherever it falls among the other
+    powers, so -D4 at rho = 2 (locally free, polymology 1,2,1) reads
+    series q1 as both reference rings do, and a vanishing q_c is refused
+    as a shared root at rho = 2 as at rho = 3."""
+    from qsheaf.cli import run
+
+    with open(os.path.join(MODELS, "f1.json")) as fh:
+        model = json.load(fh)
+    entries = [{"rho": r, "m": [0, 0], "coeff": f"D{r + 1}"} for r in range(4)]
+    entries[rho]["coeff"] = coeff
+    model["deformation"] = {"entries": entries}
+    path = tmp_path / "f1.json"
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert run(["correlator", str(path), "--poly", "(D1+D2+D3+D4)^3", "--no-cache"]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # ---- the integer one-variable kernel against Fraction arithmetic ------------
